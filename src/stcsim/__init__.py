@@ -25,7 +25,6 @@ from .codes import (
     encode,
     encode_golden_brv,
     encode_golden_dv,
-    encode_golden_variant,
     encode_golden_wimax,
     encode_overlaid_alamouti,
     golden_parts,
@@ -60,6 +59,6 @@ from .harness import (
     run_sweep,
     run_verification,
 )
-from .matrixkit import QRFactors, inner_product_columns, qr_golden_structured, qr_decompose
+from .matrixkit import QRFactors, qr_golden_structured, qr_decompose
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from . import codes, decoders, harness
+from . import codes, harness
 from .channel import ChannelRealization
 from .constellation import make_qam
 
@@ -66,10 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _complex_array(data, shape):
-    arr = np.asarray(data, dtype=float)
+def _complex_array(data, key, shape):
+    arr = np.asarray(data[key], dtype=float)
     if arr.shape != shape + (2,):
-        raise ValueError(f"expected nested [re, im] pairs of shape {shape}")
+        raise ValueError(f"expected nested [re, im] pairs of shape {shape} in {key!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite value in {key!r}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -82,29 +84,19 @@ def _decode_command(path: str) -> int:
     code = data["code"]
     if code not in codes.CODE_VARIANTS:
         raise ValueError(f"unknown code variant: {code!r}")
-    decoder = data["decoder"]
-    if decoder not in harness.DECODER_NAMES:
-        raise ValueError(f"unknown decoder: {decoder!r}")
     alphabet = make_qam(int(data["modulation"]))
+    entry = harness.decoder_entry(data["decoder"], code, alphabet.size)
     if ("h" in data) == ("H" in data):
         raise ValueError("decode input needs exactly one of 'h' or 'H'")
     if "h" in data:
-        h = _complex_array(data["h"], (2, 2, 2))
+        h = _complex_array(data, "h", (2, 2, 2))
         eff = codes.effective_channel(ChannelRealization(h=h, model="custom"), code)
     else:
-        eff = codes.effective_channel_from_matrix(_complex_array(data["H"], (4, 4)), code)
-    raw = _complex_array(data["y"], (4,))
+        eff = codes.effective_channel_from_matrix(_complex_array(data, "H", (4, 4)), code)
+    raw = _complex_array(data, "y", (4,))
     flags = np.asarray(eff.conjugated)
     y = np.where(flags, np.conj(raw), raw)
-
-    if decoder == "fast":
-        result = decoders.decode_fast_golden(eff, y, alphabet)
-    elif decoder == "sphere":
-        result = decoders.decode_sphere_conventional(eff, y, alphabet)
-    elif decoder == "exhaustive":
-        result = decoders.decode_exhaustive(eff, y, alphabet)
-    else:
-        result = decoders.decode_alamouti_fast(eff, y, alphabet)
+    result = entry.call(eff, y, alphabet, "none")
 
     print("indices:", " ".join(str(i) for i in result.indices))
     print(f"cost: {result.cost:.12g}")
@@ -133,7 +125,6 @@ def main(argv=None) -> int:
                 trials=args.trials,
                 seed=args.seed,
                 ordering=args.ordering,
-                out=args.out,
                 noise_free=args.noise_free,
             )
             report = harness.run_sweep(cfg)

@@ -73,14 +73,12 @@ class EffectiveChannel:
     """4x4 effective channel plus the receive-stacking map it assumes.
 
     ``conjugated[l]`` tells whether the l-th stacked receive sample is the
-    complex conjugate of the raw sample; ``stacking`` names the raw samples
-    in stack order.
+    complex conjugate of the raw sample.
     """
 
     h: np.ndarray
     conjugated: tuple
     variant: str
-    stacking: tuple
 
     def stack_noise(self, noise: np.ndarray) -> np.ndarray:
         """Map raw noise samples [n1[1], n1[2], n2[1], n2[2]] to the stack."""
@@ -95,12 +93,6 @@ def conjugation_flags(variant: str) -> tuple:
     if variant in GOLDEN_VARIANTS:
         return (False, False, False, False)
     raise ValueError(f"unknown code variant: {variant!r}")
-
-
-def stacking_labels(variant: str) -> tuple:
-    if variant == "overlaid-alamouti":
-        return ("y1[1]", "conj(y1[2])", "y2[1]", "conj(y2[2])")
-    return ("y1[1]", "y1[2]", "y2[1]", "y2[2]")
 
 
 def encode_golden_dv(x) -> np.ndarray:
@@ -164,15 +156,6 @@ def encode(x, variant: str) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown code variant: {variant!r}") from None
     return encoder(x)
-
-
-def encode_golden_variant(x, variant: str) -> np.ndarray:
-    """Encode with one of the non-default golden variants (brv or wimax)."""
-    if variant == "brv":
-        return encode_golden_brv(x)
-    if variant == "wimax":
-        return encode_golden_wimax(x)
-    raise ValueError(f"unknown golden variant: {variant!r}")
 
 
 def psi_rotation() -> np.ndarray:
@@ -290,12 +273,7 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
 
 def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
     """Build the EffectiveChannel a decoder needs for a single realization."""
-    return EffectiveChannel(
-        h=effective_matrix(ch.h, variant),
-        conjugated=conjugation_flags(variant),
-        variant=variant,
-        stacking=stacking_labels(variant),
-    )
+    return effective_channel_from_matrix(effective_matrix(ch.h, variant), variant)
 
 
 def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChannel:
@@ -307,7 +285,6 @@ def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChan
         h=h4,
         conjugated=conjugation_flags(variant),
         variant=variant,
-        stacking=stacking_labels(variant),
     )
 
 

@@ -54,7 +54,9 @@ class QamAlphabet:
 
     ``symbols[k] = scale * (levels[k % L] + 1j * levels[k // L])`` where L is
     the PAM size: row-major ordering with the real axis running fastest. The
-    same ``pam`` serves both the real and the imaginary axis.
+    same ``pam`` serves both the real and the imaginary axis. The decoders
+    rely on exactly this layout, so construction raises ValueError for any
+    other symbol array.
     """
 
     pam: PamAlphabet
@@ -62,15 +64,21 @@ class QamAlphabet:
     scale: float
 
     def __post_init__(self):
+        width = self.pam.size
+        grid = np.asarray(self.pam.values)
+        expected = np.tile(grid, width) + 1j * np.repeat(grid, width)
+        if np.shape(self.symbols) != expected.shape or not np.array_equal(
+            self.symbols, expected
+        ):
+            raise ValueError(
+                "alphabet is not square QAM: symbols must be the row-major grid "
+                "of pam.values, real axis fastest"
+            )
         self.symbols.setflags(write=False)
 
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def pam_indices(self, index: int) -> tuple:
-        """Split a symbol index into its (real, imaginary) PAM indices."""
-        return index % self.pam.size, index // self.pam.size
 
     def index_of(self, re_index: int, im_index: int) -> int:
         """Symbol index for a pair of PAM indices."""
@@ -155,24 +163,15 @@ def sorted_pam_list(x: float, pam: PamAlphabet) -> list:
 def sort_alphabet_by_metric(alphabet: QamAlphabet, metric: Callable) -> tuple:
     """Stable ascending sort of the alphabet under a per-symbol metric.
 
-    ``metric`` may be vectorized (accepting the full symbol array) or a plain
-    per-symbol callable. Both the index order and the sorted metric values are
+    ``metric`` is vectorized: it takes the full symbol array and returns one
+    value per symbol. Both the index order and the sorted metric values are
     returned so callers can prune on partial sums.
 
     Returns:
         (order, sorted_values) as numpy arrays.
     """
-    symbols = alphabet.symbols
-    values = None
-    try:
-        candidate = np.asarray(metric(symbols), dtype=float)
-        if candidate.shape == symbols.shape:
-            values = candidate
-    except (TypeError, ValueError):
-        values = None
-    if values is None:
-        values = np.fromiter(
-            (float(metric(s)) for s in symbols), dtype=float, count=len(symbols)
-        )
+    values = np.asarray(metric(alphabet.symbols), dtype=float)
+    if values.shape != alphabet.symbols.shape:
+        raise ValueError("metric must return one value per symbol")
     order = np.argsort(values, kind="stable")
     return order, values[order]

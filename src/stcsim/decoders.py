@@ -69,14 +69,16 @@ def check_fast_permutation(perm) -> bool:
     return tuple(perm) in FAST_PERMUTATIONS
 
 
-def _require_square_qam(alphabet: QamAlphabet) -> None:
-    width = alphabet.pam.size
-    if len(alphabet.symbols) != width * width:
-        raise ValueError("fast path requires square QAM")
-    grid = np.asarray(alphabet.pam.values)
-    expected = np.tile(grid, width) + 1j * np.repeat(grid, width)
-    if not np.array_equal(alphabet.symbols, expected):
-        raise ValueError("fast path requires square QAM")
+# Entries of R that a fast decoder's structure needs to vanish may be at most
+# this fraction of ||H||_F; structured channels stay below 1e-15.
+STRUCTURE_TOLERANCE = 1e-6
+
+
+def _require_structure(h, a, b, message: str) -> None:
+    """Raise ValueError(message) unless |a| and |b| are negligible against ||h||_F."""
+    limit = STRUCTURE_TOLERANCE * float(frobenius_norm(h))
+    if abs(a) > limit or abs(b) > limit:
+        raise ValueError(message)
 
 
 def _unpermute(perm, symbols, indices):
@@ -130,6 +132,35 @@ def decode_exhaustive(
     )
 
 
+def _real_search(v1: float, v2: float, r11: float, r12: float, r22: float, pam, prune: bool):
+    """Two-level real search over one component (real or imaginary) of the leading pair.
+
+    Minimizes (v2 - r22*x2)^2 + (v1 - r12*x2 - r11*x1)^2 over PAM levels:
+    x2 in zigzag order around v2/r22 with pruning on the partial metric, x1 by
+    one slicer decision. One node per x2 candidate entered and one per slice.
+
+    Returns:
+        (metric, pick, nodes) with pick = (x1_symbol, x1_index, x2_symbol,
+        x2_index).
+    """
+    best = math.inf
+    pick = None
+    nodes = 0
+    for x2sym, x2idx in sorted_pam_list(v2 / r22, pam):
+        nodes += 1
+        t = (v2 - r22 * x2sym) ** 2
+        if prune and t > best:
+            break
+        u = v1 - r12 * x2sym
+        x1sym, x1idx = slice_pam(u / r11, pam)
+        nodes += 1
+        t += (u - r11 * x1sym) ** 2
+        if t < best:
+            best = t
+            pick = (x1sym, x1idx, x2sym, x2idx)
+    return best, pick, nodes
+
+
 def decode_fast_golden(
     eff: EffectiveChannel,
     y: np.ndarray,
@@ -149,18 +180,28 @@ def decode_fast_golden(
     Args:
         perm: zero-based column order, one of FAST_PERMUTATIONS.
         prune: disable to force full enumeration (worst-case instrumentation).
+
+    Raises:
+        ValueError: when |Im r12| or |Im r34| of the permuted channel's R
+            exceeds STRUCTURE_TOLERANCE * ||H||_F, i.e. the matrix lacks the
+            golden structure whatever its label says.
     """
     if eff.variant not in GOLDEN_VARIANTS:
         raise ValueError("fast golden decoder requires a golden-variant effective channel")
-    _require_square_qam(alphabet)
     if perm is None:
         perm = IDENTITY_PERMUTATION
     perm = tuple(perm)
     if not check_fast_permutation(perm):
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
-    factors = qr_decompose(np.asarray(eff.h, dtype=complex)[:, perm])
+    h = np.asarray(eff.h, dtype=complex)[:, perm]
+    factors = qr_decompose(h)
     r = factors.r
+    _require_structure(
+        h, r[0, 1].imag, r[2, 3].imag,
+        "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
+        "this channel lacks golden structure",
+    )
     z = factors.q.conj().T @ np.asarray(y, dtype=complex)
     r11 = float(r[0, 0].real)
     r12 = float(r[0, 1].real)
@@ -221,41 +262,9 @@ def decode_fast_golden(
             x4 = complex(x4r, sym_im[sl])
             v1 = z1 - r13 * x3 - r14 * x4
             v2 = z2 - r23 * x3 - r24 * x4
-
-            best_re = math.inf
-            pick_re = None
-            v2c = v2.real
-            v1c = v1.real
-            for x2sym, x2idx in sorted_pam_list(v2c / r22, pam):
-                nodes += 1
-                t = (v2c - r22 * x2sym) ** 2
-                if prune and t > best_re:
-                    break
-                u = v1c - r12 * x2sym
-                x1sym, x1idx = slice_pam(u / r11, pam)
-                nodes += 1
-                t += (u - r11 * x1sym) ** 2
-                if t < best_re:
-                    best_re = t
-                    pick_re = (x1sym, x1idx, x2sym, x2idx)
-
-            best_im = math.inf
-            pick_im = None
-            v2c = v2.imag
-            v1c = v1.imag
-            for x2sym, x2idx in sorted_pam_list(v2c / r22, pam):
-                nodes += 1
-                t = (v2c - r22 * x2sym) ** 2
-                if prune and t > best_im:
-                    break
-                u = v1c - r12 * x2sym
-                x1sym, x1idx = slice_pam(u / r11, pam)
-                nodes += 1
-                t += (u - r11 * x1sym) ** 2
-                if t < best_im:
-                    best_im = t
-                    pick_im = (x1sym, x1idx, x2sym, x2idx)
-
+            best_re, pick_re, n_re = _real_search(v1.real, v2.real, r11, r12, r22, pam, prune)
+            best_im, pick_im, n_im = _real_search(v1.imag, v2.imag, r11, r12, r22, pam, prune)
+            nodes += n_re + n_im
             total = best_re + best_im + tail
             if total < best:
                 best = total
@@ -374,9 +383,6 @@ def decode_sphere_conventional(
     )
 
 
-ALAMOUTI_STRUCTURE_TOLERANCE = 1e-6
-
-
 def decode_alamouti_fast(
     eff: EffectiveChannel,
     y: np.ndarray,
@@ -397,16 +403,12 @@ def decode_alamouti_fast(
     """
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    _require_square_qam(alphabet)
     h = np.asarray(eff.h, dtype=complex)
     factors = qr_decompose(h)
     r = factors.r
-    scale = float(frobenius_norm(h))
-    if (
-        abs(complex(r[0, 1])) > ALAMOUTI_STRUCTURE_TOLERANCE * scale
-        or abs(complex(r[2, 3])) > ALAMOUTI_STRUCTURE_TOLERANCE * scale
-    ):
-        raise ValueError("fast Alamouti path invalid for this channel")
+    _require_structure(
+        h, complex(r[0, 1]), complex(r[2, 3]), "fast Alamouti path invalid for this channel"
+    )
     z = factors.q.conj().T @ np.asarray(y, dtype=complex)
     z1 = complex(z[0])
     z2 = complex(z[1])

@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,8 +36,73 @@ from .channel import (
 from .constellation import SUPPORTED_QAM_ORDERS, make_qam
 from .matrixkit import frobenius_norm, qr_golden_structured, qr_decompose
 
-DECODER_NAMES = ("alamouti", "exhaustive", "fast", "sphere")
 ORDERING_MODES = ("none", "blast")
+
+
+@dataclass(frozen=True)
+class DecoderEntry:
+    """One decoder: its call and the setups it can decode.
+
+    ``call(eff, y, alphabet, ordering)`` returns a DecodeResult. It reaches
+    the decoder through this module's ``decoders`` attribute at call time,
+    so rebinding that attribute reaches every caller.
+    """
+
+    call: Callable
+    code_variants: tuple
+    quasistatic_only: bool = False
+    capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
+
+
+def _fast(eff, y, alphabet, ordering):
+    perm = decoders.IDENTITY_PERMUTATION
+    if ordering == "blast":
+        perm = decoders.blast_ordering(eff, allowed=decoders.FAST_PERMUTATIONS)
+    return decoders.decode_fast_golden(eff, y, alphabet, perm=perm)
+
+
+DECODERS = {
+    "alamouti": DecoderEntry(
+        call=lambda eff, y, alphabet, ordering: decoders.decode_alamouti_fast(eff, y, alphabet),
+        code_variants=("overlaid-alamouti",),
+        quasistatic_only=True,
+    ),
+    "exhaustive": DecoderEntry(
+        call=lambda eff, y, alphabet, ordering: decoders.decode_exhaustive(eff, y, alphabet),
+        code_variants=codes.CODE_VARIANTS,
+        capped=True,
+    ),
+    "fast": DecoderEntry(call=_fast, code_variants=codes.GOLDEN_VARIANTS),
+    "sphere": DecoderEntry(
+        call=lambda eff, y, alphabet, ordering: decoders.decode_sphere_conventional(
+            eff, y, alphabet, ordering=ordering
+        ),
+        code_variants=codes.CODE_VARIANTS,
+    ),
+}
+DECODER_NAMES = tuple(DECODERS)
+
+
+def decoder_entry(name: str, code: str, modulation: int, channel: str = None) -> DecoderEntry:
+    """Registry entry for ``name``, checked against the setup it will decode.
+
+    ``channel`` None (one decode of a given matrix) skips the channel-model
+    rule; the decoder then checks the matrix structure itself.
+
+    Raises:
+        ValueError: unknown decoder, or a setup the decoder cannot decode.
+    """
+    entry = DECODERS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown decoder: {name!r}")
+    if code not in entry.code_variants:
+        raise ValueError(f"{name} decoder cannot decode code {code!r}")
+    if entry.quasistatic_only and channel not in (None, "quasistatic"):
+        raise ValueError(f"{name} decoder requires a quasistatic channel")
+    if entry.capped and modulation ** 4 > decoders.EXHAUSTIVE_CAP:
+        raise ValueError(f"{name} decoder capped at M^4 <= 2^24 candidates")
+    return entry
+
 
 CSV_HEADER = (
     "snr_db,decoder,code,modulation,channel,trials,ser,"
@@ -59,7 +125,6 @@ class SweepConfig:
     trials: int = 1000
     seed: int = 0
     ordering: str = "none"
-    out: str = None
     noise_free: bool = False
 
     def validate(self) -> None:
@@ -67,9 +132,6 @@ class SweepConfig:
             raise ValueError(f"unknown code variant: {self.code!r}")
         if not self.decoders:
             raise ValueError("at least one decoder must be selected")
-        for name in self.decoders:
-            if name not in DECODER_NAMES:
-                raise ValueError(f"unknown decoder: {name!r}")
         if self.modulation not in SUPPORTED_QAM_ORDERS:
             raise ValueError(f"unsupported modulation order: {self.modulation!r}")
         if self.channel not in CHANNEL_MODELS:
@@ -84,17 +146,8 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
             raise ValueError(f"unknown ordering mode: {self.ordering!r}")
-        if "fast" in self.decoders and self.code not in codes.GOLDEN_VARIANTS:
-            raise ValueError("fast decoder requires a golden code variant")
-        if "alamouti" in self.decoders:
-            if self.code != "overlaid-alamouti":
-                raise ValueError("alamouti decoder requires the overlaid-alamouti code")
-            if self.channel != "quasistatic":
-                raise ValueError(
-                    "alamouti decoder requires a quasistatic channel"
-                )
-        if "exhaustive" in self.decoders and self.modulation ** 4 > decoders.EXHAUSTIVE_CAP:
-            raise ValueError("exhaustive decoder capped at modulation 64")
+        for name in self.decoders:
+            decoder_entry(name, self.code, self.modulation, self.channel)
 
     def snr_points(self) -> list:
         points = []
@@ -126,7 +179,6 @@ class SweepRow:
     nodes_max: int
     sorts_mean: float
     time_ns_mean: float
-    heavy_tail: bool
 
 
 @dataclass(frozen=True)
@@ -140,20 +192,6 @@ def _thread_count() -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
-
-
-def _decode_instance(name, cfg, eff, y, alphabet):
-    if name == "fast":
-        if cfg.ordering == "blast":
-            perm = decoders.blast_ordering(eff, allowed=decoders.FAST_PERMUTATIONS)
-        else:
-            perm = decoders.IDENTITY_PERMUTATION
-        return decoders.decode_fast_golden(eff, y, alphabet, perm=perm)
-    if name == "sphere":
-        return decoders.decode_sphere_conventional(eff, y, alphabet, ordering=cfg.ordering)
-    if name == "exhaustive":
-        return decoders.decode_exhaustive(eff, y, alphabet)
-    return decoders.decode_alamouti_fast(eff, y, alphabet)
 
 
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int):
@@ -177,7 +215,7 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
         y = eff.h @ x + stacked_noise
         for name in cfg.decoders:
             start = time.perf_counter_ns()
-            result = _decode_instance(name, cfg, eff, y, alphabet)
+            result = DECODERS[name].call(eff, y, alphabet, cfg.ordering)
             elapsed = time.perf_counter_ns() - start
             slot = acc[name]
             slot["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
@@ -229,20 +267,17 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         for name in sorted(cfg.decoders):
             slot = merged[name]
             nodes = np.asarray(slot["nodes"], dtype=float)
-            mean = float(nodes.mean())
-            p95 = float(np.percentile(nodes, 95))
             rows.append(
                 SweepRow(
                     snr_db=snr,
                     decoder=name,
                     trials=cfg.trials,
                     ser=slot["errors"] / (4.0 * cfg.trials),
-                    nodes_mean=mean,
-                    nodes_p95=p95,
+                    nodes_mean=float(nodes.mean()),
+                    nodes_p95=float(np.percentile(nodes, 95)),
                     nodes_max=int(nodes.max()),
                     sorts_mean=slot["sorts"] / cfg.trials,
                     time_ns_mean=slot["time_ns"] / cfg.trials,
-                    heavy_tail=bool(p95 >= mean),
                 )
             )
     return SweepReport(config=cfg, rows=tuple(rows))

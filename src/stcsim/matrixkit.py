@@ -36,18 +36,6 @@ class QRFactors:
     q: np.ndarray
     r: np.ndarray
 
-    @property
-    def a_block(self) -> np.ndarray:
-        return self.r[..., 0:2, 0:2]
-
-    @property
-    def b_block(self) -> np.ndarray:
-        return self.r[..., 0:2, 2:4]
-
-    @property
-    def d_block(self) -> np.ndarray:
-        return self.r[..., 2:4, 2:4]
-
 
 def frobenius_norm(h: np.ndarray) -> np.ndarray:
     """Frobenius norm over the trailing two axes."""
@@ -79,12 +67,6 @@ def qr_decompose(h: np.ndarray) -> QRFactors:
     idx = np.arange(n)
     r[..., idx, idx] = r[..., idx, idx].real
     return QRFactors(q=q, r=r)
-
-
-def inner_product_columns(h: np.ndarray, i: int, j: int) -> complex:
-    """Inner product h_i^* h_j of two columns (conjugate-linear in the first)."""
-    h = np.asarray(h, dtype=complex)
-    return complex(np.vdot(h[:, i], h[:, j]))
 
 
 def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:

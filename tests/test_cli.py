@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stcsim as st
+from stcsim import harness
 from stcsim.cli import main
 
 
@@ -167,3 +168,57 @@ def test_decode_error_paths(tmp_path, capsys):
     assert main(["decode", "--input", str(both)]) == 2
     err = capsys.readouterr().err
     assert "exactly one of" in err
+
+
+def _decode_file(tmp_path, **fields):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(fields))
+    return ["decode", "--input", str(path)]
+
+
+@pytest.mark.parametrize("key", ("y", "h", "H"))
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+def test_decode_rejects_non_finite(tmp_path, capsys, key, bad):
+    fields = {"code": "golden-dv", "modulation": 4, "decoder": "sphere", "y": pairs(np.ones(4))}
+    if key == "H":
+        fields["H"] = pairs(np.eye(4))
+    else:
+        fields["h"] = pairs(np.ones((2, 2, 2)))
+    field = np.array(fields[key], dtype=float)
+    field.flat[1] = bad
+    fields[key] = field.tolist()
+    assert main(_decode_file(tmp_path, **fields)) == 2
+    assert f"non-finite value in '{key}'" in capsys.readouterr().err
+
+
+def test_decode_fast_refuses_matrix_without_golden_structure(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    args = _decode_file(
+        tmp_path, code="golden-dv", modulation=4, decoder="fast", H=pairs(h), y=pairs(np.ones(4))
+    )
+    assert main(args) == 2
+    assert "golden structure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "decoder,code", (("alamouti", "golden-dv"), ("fast", "overlaid-alamouti"))
+)
+def test_registry_rules_shared_by_validate_and_decode(tmp_path, capsys, decoder, code):
+    with pytest.raises(ValueError) as excinfo:
+        harness.SweepConfig(code=code, decoders=(decoder,)).validate()
+    args = _decode_file(
+        tmp_path, code=code, modulation=4, decoder=decoder,
+        h=pairs(np.ones((2, 2, 2))), y=pairs(np.ones(4)),
+    )
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+@pytest.mark.parametrize("decoder", harness.DECODER_NAMES)
+def test_simulate_accepts_every_registry_name(tmp_path, decoder):
+    code = harness.DECODERS[decoder].code_variants[0]
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--code", code, "--decoder", decoder, "--trials", "2",
+                 "--snr-stop", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[1] == decoder

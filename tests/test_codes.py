@@ -61,10 +61,10 @@ def test_encode_overlaid_alamouti_examples():
 
 def test_encode_variant_dispatch():
     x = [1, 2j, -1, 0.5]
-    assert np.allclose(st.encode_golden_variant(x, "brv"), st.encode_golden_brv(x))
-    assert np.allclose(st.encode_golden_variant(x, "wimax"), st.encode_golden_wimax(x))
-    with pytest.raises(ValueError):
-        st.encode_golden_variant(x, "dv")
+    assert np.array_equal(st.encode(x, "golden-dv"), st.encode_golden_dv(x))
+    assert np.array_equal(st.encode(x, "golden-brv"), st.encode_golden_brv(x))
+    assert np.array_equal(st.encode(x, "golden-wimax"), st.encode_golden_wimax(x))
+    assert np.array_equal(st.encode(x, "overlaid-alamouti"), st.encode_overlaid_alamouti(x))
     with pytest.raises(ValueError):
         st.encode(x, "nonsense")
 
@@ -124,7 +124,7 @@ def test_effective_channel_dv_identity_example():
         ]
     )
     assert np.allclose(eff.h, want, atol=1e-15)
-    assert st.inner_product_columns(eff.h, 0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert np.vdot(eff.h[:, 0], eff.h[:, 1]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_column_inner_product_closed_form(rng):
@@ -141,7 +141,7 @@ def test_column_inner_product_closed_form(rng):
     h[0, 0, 1] = rand[0, 0, 1]
     h[0, 1, 1] = rand[0, 1, 1]
     eff = st.effective_matrix(h, "golden-dv")
-    got = st.inner_product_columns(eff, 0, 1)
+    got = np.vdot(eff[:, 0], eff[:, 1])
     assert got == pytest.approx(-2 / math.sqrt(5), abs=1e-12)
     assert got.real == pytest.approx(-0.8944271909999159, abs=1e-12)
 
@@ -154,7 +154,7 @@ def test_column_inner_product_closed_form(rng):
             - abs(ch.h[1, 0, 1]) ** 2
             - abs(ch.h[1, 1, 1]) ** 2
         ) / math.sqrt(5)
-        got = st.inner_product_columns(eff, 0, 1)
+        got = np.vdot(eff[:, 0], eff[:, 1])
         assert abs(got - closed) <= 1e-12 * max(1.0, abs(closed))
         assert abs(got.imag) <= 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 from stcsim import (
     SUPPORTED_QAM_ORDERS,
     PamAlphabet,
+    QamAlphabet,
     make_qam,
     slice_pam,
     sort_alphabet_by_metric,
@@ -137,11 +138,9 @@ def test_sort_matches_brute_force_and_scalar_callable():
     want = np.argsort(metric_values, kind="stable")
     assert np.array_equal(order, want)
     assert np.array_equal(values, metric_values[want])
-    # plain per-symbol callable takes the fallback path
-    table = {complex(s): float(v) for s, v in zip(a.symbols, metric_values)}
-    order2, values2 = sort_alphabet_by_metric(a, lambda s: table[complex(s)])
-    assert np.array_equal(order2, order)
-    assert np.array_equal(values2, values)
+    # a callable that returns one number, not one per symbol, is refused
+    with pytest.raises(ValueError, match="one value per symbol"):
+        sort_alphabet_by_metric(a, lambda s: 0.5)
 
 
 def test_pam_validation():
@@ -155,6 +154,19 @@ def test_pam_validation():
 
 def test_index_helpers_roundtrip():
     a = make_qam(64)
+    width = a.pam.size
     for k in range(64):
-        re_i, im_i = a.pam_indices(k)
+        re_i, im_i = k % width, k // width
         assert a.index_of(re_i, im_i) == k
+        assert a.symbols[k] == complex(a.pam.values[re_i], a.pam.values[im_i])
+
+
+def test_qam_alphabet_rejects_non_square():
+    pam = PamAlphabet(levels=(-1.0, 1.0), scale=1.0)
+    square = QamAlphabet(pam=pam, symbols=np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]), scale=1.0)
+    assert square.size == 4
+    # the right symbols in the wrong order: not separable as row-major PAM pairs
+    with pytest.raises(ValueError, match="not square QAM"):
+        QamAlphabet(pam=pam, symbols=np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]), scale=1.0)
+    with pytest.raises(ValueError, match="not square QAM"):
+        QamAlphabet(pam=pam, symbols=np.array([-1 - 1j, 1 - 1j, -1 + 1j]), scale=1.0)

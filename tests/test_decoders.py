@@ -5,7 +5,6 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
-from stcsim.constellation import PamAlphabet, QamAlphabet
 
 from conftest import random_alamouti_instance, random_golden_instance, recompute_cost
 
@@ -96,13 +95,11 @@ def test_fast_rejects_bad_inputs(rng):
     al = st.effective_channel(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
     with pytest.raises(ValueError, match="golden-variant"):
         dec.decode_fast_golden(al, y, alphabet)
-    # hand-built non-separable alphabet trips the square-QAM guard
-    pam = PamAlphabet(levels=(-1.0, 1.0), scale=1.0)
-    crooked = QamAlphabet(
-        pam=pam, symbols=np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]), scale=1.0
-    )
-    with pytest.raises(ValueError, match="square QAM"):
-        dec.decode_fast_golden(eff, y, crooked)
+    # a random matrix labelled golden lacks the real R blocks the search needs
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    fake = st.effective_channel_from_matrix(h, "golden-dv")
+    with pytest.raises(ValueError, match="golden structure"):
+        dec.decode_fast_golden(fake, y, alphabet)
 
 
 def test_check_fast_permutation_table():

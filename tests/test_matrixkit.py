@@ -50,18 +50,6 @@ def test_qr_degenerate_channel():
         qr_decompose(h)
 
 
-def test_inner_product_columns():
-    assert st.inner_product_columns(np.eye(4, dtype=complex), 0, 1) == 0
-    h = random_complex(np.random.default_rng(5), (4, 4))
-    ip = st.inner_product_columns(h, 2, 2)
-    assert ip.imag == pytest.approx(0.0, abs=1e-12)
-    assert ip.real == pytest.approx(np.linalg.norm(h[:, 2]) ** 2, rel=1e-12)
-    # conjugate-linear in the first argument
-    assert st.inner_product_columns(h, 0, 1) == pytest.approx(
-        np.conj(st.inner_product_columns(h, 1, 0)), abs=1e-12
-    )
-
-
 def _random_golden_h_bar(rng, variant="golden-dv", model="rapid"):
     ch = st.sample_channel(rng, model)
     return st.golden_parts(ch.h, variant)
@@ -83,8 +71,8 @@ def test_structured_qr_blocks_exactly_real(rng):
     for _ in range(200):
         h_bar, psi = _random_golden_h_bar(rng)
         f = qr_golden_structured(h_bar, psi)
-        assert np.all(f.a_block.imag == 0.0)
-        assert np.all(f.d_block.imag == 0.0)
+        assert np.all(f.r[..., 0:2, 0:2].imag == 0.0)
+        assert np.all(f.r[..., 2:4, 2:4].imag == 0.0)
 
 
 def test_structured_qr_batched_matches_loop(rng):
@@ -141,10 +129,3 @@ def test_golden_zero_pattern_positions(rng):
     h_bar, _ = _random_golden_h_bar(rng)
     for row, col in GOLDEN_ZERO_PATTERN:
         assert h_bar[row, col] == 0.0
-
-
-def test_blocks_views():
-    f = qr_decompose(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
-    assert np.allclose(f.a_block, np.diag([1.0, 2.0]))
-    assert np.allclose(f.d_block, np.diag([3.0, 4.0]))
-    assert np.all(f.b_block == 0)
