@@ -67,24 +67,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _complex_array(data, key, shape):
-    arr = np.asarray(data[key], dtype=float)
-    if arr.shape != shape + (2,):
+    try:
+        arr = np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged nesting
+        arr = None
+    if arr is None or arr.shape != shape + (2,):
         raise ValueError(f"expected nested [re, im] pairs of shape {shape} in {key!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite value in {key!r}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _modulation(value) -> int:
+    """The QAM order from a JSON number; an integral float such as 16.0 counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field 'modulation' must be an integer QAM order, got {value!r}")
+    return value
+
+
 def _decode_command(path: str) -> int:
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("decode input must be a JSON object")
     for key in ("code", "modulation", "decoder", "y"):
         if key not in data:
             raise ValueError(f"missing field {key!r} in decode input")
+    for key in ("code", "decoder"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"field {key!r} must be a string, got {data[key]!r}")
     code = data["code"]
     if code not in codes.CODE_VARIANTS:
         raise ValueError(f"unknown code variant: {code!r}")
-    alphabet = make_qam(int(data["modulation"]))
+    alphabet = make_qam(_modulation(data["modulation"]))
     entry = harness.decoder_entry(data["decoder"], code, alphabet.size)
     if ("h" in data) == ("H" in data):
         raise ValueError("decode input needs exactly one of 'h' or 'H'")

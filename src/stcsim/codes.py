@@ -18,11 +18,12 @@ from antenna i at time k.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization
+from .matrixkit import QRFactors, qr_decompose
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,16 @@ class EffectiveChannel:
 
     ``conjugated[l]`` tells whether the l-th stacked receive sample is the
     complex conjugate of the raw sample.
+
+    ``factors`` is the QR factorization of ``h`` for channels built by
+    ``factored_channels``, else None. No constructor argument sets it, so
+    attached factors always belong to this channel's own ``h``.
     """
 
     h: np.ndarray
     conjugated: tuple
     variant: str
+    factors: QRFactors = field(default=None, init=False, repr=False)
 
     def stack_noise(self, noise: np.ndarray) -> np.ndarray:
         """Map raw noise samples [n1[1], n1[2], n2[1], n2[2]] to the stack."""
@@ -235,6 +241,20 @@ def golden_parts(h: np.ndarray, variant: str) -> tuple:
     return h_bar, psi_rotation()
 
 
+def _product(a, b) -> np.ndarray:
+    """Complex ``a * b`` rounded as numpy's scalar product rounds it.
+
+    numpy's array loop for complex products may fuse multiply-adds; its
+    scalar product does not. A conjugated coefficient is a scalar when one
+    matrix is built and an array when a stack is, so products with it are
+    written out to give a stack the single-matrix values bit for bit.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
     """Effective 4x4 channel matrix for stacked channel coefficients.
 
@@ -265,8 +285,8 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
         out[..., block, 3] = p2 * ha_1 + p1c * hb_1
         out[..., block + 1, 0] = hb_2c
         out[..., block + 1, 1] = -ha_2c
-        out[..., block + 1, 2] = -p2c * ha_2c - p1 * hb_2c
-        out[..., block + 1, 3] = p1c * ha_2c - p2 * hb_2c
+        out[..., block + 1, 2] = _product(-p2c, ha_2c) - _product(p1, hb_2c)
+        out[..., block + 1, 3] = _product(p1c, ha_2c) - _product(p2, hb_2c)
     out /= math.sqrt(2)
     return out
 
@@ -286,6 +306,30 @@ def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChan
         conjugated=conjugation_flags(variant),
         variant=variant,
     )
+
+
+def factored_channels(matrices: np.ndarray, variant: str) -> list:
+    """One EffectiveChannel per matrix of an (n, 4, 4) stack, each with its QR factors.
+
+    The stack is factored by one ``qr_decompose`` call. The matrices and
+    factors are copied and made read-only, so they cannot drift apart.
+
+    Raises:
+        ValueError: if any matrix is rank-deficient (see ``qr_decompose``).
+    """
+    matrices = np.array(matrices, dtype=complex)
+    if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
+        raise ValueError("effective matrices must be stacked as (n, 4, 4)")
+    factors = qr_decompose(matrices)
+    for array in (matrices, factors.q, factors.r):
+        array.setflags(write=False)
+    flags = conjugation_flags(variant)
+    channels = []
+    for h4, q, r in zip(matrices, factors.q, factors.r):
+        eff = EffectiveChannel(h=h4, conjugated=flags, variant=variant)
+        object.__setattr__(eff, "factors", QRFactors(q=q, r=r))
+        channels.append(eff)
+    return channels
 
 
 def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.ndarray:

@@ -81,6 +81,23 @@ def _require_structure(h, a, b, message: str) -> None:
         raise ValueError(message)
 
 
+def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
+    """The column-permuted channel, its R and Q^H y, for a decoder's tree search.
+
+    The natural column order reuses the QR factors attached to ``eff``; any
+    other order, or a channel built without factors, is factored here.
+
+    Returns:
+        (h, r, z): ``h = eff.h[:, perm]``, ``h = q @ r`` and ``z = q^H y``.
+    """
+    h = np.asarray(eff.h, dtype=complex)
+    factors = eff.factors
+    if factors is None or perm != IDENTITY_PERMUTATION:
+        h = h[:, perm]
+        factors = qr_decompose(h)
+    return h, factors.r, factors.q.conj().T @ np.asarray(y, dtype=complex)
+
+
 def _unpermute(perm, symbols, indices):
     x = np.empty(4, dtype=complex)
     idx = [0, 0, 0, 0]
@@ -194,15 +211,12 @@ def decode_fast_golden(
     if not check_fast_permutation(perm):
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
-    h = np.asarray(eff.h, dtype=complex)[:, perm]
-    factors = qr_decompose(h)
-    r = factors.r
+    h, r, z = _triangularize(eff, y, perm)
     _require_structure(
         h, r[0, 1].imag, r[2, 3].imag,
         "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
         "this channel lacks golden structure",
     )
-    z = factors.q.conj().T @ np.asarray(y, dtype=complex)
     r11 = float(r[0, 0].real)
     r12 = float(r[0, 1].real)
     r22 = float(r[1, 1].real)
@@ -326,10 +340,7 @@ def decode_sphere_conventional(
         perm = blast_ordering(eff)
     else:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
-    h = np.asarray(eff.h, dtype=complex)[:, perm]
-    factors = qr_decompose(h)
-    z = factors.q.conj().T @ np.asarray(y, dtype=complex)
-    r = factors.r
+    _, r, z = _triangularize(eff, y, perm)
     syms = alphabet.symbols
     rdiag = [float(r[i, i].real) for i in range(4)]
 
@@ -403,13 +414,10 @@ def decode_alamouti_fast(
     """
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    h = np.asarray(eff.h, dtype=complex)
-    factors = qr_decompose(h)
-    r = factors.r
+    h, r, z = _triangularize(eff, y, IDENTITY_PERMUTATION)
     _require_structure(
         h, complex(r[0, 1]), complex(r[2, 3]), "fast Alamouti path invalid for this channel"
     )
-    z = factors.q.conj().T @ np.asarray(y, dtype=complex)
     z1 = complex(z[0])
     z2 = complex(z[1])
     z3 = complex(z[2])
@@ -494,17 +502,11 @@ def blast_ordering(h, allowed=None) -> tuple:
     """
     h = np.asarray(getattr(h, "h", h), dtype=complex)
     if allowed is not None:
-        best_perm = None
-        best_score = -math.inf
-        for perm in allowed:
-            perm = tuple(perm)
-            score = float(
-                np.min(np.diagonal(qr_decompose(h[:, perm]).r).real)
-            )
-            if score > best_score:
-                best_score = score
-                best_perm = perm
-        return best_perm
+        perms = [tuple(perm) for perm in allowed]
+        # h[:, perms] is (4, P, 4); one stacked QR scores every permutation.
+        r = qr_decompose(np.moveaxis(h[:, perms], 1, 0)).r
+        scores = np.diagonal(r, axis1=-2, axis2=-1).real.min(axis=-1)
+        return perms[int(np.argmax(scores))]  # first maximum, as in allowed's order
 
     scale = float(frobenius_norm(h))
     remaining = [0, 1, 2, 3]

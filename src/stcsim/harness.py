@@ -187,6 +187,11 @@ class SweepReport:
     rows: tuple
 
 
+# A chunk holds its trials' draws, matrices and QR factors (about 2 KiB per
+# trial) until it is decoded; the cap bounds that for long serial sweeps.
+MAX_CHUNK = 4096
+
+
 def _thread_count() -> int:
     env = os.environ.get("STC_THREADS", "").strip()
     if env:
@@ -195,24 +200,30 @@ def _thread_count() -> int:
 
 
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int):
-    """Decode trials [lo, hi) of one SNR point; returns per-decoder partials."""
+    """Decode trials [lo, hi) of one SNR point; returns per-decoder partials.
+
+    Pass 1 draws each trial's channel, symbols and noise from its own stream.
+    Pass 2 builds and factors the chunk's effective matrices as one stack, so
+    every decoder of a trial shares that trial's QR factors.
+    """
     alphabet = make_qam(cfg.modulation)
     n0 = snr_to_n0(snr_db)
+    channels = []
+    sent = []
+    noise = []
+    for trial in range(lo, hi):
+        rng = make_rng(cfg.seed, point_index, trial)
+        channels.append(sample_channel(rng, cfg.channel, cfg.rho).h)
+        sent.append(rng.integers(0, alphabet.size, size=4))
+        noise.append(np.zeros(4, dtype=complex) if cfg.noise_free else sample_noise(rng, n0))
+
+    matrices = codes.effective_matrix(np.stack(channels), cfg.code)
     acc = {
         name: {"errors": 0, "nodes": [], "sorts": 0, "time_ns": 0}
         for name in cfg.decoders
     }
-    for trial in range(lo, hi):
-        rng = make_rng(cfg.seed, point_index, trial)
-        ch = sample_channel(rng, cfg.channel, cfg.rho)
-        idx_true = rng.integers(0, alphabet.size, size=4)
-        x = alphabet.symbols[idx_true]
-        eff = codes.effective_channel(ch, cfg.code)
-        if cfg.noise_free:
-            stacked_noise = np.zeros(4, dtype=complex)
-        else:
-            stacked_noise = eff.stack_noise(sample_noise(rng, n0))
-        y = eff.h @ x + stacked_noise
+    for eff, idx_true, raw in zip(codes.factored_channels(matrices, cfg.code), sent, noise):
+        y = eff.h @ alphabet.symbols[idx_true] + eff.stack_noise(raw)
         for name in cfg.decoders:
             start = time.perf_counter_ns()
             result = DECODERS[name].call(eff, y, alphabet, cfg.ordering)
@@ -230,7 +241,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
-    chunk = max(32, -(-cfg.trials // max(1, threads * 8)))
+    chunk = min(MAX_CHUNK, max(32, -(-cfg.trials // max(1, threads * 8))))
     tasks = []
     for pi, snr in enumerate(points):
         lo = 0
@@ -240,7 +251,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             lo = hi
     partials = {}
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The pool forks all of its workers up front; more than there are tasks would idle.
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             futures = {
                 pool.submit(_run_chunk, cfg, pi, snr, lo, hi): (pi, lo)
                 for pi, snr, lo, hi in tasks

@@ -222,3 +222,34 @@ def test_simulate_accepts_every_registry_name(tmp_path, decoder):
     assert main(["simulate", "--code", code, "--decoder", decoder, "--trials", "2",
                  "--snr-stop", "0", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].split(",")[1] == decoder
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    (
+        (5, "must be a JSON object"),
+        (None, "must be a JSON object"),
+        ({"modulation": None}, "field 'modulation' must be an integer"),
+        ({"modulation": 4.7}, "field 'modulation' must be an integer"),
+        ({"modulation": "4"}, "field 'modulation' must be an integer"),
+        ({"decoder": ["sphere"]}, "field 'decoder' must be a string"),
+        ({"y": {"re": 1.0}}, "in 'y'"),
+    ),
+)
+def test_decode_rejects_malformed_documents(tmp_path, capsys, document, message):
+    if isinstance(document, dict):
+        fields = {"code": "golden-dv", "modulation": 4, "decoder": "sphere",
+                  "H": pairs(np.eye(4)), "y": pairs(np.ones(4))}
+        fields.update(document)
+        document = fields
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(document))
+    assert main(["decode", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_decode_accepts_integral_float_modulation(tmp_path, capsys):
+    args = _decode_file(tmp_path, code="golden-dv", modulation=4.0, decoder="sphere",
+                        H=pairs(np.eye(4)), y=pairs(np.ones(4) + 1j))
+    assert main(args) == 0
+    assert "indices:" in capsys.readouterr().out

@@ -201,3 +201,36 @@ def test_min_determinant_alphabet_independence():
     # |det| = 4 * cos(theta) * sin(theta) = 4 / sqrt(5)
     assert min4 == pytest.approx(4 / math.sqrt(5), rel=1e-12)
     assert abs(min4 - min16) <= 1e-9 * min4
+
+
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
+    for model, rho in (("quasistatic", None), ("rapid", None), ("markov", 0.9)):
+        realizations = [st.sample_channel(rng, model, rho) for _ in range(40)]
+        stacked = st.effective_matrix(np.stack([ch.h for ch in realizations]), variant)
+        for ch, eff in zip(realizations, st.codes.factored_channels(stacked, variant)):
+            single = st.effective_channel(ch, variant)
+            factors = qr_decompose(single.h)
+            assert single.factors is None
+            assert eff.variant == variant and eff.conjugated == single.conjugated
+            assert np.array_equal(eff.h, single.h)
+            assert np.array_equal(eff.factors.q, factors.q)
+            assert np.array_equal(eff.factors.r, factors.r)
+
+
+def test_factored_channels_own_their_factors(rng):
+    matrices = st.effective_matrix(st.sample_channels(rng, "rapid", 3), "golden-dv")
+    built = matrices[0].copy()
+    eff = st.codes.factored_channels(matrices, "golden-dv")[0]
+    matrices[0] = 0.0  # the caller's array is copied, not shared
+    assert np.array_equal(eff.h, built)
+    for array in (eff.h, eff.factors.q, eff.factors.r):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        st.EffectiveChannel(h=eff.h, conjugated=eff.conjugated, variant="golden-dv",
+                            factors=eff.factors)
+    with pytest.raises(ValueError, match=r"\(n, 4, 4\)"):
+        st.codes.factored_channels(matrices[0], "golden-dv")
+    with pytest.raises(ValueError, match="degenerate"):
+        st.codes.factored_channels(np.zeros((2, 4, 4)), "golden-dv")

@@ -5,6 +5,7 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
+from stcsim.matrixkit import qr_decompose
 
 from conftest import random_alamouti_instance, random_golden_instance, recompute_cost
 
@@ -251,3 +252,53 @@ def test_radius_equals_cost_and_monotone_updates(rng):
     effa, ya, alphabeta, _ = random_alamouti_instance(rng, 16, snr_db=8.0)
     ra = dec.decode_alamouti_fast(effa, ya, alphabeta)
     assert abs(ra.cost - recompute_cost(effa, ya, ra.x_hat)) <= 1e-9
+
+
+def _decode_all(eff, y, alphabet):
+    """Every decoder and column order a golden or Alamouti channel admits."""
+    if eff.variant == "overlaid-alamouti":
+        calls = [lambda e: dec.decode_alamouti_fast(e, y, alphabet)]
+    else:
+        blast = dec.blast_ordering(eff, allowed=dec.FAST_PERMUTATIONS)
+        calls = [
+            lambda e: dec.decode_fast_golden(e, y, alphabet),
+            lambda e: dec.decode_fast_golden(e, y, alphabet, perm=blast),
+            lambda e: dec.decode_fast_golden(e, y, alphabet, perm=(1, 0, 3, 2)),
+        ]
+    calls += [
+        lambda e: dec.decode_exhaustive(e, y, alphabet),
+        lambda e: dec.decode_sphere_conventional(e, y, alphabet),
+        lambda e: dec.decode_sphere_conventional(e, y, alphabet, ordering="blast"),
+    ]
+    return [call(eff) for call in calls]
+
+
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_decoders_identical_with_and_without_attached_factors(rng, variant):
+    alphabet = st.make_qam(16)
+    for snr_db in (0.0, 8.0, 16.0, 24.0):
+        chs = [st.sample_channel(rng, "quasistatic") for _ in range(6)]
+        stacked = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
+        for ch, factored in zip(chs, st.codes.factored_channels(stacked, variant)):
+            plain = st.effective_channel(ch, variant)
+            idx = rng.integers(0, alphabet.size, 4)
+            y = plain.h @ alphabet.symbols[idx] + plain.stack_noise(
+                st.sample_noise(rng, st.snr_to_n0(snr_db))
+            )
+            for a, b in zip(_decode_all(plain, y, alphabet), _decode_all(factored, y, alphabet)):
+                assert (a.indices, a.cost, a.nodes_visited, a.full_sorts) == (
+                    b.indices, b.cost, b.nodes_visited, b.full_sorts
+                )
+
+
+@pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)
+def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
+    for model in ("quasistatic", "rapid", "markov"):
+        for _ in range(20):
+            h = st.effective_channel(st.sample_channel(rng, model, 0.5), variant).h
+            best_perm, best_score = None, -math.inf
+            for perm in dec.FAST_PERMUTATIONS:
+                score = float(np.min(np.diagonal(qr_decompose(h[:, perm]).r).real))
+                if score > best_score:
+                    best_perm, best_score = perm, score
+            assert dec.blast_ordering(h, allowed=dec.FAST_PERMUTATIONS) == best_perm

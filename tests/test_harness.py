@@ -1,11 +1,16 @@
+import dataclasses
 import math
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 import stcsim as st
+from stcsim import harness
 from stcsim.harness import (
     CSV_HEADER,
     SweepConfig,
+    SweepRow,
     emit_csv,
     run_sweep,
     run_verification,
@@ -171,3 +176,101 @@ def test_verification_suites_pass_at_small_scale():
 def test_verification_unknown_suite():
     with pytest.raises(ValueError):
         run_verification("bogus")
+
+
+def reference_rows(cfg):
+    """The sweep as a per-trial loop: each trial builds its own channel, without factors."""
+    alphabet = st.make_qam(cfg.modulation)
+    rows = []
+    for pi, snr in enumerate(cfg.snr_points()):
+        n0 = st.snr_to_n0(snr)
+        acc = {name: {"errors": 0, "nodes": [], "sorts": 0} for name in cfg.decoders}
+        for trial in range(cfg.trials):
+            rng = st.make_rng(cfg.seed, pi, trial)
+            ch = st.sample_channel(rng, cfg.channel, cfg.rho)
+            idx_true = rng.integers(0, alphabet.size, size=4)
+            eff = st.effective_channel(ch, cfg.code)
+            if cfg.noise_free:
+                noise = np.zeros(4, dtype=complex)
+            else:
+                noise = eff.stack_noise(st.sample_noise(rng, n0))
+            y = eff.h @ alphabet.symbols[idx_true] + noise
+            for name in cfg.decoders:
+                result = harness.DECODERS[name].call(eff, y, alphabet, cfg.ordering)
+                acc[name]["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
+                acc[name]["nodes"].append(result.nodes_visited)
+                acc[name]["sorts"] += result.full_sorts
+        for name in sorted(cfg.decoders):
+            nodes = np.asarray(acc[name]["nodes"], dtype=float)
+            rows.append(
+                SweepRow(
+                    snr_db=snr,
+                    decoder=name,
+                    trials=cfg.trials,
+                    ser=acc[name]["errors"] / (4.0 * cfg.trials),
+                    nodes_mean=float(nodes.mean()),
+                    nodes_p95=float(np.percentile(nodes, 95)),
+                    nodes_max=int(nodes.max()),
+                    sorts_mean=acc[name]["sorts"] / cfg.trials,
+                    time_ns_mean=0.0,
+                )
+            )
+    return rows
+
+
+def without_time(rows):
+    return [dataclasses.replace(row, time_ns_mean=0.0) for row in rows]
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+@pytest.mark.parametrize(
+    "overrides",
+    (
+        dict(decoders=("exhaustive", "fast", "sphere")),
+        dict(code="golden-wimax", channel="rapid", ordering="blast", decoders=("fast", "sphere"),
+             modulation=16),
+        dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16),
+        dict(code="golden-brv", channel="markov", rho=0.9, decoders=("exhaustive", "fast")),
+        dict(decoders=("fast", "sphere"), noise_free=True),
+    ),
+    ids=("golden-dv", "wimax-rapid-blast", "alamouti", "markov", "noise-free"),
+)
+def test_sweep_matches_per_trial_reference(monkeypatch, threads, overrides):
+    cfg = small_config(trials=40, snr_stop=12.0, snr_step=6.0, seed=17, **overrides)
+    monkeypatch.setenv("STC_THREADS", threads)
+    assert without_time(run_sweep(cfg).rows) == reference_rows(cfg)
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in that records its size and runs tasks inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_size_and_chunk_capped(monkeypatch):
+    cfg = small_config(trials=40, snr_stop=2.0)  # 2 points x 2 chunks of at most 32 trials
+    monkeypatch.setenv("STC_THREADS", "1")
+    serial = run_sweep(cfg)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setenv("STC_THREADS", "64")
+    pooled = run_sweep(cfg)
+    monkeypatch.setattr(harness, "MAX_CHUNK", 8)  # 2 points x 5 chunks
+    capped = run_sweep(cfg)
+    assert InlinePool.sizes == [4, 10]
+    assert without_time(pooled.rows) == without_time(serial.rows)
+    assert without_time(capped.rows) == without_time(serial.rows)
