@@ -29,6 +29,7 @@ from .codes import (
     encode_overlaid_alamouti,
     golden_parts,
     psi_rotation,
+    qr_golden_structured,
     transmit,
 )
 from .constellation import (
@@ -59,6 +60,6 @@ from .harness import (
     run_sweep,
     run_verification,
 )
-from .matrixkit import QRFactors, qr_golden_structured, qr_decompose
+from .matrixkit import QRFactors, qr_decompose
 
 __version__ = "0.1.0"

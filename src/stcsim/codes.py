@@ -13,17 +13,22 @@ identity. For every variant and every channel realization,
 holds to machine precision; the variant encoders are defined by exactly that
 coefficient matching.
 
+A golden effective channel factors as ``h_bar @ psi`` with a sparse ``h_bar``
+(``golden_parts``); ``qr_golden_structured`` builds its QR from that
+structure, with exactly real diagonal blocks in R.
+
 Codewords are 2x2 complex arrays with entry [k, i] holding the symbol sent
 from antenna i at time k.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .matrixkit import QRFactors, qr_decompose
+from .matrixkit import RANK_TOLERANCE, QRFactors, frobenius_norm, qr_decompose
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +79,41 @@ class EffectiveChannel:
     """4x4 effective channel plus the receive-stacking map it assumes.
 
     ``conjugated[l]`` tells whether the l-th stacked receive sample is the
-    complex conjugate of the raw sample.
-
-    ``factors`` is the QR factorization of ``h`` for channels built by
-    ``factored_channels``, else None. No constructor argument sets it, so
-    attached factors always belong to this channel's own ``h``.
+    complex conjugate of the raw sample. ``h`` is kept as a read-only complex
+    copy of the caller's matrix, so the cached ``factors`` always belong to it.
     """
 
     h: np.ndarray
     conjugated: tuple
     variant: str
-    factors: QRFactors = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        h = np.array(self.h, dtype=complex)
+        if h.shape != (4, 4):
+            raise ValueError("effective matrix must be 4x4")
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
+
+    @cached_property
+    def factors(self) -> QRFactors:
+        """Read-only QR factors of ``h``, computed on first use.
+
+        Raises:
+            ValueError: if ``h`` is rank-deficient (see ``qr_decompose``).
+        """
+        return _read_only(qr_decompose(self.h))
 
     def stack_noise(self, noise: np.ndarray) -> np.ndarray:
         """Map raw noise samples [n1[1], n1[2], n2[1], n2[2]] to the stack."""
         noise = np.asarray(noise, dtype=complex)
         flags = np.asarray(self.conjugated)
         return np.where(flags, np.conj(noise), noise)
+
+
+def _read_only(factors: QRFactors) -> QRFactors:
+    factors.q.setflags(write=False)
+    factors.r.setflags(write=False)
+    return factors
 
 
 def conjugation_flags(variant: str) -> tuple:
@@ -115,15 +138,18 @@ def encode_golden_dv(x) -> np.ndarray:
     return np.array([[a[0], p * b[0]], [p * b[1], a[1]]])
 
 
+# Unit phases of the golden-brv variant: (cos - i sin) and (sin + i cos).
+_BRV_D1 = complex(GOLDEN.cos_theta, -GOLDEN.sin_theta)
+_BRV_D2 = complex(GOLDEN.sin_theta, GOLDEN.cos_theta)
+
+
 def encode_golden_brv(x) -> np.ndarray:
     """Variant codeword matching the rotated-coefficient effective channel."""
     x = np.asarray(x, dtype=complex)
-    c = GOLDEN.cos_theta
-    s = GOLDEN.sin_theta
     t = GOLDEN.rotation @ x[:2]
     u = GOLDEN.rotation @ x[2:]
-    d1 = c - s * 1j
-    d2 = s + c * 1j
+    d1 = _BRV_D1
+    d2 = _BRV_D2
     return np.array([[d1 * t[0], d1 * u[0]], [1j * d2 * u[1], d2 * t[1]]])
 
 
@@ -179,6 +205,21 @@ def psi_rotation() -> np.ndarray:
     return psi
 
 
+# Per golden variant, the unit-magnitude coefficients (a, b, c, d) of h_bar:
+# row 2j holds a*h[0,j,0] in column 0 and b*h[1,j,0] in column 2, and row
+# 2j+1 holds c*h[1,j,1] in column 1 and d*h[0,j,1] in column 3. The variants
+# differ from golden-dv only by these unit rotations.
+_GOLDEN_COEFFICIENTS = {
+    "golden-dv": (1, GOLDEN.phase, 1, GOLDEN.phase),
+    "golden-brv": (_BRV_D1, _BRV_D1, _BRV_D2, _BRV_D2 * 1j),
+    "golden-wimax": (1, 1, -1j, -1),
+}
+
+# Positions of h_bar that every golden variant leaves zero: columns {1, 3}
+# live on rows {1, 3} and columns {2, 4} on rows {2, 4}.
+GOLDEN_ZERO_PATTERN = ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2))
+
+
 def golden_parts(h: np.ndarray, variant: str) -> tuple:
     """Split a golden effective channel into its sparse left factor and psi.
 
@@ -188,57 +229,129 @@ def golden_parts(h: np.ndarray, variant: str) -> tuple:
         variant: one of the golden variant names.
 
     Returns:
-        (h_bar, psi) with the effective channel equal to ``h_bar @ psi``.
-        h_bar carries the golden sparsity pattern for every variant; the
-        variants differ from the default only by unit-magnitude rotations of
-        the channel coefficients.
+        (h_bar, psi) with the effective channel equal to ``h_bar @ psi``;
+        h_bar is zero on GOLDEN_ZERO_PATTERN for every variant.
     """
+    try:
+        a, b, c, d = _GOLDEN_COEFFICIENTS[variant]
+    except KeyError:
+        raise ValueError(f"not a golden variant: {variant!r}") from None
     h = np.asarray(h, dtype=complex)
-    h11_1 = h[..., 0, 0, 0]
-    h21_1 = h[..., 1, 0, 0]
-    h12_1 = h[..., 0, 1, 0]
-    h22_1 = h[..., 1, 1, 0]
-    h11_2 = h[..., 0, 0, 1]
-    h21_2 = h[..., 1, 0, 1]
-    h12_2 = h[..., 0, 1, 1]
-    h22_2 = h[..., 1, 1, 1]
-    batch = h.shape[:-3]
-    h_bar = np.zeros(batch + (4, 4), dtype=complex)
-    if variant == "golden-dv":
-        p = GOLDEN.phase
-        h_bar[..., 0, 0] = h11_1
-        h_bar[..., 0, 2] = p * h21_1
-        h_bar[..., 1, 1] = h21_2
-        h_bar[..., 1, 3] = p * h11_2
-        h_bar[..., 2, 0] = h12_1
-        h_bar[..., 2, 2] = p * h22_1
-        h_bar[..., 3, 1] = h22_2
-        h_bar[..., 3, 3] = p * h12_2
-    elif variant == "golden-brv":
-        c = GOLDEN.cos_theta
-        s = GOLDEN.sin_theta
-        d1 = c - s * 1j
-        d2 = s + c * 1j
-        h_bar[..., 0, 0] = d1 * h11_1
-        h_bar[..., 0, 2] = d1 * h21_1
-        h_bar[..., 1, 1] = d2 * h21_2
-        h_bar[..., 1, 3] = d2 * 1j * h11_2
-        h_bar[..., 2, 0] = d1 * h12_1
-        h_bar[..., 2, 2] = d1 * h22_1
-        h_bar[..., 3, 1] = d2 * h22_2
-        h_bar[..., 3, 3] = d2 * 1j * h12_2
-    elif variant == "golden-wimax":
-        h_bar[..., 0, 0] = h11_1
-        h_bar[..., 0, 2] = h21_1
-        h_bar[..., 1, 1] = -1j * h21_2
-        h_bar[..., 1, 3] = -h11_2
-        h_bar[..., 2, 0] = h12_1
-        h_bar[..., 2, 2] = h22_1
-        h_bar[..., 3, 1] = -1j * h22_2
-        h_bar[..., 3, 3] = -h12_2
-    else:
-        raise ValueError(f"not a golden variant: {variant!r}")
+    h_bar = np.zeros(h.shape[:-3] + (4, 4), dtype=complex)
+    h_bar[..., 0::2, 0] = a * h[..., 0, :, 0]
+    h_bar[..., 0::2, 2] = b * h[..., 1, :, 0]
+    h_bar[..., 1::2, 1] = c * h[..., 1, :, 1]
+    h_bar[..., 1::2, 3] = d * h[..., 0, :, 1]
     return h_bar, psi_rotation()
+
+
+def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:
+    """Gram-Schmidt QR of stacked 2x2 complex blocks.
+
+    Returns (q, d0, off, d1) where d0/d1 are the real nonnegative diagonal
+    entries of the 2x2 R and ``off`` its complex off-diagonal entry.
+    """
+    col0 = block[..., :, 0]
+    col1 = block[..., :, 1]
+    d0 = np.sqrt(np.sum(np.abs(col0) ** 2, axis=-1))
+    if np.any(d0 < RANK_TOLERANCE * scale):
+        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    q0 = col0 / d0[..., None]
+    off = np.sum(np.conj(q0) * col1, axis=-1)
+    resid = col1 - q0 * off[..., None]
+    d1 = np.sqrt(np.sum(np.abs(resid) ** 2, axis=-1))
+    if np.any(d1 < RANK_TOLERANCE * scale):
+        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    q1 = resid / d1[..., None]
+    q = np.stack([q0, q1], axis=-1)
+    return q, d0, off, d1
+
+
+def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
+    """Structured QR of ``h_bar @ psi_rotation()`` for golden effective channels.
+
+    Args:
+        h_bar: matrix (or stack) of shape (..., 4, 4) as ``golden_parts``
+            builds it: zero on GOLDEN_ZERO_PATTERN.
+
+    The construction runs in three steps: (i) QR of h_bar via two independent
+    2x2 complex QRs on the interleaved column pairs {1,3} and {2,4}, which the
+    sparsity pattern makes exactly orthogonal; (ii) the product with psi,
+    whose diagonal 2x2 blocks are then real; (iii) a block-diagonal real
+    Givens rotation restoring triangularity. The (1,1) and (2,2) blocks of the
+    resulting R are built from real arithmetic only, so their imaginary parts
+    are identically zero.
+
+    Raises:
+        ValueError: if the sparsity pattern is violated ("not a golden
+            effective matrix") or a pivot is rank-deficient.
+    """
+    h_bar = np.asarray(h_bar, dtype=complex)
+    scale = frobenius_norm(h_bar)
+    if np.any(scale == 0.0):
+        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    tol = 1e-12 * scale
+    for row, col in GOLDEN_ZERO_PATTERN:
+        if np.any(np.abs(h_bar[..., row, col]) > tol):
+            raise ValueError("not a golden effective matrix")
+    c = GOLDEN.cos_theta
+    s = GOLDEN.sin_theta
+
+    # Step (i): QR of h_bar from two interleaved 2x2 factorizations.
+    q_odd, r11, r13, r33 = _qr_2x2(h_bar[..., ::2, ::2], scale)
+    q_even, r22, r24, r44 = _qr_2x2(h_bar[..., 1::2, 1::2], scale)
+    batch = r11.shape
+    q_bar = np.zeros(batch + (4, 4), dtype=complex)
+    q_bar[..., ::2, ::2] = q_odd
+    q_bar[..., 1::2, 1::2] = q_even
+
+    # Step (ii): diagonal blocks of r_bar @ psi, real by construction.
+    x00 = c * r11
+    x01 = s * r11
+    x10 = -s * r22
+    x11 = c * r22
+    z00 = c * r33
+    z01 = s * r33
+    z10 = -s * r44
+    z11 = c * r44
+    # Coupling block stays complex in general.
+    y00 = c * r13
+    y01 = s * r13
+    y10 = -s * r24
+    y11 = c * r24
+
+    # Step (iii): real Givens rotations zeroing the (2,1) entries.
+    na = np.sqrt(x00 * x00 + x10 * x10)
+    nd = np.sqrt(z00 * z00 + z10 * z10)
+    w1 = np.empty(batch + (2, 2))
+    w1[..., 0, 0] = x00 / na
+    w1[..., 0, 1] = x10 / na
+    w1[..., 1, 0] = -x10 / na
+    w1[..., 1, 1] = x00 / na
+    w2 = np.empty(batch + (2, 2))
+    w2[..., 0, 0] = z00 / nd
+    w2[..., 0, 1] = z10 / nd
+    w2[..., 1, 0] = -z10 / nd
+    w2[..., 1, 1] = z00 / nd
+
+    r = np.zeros(batch + (4, 4), dtype=complex)
+    r[..., 0, 0] = na
+    r[..., 0, 1] = (x00 * x01 + x10 * x11) / na
+    r[..., 1, 1] = (x00 * x11 - x10 * x01) / na
+    r[..., 2, 2] = nd
+    r[..., 2, 3] = (z00 * z01 + z10 * z11) / nd
+    r[..., 3, 3] = (z00 * z11 - z10 * z01) / nd
+    r[..., 0, 2] = w1[..., 0, 0] * y00 + w1[..., 0, 1] * y10
+    r[..., 0, 3] = w1[..., 0, 0] * y01 + w1[..., 0, 1] * y11
+    r[..., 1, 2] = w1[..., 1, 0] * y00 + w1[..., 1, 1] * y10
+    r[..., 1, 3] = w1[..., 1, 0] * y01 + w1[..., 1, 1] * y11
+
+    q = np.array(q_bar)
+    q[..., :, 0] = q_bar[..., :, 0] * w1[..., None, 0, 0] + q_bar[..., :, 1] * w1[..., None, 0, 1]
+    q[..., :, 1] = q_bar[..., :, 0] * w1[..., None, 1, 0] + q_bar[..., :, 1] * w1[..., None, 1, 1]
+    q[..., :, 2] = q_bar[..., :, 2] * w2[..., None, 0, 0] + q_bar[..., :, 3] * w2[..., None, 0, 1]
+    q[..., :, 3] = q_bar[..., :, 2] * w2[..., None, 1, 0] + q_bar[..., :, 3] * w2[..., None, 1, 1]
+    return QRFactors(q=q, r=r)
 
 
 def _product(a, b) -> np.ndarray:
@@ -298,36 +411,27 @@ def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
 
 def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChannel:
     """Wrap an already-built 4x4 effective matrix with a variant's stacking."""
-    h4 = np.asarray(h4, dtype=complex)
-    if h4.shape != (4, 4):
-        raise ValueError("effective matrix must be 4x4")
-    return EffectiveChannel(
-        h=h4,
-        conjugated=conjugation_flags(variant),
-        variant=variant,
-    )
+    return EffectiveChannel(h=h4, conjugated=conjugation_flags(variant), variant=variant)
 
 
 def factored_channels(matrices: np.ndarray, variant: str) -> list:
-    """One EffectiveChannel per matrix of an (n, 4, 4) stack, each with its QR factors.
+    """One EffectiveChannel per matrix of an (n, 4, 4) stack.
 
-    The stack is factored by one ``qr_decompose`` call. The matrices and
-    factors are copied and made read-only, so they cannot drift apart.
+    The stack is factored by one ``qr_decompose`` call, which fills every
+    channel's ``factors`` cache.
 
     Raises:
         ValueError: if any matrix is rank-deficient (see ``qr_decompose``).
     """
-    matrices = np.array(matrices, dtype=complex)
+    matrices = np.asarray(matrices, dtype=complex)
     if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
         raise ValueError("effective matrices must be stacked as (n, 4, 4)")
-    factors = qr_decompose(matrices)
-    for array in (matrices, factors.q, factors.r):
-        array.setflags(write=False)
+    factors = _read_only(qr_decompose(matrices))
     flags = conjugation_flags(variant)
     channels = []
     for h4, q, r in zip(matrices, factors.q, factors.r):
         eff = EffectiveChannel(h=h4, conjugated=flags, variant=variant)
-        object.__setattr__(eff, "factors", QRFactors(q=q, r=r))
+        vars(eff)["factors"] = QRFactors(q=q, r=r)  # the cached_property's slot
         channels.append(eff)
     return channels
 

@@ -84,16 +84,16 @@ def _require_structure(h, a, b, message: str) -> None:
 def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
     """The column-permuted channel, its R and Q^H y, for a decoder's tree search.
 
-    The natural column order reuses the QR factors attached to ``eff``; any
-    other order, or a channel built without factors, is factored here.
+    The natural column order reuses the channel's own ``factors``; any other
+    order is factored here.
 
     Returns:
         (h, r, z): ``h = eff.h[:, perm]``, ``h = q @ r`` and ``z = q^H y``.
     """
-    h = np.asarray(eff.h, dtype=complex)
-    factors = eff.factors
-    if factors is None or perm != IDENTITY_PERMUTATION:
-        h = h[:, perm]
+    if perm == IDENTITY_PERMUTATION:
+        h, factors = eff.h, eff.factors
+    else:
+        h = eff.h[:, perm]
         factors = qr_decompose(h)
     return h, factors.r, factors.q.conj().T @ np.asarray(y, dtype=complex)
 
@@ -114,7 +114,7 @@ def decode_exhaustive(
 
     Ties in cost resolve to the lexicographically smallest index tuple.
     """
-    h = np.asarray(eff.h, dtype=complex)
+    h = eff.h
     y = np.asarray(y, dtype=complex)
     syms = alphabet.symbols
     m = len(syms)

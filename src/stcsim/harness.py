@@ -33,8 +33,9 @@ from .channel import (
     sample_noise,
     snr_to_n0,
 )
+from .codes import qr_golden_structured
 from .constellation import SUPPORTED_QAM_ORDERS, make_qam
-from .matrixkit import frobenius_norm, qr_golden_structured, qr_decompose
+from .matrixkit import frobenius_norm, qr_decompose
 
 ORDERING_MODES = ("none", "blast")
 
@@ -140,8 +141,12 @@ class SweepConfig:
             self.rho is None or not 0.0 <= self.rho <= 1.0
         ):
             raise ValueError("markov channel needs rho in [0, 1]")
+        if not all(map(math.isfinite, (self.snr_start, self.snr_stop, self.snr_step))):
+            raise ValueError("snr start, stop and step must be finite")
         if self.snr_step <= 0:
             raise ValueError("snr step must be positive")
+        if self.snr_stop < self.snr_start:
+            raise ValueError("snr stop must not be below snr start")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
@@ -418,8 +423,7 @@ def _suite_theorem1(trials: int, seed: int) -> list:
                     np.abs(r[..., 0, 1].imag), np.abs(r[..., 2, 3].imag)
                 ) / scale
                 worst_general = max(worst_general, float(ratio.max()))
-                h_bar, psi = codes.golden_parts(h, variant)
-                ra = qr_golden_structured(h_bar, psi).r
+                ra = qr_golden_structured(codes.golden_parts(h, variant)[0]).r
                 exact = max(
                     float(np.abs(ra[..., 0:2, 0:2].imag).max()),
                     float(np.abs(ra[..., 2:4, 2:4].imag).max()),
@@ -445,7 +449,7 @@ def _suite_qr_agree(trials: int, seed: int) -> list:
                 h_bar, psi = codes.golden_parts(h, variant)
                 eff = h_bar @ psi.astype(complex)
                 general = qr_decompose(eff)
-                structured = qr_golden_structured(h_bar, psi)
+                structured = qr_golden_structured(h_bar)
                 worst = max(
                     worst,
                     float(np.abs(general.r - structured.r).max()),
@@ -502,7 +506,8 @@ def _suite_alamouti(trials: int, seed: int) -> list:
     return checks
 
 
-def _mlequiv_golden_trial(rng, alphabet, model, snr_db, variant="golden-dv"):
+def _instance(rng, alphabet, model, snr_db, variant="golden-dv"):
+    """One noisy decoding instance (eff, y); draws channel, symbols and noise in that order."""
     ch = sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
     eff = codes.effective_channel(ch, variant)
@@ -526,23 +531,19 @@ def _suite_mlequiv(trials: int, seed: int) -> list:
         rng = make_rng(seed, 3, m)
         for trial in range(count):
             snr_db = _MLEQUIV_SNRS[trial % len(_MLEQUIV_SNRS)]
-            eff, y = _mlequiv_golden_trial(rng, alphabet, "quasistatic", snr_db)
+            eff, y = _instance(rng, alphabet, "quasistatic", snr_db)
             reference = decoders.decode_exhaustive(eff, y, alphabet).cost
             fast = decoders.decode_fast_golden(eff, y, alphabet).cost
             sphere = decoders.decode_sphere_conventional(eff, y, alphabet).cost
             dev_fast = max(dev_fast, abs(fast - reference))
             dev_sphere = max(dev_sphere, abs(sphere - reference))
 
-            eff, y = _mlequiv_golden_trial(rng, alphabet, "rapid", snr_db)
+            eff, y = _instance(rng, alphabet, "rapid", snr_db)
             reference = decoders.decode_exhaustive(eff, y, alphabet).cost
             fast = decoders.decode_fast_golden(eff, y, alphabet).cost
             dev_fast_rapid = max(dev_fast_rapid, abs(fast - reference))
 
-            ch = sample_channel(rng, "quasistatic")
-            idx = rng.integers(0, alphabet.size, 4)
-            eff = codes.effective_channel(ch, "overlaid-alamouti")
-            noise = eff.stack_noise(sample_noise(rng, snr_to_n0(snr_db)))
-            y = eff.h @ alphabet.symbols[idx] + noise
+            eff, y = _instance(rng, alphabet, "quasistatic", snr_db, "overlaid-alamouti")
             reference = decoders.decode_exhaustive(eff, y, alphabet).cost
             fast_al = decoders.decode_alamouti_fast(eff, y, alphabet).cost
             dev_alamouti = max(dev_alamouti, abs(fast_al - reference))
@@ -567,7 +568,7 @@ def _suite_sorts(trials: int, seed: int) -> list:
         rng = make_rng(seed, 4, m)
         always_two = 0
         for _ in range(trials):
-            eff, y = _mlequiv_golden_trial(rng, alphabet, "quasistatic", _SORTS_SNR[m])
+            eff, y = _instance(rng, alphabet, "quasistatic", _SORTS_SNR[m])
             result = decoders.decode_fast_golden(eff, y, alphabet)
             always_two += int(result.full_sorts == 2)
         checks.append(
@@ -578,7 +579,7 @@ def _suite_sorts(trials: int, seed: int) -> list:
     above = 0
     probes = max(1, trials // 4)
     for _ in range(probes):
-        eff, y = _mlequiv_golden_trial(rng, alphabet, "quasistatic", 20.0)
+        eff, y = _instance(rng, alphabet, "quasistatic", 20.0)
         result = decoders.decode_sphere_conventional(eff, y, alphabet)
         above += int(result.full_sorts > 2)
     checks.append(
@@ -634,10 +635,16 @@ def run_verification(suite: str, trials: int = None, seed: int = 0) -> Verificat
     """Execute one verification suite and report per-assertion verdicts.
 
     Failures are report content, not exceptions.
+
+    Raises:
+        ValueError: unknown suite, or fewer than one trial for a suite that
+            samples (every suite but mindet).
     """
     if suite not in VERIFICATION_SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
     if trials is None:
         trials = _SUITE_DEFAULT_TRIALS[suite]
+    if suite != "mindet" and trials < 1:
+        raise ValueError("trials must be at least 1")
     checks = _SUITE_RUNNERS[suite](trials, seed)
     return VerificationReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

@@ -1,0 +1,33 @@
+"""The benchmark's traced run (perfbench/tracer.py) patches names that stcsim's
+modules bind. A refactor that moves one of them must fail here, not only in
+``perfbench/run.py --trace 1``."""
+
+from pathlib import Path
+
+from stcsim import harness
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_binds_every_boundary(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("STC_THREADS", "1")  # spans are recorded in this process only
+    from tracer import Tracer
+
+    tracer = Tracer()
+    sweeps = (
+        ("golden-dv", ("exhaustive", "fast", "sphere")),
+        ("overlaid-alamouti", ("alamouti", "sphere")),
+    )
+    with tracer.installed():  # raises AttributeError if a patched name moved
+        for code, names in sweeps:
+            cfg = harness.SweepConfig(code=code, decoders=names, snr_start=10.0,
+                                      snr_stop=10.0, trials=4, seed=1)
+            harness.run_sweep(cfg)
+        report = harness.run_verification("qr-agree", 12, seed=1)
+    assert report.passed
+    assert tracer.cost_mismatch == {} and tracer.raised == {}
+    spans = {span[0] for span in tracer.spans}
+    assert {f"decoders.{name}" for name in ("exhaustive", "fast", "sphere", "alamouti")} <= spans
+    structured = [span for span in tracer.spans if span[0] == "matrixkit.qr_golden_structured"]
+    assert sum(span[5] for span in structured) == tracer.channels_sampled() == 12

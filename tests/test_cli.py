@@ -191,6 +191,14 @@ def test_decode_rejects_non_finite(tmp_path, capsys, key, bad):
     assert f"non-finite value in '{key}'" in capsys.readouterr().err
 
 
+def test_decode_rank_deficient_matrix_only_exhaustive(tmp_path, capsys):
+    fields = dict(code="golden-dv", modulation=4, H=pairs(np.ones((4, 4))), y=pairs(np.ones(4)))
+    assert main(_decode_file(tmp_path, decoder="exhaustive", **fields)) == 0
+    assert "cost:" in capsys.readouterr().out
+    assert main(_decode_file(tmp_path, decoder="sphere", **fields)) == 2
+    assert "degenerate channel" in capsys.readouterr().err
+
+
 def test_decode_fast_refuses_matrix_without_golden_structure(tmp_path, capsys):
     rng = np.random.default_rng(3)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -253,3 +261,21 @@ def test_decode_accepts_integral_float_modulation(tmp_path, capsys):
                         H=pairs(np.eye(4)), y=pairs(np.ones(4) + 1j))
     assert main(args) == 0
     assert "indices:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (("--snr-step", "nan"), ("--snr-stop", "inf"), ("--snr-start=-inf",),
+     ("--snr-start", "30", "--snr-stop", "0")),
+)
+def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--trials", "2", "--out", str(out), *grid]) == 2
+    assert "error: snr" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ("0", "-4"))
+def test_verify_rejects_trials_below_one(capsys, trials):
+    assert main(["verify", "--suite", "sorts", "--trials", trials]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err

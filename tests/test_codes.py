@@ -211,7 +211,8 @@ def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
         for ch, eff in zip(realizations, st.codes.factored_channels(stacked, variant)):
             single = st.effective_channel(ch, variant)
             factors = qr_decompose(single.h)
-            assert single.factors is None
+            assert np.array_equal(single.factors.q, factors.q)
+            assert np.array_equal(single.factors.r, factors.r)
             assert eff.variant == variant and eff.conjugated == single.conjugated
             assert np.array_equal(eff.h, single.h)
             assert np.array_equal(eff.factors.q, factors.q)
@@ -234,3 +235,26 @@ def test_factored_channels_own_their_factors(rng):
         st.codes.factored_channels(matrices[0], "golden-dv")
     with pytest.raises(ValueError, match="degenerate"):
         st.codes.factored_channels(np.zeros((2, 4, 4)), "golden-dv")
+
+
+def test_effective_channel_copies_the_callers_matrix(rng):
+    built = st.effective_matrix(st.sample_channel(rng, "rapid").h, "golden-dv")
+    factors = qr_decompose(built)
+    builders = (
+        lambda h: st.effective_channel_from_matrix(h, "golden-dv"),
+        lambda h: st.EffectiveChannel(h=h, conjugated=(False,) * 4, variant="golden-dv"),
+    )
+    for build in builders:
+        caller = built.copy()
+        eff = build(caller)
+        caller[0, 0] = 7.0  # before the factors are first read
+        assert np.array_equal(eff.factors.q, factors.q)
+        assert np.array_equal(eff.factors.r, factors.r)
+        caller[1, 1] = 5.0  # and after
+        assert np.array_equal(eff.h, built)
+        assert np.array_equal(eff.factors.r, factors.r)
+        for array in (eff.h, eff.factors.q, eff.factors.r):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+    with pytest.raises(ValueError, match="4x4"):
+        st.effective_channel_from_matrix(np.eye(3), "golden-dv")

@@ -15,6 +15,7 @@ from stcsim.harness import (
     run_sweep,
     run_verification,
 )
+from stcsim.matrixkit import qr_decompose
 
 
 def small_config(**kw):
@@ -55,6 +56,16 @@ def test_validation_rejects_bad_configs():
         small_config(decoders=("exhaustive",), modulation=256).validate()
     with pytest.raises(ValueError):
         small_config(ordering="sideways").validate()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (dict(snr_step=math.nan), dict(snr_stop=math.inf), dict(snr_start=-math.inf),
+     dict(snr_start=math.nan), dict(snr_start=30.0, snr_stop=0.0)),
+)
+def test_validation_rejects_bad_snr_grid(grid):
+    with pytest.raises(ValueError, match="snr"):
+        small_config(**grid).validate()
 
 
 def test_snr_grid_inclusive():
@@ -173,13 +184,34 @@ def test_verification_suites_pass_at_small_scale():
         assert lines[-1] == "result: PASS"
 
 
+@pytest.mark.parametrize("trials", (0, -4))
+@pytest.mark.parametrize("suite", sorted(set(harness.VERIFICATION_SUITES) - {"mindet"}))
+def test_verification_rejects_trials_below_one(suite, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_verification(suite, trials)
+
+
+def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(np.shape(h))
+        return qr_decompose(h)
+
+    monkeypatch.setattr(st.codes, "qr_decompose", counting)
+    monkeypatch.setattr(st.decoders, "qr_decompose", counting)
+    assert run_verification("mlequiv", 6, seed=5).passed
+    # 7 rounds (6 at 4-QAM, 1 at 16-QAM), three decoded channels each
+    assert calls == [(4, 4)] * 21
+
+
 def test_verification_unknown_suite():
     with pytest.raises(ValueError):
         run_verification("bogus")
 
 
 def reference_rows(cfg):
-    """The sweep as a per-trial loop: each trial builds its own channel, without factors."""
+    """The sweep as a per-trial loop: each trial builds and factors its own channel."""
     alphabet = st.make_qam(cfg.modulation)
     rows = []
     for pi, snr in enumerate(cfg.snr_points()):

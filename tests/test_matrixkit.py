@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 import stcsim as st
-from stcsim.matrixkit import GOLDEN_ZERO_PATTERN, frobenius_norm, qr_golden_structured, qr_decompose
+from stcsim.codes import GOLDEN_ZERO_PATTERN, qr_golden_structured
+from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 
 def random_complex(rng, shape):
@@ -62,25 +61,25 @@ def test_structured_qr_matches_general_qr_on_golden_matrices(rng):
                 h_bar, psi = _random_golden_h_bar(rng, variant, model)
                 eff = h_bar @ psi.astype(complex)
                 general = qr_decompose(eff)
-                structured = qr_golden_structured(h_bar, psi)
+                structured = qr_golden_structured(h_bar)
                 assert np.max(np.abs(general.r - structured.r)) <= 1e-9
                 assert np.max(np.abs(general.q - structured.q)) <= 1e-9
 
 
 def test_structured_qr_blocks_exactly_real(rng):
     for _ in range(200):
-        h_bar, psi = _random_golden_h_bar(rng)
-        f = qr_golden_structured(h_bar, psi)
+        h_bar, _ = _random_golden_h_bar(rng)
+        f = qr_golden_structured(h_bar)
         assert np.all(f.r[..., 0:2, 0:2].imag == 0.0)
         assert np.all(f.r[..., 2:4, 2:4].imag == 0.0)
 
 
 def test_structured_qr_batched_matches_loop(rng):
     h = st.sample_channels(rng, "rapid", 8)
-    h_bar, psi = st.golden_parts(h, "golden-dv")
-    batch = qr_golden_structured(h_bar, psi)
+    h_bar, _ = st.golden_parts(h, "golden-dv")
+    batch = qr_golden_structured(h_bar)
     for i in range(8):
-        single = qr_golden_structured(h_bar[i], psi)
+        single = qr_golden_structured(h_bar[i])
         assert np.allclose(batch.r[i], single.r, atol=1e-13)
         assert np.allclose(batch.q[i], single.q, atol=1e-13)
 
@@ -96,33 +95,17 @@ def test_structured_qr_identity_like_channel_agrees_entrywise():
     h_bar, psi = st.golden_parts(h, "golden-dv")
     eff = h_bar @ psi.astype(complex)
     general = qr_decompose(eff)
-    structured = qr_golden_structured(h_bar, psi)
+    structured = qr_golden_structured(h_bar)
     assert np.max(np.abs(general.r - structured.r)) <= 1e-10
     assert np.max(np.abs(general.q - structured.q)) <= 1e-10
 
 
-def test_structured_qr_psi_identity_keeps_zero_pattern(rng):
-    h_bar, _ = _random_golden_h_bar(rng)
-    f = qr_golden_structured(h_bar, np.eye(4))
-    for row, col in ((0, 1), (0, 3), (1, 2), (2, 3)):
-        assert f.r[row, col] == 0.0
-    assert np.linalg.norm(f.q @ f.r - h_bar) <= 1e-10 * float(frobenius_norm(h_bar))
-
-
 def test_structured_qr_rejects_pattern_violation(rng):
-    h_bar, psi = _random_golden_h_bar(rng)
+    h_bar, _ = _random_golden_h_bar(rng)
     bad = np.array(h_bar)
     bad[0, 1] = 0.5
     with pytest.raises(ValueError, match="not a golden effective matrix"):
-        qr_golden_structured(bad, psi)
-
-
-def test_structured_qr_rejects_non_rotation_psi(rng):
-    h_bar, psi = _random_golden_h_bar(rng)
-    bad = np.array(psi)
-    bad[0, 1] *= -1
-    with pytest.raises(ValueError, match="block rotation"):
-        qr_golden_structured(h_bar, bad)
+        qr_golden_structured(bad)
 
 
 def test_golden_zero_pattern_positions(rng):
