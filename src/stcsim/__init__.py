@@ -45,7 +45,6 @@ from .decoders import (
     FAST_PERMUTATIONS,
     DecodeResult,
     blast_ordering,
-    check_fast_permutation,
     decode_alamouti_fast,
     decode_exhaustive,
     decode_fast_golden,

@@ -79,8 +79,19 @@ def sample_channel(
 
 
 def snr_to_n0(snr_db: float) -> float:
-    """Total per-sample noise variance N0 for a target SNR in dB."""
-    return TRANSMIT_ENERGY_PER_USE / 10.0 ** (snr_db / 10.0)
+    """Total per-sample noise variance N0 for a target SNR in dB.
+
+    Raises:
+        ValueError: if N0 is not finite and positive, which happens beyond
+            about +/-3080 dB.
+    """
+    try:
+        n0 = TRANSMIT_ENERGY_PER_USE / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not (math.isfinite(n0) and n0 > 0.0):
+        raise ValueError(f"snr {snr_db:.9g} dB gives no finite positive noise variance")
+    return n0
 
 
 def sample_noise(rng: np.random.Generator, n0: float, count: int = None) -> np.ndarray:

@@ -110,9 +110,7 @@ def _decode_command(path: str) -> int:
         eff = codes.effective_channel(ChannelRealization(h=h, model="custom"), code)
     else:
         eff = codes.effective_channel_from_matrix(_complex_array(data, "H", (4, 4)), code)
-    raw = _complex_array(data, "y", (4,))
-    flags = np.asarray(eff.conjugated)
-    y = np.where(flags, np.conj(raw), raw)
+    y = eff.stack(_complex_array(data, "y", (4,)))
     result = entry.call(eff, y, alphabet, "none")
 
     print("indices:", " ".join(str(i) for i in result.indices))

@@ -103,11 +103,15 @@ class EffectiveChannel:
         """
         return _read_only(qr_decompose(self.h))
 
-    def stack_noise(self, noise: np.ndarray) -> np.ndarray:
-        """Map raw noise samples [n1[1], n1[2], n2[1], n2[2]] to the stack."""
-        noise = np.asarray(noise, dtype=complex)
-        flags = np.asarray(self.conjugated)
-        return np.where(flags, np.conj(noise), noise)
+    def stack(self, samples: np.ndarray) -> np.ndarray:
+        """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
+        noise, to the stack: conjugated where ``conjugated`` says."""
+        return _stack(samples, self.conjugated)
+
+
+def _stack(samples, conjugated) -> np.ndarray:
+    samples = np.asarray(samples, dtype=complex)
+    return np.where(np.asarray(conjugated), np.conj(samples), samples)
 
 
 def _read_only(factors: QRFactors) -> QRFactors:
@@ -458,5 +462,4 @@ def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.
         for k in range(2):
             raw[pos] = cw[k, 0] * h[0, j, k] + cw[k, 1] * h[1, j, k] + noise[pos]
             pos += 1
-    flags = np.asarray(conjugation_flags(variant))
-    return np.where(flags, np.conj(raw), raw)
+    return _stack(raw, conjugation_flags(variant))

@@ -18,6 +18,12 @@ With pruning disabled the fast golden decoder therefore visits exactly
 M + M^2 + 4*M^2.5 nodes and the conventional four-level decoder
 M + M^2 + 2*M^3.
 
+Every tree decoder gets R and z = Q^H y from ``_triangularize`` as Python
+scalars, so its per-node arithmetic indexes plain lists. The fast golden and
+fast Alamouti decoders share one trailing-pair walk, ``_walk_pairs``, which
+owns the trailing stage's visiting order, its pruning and its node count;
+each decoder supplies only the search over the leading pair.
+
 Decoders are deterministic: candidate ties resolve by enumeration order
 (stable sorts, zigzag lower-level-first, lexicographic scan). Each call owns
 its workspace, so instances may decode concurrently; the two final-stage
@@ -64,11 +70,6 @@ class DecodeResult:
     permutation_used: tuple
 
 
-def check_fast_permutation(perm) -> bool:
-    """True iff ``perm`` (zero-based column order) admits fast decoding."""
-    return tuple(perm) in FAST_PERMUTATIONS
-
-
 # Entries of R that a fast decoder's structure needs to vanish may be at most
 # this fraction of ||H||_F; structured channels stay below 1e-15.
 STRUCTURE_TOLERANCE = 1e-6
@@ -88,14 +89,17 @@ def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
     order is factored here.
 
     Returns:
-        (h, r, z): ``h = eff.h[:, perm]``, ``h = q @ r`` and ``z = q^H y``.
+        (h, r, z): ``h = eff.h[:, perm]``, ``h = q @ r`` and ``z = q^H y``,
+        with ``r`` (nested, ``r[i][j]``) and ``z`` as lists of Python
+        complex numbers.
     """
     if perm == IDENTITY_PERMUTATION:
         h, factors = eff.h, eff.factors
     else:
         h = eff.h[:, perm]
         factors = qr_decompose(h)
-    return h, factors.r, factors.q.conj().T @ np.asarray(y, dtype=complex)
+    z = factors.q.conj().T @ np.asarray(y, dtype=complex)
+    return h, factors.r.tolist(), z.tolist()
 
 
 def _unpermute(perm, symbols, indices):
@@ -178,6 +182,43 @@ def _real_search(v1: float, v2: float, r11: float, r12: float, r22: float, pam, 
     return best, pick, nodes
 
 
+def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
+    """Exact-ML walk over the trailing symbol pair of the fast decoders.
+
+    Row k follows the ascending ``outer_metrics`` and, within it, pair (k, l)
+    the ascending ``inner_metrics``; the pair's trailing metric is
+    ``outer_metrics[k] + inner_metrics[l]``. One node per row entered and one
+    per pair entered. With ``prune``, the first row or pair whose trailing
+    metric exceeds the best total ends its loop, since both lists ascend.
+
+    Args:
+        leading: ``leading(k, l, tail)`` completes pair (k, l), whose
+            trailing metric is ``tail``, by searching the leading pair, and
+            returns ``(total, pick, nodes)``.
+
+    Returns:
+        (best_total, best_pick, nodes).
+    """
+    nodes = 0
+    best = math.inf
+    best_pick = None
+    for k, outer in enumerate(outer_metrics):
+        nodes += 1
+        if prune and outer > best:
+            break
+        for l, inner in enumerate(inner_metrics):
+            nodes += 1
+            tail = outer + inner
+            if prune and tail > best:
+                break
+            total, pick, n = leading(k, l, tail)
+            nodes += n
+            if total < best:
+                best = total
+                best_pick = pick
+    return best, best_pick, nodes
+
+
 def decode_fast_golden(
     eff: EffectiveChannel,
     y: np.ndarray,
@@ -208,82 +249,48 @@ def decode_fast_golden(
     if perm is None:
         perm = IDENTITY_PERMUTATION
     perm = tuple(perm)
-    if not check_fast_permutation(perm):
+    if perm not in FAST_PERMUTATIONS:
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
     h, r, z = _triangularize(eff, y, perm)
     _require_structure(
-        h, r[0, 1].imag, r[2, 3].imag,
+        h, r[0][1].imag, r[2][3].imag,
         "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
         "this channel lacks golden structure",
     )
-    r11 = float(r[0, 0].real)
-    r12 = float(r[0, 1].real)
-    r22 = float(r[1, 1].real)
-    r33 = float(r[2, 2].real)
-    r34 = float(r[2, 3].real)
-    r44 = float(r[3, 3].real)
-    r13 = complex(r[0, 2])
-    r14 = complex(r[0, 3])
-    r23 = complex(r[1, 2])
-    r24 = complex(r[1, 3])
-    z1 = complex(z[0])
-    z2 = complex(z[1])
-    z3 = complex(z[2])
-    z4 = complex(z[3])
-
     # The trailing-pair branch metrics are functions of one real component
     # pair each, which the separable alphabet puts in bijection with the
     # complex symbols: Re(a) plays x3's component, Im(a) plays x4's.
+    r33, r34, r44 = r[2][2].real, r[2][3].real, r[3][3].real
     order_re, m_re = sort_alphabet_by_metric(
         alphabet,
-        lambda a: (z3.real - r33 * a.real - r34 * a.imag) ** 2
-        + (z4.real - r44 * a.imag) ** 2,
+        lambda a: (z[2].real - r33 * a.real - r34 * a.imag) ** 2
+        + (z[3].real - r44 * a.imag) ** 2,
     )
     order_im, m_im = sort_alphabet_by_metric(
         alphabet,
-        lambda a: (z3.imag - r33 * a.real - r34 * a.imag) ** 2
-        + (z4.imag - r44 * a.imag) ** 2,
+        lambda a: (z[2].imag - r33 * a.real - r34 * a.imag) ** 2
+        + (z[3].imag - r44 * a.imag) ** 2,
     )
     sym_re = alphabet.symbols.real.tolist()
     sym_im = alphabet.symbols.imag.tolist()
     ord_re = order_re.tolist()
     ord_im = order_im.tolist()
-    m_re = m_re.tolist()
-    m_im = m_im.tolist()
-
+    r11, r12, r22 = r[0][0].real, r[0][1].real, r[1][1].real
     pam = alphabet.pam
-    width = pam.size
-    m = len(sym_re)
-    nodes = 0
-    best = math.inf
-    best_pick = None
-    for k in range(m):
-        nodes += 1
-        tail_re = m_re[k]
-        if prune and tail_re > best:
-            break
-        sk = ord_re[k]
-        x3r = sym_re[sk]
-        x4r = sym_im[sk]
-        for l in range(m):
-            nodes += 1
-            tail = m_im[l] + tail_re
-            if prune and tail > best:
-                break
-            sl = ord_im[l]
-            x3 = complex(x3r, sym_re[sl])
-            x4 = complex(x4r, sym_im[sl])
-            v1 = z1 - r13 * x3 - r14 * x4
-            v2 = z2 - r23 * x3 - r24 * x4
-            best_re, pick_re, n_re = _real_search(v1.real, v2.real, r11, r12, r22, pam, prune)
-            best_im, pick_im, n_im = _real_search(v1.imag, v2.imag, r11, r12, r22, pam, prune)
-            nodes += n_re + n_im
-            total = best_re + best_im + tail
-            if total < best:
-                best = total
-                best_pick = (pick_re, pick_im, sk, sl)
 
+    def leading(k, l, tail):
+        sk = ord_re[k]
+        sl = ord_im[l]
+        x3 = complex(sym_re[sk], sym_re[sl])
+        x4 = complex(sym_im[sk], sym_im[sl])
+        v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
+        v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
+        best_re, pick_re, n_re = _real_search(v1.real, v2.real, r11, r12, r22, pam, prune)
+        best_im, pick_im, n_im = _real_search(v1.imag, v2.imag, r11, r12, r22, pam, prune)
+        return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
+
+    best, best_pick, nodes = _walk_pairs(m_re.tolist(), m_im.tolist(), leading, prune)
     (x1r, i1r, x2r, i2r), (x1i, i1i, x2i, i2i), sk, sl = best_pick
     symbols = (
         complex(x1r, x1i),
@@ -294,8 +301,8 @@ def decode_fast_golden(
     indices = (
         alphabet.index_of(i1r, i1i),
         alphabet.index_of(i2r, i2i),
-        alphabet.index_of(sk % width, sl % width),
-        alphabet.index_of(sk // width, sl // width),
+        alphabet.index_of(sk % pam.size, sl % pam.size),
+        alphabet.index_of(sk // pam.size, sl // pam.size),
     )
     x_hat, out_idx = _unpermute(perm, symbols, indices)
     return DecodeResult(
@@ -342,7 +349,8 @@ def decode_sphere_conventional(
         raise ValueError(f"unknown ordering mode: {ordering!r}")
     _, r, z = _triangularize(eff, y, perm)
     syms = alphabet.symbols
-    rdiag = [float(r[i, i].real) for i in range(4)]
+    sym_list = syms.tolist()
+    rdiag = [r[i][i].real for i in range(4)]
 
     nodes = 0
     sorts = 0
@@ -354,9 +362,9 @@ def decode_sphere_conventional(
 
     def expand(level: int, acc: float) -> None:
         nonlocal nodes, sorts, best, best_syms, best_idx
-        w = complex(z[level])
+        w = z[level]
         for j in range(level + 1, 4):
-            w -= complex(r[level, j]) * chosen[j]
+            w -= r[level][j] * chosen[j]
         if level == 0:
             sym, idx = _slice_complex(w / rdiag[0], alphabet)
             nodes += 1
@@ -378,7 +386,7 @@ def decode_sphere_conventional(
             cum = acc + metrics[t]
             if prune and cum > best:
                 break
-            chosen[level] = complex(syms[t])
+            chosen[level] = sym_list[t]
             chosen_idx[level] = t
             expand(level - 1, cum)
 
@@ -415,64 +423,27 @@ def decode_alamouti_fast(
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
     h, r, z = _triangularize(eff, y, IDENTITY_PERMUTATION)
-    _require_structure(
-        h, complex(r[0, 1]), complex(r[2, 3]), "fast Alamouti path invalid for this channel"
-    )
-    z1 = complex(z[0])
-    z2 = complex(z[1])
-    z3 = complex(z[2])
-    z4 = complex(z[3])
-    r11 = float(r[0, 0].real)
-    r22 = float(r[1, 1].real)
-    r33 = float(r[2, 2].real)
-    r44 = float(r[3, 3].real)
-    r13 = complex(r[0, 2])
-    r14 = complex(r[0, 3])
-    r23 = complex(r[1, 2])
-    r24 = complex(r[1, 3])
-
-    order4, m4 = sort_alphabet_by_metric(
-        alphabet, lambda a: abs(z4 - r44 * a) ** 2
-    )
-    order3, m3 = sort_alphabet_by_metric(
-        alphabet, lambda a: abs(z3 - r33 * a) ** 2
-    )
+    _require_structure(h, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
+    r11, r22, r33, r44 = (r[i][i].real for i in range(4))
+    order4, m4 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[3] - r44 * a) ** 2)
+    order3, m3 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[2] - r33 * a) ** 2)
     syms = alphabet.symbols.tolist()
     order4 = order4.tolist()
     order3 = order3.tolist()
-    m4 = m4.tolist()
-    m3 = m3.tolist()
 
-    nodes = 0
-    best = math.inf
-    best_syms = None
-    best_idx = None
-    m = len(syms)
-    for k in range(m):
-        nodes += 1
-        t4 = m4[k]
-        if prune and t4 > best:
-            break
+    def leading(k, l, tail):
+        i3 = order3[l]
         i4 = order4[k]
+        x3 = syms[i3]
         x4 = syms[i4]
-        for l in range(m):
-            nodes += 1
-            tail = t4 + m3[l]
-            if prune and tail > best:
-                break
-            i3 = order3[l]
-            x3 = syms[i3]
-            v1 = z1 - r13 * x3 - r14 * x4
-            v2 = z2 - r23 * x3 - r24 * x4
-            x1, i1 = _slice_complex(v1 / r11, alphabet)
-            nodes += 2
-            x2, i2 = _slice_complex(v2 / r22, alphabet)
-            nodes += 2
-            total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
-            if total < best:
-                best = total
-                best_syms = (x1, x2, x3, x4)
-                best_idx = (i1, i2, i3, i4)
+        v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
+        v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
+        x1, i1 = _slice_complex(v1 / r11, alphabet)
+        x2, i2 = _slice_complex(v2 / r22, alphabet)
+        total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
+        return total, ((x1, x2, x3, x4), (i1, i2, i3, i4)), 4  # two slices per symbol
+
+    best, (best_syms, best_idx), nodes = _walk_pairs(m4.tolist(), m3.tolist(), leading, prune)
 
     return DecodeResult(
         x_hat=np.array(best_syms),

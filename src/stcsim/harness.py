@@ -147,6 +147,8 @@ class SweepConfig:
             raise ValueError("snr step must be positive")
         if self.snr_stop < self.snr_start:
             raise ValueError("snr stop must not be below snr start")
+        for snr in (self.snr_start, self.snr_stop):
+            snr_to_n0(snr)  # N0 falls with SNR, so the two ends bound the grid
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
@@ -204,12 +206,16 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int):
-    """Decode trials [lo, hi) of one SNR point; returns per-decoder partials.
+def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
+    """Decode trials [lo, hi) of one SNR point.
 
     Pass 1 draws each trial's channel, symbols and noise from its own stream.
     Pass 2 builds and factors the chunk's effective matrices as one stack, so
     every decoder of a trial shares that trial's QR factors.
+
+    Returns:
+        For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
+        per trial, in trial order.
     """
     alphabet = make_qam(cfg.modulation)
     n0 = snr_to_n0(snr_db)
@@ -223,22 +229,16 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
         noise.append(np.zeros(4, dtype=complex) if cfg.noise_free else sample_noise(rng, n0))
 
     matrices = codes.effective_matrix(np.stack(channels), cfg.code)
-    acc = {
-        name: {"errors": 0, "nodes": [], "sorts": 0, "time_ns": 0}
-        for name in cfg.decoders
-    }
+    records = {name: [] for name in cfg.decoders}
     for eff, idx_true, raw in zip(codes.factored_channels(matrices, cfg.code), sent, noise):
-        y = eff.h @ alphabet.symbols[idx_true] + eff.stack_noise(raw)
+        y = eff.h @ alphabet.symbols[idx_true] + eff.stack(raw)
         for name in cfg.decoders:
             start = time.perf_counter_ns()
             result = DECODERS[name].call(eff, y, alphabet, cfg.ordering)
             elapsed = time.perf_counter_ns() - start
-            slot = acc[name]
-            slot["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
-            slot["nodes"].append(result.nodes_visited)
-            slot["sorts"] += result.full_sorts
-            slot["time_ns"] += elapsed
-    return acc
+            errors = int(np.sum(np.asarray(result.indices) != idx_true))
+            records[name].append((errors, result.nodes_visited, result.full_sorts, elapsed))
+    return records
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -247,54 +247,39 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     points = cfg.snr_points()
     threads = _thread_count()
     chunk = min(MAX_CHUNK, max(32, -(-cfg.trials // max(1, threads * 8))))
-    tasks = []
-    for pi, snr in enumerate(points):
-        lo = 0
-        while lo < cfg.trials:
-            hi = min(cfg.trials, lo + chunk)
-            tasks.append((pi, snr, lo, hi))
-            lo = hi
-    partials = {}
+    tasks = [
+        (pi, snr, lo, min(cfg.trials, lo + chunk))
+        for pi, snr in enumerate(points)
+        for lo in range(0, cfg.trials, chunk)
+    ]
     if threads > 1 and len(tasks) > 1:
         # The pool forks all of its workers up front; more than there are tasks would idle.
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            futures = {
-                pool.submit(_run_chunk, cfg, pi, snr, lo, hi): (pi, lo)
-                for pi, snr, lo, hi in tasks
-            }
-            for future, key in futures.items():
-                partials[key] = future.result()
+            futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
+            partials = [future.result() for future in futures]
     else:
-        for pi, snr, lo, hi in tasks:
-            partials[(pi, lo)] = _run_chunk(cfg, pi, snr, lo, hi)
+        partials = [_run_chunk(cfg, *task) for task in tasks]
 
+    per_point = len(tasks) // len(points)
     rows = []
     for pi, snr in enumerate(points):
-        merged = {
-            name: {"errors": 0, "nodes": [], "sorts": 0, "time_ns": 0}
-            for name in cfg.decoders
-        }
-        for key in sorted(k for k in partials if k[0] == pi):
-            part = partials[key]
-            for name in cfg.decoders:
-                merged[name]["errors"] += part[name]["errors"]
-                merged[name]["nodes"].extend(part[name]["nodes"])
-                merged[name]["sorts"] += part[name]["sorts"]
-                merged[name]["time_ns"] += part[name]["time_ns"]
+        chunks = partials[pi * per_point:(pi + 1) * per_point]
         for name in sorted(cfg.decoders):
-            slot = merged[name]
-            nodes = np.asarray(slot["nodes"], dtype=float)
+            # Every column holds integers well below 2**53, so its float sums are exact.
+            errors, nodes, sorts, time_ns = np.array(
+                [record for part in chunks for record in part[name]], dtype=float
+            ).T
             rows.append(
                 SweepRow(
                     snr_db=snr,
                     decoder=name,
                     trials=cfg.trials,
-                    ser=slot["errors"] / (4.0 * cfg.trials),
+                    ser=float(errors.sum()) / (4.0 * cfg.trials),
                     nodes_mean=float(nodes.mean()),
                     nodes_p95=float(np.percentile(nodes, 95)),
                     nodes_max=int(nodes.max()),
-                    sorts_mean=slot["sorts"] / cfg.trials,
-                    time_ns_mean=slot["time_ns"] / cfg.trials,
+                    sorts_mean=float(sorts.sum()) / cfg.trials,
+                    time_ns_mean=float(time_ns.sum()) / cfg.trials,
                 )
             )
     return SweepReport(config=cfg, rows=tuple(rows))
@@ -511,7 +496,7 @@ def _instance(rng, alphabet, model, snr_db, variant="golden-dv"):
     ch = sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
     eff = codes.effective_channel(ch, variant)
-    noise = eff.stack_noise(sample_noise(rng, snr_to_n0(snr_db)))
+    noise = eff.stack(sample_noise(rng, snr_to_n0(snr_db)))
     y = eff.h @ alphabet.symbols[idx] + noise
     return eff, y
 

@@ -15,7 +15,7 @@ def random_golden_instance(rng, m, variant="golden-dv", model="quasistatic", snr
     ch = st.sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
     eff = st.effective_channel(ch, variant)
-    noise = eff.stack_noise(st.sample_noise(rng, st.snr_to_n0(snr_db)))
+    noise = eff.stack(st.sample_noise(rng, st.snr_to_n0(snr_db)))
     y = eff.h @ alphabet.symbols[idx] + noise
     return eff, y, alphabet, idx
 
@@ -25,7 +25,7 @@ def random_alamouti_instance(rng, m, model="quasistatic", snr_db=10.0):
     ch = st.sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
     eff = st.effective_channel(ch, "overlaid-alamouti")
-    noise = eff.stack_noise(st.sample_noise(rng, st.snr_to_n0(snr_db)))
+    noise = eff.stack(st.sample_noise(rng, st.snr_to_n0(snr_db)))
     y = eff.h @ alphabet.symbols[idx] + noise
     return eff, y, alphabet, idx
 

@@ -85,7 +85,7 @@ def test_criterion_04_sort_counts():
             ch = st.sample_channel(rng, "quasistatic")
             idx = rng.integers(0, m, 4)
             eff = st.effective_channel(ch, "golden-dv")
-            y = eff.h @ alphabet.symbols[idx] + eff.stack_noise(
+            y = eff.h @ alphabet.symbols[idx] + eff.stack(
                 st.sample_noise(rng, st.snr_to_n0(snr_by_m[m]))
             )
             total += 1
@@ -96,7 +96,7 @@ def test_criterion_04_sort_counts():
         ch = st.sample_channel(rng, "quasistatic")
         idx = rng.integers(0, 64, 4)
         eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack_noise(
+        y = eff.h @ alphabet.symbols[idx] + eff.stack(
             st.sample_noise(rng, st.snr_to_n0(20.0))
         )
         above += int(dec.decode_sphere_conventional(eff, y, alphabet).full_sorts > 2)
@@ -119,7 +119,7 @@ def test_criterion_05_worst_case_node_formula():
         ch = st.sample_channel(rng, "quasistatic")
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack_noise(st.sample_noise(rng, 0.2))
+        y = eff.h @ alphabet.symbols[idx] + eff.stack(st.sample_noise(rng, 0.2))
         result = dec.decode_fast_golden(eff, y, alphabet, prune=False)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}

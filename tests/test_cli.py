@@ -266,7 +266,8 @@ def test_decode_accepts_integral_float_modulation(tmp_path, capsys):
 @pytest.mark.parametrize(
     "grid",
     (("--snr-step", "nan"), ("--snr-stop", "inf"), ("--snr-start=-inf",),
-     ("--snr-start", "30", "--snr-stop", "0")),
+     ("--snr-start", "30", "--snr-stop", "0"), ("--snr-start=4000", "--snr-stop=4000"),
+     ("--snr-start=-4000", "--snr-stop=-4000", "--noise-free")),
 )
 def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
     out = tmp_path / "x.csv"

@@ -87,7 +87,7 @@ def test_encoder_effective_channel_consistency(rng, variant, model):
         noise = st.sample_noise(rng, 0.3)
         eff = st.effective_channel(ch, variant)
         got = st.transmit(st.encode(x, variant), ch, noise, variant)
-        want = eff.h @ x + eff.stack_noise(noise)
+        want = eff.h @ x + eff.stack(noise)
         assert np.max(np.abs(got - want)) <= 1e-12
 
         # transmit itself against the raw-layout oracle; stack order is

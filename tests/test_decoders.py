@@ -68,7 +68,7 @@ def test_fast_matches_exhaustive(rng, m):
         ch = st.sample_channel(rng, model, rho=0.7 if model == "markov" else None)
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack_noise(
+        y = eff.h @ alphabet.symbols[idx] + eff.stack(
             st.sample_noise(rng, st.snr_to_n0(float(rng.integers(0, 21))))
         )
         ref = dec.decode_exhaustive(eff, y, alphabet)
@@ -109,9 +109,6 @@ def test_check_fast_permutation_table():
         (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0),
     }
     assert set(dec.FAST_PERMUTATIONS) == allowed
-    assert dec.check_fast_permutation((0, 1, 2, 3))
-    assert dec.check_fast_permutation((2, 3, 0, 1))
-    assert not dec.check_fast_permutation((0, 2, 1, 3))
 
 
 @pytest.mark.parametrize(
@@ -282,7 +279,7 @@ def test_decoders_identical_with_and_without_attached_factors(rng, variant):
         for ch, factored in zip(chs, st.codes.factored_channels(stacked, variant)):
             plain = st.effective_channel(ch, variant)
             idx = rng.integers(0, alphabet.size, 4)
-            y = plain.h @ alphabet.symbols[idx] + plain.stack_noise(
+            y = plain.h @ alphabet.symbols[idx] + plain.stack(
                 st.sample_noise(rng, st.snr_to_n0(snr_db))
             )
             for a, b in zip(_decode_all(plain, y, alphabet), _decode_all(factored, y, alphabet)):

@@ -61,7 +61,8 @@ def test_validation_rejects_bad_configs():
 @pytest.mark.parametrize(
     "grid",
     (dict(snr_step=math.nan), dict(snr_stop=math.inf), dict(snr_start=-math.inf),
-     dict(snr_start=math.nan), dict(snr_start=30.0, snr_stop=0.0)),
+     dict(snr_start=math.nan), dict(snr_start=30.0, snr_stop=0.0),
+     dict(snr_start=4000.0, snr_stop=4000.0), dict(snr_start=-4000.0, snr_stop=-4000.0)),
 )
 def test_validation_rejects_bad_snr_grid(grid):
     with pytest.raises(ValueError, match="snr"):
@@ -225,7 +226,7 @@ def reference_rows(cfg):
             if cfg.noise_free:
                 noise = np.zeros(4, dtype=complex)
             else:
-                noise = eff.stack_noise(st.sample_noise(rng, n0))
+                noise = eff.stack(st.sample_noise(rng, n0))
             y = eff.h @ alphabet.symbols[idx_true] + noise
             for name in cfg.decoders:
                 result = harness.DECODERS[name].call(eff, y, alphabet, cfg.ordering)
@@ -306,3 +307,59 @@ def test_pool_size_and_chunk_capped(monkeypatch):
     assert InlinePool.sizes == [4, 10]
     assert without_time(pooled.rows) == without_time(serial.rows)
     assert without_time(capped.rows) == without_time(serial.rows)
+
+
+# Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
+# recorded from the nested-walk decoders. Small versions of the benchmark's
+# sweep workloads; any change to the tree decoders' pruning or node counting
+# moves these exact figures.
+PINNED_EFFORT = {
+    "golden-dv-64qam": (
+        dict(decoders=("fast", "sphere"), modulation=64, snr_start=10.0, snr_stop=24.0,
+             snr_step=7.0),
+        [
+            (10.0, "fast", 170, 16267, 3197, 100),
+            (10.0, "sphere", 170, 6718, 1355, 1974),
+            (17.0, "fast", 106, 14835, 4494, 100),
+            (17.0, "sphere", 106, 4914, 1187, 1863),
+            (24.0, "fast", 12, 2901, 1087, 100),
+            (24.0, "sphere", 12, 1326, 345, 533),
+        ],
+    ),
+    "alamouti-16qam": (
+        dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
+             snr_start=6.0, snr_stop=24.0, snr_step=9.0),
+        [
+            (6.0, "alamouti", 155, 7505, 1207, 100),
+            (6.0, "sphere", 155, 4709, 612, 1719),
+            (15.0, "alamouti", 47, 5116, 705, 100),
+            (15.0, "sphere", 47, 2867, 366, 1180),
+            (24.0, "alamouti", 0, 752, 170, 100),
+            (24.0, "sphere", 0, 561, 99, 227),
+        ],
+    ),
+    "golden-dv-4qam": (
+        dict(decoders=("exhaustive", "fast"), snr_start=0.0, snr_stop=24.0, snr_step=12.0),
+        [
+            (0.0, "exhaustive", 83, 12800, 256, 0),
+            (0.0, "fast", 83, 2846, 143, 100),
+            (12.0, "exhaustive", 3, 12800, 256, 0),
+            (12.0, "fast", 3, 1218, 119, 100),
+            (24.0, "exhaustive", 0, 12800, 256, 0),
+            (24.0, "fast", 0, 500, 10, 100),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EFFORT))
+def test_sweep_pins_decoder_effort(monkeypatch, case):
+    overrides, expected = PINNED_EFFORT[case]
+    monkeypatch.setenv("STC_THREADS", "1")
+    rows = run_sweep(small_config(trials=50, seed=3, **overrides)).rows
+    got = [
+        (row.snr_db, row.decoder, round(row.ser * 4 * row.trials),
+         round(row.nodes_mean * row.trials), row.nodes_max, round(row.sorts_mean * row.trials))
+        for row in rows
+    ]
+    assert got == expected
