@@ -131,8 +131,9 @@ def sorted_pam_list(x: float, pam: PamAlphabet) -> list:
     """All PAM symbols in ascending order of distance to ``x``.
 
     Produced by zigzag expansion around the sliced symbol rather than by a
-    comparison sort, so a prefix costs O(prefix). Equal distances order the
-    lower level first, matching the slicer tie rule.
+    comparison sort, in O(L) for L levels; the whole list is built even when
+    the caller reads only a prefix. Equal distances order the lower level
+    first, matching the slicer tie rule.
 
     Returns:
         list of (symbol, index) pairs covering the whole alphabet.

@@ -20,17 +20,22 @@ M + M^2 + 2*M^3.
 
 Every tree decoder gets R and z = Q^H y from ``_triangularize`` as Python
 scalars, so its per-node arithmetic indexes plain lists. The fast golden and
-fast Alamouti decoders share one trailing-pair walk, ``_walk_pairs``, which
-owns the trailing stage's visiting order, its pruning and its node count;
-each decoder supplies only the search over the leading pair.
+fast Alamouti decoders share one best-first trailing-pair walk,
+``_walk_pairs``, which owns the trailing stage's visiting order, its pruning
+and its node count; each decoder supplies only the search over the leading
+pair. The fast golden decoder's leading search drops a pair on a lower bound
+and runs its two real searches inside the radius the best total leaves; the
+imaginary search's radius depends on the real search's result, so the two
+run in sequence.
 
 Decoders are deterministic: candidate ties resolve by enumeration order
-(stable sorts, zigzag lower-level-first, lexicographic scan). Each call owns
-its workspace, so instances may decode concurrently; the two final-stage
-real searches of the fast decoder are data-independent and could themselves
-run in parallel without changing any result.
+(stable sorts, zigzag lower-level-first, lexicographic scan, and trailing
+pairs popped by (metric, row, column)); a later candidate replaces the best
+only at a strictly lower cost. Each call owns its workspace, so instances may
+decode concurrently.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -153,18 +158,21 @@ def decode_exhaustive(
     )
 
 
-def _real_search(v1: float, v2: float, r11: float, r12: float, r22: float, pam, prune: bool):
+def _real_search(
+    v1: float, v2: float, r11: float, r12: float, r22: float, pam, prune: bool, radius: float
+):
     """Two-level real search over one component (real or imaginary) of the leading pair.
 
     Minimizes (v2 - r22*x2)^2 + (v1 - r12*x2 - r11*x1)^2 over PAM levels:
     x2 in zigzag order around v2/r22 with pruning on the partial metric, x1 by
     one slicer decision. One node per x2 candidate entered and one per slice.
+    Only metrics below ``radius`` are accepted.
 
     Returns:
         (metric, pick, nodes) with pick = (x1_symbol, x1_index, x2_symbol,
-        x2_index).
+        x2_index), or pick None when no metric is below ``radius``.
     """
-    best = math.inf
+    best = radius
     pick = None
     nodes = 0
     for x2sym, x2idx in sorted_pam_list(v2 / r22, pam):
@@ -182,40 +190,55 @@ def _real_search(v1: float, v2: float, r11: float, r12: float, r22: float, pam, 
     return best, pick, nodes
 
 
-def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
-    """Exact-ML walk over the trailing symbol pair of the fast decoders.
+def _nearest_x2_metric(v2: float, r22: float, pam) -> float:
+    """(v2 - r22*x2)^2 at ``_real_search``'s first x2 candidate: a lower bound on its metric."""
+    x2sym, _ = slice_pam(v2 / r22, pam)
+    return (v2 - r22 * x2sym) ** 2
 
-    Row k follows the ascending ``outer_metrics`` and, within it, pair (k, l)
-    the ascending ``inner_metrics``; the pair's trailing metric is
-    ``outer_metrics[k] + inner_metrics[l]``. One node per row entered and one
-    per pair entered. With ``prune``, the first row or pair whose trailing
-    metric exceeds the best total ends its loop, since both lists ascend.
+
+def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
+    """Best-first exact-ML walk over the trailing symbol pair of the fast decoders.
+
+    Pair (k, l) has trailing metric ``tail = outer_metrics[k] +
+    inner_metrics[l]``. Both lists ascend, so a heap merge pops the pairs in
+    nondecreasing tail order, ties by (k, l); row k + 1 joins the heap when
+    row k is first popped. One node per pop and one more when a row is first
+    popped (l == 0): M + M^2 walk nodes without pruning. With ``prune``, the
+    first pop whose tail exceeds the best total ends the walk, since every
+    later tail is at least as large.
 
     Args:
-        leading: ``leading(k, l, tail)`` completes pair (k, l), whose
-            trailing metric is ``tail``, by searching the leading pair, and
-            returns ``(total, pick, nodes)``.
+        leading: ``leading(k, l, tail, best)`` completes pair (k, l) by
+            searching the leading pair, and returns ``(total, pick, nodes)``.
+            It may drop a pair that cannot beat ``best`` by returning a total
+            of inf. Without ``prune`` it is passed ``best = inf``, so it
+            drops none.
 
     Returns:
         (best_total, best_pick, nodes).
     """
+    rows = len(outer_metrics)
+    cols = len(inner_metrics)
     nodes = 0
     best = math.inf
     best_pick = None
-    for k, outer in enumerate(outer_metrics):
+    heap = [(outer_metrics[0] + inner_metrics[0], 0, 0)]
+    while heap:
+        tail, k, l = heapq.heappop(heap)
         nodes += 1
-        if prune and outer > best:
-            break
-        for l, inner in enumerate(inner_metrics):
+        if l == 0:
             nodes += 1
-            tail = outer + inner
-            if prune and tail > best:
-                break
-            total, pick, n = leading(k, l, tail)
-            nodes += n
-            if total < best:
-                best = total
-                best_pick = pick
+            if k + 1 < rows:
+                heapq.heappush(heap, (outer_metrics[k + 1] + inner_metrics[0], k + 1, 0))
+        if prune and tail > best:
+            break
+        if l + 1 < cols:
+            heapq.heappush(heap, (outer_metrics[k] + inner_metrics[l + 1], k, l + 1))
+        total, pick, n = leading(k, l, tail, best if prune else math.inf)
+        nodes += n
+        if total < best:
+            best = total
+            best_pick = pick
     return best, best_pick, nodes
 
 
@@ -228,12 +251,15 @@ def decode_fast_golden(
 ) -> DecodeResult:
     """Fast exact-ML decoder for golden-variant effective channels.
 
-    A two-level complex search over the trailing symbol pair (candidates
-    pre-ordered by exactly two full-alphabet sorts, one per real component),
-    followed by interference cancellation and two independent two-level real
-    searches over the leading pair's real and imaginary parts. Correctness
-    rests on the leading and trailing diagonal blocks of R being real for
-    golden channels under the allowed column permutations.
+    A best-first walk over the trailing symbol pair (candidates pre-ordered
+    by exactly two full-alphabet sorts, one per real component), followed by
+    interference cancellation and two two-level real searches over the
+    leading pair's real and imaginary parts. With pruning, a pair is first
+    checked against a lower bound (each component's nearest x2, one node
+    each, not counted again by the searches), and each real search runs
+    inside the radius that the best total leaves. Correctness rests on the
+    leading and trailing diagonal blocks of R being real for golden channels
+    under the allowed column permutations.
 
     Args:
         perm: zero-based column order, one of FAST_PERMUTATIONS.
@@ -279,15 +305,34 @@ def decode_fast_golden(
     r11, r12, r22 = r[0][0].real, r[0][1].real, r[1][1].real
     pam = alphabet.pam
 
-    def leading(k, l, tail):
+    def leading(k, l, tail, best):
         sk = ord_re[k]
         sl = ord_im[l]
         x3 = complex(sym_re[sk], sym_re[sl])
         x4 = complex(sym_im[sk], sym_im[sl])
         v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
         v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
-        best_re, pick_re, n_re = _real_search(v1.real, v2.real, r11, r12, r22, pam, prune)
-        best_im, pick_im, n_im = _real_search(v1.imag, v2.imag, r11, r12, r22, pam, prune)
+        # Lower bounds, one node each. The searches below start from the same
+        # first x2 candidates and count them, so a pair costs
+        # 2 + (n_re - 1) + (n_im - 1) nodes: no candidate is counted twice.
+        lb_re = _nearest_x2_metric(v2.real, r22, pam)
+        if tail + lb_re > best:
+            return math.inf, None, 1
+        lb_im = _nearest_x2_metric(v2.imag, r22, pam)
+        if tail + lb_re + lb_im > best:
+            return math.inf, None, 2
+        # Shared radius: each search only needs to beat what the best total
+        # leaves after the tail and the other component's least metric.
+        best_re, pick_re, n_re = _real_search(
+            v1.real, v2.real, r11, r12, r22, pam, prune, best - tail - lb_im
+        )
+        if pick_re is None:
+            return math.inf, None, 1 + n_re
+        best_im, pick_im, n_im = _real_search(
+            v1.imag, v2.imag, r11, r12, r22, pam, prune, best - tail - best_re
+        )
+        if pick_im is None:
+            return math.inf, None, n_re + n_im
         return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
 
     best, best_pick, nodes = _walk_pairs(m_re.tolist(), m_im.tolist(), leading, prune)
@@ -351,6 +396,7 @@ def decode_sphere_conventional(
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]
+    scaled = [rdiag[i] * syms for i in range(4)]
 
     nodes = 0
     sorts = 0
@@ -376,7 +422,7 @@ def decode_sphere_conventional(
                 best_syms = tuple(chosen)
                 best_idx = tuple(chosen_idx)
             return
-        diff = w - rdiag[level] * syms
+        diff = w - scaled[level]
         metrics = diff.real ** 2 + diff.imag ** 2
         order = np.argsort(metrics, kind="stable")
         sorts += 1
@@ -431,7 +477,7 @@ def decode_alamouti_fast(
     order4 = order4.tolist()
     order3 = order3.tolist()
 
-    def leading(k, l, tail):
+    def leading(k, l, tail, best):
         i3 = order3[l]
         i4 = order4[k]
         x3 = syms[i3]

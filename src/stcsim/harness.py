@@ -202,7 +202,10 @@ MAX_CHUNK = 4096
 def _thread_count() -> int:
     env = os.environ.get("STC_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"STC_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

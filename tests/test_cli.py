@@ -280,3 +280,12 @@ def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
 def test_verify_rejects_trials_below_one(capsys, trials):
     assert main(["verify", "--suite", "sorts", "--trials", trials]) == 2
     assert "trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ("abc", "1.5"))
+def test_simulate_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("STC_THREADS", value)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--trials", "2", "--out", str(out)]) == 2
+    assert f"error: STC_THREADS must be an integer, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -111,6 +111,43 @@ def test_check_fast_permutation_table():
     assert set(dec.FAST_PERMUTATIONS) == allowed
 
 
+def _recording_walk(outer, inner, prune, totals=None):
+    """Run _walk_pairs with a leading callback that records every call."""
+    calls = []
+
+    def leading(k, l, tail, best):
+        calls.append((k, l, tail, best))
+        total = tail + (totals[k][l] if totals else 0.0)
+        return total, (k, l), 0
+
+    return dec._walk_pairs(outer, inner, leading, prune), calls
+
+
+def test_walk_pairs_unpruned_visits_every_pair_in_tail_order():
+    outer = [0.0, 0.5, 0.5, 2.0]
+    inner = [0.1, 0.1, 1.0, 3.0]
+    (best, pick, nodes), calls = _recording_walk(outer, inner, prune=False)
+    assert sorted((k, l) for k, l, _, _ in calls) == [(k, l) for k in range(4) for l in range(4)]
+    tails = [tail for _, _, tail, _ in calls]
+    assert tails == sorted(tails)
+    assert all(tail == outer[k] + inner[l] for k, l, tail, _ in calls)
+    assert all(b == math.inf for _, _, _, b in calls)  # no pruning: nothing to beat
+    assert nodes == 4 + 16  # M + M^2 walk nodes
+    assert (best, pick) == (0.1, (0, 0))
+
+
+def test_walk_pairs_pruned_stops_at_first_tail_above_best():
+    outer = [0.0, 0.5, 0.5, 2.0]
+    inner = [0.1, 0.1, 1.0, 3.0]
+    totals = [[5.0, 0.3, 0.0, 0.0], [0.0] * 4, [0.0] * 4, [0.0] * 4]
+    (best, pick, nodes), calls = _recording_walk(outer, inner, True, totals)
+    # pops (0,0) 5.1, (0,1) 0.4 best, then (1,0) 0.6 > 0.4 ends the walk
+    assert [(k, l) for k, l, _, _ in calls] == [(0, 0), (0, 1)]
+    assert [b for _, _, _, b in calls] == [math.inf, 5.1]
+    assert (best, pick) == (0.4, (0, 1))
+    assert nodes == 2 + 1 + 2  # rows 0 and 1 first popped, three pops
+
+
 @pytest.mark.parametrize(
     "m,expected", [(4, 4 + 16 + 128), (16, 16 + 256 + 4096)]
 )
@@ -234,6 +271,16 @@ def test_worst_case_dominance_over_trial_set(rng, m):
         worst_alam = max(worst_alam, dec.decode_alamouti_fast(effa, ya, alphabeta).nodes_visited)
     assert worst_fast <= fast_cap
     assert worst_alam <= alam_cap
+
+
+@pytest.mark.parametrize("model", ("quasistatic", "rapid"))
+def test_fast_and_sphere_agree_on_64qam(rng, model):
+    for t in range(40):
+        eff, y, alphabet, _ = random_golden_instance(rng, 64, model=model, snr_db=10.0 + t % 15)
+        fast = dec.decode_fast_golden(eff, y, alphabet)
+        sphere = dec.decode_sphere_conventional(eff, y, alphabet)
+        assert fast.indices == sphere.indices
+        assert abs(fast.cost - sphere.cost) <= 1e-9 * sphere.cost
 
 
 def test_radius_equals_cost_and_monotone_updates(rng):

@@ -318,11 +318,11 @@ PINNED_EFFORT = {
         dict(decoders=("fast", "sphere"), modulation=64, snr_start=10.0, snr_stop=24.0,
              snr_step=7.0),
         [
-            (10.0, "fast", 170, 16267, 3197, 100),
+            (10.0, "fast", 170, 5993, 1430, 100),
             (10.0, "sphere", 170, 6718, 1355, 1974),
-            (17.0, "fast", 106, 14835, 4494, 100),
+            (17.0, "fast", 106, 5274, 1515, 100),
             (17.0, "sphere", 106, 4914, 1187, 1863),
-            (24.0, "fast", 12, 2901, 1087, 100),
+            (24.0, "fast", 12, 1248, 258, 100),
             (24.0, "sphere", 12, 1326, 345, 533),
         ],
     ),
@@ -330,11 +330,11 @@ PINNED_EFFORT = {
         dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
              snr_start=6.0, snr_stop=24.0, snr_step=9.0),
         [
-            (6.0, "alamouti", 155, 7505, 1207, 100),
+            (6.0, "alamouti", 155, 6394, 932, 100),
             (6.0, "sphere", 155, 4709, 612, 1719),
-            (15.0, "alamouti", 47, 5116, 705, 100),
+            (15.0, "alamouti", 47, 4229, 613, 100),
             (15.0, "sphere", 47, 2867, 366, 1180),
-            (24.0, "alamouti", 0, 752, 170, 100),
+            (24.0, "alamouti", 0, 491, 80, 100),
             (24.0, "sphere", 0, 561, 99, 227),
         ],
     ),
@@ -342,11 +342,11 @@ PINNED_EFFORT = {
         dict(decoders=("exhaustive", "fast"), snr_start=0.0, snr_stop=24.0, snr_step=12.0),
         [
             (0.0, "exhaustive", 83, 12800, 256, 0),
-            (0.0, "fast", 83, 2846, 143, 100),
+            (0.0, "fast", 83, 1848, 141, 100),
             (12.0, "exhaustive", 3, 12800, 256, 0),
-            (12.0, "fast", 3, 1218, 119, 100),
+            (12.0, "fast", 3, 768, 55, 100),
             (24.0, "exhaustive", 0, 12800, 256, 0),
-            (24.0, "fast", 0, 500, 10, 100),
+            (24.0, "fast", 0, 474, 10, 100),
         ],
     ),
 }

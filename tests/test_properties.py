@@ -30,14 +30,15 @@ def _close(a, b):
 @given(
     variant=hs.sampled_from(st.GOLDEN_VARIANTS),
     model=hs.sampled_from(("quasistatic", "rapid", "markov")),
+    m=hs.sampled_from((4, 16)),
     seed=hs.integers(0, 2**32 - 1),
     scale=hs.floats(1e-3, 1e3),
     y=received,
 )
-def test_golden_costs_are_true_distances(variant, model, seed, scale, y):
+def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
     ch = st.sample_channel(st.make_rng(seed), model, rho=0.9 if model == "markov" else None)
     eff = st.effective_channel_from_matrix(scale * st.effective_matrix(ch.h, variant), variant)
-    alphabet = st.make_qam(4)
+    alphabet = st.make_qam(m)
     results = {
         "fast": dec.decode_fast_golden(eff, y, alphabet),
         "sphere": dec.decode_sphere_conventional(eff, y, alphabet),
@@ -46,6 +47,24 @@ def test_golden_costs_are_true_distances(variant, model, seed, scale, y):
     for name, result in results.items():
         assert _close(result.cost, recompute_cost(eff, y, result.x_hat)), name
     assert _close(results["fast"].cost, results["exhaustive"].cost)
+
+
+@PROPERTY
+@given(
+    m=hs.sampled_from((4, 16)),
+    seed=hs.integers(0, 2**32 - 1),
+    scale=hs.floats(1e-3, 1e3),
+    y=received,
+)
+def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
+    # Alamouti's fast path needs quasistatic fading; rapid channels raise.
+    ch = st.sample_channel(st.make_rng(seed), "quasistatic")
+    variant = "overlaid-alamouti"
+    eff = st.effective_channel_from_matrix(scale * st.effective_matrix(ch.h, variant), variant)
+    alphabet = st.make_qam(m)
+    alamouti = dec.decode_alamouti_fast(eff, y, alphabet)
+    assert _close(alamouti.cost, recompute_cost(eff, y, alamouti.x_hat))
+    assert _close(alamouti.cost, dec.decode_exhaustive(eff, y, alphabet).cost)
 
 
 @PROPERTY
