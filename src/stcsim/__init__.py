@@ -39,7 +39,6 @@ from .constellation import (
     make_qam,
     slice_pam,
     sort_alphabet_by_metric,
-    sorted_pam_list,
 )
 from .decoders import (
     FAST_PERMUTATIONS,

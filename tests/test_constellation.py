@@ -10,8 +10,9 @@ from stcsim import (
     make_qam,
     slice_pam,
     sort_alphabet_by_metric,
-    sorted_pam_list,
 )
+
+from conftest import sorted_pam_list
 
 PAM4 = PamAlphabet(levels=(-3.0, -1.0, 1.0, 3.0), scale=1.0)
 

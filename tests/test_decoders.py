@@ -5,9 +5,15 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
+from stcsim.constellation import slice_pam
 from stcsim.matrixkit import qr_decompose
 
-from conftest import random_alamouti_instance, random_golden_instance, recompute_cost
+from conftest import (
+    random_alamouti_instance,
+    random_golden_instance,
+    recompute_cost,
+    sorted_pam_list,
+)
 
 
 def test_exhaustive_noiseless_and_count(rng):
@@ -87,6 +93,75 @@ def test_fast_all_allowed_permutations_are_exact(rng):
             r = dec.decode_fast_golden(eff, y, alphabet, perm=perm)
             assert abs(r.cost - ref) <= 1e-9
             assert r.permutation_used == perm
+
+
+def _exhaustive_per_leading_symbol(eff, y, alphabet):
+    """Reference scan: one numpy pass per leading symbol x1; a later pass
+    wins only at a strictly lower cost."""
+    h = eff.h
+    syms = alphabet.symbols
+    contrib = [np.outer(h[:, t], syms) for t in range(4)]
+    tail = (
+        contrib[1][:, :, None, None]
+        + contrib[2][:, None, :, None]
+        + contrib[3][:, None, None, :]
+    )
+    best_cost, best_idx = math.inf, None
+    for i1 in range(len(syms)):
+        resid = (y - contrib[0][:, i1])[:, None, None, None] - tail
+        costs = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
+        flat = int(np.argmin(costs))
+        if costs.flat[flat] < best_cost:
+            best_cost = float(costs.flat[flat])
+            best_idx = (i1, *(int(i) for i in np.unravel_index(flat, costs.shape)))
+    return best_idx, best_cost
+
+
+@pytest.mark.parametrize("m", (4, 16))
+@pytest.mark.parametrize("variant", ("golden-dv", "overlaid-alamouti"))
+def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
+    alphabet = st.make_qam(m)
+    for trial in range(30 if m == 4 else 6):
+        h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h
+        sent = alphabet.symbols[rng.integers(0, m, 4)]
+        # y = 0 ties x with -x; a zero column ties its symbol exactly M ways,
+        # across passes for column 0 at 16-QAM, so the smallest index wins
+        cases = [(h, h @ sent, None), (h, np.zeros(4, dtype=complex), None)]
+        for col in (0, 3):
+            dead = h.copy()
+            dead[:, col] = 0.0
+            cases.append((dead, dead @ sent, col))
+        for matrix, y, tied in cases:
+            eff = st.effective_channel_from_matrix(matrix, variant)
+            got = dec.decode_exhaustive(eff, y, alphabet)
+            want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
+            assert got.indices == want_idx
+            assert got.cost.hex() == want_cost.hex()
+            if tied is not None:
+                assert got.indices[tied] == 0
+
+
+@pytest.mark.parametrize("m", st.SUPPORTED_QAM_ORDERS)
+def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
+    pam = st.make_qam(m).pam
+    seen = []
+
+    def recording(x, p):
+        seen.append(x)
+        return slice_pam(x, p)
+
+    monkeypatch.setattr(dec, "slice_pam", recording)
+    midpoints = [pam.scale * 2.0 * k for k in range(-(pam.size // 2) + 1, pam.size // 2)]
+    centres = [*np.random.default_rng(3).uniform(-1.5, 1.5, 60), *pam.values, *midpoints,
+               -10.0, 10.0]
+    for c in centres:
+        for r22 in (1.0, 0.5):
+            v2 = float(c) * r22
+            seen.clear()
+            # v1 = 0 and r11 = r12 = 1: the x1 slice after candidate x2 sees -x2
+            _, _, nodes = dec._real_search(0.0, v2, 1.0, 1.0, r22, pam, False, math.inf)
+            assert nodes == 2 * pam.size
+            assert seen[-pam.size:] == [-s for s, _ in sorted_pam_list(v2 / r22, pam)]
 
 
 def test_fast_rejects_bad_inputs(rng):

@@ -58,6 +58,19 @@ def test_validation_rejects_bad_configs():
         small_config(ordering="sideways").validate()
 
 
+def test_validation_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        small_config(seed=-1).validate()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        run_verification("mindet", seed=-2)
+
+
+@pytest.mark.parametrize("channel", ("quasistatic", "rapid"))
+def test_validation_rejects_rho_without_markov(channel):
+    with pytest.raises(ValueError, match="rho applies only to the markov channel"):
+        small_config(channel=channel, rho=0.3).validate()
+
+
 @pytest.mark.parametrize(
     "grid",
     (dict(snr_step=math.nan), dict(snr_stop=math.inf), dict(snr_start=-math.inf),
