@@ -18,17 +18,11 @@ from .codes import (
     AlamoutiConstants,
     EffectiveChannel,
     GoldenConstants,
-    conjugation_flags,
     effective_channel,
-    effective_channel_from_matrix,
     effective_matrix,
     encode,
-    encode_golden_brv,
-    encode_golden_dv,
-    encode_golden_wimax,
     encode_overlaid_alamouti,
     golden_parts,
-    psi_rotation,
     qr_golden_structured,
     transmit,
 )

@@ -94,12 +94,6 @@ def _channels(blocks, model: str, rho: float) -> np.ndarray:
     return h.reshape(h.shape[:-2] + (2, 2, 2))
 
 
-def _noise(blocks: np.ndarray, n0: float) -> np.ndarray:
-    if n0 <= 0:
-        raise ValueError("noise variance must be positive")
-    return math.sqrt(n0) * _standard_complex(blocks[0], blocks[1])
-
-
 def channels_from_normals(normals: np.ndarray, model: str, rho: float = None) -> np.ndarray:
     """Fading realizations of shape (..., 2, 2, 2) from the raw standard
     normals of one draw each, shape (..., NORMALS_PER_CHANNEL[model])."""
@@ -109,7 +103,10 @@ def channels_from_normals(normals: np.ndarray, model: str, rho: float = None) ->
 def noise_from_normals(normals: np.ndarray, n0: float) -> np.ndarray:
     """Complex AWGN of per-entry variance ``n0``, shape (..., 4), from the raw
     standard normals of one draw each, shape (..., NORMALS_PER_NOISE)."""
-    return _noise(_blocks(normals, NORMALS_PER_NOISE), n0)
+    blocks = _blocks(normals, NORMALS_PER_NOISE)
+    if n0 <= 0:
+        raise ValueError("noise variance must be positive")
+    return math.sqrt(n0) * _standard_complex(blocks[0], blocks[1])
 
 
 def sample_channels(
@@ -151,11 +148,6 @@ def snr_to_n0(snr_db: float) -> float:
     return n0
 
 
-def sample_noise(rng: np.random.Generator, n0: float, count: int = None) -> np.ndarray:
-    """Complex AWGN samples with per-entry variance ``n0``.
-
-    Returns shape (4,) for a single receive stack, or (count, 4).
-    """
-    if count is None:
-        return noise_from_normals(rng.standard_normal(NORMALS_PER_NOISE), n0)
-    return _noise(rng.standard_normal((2, count, 4)), n0)
+def sample_noise(rng: np.random.Generator, n0: float) -> np.ndarray:
+    """Complex AWGN of per-entry variance ``n0`` for one receive stack, shape (4,)."""
+    return noise_from_normals(rng.standard_normal(NORMALS_PER_NOISE), n0)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from . import codes, harness
-from .channel import ChannelRealization
+from .channel import CHANNEL_MODELS, ChannelRealization
 from .constellation import make_qam
 
 
@@ -30,8 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           + ",".join(harness.DECODER_NAMES))
     sim.add_argument("--modulation", type=int, default=4,
                      help="QAM order (4, 16, 64 or 256)")
-    sim.add_argument("--channel", default="quasistatic",
-                     choices=("quasistatic", "rapid", "markov"),
+    sim.add_argument("--channel", default="quasistatic", choices=CHANNEL_MODELS,
                      help="fading model")
     sim.add_argument("--rho", type=float, default=None,
                      help="slot correlation for the markov model")
@@ -41,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=1000, help="trials per SNR point")
     sim.add_argument("--seed", type=int, default=0, help="stream seed")
     sim.add_argument("--ordering", default="none", choices=harness.ORDERING_MODES,
-                     help="column ordering for the tree decoders")
+                     help="column ordering; only the fast and sphere decoders "
+                          "reorder columns, exhaustive and alamouti ignore it")
     sim.add_argument("--noise-free", action="store_true",
                      help="zero the noise (sanity runs)")
     sim.add_argument("--out", required=True, help="output CSV path")
@@ -109,7 +109,7 @@ def _decode_command(path: str) -> int:
         h = _complex_array(data, "h", (2, 2, 2))
         eff = codes.effective_channel(ChannelRealization(h=h, model="custom"), code)
     else:
-        eff = codes.effective_channel_from_matrix(_complex_array(data, "H", (4, 4)), code)
+        eff = codes.EffectiveChannel(h=_complex_array(data, "H", (4, 4)), variant=code)
     y = eff.stack(_complex_array(data, "y", (4,)))
     result = entry.call(eff, y, alphabet, "none")
 

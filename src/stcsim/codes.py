@@ -2,20 +2,21 @@
 
 Four codes are supported: three isomorphic golden-code variants named
 ``golden-dv``, ``golden-brv`` and ``golden-wimax``, and the rate-two
-``overlaid-alamouti`` code. Every code induces a 4x4 effective channel
-mapping the four information symbols onto a stacked vector of the four
-received samples; the stacking convention (which samples are conjugated)
-travels with the EffectiveChannel so that decoders never branch on code
-identity. For every variant and every channel realization,
+``overlaid-alamouti`` code. The variant name is the only key: one table
+row per golden variant (four unit coefficients) fixes both its encoder and
+its effective channel, and one table fixes each variant's receive stacking
+(which samples are conjugated), which an EffectiveChannel reads from its
+``variant`` so that decoders never branch on code identity. For every
+variant and every channel realization,
 
     transmit(encode(x), ch, noise) == effective.h @ x + stacked_noise
 
-holds to machine precision; the variant encoders are defined by exactly that
-coefficient matching.
+holds to machine precision.
 
-A golden effective channel factors as ``h_bar @ psi`` with a sparse ``h_bar``
-(``golden_parts``); ``qr_golden_structured`` builds its QR from that
-structure, with exactly real diagonal blocks in R.
+A golden effective channel factors as ``h_bar @ PSI`` with a sparse
+``h_bar`` (``golden_parts``) and PSI the block-diagonal pair of golden
+rotations; ``qr_golden_structured`` builds its QR from that structure, with
+exactly real diagonal blocks in R.
 
 Codewords are 2x2 complex arrays with entry [k, i] holding the symbol sent
 from antenna i at time k.
@@ -73,34 +74,78 @@ ALAMOUTI = AlamoutiConstants(
 GOLDEN_VARIANTS = ("golden-brv", "golden-dv", "golden-wimax")
 CODE_VARIANTS = GOLDEN_VARIANTS + ("overlaid-alamouti",)
 
+# Unit phases of the golden-brv variant: (cos - i sin) and (sin + i cos).
+_BRV_D1 = complex(GOLDEN.cos_theta, -GOLDEN.sin_theta)
+_BRV_D2 = complex(GOLDEN.sin_theta, GOLDEN.cos_theta)
+
+# Per golden variant, the unit-magnitude coefficients (a, b, c, d). The
+# codeword of rotated pairs t = rotation @ x[:2], u = rotation @ x[2:] is
+# [[a*t0, b*u0], [d*u1, c*t1]]; matching it against the channel puts, in
+# h_bar, row 2j: a*h[0,j,0] in column 0 and b*h[1,j,0] in column 2, and row
+# 2j+1: c*h[1,j,1] in column 1 and d*h[0,j,1] in column 3. The variants
+# differ from golden-dv only by these unit rotations.
+_GOLDEN_COEFFICIENTS = {
+    "golden-dv": (1, GOLDEN.phase, 1, GOLDEN.phase),
+    "golden-brv": (_BRV_D1, _BRV_D1, _BRV_D2, _BRV_D2 * 1j),
+    "golden-wimax": (1, 1, -1j, -1),
+}
+
+# Per code variant, which stacked receive samples [r1[1], r1[2], r2[1], r2[2]]
+# are the complex conjugates of the raw samples.
+_CONJUGATED = {
+    **{variant: (False, False, False, False) for variant in GOLDEN_VARIANTS},
+    "overlaid-alamouti": (False, True, False, True),
+}
+
+# Block-diagonal pair of golden symbol rotations: the right factor of every
+# golden effective channel, h_bar @ PSI.
+PSI = np.zeros((4, 4), dtype=complex)
+PSI[:2, :2] = PSI[2:, 2:] = GOLDEN.rotation
+PSI.setflags(write=False)
+
+
+def _conjugated(variant: str) -> tuple:
+    try:
+        return _CONJUGATED[variant]
+    except KeyError:
+        raise ValueError(f"unknown code variant: {variant!r}") from None
+
 
 @dataclass(frozen=True, eq=False)
 class EffectiveChannel:
-    """4x4 effective channel plus the receive-stacking map it assumes.
+    """4x4 effective channel of one code variant.
 
-    ``conjugated[l]`` tells whether the l-th stacked receive sample is the
-    complex conjugate of the raw sample. ``h`` is kept as a read-only complex
-    copy of the caller's matrix, so the cached ``factors`` and ``norm`` always
-    belong to it.
+    The variant fixes the receive stacking: ``conjugated[l]`` tells whether
+    the l-th stacked receive sample is the complex conjugate of the raw
+    sample. ``h`` is kept as a read-only complex copy of the caller's matrix,
+    so the cached ``factors`` and ``norm`` always belong to it.
+
+    Raises:
+        ValueError: unknown variant, or ``h`` not 4x4.
     """
 
     h: np.ndarray
-    conjugated: tuple
     variant: str
 
     def __post_init__(self):
+        _conjugated(self.variant)
         h = np.array(self.h, dtype=complex)
         if h.shape != (4, 4):
             raise ValueError("effective matrix must be 4x4")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
+    @property
+    def conjugated(self) -> tuple:
+        return _CONJUGATED[self.variant]
+
     @cached_property
     def factors(self) -> QRFactors:
         """Read-only QR factors of ``h``, computed on first use.
 
         Raises:
-            ValueError: if ``h`` is rank-deficient (see ``qr_decompose``).
+            ValueError: if ``h`` is rank-deficient or not finite (see
+                ``qr_decompose``).
         """
         return _read_only(qr_decompose(self.h))
 
@@ -112,13 +157,13 @@ class EffectiveChannel:
     def stack(self, samples: np.ndarray) -> np.ndarray:
         """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
         noise, to the stack: conjugated where ``conjugated`` says."""
-        return stack_samples(samples, self.conjugated)
+        return stack_samples(samples, self.variant)
 
 
-def stack_samples(samples, conjugated) -> np.ndarray:
+def stack_samples(samples, variant: str) -> np.ndarray:
     """``EffectiveChannel.stack`` for samples of shape (..., 4), e.g. a whole chunk's noise."""
     samples = np.asarray(samples, dtype=complex)
-    return np.where(np.asarray(conjugated), np.conj(samples), samples)
+    return np.where(np.asarray(_conjugated(variant)), np.conj(samples), samples)
 
 
 def _read_only(factors: QRFactors) -> QRFactors:
@@ -127,49 +172,11 @@ def _read_only(factors: QRFactors) -> QRFactors:
     return factors
 
 
-def conjugation_flags(variant: str) -> tuple:
-    if variant == "overlaid-alamouti":
-        return (False, True, False, True)
-    if variant in GOLDEN_VARIANTS:
-        return (False, False, False, False)
-    raise ValueError(f"unknown code variant: {variant!r}")
-
-
-def encode_golden_dv(x) -> np.ndarray:
-    """Golden-code codeword: rotated pairs on the diagonal and off-diagonal.
-
-    The first symbol pair is rotated by the golden rotation and placed on the
-    main diagonal; the second pair is rotated the same way, multiplied by the
-    unit phase, and placed on the off-diagonal.
-    """
-    x = np.asarray(x, dtype=complex)
-    a = GOLDEN.rotation @ x[:2]
-    b = GOLDEN.rotation @ x[2:]
-    p = GOLDEN.phase
-    return np.array([[a[0], p * b[0]], [p * b[1], a[1]]])
-
-
-# Unit phases of the golden-brv variant: (cos - i sin) and (sin + i cos).
-_BRV_D1 = complex(GOLDEN.cos_theta, -GOLDEN.sin_theta)
-_BRV_D2 = complex(GOLDEN.sin_theta, GOLDEN.cos_theta)
-
-
-def encode_golden_brv(x) -> np.ndarray:
-    """Variant codeword matching the rotated-coefficient effective channel."""
-    x = np.asarray(x, dtype=complex)
-    t = GOLDEN.rotation @ x[:2]
-    u = GOLDEN.rotation @ x[2:]
-    d1 = _BRV_D1
-    d2 = _BRV_D2
-    return np.array([[d1 * t[0], d1 * u[0]], [1j * d2 * u[1], d2 * t[1]]])
-
-
-def encode_golden_wimax(x) -> np.ndarray:
-    """Variant codeword matching the standard's effective channel."""
-    x = np.asarray(x, dtype=complex)
-    t = GOLDEN.rotation @ x[:2]
-    u = GOLDEN.rotation @ x[2:]
-    return np.array([[t[0], u[0]], [-u[1], -1j * t[1]]])
+def _golden_coefficients(variant: str) -> tuple:
+    try:
+        return _GOLDEN_COEFFICIENTS[variant]
+    except KeyError:
+        raise ValueError(f"unknown golden code variant: {variant!r}") from None
 
 
 def encode_overlaid_alamouti(x) -> np.ndarray:
@@ -184,55 +191,29 @@ def encode_overlaid_alamouti(x) -> np.ndarray:
     return np.stack([top, bottom]) / math.sqrt(2)
 
 
-_ENCODERS = {
-    "golden-dv": encode_golden_dv,
-    "golden-brv": encode_golden_brv,
-    "golden-wimax": encode_golden_wimax,
-    "overlaid-alamouti": encode_overlaid_alamouti,
-}
-
-
 def encode(x, variant: str) -> np.ndarray:
-    """Encode four information symbols into a 2x2 codeword."""
-    try:
-        encoder = _ENCODERS[variant]
-    except KeyError:
-        raise ValueError(f"unknown code variant: {variant!r}") from None
-    return encoder(x)
+    """Encode four information symbols into a 2x2 codeword.
 
+    A golden codeword rotates each symbol pair by the golden rotation and
+    places the pairs, scaled by the variant's coefficients, on the diagonal
+    and the off-diagonal: [[a*t0, b*u0], [d*u1, c*t1]].
+    """
+    if variant == "overlaid-alamouti":
+        return encode_overlaid_alamouti(x)
+    a, b, c, d = _golden_coefficients(variant)
+    x = np.asarray(x, dtype=complex)
+    t = GOLDEN.rotation @ x[:2]
+    u = GOLDEN.rotation @ x[2:]
+    return np.array([[a * t[0], b * u[0]], [d * u[1], c * t[1]]])
 
-def psi_rotation() -> np.ndarray:
-    """Block-diagonal pair of golden symbol rotations (the right factor)."""
-    c = GOLDEN.cos_theta
-    s = GOLDEN.sin_theta
-    psi = np.array(
-        [
-            [c, s, 0.0, 0.0],
-            [-s, c, 0.0, 0.0],
-            [0.0, 0.0, c, s],
-            [0.0, 0.0, -s, c],
-        ]
-    )
-    return psi
-
-
-# Per golden variant, the unit-magnitude coefficients (a, b, c, d) of h_bar:
-# row 2j holds a*h[0,j,0] in column 0 and b*h[1,j,0] in column 2, and row
-# 2j+1 holds c*h[1,j,1] in column 1 and d*h[0,j,1] in column 3. The variants
-# differ from golden-dv only by these unit rotations.
-_GOLDEN_COEFFICIENTS = {
-    "golden-dv": (1, GOLDEN.phase, 1, GOLDEN.phase),
-    "golden-brv": (_BRV_D1, _BRV_D1, _BRV_D2, _BRV_D2 * 1j),
-    "golden-wimax": (1, 1, -1j, -1),
-}
 
 # Positions of h_bar that every golden variant leaves zero: columns {1, 3}
 # live on rows {1, 3} and columns {2, 4} on rows {2, 4}.
 GOLDEN_ZERO_PATTERN = ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2))
 
 
-def golden_parts(h: np.ndarray, variant: str) -> tuple:
-    """Split a golden effective channel into its sparse left factor and psi.
+def golden_parts(h: np.ndarray, variant: str) -> np.ndarray:
+    """Sparse left factor ``h_bar`` of a golden effective channel ``h_bar @ PSI``.
 
     Args:
         h: channel coefficients of shape (..., 2, 2, 2) indexed [i, j, k]
@@ -240,20 +221,17 @@ def golden_parts(h: np.ndarray, variant: str) -> tuple:
         variant: one of the golden variant names.
 
     Returns:
-        (h_bar, psi) with the effective channel equal to ``h_bar @ psi``;
-        h_bar is zero on GOLDEN_ZERO_PATTERN for every variant.
+        h_bar of shape (..., 4, 4), zero on GOLDEN_ZERO_PATTERN for every
+        variant.
     """
-    try:
-        a, b, c, d = _GOLDEN_COEFFICIENTS[variant]
-    except KeyError:
-        raise ValueError(f"not a golden variant: {variant!r}") from None
+    a, b, c, d = _golden_coefficients(variant)
     h = np.asarray(h, dtype=complex)
     h_bar = np.zeros(h.shape[:-3] + (4, 4), dtype=complex)
     h_bar[..., 0::2, 0] = a * h[..., 0, :, 0]
     h_bar[..., 0::2, 2] = b * h[..., 1, :, 0]
     h_bar[..., 1::2, 1] = c * h[..., 1, :, 1]
     h_bar[..., 1::2, 3] = d * h[..., 0, :, 1]
-    return h_bar, psi_rotation()
+    return h_bar
 
 
 def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:
@@ -279,7 +257,7 @@ def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:
 
 
 def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
-    """Structured QR of ``h_bar @ psi_rotation()`` for golden effective channels.
+    """Structured QR of ``h_bar @ PSI`` for golden effective channels.
 
     Args:
         h_bar: matrix (or stack) of shape (..., 4, 4) as ``golden_parts``
@@ -287,7 +265,7 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
 
     The construction runs in three steps: (i) QR of h_bar via two independent
     2x2 complex QRs on the interleaved column pairs {1,3} and {2,4}, which the
-    sparsity pattern makes exactly orthogonal; (ii) the product with psi,
+    sparsity pattern makes exactly orthogonal; (ii) the product with PSI,
     whose diagonal 2x2 blocks are then real; (iii) a block-diagonal real
     Givens rotation restoring triangularity. The (1,1) and (2,2) blocks of the
     resulting R are built from real arithmetic only, so their imaginary parts
@@ -316,7 +294,7 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     q_bar[..., ::2, ::2] = q_odd
     q_bar[..., 1::2, 1::2] = q_even
 
-    # Step (ii): diagonal blocks of r_bar @ psi, real by construction.
+    # Step (ii): diagonal blocks of r_bar @ PSI, real by construction.
     x00 = c * r11
     x01 = s * r11
     x10 = -s * r22
@@ -387,8 +365,7 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
         variant: any supported code variant.
     """
     if variant in GOLDEN_VARIANTS:
-        h_bar, psi = golden_parts(h, variant)
-        return h_bar @ psi.astype(complex)
+        return golden_parts(h, variant) @ PSI
     if variant != "overlaid-alamouti":
         raise ValueError(f"unknown code variant: {variant!r}")
     h = np.asarray(h, dtype=complex)
@@ -417,12 +394,7 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
 
 def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
     """Build the EffectiveChannel a decoder needs for a single realization."""
-    return effective_channel_from_matrix(effective_matrix(ch.h, variant), variant)
-
-
-def effective_channel_from_matrix(h4: np.ndarray, variant: str) -> EffectiveChannel:
-    """Wrap an already-built 4x4 effective matrix with a variant's stacking."""
-    return EffectiveChannel(h=h4, conjugated=conjugation_flags(variant), variant=variant)
+    return EffectiveChannel(h=effective_matrix(ch.h, variant), variant=variant)
 
 
 def factored_channels(matrices: np.ndarray, variant: str) -> list:
@@ -439,10 +411,9 @@ def factored_channels(matrices: np.ndarray, variant: str) -> list:
         raise ValueError("effective matrices must be stacked as (n, 4, 4)")
     factors = _read_only(qr_decompose(matrices))
     norms = frobenius_norm(matrices).tolist()
-    flags = conjugation_flags(variant)
     channels = []
     for h4, q, r, norm in zip(matrices, factors.q, factors.r, norms):
-        eff = EffectiveChannel(h=h4, conjugated=flags, variant=variant)
+        eff = EffectiveChannel(h=h4, variant=variant)
         cache = vars(eff)  # the cached_properties' slots
         cache["factors"] = QRFactors(q=q, r=r)
         cache["norm"] = norm
@@ -472,4 +443,4 @@ def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.
         for k in range(2):
             raw[pos] = cw[k, 0] * h[0, j, k] + cw[k, 1] * h[1, j, k] + noise[pos]
             pos += 1
-    return stack_samples(raw, conjugation_flags(variant))
+    return stack_samples(raw, variant)

@@ -1,14 +1,14 @@
 """Square QAM and PAM alphabets with constant-time slicing.
 
-The QAM alphabets built here are separable: the real and imaginary parts of
-every symbol range independently over the same PAM grid. The fast decoders
-rely on that separability, on the fixed row-major symbol ordering, and on the
-deterministic tie rule of the slicer (exact midpoints resolve to the lower
-level).
+A QAM alphabet is built from its PAM alphabet alone, so it is square by
+construction: the real and imaginary parts of every symbol range
+independently over the same PAM grid, in a fixed row-major order. The fast
+decoders rely on that separability, on that order, and on the deterministic
+tie rule of the slicer (exact midpoints resolve to the lower level).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ class PamAlphabet:
 
     levels: tuple
     scale: float
-    values: tuple = None
+    values: tuple = field(init=False)
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.levels)
@@ -50,31 +50,22 @@ class PamAlphabet:
 
 @dataclass(frozen=True, eq=False)
 class QamAlphabet:
-    """Square M-QAM alphabet.
+    """Square M-QAM alphabet of one PAM alphabet per axis.
 
-    ``symbols[k] = scale * (levels[k % L] + 1j * levels[k // L])`` where L is
-    the PAM size: row-major ordering with the real axis running fastest. The
-    same ``pam`` serves both the real and the imaginary axis. The decoders
-    rely on exactly this layout, so construction raises ValueError for any
-    other symbol array.
+    ``symbols[k] = pam.scale * (levels[k % L] + 1j * levels[k // L])`` where
+    L is the PAM size: row-major ordering with the real axis running
+    fastest, read-only. The decoders rely on exactly this layout.
     """
 
     pam: PamAlphabet
-    symbols: np.ndarray
-    scale: float
+    symbols: np.ndarray = field(init=False)
 
     def __post_init__(self):
         width = self.pam.size
-        grid = np.asarray(self.pam.values)
-        expected = np.tile(grid, width) + 1j * np.repeat(grid, width)
-        if np.shape(self.symbols) != expected.shape or not np.array_equal(
-            self.symbols, expected
-        ):
-            raise ValueError(
-                "alphabet is not square QAM: symbols must be the row-major grid "
-                "of pam.values, real axis fastest"
-            )
-        self.symbols.setflags(write=False)
+        levels = np.asarray(self.pam.levels)
+        symbols = self.pam.scale * (np.tile(levels, width) + 1j * np.repeat(levels, width))
+        symbols.setflags(write=False)
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def size(self) -> int:
@@ -100,11 +91,7 @@ def make_qam(m: int) -> QamAlphabet:
     width = math.isqrt(m)
     levels = tuple(float(2 * i - (width - 1)) for i in range(width))
     mean_sq = sum(v * v for v in levels) / width
-    scale = 1.0 / math.sqrt(2.0 * mean_sq)
-    pam = PamAlphabet(levels=levels, scale=scale)
-    grid = np.asarray(levels)
-    symbols = scale * (np.tile(grid, width) + 1j * np.repeat(grid, width))
-    return QamAlphabet(pam=pam, symbols=symbols, scale=scale)
+    return QamAlphabet(PamAlphabet(levels=levels, scale=1.0 / math.sqrt(2.0 * mean_sq)))
 
 
 def slice_pam(x: float, pam: PamAlphabet) -> tuple:

@@ -3,6 +3,7 @@
 Four decoders share a common contract: given an EffectiveChannel, a received
 stack y and a square QAM alphabet, return the cost-minimizing symbol vector
 together with the achieved cost ||y - H x_hat||^2 and two effort counters.
+A non-finite y or H raises ValueError.
 
 Counting convention (normative for all reported numbers):
 
@@ -35,6 +36,7 @@ only at a strictly lower cost. Each call owns its workspace, so instances may
 decode concurrently.
 """
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -102,13 +104,18 @@ def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
     Returns:
         (r, z): ``eff.h[:, perm] = q @ r`` and ``z = q^H y``, with ``r``
         (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers.
+
+    Raises:
+        ValueError: if ``eff.h`` or ``y`` is not finite.
     """
     if perm == IDENTITY_PERMUTATION:
         factors = eff.factors
     else:
         factors = qr_decompose(eff.h[:, perm])
-    z = factors.q.conj().T @ np.asarray(y, dtype=complex)
-    return factors.r.tolist(), z.tolist()
+    z = (factors.q.conj().T @ np.asarray(y, dtype=complex)).tolist()
+    if not all(map(cmath.isfinite, z)):
+        raise ValueError("non-finite received stack y")
+    return factors.r.tolist(), z
 
 
 def _unpermute(perm, symbols, indices):
@@ -130,6 +137,10 @@ def decode_exhaustive(
     all four at 4-QAM, one at 16- and 64-QAM. Ties in cost resolve to the
     lexicographically smallest index tuple (the first flat minimum of a
     pass, and a later pass wins only at a strictly lower cost).
+
+    Raises:
+        ValueError: M^4 above EXHAUSTIVE_CAP, or no finite candidate cost
+            (a non-finite ``y`` or ``H``).
     """
     h = eff.h
     y = np.asarray(y, dtype=complex)
@@ -158,6 +169,8 @@ def decode_exhaustive(
             i2, rem = divmod(rem, m * m)
             i3, i4 = divmod(rem, m)
             best_idx = (lo + i1, i2, i3, i4)
+    if best_idx is None:
+        raise ValueError("no candidate has a finite cost: y and H must be finite")
     x_hat = syms[list(best_idx)]
     return DecodeResult(
         x_hat=x_hat,
@@ -556,6 +569,8 @@ def blast_ordering(h, allowed=None) -> tuple:
         return perms[int(np.argmax(scores))]  # first maximum, as in allowed's order
 
     scale = float(frobenius_norm(h))
+    if not math.isfinite(scale):
+        raise ValueError("non-finite channel matrix")
     remaining = [0, 1, 2, 3]
     basis = []
     perm = []

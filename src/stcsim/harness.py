@@ -253,9 +253,7 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     matrices = codes.effective_matrix(
         channels_from_normals(channel_normals, cfg.channel, cfg.rho), cfg.code
     )
-    noise = codes.stack_samples(
-        noise_from_normals(noise_normals, snr_to_n0(snr_db)), codes.conjugation_flags(cfg.code)
-    )
+    noise = codes.stack_samples(noise_from_normals(noise_normals, snr_to_n0(snr_db)), cfg.code)
     received = (matrices @ alphabet.symbols[sent][..., None])[..., 0] + noise
     records = {name: [] for name in cfg.decoders}
     channels = codes.factored_channels(matrices, cfg.code)
@@ -436,7 +434,7 @@ def _suite_theorem1(trials: int, seed: int) -> list:
                     np.abs(r[..., 0, 1].imag), np.abs(r[..., 2, 3].imag)
                 ) / scale
                 worst_general = max(worst_general, float(ratio.max()))
-                ra = qr_golden_structured(codes.golden_parts(h, variant)[0]).r
+                ra = qr_golden_structured(codes.golden_parts(h, variant)).r
                 exact = max(
                     float(np.abs(ra[..., 0:2, 0:2].imag).max()),
                     float(np.abs(ra[..., 2:4, 2:4].imag).max()),
@@ -459,9 +457,8 @@ def _suite_qr_agree(trials: int, seed: int) -> list:
         for mi, model in enumerate(("quasistatic", "rapid")):
             worst = 0.0
             for h in _batched_channels(seed, (1, vi, mi), model, None, per):
-                h_bar, psi = codes.golden_parts(h, variant)
-                eff = h_bar @ psi.astype(complex)
-                general = qr_decompose(eff)
+                h_bar = codes.golden_parts(h, variant)
+                general = qr_decompose(h_bar @ codes.PSI)
                 structured = qr_golden_structured(h_bar)
                 worst = max(
                     worst,

@@ -38,14 +38,17 @@ def qr_decompose(h: np.ndarray) -> QRFactors:
            linearly independent columns.
 
     Raises:
-        ValueError: if any pivot falls below RANK_TOLERANCE * ||h||_F
-            ("degenerate channel"); callers may resample the fading.
+        ValueError: if any matrix has a non-finite entry, or any pivot falls
+            below RANK_TOLERANCE * ||h||_F ("degenerate channel"); callers
+            may resample the fading.
     """
     h = np.asarray(h, dtype=complex)
+    scale = frobenius_norm(h)
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("non-finite channel matrix")
     q, r = np.linalg.qr(h)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)
-    scale = frobenius_norm(h)
     if np.any(scale == 0.0) or np.any(mag < RANK_TOLERANCE * scale[..., None]):
         raise ValueError("degenerate channel: column pivot below rank tolerance")
     phase = diag / mag

@@ -232,6 +232,15 @@ def test_simulate_accepts_every_registry_name(tmp_path, decoder):
     assert out.read_text().splitlines()[1].split(",")[1] == decoder
 
 
+@pytest.mark.parametrize("channel", st.CHANNEL_MODELS)
+def test_simulate_accepts_every_channel_model(tmp_path, channel):
+    out = tmp_path / "run.csv"
+    rho = ["--rho", "0.5"] if channel == "markov" else []
+    assert main(["simulate", "--channel", channel, *rho, "--trials", "2",
+                 "--snr-stop", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[4].startswith(channel)
+
+
 @pytest.mark.parametrize(
     "document,message",
     (

@@ -28,23 +28,35 @@ def test_encode_golden_dv_examples():
     c = GOLDEN.cos_theta
     s = GOLDEN.sin_theta
     p = GOLDEN.phase
-    assert np.all(st.encode_golden_dv([0, 0, 0, 0]) == 0)
-    cw = st.encode_golden_dv([1, 0, 0, 0])
+    assert np.all(st.encode([0, 0, 0, 0], "golden-dv") == 0)
+    cw = st.encode([1, 0, 0, 0], "golden-dv")
     assert np.allclose(cw, [[c, 0], [0, -s]], atol=1e-15)
-    cw = st.encode_golden_dv([0, 0, 1, 0])
+    cw = st.encode([0, 0, 1, 0], "golden-dv")
     assert np.allclose(cw, [[0, p * c], [-p * s, 0]], atol=1e-15)
 
 
 def test_encode_golden_brv_example():
     c = GOLDEN.cos_theta
     s = GOLDEN.sin_theta
-    cw = st.encode_golden_brv([1, 0, 0, 0])
+    cw = st.encode([1, 0, 0, 0], "golden-brv")
     assert cw[0, 0] == pytest.approx((c - s * 1j) * c, abs=1e-15)
     assert cw[0, 1] == 0
     assert cw[1, 0] == 0
     # forced by the consistency identity: coefficient of h21[2] in the
     # second received row is (s + c*j) * (-s) when only x1 is sent
     assert cw[1, 1] == pytest.approx((s + c * 1j) * (-s), abs=1e-15)
+
+
+def test_encode_golden_wimax_examples():
+    c = GOLDEN.cos_theta
+    s = GOLDEN.sin_theta
+    assert np.all(st.encode([0, 0, 0, 0], "golden-wimax") == 0)
+    # the diagonal pair: x1 alone gives t = (c, -s), the second slot turned by -i
+    cw = st.encode([1, 0, 0, 0], "golden-wimax")
+    assert np.allclose(cw, [[c, 0], [0, 1j * s]], atol=1e-15)
+    # the off-diagonal pair: x3 alone gives u = (c, -s), the second slot negated
+    cw = st.encode([0, 0, 1, 0], "golden-wimax")
+    assert np.allclose(cw, [[0, c], [s, 0]], atol=1e-15)
 
 
 def test_encode_overlaid_alamouti_examples():
@@ -59,12 +71,33 @@ def test_encode_overlaid_alamouti_examples():
     assert np.allclose(cw, want, atol=1e-15)
 
 
-def test_encode_variant_dispatch():
+def _golden_codeword_oracles(x):
+    """Each golden variant's codeword written out by hand from the rotated
+    pairs t and u, independently of the encoder's coefficient table."""
+    c = GOLDEN.cos_theta
+    s = GOLDEN.sin_theta
+    p = GOLDEN.phase
+    d1 = complex(c, -s)
+    d2 = complex(s, c)
+    t = GOLDEN.rotation @ np.asarray(x[:2], dtype=complex)
+    u = GOLDEN.rotation @ np.asarray(x[2:], dtype=complex)
+    return {
+        "golden-dv": np.array([[t[0], p * u[0]], [p * u[1], t[1]]]),
+        "golden-brv": np.array([[d1 * t[0], d1 * u[0]], [1j * d2 * u[1], d2 * t[1]]]),
+        "golden-wimax": np.array([[t[0], u[0]], [-u[1], -1j * t[1]]]),
+    }
+
+
+def test_encode_variant_dispatch(rng):
     x = [1, 2j, -1, 0.5]
-    assert np.array_equal(st.encode(x, "golden-dv"), st.encode_golden_dv(x))
-    assert np.array_equal(st.encode(x, "golden-brv"), st.encode_golden_brv(x))
-    assert np.array_equal(st.encode(x, "golden-wimax"), st.encode_golden_wimax(x))
+    for variant, want in _golden_codeword_oracles(x).items():
+        assert np.array_equal(st.encode(x, variant), want)
     assert np.array_equal(st.encode(x, "overlaid-alamouti"), st.encode_overlaid_alamouti(x))
+    # bit for bit wherever no rotated component is zero (a unit coefficient
+    # may flip the sign of a zero)
+    for x in rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4)):
+        for variant, want in _golden_codeword_oracles(x).items():
+            assert st.encode(x, variant).tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         st.encode(x, "nonsense")
 
@@ -186,11 +219,21 @@ def test_alamouti_structure_dichotomy(rng):
 
 
 def test_effective_channel_metadata():
-    flags = st.conjugation_flags("overlaid-alamouti")
-    assert flags == (False, True, False, True)
-    assert st.conjugation_flags("golden-dv") == (False, False, False, False)
-    with pytest.raises(ValueError):
-        st.conjugation_flags("bogus")
+    h = np.eye(4)
+    samples = np.array([1 + 1j, 2 + 2j, 3 + 3j, 4 + 4j])
+    alamouti = st.EffectiveChannel(h=h, variant="overlaid-alamouti")
+    assert alamouti.conjugated == (False, True, False, True)
+    # stacked samples 2 and 4 are conjugated
+    assert np.array_equal(alamouti.stack(samples), [1 + 1j, 2 - 2j, 3 + 3j, 4 - 4j])
+    for variant in st.GOLDEN_VARIANTS:
+        golden = st.EffectiveChannel(h=h, variant=variant)
+        assert golden.conjugated == (False, False, False, False)
+        assert np.array_equal(golden.stack(samples), samples)
+    with pytest.raises(ValueError, match="unknown code variant"):
+        st.EffectiveChannel(h=h, variant="bogus")
+    # the stacking comes from the variant alone; it cannot be passed in
+    with pytest.raises(TypeError):
+        st.EffectiveChannel(h=h, conjugated=(False,) * 4, variant="overlaid-alamouti")
 
 
 def test_min_determinant_alphabet_independence():
@@ -229,8 +272,7 @@ def test_factored_channels_own_their_factors(rng):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     with pytest.raises(TypeError):
-        st.EffectiveChannel(h=eff.h, conjugated=eff.conjugated, variant="golden-dv",
-                            factors=eff.factors)
+        st.EffectiveChannel(h=eff.h, variant="golden-dv", factors=eff.factors)
     with pytest.raises(ValueError, match=r"\(n, 4, 4\)"):
         st.codes.factored_channels(matrices[0], "golden-dv")
     with pytest.raises(ValueError, match="degenerate"):
@@ -240,21 +282,16 @@ def test_factored_channels_own_their_factors(rng):
 def test_effective_channel_copies_the_callers_matrix(rng):
     built = st.effective_matrix(st.sample_channel(rng, "rapid").h, "golden-dv")
     factors = qr_decompose(built)
-    builders = (
-        lambda h: st.effective_channel_from_matrix(h, "golden-dv"),
-        lambda h: st.EffectiveChannel(h=h, conjugated=(False,) * 4, variant="golden-dv"),
-    )
-    for build in builders:
-        caller = built.copy()
-        eff = build(caller)
-        caller[0, 0] = 7.0  # before the factors are first read
-        assert np.array_equal(eff.factors.q, factors.q)
-        assert np.array_equal(eff.factors.r, factors.r)
-        caller[1, 1] = 5.0  # and after
-        assert np.array_equal(eff.h, built)
-        assert np.array_equal(eff.factors.r, factors.r)
-        for array in (eff.h, eff.factors.q, eff.factors.r):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+    caller = built.copy()
+    eff = st.EffectiveChannel(h=caller, variant="golden-dv")
+    caller[0, 0] = 7.0  # before the factors are first read
+    assert np.array_equal(eff.factors.q, factors.q)
+    assert np.array_equal(eff.factors.r, factors.r)
+    caller[1, 1] = 5.0  # and after
+    assert np.array_equal(eff.h, built)
+    assert np.array_equal(eff.factors.r, factors.r)
+    for array in (eff.h, eff.factors.q, eff.factors.r):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
     with pytest.raises(ValueError, match="4x4"):
-        st.effective_channel_from_matrix(np.eye(3), "golden-dv")
+        st.EffectiveChannel(h=np.eye(3), variant="golden-dv")

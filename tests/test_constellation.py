@@ -19,7 +19,7 @@ PAM4 = PamAlphabet(levels=(-3.0, -1.0, 1.0, 3.0), scale=1.0)
 
 def test_make_qam_4_scale_and_symbols():
     a = make_qam(4)
-    assert a.scale == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert a.pam.scale == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     expected = {complex(r, i) / math.sqrt(2) for r in (-1, 1) for i in (-1, 1)}
     assert set(np.round(a.symbols, 12)) == set(np.round(list(expected), 12))
 
@@ -30,7 +30,7 @@ def test_make_qam_16_scale_matches_direct_summation():
     mean_energy = np.mean([a * a + b * b for a in levels for b in levels])
     assert mean_energy == 10
     a = make_qam(16)
-    assert a.scale == pytest.approx(1 / math.sqrt(10), abs=1e-15)
+    assert a.pam.scale == pytest.approx(1 / math.sqrt(10), abs=1e-15)
 
 
 def test_make_qam_rejects_unsupported_order():
@@ -162,12 +162,15 @@ def test_index_helpers_roundtrip():
         assert a.symbols[k] == complex(a.pam.values[re_i], a.pam.values[im_i])
 
 
-def test_qam_alphabet_rejects_non_square():
-    pam = PamAlphabet(levels=(-1.0, 1.0), scale=1.0)
-    square = QamAlphabet(pam=pam, symbols=np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]), scale=1.0)
+def test_qam_alphabet_is_built_from_its_pam():
+    pam = PamAlphabet(levels=(-1.0, 1.0), scale=2.0)
+    square = QamAlphabet(pam)
     assert square.size == 4
-    # the right symbols in the wrong order: not separable as row-major PAM pairs
-    with pytest.raises(ValueError, match="not square QAM"):
-        QamAlphabet(pam=pam, symbols=np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]), scale=1.0)
-    with pytest.raises(ValueError, match="not square QAM"):
-        QamAlphabet(pam=pam, symbols=np.array([-1 - 1j, 1 - 1j, -1 + 1j]), scale=1.0)
+    assert np.array_equal(square.symbols, [-2 - 2j, 2 - 2j, -2 + 2j, 2 + 2j])
+    with pytest.raises(ValueError):
+        square.symbols[0] = 0.0
+    # symbols and PAM values follow from their grids; neither can be passed in
+    with pytest.raises(TypeError):
+        QamAlphabet(pam, symbols=square.symbols)
+    with pytest.raises(TypeError):
+        PamAlphabet(levels=(-1.0, 1.0), scale=1.0, values=(-5.0, 5.0))

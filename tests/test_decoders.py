@@ -27,7 +27,7 @@ def test_exhaustive_noiseless_and_count(rng):
 
 
 def test_exhaustive_cap():
-    eff = st.effective_channel_from_matrix(np.eye(4, dtype=complex), "golden-dv")
+    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
     with pytest.raises(ValueError, match="cap"):
         dec.decode_exhaustive(eff, np.zeros(4), st.make_qam(256))
 
@@ -47,7 +47,7 @@ def test_exhaustive_is_global_minimum_by_full_scan(rng):
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    eff = st.effective_channel_from_matrix(np.eye(4, dtype=complex), "golden-dv")
+    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
     alphabet = st.make_qam(4)
     # y = 0 ties all 256 candidates (constant-modulus alphabet)
     r = dec.decode_exhaustive(eff, np.zeros(4, dtype=complex), alphabet)
@@ -132,7 +132,7 @@ def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
             dead[:, col] = 0.0
             cases.append((dead, dead @ sent, col))
         for matrix, y, tied in cases:
-            eff = st.effective_channel_from_matrix(matrix, variant)
+            eff = st.EffectiveChannel(h=matrix, variant=variant)
             got = dec.decode_exhaustive(eff, y, alphabet)
             want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
             assert got.indices == want_idx
@@ -173,7 +173,7 @@ def test_fast_rejects_bad_inputs(rng):
         dec.decode_fast_golden(al, y, alphabet)
     # a random matrix labelled golden lacks the real R blocks the search needs
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    fake = st.effective_channel_from_matrix(h, "golden-dv")
+    fake = st.EffectiveChannel(h=h, variant="golden-dv")
     with pytest.raises(ValueError, match="golden structure"):
         dec.decode_fast_golden(fake, y, alphabet)
 
@@ -311,6 +311,35 @@ def test_alamouti_fast_requires_alamouti_channel(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
     with pytest.raises(ValueError, match="overlaid-alamouti"):
         dec.decode_alamouti_fast(eff, y, alphabet)
+
+
+_DECODER_CASES = {
+    "exhaustive": ("golden-dv", dec.decode_exhaustive),
+    "fast": ("golden-dv", dec.decode_fast_golden),
+    "sphere": ("golden-dv", dec.decode_sphere_conventional),
+    "alamouti": ("overlaid-alamouti", dec.decode_alamouti_fast),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ("y", "H"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("name", tuple(_DECODER_CASES))
+def test_non_finite_input_raises(rng, name, bad, where):
+    variant, decode = _DECODER_CASES[name]
+    alphabet = st.make_qam(16)
+    h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h.copy()
+    y = h @ alphabet.symbols[rng.integers(0, 16, 4)]
+    if where == "y":
+        y[1] = bad
+    else:
+        h[2, 1] = bad
+    eff = st.EffectiveChannel(h=h, variant=variant)
+    with pytest.raises(ValueError, match="finite"):
+        decode(eff, y, alphabet)
+    if name == "sphere":
+        with pytest.raises(ValueError, match="finite"):
+            decode(eff, y, alphabet, ordering="blast")
 
 
 def test_blast_ordering_properties(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stcsim as st
-from stcsim.codes import GOLDEN_ZERO_PATTERN, qr_golden_structured
+from stcsim.codes import GOLDEN_ZERO_PATTERN, PSI, qr_golden_structured
 from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 
@@ -58,9 +58,8 @@ def test_structured_qr_matches_general_qr_on_golden_matrices(rng):
     for variant in st.GOLDEN_VARIANTS:
         for model in ("quasistatic", "rapid"):
             for _ in range(100):
-                h_bar, psi = _random_golden_h_bar(rng, variant, model)
-                eff = h_bar @ psi.astype(complex)
-                general = qr_decompose(eff)
+                h_bar = _random_golden_h_bar(rng, variant, model)
+                general = qr_decompose(h_bar @ PSI)
                 structured = qr_golden_structured(h_bar)
                 assert np.max(np.abs(general.r - structured.r)) <= 1e-9
                 assert np.max(np.abs(general.q - structured.q)) <= 1e-9
@@ -68,7 +67,7 @@ def test_structured_qr_matches_general_qr_on_golden_matrices(rng):
 
 def test_structured_qr_blocks_exactly_real(rng):
     for _ in range(200):
-        h_bar, _ = _random_golden_h_bar(rng)
+        h_bar = _random_golden_h_bar(rng)
         f = qr_golden_structured(h_bar)
         assert np.all(f.r[..., 0:2, 0:2].imag == 0.0)
         assert np.all(f.r[..., 2:4, 2:4].imag == 0.0)
@@ -76,7 +75,7 @@ def test_structured_qr_blocks_exactly_real(rng):
 
 def test_structured_qr_batched_matches_loop(rng):
     h = st.sample_channels(rng, "rapid", 8)
-    h_bar, _ = st.golden_parts(h, "golden-dv")
+    h_bar = st.golden_parts(h, "golden-dv")
     batch = qr_golden_structured(h_bar)
     for i in range(8):
         single = qr_golden_structured(h_bar[i])
@@ -92,16 +91,15 @@ def test_structured_qr_identity_like_channel_agrees_entrywise():
     h[1, 0, 1] = 1.0  # h21[2]
     h[1, 1, 0] = 1.0 / p  # makes the (2,2) entry of h_bar exactly 1
     h[0, 1, 1] = 1.0 / p
-    h_bar, psi = st.golden_parts(h, "golden-dv")
-    eff = h_bar @ psi.astype(complex)
-    general = qr_decompose(eff)
+    h_bar = st.golden_parts(h, "golden-dv")
+    general = qr_decompose(h_bar @ PSI)
     structured = qr_golden_structured(h_bar)
     assert np.max(np.abs(general.r - structured.r)) <= 1e-10
     assert np.max(np.abs(general.q - structured.q)) <= 1e-10
 
 
 def test_structured_qr_rejects_pattern_violation(rng):
-    h_bar, _ = _random_golden_h_bar(rng)
+    h_bar = _random_golden_h_bar(rng)
     bad = np.array(h_bar)
     bad[0, 1] = 0.5
     with pytest.raises(ValueError, match="not a golden effective matrix"):
@@ -109,6 +107,6 @@ def test_structured_qr_rejects_pattern_violation(rng):
 
 
 def test_golden_zero_pattern_positions(rng):
-    h_bar, _ = _random_golden_h_bar(rng)
+    h_bar = _random_golden_h_bar(rng)
     for row, col in GOLDEN_ZERO_PATTERN:
         assert h_bar[row, col] == 0.0

@@ -5,12 +5,11 @@ Derandomized, so every run draws the same examples.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stcsim as st
 from stcsim import decoders as dec
-from stcsim.constellation import QamAlphabet
 
 from conftest import recompute_cost
 
@@ -37,7 +36,7 @@ def _close(a, b):
 )
 def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
     ch = st.sample_channel(st.make_rng(seed), model, rho=0.9 if model == "markov" else None)
-    eff = st.effective_channel_from_matrix(scale * st.effective_matrix(ch.h, variant), variant)
+    eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
     alphabet = st.make_qam(m)
     results = {
         "fast": dec.decode_fast_golden(eff, y, alphabet),
@@ -60,7 +59,7 @@ def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
     # Alamouti's fast path needs quasistatic fading; rapid channels raise.
     ch = st.sample_channel(st.make_rng(seed), "quasistatic")
     variant = "overlaid-alamouti"
-    eff = st.effective_channel_from_matrix(scale * st.effective_matrix(ch.h, variant), variant)
+    eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
     alphabet = st.make_qam(m)
     alamouti = dec.decode_alamouti_fast(eff, y, alphabet)
     assert _close(alamouti.cost, recompute_cost(eff, y, alamouti.x_hat))
@@ -78,7 +77,7 @@ def test_fast_on_arbitrary_matrix_raises_or_is_exact(variant, entries, real, y):
     h = np.array(entries[:16]).reshape(4, 4)
     if not real:  # a real matrix has a real R: it passes the check without being golden
         h = h + 1j * np.array(entries[16:]).reshape(4, 4)
-    eff = st.effective_channel_from_matrix(h, variant)
+    eff = st.EffectiveChannel(h=h, variant=variant)
     alphabet = st.make_qam(4)
     try:
         fast = dec.decode_fast_golden(eff, y, alphabet)
@@ -86,13 +85,3 @@ def test_fast_on_arbitrary_matrix_raises_or_is_exact(variant, entries, real, y):
         return
     assert _close(fast.cost, dec.decode_exhaustive(eff, y, alphabet).cost)
 
-
-@PROPERTY
-@given(m=hs.sampled_from((4, 16)), data=hs.data())
-def test_non_square_alphabet_construction_raises(m, data):
-    square = st.make_qam(m)
-    order = data.draw(hs.permutations(range(m)))
-    keep = data.draw(hs.integers(1, m))
-    assume(keep < m or order != list(range(m)))
-    with pytest.raises(ValueError, match="not square QAM"):
-        QamAlphabet(pam=square.pam, symbols=square.symbols[order[:keep]], scale=square.scale)
