@@ -29,17 +29,23 @@ and runs its two real searches inside the radius the best total leaves; the
 imaginary search's radius depends on the real search's result, so the two
 run in sequence.
 
+The sphere decoder orders each expanded node's children without a numpy
+sort: a child's metric is a sum of one metric per axis, so a heap merges the
+two per-axis orders lazily, in (metric, symbol index) order. That ordering
+still counts as one full sort per expanded node.
+
 Decoders are deterministic: candidate ties resolve by enumeration order
-(stable sorts, zigzag lower-level-first, lexicographic scan, and trailing
-pairs popped by (metric, row, column)); a later candidate replaces the best
-only at a strictly lower cost. Each call owns its workspace, so instances may
-decode concurrently.
+(stable sorts, the sphere decoder's per-level (metric, index) order, zigzag
+lower-level-first, lexicographic scan, and trailing pairs popped by (metric,
+row, column)); a later candidate replaces the best only at a strictly lower
+cost. Each call owns its workspace, so instances may decode concurrently.
+A finite y and H whose every candidate cost overflows raises ValueError.
 """
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -65,6 +71,9 @@ FAST_PERMUTATIONS = (
 )
 
 IDENTITY_PERMUTATION = (0, 1, 2, 3)
+
+# Raised when y and H are finite but no candidate's squared distance is.
+COST_OVERFLOW = "cost overflowed: no candidate has a finite squared distance ||y - Hx||^2"
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +149,7 @@ def decode_exhaustive(
 
     Raises:
         ValueError: M^4 above EXHAUSTIVE_CAP, or no finite candidate cost
-            (a non-finite ``y`` or ``H``).
+            (a non-finite ``y`` or ``H``, or a cost that overflowed).
     """
     h = eff.h
     y = np.asarray(y, dtype=complex)
@@ -170,7 +179,9 @@ def decode_exhaustive(
             i3, i4 = divmod(rem, m)
             best_idx = (lo + i1, i2, i3, i4)
     if best_idx is None:
-        raise ValueError("no candidate has a finite cost: y and H must be finite")
+        raise ValueError(
+            "no candidate has a finite cost: y or H is not finite, or the cost overflowed"
+        )
     x_hat = syms[list(best_idx)]
     return DecodeResult(
         x_hat=x_hat,
@@ -259,6 +270,9 @@ def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
 
     Returns:
         (best_total, best_pick, nodes).
+
+    Raises:
+        ValueError: COST_OVERFLOW, when no total is finite.
     """
     rows = len(outer_metrics)
     cols = len(inner_metrics)
@@ -267,21 +281,26 @@ def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
     best_pick = None
     heap = [(outer_metrics[0] + inner_metrics[0], 0, 0)]
     while heap:
-        tail, k, l = heapq.heappop(heap)
+        tail, k, l = heappop(heap)
         nodes += 1
         if l == 0:
             nodes += 1
             if k + 1 < rows:
-                heapq.heappush(heap, (outer_metrics[k + 1] + inner_metrics[0], k + 1, 0))
+                heappush(heap, (outer_metrics[k + 1] + inner_metrics[0], k + 1, 0))
         if prune and tail > best:
             break
         if l + 1 < cols:
-            heapq.heappush(heap, (outer_metrics[k] + inner_metrics[l + 1], k, l + 1))
-        total, pick, n = leading(k, l, tail, best if prune else math.inf)
+            heappush(heap, (outer_metrics[k] + inner_metrics[l + 1], k, l + 1))
+        try:
+            total, pick, n = leading(k, l, tail, best if prune else math.inf)
+        except OverflowError:
+            raise ValueError(COST_OVERFLOW) from None
         nodes += n
         if total < best:
             best = total
             best_pick = pick
+    if best_pick is None:
+        raise ValueError(COST_OVERFLOW)
     return best, best_pick, nodes
 
 
@@ -410,6 +429,42 @@ def _slice_complex(value: complex, alphabet: QamAlphabet) -> tuple:
     return complex(re_sym, im_sym), alphabet.index_of(re_idx, im_idx)
 
 
+def _children_in_order(a, b):
+    """Yield ``(a[i] + b[j], j*L + i)`` over the L x L grid, in ascending
+    (metric, index) order: the order of
+    ``np.argsort(np.add.outer(b, a).ravel(), kind="stable")``.
+
+    Each axis is sorted by value, and a heap merges the rows (one row per
+    ``b`` entry) lazily: row ``p + 1`` joins when row ``p`` is first popped,
+    so the sums leave the heap in nondecreasing order (a rounded sum is
+    monotone in each term). Every entry whose sum equals the current minimum
+    is popped, and its successors pushed, before that group is yielded in
+    ascending index: successors can tie with their predecessor, and sums of
+    different values can tie too. So the order within a group, and the tie
+    order within an axis, never reach the caller.
+    """
+    width = len(a)
+    cols = sorted(range(width), key=a.__getitem__)
+    rows = sorted(range(width), key=b.__getitem__)
+    heap = [(a[cols[0]] + b[rows[0]], 0, 0)]
+    while heap:
+        metric, p, q = heappop(heap)
+        group = [rows[p] * width + cols[q]]
+        while True:
+            if q + 1 < width:
+                heappush(heap, (a[cols[q + 1]] + b[rows[p]], p, q + 1))
+            if q == 0 and p + 1 < width:
+                heappush(heap, (a[cols[0]] + b[rows[p + 1]], p + 1, 0))
+            if not heap or heap[0][0] != metric:
+                break
+            _, p, q = heappop(heap)
+            group.append(rows[p] * width + cols[q])
+        if len(group) > 1:
+            group.sort()
+        for t in group:
+            yield metric, t
+
+
 def decode_sphere_conventional(
     eff: EffectiveChannel,
     y: np.ndarray,
@@ -420,10 +475,13 @@ def decode_sphere_conventional(
     """Four-level complex sphere decoder with child ordering at every level.
 
     Depth-first search assigning one complex symbol per level, children
-    visited in ascending branch-metric order (a full-alphabet sort per
-    expanded node at the first three levels), radius updates at leaves and
-    pruning on partial sums. The final level needs no enumeration: the best
-    leaf under a node comes from one complex slicer decision.
+    visited in ascending (branch metric, symbol index) order, radius updates
+    at leaves and pruning on partial sums. The final level needs no
+    enumeration: the best leaf under a node comes from one complex slicer
+    decision. A child's metric is the sum of one metric per axis over the
+    PAM values, so each expanded node at the first three levels orders its
+    children lazily from two per-axis orders (``_children_in_order``); that
+    ordering counts as one full sort.
 
     Args:
         ordering: "none" for natural column order, "blast" for the
@@ -436,10 +494,15 @@ def decode_sphere_conventional(
     else:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
     r, z = _triangularize(eff, y, perm)
-    syms = alphabet.symbols
-    sym_list = syms.tolist()
+    sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
-    scaled = [rdiag[i] * syms for i in range(4)]
+    values = alphabet.pam.values
+    scale = alphabet.pam.scale
+    width = len(values)
+    top = width - 1.0
+    # scaled[level][i] = rdiag[level] * values[i]: the real or the imaginary
+    # part of rdiag[level] * symbol, per axis.
+    scaled = [[d * v for v in values] for d in rdiag]
 
     nodes = 0
     sorts = 0
@@ -455,31 +518,50 @@ def decode_sphere_conventional(
         for j in range(level + 1, 4):
             w -= r[level][j] * chosen[j]
         if level == 0:
-            sym, idx = _slice_complex(w / rdiag[0], alphabet)
+            # One complex slicer decision: slice_pam per axis, inline.
+            u = w / rdiag[0]
+            vr = (u.real / scale + top) / 2.0
+            vi = (u.imag / scale + top) / 2.0
+            if vr < 0.0:
+                vr = 0.0
+            elif vr > top:
+                vr = top
+            if vi < 0.0:
+                vi = 0.0
+            elif vi > top:
+                vi = top
+            ir = math.ceil(vr - 0.5)
+            ii = math.ceil(vi - 0.5)
+            sym = complex(values[ir], values[ii])
             nodes += 1
             total = acc + abs(w - rdiag[0] * sym) ** 2
             if total < best:
                 chosen[0] = sym
-                chosen_idx[0] = idx
+                chosen_idx[0] = ii * width + ir
                 best = total
                 best_syms = tuple(chosen)
                 best_idx = tuple(chosen_idx)
             return
-        diff = w - scaled[level]
-        metrics = diff.real ** 2 + diff.imag ** 2
-        order = np.argsort(metrics, kind="stable")
         sorts += 1
-        metrics = metrics.tolist()
-        for t in order.tolist():
+        wr = w.real
+        wi = w.imag
+        re_metrics = [(wr - s) * (wr - s) for s in scaled[level]]
+        im_metrics = [(wi - s) * (wi - s) for s in scaled[level]]
+        for metric, t in _children_in_order(re_metrics, im_metrics):
             nodes += 1
-            cum = acc + metrics[t]
+            cum = acc + metric
             if prune and cum > best:
                 break
             chosen[level] = sym_list[t]
             chosen_idx[level] = t
             expand(level - 1, cum)
 
-    expand(3, 0.0)
+    try:
+        expand(3, 0.0)
+    except OverflowError:
+        raise ValueError(COST_OVERFLOW) from None
+    if best_syms is None:
+        raise ValueError(COST_OVERFLOW)
     x_hat, out_idx = _unpermute(perm, best_syms, best_idx)
     return DecodeResult(
         x_hat=x_hat,

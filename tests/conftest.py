@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import stcsim as st
+from stcsim import decoders as dec
 from stcsim.constellation import slice_pam
 
 
@@ -61,3 +64,65 @@ def sorted_pam_list(x, pam):
             hi += 1
         out.append((values[pick], pick))
     return out
+
+
+def reference_sphere_decode(eff, y, alphabet, ordering="none", prune=True):
+    """Reference four-level sphere decoder: the numpy child ordering that
+    ``decoders.decode_sphere_conventional`` replaced. Each expanded node
+    computes all M child metrics and visits them in ``np.argsort(...,
+    kind="stable")`` order; everything else is the decoder's own."""
+    perm = dec.blast_ordering(eff) if ordering == "blast" else dec.IDENTITY_PERMUTATION
+    r, z = dec._triangularize(eff, y, perm)
+    syms = alphabet.symbols
+    sym_list = syms.tolist()
+    rdiag = [r[i][i].real for i in range(4)]
+    scaled = [rdiag[i] * syms for i in range(4)]
+
+    nodes = 0
+    sorts = 0
+    best = math.inf
+    best_syms = None
+    best_idx = None
+    chosen = [0j] * 4
+    chosen_idx = [0] * 4
+
+    def expand(level, acc):
+        nonlocal nodes, sorts, best, best_syms, best_idx
+        w = z[level]
+        for j in range(level + 1, 4):
+            w -= r[level][j] * chosen[j]
+        if level == 0:
+            sym, idx = dec._slice_complex(w / rdiag[0], alphabet)
+            nodes += 1
+            total = acc + abs(w - rdiag[0] * sym) ** 2
+            if total < best:
+                chosen[0] = sym
+                chosen_idx[0] = idx
+                best = total
+                best_syms = tuple(chosen)
+                best_idx = tuple(chosen_idx)
+            return
+        diff = w - scaled[level]
+        metrics = diff.real ** 2 + diff.imag ** 2
+        order = np.argsort(metrics, kind="stable")
+        sorts += 1
+        metrics = metrics.tolist()
+        for t in order.tolist():
+            nodes += 1
+            cum = acc + metrics[t]
+            if prune and cum > best:
+                break
+            chosen[level] = sym_list[t]
+            chosen_idx[level] = t
+            expand(level - 1, cum)
+
+    expand(3, 0.0)
+    x_hat, indices = dec._unpermute(perm, best_syms, best_idx)
+    return dec.DecodeResult(
+        x_hat=x_hat,
+        indices=indices,
+        cost=best,
+        nodes_visited=nodes,
+        full_sorts=sorts,
+        permutation_used=perm,
+    )

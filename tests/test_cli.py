@@ -191,6 +191,17 @@ def test_decode_rejects_non_finite(tmp_path, capsys, key, bad):
     assert f"non-finite value in '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("decoder", harness.DECODER_NAMES)
+def test_decode_overflowing_cost_exits_2(tmp_path, capsys, decoder):
+    code = harness.DECODERS[decoder].code_variants[0]
+    ch = st.sample_channel(st.make_rng(24), "quasistatic")
+    y = [[1e200, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    args = _decode_file(tmp_path, code=code, modulation=16, decoder=decoder, h=pairs(ch.h), y=y)
+    assert main(args) == 2
+    assert "overflowed" in capsys.readouterr().err
+
+
 def test_decode_rank_deficient_matrix_only_exhaustive(tmp_path, capsys):
     fields = dict(code="golden-dv", modulation=4, H=pairs(np.ones((4, 4))), y=pairs(np.ones(4)))
     assert main(_decode_file(tmp_path, decoder="exhaustive", **fields)) == 0

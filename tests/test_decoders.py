@@ -12,6 +12,7 @@ from conftest import (
     random_alamouti_instance,
     random_golden_instance,
     recompute_cost,
+    reference_sphere_decode,
     sorted_pam_list,
 )
 
@@ -268,6 +269,66 @@ def test_sphere_worst_case_counters(rng):
     assert dec.decode_sphere_conventional(eff, y, alphabet).nodes_visited <= r.nodes_visited
 
 
+def _argsort_children(a, b):
+    """The stable-argsort child order that ``_children_in_order`` must reproduce."""
+    return np.argsort(np.add.outer(b, a).ravel(), kind="stable").tolist()
+
+
+@pytest.mark.parametrize("width", (2, 4, 8, 16))
+def test_children_in_order_matches_stable_argsort(rng, width):
+    # 1e16 + 1 rounds to 1e16, so the last pool makes sums tie by rounding
+    # as well as exactly; the integer pool ties sums across different a values.
+    pools = (None, (0.0, 1.0, 2.0, 3.0), (0.0, 0.1, 0.2, 0.3), (0.0, 1.0, 1e16, 2e16))
+    for _ in range(40):
+        for pool in pools:
+            if pool is None:
+                a, b = rng.random(width), rng.random(width)
+            else:
+                a, b = rng.choice(pool, width), rng.choice(pool, width)
+            a, b = a.tolist(), b.tolist()
+            children = list(dec._children_in_order(a, b))
+            assert [t for _, t in children] == _argsort_children(a, b)
+            sums = np.add.outer(b, a).ravel().tolist()
+            assert [metric for metric, _ in children] == [sums[t] for _, t in children]
+
+
+def _tie_heavy_inputs(rng, alphabet, variant, count):
+    """(eff, y) pairs that make exact metric ties: noise-free y, y = 0, and y
+    at PAM midpoints, on random channels and on one with R = I."""
+    pam = alphabet.pam
+    midpoints = [pam.scale * (v + 1.0) for v in pam.levels[:-1]]
+    cases = []
+    for k in range(count):
+        eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
+        x = alphabet.symbols[rng.integers(0, alphabet.size, 4)]
+        mid = np.array([complex(*rng.choice(midpoints, 2)) for _ in range(4)])
+        cases += [(eff, eff.h @ x), (eff, np.zeros(4, dtype=complex)), (eff, eff.h @ mid)]
+        if k == 0:
+            eye = st.EffectiveChannel(h=np.eye(4), variant=variant)
+            cases += [(eye, mid), (eye, x), (eye, np.zeros(4, dtype=complex))]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "m, count, unpruned", ((4, 12, 36), (16, 40, 12), (64, 30, 0), (256, 8, 0))
+)
+@pytest.mark.parametrize("variant", ("golden-dv", "overlaid-alamouti"))
+def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unpruned):
+    # y = 0 ties x with -x exactly, so a wrong order within tied children
+    # shows as a different decision or node count on a few percent of channels.
+    alphabet = st.make_qam(m)
+    for n, (eff, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
+        calls = [{}, {"ordering": "blast"}] + ([{"prune": False}] if n < unpruned else [])
+        for kwargs in calls:
+            got = dec.decode_sphere_conventional(eff, y, alphabet, **kwargs)
+            ref = reference_sphere_decode(eff, y, alphabet, **kwargs)
+            assert got.indices == ref.indices
+            assert got.cost.hex() == ref.cost.hex()
+            assert (got.nodes_visited, got.full_sorts) == (ref.nodes_visited, ref.full_sorts)
+            assert got.x_hat.tobytes() == ref.x_hat.tobytes()
+            assert got.permutation_used == ref.permutation_used
+
+
 def test_sphere_rejects_unknown_ordering(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
     with pytest.raises(ValueError, match="ordering"):
@@ -340,6 +401,17 @@ def test_non_finite_input_raises(rng, name, bad, where):
     if name == "sphere":
         with pytest.raises(ValueError, match="finite"):
             decode(eff, y, alphabet, ordering="blast")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", tuple(_DECODER_CASES))
+def test_overflowing_cost_raises(rng, name):
+    # y and H are finite, but every squared distance exceeds the float range.
+    variant, decode = _DECODER_CASES[name]
+    eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
+    y = np.array([1e200, 1e200, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="overflow"):
+        decode(eff, y, st.make_qam(16))
 
 
 def test_blast_ordering_properties(rng):

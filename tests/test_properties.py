@@ -1,4 +1,5 @@
-"""Property tests: reported costs are true distances, and broken structure raises.
+"""Property tests: reported costs are true distances, broken structure raises,
+and the sphere decoder's child order is a stable argsort.
 
 Derandomized, so every run draws the same examples.
 """
@@ -85,3 +86,26 @@ def test_fast_on_arbitrary_matrix_raises_or_is_exact(variant, entries, real, y):
         return
     assert _close(fast.cost, dec.decode_exhaustive(eff, y, alphabet).cost)
 
+
+
+# Few distinct values, so that per-axis values repeat and sums tie, exactly or
+# by rounding (1e16 + 1 == 1e16); plus arbitrary metrics and inf.
+axis_metric = hs.sampled_from((0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 1e16, np.inf)) | hs.floats(
+    0.0, 10.0, allow_nan=False
+)
+axis_pair = hs.sampled_from((2, 4, 8)).flatmap(
+    lambda width: hs.tuples(
+        hs.lists(axis_metric, min_size=width, max_size=width),
+        hs.lists(axis_metric, min_size=width, max_size=width),
+    )
+)
+
+
+@PROPERTY
+@given(pair=axis_pair)
+def test_children_in_order_is_stable_argsort_of_the_sums(pair):
+    a, b = pair
+    sums = np.add.outer(b, a).ravel()
+    children = list(dec._children_in_order(a, b))
+    assert [t for _, t in children] == np.argsort(sums, kind="stable").tolist()
+    assert [metric for metric, _ in children] == sums[[t for _, t in children]].tolist()
