@@ -397,11 +397,15 @@ def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
     return EffectiveChannel(h=effective_matrix(ch.h, variant), variant=variant)
 
 
-def factored_channels(matrices: np.ndarray, variant: str) -> list:
-    """One EffectiveChannel per matrix of an (n, 4, 4) stack.
+def factored_channels(matrices: np.ndarray, variant: str) -> tuple:
+    """One EffectiveChannel per matrix of an (n, 4, 4) stack, and their stacked factors.
 
     One ``qr_decompose`` call and one ``frobenius_norm`` call on the stack
     fill every channel's ``factors`` and ``norm`` caches.
+
+    Returns:
+        (channels, factors): the list of channels, and the read-only
+        (n, 4, 4) QR factors whose rows they hold.
 
     Raises:
         ValueError: if any matrix is rank-deficient (see ``qr_decompose``).
@@ -418,7 +422,7 @@ def factored_channels(matrices: np.ndarray, variant: str) -> list:
         cache["factors"] = QRFactors(q=q, r=r)
         cache["norm"] = norm
         channels.append(eff)
-    return channels
+    return channels, factors
 
 
 def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.ndarray:

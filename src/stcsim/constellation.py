@@ -115,17 +115,21 @@ def slice_pam(x: float, pam: PamAlphabet) -> tuple:
 
 
 def sort_alphabet_by_metric(alphabet: QamAlphabet, metric: Callable) -> tuple:
-    """Stable ascending sort of the alphabet under a per-symbol metric.
+    """Stable ascending sort of the alphabet under per-symbol metrics.
 
     ``metric`` is vectorized: it takes the full symbol array and returns one
-    value per symbol. Both the index order and the sorted metric values are
-    returned so callers can prune on partial sums.
+    value per symbol, shape (M,), or a stack of such rows, shape (..., M),
+    each sorted on its own; a decoder's prologue sorts a whole stack of
+    channels in one call. Both the index order and the sorted metric values
+    are returned so callers can prune on partial sums.
 
     Returns:
-        (order, sorted_values) as numpy arrays.
+        (order, sorted_values) as numpy arrays of the metric's shape.
     """
     values = np.asarray(metric(alphabet.symbols), dtype=float)
-    if values.shape != alphabet.symbols.shape:
+    if values.shape[-1:] != alphabet.symbols.shape:
         raise ValueError("metric must return one value per symbol")
-    order = np.argsort(values, kind="stable")
-    return order, values[order]
+    order = np.argsort(values, axis=-1, kind="stable")
+    # Flat positions of each row's start: np.take_along_axis, without its fixed cost.
+    starts = np.arange(0, values.size, values.shape[-1]).reshape(values.shape[:-1] + (1,))
+    return order, values.ravel()[order + starts]

@@ -19,15 +19,22 @@ With pruning disabled the fast golden decoder therefore visits exactly
 M + M^2 + 4*M^2.5 nodes and the conventional four-level decoder
 M + M^2 + 2*M^3.
 
-Every tree decoder gets R and z = Q^H y from ``_triangularize`` as Python
-scalars, so its per-node arithmetic indexes plain lists. The fast golden and
-fast Alamouti decoders share one best-first trailing-pair walk,
-``_walk_pairs``, which owns the trailing stage's visiting order, its pruning
-and its node count; each decoder supplies only the search over the leading
-pair. The fast golden decoder's leading search drops a pair on a lower bound
-and runs its two real searches inside the radius the best total leaves; the
-imaginary search's radius depends on the real search's result, so the two
-run in sequence.
+Every tree decoder splits into a prologue that works on a stack of channels
+and a scalar search. ``triangular_rows`` forms z = Q^H y for a whole stack
+with one matmul and hands each trial R and z as Python scalars, so the
+per-node arithmetic indexes plain lists; ``fast_golden_sorts`` and
+``alamouti_sorts`` make the two full-alphabet sorts of every trial of a
+stack at once. A sweep runs these once per chunk and passes each decode its
+trial's row (``prepared``); a call without one runs the same functions on a
+stack of one.
+
+The fast golden and fast Alamouti decoders share one best-first
+trailing-pair walk, ``_walk_pairs``, which owns the trailing stage's
+visiting order, its pruning and its node count; each decoder supplies only
+the search over the leading pair. The fast golden decoder's leading search
+drops a pair on a lower bound and runs its two real searches inside the
+radius the best total leaves; the imaginary search's radius depends on the
+real search's result, so the two run in sequence.
 
 The sphere decoder orders each expanded node's children without a numpy
 sort: a child's metric is a sum of one metric per axis, so a heap merges the
@@ -42,7 +49,6 @@ cost. Each call owns its workspace, so instances may decode concurrently.
 A finite y and H whose every candidate cost overflows raises ValueError.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -51,7 +57,7 @@ import numpy as np
 
 from .codes import GOLDEN_VARIANTS, EffectiveChannel
 from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
-from .matrixkit import frobenius_norm, qr_decompose
+from .matrixkit import QRFactors, frobenius_norm, qr_decompose
 
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
@@ -104,27 +110,98 @@ def _require_structure(eff: EffectiveChannel, a, b, message: str) -> None:
         raise ValueError(message)
 
 
-def _triangularize(eff: EffectiveChannel, y: np.ndarray, perm: tuple) -> tuple:
-    """R and Q^H y of the column-permuted channel, for a decoder's tree search.
+def triangular_rows(factors: QRFactors, y: np.ndarray) -> tuple:
+    """Q^H y of a stack of factored channels, and each trial's row for a tree search.
 
-    The natural column order reuses the channel's own ``factors``; any other
-    order is factored here.
+    Args:
+        factors: QR factors stacked as (n, 4, 4).
+        y: received stacks, (n, 4).
 
     Returns:
-        (r, z): ``eff.h[:, perm] = q @ r`` and ``z = q^H y``, with ``r``
-        (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers.
+        (z, rows): ``z = Q^H y`` as an (n, 4) array, and per trial
+        ``(r, z, finite)`` with ``r`` (nested, ``r[i][j]``) and ``z`` as
+        lists of Python complex numbers and ``finite`` whether every entry of
+        that trial's z is finite. A decoder raises on a row that is not.
+    """
+    z = (np.conj(np.swapaxes(factors.q, -1, -2)) @ y[..., None])[..., 0]
+    finite = np.isfinite(z).all(axis=-1).tolist()
+    return z, list(zip(factors.r.tolist(), z.tolist(), finite))
+
+
+def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
+    """The fast golden decoder's two full-alphabet sorts for a stack of channels.
+
+    The trailing-pair branch metrics are functions of one real component
+    pair each, which the separable alphabet puts in bijection with the
+    complex symbols: Re(a) plays x3's component, Im(a) plays x4's.
+
+    Args:
+        r, z: stacked R (n, 4, 4) and Q^H y (n, 4) as ``triangular_rows``
+            uses them.
+
+    Returns:
+        Per trial ``(order_re, metrics_re, order_im, metrics_im)`` as lists.
+    """
+    r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
+    z2 = z[:, 2, None]
+    z3 = z[:, 3, None]
+    sort_re = sort_alphabet_by_metric(
+        alphabet,
+        lambda a: (z2.real - r33 * a.real - r34 * a.imag) ** 2 + (z3.real - r44 * a.imag) ** 2,
+    )
+    sort_im = sort_alphabet_by_metric(
+        alphabet,
+        lambda a: (z2.imag - r33 * a.real - r34 * a.imag) ** 2 + (z3.imag - r44 * a.imag) ** 2,
+    )
+    return list(zip(*(part.tolist() for part in sort_re + sort_im)))
+
+
+def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
+    """The fast Alamouti decoder's two full-alphabet sorts for a stack of channels.
+
+    Returns:
+        Per trial ``(order4, metrics4, order3, metrics3)`` as lists: x4's
+        and x3's symbols by their own trailing metric.
+    """
+    r33, r44 = (r[:, i, i, None].real for i in (2, 3))
+    z2 = z[:, 2, None]
+    z3 = z[:, 3, None]
+    sort4 = sort_alphabet_by_metric(alphabet, lambda a: abs(z3 - r44 * a) ** 2)
+    sort3 = sort_alphabet_by_metric(alphabet, lambda a: abs(z2 - r33 * a) ** 2)
+    return list(zip(*(part.tolist() for part in sort4 + sort3)))
+
+
+def _prepared_row(eff, y, perm, prepared, alphabet=None, sorts=None) -> tuple:
+    """The decoder's row: ``prepared``, or a stack of one through the same prologue.
+
+    Without ``prepared``, the natural column order reuses the channel's own
+    ``factors`` and any other order is factored here; ``sorts`` (one of the
+    stacked sort functions) then appends the trial's sorted lists.
+
+    Returns:
+        ``(r, z, finite, *sorted_lists)`` as ``triangular_rows`` and
+        ``sorts`` give them.
 
     Raises:
-        ValueError: if ``eff.h`` or ``y`` is not finite.
+        ValueError: if ``eff.h`` or ``y`` is not finite, or a prepared row is
+            passed with a permuted column order.
     """
-    if perm == IDENTITY_PERMUTATION:
-        factors = eff.factors
-    else:
-        factors = qr_decompose(eff.h[:, perm])
-    z = (factors.q.conj().T @ np.asarray(y, dtype=complex)).tolist()
-    if not all(map(cmath.isfinite, z)):
+    if prepared is None:
+        if perm == IDENTITY_PERMUTATION:
+            factors = eff.factors
+        else:
+            factors = qr_decompose(eff.h[:, perm])
+        r = factors.r[None]
+        z, (prepared,) = triangular_rows(
+            QRFactors(q=factors.q[None], r=r), np.asarray(y, dtype=complex)[None]
+        )
+        if sorts is not None and prepared[2]:
+            prepared += sorts(alphabet, r, z)[0]
+    elif perm != IDENTITY_PERMUTATION:
+        raise ValueError("a prepared row holds the natural column order only")
+    if not prepared[2]:
         raise ValueError("non-finite received stack y")
-    return factors.r.tolist(), z
+    return prepared
 
 
 def _unpermute(perm, symbols, indices):
@@ -310,6 +387,8 @@ def decode_fast_golden(
     alphabet: QamAlphabet,
     perm=None,
     prune: bool = True,
+    *,
+    prepared=None,
 ) -> DecodeResult:
     """Fast exact-ML decoder for golden-variant effective channels.
 
@@ -326,6 +405,9 @@ def decode_fast_golden(
     Args:
         perm: zero-based column order, one of FAST_PERMUTATIONS.
         prune: disable to force full enumeration (worst-case instrumentation).
+        prepared: this trial's ``triangular_rows`` row followed by its
+            ``fast_golden_sorts`` row, for the natural column order; None
+            prepares a stack of one.
 
     Raises:
         ValueError: when |Im r12| or |Im r34| of the permuted channel's R
@@ -340,30 +422,16 @@ def decode_fast_golden(
     if perm not in FAST_PERMUTATIONS:
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
-    r, z = _triangularize(eff, y, perm)
+    r, z, _, ord_re, m_re, ord_im, m_im = _prepared_row(
+        eff, y, perm, prepared, alphabet, fast_golden_sorts
+    )
     _require_structure(
         eff, r[0][1].imag, r[2][3].imag,
         "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
         "this channel lacks golden structure",
     )
-    # The trailing-pair branch metrics are functions of one real component
-    # pair each, which the separable alphabet puts in bijection with the
-    # complex symbols: Re(a) plays x3's component, Im(a) plays x4's.
-    r33, r34, r44 = r[2][2].real, r[2][3].real, r[3][3].real
-    order_re, m_re = sort_alphabet_by_metric(
-        alphabet,
-        lambda a: (z[2].real - r33 * a.real - r34 * a.imag) ** 2
-        + (z[3].real - r44 * a.imag) ** 2,
-    )
-    order_im, m_im = sort_alphabet_by_metric(
-        alphabet,
-        lambda a: (z[2].imag - r33 * a.real - r34 * a.imag) ** 2
-        + (z[3].imag - r44 * a.imag) ** 2,
-    )
     sym_re = alphabet.symbols.real.tolist()
     sym_im = alphabet.symbols.imag.tolist()
-    ord_re = order_re.tolist()
-    ord_im = order_im.tolist()
     r11, r12, r22 = r[0][0].real, r[0][1].real, r[1][1].real
     pam = alphabet.pam
 
@@ -397,7 +465,7 @@ def decode_fast_golden(
             return math.inf, None, n_re + n_im
         return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
 
-    best, best_pick, nodes = _walk_pairs(m_re.tolist(), m_im.tolist(), leading, prune)
+    best, best_pick, nodes = _walk_pairs(m_re, m_im, leading, prune)
     (x1r, i1r, x2r, i2r), (x1i, i1i, x2i, i2i), sk, sl = best_pick
     symbols = (
         complex(x1r, x1i),
@@ -471,6 +539,8 @@ def decode_sphere_conventional(
     alphabet: QamAlphabet,
     ordering: str = "none",
     prune: bool = True,
+    *,
+    prepared=None,
 ) -> DecodeResult:
     """Four-level complex sphere decoder with child ordering at every level.
 
@@ -486,6 +556,8 @@ def decode_sphere_conventional(
     Args:
         ordering: "none" for natural column order, "blast" for the
             weakest-last successive-selection permutation.
+        prepared: this trial's ``triangular_rows`` row, for ordering
+            "none"; None prepares a stack of one.
     """
     if ordering == "none":
         perm = IDENTITY_PERMUTATION
@@ -493,7 +565,7 @@ def decode_sphere_conventional(
         perm = blast_ordering(eff)
     else:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
-    r, z = _triangularize(eff, y, perm)
+    r, z, _ = _prepared_row(eff, y, perm, prepared)
     sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
     values = alphabet.pam.values
@@ -578,6 +650,8 @@ def decode_alamouti_fast(
     y: np.ndarray,
     alphabet: QamAlphabet,
     prune: bool = True,
+    *,
+    prepared=None,
 ) -> DecodeResult:
     """Fast exact-ML decoder for the overlaid Alamouti code, quasistatic only.
 
@@ -587,20 +661,22 @@ def decode_alamouti_fast(
     independent PAM slices per candidate pair. Enumerates the M^2 trailing
     pairs with sorted-metric pruning.
 
+    Args:
+        prepared: this trial's ``triangular_rows`` row followed by its
+            ``alamouti_sorts`` row; None prepares a stack of one.
+
     Raises:
         ValueError: when the zero structure is absent (time-varying channel);
             callers should fall back to decode_sphere_conventional.
     """
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    r, z = _triangularize(eff, y, IDENTITY_PERMUTATION)
+    r, z, _, order4, m4, order3, m3 = _prepared_row(
+        eff, y, IDENTITY_PERMUTATION, prepared, alphabet, alamouti_sorts
+    )
     _require_structure(eff, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
-    r11, r22, r33, r44 = (r[i][i].real for i in range(4))
-    order4, m4 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[3] - r44 * a) ** 2)
-    order3, m3 = sort_alphabet_by_metric(alphabet, lambda a: abs(z[2] - r33 * a) ** 2)
+    r11, r22 = r[0][0].real, r[1][1].real
     syms = alphabet.symbols.tolist()
-    order4 = order4.tolist()
-    order3 = order3.tolist()
 
     def leading(k, l, tail, best):
         i3 = order3[l]
@@ -614,7 +690,7 @@ def decode_alamouti_fast(
         total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
         return total, ((x1, x2, x3, x4), (i1, i2, i3, i4)), 4  # two slices per symbol
 
-    best, (best_syms, best_idx), nodes = _walk_pairs(m4.tolist(), m3.tolist(), leading, prune)
+    best, (best_syms, best_idx), nodes = _walk_pairs(m4, m3, leading, prune)
 
     return DecodeResult(
         x_hat=np.array(best_syms),

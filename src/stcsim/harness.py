@@ -16,6 +16,7 @@ SER is reported per symbol: four information symbols per trial.
 """
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,41 +47,54 @@ ORDERING_MODES = ("none", "blast")
 
 @dataclass(frozen=True)
 class DecoderEntry:
-    """One decoder: its call and the setups it can decode.
+    """One decoder: its call, its stacked sorts and the setups it can decode.
 
-    ``call(eff, y, alphabet, ordering)`` returns a DecodeResult. It reaches
-    the decoder through this module's ``decoders`` attribute at call time,
-    so rebinding that attribute reaches every caller.
+    ``call(eff, y, alphabet, ordering, prepared=None)`` returns a
+    DecodeResult; ``prepared`` is the trial's row of the chunk's prologue
+    (tree decoders only). ``sorts(alphabet, r, z)``, when set, is the
+    decoder's stacked sort prologue. Both reach the decoders through this
+    module's ``decoders`` attribute at call time, so rebinding that
+    attribute reaches every caller.
     """
 
     call: Callable
     code_variants: tuple
     quasistatic_only: bool = False
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
+    sorts: Callable = None
 
 
-def _fast(eff, y, alphabet, ordering):
+def _fast(eff, y, alphabet, ordering, prepared=None):
     perm = decoders.IDENTITY_PERMUTATION
     if ordering == "blast":
         perm = decoders.blast_ordering(eff, allowed=decoders.FAST_PERMUTATIONS)
-    return decoders.decode_fast_golden(eff, y, alphabet, perm=perm)
+    return decoders.decode_fast_golden(eff, y, alphabet, perm=perm, prepared=prepared)
 
 
 DECODERS = {
     "alamouti": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering: decoders.decode_alamouti_fast(eff, y, alphabet),
+        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_alamouti_fast(
+            eff, y, alphabet, prepared=prepared
+        ),
         code_variants=("overlaid-alamouti",),
         quasistatic_only=True,
+        sorts=lambda *args: decoders.alamouti_sorts(*args),
     ),
     "exhaustive": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering: decoders.decode_exhaustive(eff, y, alphabet),
+        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_exhaustive(
+            eff, y, alphabet
+        ),
         code_variants=codes.CODE_VARIANTS,
         capped=True,
     ),
-    "fast": DecoderEntry(call=_fast, code_variants=codes.GOLDEN_VARIANTS),
+    "fast": DecoderEntry(
+        call=_fast,
+        code_variants=codes.GOLDEN_VARIANTS,
+        sorts=lambda *args: decoders.fast_golden_sorts(*args),
+    ),
     "sphere": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering: decoders.decode_sphere_conventional(
-            eff, y, alphabet, ordering=ordering
+        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_sphere_conventional(
+            eff, y, alphabet, ordering=ordering, prepared=prepared
         ),
         code_variants=codes.CODE_VARIANTS,
     ),
@@ -162,6 +176,13 @@ class SweepConfig:
             raise ValueError("snr stop must not be below snr start")
         for snr in (self.snr_start, self.snr_stop):
             snr_to_n0(snr)  # N0 falls with SNR, so the two ends bound the grid
+        labels = [_fmt(snr) for snr in self.snr_points()]
+        if len(set(labels)) < len(labels):
+            raise ValueError(
+                f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} "
+                f"step={self.snr_step!r} has points that print alike in the CSV "
+                "(9 significant digits)"
+            )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
@@ -174,7 +195,7 @@ class SweepConfig:
         k = 0
         while True:
             snr = self.snr_start + k * self.snr_step
-            if snr > self.snr_stop + 1e-9:
+            if snr > self.snr_stop + 1e-9 * self.snr_step:
                 break
             points.append(snr)
             k += 1
@@ -231,11 +252,17 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     once: it converts the normals into channels and noise, builds the
     effective matrices and the received stacks, and factors the matrices
     with one stacked QR, so every decoder of a trial shares that trial's QR
-    factors.
+    factors. For the natural column order it then runs the decoders'
+    prologue on the chunk: one stacked Q^H y, shared by every tree decoder,
+    and one stacked pair of alphabet sorts per fast or Alamouti decoder.
+    Each decode gets its trial's row; a BLAST ordering permutes each trial
+    differently, so its decoders prepare their own.
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
-        per trial, in trial order.
+        per trial, in trial order. ``time_ns`` is the decoder call plus an
+        even share of the decoder's stacked sorts; the shared QR and Q^H y
+        are excluded.
     """
     alphabet = make_qam(cfg.modulation)
     count = hi - lo
@@ -255,15 +282,30 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     )
     noise = codes.stack_samples(noise_from_normals(noise_normals, snr_to_n0(snr_db)), cfg.code)
     received = (matrices @ alphabet.symbols[sent][..., None])[..., 0] + noise
-    records = {name: [] for name in cfg.decoders}
-    channels = codes.factored_channels(matrices, cfg.code)
-    for eff, y, idx_true in zip(channels, received, sent.tolist()):
+    channels, factors = codes.factored_channels(matrices, cfg.code)
+    prepared = dict.fromkeys(cfg.decoders, [None] * count)
+    sort_ns = dict.fromkeys(cfg.decoders, 0.0)
+    if cfg.ordering == "none":
+        z, rows = decoders.triangular_rows(factors, received)
         for name in cfg.decoders:
+            sorts = DECODERS[name].sorts
+            if sorts is None:
+                prepared[name] = rows
+                continue
             start = time.perf_counter_ns()
-            result = DECODERS[name].call(eff, y, alphabet, cfg.ordering)
-            elapsed = time.perf_counter_ns() - start
-            errors = sum(got != want for got, want in zip(result.indices, idx_true))
-            records[name].append((errors, result.nodes_visited, result.full_sorts, elapsed))
+            prepared[name] = [row + s for row, s in zip(rows, sorts(alphabet, factors.r, z))]
+            sort_ns[name] = (time.perf_counter_ns() - start) / count
+    sent = sent.tolist()
+    records = {}
+    for name in cfg.decoders:
+        call = DECODERS[name].call
+        out = records[name] = []
+        for eff, y, idx_true, row in zip(channels, received, sent, prepared[name]):
+            start = time.perf_counter_ns()
+            result = call(eff, y, alphabet, cfg.ordering, row)
+            elapsed = time.perf_counter_ns() - start + sort_ns[name]
+            errors = sum(map(operator.ne, result.indices, idx_true))
+            out.append((errors, result.nodes_visited, result.full_sorts, elapsed))
     return records
 
 
@@ -291,7 +333,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     for pi, snr in enumerate(points):
         chunks = partials[pi * per_point:(pi + 1) * per_point]
         for name in sorted(cfg.decoders):
-            # Every column holds integers well below 2**53, so its float sums are exact.
+            # Every column but time_ns holds integers well below 2**53, so
+            # its float sums are exact.
             errors, nodes, sorts, time_ns = np.array(
                 [record for part in chunks for record in part[name]], dtype=float
             ).T

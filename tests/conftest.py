@@ -72,7 +72,7 @@ def reference_sphere_decode(eff, y, alphabet, ordering="none", prune=True):
     computes all M child metrics and visits them in ``np.argsort(...,
     kind="stable")`` order; everything else is the decoder's own."""
     perm = dec.blast_ordering(eff) if ordering == "blast" else dec.IDENTITY_PERMUTATION
-    r, z = dec._triangularize(eff, y, perm)
+    r, z, _ = dec._prepared_row(eff, y, perm, None)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]

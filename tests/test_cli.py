@@ -296,6 +296,16 @@ def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_simulate_rejects_snr_points_that_print_alike(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    grid = ("--snr-start", "10", "--snr-stop", "10.000000004", "--snr-step", "1e-9")
+    assert main(["simulate", "--trials", "2", "--out", str(out), *grid]) == 2
+    err = capsys.readouterr().err
+    assert "error: snr grid start=10.0 stop=10.000000004 step=1e-09" in err
+    assert "print alike" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ("0", "-4"))
 def test_verify_rejects_trials_below_one(capsys, trials):
     assert main(["verify", "--suite", "sorts", "--trials", trials]) == 2

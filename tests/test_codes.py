@@ -251,7 +251,7 @@ def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
     for model, rho in (("quasistatic", None), ("rapid", None), ("markov", 0.9)):
         realizations = [st.sample_channel(rng, model, rho) for _ in range(40)]
         stacked = st.effective_matrix(np.stack([ch.h for ch in realizations]), variant)
-        for ch, eff in zip(realizations, st.codes.factored_channels(stacked, variant)):
+        for ch, eff in zip(realizations, st.codes.factored_channels(stacked, variant)[0]):
             single = st.effective_channel(ch, variant)
             factors = qr_decompose(single.h)
             assert np.array_equal(single.factors.q, factors.q)
@@ -265,10 +265,12 @@ def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
 def test_factored_channels_own_their_factors(rng):
     matrices = st.effective_matrix(st.sample_channels(rng, "rapid", 3), "golden-dv")
     built = matrices[0].copy()
-    eff = st.codes.factored_channels(matrices, "golden-dv")[0]
+    channels, factors = st.codes.factored_channels(matrices, "golden-dv")
+    eff = channels[0]
     matrices[0] = 0.0  # the caller's array is copied, not shared
     assert np.array_equal(eff.h, built)
-    for array in (eff.h, eff.factors.q, eff.factors.r):
+    assert np.shares_memory(eff.factors.r, factors.r)  # each channel holds a row of the stack
+    for array in (eff.h, eff.factors.q, eff.factors.r, factors.q[0], factors.r[0]):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     with pytest.raises(TypeError):

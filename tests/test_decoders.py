@@ -499,7 +499,7 @@ def test_decoders_identical_with_and_without_attached_factors(rng, variant):
     for snr_db in (0.0, 8.0, 16.0, 24.0):
         chs = [st.sample_channel(rng, "quasistatic") for _ in range(6)]
         stacked = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
-        for ch, factored in zip(chs, st.codes.factored_channels(stacked, variant)):
+        for ch, factored in zip(chs, st.codes.factored_channels(stacked, variant)[0]):
             plain = st.effective_channel(ch, variant)
             idx = rng.integers(0, alphabet.size, 4)
             y = plain.h @ alphabet.symbols[idx] + plain.stack(
@@ -522,3 +522,86 @@ def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
                 if score > best_score:
                     best_perm, best_score = perm, score
             assert dec.blast_ordering(h, allowed=dec.FAST_PERMUTATIONS) == best_perm
+
+
+def _chunk(rng, variant, model, m, count=8):
+    """A sweep-like stack: factored channels and noisy received stacks at 0 to 21 dB."""
+    alphabet = st.make_qam(m)
+    chs = [st.sample_channel(rng, model) for _ in range(count)]
+    matrices = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
+    channels, factors = st.codes.factored_channels(matrices, variant)
+    idx = rng.integers(0, m, (count, 4))
+    noise = [st.codes.stack_samples(st.sample_noise(rng, st.snr_to_n0(3.0 * k)), variant)
+             for k in range(count)]
+    y = (matrices @ alphabet.symbols[idx][..., None])[..., 0] + np.array(noise)
+    return alphabet, channels, factors, y
+
+
+def _reference_sorts(variant, alphabet, r, z):
+    """The two sorts as each decode made them alone: scalar R and z, one 1-D metric each."""
+    r33, r34, r44 = r[2][2].real, r[2][3].real, r[3][3].real
+    if variant == "overlaid-alamouti":
+        metrics = (abs(z[3] - r44 * alphabet.symbols) ** 2,
+                   abs(z[2] - r33 * alphabet.symbols) ** 2)
+    else:
+        a = alphabet.symbols
+        metrics = ((z[2].real - r33 * a.real - r34 * a.imag) ** 2 + (z[3].real - r44 * a.imag) ** 2,
+                   (z[2].imag - r33 * a.real - r34 * a.imag) ** 2 + (z[3].imag - r44 * a.imag) ** 2)
+    out = ()
+    for values in metrics:
+        order = np.argsort(values, kind="stable")
+        out += (order.tolist(), values[order].tolist())
+    return out
+
+
+@pytest.mark.parametrize("m", (4, 16, 64))
+@pytest.mark.parametrize("model", ("quasistatic", "rapid"))
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_stacked_prologue_is_exact(rng, variant, model, m):
+    alamouti = variant == "overlaid-alamouti"
+    sorts = dec.alamouti_sorts if alamouti else dec.fast_golden_sorts
+    decode = dec.decode_alamouti_fast if alamouti else dec.decode_fast_golden
+    alphabet, channels, factors, y = _chunk(rng, variant, model, m)
+    z, rows = dec.triangular_rows(factors, y)
+    sorted_rows = sorts(alphabet, factors.r, z)
+    for eff, received, row, sorted_row in zip(channels, y, rows, sorted_rows):
+        prepared = row + sorted_row
+        # repr tells apart every float that == does not (-0.0), so this is bit for bit.
+        single = dec._prepared_row(eff, received, dec.IDENTITY_PERMUTATION, None, alphabet, sorts)
+        assert repr(prepared) == repr(single)
+        r = eff.factors.r.tolist()
+        z_alone = (eff.factors.q.conj().T @ received).tolist()
+        assert repr(row) == repr((r, z_alone, True))
+        assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
+
+        for call, arg in ((decode, prepared), (dec.decode_sphere_conventional, row)):
+            if alamouti and model == "rapid" and call is decode:
+                for kw in ({"prepared": arg}, {}):
+                    with pytest.raises(ValueError, match="invalid for this channel"):
+                        call(eff, received, alphabet, **kw)
+                continue
+            a = call(eff, received, alphabet, prepared=arg)
+            b = call(eff, received, alphabet)
+            assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
+                b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
+            )
+            assert a.x_hat.tobytes() == b.x_hat.tobytes()
+            assert a.full_sorts == 2 or call is dec.decode_sphere_conventional
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_prepared_row_keeps_the_decoders_checks(rng):
+    alphabet, channels, factors, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=2)
+    y[1, 2] = math.nan
+    z, rows = dec.triangular_rows(factors, y)
+    assert [row[2] for row in rows] == [True, False]
+    prepared = [row + s for row, s in zip(rows, dec.fast_golden_sorts(alphabet, factors.r, z))]
+    with pytest.raises(ValueError, match="non-finite received stack"):
+        dec.decode_fast_golden(channels[1], y[1], alphabet, prepared=prepared[1])
+    with pytest.raises(ValueError, match="non-finite received stack"):
+        dec.decode_sphere_conventional(channels[1], y[1], alphabet, prepared=rows[1])
+    with pytest.raises(ValueError, match="natural column order"):
+        dec.decode_fast_golden(channels[0], y[0], alphabet, perm=(1, 0, 3, 2), prepared=prepared[0])
+    with pytest.raises(ValueError, match="natural column order"):
+        dec.decode_sphere_conventional(channels[0], y[0], alphabet, ordering="blast",
+                                       prepared=rows[0])

@@ -82,6 +82,14 @@ def test_validation_rejects_bad_snr_grid(grid):
         small_config(**grid).validate()
 
 
+def test_validation_rejects_snr_points_that_print_alike():
+    cfg = small_config(snr_start=10.0, snr_stop=10.0 + 4e-9, snr_step=1e-9)
+    assert len(cfg.snr_points()) == 5  # the end slack scales with the step
+    with pytest.raises(ValueError, match=r"snr grid start=10\.0 stop=10\.000000004 step=1e-09"):
+        cfg.validate()
+    small_config(snr_start=10.0, snr_stop=10.0 + 4e-7, snr_step=1e-7).validate()
+
+
 def test_snr_grid_inclusive():
     cfg = small_config(snr_start=0.0, snr_stop=30.0, snr_step=2.0)
     assert len(cfg.snr_points()) == 16
@@ -217,6 +225,36 @@ def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
     assert run_verification("mlequiv", 6, seed=5).passed
     # 7 rounds (6 at 4-QAM, 1 at 16-QAM), three decoded channels each
     assert calls == [(4, 4)] * 21
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    (dict(decoders=("fast", "sphere")), dict(decoders=("exhaustive", "fast")),
+     dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16)),
+    ids=("fast-sphere", "exhaustive-fast", "alamouti-sphere"),
+)
+def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides):
+    formed = []
+    sorts = []
+    triangular_rows = st.decoders.triangular_rows
+    sort_alphabet_by_metric = st.decoders.sort_alphabet_by_metric
+
+    def counting_rows(factors, y):
+        formed.append(len(y))
+        return triangular_rows(factors, y)
+
+    def counting_sorts(alphabet, metric):
+        sorts.append(alphabet.size)
+        return sort_alphabet_by_metric(alphabet, metric)
+
+    monkeypatch.setattr(st.decoders, "triangular_rows", counting_rows)
+    monkeypatch.setattr(st.decoders, "sort_alphabet_by_metric", counting_sorts)
+    monkeypatch.setenv("STC_THREADS", "1")
+    run_sweep(small_config(trials=40, snr_stop=2.0, **overrides))  # 2 points x chunks of 32 + 8
+    # Q^H y once per trial for every decoder of it, one stacked matmul per chunk
+    assert formed == [32, 8] * 2
+    # two sorts per chunk for the one fast or alamouti decoder, none per trial
+    assert len(sorts) == 2 * 4
 
 
 def test_verification_unknown_suite():
