@@ -24,12 +24,11 @@ from antenna i at time k.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .matrixkit import RANK_TOLERANCE, QRFactors, frobenius_norm, qr_decompose
+from .matrixkit import RANK_TOLERANCE, QRFactors, frobenius_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +112,12 @@ def _conjugated(variant: str) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveChannel:
-    """4x4 effective channel of one code variant.
+    """4x4 effective channel of one code variant: a read-only record.
 
     The variant fixes the receive stacking: ``conjugated[l]`` tells whether
     the l-th stacked receive sample is the complex conjugate of the raw
-    sample. ``h`` is kept as a read-only complex copy of the caller's matrix,
-    so the cached ``factors`` and ``norm`` always belong to it.
+    sample. ``h`` is kept as a read-only complex copy of the caller's matrix.
+    Its QR belongs to the decoders' prologue (``decoders.triangular_rows``).
 
     Raises:
         ValueError: unknown variant, or ``h`` not 4x4.
@@ -139,21 +138,6 @@ class EffectiveChannel:
     def conjugated(self) -> tuple:
         return _CONJUGATED[self.variant]
 
-    @cached_property
-    def factors(self) -> QRFactors:
-        """Read-only QR factors of ``h``, computed on first use.
-
-        Raises:
-            ValueError: if ``h`` is rank-deficient or not finite (see
-                ``qr_decompose``).
-        """
-        return _read_only(qr_decompose(self.h))
-
-    @cached_property
-    def norm(self) -> float:
-        """Frobenius norm of ``h``, computed on first use."""
-        return float(frobenius_norm(self.h))
-
     def stack(self, samples: np.ndarray) -> np.ndarray:
         """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
         noise, to the stack: conjugated where ``conjugated`` says."""
@@ -164,12 +148,6 @@ def stack_samples(samples, variant: str) -> np.ndarray:
     """``EffectiveChannel.stack`` for samples of shape (..., 4), e.g. a whole chunk's noise."""
     samples = np.asarray(samples, dtype=complex)
     return np.where(np.asarray(_conjugated(variant)), np.conj(samples), samples)
-
-
-def _read_only(factors: QRFactors) -> QRFactors:
-    factors.q.setflags(write=False)
-    factors.r.setflags(write=False)
-    return factors
 
 
 def _golden_coefficients(variant: str) -> tuple:
@@ -395,34 +373,6 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
 def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
     """Build the EffectiveChannel a decoder needs for a single realization."""
     return EffectiveChannel(h=effective_matrix(ch.h, variant), variant=variant)
-
-
-def factored_channels(matrices: np.ndarray, variant: str) -> tuple:
-    """One EffectiveChannel per matrix of an (n, 4, 4) stack, and their stacked factors.
-
-    One ``qr_decompose`` call and one ``frobenius_norm`` call on the stack
-    fill every channel's ``factors`` and ``norm`` caches.
-
-    Returns:
-        (channels, factors): the list of channels, and the read-only
-        (n, 4, 4) QR factors whose rows they hold.
-
-    Raises:
-        ValueError: if any matrix is rank-deficient (see ``qr_decompose``).
-    """
-    matrices = np.asarray(matrices, dtype=complex)
-    if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
-        raise ValueError("effective matrices must be stacked as (n, 4, 4)")
-    factors = _read_only(qr_decompose(matrices))
-    norms = frobenius_norm(matrices).tolist()
-    channels = []
-    for h4, q, r, norm in zip(matrices, factors.q, factors.r, norms):
-        eff = EffectiveChannel(h=h4, variant=variant)
-        cache = vars(eff)  # the cached_properties' slots
-        cache["factors"] = QRFactors(q=q, r=r)
-        cache["norm"] = norm
-        channels.append(eff)
-    return channels, factors
 
 
 def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.ndarray:

@@ -20,13 +20,13 @@ M + M^2 + 4*M^2.5 nodes and the conventional four-level decoder
 M + M^2 + 2*M^3.
 
 Every tree decoder splits into a prologue that works on a stack of channels
-and a scalar search. ``triangular_rows`` forms z = Q^H y for a whole stack
-with one matmul and hands each trial R and z as Python scalars, so the
-per-node arithmetic indexes plain lists; ``fast_golden_sorts`` and
-``alamouti_sorts`` make the two full-alphabet sorts of every trial of a
-stack at once. A sweep runs these once per chunk and passes each decode its
-trial's row (``prepared``); a call without one runs the same functions on a
-stack of one.
+and a scalar search. ``triangular_rows``, the one owner of a decode's QR,
+factors a whole stack and forms z = Q^H y, and hands each trial R, z and
+||H||_F as Python scalars, so the per-node arithmetic indexes plain lists;
+``fast_golden_sorts`` and ``alamouti_sorts`` make the two full-alphabet
+sorts of every trial of a stack at once. A batch of decodes runs these once
+per stack and passes each decode its trial's row (``prepared``); a call
+without one runs the same functions on a stack of one.
 
 The fast golden and fast Alamouti decoders share one best-first
 trailing-pair walk, ``_walk_pairs``, which owns the trailing stage's
@@ -57,7 +57,7 @@ import numpy as np
 
 from .codes import GOLDEN_VARIANTS, EffectiveChannel
 from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
-from .matrixkit import QRFactors, frobenius_norm, qr_decompose
+from .matrixkit import frobenius_norm, qr_decompose
 
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
@@ -99,33 +99,32 @@ class DecodeResult:
 STRUCTURE_TOLERANCE = 1e-6
 
 
-def _require_structure(eff: EffectiveChannel, a, b, message: str) -> None:
-    """Raise ValueError(message) unless |a| and |b| are negligible against ||H||_F.
-
-    A column permutation leaves ||H||_F unchanged, so the channel's own
-    cached ``norm`` serves every column order.
-    """
-    limit = STRUCTURE_TOLERANCE * eff.norm
+def _require_structure(norm: float, a, b, message: str) -> None:
+    """Raise ValueError(message) unless |a| and |b| are negligible against ``norm``,
+    the row's ||H||_F, which a column permutation leaves unchanged."""
+    limit = STRUCTURE_TOLERANCE * norm
     if abs(a) > limit or abs(b) > limit:
         raise ValueError(message)
 
 
-def triangular_rows(factors: QRFactors, y: np.ndarray) -> tuple:
-    """Q^H y of a stack of factored channels, and each trial's row for a tree search.
-
-    Args:
-        factors: QR factors stacked as (n, 4, 4).
-        y: received stacks, (n, 4).
+def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
+    """The tree decoders' shared prologue for effective ``matrices`` stacked as
+    (n, 4, 4), columns already in the order to decode, and received ``y`` (n, 4).
 
     Returns:
-        (z, rows): ``z = Q^H y`` as an (n, 4) array, and per trial
-        ``(r, z, finite)`` with ``r`` (nested, ``r[i][j]``) and ``z`` as
-        lists of Python complex numbers and ``finite`` whether every entry of
-        that trial's z is finite. A decoder raises on a row that is not.
+        (r, z, rows): R as (n, 4, 4) and ``z = Q^H y`` as (n, 4) from one
+        stacked ``qr_decompose`` (which raises on a rank-deficient or
+        non-finite matrix), and per trial ``(r, z, finite, norm)`` with ``r``
+        (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers,
+        ``finite`` whether every entry of that trial's z is finite (a decoder
+        raises on a row that is not) and ``norm`` its ||R||_F, which equals
+        ||H||_F.
     """
+    factors = qr_decompose(matrices)
     z = (np.conj(np.swapaxes(factors.q, -1, -2)) @ y[..., None])[..., 0]
     finite = np.isfinite(z).all(axis=-1).tolist()
-    return z, list(zip(factors.r.tolist(), z.tolist(), finite))
+    norms = frobenius_norm(factors.r).tolist()  # ||R||_F = ||H||_F: Q is unitary
+    return factors.r, z, list(zip(factors.r.tolist(), z.tolist(), finite, norms))
 
 
 def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
@@ -174,12 +173,12 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
 def _prepared_row(eff, y, perm, prepared, alphabet=None, sorts=None) -> tuple:
     """The decoder's row: ``prepared``, or a stack of one through the same prologue.
 
-    Without ``prepared``, the natural column order reuses the channel's own
-    ``factors`` and any other order is factored here; ``sorts`` (one of the
-    stacked sort functions) then appends the trial's sorted lists.
+    Without ``prepared``, ``triangular_rows`` factors ``eff.h`` in the column
+    order ``perm``; ``sorts`` (one of the stacked sort functions) then
+    appends the trial's sorted lists.
 
     Returns:
-        ``(r, z, finite, *sorted_lists)`` as ``triangular_rows`` and
+        ``(r, z, finite, norm, *sorted_lists)`` as ``triangular_rows`` and
         ``sorts`` give them.
 
     Raises:
@@ -187,13 +186,8 @@ def _prepared_row(eff, y, perm, prepared, alphabet=None, sorts=None) -> tuple:
             passed with a permuted column order.
     """
     if prepared is None:
-        if perm == IDENTITY_PERMUTATION:
-            factors = eff.factors
-        else:
-            factors = qr_decompose(eff.h[:, perm])
-        r = factors.r[None]
-        z, (prepared,) = triangular_rows(
-            QRFactors(q=factors.q[None], r=r), np.asarray(y, dtype=complex)[None]
+        r, z, (prepared,) = triangular_rows(
+            eff.h[None][..., perm], np.asarray(y, dtype=complex)[None]
         )
         if sorts is not None and prepared[2]:
             prepared += sorts(alphabet, r, z)[0]
@@ -422,11 +416,11 @@ def decode_fast_golden(
     if perm not in FAST_PERMUTATIONS:
         raise ValueError(f"permutation not fast-decodable: {perm!r}")
 
-    r, z, _, ord_re, m_re, ord_im, m_im = _prepared_row(
+    r, z, _, norm, ord_re, m_re, ord_im, m_im = _prepared_row(
         eff, y, perm, prepared, alphabet, fast_golden_sorts
     )
     _require_structure(
-        eff, r[0][1].imag, r[2][3].imag,
+        norm, r[0][1].imag, r[2][3].imag,
         "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
         "this channel lacks golden structure",
     )
@@ -565,7 +559,7 @@ def decode_sphere_conventional(
         perm = blast_ordering(eff)
     else:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
-    r, z, _ = _prepared_row(eff, y, perm, prepared)
+    r, z, _, _ = _prepared_row(eff, y, perm, prepared)
     sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
     values = alphabet.pam.values
@@ -671,10 +665,10 @@ def decode_alamouti_fast(
     """
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    r, z, _, order4, m4, order3, m3 = _prepared_row(
+    r, z, _, norm, order4, m4, order3, m3 = _prepared_row(
         eff, y, IDENTITY_PERMUTATION, prepared, alphabet, alamouti_sorts
     )
-    _require_structure(eff, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
+    _require_structure(norm, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
     r11, r22 = r[0][0].real, r[1][1].real
     syms = alphabet.symbols.tolist()
 

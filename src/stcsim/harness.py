@@ -5,7 +5,9 @@ versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. Trials draw from per-trial
 Philox streams keyed by (seed, point index, trial index), which makes the
 output independent of scheduling: serial and parallel runs emit identical
-CSV (wall-time columns excluded from that contract).
+CSV (wall-time columns excluded from that contract). Sweeps and the
+decoding verify suites share one batch-decode path, ``_decode_stack``, which
+runs the decoders' stacked prologue once per stack of instances.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -16,6 +18,7 @@ SER is reported per symbol: four information symbols per trial.
 """
 
 import math
+import numbers
 import operator
 import os
 import time
@@ -50,11 +53,11 @@ class DecoderEntry:
     """One decoder: its call, its stacked sorts and the setups it can decode.
 
     ``call(eff, y, alphabet, ordering, prepared=None)`` returns a
-    DecodeResult; ``prepared`` is the trial's row of the chunk's prologue
-    (tree decoders only). ``sorts(alphabet, r, z)``, when set, is the
-    decoder's stacked sort prologue. Both reach the decoders through this
-    module's ``decoders`` attribute at call time, so rebinding that
-    attribute reaches every caller.
+    DecodeResult; ``prepared`` is the instance's row of the stack's
+    prologue (tree decoders only), as ``_decode_stack`` passes it.
+    ``sorts(alphabet, r, z)``, when set, is the decoder's stacked sort
+    prologue. Both reach the decoders through this module's ``decoders``
+    attribute at call time, so rebinding that attribute reaches every caller.
     """
 
     call: Callable
@@ -153,11 +156,17 @@ class SweepConfig:
     noise_free: bool = False
 
     def validate(self) -> None:
+        for field in ("trials", "modulation", "seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         _require_seed(self.seed)
         if self.code not in codes.CODE_VARIANTS:
             raise ValueError(f"unknown code variant: {self.code!r}")
         if not self.decoders:
             raise ValueError("at least one decoder must be selected")
+        if len(set(self.decoders)) < len(self.decoders):
+            raise ValueError(f"decoders must not repeat a name: {self.decoders!r}")
         if self.modulation not in SUPPORTED_QAM_ORDERS:
             raise ValueError(f"unsupported modulation order: {self.modulation!r}")
         if self.channel not in CHANNEL_MODELS:
@@ -243,6 +252,41 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
+    """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
+    (n, 4) ``received``, with every decoder in ``names``.
+
+    For the natural column order the decoders' prologue runs once on the
+    stack: one stacked QR and Q^H y (``decoders.triangular_rows``), shared by
+    every tree decoder, and one stacked pair of alphabet sorts per fast or
+    Alamouti decoder; each decode gets its instance's row. A BLAST ordering
+    permutes each instance differently, so its decoders prepare their own.
+
+    Returns:
+        Per decoder name, one ``(DecodeResult, time_ns)`` pair per instance:
+        the decoder call plus an even share of its stacked sorts.
+    """
+    channels = [codes.EffectiveChannel(h=h, variant=code) for h in matrices]
+    rows = [None] * len(channels)
+    if ordering == "none":
+        r, z, rows = decoders.triangular_rows(matrices, received)
+    decoded = {}
+    for name in names:
+        entry = DECODERS[name]
+        prepared = rows
+        sort_ns = 0.0
+        if entry.sorts is not None and ordering == "none":
+            start = time.perf_counter_ns()
+            prepared = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
+            sort_ns = (time.perf_counter_ns() - start) / len(rows)
+        out = decoded[name] = []
+        for eff, y, row in zip(channels, received, prepared):
+            start = time.perf_counter_ns()
+            result = entry.call(eff, y, alphabet, ordering, row)
+            out.append((result, time.perf_counter_ns() - start + sort_ns))
+    return decoded
+
+
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
     """Decode trials [lo, hi) of one SNR point.
 
@@ -250,19 +294,13 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     standard normals, the four symbol indices and the noise's standard
     normals (skipped when noise-free). Pass 2 works on the whole chunk at
     once: it converts the normals into channels and noise, builds the
-    effective matrices and the received stacks, and factors the matrices
-    with one stacked QR, so every decoder of a trial shares that trial's QR
-    factors. For the natural column order it then runs the decoders'
-    prologue on the chunk: one stacked Q^H y, shared by every tree decoder,
-    and one stacked pair of alphabet sorts per fast or Alamouti decoder.
-    Each decode gets its trial's row; a BLAST ordering permutes each trial
-    differently, so its decoders prepare their own.
+    effective matrices and the received stacks, and decodes them as one
+    stack (``_decode_stack``), so every decoder of a trial shares that
+    trial's prologue.
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
-        per trial, in trial order. ``time_ns`` is the decoder call plus an
-        even share of the decoder's stacked sorts; the shared QR and Q^H y
-        are excluded.
+        per trial, in trial order, ``time_ns`` as ``_decode_stack`` times it.
     """
     alphabet = make_qam(cfg.modulation)
     count = hi - lo
@@ -282,31 +320,16 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     )
     noise = codes.stack_samples(noise_from_normals(noise_normals, snr_to_n0(snr_db)), cfg.code)
     received = (matrices @ alphabet.symbols[sent][..., None])[..., 0] + noise
-    channels, factors = codes.factored_channels(matrices, cfg.code)
-    prepared = dict.fromkeys(cfg.decoders, [None] * count)
-    sort_ns = dict.fromkeys(cfg.decoders, 0.0)
-    if cfg.ordering == "none":
-        z, rows = decoders.triangular_rows(factors, received)
-        for name in cfg.decoders:
-            sorts = DECODERS[name].sorts
-            if sorts is None:
-                prepared[name] = rows
-                continue
-            start = time.perf_counter_ns()
-            prepared[name] = [row + s for row, s in zip(rows, sorts(alphabet, factors.r, z))]
-            sort_ns[name] = (time.perf_counter_ns() - start) / count
+    decoded = _decode_stack(matrices, received, cfg.code, alphabet, cfg.decoders, cfg.ordering)
     sent = sent.tolist()
-    records = {}
-    for name in cfg.decoders:
-        call = DECODERS[name].call
-        out = records[name] = []
-        for eff, y, idx_true, row in zip(channels, received, sent, prepared[name]):
-            start = time.perf_counter_ns()
-            result = call(eff, y, alphabet, cfg.ordering, row)
-            elapsed = time.perf_counter_ns() - start + sort_ns[name]
-            errors = sum(map(operator.ne, result.indices, idx_true))
-            out.append((errors, result.nodes_visited, result.full_sorts, elapsed))
-    return records
+    return {
+        name: [
+            (sum(map(operator.ne, result.indices, idx_true)), result.nodes_visited,
+             result.full_sorts, time_ns)
+            for (result, time_ns), idx_true in zip(decoded[name], sent)
+        ]
+        for name in cfg.decoders
+    }
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -559,55 +582,65 @@ def _suite_alamouti(trials: int, seed: int) -> list:
     return checks
 
 
-def _instance(rng, alphabet, model, snr_db, variant="golden-dv"):
-    """One noisy decoding instance (eff, y); draws channel, symbols and noise in that order."""
+def _instance(rng, alphabet, model, snr_db, variant):
+    """One noisy decoding instance (h, y): the effective matrix and its
+    received stack. Draws channel, symbols and noise in that order."""
     ch = sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
-    eff = codes.effective_channel(ch, variant)
-    noise = eff.stack(sample_noise(rng, snr_to_n0(snr_db)))
-    y = eff.h @ alphabet.symbols[idx] + noise
-    return eff, y
+    h = codes.effective_matrix(ch.h, variant)
+    noise = codes.stack_samples(sample_noise(rng, snr_to_n0(snr_db)), variant)
+    return h, h @ alphabet.symbols[idx] + noise
+
+
+def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
+    """Draw ``rounds`` rounds of instances and decode them through ``_decode_stack``.
+
+    Round t draws one instance of each kind ``(model, variant, names)``, in
+    ``kinds`` order, at ``snrs[t % len(snrs)]`` dB. The rounds are drawn and
+    decoded in blocks of at most MAX_CHUNK, so memory stays bounded; each
+    kind's instances of a block form one stack.
+
+    Yields:
+        ``(kind, results)`` per instance, ``results`` mapping each of the
+        kind's decoder names to its DecodeResult.
+    """
+    for lo in range(0, rounds, MAX_CHUNK):
+        drawn = [[] for _ in kinds]
+        for t in range(lo, min(rounds, lo + MAX_CHUNK)):
+            for stack, (model, variant, _) in zip(drawn, kinds):
+                stack.append(_instance(rng, alphabet, model, snrs[t % len(snrs)], variant))
+        for stack, (model, variant, names) in zip(drawn, kinds):
+            matrices, received = (np.array(part) for part in zip(*stack))
+            decoded = _decode_stack(matrices, received, variant, alphabet, names, "none")
+            for i in range(len(stack)):
+                yield (model, variant, names), {name: decoded[name][i][0] for name in names}
 
 
 _MLEQUIV_SNRS = (0.0, 10.0, 20.0)
 
+# The instance kinds of an mlequiv round; each decoder after the first is
+# checked against the exhaustive reference.
+_MLEQUIV_KINDS = (
+    ("quasistatic", "golden-dv", ("exhaustive", "fast", "sphere")),
+    ("rapid", "golden-dv", ("exhaustive", "fast")),
+    ("quasistatic", "overlaid-alamouti", ("exhaustive", "alamouti")),
+)
+
 
 def _suite_mlequiv(trials: int, seed: int) -> list:
     checks = []
-    plans = ((4, trials), (16, max(1, trials // 10)))
-    for m, count in plans:
+    for m, count in ((4, trials), (16, max(1, trials // 10))):
         alphabet = make_qam(m)
-        dev_fast = 0.0
-        dev_sphere = 0.0
-        dev_fast_rapid = 0.0
-        dev_alamouti = 0.0
         rng = make_rng(seed, 3, m)
-        for trial in range(count):
-            snr_db = _MLEQUIV_SNRS[trial % len(_MLEQUIV_SNRS)]
-            eff, y = _instance(rng, alphabet, "quasistatic", snr_db)
-            reference = decoders.decode_exhaustive(eff, y, alphabet).cost
-            fast = decoders.decode_fast_golden(eff, y, alphabet).cost
-            sphere = decoders.decode_sphere_conventional(eff, y, alphabet).cost
-            dev_fast = max(dev_fast, abs(fast - reference))
-            dev_sphere = max(dev_sphere, abs(sphere - reference))
-
-            eff, y = _instance(rng, alphabet, "rapid", snr_db)
-            reference = decoders.decode_exhaustive(eff, y, alphabet).cost
-            fast = decoders.decode_fast_golden(eff, y, alphabet).cost
-            dev_fast_rapid = max(dev_fast_rapid, abs(fast - reference))
-
-            eff, y = _instance(rng, alphabet, "quasistatic", snr_db, "overlaid-alamouti")
-            reference = decoders.decode_exhaustive(eff, y, alphabet).cost
-            fast_al = decoders.decode_alamouti_fast(eff, y, alphabet).cost
-            dev_alamouti = max(dev_alamouti, abs(fast_al - reference))
-        checks.append(_check(f"mlequiv M={m} fast vs exhaustive", dev_fast, 1e-9, "<="))
-        checks.append(_check(f"mlequiv M={m} sphere vs exhaustive", dev_sphere, 1e-9, "<="))
-        checks.append(
-            _check(f"mlequiv M={m} fast (rapid) vs exhaustive", dev_fast_rapid, 1e-9, "<=")
-        )
-        checks.append(
-            _check(f"mlequiv M={m} alamouti vs exhaustive", dev_alamouti, 1e-9, "<=")
-        )
+        worst = {}  # check label -> max |cost - exhaustive cost|
+        rounds = _decode_rounds(rng, alphabet, count, _MLEQUIV_SNRS, _MLEQUIV_KINDS)
+        for (model, _, names), results in rounds:
+            for name in names[1:]:
+                label = f"{name} (rapid)" if model == "rapid" else name
+                deviation = abs(results[name].cost - results["exhaustive"].cost)
+                worst[label] = max(worst.get(label, 0.0), deviation)
+        for label, dev in worst.items():
+            checks.append(_check(f"mlequiv M={m} {label} vs exhaustive", dev, 1e-9, "<="))
     return checks
 
 
@@ -616,25 +649,17 @@ _SORTS_SNR = {4: 10.0, 16: 14.0, 64: 20.0, 256: 26.0}
 
 def _suite_sorts(trials: int, seed: int) -> list:
     checks = []
+    kinds = (("quasistatic", "golden-dv", ("fast",)),)
     for m in SUPPORTED_QAM_ORDERS:
-        alphabet = make_qam(m)
-        rng = make_rng(seed, 4, m)
-        always_two = 0
-        for _ in range(trials):
-            eff, y = _instance(rng, alphabet, "quasistatic", _SORTS_SNR[m])
-            result = decoders.decode_fast_golden(eff, y, alphabet)
-            always_two += int(result.full_sorts == 2)
+        rounds = _decode_rounds(make_rng(seed, 4, m), make_qam(m), trials, (_SORTS_SNR[m],), kinds)
+        always_two = sum(results["fast"].full_sorts == 2 for _, results in rounds)
         checks.append(
             _check(f"sorts fast M={m} fraction with exactly 2", always_two / trials, 1.0, ">=")
         )
-    alphabet = make_qam(64)
-    rng = make_rng(seed, 4, 0)
-    above = 0
     probes = max(1, trials // 4)
-    for _ in range(probes):
-        eff, y = _instance(rng, alphabet, "quasistatic", 20.0)
-        result = decoders.decode_sphere_conventional(eff, y, alphabet)
-        above += int(result.full_sorts > 2)
+    kinds = (("quasistatic", "golden-dv", ("sphere",)),)
+    rounds = _decode_rounds(make_rng(seed, 4, 0), make_qam(64), probes, (20.0,), kinds)
+    above = sum(results["sphere"].full_sorts > 2 for _, results in rounds)
     checks.append(
         _check("sorts conventional 64-QAM fraction above 2", above / probes, 0.0, ">")
     )

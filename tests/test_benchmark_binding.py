@@ -35,5 +35,9 @@ def test_tracer_binds_every_boundary(monkeypatch):
         keys = [span[4] for span in tracer.spans
                 if span[0] == "channel.make_rng" and span[3] == index]
         assert keys == [(0, trial) for trial in range(4)]
+        # the sweep's stacked QR is traced: one matrix per trial, directly under run_sweep
+        factored = [span[5] for span in tracer.spans
+                    if span[0] == "matrixkit.qr_decompose" and span[3] == index]
+        assert sum(factored) == 4
     structured = [span for span in tracer.spans if span[0] == "matrixkit.qr_golden_structured"]
     assert sum(span[5] for span in structured) == tracer.channels_sampled() == 12

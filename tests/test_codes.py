@@ -248,52 +248,27 @@ def test_min_determinant_alphabet_independence():
 
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
 def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
+    """A stacked effective_matrix and a stacked qr_decompose, as a sweep chunk
+    makes them, equal one channel's own build and QR bit for bit."""
     for model, rho in (("quasistatic", None), ("rapid", None), ("markov", 0.9)):
         realizations = [st.sample_channel(rng, model, rho) for _ in range(40)]
         stacked = st.effective_matrix(np.stack([ch.h for ch in realizations]), variant)
-        for ch, eff in zip(realizations, st.codes.factored_channels(stacked, variant)[0]):
+        factors = qr_decompose(stacked)
+        for k, ch in enumerate(realizations):
             single = st.effective_channel(ch, variant)
-            factors = qr_decompose(single.h)
-            assert np.array_equal(single.factors.q, factors.q)
-            assert np.array_equal(single.factors.r, factors.r)
-            assert eff.variant == variant and eff.conjugated == single.conjugated
-            assert np.array_equal(eff.h, single.h)
-            assert np.array_equal(eff.factors.q, factors.q)
-            assert np.array_equal(eff.factors.r, factors.r)
-
-
-def test_factored_channels_own_their_factors(rng):
-    matrices = st.effective_matrix(st.sample_channels(rng, "rapid", 3), "golden-dv")
-    built = matrices[0].copy()
-    channels, factors = st.codes.factored_channels(matrices, "golden-dv")
-    eff = channels[0]
-    matrices[0] = 0.0  # the caller's array is copied, not shared
-    assert np.array_equal(eff.h, built)
-    assert np.shares_memory(eff.factors.r, factors.r)  # each channel holds a row of the stack
-    for array in (eff.h, eff.factors.q, eff.factors.r, factors.q[0], factors.r[0]):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
-    with pytest.raises(TypeError):
-        st.EffectiveChannel(h=eff.h, variant="golden-dv", factors=eff.factors)
-    with pytest.raises(ValueError, match=r"\(n, 4, 4\)"):
-        st.codes.factored_channels(matrices[0], "golden-dv")
-    with pytest.raises(ValueError, match="degenerate"):
-        st.codes.factored_channels(np.zeros((2, 4, 4)), "golden-dv")
+            alone = qr_decompose(single.h)
+            assert np.array_equal(stacked[k], single.h)
+            assert np.array_equal(factors.q[k], alone.q)
+            assert np.array_equal(factors.r[k], alone.r)
 
 
 def test_effective_channel_copies_the_callers_matrix(rng):
     built = st.effective_matrix(st.sample_channel(rng, "rapid").h, "golden-dv")
-    factors = qr_decompose(built)
     caller = built.copy()
     eff = st.EffectiveChannel(h=caller, variant="golden-dv")
-    caller[0, 0] = 7.0  # before the factors are first read
-    assert np.array_equal(eff.factors.q, factors.q)
-    assert np.array_equal(eff.factors.r, factors.r)
-    caller[1, 1] = 5.0  # and after
+    caller[0, 0] = 7.0
     assert np.array_equal(eff.h, built)
-    assert np.array_equal(eff.factors.r, factors.r)
-    for array in (eff.h, eff.factors.q, eff.factors.r):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        eff.h[0, 0] = 1.0
     with pytest.raises(ValueError, match="4x4"):
         st.EffectiveChannel(h=np.eye(3), variant="golden-dv")

@@ -6,7 +6,7 @@ import pytest
 import stcsim as st
 from stcsim import decoders as dec
 from stcsim.constellation import slice_pam
-from stcsim.matrixkit import qr_decompose
+from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 from conftest import (
     random_alamouti_instance,
@@ -474,41 +474,35 @@ def test_radius_equals_cost_and_monotone_updates(rng):
     assert abs(ra.cost - recompute_cost(effa, ya, ra.x_hat)) <= 1e-9
 
 
-def _decode_all(eff, y, alphabet):
-    """Every decoder and column order a golden or Alamouti channel admits."""
-    if eff.variant == "overlaid-alamouti":
-        calls = [lambda e: dec.decode_alamouti_fast(e, y, alphabet)]
-    else:
-        blast = dec.blast_ordering(eff, allowed=dec.FAST_PERMUTATIONS)
-        calls = [
-            lambda e: dec.decode_fast_golden(e, y, alphabet),
-            lambda e: dec.decode_fast_golden(e, y, alphabet, perm=blast),
-            lambda e: dec.decode_fast_golden(e, y, alphabet, perm=(1, 0, 3, 2)),
-        ]
-    calls += [
-        lambda e: dec.decode_exhaustive(e, y, alphabet),
-        lambda e: dec.decode_sphere_conventional(e, y, alphabet),
-        lambda e: dec.decode_sphere_conventional(e, y, alphabet, ordering="blast"),
-    ]
-    return [call(eff) for call in calls]
+def _received(rng, matrices, alphabet, variant, snrs_db):
+    """Noisy received stacks for stacked matrices, one SNR per matrix."""
+    idx = rng.integers(0, alphabet.size, (len(matrices), 4))
+    noise = [st.codes.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr)), variant)
+             for snr in snrs_db]
+    return (matrices @ alphabet.symbols[idx][..., None])[..., 0] + np.array(noise)
 
 
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
 def test_decoders_identical_with_and_without_attached_factors(rng, variant):
+    """A batch decode (one stacked build and prologue, each decode handed its
+    row) equals every channel built and decoded alone, for each registry
+    decoder of the variant under both orderings."""
     alphabet = st.make_qam(16)
+    names = [name for name, entry in st.harness.DECODERS.items() if variant in entry.code_variants]
     for snr_db in (0.0, 8.0, 16.0, 24.0):
         chs = [st.sample_channel(rng, "quasistatic") for _ in range(6)]
         stacked = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
-        for ch, factored in zip(chs, st.codes.factored_channels(stacked, variant)[0]):
-            plain = st.effective_channel(ch, variant)
-            idx = rng.integers(0, alphabet.size, 4)
-            y = plain.h @ alphabet.symbols[idx] + plain.stack(
-                st.sample_noise(rng, st.snr_to_n0(snr_db))
-            )
-            for a, b in zip(_decode_all(plain, y, alphabet), _decode_all(factored, y, alphabet)):
-                assert (a.indices, a.cost, a.nodes_visited, a.full_sorts) == (
-                    b.indices, b.cost, b.nodes_visited, b.full_sorts
-                )
+        y = _received(rng, stacked, alphabet, variant, [snr_db] * len(chs))
+        for ordering in st.harness.ORDERING_MODES:
+            decoded = st.harness._decode_stack(stacked, y, variant, alphabet, names, ordering)
+            for k, ch in enumerate(chs):
+                plain = st.effective_channel(ch, variant)
+                for name in names:
+                    a = st.harness.DECODERS[name].call(plain, y[k], alphabet, ordering)
+                    b, _ = decoded[name][k]
+                    assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts,
+                            a.permutation_used) == (b.indices, repr(b.cost), b.nodes_visited,
+                                                    b.full_sorts, b.permutation_used)
 
 
 @pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)
@@ -525,16 +519,13 @@ def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
 
 
 def _chunk(rng, variant, model, m, count=8):
-    """A sweep-like stack: factored channels and noisy received stacks at 0 to 21 dB."""
+    """A sweep-like stack: channels, their matrices and noisy received stacks at 0 to 21 dB."""
     alphabet = st.make_qam(m)
     chs = [st.sample_channel(rng, model) for _ in range(count)]
     matrices = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
-    channels, factors = st.codes.factored_channels(matrices, variant)
-    idx = rng.integers(0, m, (count, 4))
-    noise = [st.codes.stack_samples(st.sample_noise(rng, st.snr_to_n0(3.0 * k)), variant)
-             for k in range(count)]
-    y = (matrices @ alphabet.symbols[idx][..., None])[..., 0] + np.array(noise)
-    return alphabet, channels, factors, y
+    channels = [st.EffectiveChannel(h=h, variant=variant) for h in matrices]
+    y = _received(rng, matrices, alphabet, variant, [3.0 * k for k in range(count)])
+    return alphabet, channels, matrices, y
 
 
 def _reference_sorts(variant, alphabet, r, z):
@@ -561,17 +552,19 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
     alamouti = variant == "overlaid-alamouti"
     sorts = dec.alamouti_sorts if alamouti else dec.fast_golden_sorts
     decode = dec.decode_alamouti_fast if alamouti else dec.decode_fast_golden
-    alphabet, channels, factors, y = _chunk(rng, variant, model, m)
-    z, rows = dec.triangular_rows(factors, y)
-    sorted_rows = sorts(alphabet, factors.r, z)
+    alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
+    r_stack, z, rows = dec.triangular_rows(matrices, y)
+    sorted_rows = sorts(alphabet, r_stack, z)
     for eff, received, row, sorted_row in zip(channels, y, rows, sorted_rows):
         prepared = row + sorted_row
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
         single = dec._prepared_row(eff, received, dec.IDENTITY_PERMUTATION, None, alphabet, sorts)
         assert repr(prepared) == repr(single)
-        r = eff.factors.r.tolist()
-        z_alone = (eff.factors.q.conj().T @ received).tolist()
-        assert repr(row) == repr((r, z_alone, True))
+        factors = qr_decompose(eff.h)
+        r = factors.r.tolist()
+        z_alone = (factors.q.conj().T @ received).tolist()
+        assert repr(row) == repr((r, z_alone, True, float(frobenius_norm(factors.r))))
+        assert row[3] == pytest.approx(float(frobenius_norm(eff.h)), rel=1e-14)
         assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
 
         for call, arg in ((decode, prepared), (dec.decode_sphere_conventional, row)):
@@ -591,11 +584,11 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_prepared_row_keeps_the_decoders_checks(rng):
-    alphabet, channels, factors, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=2)
+    alphabet, channels, matrices, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=2)
     y[1, 2] = math.nan
-    z, rows = dec.triangular_rows(factors, y)
+    r, z, rows = dec.triangular_rows(matrices, y)
     assert [row[2] for row in rows] == [True, False]
-    prepared = [row + s for row, s in zip(rows, dec.fast_golden_sorts(alphabet, factors.r, z))]
+    prepared = [row + s for row, s in zip(rows, dec.fast_golden_sorts(alphabet, r, z))]
     with pytest.raises(ValueError, match="non-finite received stack"):
         dec.decode_fast_golden(channels[1], y[1], alphabet, prepared=prepared[1])
     with pytest.raises(ValueError, match="non-finite received stack"):
@@ -605,3 +598,5 @@ def test_prepared_row_keeps_the_decoders_checks(rng):
     with pytest.raises(ValueError, match="natural column order"):
         dec.decode_sphere_conventional(channels[0], y[0], alphabet, ordering="blast",
                                        prepared=rows[0])
+    with pytest.raises(ValueError, match="degenerate"):
+        dec.triangular_rows(np.zeros((2, 4, 4)), y)

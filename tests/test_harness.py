@@ -56,6 +56,11 @@ def test_validation_rejects_bad_configs():
         small_config(decoders=("exhaustive",), modulation=256).validate()
     with pytest.raises(ValueError):
         small_config(ordering="sideways").validate()
+    with pytest.raises(ValueError, match="repeat"):
+        small_config(decoders=("fast", "fast")).validate()
+    for field, value in (("trials", 2.5), ("modulation", 4.0), ("seed", 1.5), ("trials", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{field: value}).validate()
 
 
 def test_validation_rejects_negative_seed():
@@ -220,11 +225,15 @@ def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
         calls.append(np.shape(h))
         return qr_decompose(h)
 
-    monkeypatch.setattr(st.codes, "qr_decompose", counting)
+    unblocked = run_verification("mlequiv", 6, seed=5)
     monkeypatch.setattr(st.decoders, "qr_decompose", counting)
-    assert run_verification("mlequiv", 6, seed=5).passed
-    # 7 rounds (6 at 4-QAM, 1 at 16-QAM), three decoded channels each
-    assert calls == [(4, 4)] * 21
+    monkeypatch.setattr(harness, "MAX_CHUNK", 4)
+    report = run_verification("mlequiv", 6, seed=5)
+    assert report.passed
+    assert [c.measured for c in report.checks] == [c.measured for c in unblocked.checks]
+    # 7 rounds (6 at 4-QAM in blocks of 4 and 2, 1 at 16-QAM), three instance
+    # kinds each: one stacked QR per kind per block, 21 matrices in total
+    assert calls == [(4, 4, 4)] * 3 + [(2, 4, 4)] * 3 + [(1, 4, 4)] * 3
 
 
 @pytest.mark.parametrize(
