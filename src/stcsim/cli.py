@@ -111,7 +111,7 @@ def _decode_command(path: str) -> int:
     else:
         eff = codes.EffectiveChannel(h=_complex_array(data, "H", (4, 4)), variant=code)
     y = eff.stack(_complex_array(data, "y", (4,)))
-    result = entry.call(eff, y, alphabet, "none")
+    result = entry.call(eff, y, alphabet)
 
     print("indices:", " ".join(str(i) for i in result.indices))
     print(f"cost: {result.cost:.12g}")

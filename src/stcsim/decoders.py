@@ -28,6 +28,10 @@ sorts of every trial of a stack at once. A batch of decodes runs these once
 per stack and passes each decode its trial's row (``prepared``); a call
 without one runs the same functions on a stack of one.
 
+A decoder decodes the matrix it is given, in its column order, and reports
+x_hat in that order; a detection order (``blast_ordering``) is chosen before
+decoding, and the caller permutes the columns and maps the decision back.
+
 The fast golden and fast Alamouti decoders share one best-first
 trailing-pair walk, ``_walk_pairs``, which owns the trailing stage's
 visiting order, its pruning and its node count; each decoder supplies only
@@ -76,8 +80,6 @@ FAST_PERMUTATIONS = (
     (3, 2, 1, 0),
 )
 
-IDENTITY_PERMUTATION = (0, 1, 2, 3)
-
 # Raised when y and H are finite but no candidate's squared distance is.
 COST_OVERFLOW = "cost overflowed: no candidate has a finite squared distance ||y - Hx||^2"
 
@@ -91,7 +93,6 @@ class DecodeResult:
     cost: float
     nodes_visited: int
     full_sorts: int
-    permutation_used: tuple
 
 
 # Entries of R that a fast decoder's structure needs to vanish may be at most
@@ -170,41 +171,26 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
     return list(zip(*(part.tolist() for part in sort4 + sort3)))
 
 
-def _prepared_row(eff, y, perm, prepared, alphabet=None, sorts=None) -> tuple:
+def _prepared_row(eff, y, prepared, alphabet=None, sorts=None) -> tuple:
     """The decoder's row: ``prepared``, or a stack of one through the same prologue.
 
-    Without ``prepared``, ``triangular_rows`` factors ``eff.h`` in the column
-    order ``perm``; ``sorts`` (one of the stacked sort functions) then
-    appends the trial's sorted lists.
+    Without ``prepared``, ``triangular_rows`` factors ``eff.h``; ``sorts``
+    (one of the stacked sort functions) then appends the trial's sorted lists.
 
     Returns:
         ``(r, z, finite, norm, *sorted_lists)`` as ``triangular_rows`` and
         ``sorts`` give them.
 
     Raises:
-        ValueError: if ``eff.h`` or ``y`` is not finite, or a prepared row is
-            passed with a permuted column order.
+        ValueError: if ``eff.h`` or ``y`` is not finite.
     """
     if prepared is None:
-        r, z, (prepared,) = triangular_rows(
-            eff.h[None][..., perm], np.asarray(y, dtype=complex)[None]
-        )
+        r, z, (prepared,) = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
         if sorts is not None and prepared[2]:
             prepared += sorts(alphabet, r, z)[0]
-    elif perm != IDENTITY_PERMUTATION:
-        raise ValueError("a prepared row holds the natural column order only")
     if not prepared[2]:
         raise ValueError("non-finite received stack y")
     return prepared
-
-
-def _unpermute(perm, symbols, indices):
-    x = np.empty(4, dtype=complex)
-    idx = [0, 0, 0, 0]
-    for pos, col in enumerate(perm):
-        x[col] = symbols[pos]
-        idx[col] = indices[pos]
-    return x, tuple(idx)
 
 
 def decode_exhaustive(
@@ -260,7 +246,6 @@ def decode_exhaustive(
         cost=best_cost,
         nodes_visited=m ** 4,
         full_sorts=0,
-        permutation_used=IDENTITY_PERMUTATION,
     )
 
 
@@ -379,7 +364,6 @@ def decode_fast_golden(
     eff: EffectiveChannel,
     y: np.ndarray,
     alphabet: QamAlphabet,
-    perm=None,
     prune: bool = True,
     *,
     prepared=None,
@@ -393,31 +377,23 @@ def decode_fast_golden(
     checked against a lower bound (each component's nearest x2, one node
     each, not counted again by the searches), and each real search runs
     inside the radius that the best total leaves. Correctness rests on the
-    leading and trailing diagonal blocks of R being real for golden channels
-    under the allowed column permutations.
+    leading and trailing diagonal blocks of R being real, which holds for a
+    golden channel with its columns in any order of FAST_PERMUTATIONS.
 
     Args:
-        perm: zero-based column order, one of FAST_PERMUTATIONS.
         prune: disable to force full enumeration (worst-case instrumentation).
         prepared: this trial's ``triangular_rows`` row followed by its
-            ``fast_golden_sorts`` row, for the natural column order; None
-            prepares a stack of one.
+            ``fast_golden_sorts`` row; None prepares a stack of one.
 
     Raises:
-        ValueError: when |Im r12| or |Im r34| of the permuted channel's R
-            exceeds STRUCTURE_TOLERANCE * ||H||_F, i.e. the matrix lacks the
-            golden structure whatever its label says.
+        ValueError: when |Im r12| or |Im r34| of R exceeds
+            STRUCTURE_TOLERANCE * ||H||_F, i.e. the matrix lacks the golden
+            structure whatever its label says, or its column order.
     """
     if eff.variant not in GOLDEN_VARIANTS:
         raise ValueError("fast golden decoder requires a golden-variant effective channel")
-    if perm is None:
-        perm = IDENTITY_PERMUTATION
-    perm = tuple(perm)
-    if perm not in FAST_PERMUTATIONS:
-        raise ValueError(f"permutation not fast-decodable: {perm!r}")
-
     r, z, _, norm, ord_re, m_re, ord_im, m_im = _prepared_row(
-        eff, y, perm, prepared, alphabet, fast_golden_sorts
+        eff, y, prepared, alphabet, fast_golden_sorts
     )
     _require_structure(
         norm, r[0][1].imag, r[2][3].imag,
@@ -461,26 +437,24 @@ def decode_fast_golden(
 
     best, best_pick, nodes = _walk_pairs(m_re, m_im, leading, prune)
     (x1r, i1r, x2r, i2r), (x1i, i1i, x2i, i2i), sk, sl = best_pick
-    symbols = (
+    x_hat = np.array((
         complex(x1r, x1i),
         complex(x2r, x2i),
         complex(sym_re[sk], sym_re[sl]),
         complex(sym_im[sk], sym_im[sl]),
-    )
+    ))
     indices = (
         alphabet.index_of(i1r, i1i),
         alphabet.index_of(i2r, i2i),
         alphabet.index_of(sk % pam.size, sl % pam.size),
         alphabet.index_of(sk // pam.size, sl // pam.size),
     )
-    x_hat, out_idx = _unpermute(perm, symbols, indices)
     return DecodeResult(
         x_hat=x_hat,
-        indices=out_idx,
+        indices=indices,
         cost=best,
         nodes_visited=nodes,
         full_sorts=2,
-        permutation_used=perm,
     )
 
 
@@ -531,7 +505,6 @@ def decode_sphere_conventional(
     eff: EffectiveChannel,
     y: np.ndarray,
     alphabet: QamAlphabet,
-    ordering: str = "none",
     prune: bool = True,
     *,
     prepared=None,
@@ -548,18 +521,10 @@ def decode_sphere_conventional(
     ordering counts as one full sort.
 
     Args:
-        ordering: "none" for natural column order, "blast" for the
-            weakest-last successive-selection permutation.
-        prepared: this trial's ``triangular_rows`` row, for ordering
-            "none"; None prepares a stack of one.
+        prepared: this trial's ``triangular_rows`` row; None prepares a
+            stack of one.
     """
-    if ordering == "none":
-        perm = IDENTITY_PERMUTATION
-    elif ordering == "blast":
-        perm = blast_ordering(eff)
-    else:
-        raise ValueError(f"unknown ordering mode: {ordering!r}")
-    r, z, _, _ = _prepared_row(eff, y, perm, prepared)
+    r, z, _, _ = _prepared_row(eff, y, prepared)
     sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
     values = alphabet.pam.values
@@ -628,14 +593,12 @@ def decode_sphere_conventional(
         raise ValueError(COST_OVERFLOW) from None
     if best_syms is None:
         raise ValueError(COST_OVERFLOW)
-    x_hat, out_idx = _unpermute(perm, best_syms, best_idx)
     return DecodeResult(
-        x_hat=x_hat,
-        indices=out_idx,
+        x_hat=np.array(best_syms),
+        indices=best_idx,
         cost=best,
         nodes_visited=nodes,
         full_sorts=sorts,
-        permutation_used=perm,
     )
 
 
@@ -666,7 +629,7 @@ def decode_alamouti_fast(
     if eff.variant != "overlaid-alamouti":
         raise ValueError("decoder requires an overlaid-alamouti effective channel")
     r, z, _, norm, order4, m4, order3, m3 = _prepared_row(
-        eff, y, IDENTITY_PERMUTATION, prepared, alphabet, alamouti_sorts
+        eff, y, prepared, alphabet, alamouti_sorts
     )
     _require_structure(norm, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
     r11, r22 = r[0][0].real, r[1][1].real
@@ -692,21 +655,20 @@ def decode_alamouti_fast(
         cost=best,
         nodes_visited=nodes,
         full_sorts=2,
-        permutation_used=IDENTITY_PERMUTATION,
     )
 
 
-def blast_ordering(h, allowed=None) -> tuple:
+def blast_ordering(h, allowed=None):
     """Detection-order permutation by successive weakest-last selection.
 
     Working from the detected-last position forward, each step picks the
     remaining column with the smallest norm orthogonal to the columns
     already placed (ties to the lowest index), which greedily maximizes the
-    minimum post-cancellation gain. The returned tuple is a column order;
-    its last entry is detected first.
+    minimum post-cancellation gain. The returned tuple is a column order
+    (for a stack, a list of one per matrix); its last entry is detected first.
 
     Args:
-        h: 4x4 effective matrix or an EffectiveChannel.
+        h: 4x4 effective matrix or an EffectiveChannel, or a stack (n, 4, 4).
         allowed: optional collection of permutations to restrict to; the
             selection criterion (largest minimum diagonal of R) is then
             evaluated over exactly those, which is how the fast decoder's
@@ -715,10 +677,13 @@ def blast_ordering(h, allowed=None) -> tuple:
     h = np.asarray(getattr(h, "h", h), dtype=complex)
     if allowed is not None:
         perms = [tuple(perm) for perm in allowed]
-        # h[:, perms] is (4, P, 4); one stacked QR scores every permutation.
-        r = qr_decompose(np.moveaxis(h[:, perms], 1, 0)).r
+        # h[..., perms] is (..., 4, P, 4); one stacked QR scores them all.
+        r = qr_decompose(np.moveaxis(h[..., perms], -2, -3)).r
         scores = np.diagonal(r, axis1=-2, axis2=-1).real.min(axis=-1)
-        return perms[int(np.argmax(scores))]  # first maximum, as in allowed's order
+        best = np.argmax(scores, axis=-1)  # first maximum, as in allowed's order
+        return perms[best] if h.ndim == 2 else [perms[i] for i in best.tolist()]
+    if h.ndim == 3:
+        return [blast_ordering(matrix) for matrix in h]
 
     scale = float(frobenius_norm(h))
     if not math.isfinite(scale):

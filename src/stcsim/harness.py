@@ -7,7 +7,8 @@ Philox streams keyed by (seed, point index, trial index), which makes the
 output independent of scheduling: serial and parallel runs emit identical
 CSV (wall-time columns excluded from that contract). Sweeps and the
 decoding verify suites share one batch-decode path, ``_decode_stack``, which
-runs the decoders' stacked prologue once per stack of instances.
+runs the decoders' stacked prologue once per stack of instances and column
+order; it is the only place that decides a column order.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -23,7 +24,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,14 +51,18 @@ ORDERING_MODES = ("none", "blast")
 
 @dataclass(frozen=True)
 class DecoderEntry:
-    """One decoder: its call, its stacked sorts and the setups it can decode.
+    """One decoder: its call, its stacked sorts, its BLAST column-order rule
+    and the setups it can decode.
 
-    ``call(eff, y, alphabet, ordering, prepared=None)`` returns a
-    DecodeResult; ``prepared`` is the instance's row of the stack's
-    prologue (tree decoders only), as ``_decode_stack`` passes it.
-    ``sorts(alphabet, r, z)``, when set, is the decoder's stacked sort
-    prologue. Both reach the decoders through this module's ``decoders``
-    attribute at call time, so rebinding that attribute reaches every caller.
+    ``call(eff, y, alphabet, prepared=None)`` decodes ``eff`` in its own
+    column order and returns a DecodeResult; ``prepared`` is the instance's
+    row of the stack's prologue (tree decoders only), as ``_decode_stack``
+    passes it. ``sorts(alphabet, r, z)``, when set, is the decoder's stacked
+    sort prologue. ``blast(matrices)``, when set, picks each matrix's column
+    order under ``--ordering blast``; a decoder without one decodes in the
+    natural order. All three reach the decoders through this module's
+    ``decoders`` attribute at call time, so rebinding that attribute reaches
+    every caller.
     """
 
     call: Callable
@@ -65,18 +70,12 @@ class DecoderEntry:
     quasistatic_only: bool = False
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
     sorts: Callable = None
-
-
-def _fast(eff, y, alphabet, ordering, prepared=None):
-    perm = decoders.IDENTITY_PERMUTATION
-    if ordering == "blast":
-        perm = decoders.blast_ordering(eff, allowed=decoders.FAST_PERMUTATIONS)
-    return decoders.decode_fast_golden(eff, y, alphabet, perm=perm, prepared=prepared)
+    blast: Callable = None
 
 
 DECODERS = {
     "alamouti": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_alamouti_fast(
+        call=lambda eff, y, alphabet, prepared=None: decoders.decode_alamouti_fast(
             eff, y, alphabet, prepared=prepared
         ),
         code_variants=("overlaid-alamouti",),
@@ -84,22 +83,27 @@ DECODERS = {
         sorts=lambda *args: decoders.alamouti_sorts(*args),
     ),
     "exhaustive": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_exhaustive(
-            eff, y, alphabet
-        ),
+        call=lambda eff, y, alphabet, prepared=None: decoders.decode_exhaustive(eff, y, alphabet),
         code_variants=codes.CODE_VARIANTS,
         capped=True,
     ),
     "fast": DecoderEntry(
-        call=_fast,
+        call=lambda eff, y, alphabet, prepared=None: decoders.decode_fast_golden(
+            eff, y, alphabet, prepared=prepared
+        ),
         code_variants=codes.GOLDEN_VARIANTS,
         sorts=lambda *args: decoders.fast_golden_sorts(*args),
+        # the best of the orders that keep R's diagonal blocks real
+        blast=lambda matrices: decoders.blast_ordering(
+            matrices, allowed=decoders.FAST_PERMUTATIONS
+        ),
     ),
     "sphere": DecoderEntry(
-        call=lambda eff, y, alphabet, ordering, prepared=None: decoders.decode_sphere_conventional(
-            eff, y, alphabet, ordering=ordering, prepared=prepared
+        call=lambda eff, y, alphabet, prepared=None: decoders.decode_sphere_conventional(
+            eff, y, alphabet, prepared=prepared
         ),
         code_variants=codes.CODE_VARIANTS,
+        blast=lambda matrices: decoders.blast_ordering(matrices),
     ),
 }
 DECODER_NAMES = tuple(DECODERS)
@@ -132,6 +136,12 @@ CSV_HEADER = (
 )
 
 
+def _require_integer(field: str, value) -> None:
+    """Reject a bool or non-integer count or seed (``True`` would run as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def _require_seed(seed: int) -> None:
     """Reject a seed the stream derivation (numpy's SeedSequence) cannot take."""
     if seed < 0:
@@ -157,9 +167,7 @@ class SweepConfig:
 
     def validate(self) -> None:
         for field in ("trials", "modulation", "seed"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+            _require_integer(field, getattr(self, field))
         _require_seed(self.seed)
         if self.code not in codes.CODE_VARIANTS:
             raise ValueError(f"unknown code variant: {self.code!r}")
@@ -256,34 +264,47 @@ def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
     """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
     (n, 4) ``received``, with every decoder in ``names``.
 
-    For the natural column order the decoders' prologue runs once on the
-    stack: one stacked QR and Q^H y (``decoders.triangular_rows``), shared by
-    every tree decoder, and one stacked pair of alphabet sorts per fast or
-    Alamouti decoder; each decode gets its instance's row. A BLAST ordering
-    permutes each instance differently, so its decoders prepare their own.
+    Under ``ordering`` "blast" each decoder with a BLAST rule decodes every
+    instance with its columns in the order that rule picks; every other
+    decoder decodes the natural order. The prologue runs once per stack and
+    column-order rule: the permuted channels, one stacked QR and Q^H y
+    (``decoders.triangular_rows``), shared by every tree decoder of that
+    order, and one stacked pair of alphabet sorts per fast or Alamouti
+    decoder; each decode gets its instance's row. Decisions are mapped back
+    to the natural column order here.
 
     Returns:
         Per decoder name, one ``(DecodeResult, time_ns)`` pair per instance:
         the decoder call plus an even share of its stacked sorts.
     """
-    channels = [codes.EffectiveChannel(h=h, variant=code) for h in matrices]
-    rows = [None] * len(channels)
-    if ordering == "none":
-        r, z, rows = decoders.triangular_rows(matrices, received)
+    prologues = {}  # column-order rule (None: natural) -> channels, r, z, rows, inverses
     decoded = {}
     for name in names:
         entry = DECODERS[name]
-        prepared = rows
+        rule = entry.blast if ordering == "blast" else None
+        if rule not in prologues:
+            ordered, inverse = matrices, [None] * len(matrices)
+            if rule is not None:
+                perms = np.array(rule(matrices))
+                ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
+                inverse = np.argsort(perms, axis=-1).tolist()
+            channels = [codes.EffectiveChannel(h=h, variant=code) for h in ordered]
+            prologues[rule] = (channels, *decoders.triangular_rows(ordered, received), inverse)
+        channels, r, z, prepared, inverse = prologues[rule]
         sort_ns = 0.0
-        if entry.sorts is not None and ordering == "none":
+        if entry.sorts is not None:
             start = time.perf_counter_ns()
-            prepared = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
-            sort_ns = (time.perf_counter_ns() - start) / len(rows)
+            prepared = [row + s for row, s in zip(prepared, entry.sorts(alphabet, r, z))]
+            sort_ns = (time.perf_counter_ns() - start) / len(prepared)
         out = decoded[name] = []
-        for eff, y, row in zip(channels, received, prepared):
+        for eff, y, row, inv in zip(channels, received, prepared, inverse):
             start = time.perf_counter_ns()
-            result = entry.call(eff, y, alphabet, ordering, row)
-            out.append((result, time.perf_counter_ns() - start + sort_ns))
+            result = entry.call(eff, y, alphabet, row)
+            elapsed = time.perf_counter_ns() - start + sort_ns
+            if inv is not None:
+                indices = tuple(result.indices[i] for i in inv)
+                result = replace(result, x_hat=result.x_hat[inv], indices=indices)
+            out.append((result, elapsed))
     return decoded
 
 
@@ -295,8 +316,8 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     normals (skipped when noise-free). Pass 2 works on the whole chunk at
     once: it converts the normals into channels and noise, builds the
     effective matrices and the received stacks, and decodes them as one
-    stack (``_decode_stack``), so every decoder of a trial shares that
-    trial's prologue.
+    stack (``_decode_stack``), so the decoders of a trial that decode the
+    same column order share that trial's prologue.
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
@@ -411,18 +432,6 @@ def emit_csv(report: SweepReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Verification suites
 # ---------------------------------------------------------------------------
-
-VERIFICATION_SUITES = ("theorem1", "mlequiv", "sorts", "alamouti", "mindet", "qr-agree")
-
-_SUITE_DEFAULT_TRIALS = {
-    "theorem1": 100_000,
-    "mlequiv": 2_000,
-    "sorts": 200,
-    "alamouti": 100_000,
-    "mindet": 0,
-    "qr-agree": 10_000,
-}
-
 
 @dataclass(frozen=True)
 class VerificationCheck:
@@ -699,14 +708,16 @@ def _suite_mindet(trials: int, seed: int) -> list:
     ]
 
 
-_SUITE_RUNNERS = {
-    "theorem1": _suite_theorem1,
-    "mlequiv": _suite_mlequiv,
-    "sorts": _suite_sorts,
-    "alamouti": _suite_alamouti,
-    "mindet": _suite_mindet,
-    "qr-agree": _suite_qr_agree,
+# Suite name -> (runner, default trials).
+_SUITES = {
+    "theorem1": (_suite_theorem1, 100_000),
+    "mlequiv": (_suite_mlequiv, 2_000),
+    "sorts": (_suite_sorts, 200),
+    "alamouti": (_suite_alamouti, 100_000),
+    "mindet": (_suite_mindet, 0),
+    "qr-agree": (_suite_qr_agree, 10_000),
 }
+VERIFICATION_SUITES = tuple(_SUITES)
 
 
 def run_verification(suite: str, trials: int = None, seed: int = 0) -> VerificationReport:
@@ -715,15 +726,19 @@ def run_verification(suite: str, trials: int = None, seed: int = 0) -> Verificat
     Failures are report content, not exceptions.
 
     Raises:
-        ValueError: unknown suite, a negative seed, or fewer than one trial
-            for a suite that samples (every suite but mindet).
+        ValueError: unknown suite, a ``trials`` or ``seed`` that is a bool or
+            not an integer, a negative seed, or fewer than one trial for a
+            suite that samples (every suite but mindet).
     """
     if suite not in VERIFICATION_SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
-    _require_seed(seed)
+    runner, default_trials = _SUITES[suite]
     if trials is None:
-        trials = _SUITE_DEFAULT_TRIALS[suite]
+        trials = default_trials
+    _require_integer("trials", trials)
+    _require_integer("seed", seed)
+    _require_seed(seed)
     if suite != "mindet" and trials < 1:
         raise ValueError("trials must be at least 1")
-    checks = _SUITE_RUNNERS[suite](trials, seed)
+    checks = runner(trials, seed)
     return VerificationReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

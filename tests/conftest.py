@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,13 +67,12 @@ def sorted_pam_list(x, pam):
     return out
 
 
-def reference_sphere_decode(eff, y, alphabet, ordering="none", prune=True):
+def reference_sphere_decode(eff, y, alphabet, prune=True):
     """Reference four-level sphere decoder: the numpy child ordering that
     ``decoders.decode_sphere_conventional`` replaced. Each expanded node
     computes all M child metrics and visits them in ``np.argsort(...,
     kind="stable")`` order; everything else is the decoder's own."""
-    perm = dec.blast_ordering(eff) if ordering == "blast" else dec.IDENTITY_PERMUTATION
-    r, z, _, _ = dec._prepared_row(eff, y, perm, None)
+    r, z, _, _ = dec._prepared_row(eff, y, None)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]
@@ -117,12 +117,34 @@ def reference_sphere_decode(eff, y, alphabet, ordering="none", prune=True):
             expand(level - 1, cum)
 
     expand(3, 0.0)
-    x_hat, indices = dec._unpermute(perm, best_syms, best_idx)
     return dec.DecodeResult(
-        x_hat=x_hat,
-        indices=indices,
+        x_hat=np.array(best_syms),
+        indices=best_idx,
         cost=best,
         nodes_visited=nodes,
         full_sorts=sorts,
-        permutation_used=perm,
     )
+
+
+def permuted(eff, perm):
+    """``eff`` with its columns in the order ``perm``."""
+    return st.EffectiveChannel(h=eff.h[:, list(perm)], variant=eff.variant)
+
+
+def decode_alone(name, eff, y, alphabet, ordering):
+    """Reference for one registry decode of one channel under ``ordering``:
+    with "blast" the fast decoder takes the best of its eight column orders
+    and the sphere decoder the greedy order, each picked for this channel
+    alone, and the decision is mapped back to the natural column order."""
+    perm = (0, 1, 2, 3)
+    if ordering == "blast" and name == "fast":
+        perm = dec.blast_ordering(eff.h, allowed=dec.FAST_PERMUTATIONS)
+    elif ordering == "blast" and name == "sphere":
+        perm = dec.blast_ordering(eff.h)
+    result = st.harness.DECODERS[name].call(permuted(eff, perm), y, alphabet)
+    x_hat = np.empty(4, dtype=complex)
+    indices = [0] * 4
+    for pos, col in enumerate(perm):
+        x_hat[col] = result.x_hat[pos]
+        indices[col] = result.indices[pos]
+    return dataclasses.replace(result, x_hat=x_hat, indices=tuple(indices))

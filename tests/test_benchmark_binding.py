@@ -41,3 +41,21 @@ def test_tracer_binds_every_boundary(monkeypatch):
         assert sum(factored) == 4
     structured = [span for span in tracer.spans if span[0] == "matrixkit.qr_golden_structured"]
     assert sum(span[5] for span in structured) == tracer.channels_sampled() == 12
+
+
+def test_tracer_cost_check_holds_for_reordered_decodes(monkeypatch):
+    """Under ``--ordering blast`` the decoders get channels with permuted
+    columns; the tracer's ``eff.h @ x_hat`` cost check must still agree."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("STC_THREADS", "1")
+    from tracer import Tracer
+
+    tracer = Tracer()
+    cfg = harness.SweepConfig(code="golden-dv", decoders=("fast", "sphere"), modulation=16,
+                              channel="rapid", snr_start=6.0, snr_stop=12.0, snr_step=6.0,
+                              trials=20, seed=2, ordering="blast")
+    with tracer.installed():
+        harness.run_sweep(cfg)
+    assert tracer.cost_mismatch == {} and tracer.raised == {}
+    spans = {span[0] for span in tracer.spans}
+    assert {"decoders.fast", "decoders.sphere"} <= spans

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from stcsim.constellation import slice_pam
 from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 from conftest import (
+    decode_alone,
+    permuted,
     random_alamouti_instance,
     random_golden_instance,
     recompute_cost,
@@ -87,13 +90,17 @@ def test_fast_matches_exhaustive(rng, m):
 
 def test_fast_all_allowed_permutations_are_exact(rng):
     alphabet = st.make_qam(4)
+    others = set(itertools.permutations(range(4))) - set(dec.FAST_PERMUTATIONS)
     for _ in range(25):
         eff, y, _, _ = random_golden_instance(rng, 4, model="rapid", snr_db=6.0)
         ref = dec.decode_exhaustive(eff, y, alphabet).cost
         for perm in dec.FAST_PERMUTATIONS:
-            r = dec.decode_fast_golden(eff, y, alphabet, perm=perm)
+            r = dec.decode_fast_golden(permuted(eff, perm), y, alphabet)
             assert abs(r.cost - ref) <= 1e-9
-            assert r.permutation_used == perm
+        # any other column order loses the real diagonal blocks of R
+        for perm in others:
+            with pytest.raises(ValueError, match="golden structure"):
+                dec.decode_fast_golden(permuted(eff, perm), y, alphabet)
 
 
 def _exhaustive_per_leading_symbol(eff, y, alphabet):
@@ -167,8 +174,6 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
 
 def test_fast_rejects_bad_inputs(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
-    with pytest.raises(ValueError, match="not fast-decodable"):
-        dec.decode_fast_golden(eff, y, alphabet, perm=(0, 2, 1, 3))
     al = st.effective_channel(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
     with pytest.raises(ValueError, match="golden-variant"):
         dec.decode_fast_golden(al, y, alphabet)
@@ -244,8 +249,8 @@ def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
             rng, 4, model=("quasistatic", "rapid")[t % 2], snr_db=float(5 + (t % 3) * 7)
         )
         ref = dec.decode_exhaustive(eff, y, alphabet)
-        plain = dec.decode_sphere_conventional(eff, y, alphabet, ordering="none")
-        blast = dec.decode_sphere_conventional(eff, y, alphabet, ordering="blast")
+        plain = dec.decode_sphere_conventional(eff, y, alphabet)
+        blast = dec.decode_sphere_conventional(permuted(eff, dec.blast_ordering(eff)), y, alphabet)
         assert abs(plain.cost - ref.cost) <= 1e-9
         assert abs(blast.cost - ref.cost) <= 1e-9
         assert abs(plain.cost - recompute_cost(eff, y, plain.x_hat)) <= 1e-9
@@ -318,21 +323,16 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
     # shows as a different decision or node count on a few percent of channels.
     alphabet = st.make_qam(m)
     for n, (eff, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
-        calls = [{}, {"ordering": "blast"}] + ([{"prune": False}] if n < unpruned else [])
-        for kwargs in calls:
-            got = dec.decode_sphere_conventional(eff, y, alphabet, **kwargs)
-            ref = reference_sphere_decode(eff, y, alphabet, **kwargs)
+        calls = [(eff, {}), (permuted(eff, dec.blast_ordering(eff)), {})]
+        if n < unpruned:
+            calls.append((eff, {"prune": False}))
+        for channel, kwargs in calls:
+            got = dec.decode_sphere_conventional(channel, y, alphabet, **kwargs)
+            ref = reference_sphere_decode(channel, y, alphabet, **kwargs)
             assert got.indices == ref.indices
             assert got.cost.hex() == ref.cost.hex()
             assert (got.nodes_visited, got.full_sorts) == (ref.nodes_visited, ref.full_sorts)
             assert got.x_hat.tobytes() == ref.x_hat.tobytes()
-            assert got.permutation_used == ref.permutation_used
-
-
-def test_sphere_rejects_unknown_ordering(rng):
-    eff, y, alphabet, _ = random_golden_instance(rng, 4)
-    with pytest.raises(ValueError, match="ordering"):
-        dec.decode_sphere_conventional(eff, y, alphabet, ordering="wat")
 
 
 def test_alamouti_fast_matches_exhaustive(rng):
@@ -398,9 +398,9 @@ def test_non_finite_input_raises(rng, name, bad, where):
     eff = st.EffectiveChannel(h=h, variant=variant)
     with pytest.raises(ValueError, match="finite"):
         decode(eff, y, alphabet)
-    if name == "sphere":
+    for ordering in st.harness.ORDERING_MODES:  # the column order is picked first
         with pytest.raises(ValueError, match="finite"):
-            decode(eff, y, alphabet, ordering="blast")
+            st.harness._decode_stack(h[None], y[None], variant, alphabet, (name,), ordering)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -484,9 +484,10 @@ def _received(rng, matrices, alphabet, variant, snrs_db):
 
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
 def test_decoders_identical_with_and_without_attached_factors(rng, variant):
-    """A batch decode (one stacked build and prologue, each decode handed its
-    row) equals every channel built and decoded alone, for each registry
-    decoder of the variant under both orderings."""
+    """A batch decode (one stacked build, column-order choice and prologue,
+    each decode handed its row) equals every channel built, ordered and
+    decoded alone, for each registry decoder of the variant under both
+    orderings."""
     alphabet = st.make_qam(16)
     names = [name for name, entry in st.harness.DECODERS.items() if variant in entry.code_variants]
     for snr_db in (0.0, 8.0, 16.0, 24.0):
@@ -498,16 +499,18 @@ def test_decoders_identical_with_and_without_attached_factors(rng, variant):
             for k, ch in enumerate(chs):
                 plain = st.effective_channel(ch, variant)
                 for name in names:
-                    a = st.harness.DECODERS[name].call(plain, y[k], alphabet, ordering)
+                    a = decode_alone(name, plain, y[k], alphabet, ordering)
                     b, _ = decoded[name][k]
-                    assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts,
-                            a.permutation_used) == (b.indices, repr(b.cost), b.nodes_visited,
-                                                    b.full_sorts, b.permutation_used)
+                    assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
+                        b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
+                    )
+                    assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
 
 @pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)
 def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
     for model in ("quasistatic", "rapid", "markov"):
+        stack = []
         for _ in range(20):
             h = st.effective_channel(st.sample_channel(rng, model, 0.5), variant).h
             best_perm, best_score = None, -math.inf
@@ -516,6 +519,13 @@ def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
                 if score > best_score:
                     best_perm, best_score = perm, score
             assert dec.blast_ordering(h, allowed=dec.FAST_PERMUTATIONS) == best_perm
+            stack.append(h)
+        # a stack scores all its matrices' permutations at once, and each
+        # matrix gets the order it gets alone; so does the greedy rule
+        stack = np.array(stack)
+        for allowed in (dec.FAST_PERMUTATIONS, None):
+            alone = [dec.blast_ordering(h, allowed=allowed) for h in stack]
+            assert dec.blast_ordering(stack, allowed=allowed) == alone
 
 
 def _chunk(rng, variant, model, m, count=8):
@@ -558,7 +568,7 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
     for eff, received, row, sorted_row in zip(channels, y, rows, sorted_rows):
         prepared = row + sorted_row
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
-        single = dec._prepared_row(eff, received, dec.IDENTITY_PERMUTATION, None, alphabet, sorts)
+        single = dec._prepared_row(eff, received, None, alphabet, sorts)
         assert repr(prepared) == repr(single)
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()
@@ -593,10 +603,5 @@ def test_prepared_row_keeps_the_decoders_checks(rng):
         dec.decode_fast_golden(channels[1], y[1], alphabet, prepared=prepared[1])
     with pytest.raises(ValueError, match="non-finite received stack"):
         dec.decode_sphere_conventional(channels[1], y[1], alphabet, prepared=rows[1])
-    with pytest.raises(ValueError, match="natural column order"):
-        dec.decode_fast_golden(channels[0], y[0], alphabet, perm=(1, 0, 3, 2), prepared=prepared[0])
-    with pytest.raises(ValueError, match="natural column order"):
-        dec.decode_sphere_conventional(channels[0], y[0], alphabet, ordering="blast",
-                                       prepared=rows[0])
     with pytest.raises(ValueError, match="degenerate"):
         dec.triangular_rows(np.zeros((2, 4, 4)), y)

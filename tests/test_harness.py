@@ -17,6 +17,8 @@ from stcsim.harness import (
 )
 from stcsim.matrixkit import qr_decompose
 
+from conftest import decode_alone
+
 
 def small_config(**kw):
     base = dict(
@@ -218,6 +220,22 @@ def test_verification_rejects_trials_below_one(suite, trials):
         run_verification(suite, trials)
 
 
+@pytest.mark.parametrize(
+    "suite, args, field",
+    (
+        ("mlequiv", (True,), "trials"),
+        ("theorem1", (2.5,), "trials"),
+        ("mindet", (0.0,), "trials"),
+        ("sorts", (2, True), "seed"),
+        ("qr-agree", (12, 1.5), "seed"),
+        ("mindet", (None, "1"), "seed"),
+    ),
+)
+def test_verification_rejects_non_integer_trials_and_seed(suite, args, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_verification(suite, *args)
+
+
 def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
     calls = []
 
@@ -237,14 +255,25 @@ def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    (dict(decoders=("fast", "sphere")), dict(decoders=("exhaustive", "fast")),
-     dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16)),
-    ids=("fast-sphere", "exhaustive-fast", "alamouti-sphere"),
+    "overrides, orders, qrs",
+    (
+        (dict(decoders=("fast", "sphere")), 1, 1),
+        (dict(decoders=("exhaustive", "fast")), 1, 1),
+        (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16), 1, 1),
+        # one prologue per column-order rule: fast's best of eight (one more
+        # stacked QR scores them), sphere's greedy one, the natural one
+        (dict(decoders=("fast", "sphere"), ordering="blast"), 2, 3),
+        (dict(decoders=("exhaustive", "fast"), ordering="blast"), 2, 3),
+        (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
+              ordering="blast"), 2, 2),
+    ),
+    ids=("fast-sphere", "exhaustive-fast", "alamouti-sphere", "fast-sphere-blast",
+         "exhaustive-fast-blast", "alamouti-sphere-blast"),
 )
-def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides):
+def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides, orders, qrs):
     formed = []
     sorts = []
+    factored = []
     triangular_rows = st.decoders.triangular_rows
     sort_alphabet_by_metric = st.decoders.sort_alphabet_by_metric
 
@@ -256,12 +285,21 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides
         sorts.append(alphabet.size)
         return sort_alphabet_by_metric(alphabet, metric)
 
+    def counting_qr(h):
+        factored.append(np.shape(h)[:-2])
+        return qr_decompose(h)
+
     monkeypatch.setattr(st.decoders, "triangular_rows", counting_rows)
     monkeypatch.setattr(st.decoders, "sort_alphabet_by_metric", counting_sorts)
+    monkeypatch.setattr(st.decoders, "qr_decompose", counting_qr)
     monkeypatch.setenv("STC_THREADS", "1")
     run_sweep(small_config(trials=40, snr_stop=2.0, **overrides))  # 2 points x chunks of 32 + 8
-    # Q^H y once per trial for every decoder of it, one stacked matmul per chunk
-    assert formed == [32, 8] * 2
+    # Q^H y once per trial and column order for every decoder of it, one
+    # stacked matmul per chunk and order
+    assert formed == ([32] * orders + [8] * orders) * 2
+    # a fixed number of stacked QRs per chunk, none per trial
+    assert len(factored) == qrs * 4
+    assert all(shape[0] in (32, 8) for shape in factored)
     # two sorts per chunk for the one fast or alamouti decoder, none per trial
     assert len(sorts) == 2 * 4
 
@@ -272,7 +310,7 @@ def test_verification_unknown_suite():
 
 
 def reference_rows(cfg):
-    """The sweep as a per-trial loop: each trial builds and factors its own channel."""
+    """The sweep as a per-trial loop: each trial builds, orders and factors its own channel."""
     alphabet = st.make_qam(cfg.modulation)
     rows = []
     for pi, snr in enumerate(cfg.snr_points()):
@@ -289,7 +327,7 @@ def reference_rows(cfg):
                 noise = eff.stack(st.sample_noise(rng, n0))
             y = eff.h @ alphabet.symbols[idx_true] + noise
             for name in cfg.decoders:
-                result = harness.DECODERS[name].call(eff, y, alphabet, cfg.ordering)
+                result = decode_alone(name, eff, y, alphabet, cfg.ordering)
                 acc[name]["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
                 acc[name]["nodes"].append(result.nodes_visited)
                 acc[name]["sorts"] += result.full_sorts
