@@ -67,12 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _complex_array(data, key, shape):
-    try:
-        arr = np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError):  # not numbers, or ragged nesting
-        arr = None
-    if arr is None or arr.shape != shape + (2,):
+    entries = np.asarray(data[key], dtype=object)  # ragged nesting shows in the shape
+    # JSON numbers only: a bool (type bool, not int) or a numeric string would convert too
+    if entries.shape != shape + (2,) or any(type(v) not in (int, float) for v in entries.flat):
         raise ValueError(f"expected nested [re, im] pairs of shape {shape} in {key!r}")
+    arr = entries.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite value in {key!r}")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -114,10 +114,10 @@ def _conjugated(variant: str) -> tuple:
 class EffectiveChannel:
     """4x4 effective channel of one code variant: a read-only record.
 
-    The variant fixes the receive stacking: ``conjugated[l]`` tells whether
-    the l-th stacked receive sample is the complex conjugate of the raw
-    sample. ``h`` is kept as a read-only complex copy of the caller's matrix.
-    Its QR belongs to the decoders' prologue (``decoders.triangular_rows``).
+    The variant fixes the receive stacking (``stack``): which stacked receive
+    samples are the complex conjugates of the raw samples. ``h`` is kept as
+    a read-only complex copy of the caller's matrix. Its QR belongs to the
+    decoders' prologue (``decoders.triangular_rows``).
 
     Raises:
         ValueError: unknown variant, or ``h`` not 4x4.
@@ -134,13 +134,9 @@ class EffectiveChannel:
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
-    @property
-    def conjugated(self) -> tuple:
-        return _CONJUGATED[self.variant]
-
     def stack(self, samples: np.ndarray) -> np.ndarray:
         """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
-        noise, to the stack: conjugated where ``conjugated`` says."""
+        noise, to the stack: conjugated where the variant says."""
         return stack_samples(samples, self.variant)
 
 

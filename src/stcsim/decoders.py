@@ -21,12 +21,15 @@ M + M^2 + 2*M^3.
 
 Every tree decoder splits into a prologue that works on a stack of channels
 and a scalar search. ``triangular_rows``, the one owner of a decode's QR,
-factors a whole stack and forms z = Q^H y, and hands each trial R, z and
-||H||_F as Python scalars, so the per-node arithmetic indexes plain lists;
+factors a whole stack and forms z = Q^H y, and hands each trial R and z as
+Python scalars, so the per-node arithmetic indexes plain lists;
 ``fast_golden_sorts`` and ``alamouti_sorts`` make the two full-alphabet
-sorts of every trial of a stack at once. A batch of decodes runs these once
-per stack and passes each decode its trial's row (``prepared``); a call
-without one runs the same functions on a stack of one.
+sorts of every trial of a stack at once. The prologue also checks, once per
+stack, every precondition of the searches: finite input and full rank, and
+the zeros in R that a fast search needs. No decoder reads the code label;
+which code a decoder may decode is the registry's rule. A batch of decodes
+runs the prologue once per stack and passes each decode its trial's row
+(``prepared``); a call without one runs it on a stack of one.
 
 A decoder decodes the matrix it is given, in its column order, and reports
 x_hat in that order; a detection order (``blast_ordering``) is chosen before
@@ -59,7 +62,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .codes import GOLDEN_VARIANTS, EffectiveChannel
+from .codes import EffectiveChannel
 from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
 from .matrixkit import frobenius_norm, qr_decompose
 
@@ -100,11 +103,11 @@ class DecodeResult:
 STRUCTURE_TOLERANCE = 1e-6
 
 
-def _require_structure(norm: float, a, b, message: str) -> None:
-    """Raise ValueError(message) unless |a| and |b| are negligible against ``norm``,
-    the row's ||H||_F, which a column permutation leaves unchanged."""
-    limit = STRUCTURE_TOLERANCE * norm
-    if abs(a) > limit or abs(b) > limit:
+def _require_structure(r: np.ndarray, a, b, message: str) -> None:
+    """Raise ValueError(message) unless |a| and |b| are negligible against
+    each stacked R's ||R||_F = ||H||_F, which column order leaves unchanged."""
+    limit = STRUCTURE_TOLERANCE * frobenius_norm(r)
+    if np.any((np.abs(a) > limit) | (np.abs(b) > limit)):
         raise ValueError(message)
 
 
@@ -114,18 +117,17 @@ def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
 
     Returns:
         (r, z, rows): R as (n, 4, 4) and ``z = Q^H y`` as (n, 4) from one
-        stacked ``qr_decompose`` (which raises on a rank-deficient or
-        non-finite matrix), and per trial ``(r, z, finite, norm)`` with ``r``
-        (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers,
-        ``finite`` whether every entry of that trial's z is finite (a decoder
-        raises on a row that is not) and ``norm`` its ||R||_F, which equals
-        ||H||_F.
+        stacked ``qr_decompose``, and per trial ``(r, z)`` with ``r``
+        (nested, ``r[i][j]``) and ``z`` as lists of Python complex numbers.
+
+    Raises:
+        ValueError: a rank-deficient or non-finite matrix, or a non-finite z.
     """
     factors = qr_decompose(matrices)
     z = (np.conj(np.swapaxes(factors.q, -1, -2)) @ y[..., None])[..., 0]
-    finite = np.isfinite(z).all(axis=-1).tolist()
-    norms = frobenius_norm(factors.r).tolist()  # ||R||_F = ||H||_F: Q is unitary
-    return factors.r, z, list(zip(factors.r.tolist(), z.tolist(), finite, norms))
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite received stack y")
+    return factors.r, z, list(zip(factors.r.tolist(), z.tolist()))
 
 
 def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
@@ -141,7 +143,15 @@ def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> li
 
     Returns:
         Per trial ``(order_re, metrics_re, order_im, metrics_im)`` as lists.
+
+    Raises:
+        ValueError: when any R lacks real diagonal blocks (Im r12, Im r34).
     """
+    _require_structure(
+        r, r[:, 0, 1].imag, r[:, 2, 3].imag,
+        "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
+        "this channel lacks golden structure",
+    )
     r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
     z2 = z[:, 2, None]
     z3 = z[:, 3, None]
@@ -162,7 +172,12 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
     Returns:
         Per trial ``(order4, metrics4, order3, metrics3)`` as lists: x4's
         and x3's symbols by their own trailing metric.
+
+    Raises:
+        ValueError: when any R has nonzero r12 or r34 (time-varying channel);
+            callers should fall back to decode_sphere_conventional.
     """
+    _require_structure(r, r[:, 0, 1], r[:, 2, 3], "fast Alamouti path invalid for this channel")
     r33, r44 = (r[:, i, i, None].real for i in (2, 3))
     z2 = z[:, 2, None]
     z3 = z[:, 3, None]
@@ -176,20 +191,15 @@ def _prepared_row(eff, y, prepared, alphabet=None, sorts=None) -> tuple:
 
     Without ``prepared``, ``triangular_rows`` factors ``eff.h``; ``sorts``
     (one of the stacked sort functions) then appends the trial's sorted lists.
+    Both raise as they do on a stack.
 
     Returns:
-        ``(r, z, finite, norm, *sorted_lists)`` as ``triangular_rows`` and
-        ``sorts`` give them.
-
-    Raises:
-        ValueError: if ``eff.h`` or ``y`` is not finite.
+        ``(r, z, *sorted_lists)`` as ``triangular_rows`` and ``sorts`` give them.
     """
     if prepared is None:
         r, z, (prepared,) = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-        if sorts is not None and prepared[2]:
+        if sorts is not None:
             prepared += sorts(alphabet, r, z)[0]
-    if not prepared[2]:
-        raise ValueError("non-finite received stack y")
     return prepared
 
 
@@ -368,7 +378,7 @@ def decode_fast_golden(
     *,
     prepared=None,
 ) -> DecodeResult:
-    """Fast exact-ML decoder for golden-variant effective channels.
+    """Fast exact-ML decoder for any channel whose R has real diagonal blocks.
 
     A best-first walk over the trailing symbol pair (candidates pre-ordered
     by exactly two full-alphabet sorts, one per real component), followed by
@@ -378,27 +388,16 @@ def decode_fast_golden(
     each, not counted again by the searches), and each real search runs
     inside the radius that the best total leaves. Correctness rests on the
     leading and trailing diagonal blocks of R being real, which holds for a
-    golden channel with its columns in any order of FAST_PERMUTATIONS.
+    golden channel with its columns in any order of FAST_PERMUTATIONS, and
+    for a quasistatic overlaid-Alamouti channel.
 
     Args:
         prune: disable to force full enumeration (worst-case instrumentation).
         prepared: this trial's ``triangular_rows`` row followed by its
-            ``fast_golden_sorts`` row; None prepares a stack of one.
-
-    Raises:
-        ValueError: when |Im r12| or |Im r34| of R exceeds
-            STRUCTURE_TOLERANCE * ||H||_F, i.e. the matrix lacks the golden
-            structure whatever its label says, or its column order.
+            ``fast_golden_sorts`` row; None prepares (and checks) a stack of one.
     """
-    if eff.variant not in GOLDEN_VARIANTS:
-        raise ValueError("fast golden decoder requires a golden-variant effective channel")
-    r, z, _, norm, ord_re, m_re, ord_im, m_im = _prepared_row(
+    r, z, ord_re, m_re, ord_im, m_im = _prepared_row(
         eff, y, prepared, alphabet, fast_golden_sorts
-    )
-    _require_structure(
-        norm, r[0][1].imag, r[2][3].imag,
-        "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
-        "this channel lacks golden structure",
     )
     sym_re = alphabet.symbols.real.tolist()
     sym_im = alphabet.symbols.imag.tolist()
@@ -524,7 +523,7 @@ def decode_sphere_conventional(
         prepared: this trial's ``triangular_rows`` row; None prepares a
             stack of one.
     """
-    r, z, _, _ = _prepared_row(eff, y, prepared)
+    r, z = _prepared_row(eff, y, prepared)
     sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
     values = alphabet.pam.values
@@ -610,28 +609,19 @@ def decode_alamouti_fast(
     *,
     prepared=None,
 ) -> DecodeResult:
-    """Fast exact-ML decoder for the overlaid Alamouti code, quasistatic only.
+    """Fast exact-ML decoder for any channel whose R has zeros at (1,2) and (3,4).
 
-    Quasistatic fading makes columns 1-2 and 3-4 of the effective channel
-    orthogonal, so R carries zeros at (1,2) and (3,4): the trailing-pair
+    Quasistatic fading makes columns 1-2 and 3-4 of an overlaid Alamouti
+    channel orthogonal, which puts those zeros in R: the trailing-pair
     branch metrics separate per symbol and the leading pair falls to four
     independent PAM slices per candidate pair. Enumerates the M^2 trailing
     pairs with sorted-metric pruning.
 
     Args:
         prepared: this trial's ``triangular_rows`` row followed by its
-            ``alamouti_sorts`` row; None prepares a stack of one.
-
-    Raises:
-        ValueError: when the zero structure is absent (time-varying channel);
-            callers should fall back to decode_sphere_conventional.
+            ``alamouti_sorts`` row; None prepares (and checks) a stack of one.
     """
-    if eff.variant != "overlaid-alamouti":
-        raise ValueError("decoder requires an overlaid-alamouti effective channel")
-    r, z, _, norm, order4, m4, order3, m3 = _prepared_row(
-        eff, y, prepared, alphabet, alamouti_sorts
-    )
-    _require_structure(norm, r[0][1], r[2][3], "fast Alamouti path invalid for this channel")
+    r, z, order4, m4, order3, m3 = _prepared_row(eff, y, prepared, alphabet, alamouti_sorts)
     r11, r22 = r[0][0].real, r[1][1].real
     syms = alphabet.symbols.tolist()
 
@@ -668,13 +658,13 @@ def blast_ordering(h, allowed=None):
     (for a stack, a list of one per matrix); its last entry is detected first.
 
     Args:
-        h: 4x4 effective matrix or an EffectiveChannel, or a stack (n, 4, 4).
+        h: 4x4 effective matrix, or a stack (n, 4, 4).
         allowed: optional collection of permutations to restrict to; the
             selection criterion (largest minimum diagonal of R) is then
             evaluated over exactly those, which is how the fast decoder's
             eight admissible permutations are handled.
     """
-    h = np.asarray(getattr(h, "h", h), dtype=complex)
+    h = np.asarray(h, dtype=complex)
     if allowed is not None:
         perms = [tuple(perm) for perm in allowed]
         # h[..., perms] is (..., 4, P, 4); one stacked QR scores them all.

@@ -112,8 +112,9 @@ DECODER_NAMES = tuple(DECODERS)
 def decoder_entry(name: str, code: str, modulation: int, channel: str = None) -> DecoderEntry:
     """Registry entry for ``name``, checked against the setup it will decode.
 
-    ``channel`` None (one decode of a given matrix) skips the channel-model
-    rule; the decoder then checks the matrix structure itself.
+    The only check of the code label: decoders never read it. ``channel``
+    None (one decode of a given matrix) skips the channel-model rule; the
+    decode's prologue then checks the matrix structure.
 
     Raises:
         ValueError: unknown decoder, or a setup the decoder cannot decode.
@@ -142,6 +143,12 @@ def _require_integer(field: str, value) -> None:
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _require_real(field: str, value) -> None:
+    """Reject a bool or non-real SNR or rho (``True`` would run as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
+
+
 def _require_seed(seed: int) -> None:
     """Reject a seed the stream derivation (numpy's SeedSequence) cannot take."""
     if seed < 0:
@@ -168,6 +175,12 @@ class SweepConfig:
     def validate(self) -> None:
         for field in ("trials", "modulation", "seed"):
             _require_integer(field, getattr(self, field))
+        for field in ("snr_start", "snr_stop", "snr_step"):
+            _require_real(field, getattr(self, field))
+        if self.rho is not None:
+            _require_real("rho", self.rho)
+        if not isinstance(self.noise_free, bool):
+            raise ValueError(f"noise_free must be a bool, got {self.noise_free!r}")
         _require_seed(self.seed)
         if self.code not in codes.CODE_VARIANTS:
             raise ValueError(f"unknown code variant: {self.code!r}")

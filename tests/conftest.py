@@ -72,7 +72,7 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
     ``decoders.decode_sphere_conventional`` replaced. Each expanded node
     computes all M child metrics and visits them in ``np.argsort(...,
     kind="stable")`` order; everything else is the decoder's own."""
-    r, z, _, _ = dec._prepared_row(eff, y, None)
+    r, z = dec._prepared_row(eff, y, None)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]

@@ -107,8 +107,7 @@ def test_decode_with_effective_matrix_alamouti(tmp_path, capsys):
     eff = st.effective_channel(ch, "overlaid-alamouti")
     idx = rng.integers(0, 4, 4)
     stacked = eff.h @ alphabet.symbols[idx]
-    flags = np.asarray(eff.conjugated)
-    raw = np.where(flags, np.conj(stacked), stacked)  # undo stacking for the file
+    raw = eff.stack(stacked)  # undo stacking for the file: conjugating twice is the identity
     payload = {
         "code": "overlaid-alamouti",
         "modulation": 4,
@@ -262,6 +261,9 @@ def test_simulate_accepts_every_channel_model(tmp_path, channel):
         ({"modulation": "4"}, "field 'modulation' must be an integer"),
         ({"decoder": ["sphere"]}, "field 'decoder' must be a string"),
         ({"y": {"re": 1.0}}, "in 'y'"),
+        ({"y": [[True, False]] * 4}, "expected nested [re, im] pairs of shape (4,) in 'y'"),
+        ({"y": [["0.7", "0.7"]] * 4}, "expected nested [re, im] pairs of shape (4,) in 'y'"),
+        ({"H": [[[1.0, False]] * 4] * 4}, "expected nested [re, im] pairs of shape (4, 4) in 'H'"),
     ),
 )
 def test_decode_rejects_malformed_documents(tmp_path, capsys, document, message):

@@ -126,8 +126,7 @@ def test_encoder_effective_channel_consistency(rng, variant, model):
         # transmit itself against the raw-layout oracle; stack order is
         # [y1[1], y1[2], y2[1], y2[2]], i.e. y[j, k] with j major
         raw = _physical_receive(st.encode(x, variant), ch.h).reshape(-1) + noise
-        flags = np.asarray(eff.conjugated)
-        assert np.allclose(got, np.where(flags, np.conj(raw), raw), atol=1e-13)
+        assert np.allclose(got, eff.stack(raw), atol=1e-13)
 
 
 def test_transmit_trivials(rng):
@@ -222,12 +221,10 @@ def test_effective_channel_metadata():
     h = np.eye(4)
     samples = np.array([1 + 1j, 2 + 2j, 3 + 3j, 4 + 4j])
     alamouti = st.EffectiveChannel(h=h, variant="overlaid-alamouti")
-    assert alamouti.conjugated == (False, True, False, True)
     # stacked samples 2 and 4 are conjugated
     assert np.array_equal(alamouti.stack(samples), [1 + 1j, 2 - 2j, 3 + 3j, 4 - 4j])
     for variant in st.GOLDEN_VARIANTS:
         golden = st.EffectiveChannel(h=h, variant=variant)
-        assert golden.conjugated == (False, False, False, False)
         assert np.array_equal(golden.stack(samples), samples)
     with pytest.raises(ValueError, match="unknown code variant"):
         st.EffectiveChannel(h=h, variant="bogus")

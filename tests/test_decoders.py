@@ -174,9 +174,6 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
 
 def test_fast_rejects_bad_inputs(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
-    al = st.effective_channel(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
-    with pytest.raises(ValueError, match="golden-variant"):
-        dec.decode_fast_golden(al, y, alphabet)
     # a random matrix labelled golden lacks the real R blocks the search needs
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     fake = st.EffectiveChannel(h=h, variant="golden-dv")
@@ -250,7 +247,7 @@ def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
         )
         ref = dec.decode_exhaustive(eff, y, alphabet)
         plain = dec.decode_sphere_conventional(eff, y, alphabet)
-        blast = dec.decode_sphere_conventional(permuted(eff, dec.blast_ordering(eff)), y, alphabet)
+        blast = dec.decode_sphere_conventional(permuted(eff, dec.blast_ordering(eff.h)), y, alphabet)
         assert abs(plain.cost - ref.cost) <= 1e-9
         assert abs(blast.cost - ref.cost) <= 1e-9
         assert abs(plain.cost - recompute_cost(eff, y, plain.x_hat)) <= 1e-9
@@ -323,7 +320,7 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
     # shows as a different decision or node count on a few percent of channels.
     alphabet = st.make_qam(m)
     for n, (eff, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
-        calls = [(eff, {}), (permuted(eff, dec.blast_ordering(eff)), {})]
+        calls = [(eff, {}), (permuted(eff, dec.blast_ordering(eff.h)), {})]
         if n < unpruned:
             calls.append((eff, {"prune": False}))
         for channel, kwargs in calls:
@@ -369,9 +366,40 @@ def test_alamouti_fast_rejects_time_varying(rng):
 
 
 def test_alamouti_fast_requires_alamouti_channel(rng):
+    # a golden channel's r12 is not zero, whatever the label says
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
-    with pytest.raises(ValueError, match="overlaid-alamouti"):
+    with pytest.raises(ValueError, match="invalid for this channel"):
         dec.decode_alamouti_fast(eff, y, alphabet)
+
+
+@pytest.mark.parametrize("m", (4, 16))
+def test_fast_on_quasistatic_alamouti_matches_exhaustive(rng, m):
+    # a quasistatic overlaid-Alamouti R has zero r12 and r34, so its diagonal
+    # blocks are real and the fast golden search is exact on it as well
+    for t in range(60 if m == 4 else 12):
+        eff, y, alphabet, _ = random_alamouti_instance(rng, m, snr_db=float(t % 4) * 4.0)
+        ref = dec.decode_exhaustive(eff, y, alphabet)
+        fast = dec.decode_fast_golden(eff, y, alphabet)
+        assert abs(fast.cost - ref.cost) <= 1e-9
+        assert fast.full_sorts == 2
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e3))
+def test_structure_bound_is_relative_to_the_channel_norm(rng, scale):
+    eff, _, alphabet, idx = random_golden_instance(rng, 4)
+    h = eff.h * scale
+    factors = qr_decompose(h)
+    limit = dec.STRUCTURE_TOLERANCE * float(frobenius_norm(h))
+    for factor in (0.5, 2.0):
+        r = factors.r.copy()
+        r[0, 1] = r[0, 1].real + 1j * factor * limit
+        rebuilt = st.EffectiveChannel(h=factors.q @ r, variant="golden-dv")
+        y = rebuilt.h @ alphabet.symbols[idx]
+        if factor < 1.0:
+            assert dec.decode_fast_golden(rebuilt, y, alphabet).indices == tuple(idx)
+        else:
+            with pytest.raises(ValueError, match="golden structure"):
+                dec.decode_fast_golden(rebuilt, y, alphabet)
 
 
 _DECODER_CASES = {
@@ -418,7 +446,7 @@ def test_blast_ordering_properties(rng):
     assert dec.blast_ordering(np.eye(4, dtype=complex)) == (0, 1, 2, 3)
     for _ in range(50):
         eff, _, _, _ = random_golden_instance(rng, 4, model="rapid")
-        perm = dec.blast_ordering(eff)
+        perm = dec.blast_ordering(eff.h)
         assert sorted(perm) == [0, 1, 2, 3]
     h = np.asarray(st.effective_channel(st.sample_channel(rng, "rapid"), "golden-dv").h).copy()
     h[:, 2] *= 10.0
@@ -429,7 +457,7 @@ def test_blast_ordering_properties(rng):
 def test_blast_ordering_restricted_to_fast_set(rng):
     for _ in range(25):
         eff, _, _, _ = random_golden_instance(rng, 4, model="rapid")
-        perm = dec.blast_ordering(eff, allowed=dec.FAST_PERMUTATIONS)
+        perm = dec.blast_ordering(eff.h, allowed=dec.FAST_PERMUTATIONS)
         assert perm in dec.FAST_PERMUTATIONS
 
 
@@ -562,27 +590,34 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
     alamouti = variant == "overlaid-alamouti"
     sorts = dec.alamouti_sorts if alamouti else dec.fast_golden_sorts
     decode = dec.decode_alamouti_fast if alamouti else dec.decode_fast_golden
+    structured = not (alamouti and model == "rapid")
     alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
     r_stack, z, rows = dec.triangular_rows(matrices, y)
-    sorted_rows = sorts(alphabet, r_stack, z)
+    if structured:
+        sorted_rows = sorts(alphabet, r_stack, z)
+    else:
+        with pytest.raises(ValueError, match="invalid for this channel"):
+            sorts(alphabet, r_stack, z)
+        sorted_rows = [None] * len(rows)
     for eff, received, row, sorted_row in zip(channels, y, rows, sorted_rows):
-        prepared = row + sorted_row
-        # repr tells apart every float that == does not (-0.0), so this is bit for bit.
-        single = dec._prepared_row(eff, received, None, alphabet, sorts)
-        assert repr(prepared) == repr(single)
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()
         z_alone = (factors.q.conj().T @ received).tolist()
-        assert repr(row) == repr((r, z_alone, True, float(frobenius_norm(factors.r))))
-        assert row[3] == pytest.approx(float(frobenius_norm(eff.h)), rel=1e-14)
-        assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
+        # repr tells apart every float that == does not (-0.0), so this is bit for bit.
+        assert repr(row) == repr((r, z_alone))
+        assert repr(dec._prepared_row(eff, received, None)) == repr(row)
+        calls = [(dec.decode_sphere_conventional, row)]
+        if structured:
+            prepared = row + sorted_row
+            single = dec._prepared_row(eff, received, None, alphabet, sorts)
+            assert repr(prepared) == repr(single)
+            assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
+            calls.append((decode, prepared))
+        else:
+            with pytest.raises(ValueError, match="invalid for this channel"):
+                decode(eff, received, alphabet)
 
-        for call, arg in ((decode, prepared), (dec.decode_sphere_conventional, row)):
-            if alamouti and model == "rapid" and call is decode:
-                for kw in ({"prepared": arg}, {}):
-                    with pytest.raises(ValueError, match="invalid for this channel"):
-                        call(eff, received, alphabet, **kw)
-                continue
+        for call, arg in calls:
             a = call(eff, received, alphabet, prepared=arg)
             b = call(eff, received, alphabet)
             assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
@@ -593,15 +628,42 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_prepared_row_keeps_the_decoders_checks(rng):
-    alphabet, channels, matrices, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=2)
-    y[1, 2] = math.nan
-    r, z, rows = dec.triangular_rows(matrices, y)
-    assert [row[2] for row in rows] == [True, False]
-    prepared = [row + s for row, s in zip(rows, dec.fast_golden_sorts(alphabet, r, z))]
-    with pytest.raises(ValueError, match="non-finite received stack"):
-        dec.decode_fast_golden(channels[1], y[1], alphabet, prepared=prepared[1])
-    with pytest.raises(ValueError, match="non-finite received stack"):
-        dec.decode_sphere_conventional(channels[1], y[1], alphabet, prepared=rows[1])
+def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
+    alphabet, _, matrices, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=3)
+    nan_y = y.copy()
+    nan_y[1, 2] = math.nan
+    with pytest.raises(ValueError, match="non-finite received stack y"):
+        dec.triangular_rows(matrices, nan_y)
     with pytest.raises(ValueError, match="degenerate"):
-        dec.triangular_rows(np.zeros((2, 4, 4)), y)
+        dec.triangular_rows(np.zeros((3, 4, 4)), y)
+    # one matrix of the stack without the real diagonal blocks of R
+    unstructured = matrices.copy()
+    unstructured[2] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(ValueError, match="golden structure"):
+        dec.fast_golden_sorts(alphabet, *dec.triangular_rows(unstructured, y)[:2])
+    # one rapid Alamouti channel among quasistatic ones
+    _, _, alamouti, y_al = _chunk(rng, "overlaid-alamouti", "quasistatic", 16, count=3)
+    alamouti[1] = _chunk(rng, "overlaid-alamouti", "rapid", 16, count=1)[2][0]
+    with pytest.raises(ValueError, match="invalid for this channel"):
+        dec.alamouti_sorts(alphabet, *dec.triangular_rows(alamouti, y_al)[:2])
+
+    # The batch path raises before its first decode, for every decoder.
+    calls = []
+    for _, decode in _DECODER_CASES.values():
+        monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
+    nan_y_al = y_al.copy()
+    nan_y_al[0, 0] = math.nan
+    cases = [("golden-dv", matrices, nan_y, name, "non-finite received stack y")
+             for name in ("exhaustive", "fast", "sphere")]
+    cases += [
+        ("overlaid-alamouti", alamouti, nan_y_al, "alamouti", "non-finite received stack y"),
+        ("golden-dv", unstructured, y, "fast", "golden structure"),
+        ("overlaid-alamouti", alamouti, y_al, "alamouti", "invalid for this channel"),
+    ]
+    for variant, stack, received, name, message in cases:
+        for ordering in st.harness.ORDERING_MODES:
+            with pytest.raises(ValueError, match=message):
+                st.harness._decode_stack(stack, received, variant, alphabet, (name,), ordering)
+    assert calls == []
+    st.harness._decode_stack(matrices, y, "golden-dv", alphabet, ("sphere",), "none")
+    assert len(calls) == len(matrices)  # a stack that passes reaches the patched decoders

@@ -63,6 +63,16 @@ def test_validation_rejects_bad_configs():
     for field, value in (("trials", 2.5), ("modulation", 4.0), ("seed", 1.5), ("trials", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             small_config(**{field: value}).validate()
+    for field, value in (("snr_start", "0"), ("snr_stop", None), ("snr_step", "2"),
+                         ("snr_start", True), ("snr_stop", 1j)):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            small_config(**{field: value}).validate()
+    for rho in ("0.5", True, False):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            small_config(channel="markov", rho=rho).validate()
+    for flag in ("yes", 1, None):
+        with pytest.raises(ValueError, match="noise_free must be a bool"):
+            small_config(noise_free=flag).validate()
 
 
 def test_validation_rejects_negative_seed():
