@@ -5,9 +5,9 @@ seed plus an explicit branch key, so independent streams can be handed to
 parallel workers and every draw is reproducible bit-exactly across runs and
 platforms regardless of scheduling. This module owns the draw convention,
 the order in which raw standard normals become coefficients and noise
-samples (NORMALS_PER_CHANNEL); a sweep chunk converts its trials' normals
-with ``channels_from_normals`` and ``noise_from_normals``, the functions
-``sample_channel`` and ``sample_noise`` use.
+samples (NORMALS_PER_CHANNEL); ``channels_from_normals`` and
+``noise_from_normals`` convert a whole stack of draws the way
+``sample_channel`` and ``sample_noise`` convert one.
 
 SNR convention: ``snr = E_s / N0`` with E_s = 2, the total transmit energy
 per channel use (two antennas sending unit-average-energy symbols, codeword
@@ -100,13 +100,13 @@ def channels_from_normals(normals: np.ndarray, model: str, rho: float = None) ->
     return _channels(iter(_blocks(normals, _channel_normals(model))), model, rho)
 
 
-def noise_from_normals(normals: np.ndarray, n0: float) -> np.ndarray:
-    """Complex AWGN of per-entry variance ``n0``, shape (..., 4), from the raw
-    standard normals of one draw each, shape (..., NORMALS_PER_NOISE)."""
+def noise_from_normals(normals: np.ndarray, n0) -> np.ndarray:
+    """Complex AWGN (..., 4) of per-entry variance ``n0``, a scalar or one per
+    draw, from the raw standard normals of one draw each, (..., NORMALS_PER_NOISE)."""
     blocks = _blocks(normals, NORMALS_PER_NOISE)
-    if n0 <= 0:
+    if not np.all(np.greater(n0, 0)):
         raise ValueError("noise variance must be positive")
-    return math.sqrt(n0) * _standard_complex(blocks[0], blocks[1])
+    return np.sqrt(n0)[..., None] * _standard_complex(blocks[0], blocks[1])
 
 
 def sample_channels(

@@ -71,7 +71,10 @@ def _complex_array(data, key, shape):
     # JSON numbers only: a bool (type bool, not int) or a numeric string would convert too
     if entries.shape != shape + (2,) or any(type(v) not in (int, float) for v in entries.flat):
         raise ValueError(f"expected nested [re, im] pairs of shape {shape} in {key!r}")
-    arr = entries.astype(float)
+    try:
+        arr = entries.astype(float)
+    except OverflowError:  # a JSON integer beyond the float range
+        arr = np.array(np.inf)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite value in {key!r}")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -6,9 +6,10 @@ so decoders are compared on identical inputs. Trials draw from per-trial
 Philox streams keyed by (seed, point index, trial index), which makes the
 output independent of scheduling: serial and parallel runs emit identical
 CSV (wall-time columns excluded from that contract). Sweeps and the
-decoding verify suites share one batch-decode path, ``_decode_stack``, which
-runs the decoders' stacked prologue once per stack of instances and column
-order; it is the only place that decides a column order.
+decoding verify suites share one instance pipeline: ``_InstanceStack``
+draws instances row by row and builds them as one stack, and
+``_decode_stack``, the module's one place that calls a decoder or decides a
+column order, runs their stacked prologue once per stack.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -37,9 +38,9 @@ from .channel import (
     channels_from_normals,
     make_rng,
     noise_from_normals,
-    sample_channel,
+    sample_channel,  # unused; bound here because perfbench/tracer.py patches it
     sample_channels,
-    sample_noise,
+    sample_noise,  # unused; bound here because perfbench/tracer.py patches it
     snr_to_n0,
 )
 from .codes import qr_golden_structured
@@ -273,6 +274,36 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+class _InstanceStack:
+    """``count`` decoding instances of one channel model, code and alphabet.
+
+    ``draw`` makes one instance's draws from a stream into its row: the
+    channel's standard normals, the four symbol indices and, unless
+    noise-free, the noise's standard normals. ``build`` converts all rows
+    at once, as ``sample_channel`` and ``sample_noise`` convert one draw.
+    """
+
+    def __init__(self, count: int, model: str, code: str, alphabet, rho: float = None):
+        self.model, self.code, self.alphabet, self.rho = model, code, alphabet, rho
+        self.channel_normals = np.empty((count, NORMALS_PER_CHANNEL[model]))
+        self.sent = np.empty((count, 4), dtype=np.int64)
+        self.noise_normals = np.zeros((count, NORMALS_PER_NOISE))  # zero noise unless drawn
+
+    def draw(self, row: int, rng, noisy: bool = True) -> None:
+        rng.standard_normal(out=self.channel_normals[row])
+        self.sent[row] = rng.integers(0, self.alphabet.size, size=4)
+        if noisy:
+            rng.standard_normal(out=self.noise_normals[row])
+
+    def build(self, n0) -> tuple:
+        """(matrices, received), (count, 4, 4) and (count, 4), with noise of
+        variance ``n0``: one for every instance or one each."""
+        channels = channels_from_normals(self.channel_normals, self.model, self.rho)
+        matrices = codes.effective_matrix(channels, self.code)
+        noise = codes.stack_samples(noise_from_normals(self.noise_normals, n0), self.code)
+        return matrices, (matrices @ self.alphabet.symbols[self.sent][..., None])[..., 0] + noise
+
+
 def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
     """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
     (n, 4) ``received``, with every decoder in ``names``.
@@ -324,38 +355,21 @@ def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
     """Decode trials [lo, hi) of one SNR point.
 
-    Pass 1 makes each trial's three draws from its own stream: the channel's
-    standard normals, the four symbol indices and the noise's standard
-    normals (skipped when noise-free). Pass 2 works on the whole chunk at
-    once: it converts the normals into channels and noise, builds the
-    effective matrices and the received stacks, and decodes them as one
-    stack (``_decode_stack``), so the decoders of a trial that decode the
-    same column order share that trial's prologue.
+    Each trial draws its row of the chunk's ``_InstanceStack`` from its own
+    stream; the chunk is built and decoded as one stack, so the decoders of
+    a trial that decode the same column order share that trial's prologue.
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
         per trial, in trial order, ``time_ns`` as ``_decode_stack`` times it.
     """
     alphabet = make_qam(cfg.modulation)
-    count = hi - lo
-    channel_normals = np.empty((count, NORMALS_PER_CHANNEL[cfg.channel]))
-    noise_normals = np.zeros((count, NORMALS_PER_NOISE))
-    sent = []
+    stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
     for row, trial in enumerate(range(lo, hi)):
-        rng = make_rng(cfg.seed, point_index, trial)
-        rng.standard_normal(out=channel_normals[row])
-        sent.append(rng.integers(0, alphabet.size, size=4))
-        if not cfg.noise_free:
-            rng.standard_normal(out=noise_normals[row])
-
-    sent = np.array(sent)
-    matrices = codes.effective_matrix(
-        channels_from_normals(channel_normals, cfg.channel, cfg.rho), cfg.code
-    )
-    noise = codes.stack_samples(noise_from_normals(noise_normals, snr_to_n0(snr_db)), cfg.code)
-    received = (matrices @ alphabet.symbols[sent][..., None])[..., 0] + noise
+        stack.draw(row, make_rng(cfg.seed, point_index, trial), noisy=not cfg.noise_free)
+    matrices, received = stack.build(snr_to_n0(snr_db))
     decoded = _decode_stack(matrices, received, cfg.code, alphabet, cfg.decoders, cfg.ordering)
-    sent = sent.tolist()
+    sent = stack.sent.tolist()
     return {
         name: [
             (sum(map(operator.ne, result.indices, idx_true)), result.nodes_visited,
@@ -565,77 +579,59 @@ def _suite_qr_agree(trials: int, seed: int) -> list:
 
 
 def _suite_alamouti(trials: int, seed: int) -> list:
-    checks = []
-    worst_quasi = 0.0
-    for h in _batched_channels(seed, (2, 0), "quasistatic", None, trials):
-        eff = codes.effective_matrix(h, "overlaid-alamouti")
-        r = qr_decompose(eff).r
-        scale = frobenius_norm(eff)
-        ratio = np.maximum(np.abs(r[..., 0, 1]), np.abs(r[..., 2, 3])) / scale
-        worst_quasi = max(worst_quasi, float(ratio.max()))
-    checks.append(
-        _check("alamouti quasistatic max |r12|,|r34| / ||H||", worst_quasi, 1e-9, "<=")
-    )
+    ratios = {}  # channel model -> |r12| and |r34| over ||H||, one row per channel
+    for mi, model in enumerate(("quasistatic", "rapid")):
+        parts = []
+        for h in _batched_channels(seed, (2, mi), model, None, trials):
+            eff = codes.effective_matrix(h, "overlaid-alamouti")
+            r = qr_decompose(eff).r
+            parts.append(np.abs(r[..., (0, 2), (1, 3)]) / frobenius_norm(eff)[..., None])
+        ratios[model] = np.concatenate(parts)
 
-    ratios = []
-    for h in _batched_channels(seed, (2, 1), "rapid", None, trials):
-        eff = codes.effective_matrix(h, "overlaid-alamouti")
-        r = qr_decompose(eff).r
-        scale = frobenius_norm(eff)
-        ratios.append(np.abs(r[..., 0, 1]) / scale)
-    median = float(np.median(np.concatenate(ratios)))
-    checks.append(_check("alamouti rapid median |r12| / ||H||", median, 0.01, ">"))
-
-    alphabet = make_qam(4)
-    rng = make_rng(seed, 2, 2)
-    raised = 0
+    # Each noise-free rapid probe, decoded as a stack of its own, must be
+    # refused: a time-varying channel lacks the fast decoder's structure.
     probes = 50
-    for _ in range(probes):
-        ch = sample_channel(rng, "rapid")
-        eff = codes.effective_channel(ch, "overlaid-alamouti")
-        y = eff.h @ alphabet.symbols[rng.integers(0, 4, 4)]
+    stack = _InstanceStack(probes, "rapid", "overlaid-alamouti", make_qam(4))
+    rng = make_rng(seed, 2, 2)
+    for row in range(probes):
+        stack.draw(row, rng, noisy=False)
+    raised = 0
+    for h, y in zip(*stack.build(1.0)):  # any N0: the noise normals stay zero
         try:
-            decoders.decode_alamouti_fast(eff, y, alphabet)
+            _decode_stack(h[None], y[None], stack.code, stack.alphabet, ("alamouti",), "none")
         except ValueError:
             raised += 1
-    checks.append(
-        _check("alamouti rapid structure-error rate", raised / probes, 1.0, ">=")
-    )
-    return checks
-
-
-def _instance(rng, alphabet, model, snr_db, variant):
-    """One noisy decoding instance (h, y): the effective matrix and its
-    received stack. Draws channel, symbols and noise in that order."""
-    ch = sample_channel(rng, model)
-    idx = rng.integers(0, alphabet.size, 4)
-    h = codes.effective_matrix(ch.h, variant)
-    noise = codes.stack_samples(sample_noise(rng, snr_to_n0(snr_db)), variant)
-    return h, h @ alphabet.symbols[idx] + noise
+    return [
+        _check("alamouti quasistatic max |r12|,|r34| / ||H||",
+               ratios["quasistatic"].max(), 1e-9, "<="),
+        _check("alamouti rapid median |r12| / ||H||", np.median(ratios["rapid"][:, 0]), 0.01, ">"),
+        _check("alamouti rapid structure-error rate", raised / probes, 1.0, ">="),
+    ]
 
 
 def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
-    """Draw ``rounds`` rounds of instances and decode them through ``_decode_stack``.
+    """Draw ``rounds`` rounds of instances from ``rng`` and decode them.
 
-    Round t draws one instance of each kind ``(model, variant, names)``, in
+    Round t draws one instance of each kind ``(model, code, names)``, in
     ``kinds`` order, at ``snrs[t % len(snrs)]`` dB. The rounds are drawn and
     decoded in blocks of at most MAX_CHUNK, so memory stays bounded; each
-    kind's instances of a block form one stack.
+    kind's instances of a block form one ``_InstanceStack``.
 
     Yields:
         ``(kind, results)`` per instance, ``results`` mapping each of the
         kind's decoder names to its DecodeResult.
     """
     for lo in range(0, rounds, MAX_CHUNK):
-        drawn = [[] for _ in kinds]
-        for t in range(lo, min(rounds, lo + MAX_CHUNK)):
-            for stack, (model, variant, _) in zip(drawn, kinds):
-                stack.append(_instance(rng, alphabet, model, snrs[t % len(snrs)], variant))
-        for stack, (model, variant, names) in zip(drawn, kinds):
-            matrices, received = (np.array(part) for part in zip(*stack))
-            decoded = _decode_stack(matrices, received, variant, alphabet, names, "none")
-            for i in range(len(stack)):
-                yield (model, variant, names), {name: decoded[name][i][0] for name in names}
+        block = range(lo, min(rounds, lo + MAX_CHUNK))
+        stacks = [_InstanceStack(len(block), model, code, alphabet) for model, code, _ in kinds]
+        for row in range(len(block)):
+            for stack in stacks:
+                stack.draw(row, rng)
+        n0 = [snr_to_n0(snrs[t % len(snrs)]) for t in block]
+        for stack, (model, code, names) in zip(stacks, kinds):
+            decoded = _decode_stack(*stack.build(n0), code, alphabet, names, "none")
+            for i in range(len(block)):
+                yield (model, code, names), {name: decoded[name][i][0] for name in names}
 
 
 _MLEQUIV_SNRS = (0.0, 10.0, 20.0)

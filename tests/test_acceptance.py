@@ -75,38 +75,17 @@ def test_criterion_03_ml_equivalence():
 
 
 def test_criterion_04_sort_counts():
-    rng = st.make_rng(SEED, 40)
-    snr_by_m = {4: 10.0, 16: 14.0, 64: 20.0, 256: 26.0}
-    bad = 0
-    total = 0
-    for m, trials in ((4, 200), (16, 200), (64, 200), (256, 100)):
-        alphabet = st.make_qam(m)
-        for _ in range(trials):
-            ch = st.sample_channel(rng, "quasistatic")
-            idx = rng.integers(0, m, 4)
-            eff = st.effective_channel(ch, "golden-dv")
-            y = eff.h @ alphabet.symbols[idx] + eff.stack(
-                st.sample_noise(rng, st.snr_to_n0(snr_by_m[m]))
-            )
-            total += 1
-            bad += int(dec.decode_fast_golden(eff, y, alphabet).full_sorts != 2)
-    alphabet = st.make_qam(64)
-    above = 0
-    for _ in range(200):
-        ch = st.sample_channel(rng, "quasistatic")
-        idx = rng.integers(0, 64, 4)
-        eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack(
-            st.sample_noise(rng, st.snr_to_n0(20.0))
-        )
-        above += int(dec.decode_sphere_conventional(eff, y, alphabet).full_sorts > 2)
-    ok = bad == 0 and above > 0
+    report = run_verification("sorts", 800, seed=SEED)  # 800 fast decodes per M, 200 sphere
+    fast = [c for c in report.checks if c.name.startswith("sorts fast")]
+    conventional = next(c for c in report.checks if "conventional" in c.name)
+    two = sum(round(c.measured * 800) for c in fast)
+    above = round(conventional.measured * 200)
     assert _report_line(
         4,
-        ok,
-        f"fast full_sorts==2 on {total}/{total} decodes across M in (4,16,64,256); "
+        report.passed,
+        f"fast full_sorts==2 on {two}/{800 * len(fast)} decodes across M in (4,16,64,256); "
         f"conventional 64-QAM full_sorts>2 on {above}/200",
-    )
+    ), "\n".join(report.format_lines())
 
 
 def test_criterion_05_worst_case_node_formula():

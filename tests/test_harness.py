@@ -264,6 +264,75 @@ def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
     assert calls == [(4, 4, 4)] * 3 + [(2, 4, 4)] * 3 + [(1, 4, 4)] * 3
 
 
+def recording_decode_stack(monkeypatch):
+    """Wrap ``harness._decode_stack``; return the list of its calls' arguments."""
+    calls = []
+    decode_stack = harness._decode_stack
+
+    def recording(matrices, received, code, alphabet, names, ordering):
+        calls.append((matrices, received, code, alphabet.size, names, ordering))
+        return decode_stack(matrices, received, code, alphabet, names, ordering)
+
+    monkeypatch.setattr(harness, "_decode_stack", recording)
+    return calls
+
+
+def one_instance(rng, alphabet, model, variant, snr_db):
+    """Reference: one instance (h, y) sampled on its own, channel, symbols and
+    noise in that order (None: noise-free, no noise draw)."""
+    ch = st.sample_channel(rng, model)
+    idx = rng.integers(0, alphabet.size, 4)
+    h = st.effective_matrix(ch.h, variant)
+    if snr_db is None:
+        return h, h @ alphabet.symbols[idx]
+    noise = st.codes.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), variant)
+    return h, h @ alphabet.symbols[idx] + noise
+
+
+def test_suite_instances_reproduce_per_instance_sampling(monkeypatch):
+    """The suites' stacked draws equal per-instance sampling from one stream,
+    byte for byte: an mlequiv block (three kinds per round, SNR cycling per
+    round) and the alamouti suite's noise-free rapid probes."""
+    rounds = 7
+    calls = recording_decode_stack(monkeypatch)
+    run_verification("mlequiv", rounds, seed=2)
+    alphabet = st.make_qam(4)
+    rng = st.make_rng(2, 3, 4)
+    want = [[] for _ in harness._MLEQUIV_KINDS]
+    for t in range(rounds):
+        snr = harness._MLEQUIV_SNRS[t % len(harness._MLEQUIV_SNRS)]
+        for stack, (model, variant, _) in zip(want, harness._MLEQUIV_KINDS):
+            stack.append(one_instance(rng, alphabet, model, variant, snr))
+    for (matrices, received, code, m, names, _), stack, kind in zip(
+        calls[:3], want, harness._MLEQUIV_KINDS
+    ):
+        assert (code, m, names) == (kind[1], 4, kind[2])
+        assert matrices.tobytes() == np.array([h for h, _ in stack]).tobytes()
+        assert received.tobytes() == np.array([y for _, y in stack]).tobytes()
+
+    calls.clear()
+    run_verification("alamouti", 10, seed=2)
+    rng = st.make_rng(2, 2, 2)
+    for matrices, received, *_ in calls:
+        h, y = one_instance(rng, alphabet, "rapid", "overlaid-alamouti", None)
+        assert matrices.tobytes() == h[None].tobytes()
+        assert received.tobytes() == y[None].tobytes()
+    assert len(calls) == 50
+
+
+def test_alamouti_suite_counts_each_probe_refusal(monkeypatch):
+    """Every rapid probe is a stack of its own, so one refusal cannot hide
+    another probe's outcome."""
+    calls = recording_decode_stack(monkeypatch)
+    report = run_verification("alamouti", 10, seed=4)
+    rate = next(c for c in report.checks if "structure-error" in c.name)
+    assert rate.measured == 1.0
+    assert len(calls) == 50
+    for matrices, received, code, m, names, ordering in calls:
+        assert (matrices.shape, received.shape) == ((1, 4, 4), (1, 4))
+        assert (code, m, names, ordering) == ("overlaid-alamouti", 4, ("alamouti",), "none")
+
+
 @pytest.mark.parametrize(
     "overrides, orders, qrs",
     (
