@@ -1,9 +1,12 @@
 """Exact maximum-likelihood decoders with search-effort instrumentation.
 
-Four decoders share a common contract: given an EffectiveChannel, a received
-stack y and a square QAM alphabet, return the cost-minimizing symbol vector
-together with the achieved cost ||y - H x_hat||^2 and two effort counters.
-A non-finite y or H raises ValueError.
+Four decoders share a common contract: given an effective channel H, a
+received stack y and a square QAM alphabet, return the cost-minimizing symbol
+vector together with the achieved cost ||y - H x_hat||^2 and two effort
+counters. A non-finite y or H raises ValueError. The tree decoders take one
+EffectiveChannel per call; the exhaustive scan, ``decode_exhaustive_stack``,
+takes a whole stack of matrices and received stacks per call, and
+``decode_exhaustive`` is that scan on a stack of one.
 
 Counting convention (normative for all reported numbers):
 
@@ -203,60 +206,113 @@ def _prepared_row(eff, y, prepared, alphabet=None, sorts=None) -> tuple:
     return prepared
 
 
-def decode_exhaustive(
-    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet
-) -> DecodeResult:
-    """Scan all M^4 candidate vectors; the reference decoder for the others.
+def _scan_block(matrices, received, syms, step: int, planes) -> tuple:
+    """The exhaustive scan of a block of k instances, ``matrices`` (k, 4, 4)
+    and ``received`` (k, 4), in passes of ``step`` leading symbols x1 each.
 
-    Each numpy pass covers as many leading symbols x1 as keep its 4 * M^3
-    residual entries per symbol within EXHAUSTIVE_BLOCK, and at least one:
-    all four at 4-QAM, one at 16- and 64-QAM. Ties in cost resolve to the
-    lexicographically smallest index tuple (the first flat minimum of a
-    pass, and a later pass wins only at a strictly lower cost).
+    A pass holds the residuals of its k * step (instance, x1) rows against
+    every trailing triple, laid out (row of y, instance, x1, trailing
+    triple) as a real and an imaginary float plane in the flat buffers
+    ``planes``: each plane is squared in place, the two are added, and the
+    four rows of y are summed in order, which is the complex residual's
+    squared modulus summed over y, bit for bit.
+
+    Returns:
+        (flat, cost) per instance: the flat index over M^4 and the cost of
+        its first minimum in lexicographic order; a later pass replaces it
+        only at a strictly lower cost, so a cost of inf (overflow) or nan
+        never wins.
+    """
+    k = len(matrices)
+    m = len(syms)
+    cube = m ** 3
+    contrib = matrices.transpose(2, 1, 0)[..., None] * syms  # [col, row, inst, s] = h * sym
+    tail = (
+        (contrib[1][..., :, None, None] + contrib[2][..., None, :, None])
+        + contrib[3][..., None, None, :]
+    ).reshape(4, k, 1, cube)
+    lead = (received.T[:, :, None] - contrib[0])[..., None]  # (row, inst, x1, 1)
+    best_flat = np.zeros(k, dtype=np.int64)
+    best_cost = np.full(k, math.inf)
+    for lo in range(0, m, step):
+        width = min(step, m - lo)
+        size = 4 * k * width * cube
+        re, im = (buf[:size].reshape(4, k, width, cube) for buf in planes[:2])
+        costs = planes[2][:size // 4].reshape(k, width * cube)
+        np.subtract(lead.real[:, :, lo:lo + width], tail.real, out=re)
+        np.subtract(lead.imag[:, :, lo:lo + width], tail.imag, out=im)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        np.sum(re.reshape(4, k, width * cube), axis=0, out=costs)
+        flat = np.argmin(costs, axis=1)
+        cost = costs[np.arange(k), flat]
+        better = cost < best_cost
+        best_cost[better] = cost[better]
+        best_flat[better] = flat[better] + lo * cube
+    return best_flat, best_cost
+
+
+def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
+                            alphabet: QamAlphabet) -> list:
+    """Scan all M^4 candidate vectors of every instance of a stack, ``matrices``
+    (n, 4, 4) and ``received`` (n, 4); the reference decoder for the others.
+
+    The scan walks the stack's (instance, leading symbol x1) rows in order,
+    in numpy passes of at most EXHAUSTIVE_BLOCK residual entries (4 * M^3
+    per row) and at least one row: 16 whole instances per pass at 4-QAM,
+    one leading symbol of one instance at 16- and 64-QAM. Trailing-triple
+    sums are built per block of the instances that one pass holds, never
+    for the whole stack, and the pass buffers are made once per stack. Ties
+    in cost resolve to the lexicographically smallest index tuple. It
+    factors nothing, so it decodes a rank-deficient matrix too. Each check
+    runs once per stack.
+
+    Returns:
+        One DecodeResult per instance.
 
     Raises:
-        ValueError: M^4 above EXHAUSTIVE_CAP, or no finite candidate cost
-            (a non-finite ``y`` or ``H``, or a cost that overflowed).
+        ValueError: M^4 above EXHAUSTIVE_CAP, a non-finite matrix or
+            received stack, or COST_OVERFLOW when an instance has no
+            finite candidate cost.
     """
-    h = eff.h
-    y = np.asarray(y, dtype=complex)
+    matrices = np.asarray(matrices, dtype=complex)
+    received = np.asarray(received, dtype=complex)
     syms = alphabet.symbols
     m = len(syms)
     if m ** 4 > EXHAUSTIVE_CAP:
         raise ValueError("exhaustive search cap exceeded (M^4 > 2^24)")
-    contrib = h.T[:, :, None] * syms  # contrib[t] = np.outer(h[:, t], syms)
-    tail = (
-        contrib[1][:, :, None, None]
-        + contrib[2][:, None, :, None]
-        + contrib[3][:, None, None, :]
-    )
-    step = max(1, EXHAUSTIVE_BLOCK // tail.size)
-    best_cost = math.inf
-    best_idx = None
-    for lo in range(0, m, step):
-        lead = y[:, None] - contrib[0][:, lo:lo + step]
-        resid = lead[:, :, None, None, None] - tail[:, None]
-        costs = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
-        flat = int(np.argmin(costs))
-        cost = float(costs.flat[flat])
-        if cost < best_cost:
-            best_cost = cost
-            i1, rem = divmod(flat, m ** 3)
-            i2, rem = divmod(rem, m * m)
-            i3, i4 = divmod(rem, m)
-            best_idx = (lo + i1, i2, i3, i4)
-    if best_idx is None:
-        raise ValueError(
-            "no candidate has a finite cost: y or H is not finite, or the cost overflowed"
+    if not np.isfinite(matrices).all():
+        raise ValueError("non-finite channel matrix")
+    if not np.isfinite(received).all():
+        raise ValueError("non-finite received stack y")
+    n = len(matrices)
+    rows = max(1, EXHAUSTIVE_BLOCK // (4 * m ** 3))  # (instance, x1) rows per pass
+    block = max(1, min(n, rows // m))  # instances per pass
+    step = min(m, rows)  # leading symbols per pass
+    size = 4 * block * step * m ** 3
+    planes = (np.empty(size), np.empty(size), np.empty(size // 4))
+    flat = np.empty(n, dtype=np.int64)
+    cost = np.empty(n)
+    for lo in range(0, n, block):
+        flat[lo:lo + block], cost[lo:lo + block] = _scan_block(
+            matrices[lo:lo + block], received[lo:lo + block], syms, step, planes
         )
-    x_hat = syms[list(best_idx)]
-    return DecodeResult(
-        x_hat=x_hat,
-        indices=best_idx,
-        cost=best_cost,
-        nodes_visited=m ** 4,
-        full_sorts=0,
-    )
+    if not np.all(cost < math.inf):
+        raise ValueError(COST_OVERFLOW)
+    indices = np.stack(np.unravel_index(flat, (m,) * 4), axis=-1)
+    return [
+        DecodeResult(x_hat=x_hat, indices=tuple(idx), cost=c, nodes_visited=m ** 4, full_sorts=0)
+        for x_hat, idx, c in zip(syms[indices], indices.tolist(), cost.tolist())
+    ]
+
+
+def decode_exhaustive(
+    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet
+) -> DecodeResult:
+    """Scan all M^4 candidate vectors of one instance: ``decode_exhaustive_stack``
+    on the stack of one ``eff.h`` and ``y``, with the same tie rule and checks."""
+    return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None], alphabet)[0]
 
 
 def _real_search(

@@ -52,18 +52,20 @@ ORDERING_MODES = ("none", "blast")
 
 @dataclass(frozen=True)
 class DecoderEntry:
-    """One decoder: its call, its stacked sorts, its BLAST column-order rule
+    """One decoder: its calls, its stacked sorts, its BLAST column-order rule
     and the setups it can decode.
 
     ``call(eff, y, alphabet, prepared=None)`` decodes ``eff`` in its own
     column order and returns a DecodeResult; ``prepared`` is the instance's
     row of the stack's prologue (tree decoders only), as ``_decode_stack``
-    passes it. ``sorts(alphabet, r, z)``, when set, is the decoder's stacked
-    sort prologue. ``blast(matrices)``, when set, picks each matrix's column
-    order under ``--ordering blast``; a decoder without one decodes in the
-    natural order. All three reach the decoders through this module's
-    ``decoders`` attribute at call time, so rebinding that attribute reaches
-    every caller.
+    passes it. ``stack(matrices, received, alphabet)``, when set, decodes a
+    whole stack in one call, with no prologue, and ``_decode_stack`` uses it
+    in place of ``call``. ``sorts(alphabet, r, z)``, when set, is the
+    decoder's stacked sort prologue. ``blast(matrices)``, when set, picks
+    each matrix's column order under ``--ordering blast``; a decoder without
+    one decodes in the natural order. All of them reach the decoders through
+    this module's ``decoders`` attribute at call time, so rebinding that
+    attribute reaches every caller.
     """
 
     call: Callable
@@ -72,6 +74,7 @@ class DecoderEntry:
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
     sorts: Callable = None
     blast: Callable = None
+    stack: Callable = None
 
 
 DECODERS = {
@@ -87,6 +90,7 @@ DECODERS = {
         call=lambda eff, y, alphabet, prepared=None: decoders.decode_exhaustive(eff, y, alphabet),
         code_variants=codes.CODE_VARIANTS,
         capped=True,
+        stack=lambda *args: decoders.decode_exhaustive_stack(*args),
     ),
     "fast": DecoderEntry(
         call=lambda eff, y, alphabet, prepared=None: decoders.decode_fast_golden(
@@ -308,10 +312,12 @@ def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
     """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
     (n, 4) ``received``, with every decoder in ``names``.
 
-    Under ``ordering`` "blast" each decoder with a BLAST rule decodes every
-    instance with its columns in the order that rule picks; every other
-    decoder decodes the natural order. The prologue runs once per stack and
-    column-order rule: the permuted channels, one stacked QR and Q^H y
+    A decoder with a stack call (exhaustive) decodes the whole stack in that
+    one call, in the natural column order. Under ``ordering`` "blast" each
+    other decoder with a BLAST rule decodes every instance with its columns
+    in the order that rule picks; every other decoder decodes the natural
+    order. The prologue runs once per stack and column-order rule that some
+    decoder reads rows from: the permuted channels, one stacked QR and Q^H y
     (``decoders.triangular_rows``), shared by every tree decoder of that
     order, and one stacked pair of alphabet sorts per fast or Alamouti
     decoder; each decode gets its instance's row. Decisions are mapped back
@@ -319,12 +325,19 @@ def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
 
     Returns:
         Per decoder name, one ``(DecodeResult, time_ns)`` pair per instance:
-        the decoder call plus an even share of its stacked sorts.
+        an even share of the stack call, or the decoder call plus an even
+        share of its stacked sorts.
     """
     prologues = {}  # column-order rule (None: natural) -> channels, r, z, rows, inverses
     decoded = {}
     for name in names:
         entry = DECODERS[name]
+        if entry.stack is not None:
+            start = time.perf_counter_ns()
+            results = entry.stack(matrices, received, alphabet)
+            share = (time.perf_counter_ns() - start) / len(results)
+            decoded[name] = [(result, share) for result in results]
+            continue
         rule = entry.blast if ordering == "blast" else None
         if rule not in prologues:
             ordered, inverse = matrices, [None] * len(matrices)

@@ -149,6 +149,72 @@ def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
                 assert got.indices[tied] == 0
 
 
+@pytest.mark.parametrize("block", (2 ** 10, 2 ** 14, 2 ** 18))
+@pytest.mark.parametrize(
+    "m, count", ((4, 1), (4, 15), (4, 16), (4, 17), (4, 38), (16, 3))
+)
+def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, block):
+    """The stacked scan equals the per-symbol reference scan on each instance,
+    bit for bit, for stacks that straddle pass boundaries (16 instances per
+    pass at 4-QAM and the default bound) and for other pass bounds; no pass
+    holds more than EXHAUSTIVE_BLOCK residual entries, or one row's."""
+    monkeypatch.setattr(dec, "EXHAUSTIVE_BLOCK", block)
+    passes = []
+    scan_block = dec._scan_block
+
+    def recording(matrices, received, syms, step, planes):
+        passes.append(4 * len(matrices) * step * m ** 3)
+        return scan_block(matrices, received, syms, step, planes)
+
+    monkeypatch.setattr(dec, "_scan_block", recording)
+    alphabet = st.make_qam(m)
+    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(count)]
+    matrices = st.effective_matrix(np.stack(chs), "golden-dv")
+    received = _received(rng, matrices, alphabet, "golden-dv", [3.0 * k for k in range(count)])
+    # ties in the middle of the stack: y = 0 ties x with -x, and a zero
+    # column ties its symbol M ways, so the smallest index wins
+    mid = count // 2
+    dead = min(mid + 1, count - 1)
+    received[mid] = 0.0
+    matrices[dead, :, 0] = 0.0
+    results = dec.decode_exhaustive_stack(matrices, received, alphabet)
+    assert len(results) == count
+    assert passes and max(passes) <= max(block, 4 * m ** 3)
+    for h, y, got in zip(matrices, received, results):
+        eff = st.EffectiveChannel(h=h, variant="golden-dv")
+        want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
+        assert got.indices == want_idx
+        assert got.cost.hex() == want_cost.hex()
+        assert got.x_hat.tobytes() == alphabet.symbols[list(want_idx)].tobytes()
+        assert (got.nodes_visited, got.full_sorts) == (m ** 4, 0)
+        assert abs(got.cost - recompute_cost(eff, y, got.x_hat)) <= 1e-9
+    assert results[dead].indices[0] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_bad_instance_makes_the_exhaustive_stack_raise(rng):
+    """One bad instance in the middle of a stack makes the whole stack raise."""
+    alphabet = st.make_qam(4)
+    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(20)]
+    matrices = st.effective_matrix(np.stack(chs), "golden-dv")
+    received = _received(rng, matrices, alphabet, "golden-dv", [10.0] * 20)
+    with pytest.raises(ValueError, match="cap"):
+        dec.decode_exhaustive_stack(matrices, received, st.make_qam(256))
+    for bad in (math.nan, math.inf):
+        h = matrices.copy()
+        h[10, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite channel matrix"):
+            dec.decode_exhaustive_stack(h, received, alphabet)
+        y = received.copy()
+        y[10, 3] = bad
+        with pytest.raises(ValueError, match="non-finite received stack y"):
+            dec.decode_exhaustive_stack(matrices, y, alphabet)
+    y = received.copy()
+    y[17] = (1e200, 1e200, 0.0, 0.0)  # finite, but every cost of instance 17 overflows
+    with pytest.raises(ValueError, match="overflowed"):
+        dec.decode_exhaustive_stack(matrices, y, alphabet)
+
+
 @pytest.mark.parametrize("m", st.SUPPORTED_QAM_ORDERS)
 def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
     pam = st.make_qam(m).pam
@@ -424,10 +490,11 @@ def test_non_finite_input_raises(rng, name, bad, where):
     else:
         h[2, 1] = bad
     eff = st.EffectiveChannel(h=h, variant=variant)
-    with pytest.raises(ValueError, match="finite"):
+    message = "non-finite received stack y" if where == "y" else "non-finite channel matrix"
+    with pytest.raises(ValueError, match=message):
         decode(eff, y, alphabet)
     for ordering in st.harness.ORDERING_MODES:  # the column order is picked first
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=message):
             st.harness._decode_stack(h[None], y[None], variant, alphabet, (name,), ordering)
 
 
@@ -647,10 +714,13 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     with pytest.raises(ValueError, match="invalid for this channel"):
         dec.alamouti_sorts(alphabet, *dec.triangular_rows(alamouti, y_al)[:2])
 
-    # The batch path raises before its first decode, for every decoder.
+    # The batch path raises before its first decode, for every decoder: the
+    # exhaustive stack call decodes in blocks, after its checks.
     calls = []
     for _, decode in _DECODER_CASES.values():
         monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
+    scan_block = dec._scan_block
+    monkeypatch.setattr(dec, "_scan_block", lambda *args: calls.append(args) or scan_block(*args))
     nan_y_al = y_al.copy()
     nan_y_al[0, 0] = math.nan
     cases = [("golden-dv", matrices, nan_y, name, "non-finite received stack y")
@@ -665,5 +735,9 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
             with pytest.raises(ValueError, match=message):
                 st.harness._decode_stack(stack, received, variant, alphabet, (name,), ordering)
     assert calls == []
-    st.harness._decode_stack(matrices, y, "golden-dv", alphabet, ("sphere",), "none")
-    assert len(calls) == len(matrices)  # a stack that passes reaches the patched decoders
+    # a stack that passes reaches the patched decoders, and at 16-QAM the
+    # exhaustive scan's blocks hold one instance each
+    for name in ("sphere", "exhaustive"):
+        calls.clear()
+        st.harness._decode_stack(matrices, y, "golden-dv", alphabet, (name,), "none")
+        assert len(calls) == len(matrices)

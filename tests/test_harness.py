@@ -334,22 +334,27 @@ def test_alamouti_suite_counts_each_probe_refusal(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides, orders, qrs",
+    "overrides, orders, qrs, sorts_per_chunk",
     (
-        (dict(decoders=("fast", "sphere")), 1, 1),
-        (dict(decoders=("exhaustive", "fast")), 1, 1),
-        (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16), 1, 1),
-        # one prologue per column-order rule: fast's best of eight (one more
-        # stacked QR scores them), sphere's greedy one, the natural one
-        (dict(decoders=("fast", "sphere"), ordering="blast"), 2, 3),
-        (dict(decoders=("exhaustive", "fast"), ordering="blast"), 2, 3),
+        (dict(decoders=("fast", "sphere")), 1, 1, 2),
+        (dict(decoders=("exhaustive", "fast")), 1, 1, 2),
+        (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16), 1, 1, 2),
+        # the exhaustive scan reads no R: a stack of its own makes no QR and no sort
+        (dict(decoders=("exhaustive",)), 0, 0, 0),
+        # one prologue per column-order rule that a decoder reads rows from:
+        # fast's best of eight (one more stacked QR scores them), sphere's
+        # greedy one, never the exhaustive scan's natural one
+        (dict(decoders=("fast", "sphere"), ordering="blast"), 2, 3, 2),
+        (dict(decoders=("exhaustive", "fast"), ordering="blast"), 1, 2, 2),
         (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
-              ordering="blast"), 2, 2),
+              ordering="blast"), 2, 2, 2),
     ),
-    ids=("fast-sphere", "exhaustive-fast", "alamouti-sphere", "fast-sphere-blast",
-         "exhaustive-fast-blast", "alamouti-sphere-blast"),
+    ids=("fast-sphere", "exhaustive-fast", "alamouti-sphere", "exhaustive",
+         "fast-sphere-blast", "exhaustive-fast-blast", "alamouti-sphere-blast"),
 )
-def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides, orders, qrs):
+def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
+    monkeypatch, overrides, orders, qrs, sorts_per_chunk
+):
     formed = []
     sorts = []
     factored = []
@@ -380,7 +385,30 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(monkeypatch, overrides
     assert len(factored) == qrs * 4
     assert all(shape[0] in (32, 8) for shape in factored)
     # two sorts per chunk for the one fast or alamouti decoder, none per trial
-    assert len(sorts) == 2 * 4
+    assert len(sorts) == sorts_per_chunk * 4
+
+
+def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
+    """The exhaustive scan reads no R, so a stack that only it decodes makes
+    no QR: a rank-deficient matrix decodes, as CLI ``decode`` decodes it alone.
+    A stack that fast decodes too still raises."""
+    alphabet = st.make_qam(4)
+    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(5)]
+    matrices = st.effective_matrix(np.stack(chs), "golden-dv")
+    matrices[2] = np.ones((4, 4))
+    received = (matrices @ alphabet.symbols[rng.integers(0, 4, (5, 4))][..., None])[..., 0]
+    for ordering in harness.ORDERING_MODES:
+        decoded = harness._decode_stack(
+            matrices, received, "golden-dv", alphabet, ("exhaustive",), ordering
+        )
+        for h, y, (result, _) in zip(matrices, received, decoded["exhaustive"]):
+            eff = st.EffectiveChannel(h=h, variant="golden-dv")
+            alone = st.decoders.decode_exhaustive(eff, y, alphabet)
+            assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
+        with pytest.raises(ValueError, match="degenerate"):
+            harness._decode_stack(
+                matrices, received, "golden-dv", alphabet, ("exhaustive", "fast"), ordering
+            )
 
 
 def test_verification_unknown_suite():
