@@ -33,8 +33,6 @@ class ChannelRealization:
     """
 
     h: np.ndarray
-    model: str
-    rho: float = None
 
 
 def make_rng(seed: int, *branch: int) -> np.random.Generator:
@@ -129,7 +127,7 @@ def sample_channel(
 ) -> ChannelRealization:
     """Draw a single fading realization."""
     h = channels_from_normals(rng.standard_normal(_channel_normals(model)), model, rho)
-    return ChannelRealization(h=h, model=model, rho=rho)
+    return ChannelRealization(h=h)
 
 
 def snr_to_n0(snr_db: float) -> float:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from . import codes, harness
-from .channel import CHANNEL_MODELS, ChannelRealization
+from .channel import CHANNEL_MODELS
 from .constellation import make_qam
 
 
@@ -104,16 +104,17 @@ def _decode_command(path: str) -> int:
     if code not in codes.CODE_VARIANTS:
         raise ValueError(f"unknown code variant: {code!r}")
     alphabet = make_qam(_modulation(data["modulation"]))
-    entry = harness.decoder_entry(data["decoder"], code, alphabet.size)
+    name = data["decoder"]
+    harness.decoder_entry(name, code, alphabet.size)
     if ("h" in data) == ("H" in data):
         raise ValueError("decode input needs exactly one of 'h' or 'H'")
     if "h" in data:
-        h = _complex_array(data, "h", (2, 2, 2))
-        eff = codes.effective_channel(ChannelRealization(h=h, model="custom"), code)
+        matrix = codes.effective_matrix(_complex_array(data, "h", (2, 2, 2)), code)
     else:
-        eff = codes.EffectiveChannel(h=_complex_array(data, "H", (4, 4)), variant=code)
-    y = eff.stack(_complex_array(data, "y", (4,)))
-    result = entry.call(eff, y, alphabet)
+        matrix = _complex_array(data, "H", (4, 4))
+    y = codes.stack_samples(_complex_array(data, "y", (4,)), code)
+    decoded = harness.decode_stack(matrix[None], y[None], code, alphabet, (name,), "none")
+    result, _ = decoded[name][0]
 
     print("indices:", " ".join(str(i) for i in result.indices))
     print(f"cost: {result.cost:.12g}")

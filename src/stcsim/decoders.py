@@ -3,10 +3,10 @@
 Four decoders share a common contract: given an effective channel H, a
 received stack y and a square QAM alphabet, return the cost-minimizing symbol
 vector together with the achieved cost ||y - H x_hat||^2 and two effort
-counters. A non-finite y or H raises ValueError. The tree decoders take one
-EffectiveChannel per call; the exhaustive scan, ``decode_exhaustive_stack``,
-takes a whole stack of matrices and received stacks per call, and
-``decode_exhaustive`` is that scan on a stack of one.
+counters. A non-finite y or H raises ValueError. ``decode_exhaustive_stack``
+scans a whole stack per call; a tree decoder decodes one instance per call
+from its row (``prepared``) of the stack's prologue, which only
+``harness.decode_stack`` runs, for a single instance on a stack of one.
 
 Counting convention (normative for all reported numbers):
 
@@ -30,9 +30,12 @@ Python scalars, so the per-node arithmetic indexes plain lists;
 sorts of every trial of a stack at once. The prologue also checks, once per
 stack, every precondition of the searches: finite input and full rank, and
 the zeros in R that a fast search needs. No decoder reads the code label;
-which code a decoder may decode is the registry's rule. A batch of decodes
-runs the prologue once per stack and passes each decode its trial's row
-(``prepared``); a call without one runs it on a stack of one.
+which code a decoder may decode is the registry's rule.
+
+A tree decoder still takes ``(eff, y, alphabet)`` first, though it reads
+only the row and the alphabet, and ``decode_exhaustive`` stays, though no
+decode path calls it: the benchmark's tracer wraps these functions by name
+and checks each reported cost against ``||y - eff.h x_hat||^2``.
 
 A decoder decodes the matrix it is given, in its column order, and reports
 x_hat in that order; a detection order (``blast_ordering``) is chosen before
@@ -189,23 +192,6 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
     return list(zip(*(part.tolist() for part in sort4 + sort3)))
 
 
-def _prepared_row(eff, y, prepared, alphabet=None, sorts=None) -> tuple:
-    """The decoder's row: ``prepared``, or a stack of one through the same prologue.
-
-    Without ``prepared``, ``triangular_rows`` factors ``eff.h``; ``sorts``
-    (one of the stacked sort functions) then appends the trial's sorted lists.
-    Both raise as they do on a stack.
-
-    Returns:
-        ``(r, z, *sorted_lists)`` as ``triangular_rows`` and ``sorts`` give them.
-    """
-    if prepared is None:
-        r, z, (prepared,) = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-        if sorts is not None:
-            prepared += sorts(alphabet, r, z)[0]
-    return prepared
-
-
 def _scan_block(matrices, received, syms, step: int, planes) -> tuple:
     """The exhaustive scan of a block of k instances, ``matrices`` (k, 4, 4)
     and ``received`` (k, 4), in passes of ``step`` leading symbols x1 each.
@@ -311,7 +297,8 @@ def decode_exhaustive(
     eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet
 ) -> DecodeResult:
     """Scan all M^4 candidate vectors of one instance: ``decode_exhaustive_stack``
-    on the stack of one ``eff.h`` and ``y``, with the same tie rule and checks."""
+    on the stack of one ``eff.h`` and ``y``, with the same tie rule and checks;
+    kept for the benchmark's tracer, which wraps it by name."""
     return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None], alphabet)[0]
 
 
@@ -432,7 +419,7 @@ def decode_fast_golden(
     alphabet: QamAlphabet,
     prune: bool = True,
     *,
-    prepared=None,
+    prepared,
 ) -> DecodeResult:
     """Fast exact-ML decoder for any channel whose R has real diagonal blocks.
 
@@ -448,13 +435,12 @@ def decode_fast_golden(
     for a quasistatic overlaid-Alamouti channel.
 
     Args:
+        eff, y: the instance; unread here, kept for the tracer's cost check.
         prune: disable to force full enumeration (worst-case instrumentation).
         prepared: this trial's ``triangular_rows`` row followed by its
-            ``fast_golden_sorts`` row; None prepares (and checks) a stack of one.
+            ``fast_golden_sorts`` row, which checked the structure.
     """
-    r, z, ord_re, m_re, ord_im, m_im = _prepared_row(
-        eff, y, prepared, alphabet, fast_golden_sorts
-    )
+    r, z, ord_re, m_re, ord_im, m_im = prepared
     sym_re = alphabet.symbols.real.tolist()
     sym_im = alphabet.symbols.imag.tolist()
     r11, r12, r22 = r[0][0].real, r[0][1].real, r[1][1].real
@@ -562,7 +548,7 @@ def decode_sphere_conventional(
     alphabet: QamAlphabet,
     prune: bool = True,
     *,
-    prepared=None,
+    prepared,
 ) -> DecodeResult:
     """Four-level complex sphere decoder with child ordering at every level.
 
@@ -576,10 +562,10 @@ def decode_sphere_conventional(
     ordering counts as one full sort.
 
     Args:
-        prepared: this trial's ``triangular_rows`` row; None prepares a
-            stack of one.
+        eff, y: the instance; unread here, kept for the tracer's cost check.
+        prepared: this trial's ``triangular_rows`` row.
     """
-    r, z = _prepared_row(eff, y, prepared)
+    r, z = prepared
     sym_list = alphabet.symbols.tolist()
     rdiag = [r[i][i].real for i in range(4)]
     values = alphabet.pam.values
@@ -663,7 +649,7 @@ def decode_alamouti_fast(
     alphabet: QamAlphabet,
     prune: bool = True,
     *,
-    prepared=None,
+    prepared,
 ) -> DecodeResult:
     """Fast exact-ML decoder for any channel whose R has zeros at (1,2) and (3,4).
 
@@ -674,10 +660,11 @@ def decode_alamouti_fast(
     pairs with sorted-metric pruning.
 
     Args:
+        eff, y: the instance; unread here, kept for the tracer's cost check.
         prepared: this trial's ``triangular_rows`` row followed by its
-            ``alamouti_sorts`` row; None prepares (and checks) a stack of one.
+            ``alamouti_sorts`` row, which checked the structure.
     """
-    r, z, order4, m4, order3, m3 = _prepared_row(eff, y, prepared, alphabet, alamouti_sorts)
+    r, z, order4, m4, order3, m3 = prepared
     r11, r22 = r[0][0].real, r[1][1].real
     syms = alphabet.symbols.tolist()
 

@@ -8,8 +8,9 @@ output independent of scheduling: serial and parallel runs emit identical
 CSV (wall-time columns excluded from that contract). Sweeps and the
 decoding verify suites share one instance pipeline: ``_InstanceStack``
 draws instances row by row and builds them as one stack, and
-``_decode_stack``, the module's one place that calls a decoder or decides a
-column order, runs their stacked prologue once per stack.
+``decode_stack``, the one place that calls a decoder or decides a column
+order, runs their stacked prologue once per stack. CLI ``decode`` decodes
+its one instance through ``decode_stack`` too, as a stack of one.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -52,24 +53,24 @@ ORDERING_MODES = ("none", "blast")
 
 @dataclass(frozen=True)
 class DecoderEntry:
-    """One decoder: its calls, its stacked sorts, its BLAST column-order rule
+    """One decoder: its call, its stacked sorts, its BLAST column-order rule
     and the setups it can decode.
 
-    ``call(eff, y, alphabet, prepared=None)`` decodes ``eff`` in its own
-    column order and returns a DecodeResult; ``prepared`` is the instance's
-    row of the stack's prologue (tree decoders only), as ``_decode_stack``
-    passes it. ``stack(matrices, received, alphabet)``, when set, decodes a
-    whole stack in one call, with no prologue, and ``_decode_stack`` uses it
-    in place of ``call``. ``sorts(alphabet, r, z)``, when set, is the
-    decoder's stacked sort prologue. ``blast(matrices)``, when set, picks
-    each matrix's column order under ``--ordering blast``; a decoder without
-    one decodes in the natural order. All of them reach the decoders through
+    A decoder has exactly one of two calls, which only ``decode_stack``
+    makes. ``stack(matrices, received, alphabet)`` (exhaustive) decodes a
+    whole stack in one call, with no prologue. ``call(eff, y, alphabet,
+    prepared=row)`` (the tree decoders) decodes one instance, ``eff`` in its
+    own column order, from its row of the stack's prologue. Both return
+    DecodeResults. ``sorts(alphabet, r, z)``, when set, is the decoder's
+    stacked sort prologue. ``blast(matrices)``, when set, picks each
+    matrix's column order under ``--ordering blast``; a decoder without one
+    decodes in the natural order. All of them reach the decoders through
     this module's ``decoders`` attribute at call time, so rebinding that
     attribute reaches every caller.
     """
 
-    call: Callable
     code_variants: tuple
+    call: Callable = None
     quasistatic_only: bool = False
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
     sorts: Callable = None
@@ -79,23 +80,18 @@ class DecoderEntry:
 
 DECODERS = {
     "alamouti": DecoderEntry(
-        call=lambda eff, y, alphabet, prepared=None: decoders.decode_alamouti_fast(
-            eff, y, alphabet, prepared=prepared
-        ),
+        call=lambda *args, **kwargs: decoders.decode_alamouti_fast(*args, **kwargs),
         code_variants=("overlaid-alamouti",),
         quasistatic_only=True,
         sorts=lambda *args: decoders.alamouti_sorts(*args),
     ),
     "exhaustive": DecoderEntry(
-        call=lambda eff, y, alphabet, prepared=None: decoders.decode_exhaustive(eff, y, alphabet),
         code_variants=codes.CODE_VARIANTS,
         capped=True,
         stack=lambda *args: decoders.decode_exhaustive_stack(*args),
     ),
     "fast": DecoderEntry(
-        call=lambda eff, y, alphabet, prepared=None: decoders.decode_fast_golden(
-            eff, y, alphabet, prepared=prepared
-        ),
+        call=lambda *args, **kwargs: decoders.decode_fast_golden(*args, **kwargs),
         code_variants=codes.GOLDEN_VARIANTS,
         sorts=lambda *args: decoders.fast_golden_sorts(*args),
         # the best of the orders that keep R's diagonal blocks real
@@ -104,9 +100,7 @@ DECODERS = {
         ),
     ),
     "sphere": DecoderEntry(
-        call=lambda eff, y, alphabet, prepared=None: decoders.decode_sphere_conventional(
-            eff, y, alphabet, prepared=prepared
-        ),
+        call=lambda *args, **kwargs: decoders.decode_sphere_conventional(*args, **kwargs),
         code_variants=codes.CODE_VARIANTS,
         blast=lambda matrices: decoders.blast_ordering(matrices),
     ),
@@ -211,13 +205,16 @@ class SweepConfig:
             raise ValueError("snr stop must not be below snr start")
         for snr in (self.snr_start, self.snr_stop):
             snr_to_n0(snr)  # N0 falls with SNR, so the two ends bound the grid
-        labels = [_fmt(snr) for snr in self.snr_points()]
-        if len(set(labels)) < len(labels):
-            raise ValueError(
-                f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} "
-                f"step={self.snr_step!r} has points that print alike in the CSV "
-                "(9 significant digits)"
-            )
+        # The ends first: a grid far finer than the CSV's resolution may be
+        # too long to build, and then its first or last two points print alike.
+        last = self._last_index()
+        for ks in ((0, 1), (last - 1, last), range(last + 1)):
+            if last and len({_fmt(self._point(k)) for k in ks}) < len(ks):
+                raise ValueError(
+                    f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} "
+                    f"step={self.snr_step!r} has points that print alike in the CSV "
+                    "(9 significant digits)"
+                )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
@@ -225,16 +222,25 @@ class SweepConfig:
         for name in self.decoders:
             decoder_entry(name, self.code, self.modulation, self.channel)
 
+    def _point(self, k: int) -> float:
+        return self.snr_start + k * self.snr_step
+
+    def _last_index(self) -> int:
+        """Index of the last of ``snr_points``, by bisection: a point never
+        falls as its index grows, and a grid may be too long to walk."""
+        limit = self.snr_stop + 1e-9 * self.snr_step
+        lo = 0
+        hi = math.floor(min((limit - self.snr_start) / self.snr_step, np.finfo(float).max)) + 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._point(mid) > limit:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
     def snr_points(self) -> list:
-        points = []
-        k = 0
-        while True:
-            snr = self.snr_start + k * self.snr_step
-            if snr > self.snr_stop + 1e-9 * self.snr_step:
-                break
-            points.append(snr)
-            k += 1
-        return points
+        return [self._point(k) for k in range(self._last_index() + 1)]
 
     def channel_label(self) -> str:
         if self.channel == "markov":
@@ -308,9 +314,11 @@ class _InstanceStack:
         return matrices, (matrices @ self.alphabet.symbols[self.sent][..., None])[..., 0] + noise
 
 
-def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
+def decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
     """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
-    (n, 4) ``received``, with every decoder in ``names``.
+    (n, 4) ``received``, with every decoder in ``names``: the one decode path,
+    for a sweep chunk, a verify block or one instance (n = 1). The registry's
+    setup rules (``decoder_entry``) are the caller's to check.
 
     A decoder with a stack call (exhaustive) decodes the whole stack in that
     one call, in the natural column order. Under ``ordering`` "blast" each
@@ -356,7 +364,7 @@ def _decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
         out = decoded[name] = []
         for eff, y, row, inv in zip(channels, received, prepared, inverse):
             start = time.perf_counter_ns()
-            result = entry.call(eff, y, alphabet, row)
+            result = entry.call(eff, y, alphabet, prepared=row)
             elapsed = time.perf_counter_ns() - start + sort_ns
             if inv is not None:
                 indices = tuple(result.indices[i] for i in inv)
@@ -374,14 +382,14 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
 
     Returns:
         For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
-        per trial, in trial order, ``time_ns`` as ``_decode_stack`` times it.
+        per trial, in trial order, ``time_ns`` as ``decode_stack`` times it.
     """
     alphabet = make_qam(cfg.modulation)
     stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
     for row, trial in enumerate(range(lo, hi)):
         stack.draw(row, make_rng(cfg.seed, point_index, trial), noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
-    decoded = _decode_stack(matrices, received, cfg.code, alphabet, cfg.decoders, cfg.ordering)
+    decoded = decode_stack(matrices, received, cfg.code, alphabet, cfg.decoders, cfg.ordering)
     sent = stack.sent.tolist()
     return {
         name: [
@@ -611,7 +619,7 @@ def _suite_alamouti(trials: int, seed: int) -> list:
     raised = 0
     for h, y in zip(*stack.build(1.0)):  # any N0: the noise normals stay zero
         try:
-            _decode_stack(h[None], y[None], stack.code, stack.alphabet, ("alamouti",), "none")
+            decode_stack(h[None], y[None], stack.code, stack.alphabet, ("alamouti",), "none")
         except ValueError:
             raised += 1
     return [
@@ -642,7 +650,7 @@ def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
                 stack.draw(row, rng)
         n0 = [snr_to_n0(snrs[t % len(snrs)]) for t in block]
         for stack, (model, code, names) in zip(stacks, kinds):
-            decoded = _decode_stack(*stack.build(n0), code, alphabet, names, "none")
+            decoded = decode_stack(*stack.build(n0), code, alphabet, names, "none")
             for i in range(len(block)):
                 yield (model, code, names), {name: decoded[name][i][0] for name in names}
 

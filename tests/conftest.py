@@ -39,6 +39,22 @@ def recompute_cost(eff, y, x_hat):
     return float(np.sum(np.abs(np.asarray(y) - np.asarray(eff.h) @ np.asarray(x_hat)) ** 2))
 
 
+def decode_one(name, eff, y, alphabet):
+    """Registry decoder ``name`` on one instance, in ``eff``'s own column
+    order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
+    received = np.asarray(y, dtype=complex)[None]
+    decoded = st.harness.decode_stack(eff.h[None], received, eff.variant, alphabet, (name,), "none")
+    return decoded[name][0][0]
+
+
+def prepared_row(eff, y, alphabet, sorts=None):
+    """One instance's decoder row, for a tree decoder call that
+    ``decode_stack`` does not make (``prune=False``): its ``triangular_rows``
+    row followed, given the decoder's ``sorts`` function, by its sorted lists."""
+    r, z, (row,) = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    return row + sorts(alphabet, r, z)[0] if sorts else row
+
+
 def sorted_pam_list(x, pam):
     """Reference order of the fast decoder's x2 candidates: all PAM symbols as
     (symbol, index) pairs in ascending distance to ``x``, built by zigzag
@@ -72,7 +88,7 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
     ``decoders.decode_sphere_conventional`` replaced. Each expanded node
     computes all M child metrics and visits them in ``np.argsort(...,
     kind="stable")`` order; everything else is the decoder's own."""
-    r, z = dec._prepared_row(eff, y, None)
+    r, z = prepared_row(eff, y, alphabet)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]
@@ -141,7 +157,7 @@ def decode_alone(name, eff, y, alphabet, ordering):
         perm = dec.blast_ordering(eff.h, allowed=dec.FAST_PERMUTATIONS)
     elif ordering == "blast" and name == "sphere":
         perm = dec.blast_ordering(eff.h)
-    result = st.harness.DECODERS[name].call(permuted(eff, perm), y, alphabet)
+    result = decode_one(name, permuted(eff, perm), y, alphabet)
     x_hat = np.empty(4, dtype=complex)
     indices = [0] * 4
     for pos, col in enumerate(perm):

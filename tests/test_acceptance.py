@@ -99,7 +99,9 @@ def test_criterion_05_worst_case_node_formula():
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(ch, "golden-dv")
         y = eff.h @ alphabet.symbols[idx] + eff.stack(st.sample_noise(rng, 0.2))
-        result = dec.decode_fast_golden(eff, y, alphabet, prune=False)
+        r, z, (row,) = dec.triangular_rows(eff.h[None], y[None])
+        prepared = row + dec.fast_golden_sorts(alphabet, r, z)[0]
+        result = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=prepared)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}
     ok = measured == expected

@@ -122,25 +122,50 @@ def test_decode_with_effective_matrix_alamouti(tmp_path, capsys):
     assert f"indices: {' '.join(str(i) for i in idx)}" in out
 
 
-@pytest.mark.parametrize("decoder", ("exhaustive", "sphere"))
+# Per decoder, a code and a channel model it accepts.
+_DECODE_SETUPS = {
+    "exhaustive": ("golden-wimax", "rapid"),
+    "sphere": ("golden-wimax", "rapid"),
+    "fast": ("golden-wimax", "rapid"),
+    "alamouti": ("overlaid-alamouti", "quasistatic"),
+}
+
+
+@pytest.mark.parametrize("decoder", tuple(_DECODE_SETUPS))
 def test_decode_remaining_decoders(tmp_path, capsys, decoder):
+    """CLI ``decode`` of one instance prints what the same instance decodes
+    to as row k of a larger stack."""
+    code, model = _DECODE_SETUPS[decoder]
     rng = st.make_rng(23)
     alphabet = st.make_qam(4)
-    ch = st.sample_channel(rng, "rapid")
-    eff = st.effective_channel(ch, "golden-wimax")
-    idx = rng.integers(0, 4, 4)
+    chs = np.stack([st.sample_channel(rng, model).h for _ in range(5)])
+    idx = rng.integers(0, 4, (5, 4))
+    matrices = st.effective_matrix(chs, code)
+    received = (matrices @ alphabet.symbols[idx][..., None])[..., 0]
+    received += st.codes.stack_samples(
+        np.array([st.sample_noise(rng, st.snr_to_n0(30.0)) for _ in range(5)]), code
+    )
+    decoded = harness.decode_stack(matrices, received, code, alphabet, (decoder,), "none")
+    k = 3
+    row, _ = decoded[decoder][k]
     payload = {
-        "code": "golden-wimax",
+        "code": code,
         "modulation": 4,
         "decoder": decoder,
-        "h": pairs(ch.h),
-        "y": pairs(eff.h @ alphabet.symbols[idx]),
+        "h": pairs(chs[k]),
+        # the raw samples: conjugating twice is the identity
+        "y": pairs(st.codes.stack_samples(received[k], code)),
     }
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(payload))
     assert main(["decode", "--input", str(path)]) == 0
     out = capsys.readouterr().out
-    assert f"indices: {' '.join(str(i) for i in idx)}" in out
+    assert f"indices: {' '.join(str(i) for i in idx[k])}" in out
+    assert out == (
+        f"indices: {' '.join(str(i) for i in row.indices)}\n"
+        f"cost: {row.cost:.12g}\n"
+        f"nodes_visited: {row.nodes_visited}\n"
+    )
 
 
 def test_decode_error_paths(tmp_path, capsys):
@@ -305,12 +330,19 @@ def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
 
 def test_simulate_rejects_snr_points_that_print_alike(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    grid = ("--snr-start", "10", "--snr-stop", "10.000000004", "--snr-step", "1e-9")
-    assert main(["simulate", "--trials", "2", "--out", str(out), *grid]) == 2
-    err = capsys.readouterr().err
-    assert "error: snr grid start=10.0 stop=10.000000004 step=1e-09" in err
-    assert "print alike" in err
-    assert not out.exists()
+    grids = (
+        (("10", "10.000000004", "1e-9"), "start=10.0 stop=10.000000004 step=1e-09"),
+        # grids far too long to build: the first or the last two points print alike
+        (("0", "30", "1e-300"), "start=0.0 stop=30.0 step=1e-300"),
+        (("-30", "0", "1e-300"), "start=-30.0 stop=0.0 step=1e-300"),
+    )
+    for (start, stop, step), shown in grids:
+        grid = (f"--snr-start={start}", "--snr-stop", stop, "--snr-step", step)
+        assert main(["simulate", "--trials", "2", "--out", str(out), *grid]) == 2
+        err = capsys.readouterr().err
+        assert f"error: snr grid {shown}" in err
+        assert "print alike" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ("0", "-4"))

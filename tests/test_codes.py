@@ -146,7 +146,7 @@ def test_effective_channel_dv_identity_example():
     h = np.zeros((2, 2, 2), dtype=complex)
     h[0, 0, :] = 1.0  # h11
     h[1, 1, :] = 1.0  # h22
-    eff = st.effective_channel(st.ChannelRealization(h=h, model="quasistatic"), "golden-dv")
+    eff = st.effective_channel(st.ChannelRealization(h=h), "golden-dv")
     want = np.column_stack(
         [
             [c, 0, 0, -s],
@@ -244,7 +244,7 @@ def test_min_determinant_alphabet_independence():
 
 
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
-def test_factored_channels_match_single_builds_bit_for_bit(rng, variant):
+def test_stacked_builds_and_qrs_equal_single_ones_bit_for_bit(rng, variant):
     """A stacked effective_matrix and a stacked qr_decompose, as a sweep chunk
     makes them, equal one channel's own build and QR bit for bit."""
     for model, rho in (("quasistatic", None), ("rapid", None), ("markov", 0.9)):

@@ -11,7 +11,9 @@ from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 from conftest import (
     decode_alone,
+    decode_one,
     permuted,
+    prepared_row,
     random_alamouti_instance,
     random_golden_instance,
     recompute_cost,
@@ -23,22 +25,26 @@ from conftest import (
 def test_exhaustive_noiseless_and_count(rng):
     eff, y, alphabet, idx = random_golden_instance(rng, 4)
     y = eff.h @ alphabet.symbols[idx]  # noiseless
-    r = dec.decode_exhaustive(eff, y, alphabet)
+    r = decode_one("exhaustive", eff, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-20
     assert r.nodes_visited == 256
     assert np.array_equal(r.x_hat, alphabet.symbols[list(idx)])
+    alone = dec.decode_exhaustive(eff, y, alphabet)  # the per-instance call the tracer wraps
+    assert (alone.indices, alone.cost.hex(), alone.nodes_visited) == (
+        r.indices, r.cost.hex(), r.nodes_visited
+    )
 
 
 def test_exhaustive_cap():
     eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
     with pytest.raises(ValueError, match="cap"):
-        dec.decode_exhaustive(eff, np.zeros(4), st.make_qam(256))
+        decode_one("exhaustive", eff, np.zeros(4), st.make_qam(256))
 
 
 def test_exhaustive_is_global_minimum_by_full_scan(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4, snr_db=3.0)
-    r = dec.decode_exhaustive(eff, y, alphabet)
+    r = decode_one("exhaustive", eff, y, alphabet)
     # independent scan oracle over all 256 candidates
     best = math.inf
     for i1 in range(4):
@@ -54,7 +60,7 @@ def test_exhaustive_tie_breaks_lexicographically():
     eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
     alphabet = st.make_qam(4)
     # y = 0 ties all 256 candidates (constant-modulus alphabet)
-    r = dec.decode_exhaustive(eff, np.zeros(4, dtype=complex), alphabet)
+    r = decode_one("exhaustive", eff, np.zeros(4, dtype=complex), alphabet)
     assert r.indices == (0, 0, 0, 0)
 
 
@@ -63,7 +69,7 @@ def test_fast_noiseless_recovery(rng, variant):
     for model in ("quasistatic", "rapid"):
         eff, _, alphabet, idx = random_golden_instance(rng, 16, variant, model)
         y = eff.h @ alphabet.symbols[idx]
-        r = dec.decode_fast_golden(eff, y, alphabet)
+        r = decode_one("fast", eff, y, alphabet)
         assert r.indices == tuple(idx)
         assert r.cost <= 1e-18
         assert r.full_sorts == 2
@@ -81,8 +87,8 @@ def test_fast_matches_exhaustive(rng, m):
         y = eff.h @ alphabet.symbols[idx] + eff.stack(
             st.sample_noise(rng, st.snr_to_n0(float(rng.integers(0, 21))))
         )
-        ref = dec.decode_exhaustive(eff, y, alphabet)
-        fast = dec.decode_fast_golden(eff, y, alphabet)
+        ref = decode_one("exhaustive", eff, y, alphabet)
+        fast = decode_one("fast", eff, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
         assert fast.full_sorts == 2
         assert abs(fast.cost - recompute_cost(eff, y, fast.x_hat)) <= 1e-9
@@ -93,14 +99,14 @@ def test_fast_all_allowed_permutations_are_exact(rng):
     others = set(itertools.permutations(range(4))) - set(dec.FAST_PERMUTATIONS)
     for _ in range(25):
         eff, y, _, _ = random_golden_instance(rng, 4, model="rapid", snr_db=6.0)
-        ref = dec.decode_exhaustive(eff, y, alphabet).cost
+        ref = decode_one("exhaustive", eff, y, alphabet).cost
         for perm in dec.FAST_PERMUTATIONS:
-            r = dec.decode_fast_golden(permuted(eff, perm), y, alphabet)
+            r = decode_one("fast", permuted(eff, perm), y, alphabet)
             assert abs(r.cost - ref) <= 1e-9
         # any other column order loses the real diagonal blocks of R
         for perm in others:
             with pytest.raises(ValueError, match="golden structure"):
-                dec.decode_fast_golden(permuted(eff, perm), y, alphabet)
+                decode_one("fast", permuted(eff, perm), y, alphabet)
 
 
 def _exhaustive_per_leading_symbol(eff, y, alphabet):
@@ -141,7 +147,7 @@ def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
             cases.append((dead, dead @ sent, col))
         for matrix, y, tied in cases:
             eff = st.EffectiveChannel(h=matrix, variant=variant)
-            got = dec.decode_exhaustive(eff, y, alphabet)
+            got = decode_one("exhaustive", eff, y, alphabet)
             want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
             assert got.indices == want_idx
             assert got.cost.hex() == want_cost.hex()
@@ -244,7 +250,7 @@ def test_fast_rejects_bad_inputs(rng):
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     fake = st.EffectiveChannel(h=h, variant="golden-dv")
     with pytest.raises(ValueError, match="golden structure"):
-        dec.decode_fast_golden(fake, y, alphabet)
+        decode_one("fast", fake, y, alphabet)
 
 
 def test_check_fast_permutation_table():
@@ -298,9 +304,10 @@ def test_walk_pairs_pruned_stops_at_first_tail_above_best():
 def test_fast_worst_case_node_formula(rng, m, expected):
     # with pruning disabled: M + M^2 + 4 * M^2.5 exactly
     eff, y, alphabet, _ = random_golden_instance(rng, m, snr_db=5.0)
-    r = dec.decode_fast_golden(eff, y, alphabet, prune=False)
+    row = prepared_row(eff, y, alphabet, dec.fast_golden_sorts)
+    r = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=row)
     assert r.nodes_visited == expected
-    pruned = dec.decode_fast_golden(eff, y, alphabet)
+    pruned = decode_one("fast", eff, y, alphabet)
     assert pruned.nodes_visited <= expected
     assert abs(pruned.cost - r.cost) <= 1e-12
 
@@ -311,9 +318,9 @@ def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
         eff, y, _, _ = random_golden_instance(
             rng, 4, model=("quasistatic", "rapid")[t % 2], snr_db=float(5 + (t % 3) * 7)
         )
-        ref = dec.decode_exhaustive(eff, y, alphabet)
-        plain = dec.decode_sphere_conventional(eff, y, alphabet)
-        blast = dec.decode_sphere_conventional(permuted(eff, dec.blast_ordering(eff.h)), y, alphabet)
+        ref = decode_one("exhaustive", eff, y, alphabet)
+        plain = decode_one("sphere", eff, y, alphabet)
+        blast = decode_one("sphere", permuted(eff, dec.blast_ordering(eff.h)), y, alphabet)
         assert abs(plain.cost - ref.cost) <= 1e-9
         assert abs(blast.cost - ref.cost) <= 1e-9
         assert abs(plain.cost - recompute_cost(eff, y, plain.x_hat)) <= 1e-9
@@ -322,7 +329,7 @@ def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
 def test_sphere_noiseless(rng):
     eff, _, alphabet, idx = random_golden_instance(rng, 16)
     y = eff.h @ alphabet.symbols[idx]
-    r = dec.decode_sphere_conventional(eff, y, alphabet)
+    r = decode_one("sphere", eff, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
 
@@ -331,10 +338,11 @@ def test_sphere_worst_case_counters(rng):
     # with pruning disabled: M + M^2 + 2 M^3 nodes, 1 + M + M^2 sorts
     m = 4
     eff, y, alphabet, _ = random_golden_instance(rng, m, snr_db=5.0)
-    r = dec.decode_sphere_conventional(eff, y, alphabet, prune=False)
+    row = prepared_row(eff, y, alphabet)
+    r = dec.decode_sphere_conventional(eff, y, alphabet, prune=False, prepared=row)
     assert r.nodes_visited == m + m**2 + 2 * m**3
     assert r.full_sorts == 1 + m + m**2
-    assert dec.decode_sphere_conventional(eff, y, alphabet).nodes_visited <= r.nodes_visited
+    assert decode_one("sphere", eff, y, alphabet).nodes_visited <= r.nodes_visited
 
 
 def _argsort_children(a, b):
@@ -386,12 +394,18 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
     # shows as a different decision or node count on a few percent of channels.
     alphabet = st.make_qam(m)
     for n, (eff, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
-        calls = [(eff, {}), (permuted(eff, dec.blast_ordering(eff.h)), {})]
+        calls = [(eff, True), (permuted(eff, dec.blast_ordering(eff.h)), True)]
         if n < unpruned:
-            calls.append((eff, {"prune": False}))
-        for channel, kwargs in calls:
-            got = dec.decode_sphere_conventional(channel, y, alphabet, **kwargs)
-            ref = reference_sphere_decode(channel, y, alphabet, **kwargs)
+            calls.append((eff, False))
+        for channel, prune in calls:
+            if prune:
+                got = decode_one("sphere", channel, y, alphabet)
+            else:
+                row = prepared_row(channel, y, alphabet)
+                got = dec.decode_sphere_conventional(
+                    channel, y, alphabet, prune=False, prepared=row
+                )
+            ref = reference_sphere_decode(channel, y, alphabet, prune=prune)
             assert got.indices == ref.indices
             assert got.cost.hex() == ref.cost.hex()
             assert (got.nodes_visited, got.full_sorts) == (ref.nodes_visited, ref.full_sorts)
@@ -401,8 +415,8 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
 def test_alamouti_fast_matches_exhaustive(rng):
     for t in range(150):
         eff, y, alphabet, _ = random_alamouti_instance(rng, 4, snr_db=float(3 + (t % 4) * 5))
-        ref = dec.decode_exhaustive(eff, y, alphabet)
-        fast = dec.decode_alamouti_fast(eff, y, alphabet)
+        ref = decode_one("exhaustive", eff, y, alphabet)
+        fast = decode_one("alamouti", eff, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
         assert abs(fast.cost - recompute_cost(eff, y, fast.x_hat)) <= 1e-9
 
@@ -410,11 +424,12 @@ def test_alamouti_fast_matches_exhaustive(rng):
 def test_alamouti_fast_noiseless_and_counters(rng):
     eff, _, alphabet, idx = random_alamouti_instance(rng, 16)
     y = eff.h @ alphabet.symbols[idx]
-    r = dec.decode_alamouti_fast(eff, y, alphabet)
+    r = decode_one("alamouti", eff, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
     m = alphabet.size
-    nop = dec.decode_alamouti_fast(eff, y, alphabet, prune=False)
+    row = prepared_row(eff, y, alphabet, dec.alamouti_sorts)
+    nop = dec.decode_alamouti_fast(eff, y, alphabet, prune=False, prepared=row)
     assert nop.nodes_visited == m + m**2 + 4 * m**2
     assert r.nodes_visited <= nop.nodes_visited
 
@@ -424,7 +439,7 @@ def test_alamouti_fast_rejects_time_varying(rng):
     for _ in range(30):
         eff, y, alphabet, _ = random_alamouti_instance(rng, 4, model="rapid")
         try:
-            dec.decode_alamouti_fast(eff, y, alphabet)
+            decode_one("alamouti", eff, y, alphabet)
         except ValueError as exc:
             assert "invalid for this channel" in str(exc)
             raised += 1
@@ -435,7 +450,7 @@ def test_alamouti_fast_requires_alamouti_channel(rng):
     # a golden channel's r12 is not zero, whatever the label says
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
     with pytest.raises(ValueError, match="invalid for this channel"):
-        dec.decode_alamouti_fast(eff, y, alphabet)
+        decode_one("alamouti", eff, y, alphabet)
 
 
 @pytest.mark.parametrize("m", (4, 16))
@@ -444,8 +459,8 @@ def test_fast_on_quasistatic_alamouti_matches_exhaustive(rng, m):
     # blocks are real and the fast golden search is exact on it as well
     for t in range(60 if m == 4 else 12):
         eff, y, alphabet, _ = random_alamouti_instance(rng, m, snr_db=float(t % 4) * 4.0)
-        ref = dec.decode_exhaustive(eff, y, alphabet)
-        fast = dec.decode_fast_golden(eff, y, alphabet)
+        ref = decode_one("exhaustive", eff, y, alphabet)
+        fast = decode_one("fast", eff, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
         assert fast.full_sorts == 2
 
@@ -462,10 +477,10 @@ def test_structure_bound_is_relative_to_the_channel_norm(rng, scale):
         rebuilt = st.EffectiveChannel(h=factors.q @ r, variant="golden-dv")
         y = rebuilt.h @ alphabet.symbols[idx]
         if factor < 1.0:
-            assert dec.decode_fast_golden(rebuilt, y, alphabet).indices == tuple(idx)
+            assert decode_one("fast", rebuilt, y, alphabet).indices == tuple(idx)
         else:
             with pytest.raises(ValueError, match="golden structure"):
-                dec.decode_fast_golden(rebuilt, y, alphabet)
+                decode_one("fast", rebuilt, y, alphabet)
 
 
 _DECODER_CASES = {
@@ -481,7 +496,7 @@ _DECODER_CASES = {
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 @pytest.mark.parametrize("name", tuple(_DECODER_CASES))
 def test_non_finite_input_raises(rng, name, bad, where):
-    variant, decode = _DECODER_CASES[name]
+    variant, _ = _DECODER_CASES[name]
     alphabet = st.make_qam(16)
     h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h.copy()
     y = h @ alphabet.symbols[rng.integers(0, 16, 4)]
@@ -489,24 +504,21 @@ def test_non_finite_input_raises(rng, name, bad, where):
         y[1] = bad
     else:
         h[2, 1] = bad
-    eff = st.EffectiveChannel(h=h, variant=variant)
     message = "non-finite received stack y" if where == "y" else "non-finite channel matrix"
-    with pytest.raises(ValueError, match=message):
-        decode(eff, y, alphabet)
     for ordering in st.harness.ORDERING_MODES:  # the column order is picked first
         with pytest.raises(ValueError, match=message):
-            st.harness._decode_stack(h[None], y[None], variant, alphabet, (name,), ordering)
+            st.harness.decode_stack(h[None], y[None], variant, alphabet, (name,), ordering)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", tuple(_DECODER_CASES))
 def test_overflowing_cost_raises(rng, name):
     # y and H are finite, but every squared distance exceeds the float range.
-    variant, decode = _DECODER_CASES[name]
+    variant, _ = _DECODER_CASES[name]
     eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
     y = np.array([1e200, 1e200, 0, 0], dtype=complex)
     with pytest.raises(ValueError, match="overflow"):
-        decode(eff, y, st.make_qam(16))
+        decode_one(name, eff, y, st.make_qam(16))
 
 
 def test_blast_ordering_properties(rng):
@@ -537,9 +549,9 @@ def test_worst_case_dominance_over_trial_set(rng, m):
     for t in range(120):
         snr = float(t % 12)  # low SNR stresses the search
         eff, y, alphabet, _ = random_golden_instance(rng, m, model="rapid", snr_db=snr)
-        worst_fast = max(worst_fast, dec.decode_fast_golden(eff, y, alphabet).nodes_visited)
+        worst_fast = max(worst_fast, decode_one("fast", eff, y, alphabet).nodes_visited)
         effa, ya, alphabeta, _ = random_alamouti_instance(rng, m, snr_db=snr)
-        worst_alam = max(worst_alam, dec.decode_alamouti_fast(effa, ya, alphabeta).nodes_visited)
+        worst_alam = max(worst_alam, decode_one("alamouti", effa, ya, alphabeta).nodes_visited)
     assert worst_fast <= fast_cap
     assert worst_alam <= alam_cap
 
@@ -548,8 +560,8 @@ def test_worst_case_dominance_over_trial_set(rng, m):
 def test_fast_and_sphere_agree_on_64qam(rng, model):
     for t in range(40):
         eff, y, alphabet, _ = random_golden_instance(rng, 64, model=model, snr_db=10.0 + t % 15)
-        fast = dec.decode_fast_golden(eff, y, alphabet)
-        sphere = dec.decode_sphere_conventional(eff, y, alphabet)
+        fast = decode_one("fast", eff, y, alphabet)
+        sphere = decode_one("sphere", eff, y, alphabet)
         assert fast.indices == sphere.indices
         assert abs(fast.cost - sphere.cost) <= 1e-9 * sphere.cost
 
@@ -557,15 +569,12 @@ def test_fast_and_sphere_agree_on_64qam(rng, model):
 def test_radius_equals_cost_and_monotone_updates(rng):
     # final cost equals the independently recomputed distance for all decoders
     eff, y, alphabet, _ = random_golden_instance(rng, 16, snr_db=8.0)
-    for result in (
-        dec.decode_fast_golden(eff, y, alphabet),
-        dec.decode_sphere_conventional(eff, y, alphabet),
-        dec.decode_exhaustive(eff, y, alphabet),
-    ):
+    for name in ("fast", "sphere", "exhaustive"):
+        result = decode_one(name, eff, y, alphabet)
         assert abs(result.cost - recompute_cost(eff, y, result.x_hat)) <= 1e-9
 
     effa, ya, alphabeta, _ = random_alamouti_instance(rng, 16, snr_db=8.0)
-    ra = dec.decode_alamouti_fast(effa, ya, alphabeta)
+    ra = decode_one("alamouti", effa, ya, alphabeta)
     assert abs(ra.cost - recompute_cost(effa, ya, ra.x_hat)) <= 1e-9
 
 
@@ -578,7 +587,7 @@ def _received(rng, matrices, alphabet, variant, snrs_db):
 
 
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
-def test_decoders_identical_with_and_without_attached_factors(rng, variant):
+def test_batch_decodes_equal_decodes_made_alone(rng, variant):
     """A batch decode (one stacked build, column-order choice and prologue,
     each decode handed its row) equals every channel built, ordered and
     decoded alone, for each registry decoder of the variant under both
@@ -590,7 +599,7 @@ def test_decoders_identical_with_and_without_attached_factors(rng, variant):
         stacked = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
         y = _received(rng, stacked, alphabet, variant, [snr_db] * len(chs))
         for ordering in st.harness.ORDERING_MODES:
-            decoded = st.harness._decode_stack(stacked, y, variant, alphabet, names, ordering)
+            decoded = st.harness.decode_stack(stacked, y, variant, alphabet, names, ordering)
             for k, ch in enumerate(chs):
                 plain = st.effective_channel(ch, variant)
                 for name in names:
@@ -657,6 +666,7 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
     alamouti = variant == "overlaid-alamouti"
     sorts = dec.alamouti_sorts if alamouti else dec.fast_golden_sorts
     decode = dec.decode_alamouti_fast if alamouti else dec.decode_fast_golden
+    name = "alamouti" if alamouti else "fast"
     structured = not (alamouti and model == "rapid")
     alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
     r_stack, z, rows = dec.triangular_rows(matrices, y)
@@ -672,21 +682,19 @@ def test_stacked_prologue_is_exact(rng, variant, model, m):
         z_alone = (factors.q.conj().T @ received).tolist()
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
         assert repr(row) == repr((r, z_alone))
-        assert repr(dec._prepared_row(eff, received, None)) == repr(row)
-        calls = [(dec.decode_sphere_conventional, row)]
+        calls = [("sphere", dec.decode_sphere_conventional, row)]
         if structured:
             prepared = row + sorted_row
-            single = dec._prepared_row(eff, received, None, alphabet, sorts)
-            assert repr(prepared) == repr(single)
             assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
-            calls.append((decode, prepared))
+            calls.append((name, decode, prepared))
         else:
             with pytest.raises(ValueError, match="invalid for this channel"):
-                decode(eff, received, alphabet)
+                decode_one(name, eff, received, alphabet)
 
-        for call, arg in calls:
+        # the stacked prologue's row decodes as a stack of one does
+        for call_name, call, arg in calls:
             a = call(eff, received, alphabet, prepared=arg)
-            b = call(eff, received, alphabet)
+            b = decode_one(call_name, eff, received, alphabet)
             assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
                 b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
             )
@@ -733,11 +741,11 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     for variant, stack, received, name, message in cases:
         for ordering in st.harness.ORDERING_MODES:
             with pytest.raises(ValueError, match=message):
-                st.harness._decode_stack(stack, received, variant, alphabet, (name,), ordering)
+                st.harness.decode_stack(stack, received, variant, alphabet, (name,), ordering)
     assert calls == []
     # a stack that passes reaches the patched decoders, and at 16-QAM the
     # exhaustive scan's blocks hold one instance each
     for name in ("sphere", "exhaustive"):
         calls.clear()
-        st.harness._decode_stack(matrices, y, "golden-dv", alphabet, (name,), "none")
+        st.harness.decode_stack(matrices, y, "golden-dv", alphabet, (name,), "none")
         assert len(calls) == len(matrices)

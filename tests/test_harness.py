@@ -17,7 +17,7 @@ from stcsim.harness import (
 )
 from stcsim.matrixkit import qr_decompose
 
-from conftest import decode_alone
+from conftest import decode_alone, decode_one
 
 
 def small_config(**kw):
@@ -105,6 +105,11 @@ def test_validation_rejects_snr_points_that_print_alike():
     with pytest.raises(ValueError, match=r"snr grid start=10\.0 stop=10\.000000004 step=1e-09"):
         cfg.validate()
     small_config(snr_start=10.0, snr_stop=10.0 + 4e-7, snr_step=1e-7).validate()
+    # grids far too long to build: the first or the last two points print alike
+    for start, stop in ((0.0, 30.0), (-30.0, 0.0)):
+        cfg = small_config(snr_start=start, snr_stop=stop, snr_step=1e-300)
+        with pytest.raises(ValueError, match=f"snr grid start={start!r} .*print alike"):
+            cfg.validate()
 
 
 def test_snr_grid_inclusive():
@@ -265,15 +270,15 @@ def test_mlequiv_factors_each_decoded_channel_once(monkeypatch):
 
 
 def recording_decode_stack(monkeypatch):
-    """Wrap ``harness._decode_stack``; return the list of its calls' arguments."""
+    """Wrap ``harness.decode_stack``; return the list of its calls' arguments."""
     calls = []
-    decode_stack = harness._decode_stack
+    decode_stack = harness.decode_stack
 
     def recording(matrices, received, code, alphabet, names, ordering):
         calls.append((matrices, received, code, alphabet.size, names, ordering))
         return decode_stack(matrices, received, code, alphabet, names, ordering)
 
-    monkeypatch.setattr(harness, "_decode_stack", recording)
+    monkeypatch.setattr(harness, "decode_stack", recording)
     return calls
 
 
@@ -398,15 +403,15 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
     matrices[2] = np.ones((4, 4))
     received = (matrices @ alphabet.symbols[rng.integers(0, 4, (5, 4))][..., None])[..., 0]
     for ordering in harness.ORDERING_MODES:
-        decoded = harness._decode_stack(
+        decoded = harness.decode_stack(
             matrices, received, "golden-dv", alphabet, ("exhaustive",), ordering
         )
         for h, y, (result, _) in zip(matrices, received, decoded["exhaustive"]):
             eff = st.EffectiveChannel(h=h, variant="golden-dv")
-            alone = st.decoders.decode_exhaustive(eff, y, alphabet)
+            alone = decode_one("exhaustive", eff, y, alphabet)
             assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
         with pytest.raises(ValueError, match="degenerate"):
-            harness._decode_stack(
+            harness.decode_stack(
                 matrices, received, "golden-dv", alphabet, ("exhaustive", "fast"), ordering
             )
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as hs
 import stcsim as st
 from stcsim import decoders as dec
 
-from conftest import recompute_cost
+from conftest import decode_one, recompute_cost
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -40,9 +40,7 @@ def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
     eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
     alphabet = st.make_qam(m)
     results = {
-        "fast": dec.decode_fast_golden(eff, y, alphabet),
-        "sphere": dec.decode_sphere_conventional(eff, y, alphabet),
-        "exhaustive": dec.decode_exhaustive(eff, y, alphabet),
+        name: decode_one(name, eff, y, alphabet) for name in ("fast", "sphere", "exhaustive")
     }
     for name, result in results.items():
         assert _close(result.cost, recompute_cost(eff, y, result.x_hat)), name
@@ -62,9 +60,9 @@ def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
     variant = "overlaid-alamouti"
     eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
     alphabet = st.make_qam(m)
-    alamouti = dec.decode_alamouti_fast(eff, y, alphabet)
+    alamouti = decode_one("alamouti", eff, y, alphabet)
     assert _close(alamouti.cost, recompute_cost(eff, y, alamouti.x_hat))
-    assert _close(alamouti.cost, dec.decode_exhaustive(eff, y, alphabet).cost)
+    assert _close(alamouti.cost, decode_one("exhaustive", eff, y, alphabet).cost)
 
 
 @PROPERTY
@@ -81,10 +79,10 @@ def test_fast_on_arbitrary_matrix_raises_or_is_exact(variant, entries, real, y):
     eff = st.EffectiveChannel(h=h, variant=variant)
     alphabet = st.make_qam(4)
     try:
-        fast = dec.decode_fast_golden(eff, y, alphabet)
+        fast = decode_one("fast", eff, y, alphabet)
     except ValueError:
         return
-    assert _close(fast.cost, dec.decode_exhaustive(eff, y, alphabet).cost)
+    assert _close(fast.cost, decode_one("exhaustive", eff, y, alphabet).cost)
 
 
 
