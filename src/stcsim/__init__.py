@@ -3,7 +3,6 @@ Monte Carlo simulation tooling."""
 
 from .channel import (
     CHANNEL_MODELS,
-    ChannelRealization,
     make_rng,
     sample_channel,
     sample_channels,
@@ -24,6 +23,7 @@ from .codes import (
     encode_overlaid_alamouti,
     golden_parts,
     qr_golden_structured,
+    stack_samples,
     transmit,
 )
 from .constellation import (

@@ -9,6 +9,10 @@ samples (NORMALS_PER_CHANNEL); ``channels_from_normals`` and
 ``noise_from_normals`` convert a whole stack of draws the way
 ``sample_channel`` and ``sample_noise`` convert one.
 
+A realization is its coefficient array h[i, j, k], shape (2, 2, 2) or a
+stack (..., 2, 2, 2), indexed (transmit antenna, receive antenna, time), all
+zero-based. Quasistatic realizations satisfy h[..., 0] == h[..., 1] exactly.
+
 SNR convention: ``snr = E_s / N0`` with E_s = 2, the total transmit energy
 per channel use (two antennas sending unit-average-energy symbols, codeword
 Frobenius energy 4 over 2 uses). N0 is the total variance of each complex
@@ -16,23 +20,11 @@ noise sample, N0/2 per real axis.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 CHANNEL_MODELS = ("quasistatic", "rapid", "markov")
 TRANSMIT_ENERGY_PER_USE = 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One block's channel coefficients h[i, j, k].
-
-    Indices are (transmit antenna, receive antenna, time), all zero-based.
-    Quasistatic realizations satisfy h[..., 0] == h[..., 1] exactly.
-    """
-
-    h: np.ndarray
 
 
 def make_rng(seed: int, *branch: int) -> np.random.Generator:
@@ -122,12 +114,9 @@ def sample_channels(
     return _channels(blocks, model, rho)
 
 
-def sample_channel(
-    rng: np.random.Generator, model: str, rho: float = None
-) -> ChannelRealization:
-    """Draw a single fading realization."""
-    h = channels_from_normals(rng.standard_normal(_channel_normals(model)), model, rho)
-    return ChannelRealization(h=h)
+def sample_channel(rng: np.random.Generator, model: str, rho: float = None) -> np.ndarray:
+    """Draw a single fading realization, its coefficients h[i, j, k] of shape (2, 2, 2)."""
+    return channels_from_normals(rng.standard_normal(_channel_normals(model)), model, rho)
 
 
 def snr_to_n0(snr_db: float) -> float:

@@ -5,11 +5,13 @@ Four codes are supported: three isomorphic golden-code variants named
 ``overlaid-alamouti`` code. The variant name is the only key: one table
 row per golden variant (four unit coefficients) fixes both its encoder and
 its effective channel, and one table fixes each variant's receive stacking
-(which samples are conjugated), which an EffectiveChannel reads from its
-``variant`` so that decoders never branch on code identity. For every
-variant and every channel realization,
+(which samples are conjugated), which ``stack_samples`` applies. Decoders
+get only the 4x4 effective matrix, so they never branch on code identity.
+A channel realization is its coefficient array h[i, j, k] (see
+``channel``). For every variant v and every realization h,
 
-    transmit(encode(x), ch, noise) == effective.h @ x + stacked_noise
+    transmit(encode(x, v), h, noise, v)
+        == effective_matrix(h, v) @ x + stack_samples(noise, v)
 
 holds to machine precision.
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .matrixkit import RANK_TOLERANCE, QRFactors, frobenius_norm
 
 
@@ -103,47 +104,33 @@ PSI[:2, :2] = PSI[2:, 2:] = GOLDEN.rotation
 PSI.setflags(write=False)
 
 
-def _conjugated(variant: str) -> tuple:
-    try:
-        return _CONJUGATED[variant]
-    except KeyError:
-        raise ValueError(f"unknown code variant: {variant!r}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class EffectiveChannel:
-    """4x4 effective channel of one code variant: a read-only record.
-
-    The variant fixes the receive stacking (``stack``): which stacked receive
-    samples are the complex conjugates of the raw samples. ``h`` is kept as
-    a read-only complex copy of the caller's matrix. Its QR belongs to the
-    decoders' prologue (``decoders.triangular_rows``).
+    """A decoder's 4x4 effective channel: ``h``, a read-only complex copy
+    of the caller's matrix. Its QR belongs to the decoders' prologue
+    (``decoders.triangular_rows``).
 
     Raises:
-        ValueError: unknown variant, or ``h`` not 4x4.
+        ValueError: ``h`` not 4x4.
     """
 
     h: np.ndarray
-    variant: str
 
     def __post_init__(self):
-        _conjugated(self.variant)
         h = np.array(self.h, dtype=complex)
         if h.shape != (4, 4):
             raise ValueError("effective matrix must be 4x4")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
-    def stack(self, samples: np.ndarray) -> np.ndarray:
-        """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]], signal or
-        noise, to the stack: conjugated where the variant says."""
-        return stack_samples(samples, self.variant)
-
 
 def stack_samples(samples, variant: str) -> np.ndarray:
-    """``EffectiveChannel.stack`` for samples of shape (..., 4), e.g. a whole chunk's noise."""
+    """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]] of shape (..., 4),
+    signal or noise, to the stack: conjugated where the variant says."""
+    if variant not in _CONJUGATED:
+        raise ValueError(f"unknown code variant: {variant!r}")
     samples = np.asarray(samples, dtype=complex)
-    return np.where(np.asarray(_conjugated(variant)), np.conj(samples), samples)
+    return np.where(np.asarray(_CONJUGATED[variant]), np.conj(samples), samples)
 
 
 def _golden_coefficients(variant: str) -> tuple:
@@ -366,17 +353,17 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
     return out
 
 
-def effective_channel(ch: ChannelRealization, variant: str) -> EffectiveChannel:
-    """Build the EffectiveChannel a decoder needs for a single realization."""
-    return EffectiveChannel(h=effective_matrix(ch.h, variant), variant=variant)
+def effective_channel(h: np.ndarray, variant: str) -> EffectiveChannel:
+    """The EffectiveChannel of one realization's coefficients h[i, j, k]."""
+    return EffectiveChannel(h=effective_matrix(h, variant))
 
 
-def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.ndarray:
+def transmit(cw: np.ndarray, h: np.ndarray, noise, variant: str) -> np.ndarray:
     """Pass a codeword through the physical channel and stack the output.
 
     Args:
         cw: 2x2 codeword, entry [k, i] sent from antenna i at time k.
-        ch: channel realization with coefficients h[i, j, k].
+        h: channel coefficients h[i, j, k] of shape (2, 2, 2).
         noise: raw noise samples ordered [n1[1], n1[2], n2[1], n2[2]].
         variant: code variant selecting the stacking convention.
 
@@ -386,7 +373,7 @@ def transmit(cw: np.ndarray, ch: ChannelRealization, noise, variant: str) -> np.
     """
     cw = np.asarray(cw, dtype=complex)
     noise = np.asarray(noise, dtype=complex)
-    h = ch.h
+    h = np.asarray(h, dtype=complex)
     raw = np.empty(4, dtype=complex)
     pos = 0
     for j in range(2):

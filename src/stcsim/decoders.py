@@ -29,8 +29,9 @@ Python scalars, so the per-node arithmetic indexes plain lists;
 ``fast_golden_sorts`` and ``alamouti_sorts`` make the two full-alphabet
 sorts of every trial of a stack at once. The prologue also checks, once per
 stack, every precondition of the searches: finite input and full rank, and
-the zeros in R that a fast search needs. No decoder reads the code label;
-which code a decoder may decode is the registry's rule.
+the zeros in R that a fast search needs. No decoder sees the code label:
+an EffectiveChannel is only its 4x4 matrix ``h``, and which code a decoder
+may decode is the registry's rule.
 
 A tree decoder still takes ``(eff, y, alphabet)`` first, though it reads
 only the row and the alphabet, and ``decode_exhaustive`` stays, though no

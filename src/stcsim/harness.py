@@ -49,6 +49,8 @@ from .constellation import SUPPORTED_QAM_ORDERS, make_qam
 from .matrixkit import frobenius_norm, qr_decompose
 
 ORDERING_MODES = ("none", "blast")
+# SweepConfig.validate builds a label per SNR point before anything runs.
+MAX_SNR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -205,16 +207,14 @@ class SweepConfig:
             raise ValueError("snr stop must not be below snr start")
         for snr in (self.snr_start, self.snr_stop):
             snr_to_n0(snr)  # N0 falls with SNR, so the two ends bound the grid
-        # The ends first: a grid far finer than the CSV's resolution may be
-        # too long to build, and then its first or last two points print alike.
+        grid = f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} step={self.snr_step!r}"
         last = self._last_index()
-        for ks in ((0, 1), (last - 1, last), range(last + 1)):
-            if last and len({_fmt(self._point(k)) for k in ks}) < len(ks):
-                raise ValueError(
-                    f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} "
-                    f"step={self.snr_step!r} has points that print alike in the CSV "
-                    "(9 significant digits)"
-                )
+        if last >= MAX_SNR_POINTS:
+            raise ValueError(f"{grid} has more than {MAX_SNR_POINTS} points")
+        if len({_fmt(self._point(k)) for k in range(last + 1)}) <= last:
+            raise ValueError(
+                f"{grid} has points that print alike in the CSV (9 significant digits)"
+            )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.ordering not in ORDERING_MODES:
@@ -314,11 +314,12 @@ class _InstanceStack:
         return matrices, (matrices @ self.alphabet.symbols[self.sent][..., None])[..., 0] + noise
 
 
-def decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
-    """Decode each instance of a stack, ``code``'s (n, 4, 4) ``matrices`` and
-    (n, 4) ``received``, with every decoder in ``names``: the one decode path,
-    for a sweep chunk, a verify block or one instance (n = 1). The registry's
-    setup rules (``decoder_entry``) are the caller's to check.
+def decode_stack(matrices, received, alphabet, names, ordering) -> dict:
+    """Decode each instance of a stack, (n, 4, 4) effective ``matrices`` and
+    (n, 4) stacked ``received`` samples, with every decoder in ``names``: the
+    one decode path, for a sweep chunk, a verify block or one instance
+    (n = 1). It never sees the code label: the registry's setup rules
+    (``decoder_entry``) are the caller's to check.
 
     A decoder with a stack call (exhaustive) decodes the whole stack in that
     one call, in the natural column order. Under ``ordering`` "blast" each
@@ -353,7 +354,7 @@ def decode_stack(matrices, received, code, alphabet, names, ordering) -> dict:
                 perms = np.array(rule(matrices))
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
                 inverse = np.argsort(perms, axis=-1).tolist()
-            channels = [codes.EffectiveChannel(h=h, variant=code) for h in ordered]
+            channels = [codes.EffectiveChannel(h=h) for h in ordered]
             prologues[rule] = (channels, *decoders.triangular_rows(ordered, received), inverse)
         channels, r, z, prepared, inverse = prologues[rule]
         sort_ns = 0.0
@@ -389,7 +390,7 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     for row, trial in enumerate(range(lo, hi)):
         stack.draw(row, make_rng(cfg.seed, point_index, trial), noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
-    decoded = decode_stack(matrices, received, cfg.code, alphabet, cfg.decoders, cfg.ordering)
+    decoded = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     sent = stack.sent.tolist()
     return {
         name: [
@@ -619,7 +620,7 @@ def _suite_alamouti(trials: int, seed: int) -> list:
     raised = 0
     for h, y in zip(*stack.build(1.0)):  # any N0: the noise normals stay zero
         try:
-            decode_stack(h[None], y[None], stack.code, stack.alphabet, ("alamouti",), "none")
+            decode_stack(h[None], y[None], stack.alphabet, ("alamouti",), "none")
         except ValueError:
             raised += 1
     return [
@@ -650,7 +651,7 @@ def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
                 stack.draw(row, rng)
         n0 = [snr_to_n0(snrs[t % len(snrs)]) for t in block]
         for stack, (model, code, names) in zip(stacks, kinds):
-            decoded = decode_stack(*stack.build(n0), code, alphabet, names, "none")
+            decoded = decode_stack(*stack.build(n0), alphabet, names, "none")
             for i in range(len(block)):
                 yield (model, code, names), {name: decoded[name][i][0] for name in names}
 

@@ -17,20 +17,20 @@ def rng():
 def random_golden_instance(rng, m, variant="golden-dv", model="quasistatic", snr_db=10.0):
     """One shared decoding instance: (effective channel, y, alphabet, true indices)."""
     alphabet = st.make_qam(m)
-    ch = st.sample_channel(rng, model)
+    h = st.sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
-    eff = st.effective_channel(ch, variant)
-    noise = eff.stack(st.sample_noise(rng, st.snr_to_n0(snr_db)))
+    eff = st.effective_channel(h, variant)
+    noise = st.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), variant)
     y = eff.h @ alphabet.symbols[idx] + noise
     return eff, y, alphabet, idx
 
 
 def random_alamouti_instance(rng, m, model="quasistatic", snr_db=10.0):
     alphabet = st.make_qam(m)
-    ch = st.sample_channel(rng, model)
+    h = st.sample_channel(rng, model)
     idx = rng.integers(0, alphabet.size, 4)
-    eff = st.effective_channel(ch, "overlaid-alamouti")
-    noise = eff.stack(st.sample_noise(rng, st.snr_to_n0(snr_db)))
+    eff = st.effective_channel(h, "overlaid-alamouti")
+    noise = st.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), "overlaid-alamouti")
     y = eff.h @ alphabet.symbols[idx] + noise
     return eff, y, alphabet, idx
 
@@ -43,7 +43,7 @@ def decode_one(name, eff, y, alphabet):
     """Registry decoder ``name`` on one instance, in ``eff``'s own column
     order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
     received = np.asarray(y, dtype=complex)[None]
-    decoded = st.harness.decode_stack(eff.h[None], received, eff.variant, alphabet, (name,), "none")
+    decoded = st.harness.decode_stack(eff.h[None], received, alphabet, (name,), "none")
     return decoded[name][0][0]
 
 
@@ -144,7 +144,7 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
 
 def permuted(eff, perm):
     """``eff`` with its columns in the order ``perm``."""
-    return st.EffectiveChannel(h=eff.h[:, list(perm)], variant=eff.variant)
+    return st.EffectiveChannel(h=eff.h[:, list(perm)])
 
 
 def decode_alone(name, eff, y, alphabet, ordering):

@@ -95,10 +95,10 @@ def test_criterion_05_worst_case_node_formula():
     measured = {}
     for m in (4, 16):
         alphabet = st.make_qam(m)
-        ch = st.sample_channel(rng, "quasistatic")
+        h = st.sample_channel(rng, "quasistatic")
         idx = rng.integers(0, m, 4)
-        eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack(st.sample_noise(rng, 0.2))
+        eff = st.effective_channel(h, "golden-dv")
+        y = eff.h @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
         r, z, (row,) = dec.triangular_rows(eff.h[None], y[None])
         prepared = row + dec.fast_golden_sorts(alphabet, r, z)[0]
         result = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=prepared)

@@ -78,18 +78,18 @@ def test_flag_order_insensitive(tmp_path):
 def test_decode_with_channel_coefficients(tmp_path, capsys):
     rng = st.make_rng(21)
     alphabet = st.make_qam(16)
-    ch = st.sample_channel(rng, "quasistatic")
+    h = st.sample_channel(rng, "quasistatic")
     idx = rng.integers(0, 16, 4)
     cw = st.encode(alphabet.symbols[idx], "golden-dv")
     raw = np.zeros((2, 2), dtype=complex)
     for j in range(2):
         for k in range(2):
-            raw[j, k] = cw[k, 0] * ch.h[0, j, k] + cw[k, 1] * ch.h[1, j, k]
+            raw[j, k] = cw[k, 0] * h[0, j, k] + cw[k, 1] * h[1, j, k]
     payload = {
         "code": "golden-dv",
         "modulation": 16,
         "decoder": "fast",
-        "h": pairs(ch.h),
+        "h": pairs(h),
         "y": pairs(raw.reshape(-1)),
     }
     path = tmp_path / "inst.json"
@@ -103,11 +103,11 @@ def test_decode_with_channel_coefficients(tmp_path, capsys):
 def test_decode_with_effective_matrix_alamouti(tmp_path, capsys):
     rng = st.make_rng(22)
     alphabet = st.make_qam(4)
-    ch = st.sample_channel(rng, "quasistatic")
-    eff = st.effective_channel(ch, "overlaid-alamouti")
+    eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
     idx = rng.integers(0, 4, 4)
     stacked = eff.h @ alphabet.symbols[idx]
-    raw = eff.stack(stacked)  # undo stacking for the file: conjugating twice is the identity
+    # undo stacking for the file: conjugating twice is the identity
+    raw = st.stack_samples(stacked, "overlaid-alamouti")
     payload = {
         "code": "overlaid-alamouti",
         "modulation": 4,
@@ -138,14 +138,14 @@ def test_decode_remaining_decoders(tmp_path, capsys, decoder):
     code, model = _DECODE_SETUPS[decoder]
     rng = st.make_rng(23)
     alphabet = st.make_qam(4)
-    chs = np.stack([st.sample_channel(rng, model).h for _ in range(5)])
+    chs = np.stack([st.sample_channel(rng, model) for _ in range(5)])
     idx = rng.integers(0, 4, (5, 4))
     matrices = st.effective_matrix(chs, code)
     received = (matrices @ alphabet.symbols[idx][..., None])[..., 0]
-    received += st.codes.stack_samples(
+    received += st.stack_samples(
         np.array([st.sample_noise(rng, st.snr_to_n0(30.0)) for _ in range(5)]), code
     )
-    decoded = harness.decode_stack(matrices, received, code, alphabet, (decoder,), "none")
+    decoded = harness.decode_stack(matrices, received, alphabet, (decoder,), "none")
     k = 3
     row, _ = decoded[decoder][k]
     payload = {
@@ -224,9 +224,9 @@ def test_decode_rejects_non_finite(tmp_path, capsys, key, bad):
 @pytest.mark.parametrize("decoder", harness.DECODER_NAMES)
 def test_decode_overflowing_cost_exits_2(tmp_path, capsys, decoder):
     code = harness.DECODERS[decoder].code_variants[0]
-    ch = st.sample_channel(st.make_rng(24), "quasistatic")
+    h = st.sample_channel(st.make_rng(24), "quasistatic")
     y = [[1e200, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
-    args = _decode_file(tmp_path, code=code, modulation=16, decoder=decoder, h=pairs(ch.h), y=y)
+    args = _decode_file(tmp_path, code=code, modulation=16, decoder=decoder, h=pairs(h), y=y)
     assert main(args) == 2
     assert "overflowed" in capsys.readouterr().err
 
@@ -319,7 +319,8 @@ def test_decode_accepts_integral_float_modulation(tmp_path, capsys):
     "grid",
     (("--snr-step", "nan"), ("--snr-stop", "inf"), ("--snr-start=-inf",),
      ("--snr-start", "30", "--snr-stop", "0"), ("--snr-start=4000", "--snr-stop=4000"),
-     ("--snr-start=-4000", "--snr-stop=-4000", "--noise-free")),
+     ("--snr-start=-4000", "--snr-stop=-4000", "--noise-free"),
+     ("--snr-start", "0", "--snr-stop", "1e-291", "--snr-step", "1e-300")),
 )
 def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
     out = tmp_path / "x.csv"
@@ -331,17 +332,18 @@ def test_simulate_rejects_bad_snr_grid(tmp_path, capsys, grid):
 def test_simulate_rejects_snr_points_that_print_alike(tmp_path, capsys):
     out = tmp_path / "x.csv"
     grids = (
-        (("10", "10.000000004", "1e-9"), "start=10.0 stop=10.000000004 step=1e-09"),
-        # grids far too long to build: the first or the last two points print alike
-        (("0", "30", "1e-300"), "start=0.0 stop=30.0 step=1e-300"),
-        (("-30", "0", "1e-300"), "start=-30.0 stop=0.0 step=1e-300"),
+        (("10", "10.000000004", "1e-9"), "start=10.0 stop=10.000000004 step=1e-09",
+         "has points that print alike in the CSV (9 significant digits)"),
+        # grids far too long to build are refused by the bound on their length
+        (("0", "30", "1e-300"), "start=0.0 stop=30.0 step=1e-300",
+         "has more than 100000 points"),
+        (("-30", "0", "1e-300"), "start=-30.0 stop=0.0 step=1e-300",
+         "has more than 100000 points"),
     )
-    for (start, stop, step), shown in grids:
+    for (start, stop, step), shown, reason in grids:
         grid = (f"--snr-start={start}", "--snr-stop", stop, "--snr-step", step)
         assert main(["simulate", "--trials", "2", "--out", str(out), *grid]) == 2
-        err = capsys.readouterr().err
-        assert f"error: snr grid {shown}" in err
-        assert "print alike" in err
+        assert capsys.readouterr().err == f"error: snr grid {shown} {reason}\n"
         assert not out.exists()
 
 

@@ -115,27 +115,27 @@ def _physical_receive(cw, h):
 @pytest.mark.parametrize("model", ("quasistatic", "rapid"))
 def test_encoder_effective_channel_consistency(rng, variant, model):
     for _ in range(1250):
-        ch = st.sample_channel(rng, model)
+        h = st.sample_channel(rng, model)
         x = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 0.7
         noise = st.sample_noise(rng, 0.3)
-        eff = st.effective_channel(ch, variant)
-        got = st.transmit(st.encode(x, variant), ch, noise, variant)
-        want = eff.h @ x + eff.stack(noise)
+        eff = st.effective_channel(h, variant)
+        got = st.transmit(st.encode(x, variant), h, noise, variant)
+        want = eff.h @ x + st.stack_samples(noise, variant)
         assert np.max(np.abs(got - want)) <= 1e-12
 
         # transmit itself against the raw-layout oracle; stack order is
         # [y1[1], y1[2], y2[1], y2[2]], i.e. y[j, k] with j major
-        raw = _physical_receive(st.encode(x, variant), ch.h).reshape(-1) + noise
-        assert np.allclose(got, eff.stack(raw), atol=1e-13)
+        raw = _physical_receive(st.encode(x, variant), h).reshape(-1) + noise
+        assert np.allclose(got, st.stack_samples(raw, variant), atol=1e-13)
 
 
 def test_transmit_trivials(rng):
-    ch = st.sample_channel(rng, "rapid")
+    h = st.sample_channel(rng, "rapid")
     zero = np.zeros((2, 2), dtype=complex)
-    assert np.all(st.transmit(zero, ch, np.zeros(4), "golden-dv") == 0)
+    assert np.all(st.transmit(zero, h, np.zeros(4), "golden-dv") == 0)
     noise = st.sample_noise(rng, 1.0)
-    assert np.allclose(st.transmit(zero, ch, noise, "golden-dv"), noise)
-    flagged = st.transmit(zero, ch, noise, "overlaid-alamouti")
+    assert np.allclose(st.transmit(zero, h, noise, "golden-dv"), noise)
+    flagged = st.transmit(zero, h, noise, "overlaid-alamouti")
     assert np.allclose(flagged, np.where([False, True, False, True], np.conj(noise), noise))
 
 
@@ -146,7 +146,7 @@ def test_effective_channel_dv_identity_example():
     h = np.zeros((2, 2, 2), dtype=complex)
     h[0, 0, :] = 1.0  # h11
     h[1, 1, :] = 1.0  # h22
-    eff = st.effective_channel(st.ChannelRealization(h=h), "golden-dv")
+    eff = st.effective_channel(h, "golden-dv")
     want = np.column_stack(
         [
             [c, 0, 0, -s],
@@ -167,7 +167,7 @@ def test_column_inner_product_closed_form(rng):
     h[0, 1, 0] = 1.0
     h[1, 0, 1] = 2.0
     h[1, 1, 1] = 0.0
-    rand = st.sample_channel(rng, "rapid").h
+    rand = st.sample_channel(rng, "rapid")
     h[1, 0, 0] = rand[1, 0, 0]
     h[1, 1, 0] = rand[1, 1, 0]
     h[0, 0, 1] = rand[0, 0, 1]
@@ -178,13 +178,13 @@ def test_column_inner_product_closed_form(rng):
     assert got.real == pytest.approx(-0.8944271909999159, abs=1e-12)
 
     for _ in range(200):
-        ch = st.sample_channel(rng, "rapid")
-        eff = st.effective_matrix(ch.h, "golden-dv")
+        h = st.sample_channel(rng, "rapid")
+        eff = st.effective_matrix(h, "golden-dv")
         closed = (
-            abs(ch.h[0, 0, 0]) ** 2
-            + abs(ch.h[0, 1, 0]) ** 2
-            - abs(ch.h[1, 0, 1]) ** 2
-            - abs(ch.h[1, 1, 1]) ** 2
+            abs(h[0, 0, 0]) ** 2
+            + abs(h[0, 1, 0]) ** 2
+            - abs(h[1, 0, 1]) ** 2
+            - abs(h[1, 1, 1]) ** 2
         ) / math.sqrt(5)
         got = np.vdot(eff[:, 0], eff[:, 1])
         assert abs(got - closed) <= 1e-12 * max(1.0, abs(closed))
@@ -217,20 +217,21 @@ def test_alamouti_structure_dichotomy(rng):
     assert np.median(np.abs(r[..., 0, 1]) / scale) > 0.01
 
 
-def test_effective_channel_metadata():
-    h = np.eye(4)
+def test_stack_samples_conjugates_per_variant():
     samples = np.array([1 + 1j, 2 + 2j, 3 + 3j, 4 + 4j])
-    alamouti = st.EffectiveChannel(h=h, variant="overlaid-alamouti")
     # stacked samples 2 and 4 are conjugated
-    assert np.array_equal(alamouti.stack(samples), [1 + 1j, 2 - 2j, 3 + 3j, 4 - 4j])
+    alamouti = [1 + 1j, 2 - 2j, 3 + 3j, 4 - 4j]
+    assert np.array_equal(st.stack_samples(samples, "overlaid-alamouti"), alamouti)
+    # a stack of samples, e.g. a chunk's noise, is stacked row by row
+    rows = st.stack_samples(np.stack([samples, samples]), "overlaid-alamouti")
+    assert np.array_equal(rows, [alamouti, alamouti])
     for variant in st.GOLDEN_VARIANTS:
-        golden = st.EffectiveChannel(h=h, variant=variant)
-        assert np.array_equal(golden.stack(samples), samples)
+        assert np.array_equal(st.stack_samples(samples, variant), samples)
     with pytest.raises(ValueError, match="unknown code variant"):
-        st.EffectiveChannel(h=h, variant="bogus")
-    # the stacking comes from the variant alone; it cannot be passed in
+        st.stack_samples(samples, "bogus")
+    # the stacking comes from the variant alone; an effective channel carries none
     with pytest.raises(TypeError):
-        st.EffectiveChannel(h=h, conjugated=(False,) * 4, variant="overlaid-alamouti")
+        st.EffectiveChannel(h=np.eye(4), variant="overlaid-alamouti")
 
 
 def test_min_determinant_alphabet_independence():
@@ -249,10 +250,10 @@ def test_stacked_builds_and_qrs_equal_single_ones_bit_for_bit(rng, variant):
     makes them, equal one channel's own build and QR bit for bit."""
     for model, rho in (("quasistatic", None), ("rapid", None), ("markov", 0.9)):
         realizations = [st.sample_channel(rng, model, rho) for _ in range(40)]
-        stacked = st.effective_matrix(np.stack([ch.h for ch in realizations]), variant)
+        stacked = st.effective_matrix(np.stack(realizations), variant)
         factors = qr_decompose(stacked)
-        for k, ch in enumerate(realizations):
-            single = st.effective_channel(ch, variant)
+        for k, h in enumerate(realizations):
+            single = st.effective_channel(h, variant)
             alone = qr_decompose(single.h)
             assert np.array_equal(stacked[k], single.h)
             assert np.array_equal(factors.q[k], alone.q)
@@ -260,12 +261,12 @@ def test_stacked_builds_and_qrs_equal_single_ones_bit_for_bit(rng, variant):
 
 
 def test_effective_channel_copies_the_callers_matrix(rng):
-    built = st.effective_matrix(st.sample_channel(rng, "rapid").h, "golden-dv")
+    built = st.effective_matrix(st.sample_channel(rng, "rapid"), "golden-dv")
     caller = built.copy()
-    eff = st.EffectiveChannel(h=caller, variant="golden-dv")
+    eff = st.EffectiveChannel(h=caller)
     caller[0, 0] = 7.0
     assert np.array_equal(eff.h, built)
     with pytest.raises(ValueError):
         eff.h[0, 0] = 1.0
     with pytest.raises(ValueError, match="4x4"):
-        st.EffectiveChannel(h=np.eye(3), variant="golden-dv")
+        st.EffectiveChannel(h=np.eye(3))

@@ -37,7 +37,7 @@ def test_exhaustive_noiseless_and_count(rng):
 
 
 def test_exhaustive_cap():
-    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
+    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="cap"):
         decode_one("exhaustive", eff, np.zeros(4), st.make_qam(256))
 
@@ -57,7 +57,7 @@ def test_exhaustive_is_global_minimum_by_full_scan(rng):
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex), variant="golden-dv")
+    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex))
     alphabet = st.make_qam(4)
     # y = 0 ties all 256 candidates (constant-modulus alphabet)
     r = decode_one("exhaustive", eff, np.zeros(4, dtype=complex), alphabet)
@@ -81,11 +81,11 @@ def test_fast_matches_exhaustive(rng, m):
     for t in range(trials):
         model = ("quasistatic", "rapid", "markov")[t % 3]
         alphabet = st.make_qam(m)
-        ch = st.sample_channel(rng, model, rho=0.7 if model == "markov" else None)
+        h = st.sample_channel(rng, model, rho=0.7 if model == "markov" else None)
         idx = rng.integers(0, m, 4)
-        eff = st.effective_channel(ch, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + eff.stack(
-            st.sample_noise(rng, st.snr_to_n0(float(rng.integers(0, 21))))
+        eff = st.effective_channel(h, "golden-dv")
+        y = eff.h @ alphabet.symbols[idx] + st.stack_samples(
+            st.sample_noise(rng, st.snr_to_n0(float(rng.integers(0, 21)))), "golden-dv"
         )
         ref = decode_one("exhaustive", eff, y, alphabet)
         fast = decode_one("fast", eff, y, alphabet)
@@ -146,7 +146,7 @@ def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
             dead[:, col] = 0.0
             cases.append((dead, dead @ sent, col))
         for matrix, y, tied in cases:
-            eff = st.EffectiveChannel(h=matrix, variant=variant)
+            eff = st.EffectiveChannel(h=matrix)
             got = decode_one("exhaustive", eff, y, alphabet)
             want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
             assert got.indices == want_idx
@@ -174,7 +174,7 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
 
     monkeypatch.setattr(dec, "_scan_block", recording)
     alphabet = st.make_qam(m)
-    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(count)]
+    chs = [st.sample_channel(rng, "quasistatic") for _ in range(count)]
     matrices = st.effective_matrix(np.stack(chs), "golden-dv")
     received = _received(rng, matrices, alphabet, "golden-dv", [3.0 * k for k in range(count)])
     # ties in the middle of the stack: y = 0 ties x with -x, and a zero
@@ -187,7 +187,7 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
     assert len(results) == count
     assert passes and max(passes) <= max(block, 4 * m ** 3)
     for h, y, got in zip(matrices, received, results):
-        eff = st.EffectiveChannel(h=h, variant="golden-dv")
+        eff = st.EffectiveChannel(h=h)
         want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
         assert got.indices == want_idx
         assert got.cost.hex() == want_cost.hex()
@@ -201,7 +201,7 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
 def test_one_bad_instance_makes_the_exhaustive_stack_raise(rng):
     """One bad instance in the middle of a stack makes the whole stack raise."""
     alphabet = st.make_qam(4)
-    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(20)]
+    chs = [st.sample_channel(rng, "quasistatic") for _ in range(20)]
     matrices = st.effective_matrix(np.stack(chs), "golden-dv")
     received = _received(rng, matrices, alphabet, "golden-dv", [10.0] * 20)
     with pytest.raises(ValueError, match="cap"):
@@ -248,7 +248,7 @@ def test_fast_rejects_bad_inputs(rng):
     eff, y, alphabet, _ = random_golden_instance(rng, 4)
     # a random matrix labelled golden lacks the real R blocks the search needs
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    fake = st.EffectiveChannel(h=h, variant="golden-dv")
+    fake = st.EffectiveChannel(h=h)
     with pytest.raises(ValueError, match="golden structure"):
         decode_one("fast", fake, y, alphabet)
 
@@ -380,7 +380,7 @@ def _tie_heavy_inputs(rng, alphabet, variant, count):
         mid = np.array([complex(*rng.choice(midpoints, 2)) for _ in range(4)])
         cases += [(eff, eff.h @ x), (eff, np.zeros(4, dtype=complex)), (eff, eff.h @ mid)]
         if k == 0:
-            eye = st.EffectiveChannel(h=np.eye(4), variant=variant)
+            eye = st.EffectiveChannel(h=np.eye(4))
             cases += [(eye, mid), (eye, x), (eye, np.zeros(4, dtype=complex))]
     return cases
 
@@ -474,7 +474,7 @@ def test_structure_bound_is_relative_to_the_channel_norm(rng, scale):
     for factor in (0.5, 2.0):
         r = factors.r.copy()
         r[0, 1] = r[0, 1].real + 1j * factor * limit
-        rebuilt = st.EffectiveChannel(h=factors.q @ r, variant="golden-dv")
+        rebuilt = st.EffectiveChannel(h=factors.q @ r)
         y = rebuilt.h @ alphabet.symbols[idx]
         if factor < 1.0:
             assert decode_one("fast", rebuilt, y, alphabet).indices == tuple(idx)
@@ -507,7 +507,7 @@ def test_non_finite_input_raises(rng, name, bad, where):
     message = "non-finite received stack y" if where == "y" else "non-finite channel matrix"
     for ordering in st.harness.ORDERING_MODES:  # the column order is picked first
         with pytest.raises(ValueError, match=message):
-            st.harness.decode_stack(h[None], y[None], variant, alphabet, (name,), ordering)
+            st.harness.decode_stack(h[None], y[None], alphabet, (name,), ordering)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -596,12 +596,12 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
     names = [name for name, entry in st.harness.DECODERS.items() if variant in entry.code_variants]
     for snr_db in (0.0, 8.0, 16.0, 24.0):
         chs = [st.sample_channel(rng, "quasistatic") for _ in range(6)]
-        stacked = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
+        stacked = st.effective_matrix(np.stack(chs), variant)
         y = _received(rng, stacked, alphabet, variant, [snr_db] * len(chs))
         for ordering in st.harness.ORDERING_MODES:
-            decoded = st.harness.decode_stack(stacked, y, variant, alphabet, names, ordering)
-            for k, ch in enumerate(chs):
-                plain = st.effective_channel(ch, variant)
+            decoded = st.harness.decode_stack(stacked, y, alphabet, names, ordering)
+            for k, h in enumerate(chs):
+                plain = st.effective_channel(h, variant)
                 for name in names:
                     a = decode_alone(name, plain, y[k], alphabet, ordering)
                     b, _ = decoded[name][k]
@@ -636,8 +636,8 @@ def _chunk(rng, variant, model, m, count=8):
     """A sweep-like stack: channels, their matrices and noisy received stacks at 0 to 21 dB."""
     alphabet = st.make_qam(m)
     chs = [st.sample_channel(rng, model) for _ in range(count)]
-    matrices = st.effective_matrix(np.stack([ch.h for ch in chs]), variant)
-    channels = [st.EffectiveChannel(h=h, variant=variant) for h in matrices]
+    matrices = st.effective_matrix(np.stack(chs), variant)
+    channels = [st.EffectiveChannel(h=h) for h in matrices]
     y = _received(rng, matrices, alphabet, variant, [3.0 * k for k in range(count)])
     return alphabet, channels, matrices, y
 
@@ -741,11 +741,11 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     for variant, stack, received, name, message in cases:
         for ordering in st.harness.ORDERING_MODES:
             with pytest.raises(ValueError, match=message):
-                st.harness.decode_stack(stack, received, variant, alphabet, (name,), ordering)
+                st.harness.decode_stack(stack, received, alphabet, (name,), ordering)
     assert calls == []
     # a stack that passes reaches the patched decoders, and at 16-QAM the
     # exhaustive scan's blocks hold one instance each
     for name in ("sphere", "exhaustive"):
         calls.clear()
-        st.harness.decode_stack(matrices, y, "golden-dv", alphabet, (name,), "none")
+        st.harness.decode_stack(matrices, y, alphabet, (name,), "none")
         assert len(calls) == len(matrices)

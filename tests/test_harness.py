@@ -92,7 +92,8 @@ def test_validation_rejects_rho_without_markov(channel):
     "grid",
     (dict(snr_step=math.nan), dict(snr_stop=math.inf), dict(snr_start=-math.inf),
      dict(snr_start=math.nan), dict(snr_start=30.0, snr_stop=0.0),
-     dict(snr_start=4000.0, snr_stop=4000.0), dict(snr_start=-4000.0, snr_stop=-4000.0)),
+     dict(snr_start=4000.0, snr_stop=4000.0), dict(snr_start=-4000.0, snr_stop=-4000.0),
+     dict(snr_start=0.0, snr_stop=1e-291, snr_step=1e-300)),
 )
 def test_validation_rejects_bad_snr_grid(grid):
     with pytest.raises(ValueError, match="snr"):
@@ -102,14 +103,23 @@ def test_validation_rejects_bad_snr_grid(grid):
 def test_validation_rejects_snr_points_that_print_alike():
     cfg = small_config(snr_start=10.0, snr_stop=10.0 + 4e-9, snr_step=1e-9)
     assert len(cfg.snr_points()) == 5  # the end slack scales with the step
-    with pytest.raises(ValueError, match=r"snr grid start=10\.0 stop=10\.000000004 step=1e-09"):
+    grid = r"snr grid start=10\.0 stop=10\.000000004 step=1e-09"
+    with pytest.raises(ValueError, match=f"{grid} has points that print alike"):
         cfg.validate()
     small_config(snr_start=10.0, snr_stop=10.0 + 4e-7, snr_step=1e-7).validate()
-    # grids far too long to build: the first or the last two points print alike
-    for start, stop in ((0.0, 30.0), (-30.0, 0.0)):
-        cfg = small_config(snr_start=start, snr_stop=stop, snr_step=1e-300)
-        with pytest.raises(ValueError, match=f"snr grid start={start!r} .*print alike"):
+
+
+def test_validation_bounds_the_number_of_snr_points():
+    cfg = small_config(snr_start=0.0, snr_stop=999.99, snr_step=0.01)
+    cfg.validate()
+    assert len(cfg.snr_points()) == harness.MAX_SNR_POINTS == 100_000
+    # one point more, and grids far too long to build, are refused before any label is built
+    for start, stop, step in ((0.0, 1000.0, 0.01), (0.0, 30.0, 1e-300), (-30.0, 0.0, 1e-300)):
+        cfg = small_config(snr_start=start, snr_stop=stop, snr_step=step)
+        grid = f"snr grid start={start!r} stop={stop!r} step={step!r}"
+        with pytest.raises(ValueError) as info:
             cfg.validate()
+        assert str(info.value) == f"{grid} has more than 100000 points"
 
 
 def test_snr_grid_inclusive():
@@ -274,9 +284,9 @@ def recording_decode_stack(monkeypatch):
     calls = []
     decode_stack = harness.decode_stack
 
-    def recording(matrices, received, code, alphabet, names, ordering):
-        calls.append((matrices, received, code, alphabet.size, names, ordering))
-        return decode_stack(matrices, received, code, alphabet, names, ordering)
+    def recording(matrices, received, alphabet, names, ordering):
+        calls.append((matrices, received, alphabet.size, names, ordering))
+        return decode_stack(matrices, received, alphabet, names, ordering)
 
     monkeypatch.setattr(harness, "decode_stack", recording)
     return calls
@@ -285,12 +295,11 @@ def recording_decode_stack(monkeypatch):
 def one_instance(rng, alphabet, model, variant, snr_db):
     """Reference: one instance (h, y) sampled on its own, channel, symbols and
     noise in that order (None: noise-free, no noise draw)."""
-    ch = st.sample_channel(rng, model)
+    h = st.effective_matrix(st.sample_channel(rng, model), variant)
     idx = rng.integers(0, alphabet.size, 4)
-    h = st.effective_matrix(ch.h, variant)
     if snr_db is None:
         return h, h @ alphabet.symbols[idx]
-    noise = st.codes.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), variant)
+    noise = st.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), variant)
     return h, h @ alphabet.symbols[idx] + noise
 
 
@@ -308,10 +317,10 @@ def test_suite_instances_reproduce_per_instance_sampling(monkeypatch):
         snr = harness._MLEQUIV_SNRS[t % len(harness._MLEQUIV_SNRS)]
         for stack, (model, variant, _) in zip(want, harness._MLEQUIV_KINDS):
             stack.append(one_instance(rng, alphabet, model, variant, snr))
-    for (matrices, received, code, m, names, _), stack, kind in zip(
+    for (matrices, received, m, names, _), stack, kind in zip(
         calls[:3], want, harness._MLEQUIV_KINDS
     ):
-        assert (code, m, names) == (kind[1], 4, kind[2])
+        assert (m, names) == (4, kind[2])
         assert matrices.tobytes() == np.array([h for h, _ in stack]).tobytes()
         assert received.tobytes() == np.array([y for _, y in stack]).tobytes()
 
@@ -333,9 +342,9 @@ def test_alamouti_suite_counts_each_probe_refusal(monkeypatch):
     rate = next(c for c in report.checks if "structure-error" in c.name)
     assert rate.measured == 1.0
     assert len(calls) == 50
-    for matrices, received, code, m, names, ordering in calls:
+    for matrices, received, m, names, ordering in calls:
         assert (matrices.shape, received.shape) == ((1, 4, 4), (1, 4))
-        assert (code, m, names, ordering) == ("overlaid-alamouti", 4, ("alamouti",), "none")
+        assert (m, names, ordering) == (4, ("alamouti",), "none")
 
 
 @pytest.mark.parametrize(
@@ -398,21 +407,21 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
     no QR: a rank-deficient matrix decodes, as CLI ``decode`` decodes it alone.
     A stack that fast decodes too still raises."""
     alphabet = st.make_qam(4)
-    chs = [st.sample_channel(rng, "quasistatic").h for _ in range(5)]
+    chs = [st.sample_channel(rng, "quasistatic") for _ in range(5)]
     matrices = st.effective_matrix(np.stack(chs), "golden-dv")
     matrices[2] = np.ones((4, 4))
     received = (matrices @ alphabet.symbols[rng.integers(0, 4, (5, 4))][..., None])[..., 0]
     for ordering in harness.ORDERING_MODES:
         decoded = harness.decode_stack(
-            matrices, received, "golden-dv", alphabet, ("exhaustive",), ordering
+            matrices, received, alphabet, ("exhaustive",), ordering
         )
         for h, y, (result, _) in zip(matrices, received, decoded["exhaustive"]):
-            eff = st.EffectiveChannel(h=h, variant="golden-dv")
+            eff = st.EffectiveChannel(h=h)
             alone = decode_one("exhaustive", eff, y, alphabet)
             assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
         with pytest.raises(ValueError, match="degenerate"):
             harness.decode_stack(
-                matrices, received, "golden-dv", alphabet, ("exhaustive", "fast"), ordering
+                matrices, received, alphabet, ("exhaustive", "fast"), ordering
             )
 
 
@@ -430,13 +439,13 @@ def reference_rows(cfg):
         acc = {name: {"errors": 0, "nodes": [], "sorts": 0} for name in cfg.decoders}
         for trial in range(cfg.trials):
             rng = st.make_rng(cfg.seed, pi, trial)
-            ch = st.sample_channel(rng, cfg.channel, cfg.rho)
+            h = st.sample_channel(rng, cfg.channel, cfg.rho)
             idx_true = rng.integers(0, alphabet.size, size=4)
-            eff = st.effective_channel(ch, cfg.code)
+            eff = st.effective_channel(h, cfg.code)
             if cfg.noise_free:
                 noise = np.zeros(4, dtype=complex)
             else:
-                noise = eff.stack(st.sample_noise(rng, n0))
+                noise = st.stack_samples(st.sample_noise(rng, n0), cfg.code)
             y = eff.h @ alphabet.symbols[idx_true] + noise
             for name in cfg.decoders:
                 result = decode_alone(name, eff, y, alphabet, cfg.ordering)

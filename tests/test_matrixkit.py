@@ -50,8 +50,7 @@ def test_qr_degenerate_channel():
 
 
 def _random_golden_h_bar(rng, variant="golden-dv", model="rapid"):
-    ch = st.sample_channel(rng, model)
-    return st.golden_parts(ch.h, variant)
+    return st.golden_parts(st.sample_channel(rng, model), variant)
 
 
 def test_structured_qr_matches_general_qr_on_golden_matrices(rng):

@@ -36,8 +36,8 @@ def _close(a, b):
     y=received,
 )
 def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
-    ch = st.sample_channel(st.make_rng(seed), model, rho=0.9 if model == "markov" else None)
-    eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
+    h = st.sample_channel(st.make_rng(seed), model, rho=0.9 if model == "markov" else None)
+    eff = st.EffectiveChannel(h=scale * st.effective_matrix(h, variant))
     alphabet = st.make_qam(m)
     results = {
         name: decode_one(name, eff, y, alphabet) for name in ("fast", "sphere", "exhaustive")
@@ -56,9 +56,8 @@ def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
 )
 def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
     # Alamouti's fast path needs quasistatic fading; rapid channels raise.
-    ch = st.sample_channel(st.make_rng(seed), "quasistatic")
-    variant = "overlaid-alamouti"
-    eff = st.EffectiveChannel(h=scale * st.effective_matrix(ch.h, variant), variant=variant)
+    h = st.sample_channel(st.make_rng(seed), "quasistatic")
+    eff = st.EffectiveChannel(h=scale * st.effective_matrix(h, "overlaid-alamouti"))
     alphabet = st.make_qam(m)
     alamouti = decode_one("alamouti", eff, y, alphabet)
     assert _close(alamouti.cost, recompute_cost(eff, y, alamouti.x_hat))
@@ -67,16 +66,15 @@ def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
 
 @PROPERTY
 @given(
-    variant=hs.sampled_from(st.GOLDEN_VARIANTS),
     entries=hs.lists(hs.floats(-10, 10), min_size=32, max_size=32),
     real=hs.booleans(),
     y=received,
 )
-def test_fast_on_arbitrary_matrix_raises_or_is_exact(variant, entries, real, y):
+def test_fast_on_arbitrary_matrix_raises_or_is_exact(entries, real, y):
     h = np.array(entries[:16]).reshape(4, 4)
     if not real:  # a real matrix has a real R: it passes the check without being golden
         h = h + 1j * np.array(entries[16:]).reshape(4, 4)
-    eff = st.EffectiveChannel(h=h, variant=variant)
+    eff = st.EffectiveChannel(h=h)
     alphabet = st.make_qam(4)
     try:
         fast = decode_one("fast", eff, y, alphabet)
