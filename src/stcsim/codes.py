@@ -17,8 +17,9 @@ holds to machine precision.
 
 A golden effective channel factors as ``h_bar @ PSI`` with a sparse
 ``h_bar`` (``golden_parts``) and PSI the block-diagonal pair of golden
-rotations; ``qr_golden_structured`` builds its QR from that structure, with
-exactly real diagonal blocks in R.
+rotations; ``qr_golden_structured`` builds its QR from that structure: two
+complex 2x2 QRs of h_bar's interleaved column pairs, then one real rotation
+per diagonal block, so R's diagonal blocks are exactly real.
 
 Codewords are 2x2 complex arrays with entry [k, i] holding the symbol sent
 from antenna i at time k.
@@ -217,6 +218,23 @@ def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:
     return q, d0, off, d1
 
 
+def _block_rotation(p0, p1) -> tuple:
+    """Real Givens rotation [[a, b], [-b, a]] triangularizing one diagonal
+    block [[c*p0, s*p0], [-s*p1, c*p1]] of ``r_bar @ PSI``, from the block's
+    real pivots (r11, r22) or (r33, r44) of ``r_bar``.
+
+    Returns ((a, b), (n, r01, r11)), the rotated block being [[n, r01], [0, r11]].
+    """
+    c = GOLDEN.cos_theta
+    s = GOLDEN.sin_theta
+    x00 = c * p0
+    x01 = s * p0
+    x10 = -s * p1
+    x11 = c * p1
+    n = np.sqrt(x00 * x00 + x10 * x10)
+    return (x00 / n, x10 / n), (n, (x00 * x01 + x10 * x11) / n, (x00 * x11 - x10 * x01) / n)
+
+
 def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     """Structured QR of ``h_bar @ PSI`` for golden effective channels.
 
@@ -227,10 +245,11 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     The construction runs in three steps: (i) QR of h_bar via two independent
     2x2 complex QRs on the interleaved column pairs {1,3} and {2,4}, which the
     sparsity pattern makes exactly orthogonal; (ii) the product with PSI,
-    whose diagonal 2x2 blocks are then real; (iii) a block-diagonal real
-    Givens rotation restoring triangularity. The (1,1) and (2,2) blocks of the
-    resulting R are built from real arithmetic only, so their imaginary parts
-    are identically zero.
+    whose diagonal 2x2 blocks are then real; (iii) one real Givens rotation
+    per diagonal block (``_block_rotation``) restoring triangularity, applied
+    to that block's rows of R and columns of Q. The (1,1) and (2,2) blocks of
+    the resulting R are built from real arithmetic only, so their imaginary
+    parts are identically zero.
 
     Raises:
         ValueError: if the sparsity pattern is violated ("not a golden
@@ -240,10 +259,9 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     scale = frobenius_norm(h_bar)
     if np.any(scale == 0.0):
         raise ValueError("degenerate channel: column pivot below rank tolerance")
-    tol = 1e-12 * scale
-    for row, col in GOLDEN_ZERO_PATTERN:
-        if np.any(np.abs(h_bar[..., row, col]) > tol):
-            raise ValueError("not a golden effective matrix")
+    rows, cols = zip(*GOLDEN_ZERO_PATTERN)
+    if np.any(np.abs(h_bar[..., rows, cols]) > (1e-12 * scale)[..., None]):
+        raise ValueError("not a golden effective matrix")
     c = GOLDEN.cos_theta
     s = GOLDEN.sin_theta
 
@@ -255,52 +273,20 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     q_bar[..., ::2, ::2] = q_odd
     q_bar[..., 1::2, 1::2] = q_even
 
-    # Step (ii): diagonal blocks of r_bar @ PSI, real by construction.
-    x00 = c * r11
-    x01 = s * r11
-    x10 = -s * r22
-    x11 = c * r22
-    z00 = c * r33
-    z01 = s * r33
-    z10 = -s * r44
-    z11 = c * r44
-    # Coupling block stays complex in general.
-    y00 = c * r13
-    y01 = s * r13
-    y10 = -s * r24
-    y11 = c * r24
-
-    # Step (iii): real Givens rotations zeroing the (2,1) entries.
-    na = np.sqrt(x00 * x00 + x10 * x10)
-    nd = np.sqrt(z00 * z00 + z10 * z10)
-    w1 = np.empty(batch + (2, 2))
-    w1[..., 0, 0] = x00 / na
-    w1[..., 0, 1] = x10 / na
-    w1[..., 1, 0] = -x10 / na
-    w1[..., 1, 1] = x00 / na
-    w2 = np.empty(batch + (2, 2))
-    w2[..., 0, 0] = z00 / nd
-    w2[..., 0, 1] = z10 / nd
-    w2[..., 1, 0] = -z10 / nd
-    w2[..., 1, 1] = z00 / nd
-
+    # Steps (ii) and (iii): each diagonal block of r_bar @ PSI is real, and
+    # one real rotation triangularizes it; the first block's rotation also
+    # turns the rows of the coupling block, complex in general.
     r = np.zeros(batch + (4, 4), dtype=complex)
-    r[..., 0, 0] = na
-    r[..., 0, 1] = (x00 * x01 + x10 * x11) / na
-    r[..., 1, 1] = (x00 * x11 - x10 * x01) / na
-    r[..., 2, 2] = nd
-    r[..., 2, 3] = (z00 * z01 + z10 * z11) / nd
-    r[..., 3, 3] = (z00 * z11 - z10 * z01) / nd
-    r[..., 0, 2] = w1[..., 0, 0] * y00 + w1[..., 0, 1] * y10
-    r[..., 0, 3] = w1[..., 0, 0] * y01 + w1[..., 0, 1] * y11
-    r[..., 1, 2] = w1[..., 1, 0] * y00 + w1[..., 1, 1] * y10
-    r[..., 1, 3] = w1[..., 1, 0] * y01 + w1[..., 1, 1] * y11
-
+    (a1, b1), (r[..., 0, 0], r[..., 0, 1], r[..., 1, 1]) = _block_rotation(r11, r22)
+    rotation2, (r[..., 2, 2], r[..., 2, 3], r[..., 3, 3]) = _block_rotation(r33, r44)
+    for col, (y0, y1) in ((2, (c * r13, -s * r24)), (3, (s * r13, c * r24))):
+        r[..., 0, col] = a1 * y0 + b1 * y1
+        r[..., 1, col] = -b1 * y0 + a1 * y1
     q = np.array(q_bar)
-    q[..., :, 0] = q_bar[..., :, 0] * w1[..., None, 0, 0] + q_bar[..., :, 1] * w1[..., None, 0, 1]
-    q[..., :, 1] = q_bar[..., :, 0] * w1[..., None, 1, 0] + q_bar[..., :, 1] * w1[..., None, 1, 1]
-    q[..., :, 2] = q_bar[..., :, 2] * w2[..., None, 0, 0] + q_bar[..., :, 3] * w2[..., None, 0, 1]
-    q[..., :, 3] = q_bar[..., :, 2] * w2[..., None, 1, 0] + q_bar[..., :, 3] * w2[..., None, 1, 1]
+    for k, (a, b) in ((0, (a1, b1)), (2, rotation2)):
+        a, b = a[..., None], b[..., None]
+        q[..., :, k] = q_bar[..., :, k] * a + q_bar[..., :, k + 1] * b
+        q[..., :, k + 1] = q_bar[..., :, k] * -b + q_bar[..., :, k + 1] * a
     return QRFactors(q=q, r=r)
 
 

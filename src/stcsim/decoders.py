@@ -160,17 +160,13 @@ def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> li
         "this channel lacks golden structure",
     )
     r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
-    z2 = z[:, 2, None]
-    z3 = z[:, 3, None]
-    sort_re = sort_alphabet_by_metric(
-        alphabet,
-        lambda a: (z2.real - r33 * a.real - r34 * a.imag) ** 2 + (z3.real - r44 * a.imag) ** 2,
-    )
-    sort_im = sort_alphabet_by_metric(
-        alphabet,
-        lambda a: (z2.imag - r33 * a.real - r34 * a.imag) ** 2 + (z3.imag - r44 * a.imag) ** 2,
-    )
-    return list(zip(*(part.tolist() for part in sort_re + sort_im)))
+    sorts = ()
+    for component in (np.real, np.imag):
+        z2, z3 = component(z[:, 2, None]), component(z[:, 3, None])
+        sorts += sort_alphabet_by_metric(
+            alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
+        )
+    return list(zip(*(part.tolist() for part in sorts)))
 
 
 def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
@@ -185,12 +181,11 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
             callers should fall back to decode_sphere_conventional.
     """
     _require_structure(r, r[:, 0, 1], r[:, 2, 3], "fast Alamouti path invalid for this channel")
-    r33, r44 = (r[:, i, i, None].real for i in (2, 3))
-    z2 = z[:, 2, None]
-    z3 = z[:, 3, None]
-    sort4 = sort_alphabet_by_metric(alphabet, lambda a: abs(z3 - r44 * a) ** 2)
-    sort3 = sort_alphabet_by_metric(alphabet, lambda a: abs(z2 - r33 * a) ** 2)
-    return list(zip(*(part.tolist() for part in sort4 + sort3)))
+    sorts = ()
+    for i in (3, 2):  # x4's sort, then x3's
+        zi, rii = z[:, i, None], r[:, i, i, None].real
+        sorts += sort_alphabet_by_metric(alphabet, lambda a: abs(zi - rii * a) ** 2)
+    return list(zip(*(part.tolist() for part in sorts)))
 
 
 def _scan_block(matrices, received, syms, step: int, planes) -> tuple:

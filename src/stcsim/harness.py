@@ -20,6 +20,7 @@ coding-gain alphabet independence, and agreement of the two QR routes).
 SER is reported per symbol: four information symbols per trial.
 """
 
+import itertools
 import math
 import numbers
 import operator
@@ -49,7 +50,7 @@ from .constellation import SUPPORTED_QAM_ORDERS, make_qam
 from .matrixkit import frobenius_norm, qr_decompose
 
 ORDERING_MODES = ("none", "blast")
-# SweepConfig.validate builds a label per SNR point before anything runs.
+# SweepConfig.validate walks and labels every SNR point before anything runs.
 MAX_SNR_POINTS = 100_000
 
 
@@ -208,10 +209,10 @@ class SweepConfig:
         for snr in (self.snr_start, self.snr_stop):
             snr_to_n0(snr)  # N0 falls with SNR, so the two ends bound the grid
         grid = f"snr grid start={self.snr_start!r} stop={self.snr_stop!r} step={self.snr_step!r}"
-        last = self._last_index()
-        if last >= MAX_SNR_POINTS:
+        points = self.snr_points()
+        if len(points) > MAX_SNR_POINTS:
             raise ValueError(f"{grid} has more than {MAX_SNR_POINTS} points")
-        if len({_fmt(self._point(k)) for k in range(last + 1)}) <= last:
+        if len(set(map(_fmt, points))) < len(points):
             raise ValueError(
                 f"{grid} has points that print alike in the CSV (9 significant digits)"
             )
@@ -222,25 +223,12 @@ class SweepConfig:
         for name in self.decoders:
             decoder_entry(name, self.code, self.modulation, self.channel)
 
-    def _point(self, k: int) -> float:
-        return self.snr_start + k * self.snr_step
-
-    def _last_index(self) -> int:
-        """Index of the last of ``snr_points``, by bisection: a point never
-        falls as its index grows, and a grid may be too long to walk."""
-        limit = self.snr_stop + 1e-9 * self.snr_step
-        lo = 0
-        hi = math.floor(min((limit - self.snr_start) / self.snr_step, np.finfo(float).max)) + 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._point(mid) > limit:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
     def snr_points(self) -> list:
-        return [self._point(k) for k in range(self._last_index() + 1)]
+        """start + k * step for k = 0, 1, ... up to stop plus a slack of
+        1e-9 * step, walked no further than MAX_SNR_POINTS + 1 points."""
+        limit = self.snr_stop + 1e-9 * self.snr_step
+        walk = (self.snr_start + k * self.snr_step for k in range(MAX_SNR_POINTS + 1))
+        return list(itertools.takewhile(lambda point: point <= limit, walk))
 
     def channel_label(self) -> str:
         if self.channel == "markov":
@@ -335,8 +323,18 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> dict:
     Returns:
         Per decoder name, one ``(DecodeResult, time_ns)`` pair per instance:
         an even share of the stack call, or the decoder call plus an even
-        share of its stacked sorts.
+        share of its stacked sorts. An empty stack gives empty lists.
+
+    Raises:
+        ValueError: an ordering outside ORDERING_MODES or an unknown decoder.
     """
+    if ordering not in ORDERING_MODES:
+        raise ValueError(f"unknown ordering mode: {ordering!r}")
+    for name in names:
+        if name not in DECODERS:
+            raise ValueError(f"unknown decoder: {name!r}")
+    if not len(matrices):
+        return {name: [] for name in names}
     prologues = {}  # column-order rule (None: natural) -> channels, r, z, rows, inverses
     decoded = {}
     for name in names:

@@ -591,7 +591,7 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
     """A batch decode (one stacked build, column-order choice and prologue,
     each decode handed its row) equals every channel built, ordered and
     decoded alone, for each registry decoder of the variant under both
-    orderings."""
+    orderings; and each x_hat is its indices' symbols, byte for byte."""
     alphabet = st.make_qam(16)
     names = [name for name, entry in st.harness.DECODERS.items() if variant in entry.code_variants]
     for snr_db in (0.0, 8.0, 16.0, 24.0):
@@ -609,6 +609,7 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
                         b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
                     )
                     assert a.x_hat.tobytes() == b.x_hat.tobytes()
+                    assert b.x_hat.tobytes() == alphabet.symbols[list(b.indices)].tobytes()
 
 
 @pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)

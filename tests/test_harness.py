@@ -425,6 +425,28 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
             )
 
 
+@pytest.mark.parametrize("ordering", harness.ORDERING_MODES)
+@pytest.mark.parametrize("name", harness.DECODER_NAMES)
+def test_decode_stack_of_no_instances_decodes_nothing(name, ordering):
+    matrices = np.zeros((0, 4, 4), dtype=complex)
+    received = np.zeros((0, 4), dtype=complex)
+    decoded = harness.decode_stack(matrices, received, st.make_qam(4), (name,), ordering)
+    assert decoded == {name: []}
+
+
+def test_decode_stack_rejects_unknown_ordering_and_decoder(rng):
+    alphabet = st.make_qam(4)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 2), "golden-dv")
+    received = matrices @ alphabet.symbols[:4]
+    for stack in ((matrices, received), (matrices[:0], received[:0])):
+        with pytest.raises(ValueError) as info:
+            harness.decode_stack(*stack, alphabet, ("fast",), "BLAST")
+        assert str(info.value) == "unknown ordering mode: 'BLAST'"
+        with pytest.raises(ValueError) as info:
+            harness.decode_stack(*stack, alphabet, ("fast", "Sphere"), "none")
+        assert str(info.value) == "unknown decoder: 'Sphere'"
+
+
 def test_verification_unknown_suite():
     with pytest.raises(ValueError):
         run_verification("bogus")

@@ -73,13 +73,14 @@ def test_structured_qr_blocks_exactly_real(rng):
 
 
 def test_structured_qr_batched_matches_loop(rng):
-    h = st.sample_channels(rng, "rapid", 8)
-    h_bar = st.golden_parts(h, "golden-dv")
-    batch = qr_golden_structured(h_bar)
-    for i in range(8):
-        single = qr_golden_structured(h_bar[i])
-        assert np.allclose(batch.r[i], single.r, atol=1e-13)
-        assert np.allclose(batch.q[i], single.q, atol=1e-13)
+    for variant in st.GOLDEN_VARIANTS:
+        for model in ("quasistatic", "rapid"):
+            h_bar = st.golden_parts(st.sample_channels(rng, model, 8), variant)
+            batch = qr_golden_structured(h_bar)
+            for i in range(8):
+                single = qr_golden_structured(h_bar[i])
+                assert batch.r[i].tobytes() == single.r.tobytes()
+                assert batch.q[i].tobytes() == single.q.tobytes()
 
 
 def test_structured_qr_identity_like_channel_agrees_entrywise():
@@ -102,6 +103,19 @@ def test_structured_qr_rejects_pattern_violation(rng):
     bad = np.array(h_bar)
     bad[0, 1] = 0.5
     with pytest.raises(ValueError, match="not a golden effective matrix"):
+        qr_golden_structured(bad)
+
+
+def test_structured_qr_checks_every_pattern_position(rng):
+    h_bar = np.stack([_random_golden_h_bar(rng) for _ in range(3)])
+    tol = 1e-12 * frobenius_norm(h_bar[1])
+    for row, col in GOLDEN_ZERO_PATTERN:
+        bad = np.array(h_bar)
+        bad[1, row, col] = 2.0 * tol
+        for matrices in (bad, bad[1]):
+            with pytest.raises(ValueError, match="not a golden effective matrix"):
+                qr_golden_structured(matrices)
+        bad[1, row, col] = 0.5 * tol  # within the tolerance
         qr_golden_structured(bad)
 
 
