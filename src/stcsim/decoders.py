@@ -1,12 +1,12 @@
 """Exact maximum-likelihood decoders with search-effort instrumentation.
 
 Four decoders share a common contract: given an effective channel H, a
-received stack y and a square QAM alphabet, return the cost-minimizing symbol
-vector together with the achieved cost ||y - H x_hat||^2 and two effort
-counters. A non-finite y or H raises ValueError. ``decode_exhaustive_stack``
-scans a whole stack per call; a tree decoder decodes one instance per call
-from its row (``prepared``) of the stack's prologue, which only
-``harness.decode_stack`` runs, for a single instance on a stack of one.
+received stack y and a square QAM alphabet, return the cost-minimizing
+symbol indices, the achieved cost ||y - H x_hat||^2 and two effort counters.
+A non-finite y or H raises ValueError. ``decode_exhaustive_stack`` scans a
+whole stack per call; a tree decoder decodes one instance per call from its
+row (``prepared``) of the stack's prologue, which only ``harness.decode_stack``
+runs, for a single instance on a stack of one.
 
 Counting convention (normative for all reported numbers):
 
@@ -38,9 +38,9 @@ only the row and the alphabet, and ``decode_exhaustive`` stays, though no
 decode path calls it: the benchmark's tracer wraps these functions by name
 and checks each reported cost against ``||y - eff.h x_hat||^2``.
 
-A decoder decodes the matrix it is given, in its column order, and reports
-x_hat in that order; a detection order (``blast_ordering``) is chosen before
-decoding, and the caller permutes the columns and maps the decision back.
+A decoder decodes the matrix it is given and reports indices in its column
+order; a detection order (``blast_ordering``) is chosen before decoding, and
+the caller permutes the columns and maps the decision back.
 
 The fast golden and fast Alamouti decoders share one best-first
 trailing-pair walk, ``_walk_pairs``, which owns the trailing stage's
@@ -64,7 +64,7 @@ A finite y and H whose every candidate cost overflows raises ValueError.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
@@ -96,13 +96,18 @@ COST_OVERFLOW = "cost overflowed: no candidate has a finite squared distance ||y
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Decoder output: decision, achieved cost, and effort counters."""
+    """Decoder output: symbol indices, cost, effort counters and the alphabet's symbols."""
 
-    x_hat: np.ndarray
     indices: tuple
     cost: float
     nodes_visited: int
     full_sorts: int
+    symbols: np.ndarray = field(repr=False)
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        """The decision as symbols, ``symbols[list(indices)]``: a new array per read."""
+        return self.symbols[list(self.indices)]
 
 
 # Entries of R that a fast decoder's structure needs to vanish may be at most
@@ -284,8 +289,8 @@ def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
         raise ValueError(COST_OVERFLOW)
     indices = np.stack(np.unravel_index(flat, (m,) * 4), axis=-1)
     return [
-        DecodeResult(x_hat=x_hat, indices=tuple(idx), cost=c, nodes_visited=m ** 4, full_sorts=0)
-        for x_hat, idx, c in zip(syms[indices], indices.tolist(), cost.tolist())
+        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=m ** 4, full_sorts=0, symbols=syms)
+        for idx, c in zip(indices.tolist(), cost.tolist())
     ]
 
 
@@ -313,8 +318,8 @@ def _real_search(
     accepted.
 
     Returns:
-        (metric, pick, nodes) with pick = (x1_symbol, x1_index, x2_symbol,
-        x2_index), or pick None when no metric is below ``radius``.
+        (metric, pick, nodes) with pick = (x1_index, x2_index), or pick None
+        when no metric is below ``radius``.
     """
     values = pam.values
     width = len(values)
@@ -336,7 +341,7 @@ def _real_search(
         t += (u - r11 * x1sym) ** 2
         if t < best:
             best = t
-            pick = (x1sym, x1idx, x2sym, x2idx)
+            pick = (x1idx, x2idx)
         if lo >= 0 and (hi == width or c - values[lo] <= values[hi] - c):
             x2idx = lo
             lo -= 1
@@ -472,27 +477,15 @@ def decode_fast_golden(
             return math.inf, None, n_re + n_im
         return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
 
-    best, best_pick, nodes = _walk_pairs(m_re, m_im, leading, prune)
-    (x1r, i1r, x2r, i2r), (x1i, i1i, x2i, i2i), sk, sl = best_pick
-    x_hat = np.array((
-        complex(x1r, x1i),
-        complex(x2r, x2i),
-        complex(sym_re[sk], sym_re[sl]),
-        complex(sym_im[sk], sym_im[sl]),
-    ))
+    best, ((i1r, i2r), (i1i, i2i), sk, sl), nodes = _walk_pairs(m_re, m_im, leading, prune)
     indices = (
         alphabet.index_of(i1r, i1i),
         alphabet.index_of(i2r, i2i),
         alphabet.index_of(sk % pam.size, sl % pam.size),
         alphabet.index_of(sk // pam.size, sl // pam.size),
     )
-    return DecodeResult(
-        x_hat=x_hat,
-        indices=indices,
-        cost=best,
-        nodes_visited=nodes,
-        full_sorts=2,
-    )
+    return DecodeResult(indices=indices, cost=best, nodes_visited=nodes, full_sorts=2,
+                        symbols=alphabet.symbols)
 
 
 def _slice_complex(value: complex, alphabet: QamAlphabet) -> tuple:
@@ -575,13 +568,12 @@ def decode_sphere_conventional(
     nodes = 0
     sorts = 0
     best = math.inf
-    best_syms = None
     best_idx = None
     chosen = [0j] * 4
     chosen_idx = [0] * 4
 
     def expand(level: int, acc: float) -> None:
-        nonlocal nodes, sorts, best, best_syms, best_idx
+        nonlocal nodes, sorts, best, best_idx
         w = z[level]
         for j in range(level + 1, 4):
             w -= r[level][j] * chosen[j]
@@ -604,10 +596,8 @@ def decode_sphere_conventional(
             nodes += 1
             total = acc + abs(w - rdiag[0] * sym) ** 2
             if total < best:
-                chosen[0] = sym
                 chosen_idx[0] = ii * width + ir
                 best = total
-                best_syms = tuple(chosen)
                 best_idx = tuple(chosen_idx)
             return
         sorts += 1
@@ -628,15 +618,10 @@ def decode_sphere_conventional(
         expand(3, 0.0)
     except OverflowError:
         raise ValueError(COST_OVERFLOW) from None
-    if best_syms is None:
+    if best_idx is None:
         raise ValueError(COST_OVERFLOW)
-    return DecodeResult(
-        x_hat=np.array(best_syms),
-        indices=best_idx,
-        cost=best,
-        nodes_visited=nodes,
-        full_sorts=sorts,
-    )
+    return DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes, full_sorts=sorts,
+                        symbols=alphabet.symbols)
 
 
 def decode_alamouti_fast(
@@ -674,17 +659,11 @@ def decode_alamouti_fast(
         x1, i1 = _slice_complex(v1 / r11, alphabet)
         x2, i2 = _slice_complex(v2 / r22, alphabet)
         total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
-        return total, ((x1, x2, x3, x4), (i1, i2, i3, i4)), 4  # two slices per symbol
+        return total, (i1, i2, i3, i4), 4  # two slices per symbol
 
-    best, (best_syms, best_idx), nodes = _walk_pairs(m4, m3, leading, prune)
-
-    return DecodeResult(
-        x_hat=np.array(best_syms),
-        indices=best_idx,
-        cost=best,
-        nodes_visited=nodes,
-        full_sorts=2,
-    )
+    best, best_idx, nodes = _walk_pairs(m4, m3, leading, prune)
+    return DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes, full_sorts=2,
+                        symbols=alphabet.symbols)
 
 
 def blast_ordering(h, allowed=None):

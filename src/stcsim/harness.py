@@ -59,17 +59,16 @@ class DecoderEntry:
     """One decoder: its call, its stacked sorts, its BLAST column-order rule
     and the setups it can decode.
 
-    A decoder has exactly one of two calls, which only ``decode_stack``
-    makes. ``stack(matrices, received, alphabet)`` (exhaustive) decodes a
+    A decoder has exactly one of two calls, which only ``decode_stack`` makes
+    and times. ``stack(matrices, received, alphabet)`` (exhaustive) decodes a
     whole stack in one call, with no prologue. ``call(eff, y, alphabet,
-    prepared=row)`` (the tree decoders) decodes one instance, ``eff`` in its
-    own column order, from its row of the stack's prologue. Both return
-    DecodeResults. ``sorts(alphabet, r, z)``, when set, is the decoder's
-    stacked sort prologue. ``blast(matrices)``, when set, picks each
-    matrix's column order under ``--ordering blast``; a decoder without one
-    decodes in the natural order. All of them reach the decoders through
-    this module's ``decoders`` attribute at call time, so rebinding that
-    attribute reaches every caller.
+    prepared=row)`` (the tree decoders) decodes one instance, its indices in
+    ``eff``'s column order, from its row of the stack's prologue.
+    ``sorts(alphabet, r, z)``, when set, is the decoder's stacked sort
+    prologue. ``blast(matrices)``, when set, picks each matrix's column order
+    under ``--ordering blast``; a decoder without one decodes in the natural
+    order. All of them reach the decoders through this module's ``decoders``
+    attribute at call time, so rebinding that attribute reaches every caller.
     """
 
     code_variants: tuple
@@ -151,6 +150,14 @@ def _require_real(field: str, value) -> None:
         raise ValueError(f"{field} must be a real number, got {value!r}")
 
 
+def _require_names(names) -> None:
+    """Reject a string of decoder names (read as 'f', 'a', ...) or a repeated name."""
+    if isinstance(names, str):
+        raise ValueError(f"decoders must be a sequence of names, not the string {names!r}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"decoders must not repeat a name: {names!r}")
+
+
 def _require_seed(seed: int) -> None:
     """Reject a seed the stream derivation (numpy's SeedSequence) cannot take."""
     if seed < 0:
@@ -188,8 +195,7 @@ class SweepConfig:
             raise ValueError(f"unknown code variant: {self.code!r}")
         if not self.decoders:
             raise ValueError("at least one decoder must be selected")
-        if len(set(self.decoders)) < len(self.decoders):
-            raise ValueError(f"decoders must not repeat a name: {self.decoders!r}")
+        _require_names(self.decoders)
         if self.modulation not in SUPPORTED_QAM_ORDERS:
             raise ValueError(f"unsupported modulation order: {self.modulation!r}")
         if self.channel not in CHANNEL_MODELS:
@@ -302,74 +308,71 @@ class _InstanceStack:
         return matrices, (matrices @ self.alphabet.symbols[self.sent][..., None])[..., 0] + noise
 
 
-def decode_stack(matrices, received, alphabet, names, ordering) -> dict:
+def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     """Decode each instance of a stack, (n, 4, 4) effective ``matrices`` and
     (n, 4) stacked ``received`` samples, with every decoder in ``names``: the
     one decode path, for a sweep chunk, a verify block or one instance
     (n = 1). It never sees the code label: the registry's setup rules
     (``decoder_entry``) are the caller's to check.
 
-    A decoder with a stack call (exhaustive) decodes the whole stack in that
-    one call, in the natural column order. Under ``ordering`` "blast" each
-    other decoder with a BLAST rule decodes every instance with its columns
-    in the order that rule picks; every other decoder decodes the natural
-    order. The prologue runs once per stack and column-order rule that some
-    decoder reads rows from: the permuted channels, one stacked QR and Q^H y
-    (``decoders.triangular_rows``), shared by every tree decoder of that
-    order, and one stacked pair of alphabet sorts per fast or Alamouti
-    decoder; each decode gets its instance's row. Decisions are mapped back
-    to the natural column order here.
+    A stack call (exhaustive) decodes the whole stack in the natural column
+    order. Under ``ordering`` "blast" each other decoder with a BLAST rule
+    decodes every instance in the column order that rule picks; every other
+    decoder decodes the natural order. The prologue runs once per stack and
+    column-order rule that a decoder reads rows from: the permuted channels
+    and one stacked QR and Q^H y (``decoders.triangular_rows``). Each fast or
+    Alamouti decoder then sorts the stack once, each decode gets its row, and
+    indices are mapped back to the natural column order here.
 
     Returns:
-        Per decoder name, one ``(DecodeResult, time_ns)`` pair per instance:
-        an even share of the stack call, or the decoder call plus an even
-        share of its stacked sorts. An empty stack gives empty lists.
+        (decoded, elapsed): per decoder name, one DecodeResult per instance,
+        and the wall time in ns, read once before and once after, of its own
+        work on the stack: its stack call, or its sorts, calls and mapping
+        back. An empty stack gives empty lists and 0 ns.
 
     Raises:
-        ValueError: an ordering outside ORDERING_MODES or an unknown decoder.
+        ValueError: a string of names, a repeated or unknown name, an ordering
+            outside ORDERING_MODES, or shapes other than (n, 4, 4) and (n, 4).
     """
+    _require_names(names)
     if ordering not in ORDERING_MODES:
         raise ValueError(f"unknown ordering mode: {ordering!r}")
     for name in names:
         if name not in DECODERS:
             raise ValueError(f"unknown decoder: {name!r}")
+    if np.shape(matrices)[1:] != (4, 4) or np.shape(received) != (len(matrices), 4):
+        raise ValueError(f"stacks of shapes {np.shape(matrices)} and {np.shape(received)} "
+                         "are not (n, 4, 4) matrices and (n, 4) received samples")
     if not len(matrices):
-        return {name: [] for name in names}
+        return {name: [] for name in names}, dict.fromkeys(names, 0)
     prologues = {}  # column-order rule (None: natural) -> channels, r, z, rows, inverses
-    decoded = {}
+    decoded, elapsed = {}, {}
     for name in names:
         entry = DECODERS[name]
-        if entry.stack is not None:
-            start = time.perf_counter_ns()
-            results = entry.stack(matrices, received, alphabet)
-            share = (time.perf_counter_ns() - start) / len(results)
-            decoded[name] = [(result, share) for result in results]
-            continue
         rule = entry.blast if ordering == "blast" else None
-        if rule not in prologues:
-            ordered, inverse = matrices, [None] * len(matrices)
+        if entry.stack is None and rule not in prologues:
+            ordered, inverse = matrices, None
             if rule is not None:
                 perms = np.array(rule(matrices))
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
                 inverse = np.argsort(perms, axis=-1).tolist()
             channels = [codes.EffectiveChannel(h=h) for h in ordered]
             prologues[rule] = (channels, *decoders.triangular_rows(ordered, received), inverse)
-        channels, r, z, prepared, inverse = prologues[rule]
-        sort_ns = 0.0
-        if entry.sorts is not None:
-            start = time.perf_counter_ns()
-            prepared = [row + s for row, s in zip(prepared, entry.sorts(alphabet, r, z))]
-            sort_ns = (time.perf_counter_ns() - start) / len(prepared)
-        out = decoded[name] = []
-        for eff, y, row, inv in zip(channels, received, prepared, inverse):
-            start = time.perf_counter_ns()
-            result = entry.call(eff, y, alphabet, prepared=row)
-            elapsed = time.perf_counter_ns() - start + sort_ns
-            if inv is not None:
-                indices = tuple(result.indices[i] for i in inv)
-                result = replace(result, x_hat=result.x_hat[inv], indices=indices)
-            out.append((result, elapsed))
-    return decoded
+        start = time.perf_counter_ns()
+        if entry.stack is not None:
+            results = entry.stack(matrices, received, alphabet)
+        else:
+            channels, r, z, rows, inverse = prologues[rule]
+            if entry.sorts is not None:
+                rows = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
+            results = [entry.call(eff, y, alphabet, prepared=row)
+                       for eff, y, row in zip(channels, received, rows)]
+            if inverse is not None:
+                results = [replace(result, indices=tuple(result.indices[i] for i in inv))
+                           for result, inv in zip(results, inverse)]
+        elapsed[name] = time.perf_counter_ns() - start
+        decoded[name] = results
+    return decoded, elapsed
 
 
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
@@ -380,24 +383,22 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     a trial that decode the same column order share that trial's prologue.
 
     Returns:
-        For each decoder name, one ``(errors, nodes, sorts, time_ns)`` record
-        per trial, in trial order, ``time_ns`` as ``decode_stack`` times it.
+        For each decoder name, ``(records, ns)``: one ``(errors, nodes, sorts)``
+        record per trial, in trial order, and its ``decode_stack`` time.
     """
     alphabet = make_qam(cfg.modulation)
     stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
     for row, trial in enumerate(range(lo, hi)):
         stack.draw(row, make_rng(cfg.seed, point_index, trial), noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
-    decoded = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
+    decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     sent = stack.sent.tolist()
-    return {
-        name: [
-            (sum(map(operator.ne, result.indices, idx_true)), result.nodes_visited,
-             result.full_sorts, time_ns)
-            for (result, time_ns), idx_true in zip(decoded[name], sent)
-        ]
-        for name in cfg.decoders
+    records = {
+        name: [(sum(map(operator.ne, result.indices, idx_true)), result.nodes_visited,
+                result.full_sorts) for result, idx_true in zip(results, sent)]
+        for name, results in decoded.items()
     }
+    return {name: (records[name], elapsed[name]) for name in records}
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -424,10 +425,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     for pi, snr in enumerate(points):
         chunks = partials[pi * per_point:(pi + 1) * per_point]
         for name in sorted(cfg.decoders):
-            # Every column but time_ns holds integers well below 2**53, so
-            # its float sums are exact.
-            errors, nodes, sorts, time_ns = np.array(
-                [record for part in chunks for record in part[name]], dtype=float
+            # Every column holds integers well below 2**53: its float sums are exact.
+            errors, nodes, sorts = np.array(
+                [record for part in chunks for record in part[name][0]], dtype=float
             ).T
             rows.append(
                 SweepRow(
@@ -439,7 +439,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     nodes_p95=float(np.percentile(nodes, 95)),
                     nodes_max=int(nodes.max()),
                     sorts_mean=float(sorts.sum()) / cfg.trials,
-                    time_ns_mean=float(time_ns.sum()) / cfg.trials,
+                    time_ns_mean=sum(part[name][1] for part in chunks) / cfg.trials,
                 )
             )
     return SweepReport(config=cfg, rows=tuple(rows))
@@ -649,9 +649,9 @@ def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
                 stack.draw(row, rng)
         n0 = [snr_to_n0(snrs[t % len(snrs)]) for t in block]
         for stack, (model, code, names) in zip(stacks, kinds):
-            decoded = decode_stack(*stack.build(n0), alphabet, names, "none")
+            decoded, _ = decode_stack(*stack.build(n0), alphabet, names, "none")
             for i in range(len(block)):
-                yield (model, code, names), {name: decoded[name][i][0] for name in names}
+                yield (model, code, names), {name: decoded[name][i] for name in names}
 
 
 _MLEQUIV_SNRS = (0.0, 10.0, 20.0)

@@ -43,8 +43,8 @@ def decode_one(name, eff, y, alphabet):
     """Registry decoder ``name`` on one instance, in ``eff``'s own column
     order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
     received = np.asarray(y, dtype=complex)[None]
-    decoded = st.harness.decode_stack(eff.h[None], received, alphabet, (name,), "none")
-    return decoded[name][0][0]
+    decoded, _ = st.harness.decode_stack(eff.h[None], received, alphabet, (name,), "none")
+    return decoded[name][0]
 
 
 def prepared_row(eff, y, alphabet, sorts=None):
@@ -87,7 +87,8 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
     """Reference four-level sphere decoder: the numpy child ordering that
     ``decoders.decode_sphere_conventional`` replaced. Each expanded node
     computes all M child metrics and visits them in ``np.argsort(...,
-    kind="stable")`` order; everything else is the decoder's own."""
+    kind="stable")`` order; everything else is the decoder's own. It tracks
+    its own best symbols too, and checks them against the derived x_hat."""
     r, z = prepared_row(eff, y, alphabet)
     syms = alphabet.symbols
     sym_list = syms.tolist()
@@ -133,13 +134,15 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
             expand(level - 1, cum)
 
     expand(3, 0.0)
-    return dec.DecodeResult(
-        x_hat=np.array(best_syms),
+    result = dec.DecodeResult(
         indices=best_idx,
         cost=best,
         nodes_visited=nodes,
         full_sorts=sorts,
+        symbols=alphabet.symbols,
     )
+    assert np.array(best_syms).tobytes() == result.x_hat.tobytes()
+    return result
 
 
 def permuted(eff, perm):
@@ -158,9 +161,7 @@ def decode_alone(name, eff, y, alphabet, ordering):
     elif ordering == "blast" and name == "sphere":
         perm = dec.blast_ordering(eff.h)
     result = decode_one(name, permuted(eff, perm), y, alphabet)
-    x_hat = np.empty(4, dtype=complex)
     indices = [0] * 4
     for pos, col in enumerate(perm):
-        x_hat[col] = result.x_hat[pos]
         indices[col] = result.indices[pos]
-    return dataclasses.replace(result, x_hat=x_hat, indices=tuple(indices))
+    return dataclasses.replace(result, indices=tuple(indices))

@@ -145,9 +145,9 @@ def test_decode_remaining_decoders(tmp_path, capsys, decoder):
     received += st.stack_samples(
         np.array([st.sample_noise(rng, st.snr_to_n0(30.0)) for _ in range(5)]), code
     )
-    decoded = harness.decode_stack(matrices, received, alphabet, (decoder,), "none")
+    decoded, _ = harness.decode_stack(matrices, received, alphabet, (decoder,), "none")
     k = 3
-    row, _ = decoded[decoder][k]
+    row = decoded[decoder][k]
     payload = {
         "code": code,
         "modulation": 4,

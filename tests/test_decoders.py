@@ -599,12 +599,12 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
         stacked = st.effective_matrix(np.stack(chs), variant)
         y = _received(rng, stacked, alphabet, variant, [snr_db] * len(chs))
         for ordering in st.harness.ORDERING_MODES:
-            decoded = st.harness.decode_stack(stacked, y, alphabet, names, ordering)
+            decoded, _ = st.harness.decode_stack(stacked, y, alphabet, names, ordering)
             for k, h in enumerate(chs):
                 plain = st.effective_channel(h, variant)
                 for name in names:
                     a = decode_alone(name, plain, y[k], alphabet, ordering)
-                    b, _ = decoded[name][k]
+                    b = decoded[name][k]
                     assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
                         b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
                     )

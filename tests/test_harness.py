@@ -412,10 +412,10 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
     matrices[2] = np.ones((4, 4))
     received = (matrices @ alphabet.symbols[rng.integers(0, 4, (5, 4))][..., None])[..., 0]
     for ordering in harness.ORDERING_MODES:
-        decoded = harness.decode_stack(
+        decoded, _ = harness.decode_stack(
             matrices, received, alphabet, ("exhaustive",), ordering
         )
-        for h, y, (result, _) in zip(matrices, received, decoded["exhaustive"]):
+        for h, y, result in zip(matrices, received, decoded["exhaustive"]):
             eff = st.EffectiveChannel(h=h)
             alone = decode_one("exhaustive", eff, y, alphabet)
             assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
@@ -431,7 +431,7 @@ def test_decode_stack_of_no_instances_decodes_nothing(name, ordering):
     matrices = np.zeros((0, 4, 4), dtype=complex)
     received = np.zeros((0, 4), dtype=complex)
     decoded = harness.decode_stack(matrices, received, st.make_qam(4), (name,), ordering)
-    assert decoded == {name: []}
+    assert decoded == ({name: []}, {name: 0})
 
 
 def test_decode_stack_rejects_unknown_ordering_and_decoder(rng):
@@ -445,6 +445,95 @@ def test_decode_stack_rejects_unknown_ordering_and_decoder(rng):
         with pytest.raises(ValueError) as info:
             harness.decode_stack(*stack, alphabet, ("fast", "Sphere"), "none")
         assert str(info.value) == "unknown decoder: 'Sphere'"
+
+
+def test_decode_stack_rejects_mismatched_stacks_and_names(rng):
+    """A received stack must hold one row of 4 per matrix (zip would truncate
+    it, broadcasting would stretch it); names must be a sequence of distinct
+    names, as SweepConfig requires."""
+    alphabet = st.make_qam(4)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
+    received = matrices @ alphabet.symbols[:4]
+    for bad_matrices, bad_received in (
+        (matrices, received[:1]), (matrices, received[:3]), (matrices, received[:, :3]),
+        (matrices, received[..., None]), (matrices[0], received[0]), (matrices[:, :3], received),
+    ):
+        for name in harness.DECODER_NAMES:
+            with pytest.raises(ValueError, match=r"not \(n, 4, 4\) matrices and \(n, 4\)"):
+                harness.decode_stack(bad_matrices, bad_received, alphabet, (name,), "none")
+    with pytest.raises(ValueError) as info:
+        harness.decode_stack(matrices, received, alphabet, ("fast", "fast"), "none")
+    assert str(info.value) == "decoders must not repeat a name: ('fast', 'fast')"
+    with pytest.raises(ValueError, match="repeat") as config_info:
+        small_config(decoders=("fast", "fast")).validate()
+    assert str(config_info.value) == str(info.value)
+    for call in (
+        lambda: harness.decode_stack(matrices, received, alphabet, "fast", "none"),
+        lambda: small_config(decoders="fast").validate(),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "decoders must be a sequence of names, not the string 'fast'"
+
+
+class FakeClock:
+    """Stands in for the ``time`` module: ``perf_counter_ns`` counts its reads
+    and returns ``now``, which only calls wrapped by ``advancing`` move."""
+
+    def __init__(self):
+        self.now = 0
+        self.reads = 0
+
+    def perf_counter_ns(self):
+        self.reads += 1
+        return self.now
+
+    def advancing(self, fn, ns):
+        def wrapper(*args, **kwargs):
+            self.now += ns
+            return fn(*args, **kwargs)
+        return wrapper
+
+
+def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
+    """Each decoder's time is its own work on the stack (stack call, or sorts
+    and per-instance calls), never the shared prologue, read by two clock
+    reads per decoder; a sweep's time_ns_mean is its chunk times over its
+    trials."""
+    clock = FakeClock()
+    monkeypatch.setattr(harness, "time", clock)
+    dec = st.decoders
+    # distinct amounts, so each sum tells which calls it holds
+    for fn_name, ns in (
+        ("triangular_rows", 10 ** 9),  # prologue: charged to no decoder
+        ("blast_ordering", 3 * 10 ** 9),  # prologue: charged to no decoder
+        ("decode_exhaustive_stack", 70_000),
+        ("fast_golden_sorts", 5_000),
+        ("decode_fast_golden", 300),
+        ("decode_sphere_conventional", 2),
+    ):
+        monkeypatch.setattr(dec, fn_name, clock.advancing(getattr(dec, fn_name), ns))
+    alphabet = st.make_qam(4)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
+    received = matrices @ alphabet.symbols[:4]
+    names = ("exhaustive", "fast", "sphere")
+    want = {"exhaustive": 70_000, "fast": 5_000 + 5 * 300, "sphere": 5 * 2}
+    for ordering in harness.ORDERING_MODES:
+        clock.reads = 0
+        decoded, elapsed = harness.decode_stack(matrices, received, alphabet, names, ordering)
+        assert elapsed == want
+        assert clock.reads == 2 * len(names)
+        assert all(len(decoded[name]) == 5 for name in names)
+
+    monkeypatch.setenv("STC_THREADS", "1")
+    clock.reads = 0
+    report = run_sweep(small_config(decoders=names, trials=40, snr_stop=2.0))
+    # 2 points x chunks of 32 and 8 trials: 4 stacks, 2 reads per decoder each
+    assert clock.reads == 4 * 2 * len(names)
+    per_point = {"exhaustive": 2 * 70_000, "fast": 2 * 5_000 + 40 * 300, "sphere": 40 * 2}
+    assert len(report.rows) == 2 * len(names)
+    for row in report.rows:
+        assert row.time_ns_mean == per_point[row.decoder] / 40
 
 
 def test_verification_unknown_suite():

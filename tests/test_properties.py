@@ -4,6 +4,11 @@ and the sphere decoder's child order is a stable argsort.
 Derandomized, so every run draws the same examples.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,3 +110,36 @@ def test_children_in_order_is_stable_argsort_of_the_sums(pair):
     children = list(dec._children_in_order(a, b))
     assert [t for _, t in children] == np.argsort(sums, kind="stable").tolist()
     assert [metric for metric, _ in children] == sums[[t for _, t in children]].tolist()
+
+
+def test_failing_property_test_reports_without_crashing_the_session(tmp_path):
+    """A failing hypothesis test makes its plugin import libcst, which warns
+    with a DeprecationWarning; under this repo's pytest config that must not
+    end the session with an INTERNALERROR. Every other deprecation stays an
+    error."""
+    (tmp_path / "test_sample.py").write_text(textwrap.dedent("""
+        import warnings
+
+        from hypothesis import given, settings, strategies
+
+        @settings(derandomize=True, database=None)
+        @given(strategies.integers())
+        def test_property_fails(n):
+            assert n != n
+
+        def test_deprecation_is_an_error():
+            warnings.warn("old", DeprecationWarning)
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "-q",
+         str(tmp_path / "test_sample.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "2 failed, 1 passed" in output
