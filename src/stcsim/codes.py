@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixkit import RANK_TOLERANCE, QRFactors, frobenius_norm
+from .matrixkit import QRFactors, frobenius_norm, require_full_rank, require_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +205,12 @@ def _qr_2x2(block: np.ndarray, scale: np.ndarray) -> tuple:
     col0 = block[..., :, 0]
     col1 = block[..., :, 1]
     d0 = np.sqrt(np.sum(np.abs(col0) ** 2, axis=-1))
-    if np.any(d0 < RANK_TOLERANCE * scale):
-        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    require_full_rank(d0, scale)
     q0 = col0 / d0[..., None]
     off = np.sum(np.conj(q0) * col1, axis=-1)
     resid = col1 - q0 * off[..., None]
     d1 = np.sqrt(np.sum(np.abs(resid) ** 2, axis=-1))
-    if np.any(d1 < RANK_TOLERANCE * scale):
-        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    require_full_rank(d1, scale)
     q1 = resid / d1[..., None]
     q = np.stack([q0, q1], axis=-1)
     return q, d0, off, d1
@@ -257,11 +255,9 @@ def qr_golden_structured(h_bar: np.ndarray) -> QRFactors:
     """
     h_bar = np.asarray(h_bar, dtype=complex)
     scale = frobenius_norm(h_bar)
-    if np.any(scale == 0.0):
-        raise ValueError("degenerate channel: column pivot below rank tolerance")
     rows, cols = zip(*GOLDEN_ZERO_PATTERN)
-    if np.any(np.abs(h_bar[..., rows, cols]) > (1e-12 * scale)[..., None]):
-        raise ValueError("not a golden effective matrix")
+    require_zero(h_bar[..., rows, cols], scale[..., None],
+                 "not a golden effective matrix: max |h_bar| on GOLDEN_ZERO_PATTERN")
     c = GOLDEN.cos_theta
     s = GOLDEN.sin_theta
 

@@ -28,10 +28,10 @@ factors a whole stack and forms z = Q^H y, and hands each trial R and z as
 Python scalars, so the per-node arithmetic indexes plain lists;
 ``fast_golden_sorts`` and ``alamouti_sorts`` make the two full-alphabet
 sorts of every trial of a stack at once. The prologue also checks, once per
-stack, every precondition of the searches: finite input and full rank, and
-the zeros in R that a fast search needs. No decoder sees the code label:
-an EffectiveChannel is only its 4x4 matrix ``h``, and which code a decoder
-may decode is the registry's rule.
+stack, every precondition of the searches: finite input, and full rank and
+the zeros in R that a fast search needs, both by matrixkit's ZERO_TOLERANCE.
+No decoder sees the code label: an EffectiveChannel is only its 4x4 matrix
+``h``, and which code a decoder may decode is the registry's rule.
 
 A tree decoder still takes ``(eff, y, alphabet)`` first, though it reads
 only the row and the alphabet, and ``decode_exhaustive`` stays, though no
@@ -71,7 +71,7 @@ import numpy as np
 
 from .codes import EffectiveChannel
 from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
-from .matrixkit import frobenius_norm, qr_decompose
+from .matrixkit import frobenius_norm, qr_decompose, require_full_rank, require_zero
 
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
@@ -110,19 +110,6 @@ class DecodeResult:
         return self.symbols[list(self.indices)]
 
 
-# Entries of R that a fast decoder's structure needs to vanish may be at most
-# this fraction of ||H||_F; structured channels stay below 1e-15.
-STRUCTURE_TOLERANCE = 1e-6
-
-
-def _require_structure(r: np.ndarray, a, b, message: str) -> None:
-    """Raise ValueError(message) unless |a| and |b| are negligible against
-    each stacked R's ||R||_F = ||H||_F, which column order leaves unchanged."""
-    limit = STRUCTURE_TOLERANCE * frobenius_norm(r)
-    if np.any((np.abs(a) > limit) | (np.abs(b) > limit)):
-        raise ValueError(message)
-
-
 def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
     """The tree decoders' shared prologue for effective ``matrices`` stacked as
     (n, 4, 4), columns already in the order to decode, and received ``y`` (n, 4).
@@ -159,11 +146,9 @@ def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> li
     Raises:
         ValueError: when any R lacks real diagonal blocks (Im r12, Im r34).
     """
-    _require_structure(
-        r, r[:, 0, 1].imag, r[:, 2, 3].imag,
-        "fast golden decoder needs real diagonal blocks in R (Im r12 = Im r34 = 0); "
-        "this channel lacks golden structure",
-    )
+    require_zero(r[:, (0, 2), (1, 3)].imag, frobenius_norm(r)[:, None],
+                 "fast golden decoder needs real diagonal blocks in R; this channel lacks "
+                 "golden structure: max |Im r12|, |Im r34|")
     r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
     sorts = ()
     for component in (np.real, np.imag):
@@ -185,7 +170,8 @@ def alamouti_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
         ValueError: when any R has nonzero r12 or r34 (time-varying channel);
             callers should fall back to decode_sphere_conventional.
     """
-    _require_structure(r, r[:, 0, 1], r[:, 2, 3], "fast Alamouti path invalid for this channel")
+    require_zero(r[:, (0, 2), (1, 3)], frobenius_norm(r)[:, None],
+                 "fast Alamouti path invalid for this channel: max |r12|, |r34|")
     sorts = ()
     for i in (3, 2):  # x4's sort, then x3's
         zi, rii = z[:, i, None], r[:, i, i, None].real
@@ -711,8 +697,7 @@ def blast_ordering(h, allowed=None):
                 best_norm = norm
                 best_col = col
                 best_resid = v
-        if best_norm < 1e-12 * scale:
-            raise ValueError("degenerate channel: column pivot below rank tolerance")
+        require_full_rank(best_norm, scale)
         perm.append(best_col)
         remaining.remove(best_col)
         basis.append(best_resid / best_norm)

@@ -4,13 +4,17 @@
 hood) post-processed so the diagonal of R is real and nonnegative, which
 makes the factorization unique for full-rank input. It accepts stacked input
 of shape (..., n, n) and operates batchwise.
+
+``ZERO_TOLERANCE``, which ``require_full_rank`` and ``require_zero`` apply, is
+the one rule for what counts as zero: an entry or pivot of a factor of H below
+``ZERO_TOLERANCE * ||H||_F`` is zero. A structured channel's zeros stay near 1e-15.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-RANK_TOLERANCE = 1e-12
+ZERO_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +34,22 @@ def frobenius_norm(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
 
 
+def require_full_rank(pivots, scale) -> None:
+    """Raise ValueError unless ``scale`` > 0 and every pivot >= ZERO_TOLERANCE * scale."""
+    if np.any(scale == 0.0) or np.any(pivots < ZERO_TOLERANCE * scale):
+        raise ValueError("degenerate channel: column pivot below rank tolerance")
+
+
+def require_zero(entries, scale, message: str) -> None:
+    """Raise ValueError unless every |entry| is at most ZERO_TOLERANCE * scale;
+    the error is ``message`` followed by the largest |entry| / scale and the bound."""
+    entries, scale = np.broadcast_arrays(np.abs(entries), scale)
+    nonzero = entries > ZERO_TOLERANCE * scale
+    if np.any(nonzero):
+        defect = np.max(entries[nonzero] / scale[nonzero])
+        raise ValueError(f"{message} is {defect:.1e} of ||H||_F, above {ZERO_TOLERANCE:g}")
+
+
 def qr_decompose(h: np.ndarray) -> QRFactors:
     """QR factorization with real nonnegative diagonal of R.
 
@@ -39,7 +59,7 @@ def qr_decompose(h: np.ndarray) -> QRFactors:
 
     Raises:
         ValueError: if any matrix has a non-finite entry, or any pivot falls
-            below RANK_TOLERANCE * ||h||_F ("degenerate channel"); callers
+            below ZERO_TOLERANCE * ||h||_F ("degenerate channel"); callers
             may resample the fading.
     """
     h = np.asarray(h, dtype=complex)
@@ -49,8 +69,7 @@ def qr_decompose(h: np.ndarray) -> QRFactors:
     q, r = np.linalg.qr(h)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)
-    if np.any(scale == 0.0) or np.any(mag < RANK_TOLERANCE * scale[..., None]):
-        raise ValueError("degenerate channel: column pivot below rank tolerance")
+    require_full_rank(mag, scale[..., None])
     phase = diag / mag
     q = q * phase[..., None, :]
     r = r * np.conj(phase)[..., :, None]

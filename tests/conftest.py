@@ -35,6 +35,23 @@ def random_alamouti_instance(rng, m, model="quasistatic", snr_db=10.0):
     return eff, y, alphabet, idx
 
 
+def near_tie(rng, variant, eps, alphabet):
+    """A quasistatic ``variant`` channel H moved to ``H + eps ||H|| P / ||P||``
+    for a complex Gaussian P, and y just off the midpoint of two candidates
+    one PAM step apart on one axis (so the midpoint is not a lattice point)."""
+    h = st.effective_matrix(st.sample_channel(rng, "quasistatic"), variant)
+    p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = h + eps * np.linalg.norm(h) * p / np.linalg.norm(p)
+    width = alphabet.pam.size
+    a = rng.integers(0, alphabet.size, 4)
+    b = a.copy()
+    k = rng.integers(0, 4)
+    step = int(rng.choice((1, width)))  # one step on the real or the imaginary axis
+    b[k] += step if (a[k] // step) % width < width - 1 else -step
+    xa, xb = alphabet.symbols[a], alphabet.symbols[b]
+    return st.EffectiveChannel(h=h), h @ ((xa + xb) / 2 + 1e-9 * (xa - xb))
+
+
 def recompute_cost(eff, y, x_hat):
     return float(np.sum(np.abs(np.asarray(y) - np.asarray(eff.h) @ np.asarray(x_hat)) ** 2))
 

@@ -249,6 +249,26 @@ def test_decode_fast_refuses_matrix_without_golden_structure(tmp_path, capsys):
     assert "golden structure" in capsys.readouterr().err
 
 
+def test_decode_rounded_effective_matrix(tmp_path, capsys):
+    """A golden H written with six decimals is about 1e-7 of ||H||_F off its
+    structure: fast refuses it and says by how much, while sphere and
+    exhaustive decode it. Rounding keeps an overlaid-Alamouti H's pattern of
+    equal and conjugate entries, so r12 = r34 = 0 still, and alamouti decodes it."""
+    h = st.sample_channel(st.make_rng(25), "quasistatic")
+    for decoder, code, status in (("fast", "golden-dv", 2), ("sphere", "golden-dv", 0),
+                                  ("exhaustive", "golden-dv", 0),
+                                  ("alamouti", "overlaid-alamouti", 0)):
+        rounded = np.round(st.effective_matrix(h, code), 6)
+        fields = dict(code=code, modulation=16, H=pairs(rounded), y=pairs(np.ones(4)))
+        assert main(_decode_file(tmp_path, decoder=decoder, **fields)) == status
+        captured = capsys.readouterr()
+        if status:
+            assert "golden structure" in captured.err
+            assert captured.err.rstrip().endswith("of ||H||_F, above 1e-12")
+        else:
+            assert "cost:" in captured.out
+
+
 @pytest.mark.parametrize(
     "decoder,code", (("alamouti", "golden-dv"), ("fast", "overlaid-alamouti"))
 )

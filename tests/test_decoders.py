@@ -7,11 +7,12 @@ import pytest
 import stcsim as st
 from stcsim import decoders as dec
 from stcsim.constellation import slice_pam
-from stcsim.matrixkit import frobenius_norm, qr_decompose
+from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
 from conftest import (
     decode_alone,
     decode_one,
+    near_tie,
     permuted,
     prepared_row,
     random_alamouti_instance,
@@ -467,20 +468,46 @@ def test_fast_on_quasistatic_alamouti_matches_exhaustive(rng, m):
 
 @pytest.mark.parametrize("scale", (1.0, 1e3))
 def test_structure_bound_is_relative_to_the_channel_norm(rng, scale):
-    eff, _, alphabet, idx = random_golden_instance(rng, 4)
-    h = eff.h * scale
-    factors = qr_decompose(h)
-    limit = dec.STRUCTURE_TOLERANCE * float(frobenius_norm(h))
-    for factor in (0.5, 2.0):
-        r = factors.r.copy()
-        r[0, 1] = r[0, 1].real + 1j * factor * limit
-        rebuilt = st.EffectiveChannel(h=factors.q @ r)
-        y = rebuilt.h @ alphabet.symbols[idx]
-        if factor < 1.0:
-            assert decode_one("fast", rebuilt, y, alphabet).indices == tuple(idx)
-        else:
-            with pytest.raises(ValueError, match="golden structure"):
-                decode_one("fast", rebuilt, y, alphabet)
+    # fast needs Im r12 = 0, and alamouti r12 = 0 on a quasistatic channel
+    for name, instance, message in (
+        ("fast", random_golden_instance, "golden structure"),
+        ("alamouti", random_alamouti_instance, "invalid for this channel"),
+    ):
+        eff, _, alphabet, idx = instance(rng, 4)
+        h = eff.h * scale
+        factors = qr_decompose(h)
+        limit = ZERO_TOLERANCE * float(frobenius_norm(h))
+        for factor in (0.5, 2.0):
+            r = factors.r.copy()
+            r[0, 1] = r[0, 1].real + 1j * factor * limit
+            rebuilt = st.EffectiveChannel(h=factors.q @ r)
+            y = rebuilt.h @ alphabet.symbols[idx]
+            if factor < 1.0:
+                assert decode_one(name, rebuilt, y, alphabet).indices == tuple(idx)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    decode_one(name, rebuilt, y, alphabet)
+
+
+def test_fast_decoders_refuse_channels_near_their_structure(rng):
+    """Structural entries of R near 5e-7 ||H||_F are refused, not searched on
+    a projected R whose optimum need not be ML; near 1e-14 ||H||_F, within a
+    QR's rounding, the decision is exhaustive's."""
+    alphabet = st.make_qam(16)
+    for name, variant, message in (
+        ("fast", "golden-dv", "golden structure"),
+        ("alamouti", "overlaid-alamouti", "invalid for this channel"),
+    ):
+        for _ in range(20):
+            eff, y = near_tie(rng, variant, 5e-7, alphabet)
+            with pytest.raises(ValueError, match=message + r".* is \d\.\de-\d\d of "
+                               r"\|\|H\|\|_F, above 1e-12$"):
+                decode_one(name, eff, y, alphabet)
+            eff, y = near_tie(rng, variant, 1e-14, alphabet)
+            got = decode_one(name, eff, y, alphabet)
+            ref = decode_one("exhaustive", eff, y, alphabet)
+            assert got.indices == ref.indices
+            assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
 
 
 _DECODER_CASES = {
@@ -531,6 +558,14 @@ def test_blast_ordering_properties(rng):
     h[:, 2] *= 10.0
     # the boosted column is detected first, i.e. placed last in column order
     assert dec.blast_ordering(h)[3] == 2
+
+
+def test_blast_ordering_rejects_a_zero_matrix():
+    with pytest.raises(ValueError, match="degenerate channel"):
+        dec.blast_ordering(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="degenerate channel"):
+        st.harness.decode_stack(np.zeros((2, 4, 4)), np.zeros((2, 4)), st.make_qam(4),
+                                ("sphere",), "blast")
 
 
 def test_blast_ordering_restricted_to_fast_set(rng):

@@ -3,7 +3,7 @@ import pytest
 
 import stcsim as st
 from stcsim.codes import GOLDEN_ZERO_PATTERN, PSI, qr_golden_structured
-from stcsim.matrixkit import frobenius_norm, qr_decompose
+from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
 
 def random_complex(rng, shape):
@@ -43,10 +43,16 @@ def test_qr_batched_matches_loop(rng):
         assert np.allclose(batch.r[i], single.r, atol=1e-13)
 
 
-def test_qr_degenerate_channel():
+def test_qr_degenerate_channel(rng):
     h = np.ones((4, 4), dtype=complex)
     with pytest.raises(ValueError, match="degenerate channel"):
         qr_decompose(h)
+    # an all-zero matrix, alone or in a stack, for both QRs
+    stack = np.stack([_random_golden_h_bar(rng), np.zeros((4, 4))])
+    for qr in (qr_decompose, qr_golden_structured):
+        for matrices in (stack, stack[1]):
+            with pytest.raises(ValueError, match="degenerate channel"):
+                qr(matrices)
 
 
 def _random_golden_h_bar(rng, variant="golden-dv", model="rapid"):
@@ -108,7 +114,7 @@ def test_structured_qr_rejects_pattern_violation(rng):
 
 def test_structured_qr_checks_every_pattern_position(rng):
     h_bar = np.stack([_random_golden_h_bar(rng) for _ in range(3)])
-    tol = 1e-12 * frobenius_norm(h_bar[1])
+    tol = ZERO_TOLERANCE * frobenius_norm(h_bar[1])
     for row, col in GOLDEN_ZERO_PATTERN:
         bad = np.array(h_bar)
         bad[1, row, col] = 2.0 * tol

@@ -17,7 +17,7 @@ from hypothesis import strategies as hs
 import stcsim as st
 from stcsim import decoders as dec
 
-from conftest import decode_one, recompute_cost
+from conftest import decode_one, near_tie, recompute_cost
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -73,14 +73,20 @@ def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
 @given(
     entries=hs.lists(hs.floats(-10, 10), min_size=32, max_size=32),
     real=hs.booleans(),
+    # a golden channel moved by a relative size around the zero tolerance
+    near_golden=hs.none() | hs.tuples(hs.integers(0, 2**32 - 1),
+                                      hs.floats(-15.0, -5.0).map(lambda e: 10.0**e)),
     y=received,
 )
-def test_fast_on_arbitrary_matrix_raises_or_is_exact(entries, real, y):
+def test_fast_on_arbitrary_matrix_raises_or_is_exact(entries, real, near_golden, y):
     h = np.array(entries[:16]).reshape(4, 4)
     if not real:  # a real matrix has a real R: it passes the check without being golden
         h = h + 1j * np.array(entries[16:]).reshape(4, 4)
     eff = st.EffectiveChannel(h=h)
     alphabet = st.make_qam(4)
+    if near_golden is not None:
+        seed, size = near_golden
+        eff, _ = near_tie(st.make_rng(seed), "golden-dv", size, alphabet)
     try:
         fast = decode_one("fast", eff, y, alphabet)
     except ValueError:
