@@ -5,7 +5,9 @@ versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. Trials draw from per-trial
 Philox streams keyed by (seed, point index, trial index), which makes the
 output independent of scheduling: serial and parallel runs emit identical
-CSV (wall-time columns excluded from that contract). Sweeps and the
+CSV (wall-time columns excluded from that contract). A chunk derives its
+trials' keys in one ``channel.philox_keys`` pass and loads them into one
+generator, trial by trial; the streams are ``make_rng``'s. Sweeps and the
 decoding verify suites share one instance pipeline: ``_InstanceStack``
 draws instances row by row and builds them as one stack, and
 ``decode_stack``, the one place that calls a decoder or decides a column
@@ -40,6 +42,7 @@ from .channel import (
     channels_from_normals,
     make_rng,
     noise_from_normals,
+    philox_keys,
     sample_channel,  # unused; bound here because perfbench/tracer.py patches it
     sample_channels,
     sample_noise,  # unused; bound here because perfbench/tracer.py patches it
@@ -52,6 +55,9 @@ from .matrixkit import frobenius_norm, qr_decompose
 ORDERING_MODES = ("none", "blast")
 # SweepConfig.validate walks and labels every SNR point before anything runs.
 MAX_SNR_POINTS = 100_000
+# A point or trial index is one uint32 word of its stream's spawn key
+# (channel.philox_keys), so the trials are indexed 0 to 2**32 - 1.
+MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -224,6 +230,8 @@ class SweepConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS} (2**32), got {self.trials}")
         if self.ordering not in ORDERING_MODES:
             raise ValueError(f"unknown ordering mode: {self.ordering!r}")
         for name in self.decoders:
@@ -379,8 +387,11 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     """Decode trials [lo, hi) of one SNR point.
 
     Each trial draws its row of the chunk's ``_InstanceStack`` from its own
-    stream; the chunk is built and decoded as one stack, so the decoders of
-    a trial that decode the same column order share that trial's prologue.
+    stream, ``make_rng(cfg.seed, point_index, trial)``: the chunk derives its
+    trials' keys in one ``philox_keys`` pass and puts one generator at the
+    start of each stream in turn. The chunk is built and decoded as one
+    stack, so the decoders of a trial that decode the same column order
+    share that trial's prologue.
 
     Returns:
         For each decoder name, ``(records, ns)``: one ``(errors, nodes, sorts)``
@@ -388,8 +399,16 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     """
     alphabet = make_qam(cfg.modulation)
     stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
-    for row, trial in enumerate(range(lo, hi)):
-        stack.draw(row, make_rng(cfg.seed, point_index, trial), noisy=not cfg.noise_free)
+    bit_generator = np.random.Philox(0)  # its state is replaced before every draw
+    rng = np.random.Generator(bit_generator)
+    # The state a fresh stream starts from: counter 0, the trial's key, an
+    # empty buffer and no spare 32-bit half.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, key in enumerate(philox_keys(cfg.seed, point_index, range(lo, hi)).tolist()):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        stack.draw(row, rng, noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     sent = stack.sent.tolist()

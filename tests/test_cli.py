@@ -367,6 +367,15 @@ def test_simulate_rejects_snr_points_that_print_alike(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_rejects_more_trials_than_one_word_indexes(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--trials", str(2**32 + 1), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: trials must be at most 4294967296 (2**32), got 4294967297\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ("0", "-4"))
 def test_verify_rejects_trials_below_one(capsys, trials):
     assert main(["verify", "--suite", "sorts", "--trials", trials]) == 2

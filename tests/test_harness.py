@@ -122,6 +122,15 @@ def test_validation_bounds_the_number_of_snr_points():
         assert str(info.value) == f"{grid} has more than 100000 points"
 
 
+def test_validation_bounds_the_number_of_trials():
+    # each trial index is one uint32 word of its stream's key: 0 to 2**32 - 1
+    assert harness.MAX_TRIALS == 2**32
+    small_config(trials=2**32).validate()
+    with pytest.raises(ValueError) as info:
+        small_config(trials=2**32 + 1).validate()
+    assert str(info.value) == "trials must be at most 4294967296 (2**32), got 4294967297"
+
+
 def test_snr_grid_inclusive():
     cfg = small_config(snr_start=0.0, snr_stop=30.0, snr_step=2.0)
     assert len(cfg.snr_points()) == 16
