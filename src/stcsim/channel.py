@@ -3,14 +3,11 @@
 All randomness flows through counter-based Philox generators derived from a
 seed plus an explicit branch key, so independent streams can be handed to
 parallel workers and every draw is reproducible bit-exactly across runs and
-platforms regardless of scheduling. ``make_rng`` defines a stream;
-``philox_keys`` derives the keys of many (seed, point, trial) streams in one
-pass, bit-identical to ``make_rng``'s, for a sweep chunk to load into one
-generator in turn. This module owns the draw convention,
-the order in which raw standard normals become coefficients and noise
-samples (NORMALS_PER_CHANNEL); ``channels_from_normals`` and
-``noise_from_normals`` convert a whole stack of draws the way
-``sample_channel`` and ``sample_noise`` convert one.
+platforms regardless of scheduling. ``make_rng`` derives every stream. This
+module owns the draw convention, the order in which raw standard normals
+become coefficients and noise samples (NORMALS_PER_CHANNEL);
+``channels_from_normals`` and ``noise_from_normals`` convert a whole stack
+of draws the way ``sample_channel`` and ``sample_noise`` convert one.
 
 A realization is its coefficient array h[i, j, k], shape (2, 2, 2) or a
 stack (..., 2, 2, 2), indexed (transmit antenna, receive antenna, time), all
@@ -33,84 +30,11 @@ TRANSMIT_ENERGY_PER_USE = 2.0
 def make_rng(seed: int, *branch: int) -> np.random.Generator:
     """Seeded, splittable generator; distinct branch keys give disjoint streams.
 
-    The definition of every stream, and the reference ``philox_keys`` is
-    tested against."""
+    The one way a stream is derived: sweeps key one per block of trials
+    (seed, point, block), the verify suites one per suite branch."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(branch)))
     )
-
-
-# numpy's SeedSequence, written out for its fixed pool of four uint32 words:
-# the hash and mix constants, and the shift both use.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_SHIFT = 16
-_WORD = 0xFFFFFFFF
-
-
-def _hash_steps(init: int, mult: int):
-    """Each successive hash step's (xor, multiplier): one running constant."""
-    while True:
-        nxt = init * mult & _WORD
-        yield init, nxt
-        init = nxt
-
-
-def _hash(value, step):
-    """SeedSequence's hash of a word: a Python int or a uint32 array."""
-    xor, mult = step
-    value = (value ^ xor) * mult & _WORD
-    return value ^ value >> _SHIFT
-
-
-def _mix(x, y):
-    """SeedSequence's mix of hashed word ``y`` into pool word ``x``."""
-    value = ((_MIX_MULT_L * x & _WORD) - _MIX_MULT_R * y) & _WORD
-    return value ^ value >> _SHIFT
-
-
-def _next_four(steps) -> np.ndarray:
-    """The next four hash steps as (4, 1) uint32 columns of xor and multiplier."""
-    return np.array([next(steps) for _ in range(4)], dtype=np.uint32).T[..., None]
-
-
-def philox_keys(seed: int, point: int, trials) -> np.ndarray:
-    """The Philox keys of ``make_rng(seed, point, t)`` for each trial ``t``,
-    shape (len(trials), 2), uint64.
-
-    They are ``SeedSequence(seed, spawn_key=(point, t)).generate_state(2,
-    uint64)``, derived in one pass: the seed and point words are mixed once,
-    as Python ints, and the trial words as one uint32 array per pool word.
-    So each index must be one uint32 word, as it is in the spawn key.
-
-    Raises:
-        ValueError: a negative seed, or a point or trial outside [0, 2**32).
-    """
-    seed, trials = int(seed), np.asarray(trials, dtype=np.int64)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if not 0 <= point <= _WORD or trials.size and not 0 <= trials.min() <= trials.max() <= _WORD:
-        raise ValueError("a point or trial index must be one uint32 word, in [0, 2**32)")
-    # The seed's words, least significant first, zero-padded to the pool's
-    # four as SeedSequence pads them ahead of a spawn key.
-    entropy = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (4 - len(entropy)) + [point]
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hash(word, next(steps)) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, next(steps)))
-    # The trial word, last in the entropy, mixed into each pool word: (4, n).
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
-                _hash(trials.astype(np.uint32), _next_four(steps)))
-    words = _hash(pool, _next_four(_hash_steps(_INIT_B, _MULT_B))).astype(np.uint64)
-    # generate_state(2, uint64): words 0 and 1, then 2 and 3, low word first
-    return (words[0::2] | words[1::2] << 32).T
 
 
 # Standard normals one realization takes, in blocks of four: the real parts,

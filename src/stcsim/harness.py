@@ -2,14 +2,14 @@
 
 ``run_sweep`` produces symbol-error-rate and search-complexity statistics
 versus SNR for any code/decoder combination, one shared instance per trial
-so decoders are compared on identical inputs. Trials draw from per-trial
-Philox streams keyed by (seed, point index, trial index), which makes the
-output independent of scheduling: serial and parallel runs emit identical
-CSV (wall-time columns excluded from that contract). A chunk derives its
-trials' keys in one ``channel.philox_keys`` pass and loads them into one
-generator, trial by trial; the streams are ``make_rng``'s. Sweeps and the
-decoding verify suites share one instance pipeline: ``_InstanceStack``
-draws instances row by row and builds them as one stack, and
+so decoders are compared on identical inputs. A point's trials are drawn in
+blocks of STREAM_BLOCK, each block from its own Philox stream
+``make_rng(seed, point index, block index)``, and a chunk is a whole number
+of blocks. That makes the output independent of scheduling: serial and
+parallel runs emit identical CSV (wall-time columns excluded from that
+contract). Sweeps and the decoding verify suites share one instance
+pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
+time and builds them as one stack, and
 ``decode_stack``, the one place that calls a decoder or decides a column
 order, runs their stacked prologue once per stack. CLI ``decode`` decodes
 its one instance through ``decode_stack`` too, as a stack of one.
@@ -42,7 +42,6 @@ from .channel import (
     channels_from_normals,
     make_rng,
     noise_from_normals,
-    philox_keys,
     sample_channel,  # unused; bound here because perfbench/tracer.py patches it
     sample_channels,
     sample_noise,  # unused; bound here because perfbench/tracer.py patches it
@@ -55,8 +54,9 @@ from .matrixkit import frobenius_norm, qr_decompose
 ORDERING_MODES = ("none", "blast")
 # SweepConfig.validate walks and labels every SNR point before anything runs.
 MAX_SNR_POINTS = 100_000
-# A point or trial index is one uint32 word of its stream's spawn key
-# (channel.philox_keys), so the trials are indexed 0 to 2**32 - 1.
+# A bound on a sweep's size, far beyond any that finishes (2**32 trials take
+# days per point); it keeps every block index (trial // STREAM_BLOCK) within
+# one uint32 word of its stream's spawn key, as the point index is.
 MAX_TRIALS = 2**32
 
 
@@ -271,9 +271,13 @@ class SweepReport:
     rows: tuple
 
 
+# A sweep draws each point's trials in blocks of STREAM_BLOCK, block b from
+# make_rng(seed, point, b); a point's last block may be short. A chunk is a
+# whole number of blocks, so no row depends on how the trials are chunked.
+STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices and QR factors (about 2 KiB per
 # trial) until it is decoded; the cap bounds that for long serial sweeps.
-MAX_CHUNK = 4096
+MAX_CHUNK = 128 * STREAM_BLOCK
 
 
 def _thread_count() -> int:
@@ -289,10 +293,11 @@ def _thread_count() -> int:
 class _InstanceStack:
     """``count`` decoding instances of one channel model, code and alphabet.
 
-    ``draw`` makes one instance's draws from a stream into its row: the
-    channel's standard normals, the four symbol indices and, unless
-    noise-free, the noise's standard normals. ``build`` converts all rows
-    at once, as ``sample_channel`` and ``sample_noise`` convert one draw.
+    ``draw`` makes the draws of one row, or of a slice of rows, from a
+    stream, one call each: the channels' standard normals, the four symbol
+    indices per row and, unless noise-free, the noise's standard normals.
+    ``build`` converts all rows at once, as ``sample_channel`` and
+    ``sample_noise`` convert one draw.
     """
 
     def __init__(self, count: int, model: str, code: str, alphabet, rho: float = None):
@@ -301,11 +306,11 @@ class _InstanceStack:
         self.sent = np.empty((count, 4), dtype=np.int64)
         self.noise_normals = np.zeros((count, NORMALS_PER_NOISE))  # zero noise unless drawn
 
-    def draw(self, row: int, rng, noisy: bool = True) -> None:
-        rng.standard_normal(out=self.channel_normals[row])
-        self.sent[row] = rng.integers(0, self.alphabet.size, size=4)
+    def draw(self, rows, rng, noisy: bool = True) -> None:
+        rng.standard_normal(out=self.channel_normals[rows])
+        self.sent[rows] = rng.integers(0, self.alphabet.size, size=self.sent[rows].shape)
         if noisy:
-            rng.standard_normal(out=self.noise_normals[row])
+            rng.standard_normal(out=self.noise_normals[rows])
 
     def build(self, n0) -> tuple:
         """(matrices, received), (count, 4, 4) and (count, 4), with noise of
@@ -384,14 +389,12 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
 
 
 def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
-    """Decode trials [lo, hi) of one SNR point.
+    """Decode trials [lo, hi) of one SNR point, ``lo`` a multiple of STREAM_BLOCK.
 
-    Each trial draws its row of the chunk's ``_InstanceStack`` from its own
-    stream, ``make_rng(cfg.seed, point_index, trial)``: the chunk derives its
-    trials' keys in one ``philox_keys`` pass and puts one generator at the
-    start of each stream in turn. The chunk is built and decoded as one
-    stack, so the decoders of a trial that decode the same column order
-    share that trial's prologue.
+    Each block of trials draws its rows of the chunk's ``_InstanceStack``
+    from its own stream, ``make_rng(cfg.seed, point_index, block)``. The
+    chunk is built and decoded as one stack, so the decoders of a trial that
+    decode the same column order share that trial's prologue.
 
     Returns:
         For each decoder name, ``(records, ns)``: one ``(errors, nodes, sorts)``
@@ -399,16 +402,10 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     """
     alphabet = make_qam(cfg.modulation)
     stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
-    bit_generator = np.random.Philox(0)  # its state is replaced before every draw
-    rng = np.random.Generator(bit_generator)
-    # The state a fresh stream starts from: counter 0, the trial's key, an
-    # empty buffer and no spare 32-bit half.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, key in enumerate(philox_keys(cfg.seed, point_index, range(lo, hi)).tolist()):
-        state["state"]["key"] = key
-        bit_generator.state = state
-        stack.draw(row, rng, noisy=not cfg.noise_free)
+    for start in range(lo, hi, STREAM_BLOCK):
+        rows = slice(start - lo, min(hi, start + STREAM_BLOCK) - lo)
+        rng = make_rng(cfg.seed, point_index, start // STREAM_BLOCK)
+        stack.draw(rows, rng, noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     sent = stack.sent.tolist()
@@ -425,7 +422,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
-    chunk = min(MAX_CHUNK, max(32, -(-cfg.trials // max(1, threads * 8))))
+    # about an eighth of a thread's share of a point, in whole blocks
+    blocks = -(-cfg.trials // (threads * 8 * STREAM_BLOCK))
+    chunk = min(MAX_CHUNK, STREAM_BLOCK * blocks)
     tasks = [
         (pi, snr, lo, min(cfg.trials, lo + chunk))
         for pi, snr in enumerate(points)

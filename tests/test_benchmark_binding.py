@@ -21,8 +21,9 @@ def test_tracer_binds_every_boundary(monkeypatch):
     )
     with tracer.installed():  # raises AttributeError if a patched name moved
         for code, names in sweeps:
+            # 2 points x 40 trials: a whole block and a short one per point
             cfg = harness.SweepConfig(code=code, decoders=names, snr_start=10.0,
-                                      snr_stop=10.0, trials=4, seed=1)
+                                      snr_stop=12.0, trials=40, seed=1)
             harness.run_sweep(cfg)
         report = harness.run_verification("qr-agree", 12, seed=1)
     assert report.passed
@@ -32,19 +33,22 @@ def test_tracer_binds_every_boundary(monkeypatch):
     # not wrap: no sweep makes a decoders.exhaustive span, and the stack
     # call's costs are checked in test_decoders instead.
     assert {f"decoders.{name}" for name in ("fast", "sphere", "alamouti")} <= spans
-    # A sweep derives its trials' streams in one channel.philox_keys pass per
-    # chunk, which the tracer does not wrap: no make_rng span falls inside a
-    # sweep, while the verify suite still makes them.
+    # A sweep makes one make_rng call per block of trials, directly under
+    # run_sweep, keyed (point, block); the verify suite makes its own.
     sweep_spans = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.run_sweep"]
+    assert len(sweep_spans) == len(sweeps)
     streams = [span for span in tracer.spans if span[0] == "channel.make_rng"]
-    assert streams
     for index in sweep_spans:
         start, end = tracer.spans[index][1:3]
-        assert not [span for span in streams if start <= span[1] <= end]
+        inside = [span for span in streams if start <= span[1] <= end]
+        assert [span[3] for span in inside] == [index] * 4
+        assert [span[4] for span in inside] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         # the sweep's stacked QR is traced: one matrix per trial, directly under run_sweep
         factored = [span[5] for span in tracer.spans
                     if span[0] == "matrixkit.qr_decompose" and span[3] == index]
-        assert sum(factored) == 4
+        assert sum(factored) == 2 * 40
+    # qr-agree draws one stream per golden variant and channel model
+    assert len(streams) == 4 * len(sweeps) + 6
     structured = [span for span in tracer.spans if span[0] == "matrixkit.qr_golden_structured"]
     assert sum(span[5] for span in structured) == tracer.channels_sampled() == 12
 

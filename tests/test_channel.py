@@ -9,7 +9,6 @@ from stcsim.channel import (
     NORMALS_PER_NOISE,
     channels_from_normals,
     noise_from_normals,
-    philox_keys,
 )
 
 
@@ -146,31 +145,3 @@ def test_normals_helpers_reject_bad_input():
         channels_from_normals(np.zeros(8), "nonsense")
     with pytest.raises(ValueError):
         noise_from_normals(np.zeros(8), 0.0)
-
-
-# seed 0, one above a single word, and one with more words than the pool holds
-@pytest.mark.parametrize("seed", (0, 2**32 + 5, 2**128 + 7))
-@pytest.mark.parametrize("point", (0, 7))
-def test_philox_keys_match_seed_sequence(seed, point):
-    # a whole 38-trial chunk (trial 0 to its last trial, 37) and the largest index
-    for trials in (range(38), [2**32 - 1]):
-        keys = philox_keys(seed, point, trials)
-        assert keys.shape == (len(trials), 2) and keys.dtype == np.uint64
-        for trial, key in zip(trials, keys):
-            spawned = np.random.SeedSequence(seed, spawn_key=(point, trial))
-            assert np.array_equal(key, spawned.generate_state(2, np.uint64))
-            # a stream keyed with it starts where make_rng's does
-            stream = np.random.Generator(np.random.Philox(key=key))
-            reference = st.make_rng(seed, point, trial)
-            for draw in (lambda g: g.standard_normal(18), lambda g: g.integers(0, 64, size=4),
-                         lambda g: g.random(3)):
-                assert draw(stream).tobytes() == draw(reference).tobytes()
-
-
-def test_philox_keys_reject_indices_beyond_one_word():
-    assert philox_keys(3, 2**32 - 1, range(0)).shape == (0, 2)
-    for seed, point, trials in ((3, 2**32, [0]), (3, 0, [2**32]), (3, 0, [-1]), (3, -1, [0])):
-        with pytest.raises(ValueError, match=r"one uint32 word, in \[0, 2\*\*32\)"):
-            philox_keys(seed, point, trials)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        philox_keys(-1, 0, [0])

@@ -123,7 +123,7 @@ def test_validation_bounds_the_number_of_snr_points():
 
 
 def test_validation_bounds_the_number_of_trials():
-    # each trial index is one uint32 word of its stream's key: 0 to 2**32 - 1
+    # a bound on a sweep's size: at most 2**32 trials per point
     assert harness.MAX_TRIALS == 2**32
     small_config(trials=2**32).validate()
     with pytest.raises(ValueError) as info:
@@ -551,27 +551,37 @@ def test_verification_unknown_suite():
 
 
 def reference_rows(cfg):
-    """The sweep as a per-trial loop: each trial builds, orders and factors its own channel."""
+    """The sweep as a per-trial loop: each block of STREAM_BLOCK trials makes
+    its three draws from its own stream, and each trial converts its own
+    draws and builds, orders and factors its own channel."""
     alphabet = st.make_qam(cfg.modulation)
+    per_channel = st.channel.NORMALS_PER_CHANNEL[cfg.channel]
     rows = []
     for pi, snr in enumerate(cfg.snr_points()):
         n0 = st.snr_to_n0(snr)
         acc = {name: {"errors": 0, "nodes": [], "sorts": 0} for name in cfg.decoders}
-        for trial in range(cfg.trials):
-            rng = st.make_rng(cfg.seed, pi, trial)
-            h = st.sample_channel(rng, cfg.channel, cfg.rho)
-            idx_true = rng.integers(0, alphabet.size, size=4)
-            eff = st.effective_channel(h, cfg.code)
-            if cfg.noise_free:
-                noise = np.zeros(4, dtype=complex)
-            else:
-                noise = st.stack_samples(st.sample_noise(rng, n0), cfg.code)
-            y = eff.h @ alphabet.symbols[idx_true] + noise
-            for name in cfg.decoders:
-                result = decode_alone(name, eff, y, alphabet, cfg.ordering)
-                acc[name]["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
-                acc[name]["nodes"].append(result.nodes_visited)
-                acc[name]["sorts"] += result.full_sorts
+        for block, lo in enumerate(range(0, cfg.trials, harness.STREAM_BLOCK)):
+            size = min(harness.STREAM_BLOCK, cfg.trials - lo)
+            rng = st.make_rng(cfg.seed, pi, block)
+            channel_normals = rng.standard_normal((size, per_channel))
+            sent = rng.integers(0, alphabet.size, size=(size, 4))
+            if not cfg.noise_free:
+                noise_normals = rng.standard_normal((size, st.channel.NORMALS_PER_NOISE))
+            for t, idx_true in enumerate(sent):
+                h = st.channel.channels_from_normals(channel_normals[t], cfg.channel, cfg.rho)
+                eff = st.effective_channel(h, cfg.code)
+                if cfg.noise_free:
+                    noise = np.zeros(4, dtype=complex)
+                else:
+                    noise = st.stack_samples(
+                        st.channel.noise_from_normals(noise_normals[t], n0), cfg.code
+                    )
+                y = eff.h @ alphabet.symbols[idx_true] + noise
+                for name in cfg.decoders:
+                    result = decode_alone(name, eff, y, alphabet, cfg.ordering)
+                    acc[name]["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
+                    acc[name]["nodes"].append(result.nodes_visited)
+                    acc[name]["sorts"] += result.full_sorts
         for name in sorted(cfg.decoders):
             nodes = np.asarray(acc[name]["nodes"], dtype=float)
             rows.append(
@@ -608,6 +618,7 @@ def without_time(rows):
     ids=("golden-dv", "wimax-rapid-blast", "alamouti", "markov", "noise-free"),
 )
 def test_sweep_matches_per_trial_reference(monkeypatch, threads, overrides):
+    # 40 trials: a whole block and a short last one per point
     cfg = small_config(trials=40, snr_stop=12.0, snr_step=6.0, seed=17, **overrides)
     monkeypatch.setenv("STC_THREADS", threads)
     assert without_time(run_sweep(cfg).rows) == reference_rows(cfg)
@@ -633,59 +644,99 @@ class InlinePool:
         return future
 
 
+def recording_chunks(monkeypatch):
+    """Wrap ``harness._run_chunk``; return the list of its calls' (point, lo, hi)."""
+    calls = []
+    run_chunk = harness._run_chunk
+
+    def recording(cfg, point_index, snr_db, lo, hi):
+        calls.append((point_index, lo, hi))
+        return run_chunk(cfg, point_index, snr_db, lo, hi)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+    return calls
+
+
+def chunk_sizes(calls, point=0):
+    return [hi - lo for pi, lo, hi in calls if pi == point]
+
+
 def test_pool_size_and_chunk_capped(monkeypatch):
-    cfg = small_config(trials=40, snr_stop=2.0)  # 2 points x 2 chunks of at most 32 trials
+    cfg = small_config(trials=300, snr_stop=2.0)  # 2 points
+    calls = recording_chunks(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     serial = run_sweep(cfg)
+    assert chunk_sizes(calls) == [64] * 4 + [44]
+    calls.clear()
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
+    capped = run_sweep(cfg)
+    assert chunk_sizes(calls) == [32] * 9 + [12]
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setenv("STC_THREADS", "64")
     pooled = run_sweep(cfg)
-    monkeypatch.setattr(harness, "MAX_CHUNK", 8)  # 2 points x 5 chunks
-    capped = run_sweep(cfg)
-    assert InlinePool.sizes == [4, 10]
-    assert without_time(pooled.rows) == without_time(serial.rows)
+    assert InlinePool.sizes == [20]  # 2 points x 10 chunks: one worker per task, not 64
     assert without_time(capped.rows) == without_time(serial.rows)
+    assert without_time(pooled.rows) == without_time(serial.rows)
+
+
+def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
+    """Chunks are whole blocks, so every block's stream feeds the same trials
+    whatever the thread count: 1000 trials run as 128-trial chunks at one
+    thread and as 64-trial chunks at two and three."""
+    assert harness.MAX_CHUNK % harness.STREAM_BLOCK == 0
+    cfg = small_config(decoders=("fast",), trials=1000, snr_stop=0.0)
+    calls = recording_chunks(monkeypatch)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    rows, sizes = {}, {}
+    for threads in ("1", "2", "3"):
+        calls.clear()
+        monkeypatch.setenv("STC_THREADS", threads)
+        rows[threads] = without_time(run_sweep(cfg).rows)
+        sizes[threads] = chunk_sizes(calls)
+    assert sizes == {"1": [128] * 7 + [104], "2": [64] * 15 + [40], "3": [64] * 15 + [40]}
+    assert rows["1"] == rows["2"] == rows["3"]
 
 
 # Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
-# recorded from the nested-walk decoders. Small versions of the benchmark's
-# sweep workloads; any change to the tree decoders' pruning or node counting
-# moves these exact figures.
+# recorded from the nested-walk decoders on the block-keyed streams. Small
+# versions of the benchmark's sweep workloads; any change to the tree
+# decoders' pruning or node counting, or to the draws, moves these exact
+# figures.
 PINNED_EFFORT = {
     "golden-dv-64qam": (
         dict(decoders=("fast", "sphere"), modulation=64, snr_start=10.0, snr_stop=24.0,
              snr_step=7.0),
         [
-            (10.0, "fast", 170, 5993, 1430, 100),
-            (10.0, "sphere", 170, 6718, 1355, 1974),
-            (17.0, "fast", 106, 5274, 1515, 100),
-            (17.0, "sphere", 106, 4914, 1187, 1863),
-            (24.0, "fast", 12, 1248, 258, 100),
-            (24.0, "sphere", 12, 1326, 345, 533),
+            (10.0, "fast", 161, 14063, 5382, 100),
+            (10.0, "sphere", 161, 17006, 9292, 3307),
+            (17.0, "fast", 91, 3098, 1180, 100),
+            (17.0, "sphere", 91, 3474, 1089, 1536),
+            (24.0, "fast", 17, 1077, 127, 100),
+            (24.0, "sphere", 17, 1066, 133, 417),
         ],
     ),
     "alamouti-16qam": (
         dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
              snr_start=6.0, snr_stop=24.0, snr_step=9.0),
         [
-            (6.0, "alamouti", 155, 6394, 932, 100),
-            (6.0, "sphere", 155, 4709, 612, 1719),
-            (15.0, "alamouti", 47, 4229, 613, 100),
-            (15.0, "sphere", 47, 2867, 366, 1180),
-            (24.0, "alamouti", 0, 491, 80, 100),
-            (24.0, "sphere", 0, 561, 99, 227),
+            (6.0, "alamouti", 137, 5639, 1296, 100),
+            (6.0, "sphere", 137, 4573, 950, 1544),
+            (15.0, "alamouti", 32, 3129, 687, 100),
+            (15.0, "sphere", 32, 1933, 381, 802),
+            (24.0, "alamouti", 0, 598, 113, 100),
+            (24.0, "sphere", 0, 661, 177, 280),
         ],
     ),
     "golden-dv-4qam": (
         dict(decoders=("exhaustive", "fast"), snr_start=0.0, snr_stop=24.0, snr_step=12.0),
         [
-            (0.0, "exhaustive", 83, 12800, 256, 0),
-            (0.0, "fast", 83, 1848, 141, 100),
-            (12.0, "exhaustive", 3, 12800, 256, 0),
-            (12.0, "fast", 3, 768, 55, 100),
+            (0.0, "exhaustive", 67, 12800, 256, 0),
+            (0.0, "fast", 67, 1528, 121, 100),
+            (12.0, "exhaustive", 2, 12800, 256, 0),
+            (12.0, "fast", 2, 636, 42, 100),
             (24.0, "exhaustive", 0, 12800, 256, 0),
-            (24.0, "fast", 0, 474, 10, 100),
+            (24.0, "fast", 0, 477, 10, 100),
         ],
     ),
 }
