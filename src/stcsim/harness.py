@@ -5,14 +5,16 @@ versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. A point's trials are drawn in
 blocks of STREAM_BLOCK, each block from its own Philox stream
 ``make_rng(seed, point index, block index)``, and a chunk is a whole number
-of blocks. That makes the output independent of scheduling: serial and
+of blocks. A serial sweep decodes each point as one chunk, or in chunks of
+MAX_CHUNK trials above that size; a pooled one cuts each point into about
+eight chunks per worker. Chunking cannot change the output: serial and
 parallel runs emit identical CSV (wall-time columns excluded from that
 contract). Sweeps and the decoding verify suites share one instance
 pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
-time and builds them as one stack, and
-``decode_stack``, the one place that calls a decoder or decides a column
-order, runs their stacked prologue once per stack. CLI ``decode`` decodes
-its one instance through ``decode_stack`` too, as a stack of one.
+time and builds them as one stack, and ``decode_stack``, the one place that
+calls a decoder or decides a column order, runs their stacked prologue once
+per stack. CLI ``decode`` decodes its one instance through ``decode_stack``
+too, as a stack of one.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -275,9 +277,12 @@ class SweepReport:
 # make_rng(seed, point, b); a point's last block may be short. A chunk is a
 # whole number of blocks, so no row depends on how the trials are chunked.
 STREAM_BLOCK = 32
-# A chunk holds its trials' draws, matrices and QR factors (about 2 KiB per
-# trial) until it is decoded; the cap bounds that for long serial sweeps.
-MAX_CHUNK = 128 * STREAM_BLOCK
+# A chunk holds its trials' draws, matrices, QR factors and decode rows until
+# it is decoded. One chunk's peak RSS at 24 dB grows by about 12 KiB per trial
+# at 64-QAM fast (mostly the per-trial Python lists of the sorts and of
+# triangular_rows) and 4 KiB at 4-QAM exhaustive,fast. The cap bounds that for
+# long serial sweeps; a stack's time per trial levels off by a few hundred.
+MAX_CHUNK = 32 * STREAM_BLOCK
 
 
 def _thread_count() -> int:
@@ -422,8 +427,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
-    # about an eighth of a thread's share of a point, in whole blocks
-    blocks = -(-cfg.trials // (threads * 8 * STREAM_BLOCK))
+    # In whole blocks, capped by MAX_CHUNK: a pool's chunk is about an eighth
+    # of a worker's share of a point, so the workers stay balanced; a serial
+    # point is one stack, which pays numpy's fixed per-call costs once.
+    share = threads * 8 if threads > 1 else 1
+    blocks = -(-cfg.trials // (share * STREAM_BLOCK))
     chunk = min(MAX_CHUNK, STREAM_BLOCK * blocks)
     tasks = [
         (pi, snr, lo, min(cfg.trials, lo + chunk))

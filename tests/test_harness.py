@@ -400,6 +400,7 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
     monkeypatch.setattr(st.decoders, "sort_alphabet_by_metric", counting_sorts)
     monkeypatch.setattr(st.decoders, "qr_decompose", counting_qr)
     monkeypatch.setenv("STC_THREADS", "1")
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
     run_sweep(small_config(trials=40, snr_stop=2.0, **overrides))  # 2 points x chunks of 32 + 8
     # Q^H y once per trial and column order for every decoder of it, one
     # stacked matmul per chunk and order
@@ -535,6 +536,7 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
         assert all(len(decoded[name]) == 5 for name in names)
 
     monkeypatch.setenv("STC_THREADS", "1")
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
     clock.reads = 0
     report = run_sweep(small_config(decoders=names, trials=40, snr_stop=2.0))
     # 2 points x chunks of 32 and 8 trials: 4 stacks, 2 reads per decoder each
@@ -666,7 +668,7 @@ def test_pool_size_and_chunk_capped(monkeypatch):
     calls = recording_chunks(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     serial = run_sweep(cfg)
-    assert chunk_sizes(calls) == [64] * 4 + [44]
+    assert chunk_sizes(calls) == [300]  # a serial point is one stack
     calls.clear()
     monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
     capped = run_sweep(cfg)
@@ -682,8 +684,9 @@ def test_pool_size_and_chunk_capped(monkeypatch):
 
 def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     """Chunks are whole blocks, so every block's stream feeds the same trials
-    whatever the thread count: 1000 trials run as 128-trial chunks at one
-    thread and as 64-trial chunks at two and three."""
+    whatever the thread count: 1000 trials run as one stack at one thread,
+    as 128-trial chunks at one thread under a cap of four blocks, and as
+    64-trial chunks at two and three."""
     assert harness.MAX_CHUNK % harness.STREAM_BLOCK == 0
     cfg = small_config(decoders=("fast",), trials=1000, snr_stop=0.0)
     calls = recording_chunks(monkeypatch)
@@ -694,8 +697,41 @@ def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
         monkeypatch.setenv("STC_THREADS", threads)
         rows[threads] = without_time(run_sweep(cfg).rows)
         sizes[threads] = chunk_sizes(calls)
-    assert sizes == {"1": [128] * 7 + [104], "2": [64] * 15 + [40], "3": [64] * 15 + [40]}
-    assert rows["1"] == rows["2"] == rows["3"]
+    calls.clear()
+    monkeypatch.setenv("STC_THREADS", "1")
+    monkeypatch.setattr(harness, "MAX_CHUNK", 4 * harness.STREAM_BLOCK)
+    rows["1, capped"] = without_time(run_sweep(cfg).rows)
+    sizes["1, capped"] = chunk_sizes(calls)
+    assert sizes == {"1": [1000], "1, capped": [128] * 7 + [104],
+                     "2": [64] * 15 + [40], "3": [64] * 15 + [40]}
+    assert rows["1"] == rows["1, capped"] == rows["2"] == rows["3"]
+
+
+def test_sweep_chunk_plan(monkeypatch):
+    """At one thread each SNR point is one chunk, (0, trials), while its
+    trials fit in MAX_CHUNK, and whole MAX_CHUNK chunks and the rest above
+    that. A pool still cuts each point into about eight chunks per worker,
+    in whole blocks. Every row but its wall time is the same at one, two
+    and three threads, at trial counts that are not whole blocks too."""
+    cap = harness.MAX_CHUNK
+    assert cap == 32 * harness.STREAM_BLOCK
+    calls = recording_chunks(monkeypatch)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    plans = {  # trials -> threads -> chunk sizes of each point
+        40: {"1": [40], "2": [32, 8], "3": [32, 8]},
+        cap: {"1": [cap], "2": [64] * 16, "3": [64] * 16},
+        cap + 37: {"1": [cap, 37], "2": [96] * 11 + [5], "3": [64] * 16 + [37]},
+    }
+    for trials, plan in plans.items():
+        cfg = small_config(decoders=("fast",), trials=trials, snr_stop=2.0)  # 2 points
+        rows = {}
+        for threads, sizes in plan.items():
+            calls.clear()
+            monkeypatch.setenv("STC_THREADS", threads)
+            rows[threads] = without_time(run_sweep(cfg).rows)
+            bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+            assert calls == [(pi, lo, hi) for pi in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
+        assert rows["1"] == rows["2"] == rows["3"]
 
 
 # Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
