@@ -67,12 +67,14 @@ class DecoderEntry:
     """One decoder: its call, its stacked sorts, its BLAST column-order rule
     and the setups it can decode.
 
-    A decoder has exactly one of two calls, which only ``decode_stack`` makes
-    and times. ``stack(matrices, received, alphabet)`` (exhaustive) decodes a
-    whole stack in one call, with no prologue. ``call(eff, y, alphabet,
-    prepared=row)`` (the tree decoders) decodes one instance, its indices in
-    ``eff``'s column order, from its row of the stack's prologue.
-    ``sorts(alphabet, r, z)``, when set, is the decoder's stacked sort
+    A decoder has exactly one of three calls, which only ``decode_stack``
+    makes and times. ``stack(matrices, received, alphabet)`` (exhaustive)
+    decodes a whole stack in one call, with no prologue.
+    ``factored(r, z, alphabet)`` (alamouti) decodes a whole stack in one
+    call from the prologue's stacked R and z. ``call(eff, y, alphabet,
+    prepared=row)`` (fast, sphere) decodes one instance, its indices in
+    ``eff``'s column order, from its row of the prologue as Python scalars.
+    ``sorts(alphabet, r, z)``, when set, is a ``call`` decoder's stacked sort
     prologue. ``blast(matrices)``, when set, picks each matrix's column order
     under ``--ordering blast``; a decoder without one decodes in the natural
     order. All of them reach the decoders through this module's ``decoders``
@@ -86,14 +88,14 @@ class DecoderEntry:
     sorts: Callable = None
     blast: Callable = None
     stack: Callable = None
+    factored: Callable = None
 
 
 DECODERS = {
     "alamouti": DecoderEntry(
-        call=lambda *args, **kwargs: decoders.decode_alamouti_fast(*args, **kwargs),
         code_variants=("overlaid-alamouti",),
         quasistatic_only=True,
-        sorts=lambda *args: decoders.alamouti_sorts(*args),
+        factored=lambda *args: decoders.decode_alamouti_stack(*args),
     ),
     "exhaustive": DecoderEntry(
         code_variants=codes.CODE_VARIANTS,
@@ -279,9 +281,10 @@ class SweepReport:
 STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices, QR factors and decode rows until
 # it is decoded. One chunk's peak RSS at 24 dB grows by about 12 KiB per trial
-# at 64-QAM fast (mostly the per-trial Python lists of the sorts and of
-# triangular_rows) and 4 KiB at 4-QAM exhaustive,fast. The cap bounds that for
-# long serial sweeps; a stack's time per trial levels off by a few hundred.
+# at 64-QAM fast (mostly the per-trial Python lists of fast's sorts and of
+# the prologue's rows) and 4 KiB at 4-QAM exhaustive,fast. The cap bounds
+# that for long serial sweeps; a stack's time per trial levels off by a few
+# hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK
 
 
@@ -337,16 +340,19 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     order. Under ``ordering`` "blast" each other decoder with a BLAST rule
     decodes every instance in the column order that rule picks; every other
     decoder decodes the natural order. The prologue runs once per stack and
-    column-order rule that a decoder reads rows from: the permuted channels
-    and one stacked QR and Q^H y (``decoders.triangular_rows``). Each fast or
-    Alamouti decoder then sorts the stack once, each decode gets its row, and
-    indices are mapped back to the natural column order here.
+    column-order rule that a decoder reads it for: the permuted channels and
+    one stacked QR and Q^H y (``decoders.triangular_rows``). A factored call
+    (alamouti) decodes the whole stack from that R and z. Only a per-instance
+    decoder (fast, sphere) makes the rest: each instance's EffectiveChannel
+    and its row of R and z as Python scalars, once per rule; a fast decoder
+    then sorts the stack once, and each decode gets its row. Indices are
+    mapped back to the natural column order here.
 
     Returns:
         (decoded, elapsed): per decoder name, one DecodeResult per instance,
         and the wall time in ns, read once before and once after, of its own
-        work on the stack: its stack call, or its sorts, calls and mapping
-        back. An empty stack gives empty lists and 0 ns.
+        work on the stack: its stack or factored call, or its sorts, calls
+        and mapping back. An empty stack gives empty lists and 0 ns.
 
     Raises:
         ValueError: a string of names, a repeated or unknown name, an ordering
@@ -363,7 +369,8 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
                          "are not (n, 4, 4) matrices and (n, 4) received samples")
     if not len(matrices):
         return {name: [] for name in names}, dict.fromkeys(names, 0)
-    prologues = {}  # column-order rule (None: natural) -> channels, r, z, rows, inverses
+    prologues = {}  # column-order rule (None: natural) -> ordered, r, z, inverse
+    scalar_rows = {}  # column-order rule -> channels and rows, for per-instance calls
     decoded, elapsed = {}, {}
     for name in names:
         entry = DECODERS[name]
@@ -374,17 +381,24 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
                 perms = np.array(rule(matrices))
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
                 inverse = np.argsort(perms, axis=-1).tolist()
-            channels = [codes.EffectiveChannel(h=h) for h in ordered]
-            prologues[rule] = (channels, *decoders.triangular_rows(ordered, received), inverse)
+            prologues[rule] = (ordered, *decoders.triangular_rows(ordered, received), inverse)
+        if entry.call is not None and rule not in scalar_rows:
+            ordered, r, z, _ = prologues[rule]
+            scalar_rows[rule] = ([codes.EffectiveChannel(h=h) for h in ordered],
+                                 list(zip(r.tolist(), z.tolist())))
         start = time.perf_counter_ns()
         if entry.stack is not None:
             results = entry.stack(matrices, received, alphabet)
         else:
-            channels, r, z, rows, inverse = prologues[rule]
-            if entry.sorts is not None:
-                rows = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
-            results = [entry.call(eff, y, alphabet, prepared=row)
-                       for eff, y, row in zip(channels, received, rows)]
+            _, r, z, inverse = prologues[rule]
+            if entry.factored is not None:
+                results = entry.factored(r, z, alphabet)
+            else:
+                channels, rows = scalar_rows[rule]
+                if entry.sorts is not None:
+                    rows = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
+                results = [entry.call(eff, y, alphabet, prepared=row)
+                           for eff, y, row in zip(channels, received, rows)]
             if inverse is not None:
                 results = [replace(result, indices=tuple(result.indices[i] for i in inv))
                            for result, inv in zip(results, inverse)]

@@ -67,9 +67,54 @@ def decode_one(name, eff, y, alphabet):
 def prepared_row(eff, y, alphabet, sorts=None):
     """One instance's decoder row, for a tree decoder call that
     ``decode_stack`` does not make (``prune=False``): its ``triangular_rows``
-    row followed, given the decoder's ``sorts`` function, by its sorted lists."""
-    r, z, (row,) = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    R and z as Python scalars followed, given the decoder's ``sorts``
+    function, by its sorted lists."""
+    r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    row = (r[0].tolist(), z[0].tolist())
     return row + sorts(alphabet, r, z)[0] if sorts else row
+
+
+def slice_complex(value: complex, alphabet) -> tuple:
+    """Nearest QAM symbol via one PAM slice per axis."""
+    re_sym, re_idx = slice_pam(value.real, alphabet.pam)
+    im_sym, im_idx = slice_pam(value.imag, alphabet.pam)
+    return complex(re_sym, im_sym), alphabet.index_of(re_idx, im_idx)
+
+
+def reference_alamouti_stack(r, z, alphabet, prune=True):
+    """Reference for ``decoders.decode_alamouti_stack``: the scalar decoder
+    it replaced, for stacked R (n, 4, 4) and z (n, 4) with zeros at r12 and
+    r34 (unchecked here). The stack's two sorts, as numpy arrays turned into
+    lists, then per instance the best-first walk ``decoders._walk_pairs``
+    over Python scalars, whose leading search completes a pair by four PAM
+    slices. An OverflowError there raises COST_OVERFLOW, as a walk with no
+    finite total does; a nan reaching the slicer raises ValueError too."""
+    sorts = ()
+    for i in (3, 2):  # x4's sort, then x3's
+        zi, rii = z[:, i, None], r[:, i, i, None].real
+        sorts += st.sort_alphabet_by_metric(alphabet, lambda a: abs(zi - rii * a) ** 2)
+    syms = alphabet.symbols.tolist()
+    results = []
+    for rows in zip(r.tolist(), z.tolist(), *(part.tolist() for part in sorts)):
+        r_row, z_row, order4, m4, order3, m3 = rows
+        r11, r22 = r_row[0][0].real, r_row[1][1].real
+
+        def leading(k, l, tail, best, r=r_row, z=z_row, order4=order4, order3=order3):
+            i3 = order3[l]
+            i4 = order4[k]
+            x3 = syms[i3]
+            x4 = syms[i4]
+            v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
+            v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
+            x1, i1 = slice_complex(v1 / r11, alphabet)
+            x2, i2 = slice_complex(v2 / r22, alphabet)
+            total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
+            return total, (i1, i2, i3, i4), 4  # two slices per symbol
+
+        best, best_idx, nodes = dec._walk_pairs(m4, m3, leading, prune)
+        results.append(dec.DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes,
+                                        full_sorts=2, symbols=alphabet.symbols))
+    return results
 
 
 def sorted_pam_list(x, pam):
@@ -126,7 +171,7 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
         for j in range(level + 1, 4):
             w -= r[level][j] * chosen[j]
         if level == 0:
-            sym, idx = dec._slice_complex(w / rdiag[0], alphabet)
+            sym, idx = slice_complex(w / rdiag[0], alphabet)
             nodes += 1
             total = acc + abs(w - rdiag[0] * sym) ** 2
             if total < best:

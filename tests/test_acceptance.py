@@ -17,6 +17,8 @@ from stcsim import decoders as dec
 from stcsim.cli import main
 from stcsim.harness import SweepConfig, run_sweep, run_verification
 
+from conftest import prepared_row
+
 SEED = 7
 
 
@@ -99,8 +101,7 @@ def test_criterion_05_worst_case_node_formula():
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(h, "golden-dv")
         y = eff.h @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
-        r, z, (row,) = dec.triangular_rows(eff.h[None], y[None])
-        prepared = row + dec.fast_golden_sorts(alphabet, r, z)[0]
+        prepared = prepared_row(eff, y, alphabet, dec.fast_golden_sorts)
         result = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=prepared)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}

@@ -29,10 +29,12 @@ def test_tracer_binds_every_boundary(monkeypatch):
     assert report.passed
     assert tracer.cost_mismatch == {} and tracer.raised == {}
     spans = {span[0] for span in tracer.spans}
-    # Sweeps decode exhaustive through its stack call, which the tracer does
-    # not wrap: no sweep makes a decoders.exhaustive span, and the stack
-    # call's costs are checked in test_decoders instead.
-    assert {f"decoders.{name}" for name in ("fast", "sphere", "alamouti")} <= spans
+    # Sweeps decode exhaustive and alamouti through their stack calls, which
+    # the tracer does not wrap: no sweep makes a decoders.exhaustive or
+    # decoders.alamouti span, and the stack calls' costs are checked in
+    # test_decoders instead (for alamouti, in
+    # test_alamouti_stack_costs_are_residuals_and_exhaustive_costs).
+    assert {"decoders.fast", "decoders.sphere"} <= spans
     # A sweep makes one make_rng call per block of trials, directly under
     # run_sweep, keyed (point, block); the verify suite makes its own.
     sweep_spans = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.run_sweep"]

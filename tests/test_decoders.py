@@ -18,6 +18,7 @@ from conftest import (
     random_alamouti_instance,
     random_golden_instance,
     recompute_cost,
+    reference_alamouti_stack,
     reference_sphere_decode,
     sorted_pam_list,
 )
@@ -429,10 +430,131 @@ def test_alamouti_fast_noiseless_and_counters(rng):
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
     m = alphabet.size
-    row = prepared_row(eff, y, alphabet, dec.alamouti_sorts)
-    nop = dec.decode_alamouti_fast(eff, y, alphabet, prune=False, prepared=row)
+    nop = dec.decode_alamouti_fast(eff, y, alphabet, prune=False)
     assert nop.nodes_visited == m + m**2 + 4 * m**2
     assert r.nodes_visited <= nop.nodes_visited
+
+
+def _alamouti_prologue(rng, m, snrs_db):
+    """The alphabet, and R and z of a quasistatic overlaid-Alamouti stack,
+    one instance per SNR (None: noise-free), and the symbol indices that
+    the noise-free instances sent."""
+    alphabet = st.make_qam(m)
+    count = len(snrs_db)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", count),
+                                   "overlaid-alamouti")
+    y = _received(rng, matrices, alphabet, "overlaid-alamouti",
+                  [0.0 if snr is None else snr for snr in snrs_db])
+    sent = rng.integers(0, m, (count, 4))
+    noiseless = np.array([snr is None for snr in snrs_db])
+    y[noiseless] = (matrices @ alphabet.symbols[sent][..., None])[noiseless, :, 0]
+    return alphabet, *dec.triangular_rows(matrices, y), sent
+
+
+def _summaries(results):
+    return [(a.indices, a.cost.hex(), a.nodes_visited, a.full_sorts) for a in results]
+
+
+@pytest.mark.parametrize("prune", (True, False))
+@pytest.mark.parametrize("m", (4, 16, 64, 256))
+def test_alamouti_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
+    """The stack call's indices, cost bits, nodes and sorts are the scalar
+    walk's (conftest's reference), at SNRs whose instances end in the first,
+    second and later rounds, for a noise-free instance, an instance whose
+    tails tie exactly (z3 = z4 = 0: every symbol of one energy ties), and
+    instances repeated in one stack, in passes of a few instances each."""
+    count = {4: 30, 16: 30, 64: 12, 256: 4}[m] if prune else {4: 6, 16: 3, 64: 1, 256: 1}[m]
+    snrs = np.linspace(-6.0, 30.0, count).tolist()
+    alphabet, r, z, sent = _alamouti_prologue(rng, m, snrs + [None, 10.0])
+    z[-1, 2:] = 0.0
+    r = np.concatenate([r, r[:2]])
+    z = np.concatenate([z, z[:2]])
+    passes = []
+    complete_pairs = dec._complete_pairs
+
+    def recording(tail, *args):
+        passes.append(tail.shape)
+        return complete_pairs(tail, *args)
+
+    monkeypatch.setattr(dec, "_complete_pairs", recording)
+    monkeypatch.setattr(dec, "ALAMOUTI_BLOCK", 64)  # first-round passes of 4 instances
+    got = dec.decode_alamouti_stack(r, z, alphabet, prune)
+    want = reference_alamouti_stack(r, z, alphabet, prune)
+    assert _summaries(got) == _summaries(want)
+    assert _summaries(got[-2:]) == _summaries(got[:2])
+    assert got[-4].indices == tuple(sent[-2]) and got[-4].cost <= 1e-18
+    rounds = sorted({pops for _, pops in passes})
+    if not prune:
+        assert rounds == [m * m]
+    elif m == 4:
+        assert rounds == [16]
+    else:
+        # instances end in the first, second and a later round
+        assert rounds[:2] == [16, 64] and len(rounds) >= 3
+        assert sum(pops == 16 for _, pops in passes) > 1  # the stack spans passes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_alamouti_stack_raises_where_the_scalar_walk_raised():
+    """Hand-built R and z, 4-QAM: x3 = s completes finitely and every other
+    x3 overflows |v1 - r11 x1|^2 (|r13| = 1e200). The walk raised at the
+    first overflowing pair it completed, even after a finite one; the stack
+    call raises for a stack holding any such instance, and for no other."""
+    alphabet = st.make_qam(4)
+    s = alphabet.symbols
+
+    def instance(first_x3, r33, z2):
+        r = np.diag([1.0, 1e-3, r33, 1.0]).astype(complex)
+        r[0, 2] = 1e200
+        z = np.array([1e200 * s[0], z2, r33 * s[first_x3], 0.5 * s[1]])
+        return r, z
+
+    # x3's tail sort puts s[0] first: it completes finitely, and with
+    # r33 = 10 every other tail exceeds its total, so the walk ends
+    finite = instance(0, 10.0, 0.0)
+    # s[1] first: its pair overflows at once
+    overflows_first = instance(1, 10.0, 0.0)
+    # s[0] first, but v2 lies far off the grid (r22 = 1e-3), so the total
+    # stays above the next tails (r33 = 1e-3) and an overflowing pair completes
+    overflows_later = instance(0, 1e-3, 100.0)
+    cases = {"finite": finite, "first": overflows_first, "later": overflows_later}
+    for name, (r, z) in cases.items():
+        stack = (r[None], z[None])
+        if name == "finite":
+            got = dec.decode_alamouti_stack(*stack, alphabet)
+            assert _summaries(got) == _summaries(reference_alamouti_stack(*stack, alphabet))
+            continue
+        for decode in (dec.decode_alamouti_stack, reference_alamouti_stack):
+            with pytest.raises(ValueError, match="overflow"):
+                decode(*stack, alphabet)
+    stacked = [np.stack([case[part] for case in (finite, overflows_later, finite)])
+               for part in (0, 1)]
+    with pytest.raises(ValueError, match="overflow"):
+        dec.decode_alamouti_stack(*stacked, alphabet)
+    # a non-finite v (r14 x4 overflows) reaches the scalar walk's slicer as nan
+    r, z = finite
+    r[0, 3] = 1.5e308
+    z[0] = -1.5e308
+    for decode in (dec.decode_alamouti_stack, reference_alamouti_stack):
+        with pytest.raises(ValueError):
+            decode(r[None], z[None], alphabet)
+
+
+def test_alamouti_stack_costs_are_residuals_and_exhaustive_costs(rng):
+    """Every stacked alamouti cost is ||y - H x_hat||^2 and exhaustive's cost,
+    each within 1e-9 of it: the check that the benchmark's tracer made on
+    each per-instance call, made on whole stacks through ``decode_stack``."""
+    for m in (4, 16):
+        alphabet = st.make_qam(m)
+        matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 64),
+                                       "overlaid-alamouti")
+        y = _received(rng, matrices, alphabet, "overlaid-alamouti", np.linspace(-3, 30, 64))
+        decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("exhaustive", "alamouti"),
+                                             "none")
+        for h, received, got, ref in zip(matrices, y, decoded["alamouti"], decoded["exhaustive"]):
+            expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+            assert abs(got.cost - expected) <= 1e-9 * expected
+            assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
 
 
 def test_alamouti_fast_rejects_time_varying(rng):
@@ -698,44 +820,56 @@ def _reference_sorts(variant, alphabet, r, z):
 @pytest.mark.parametrize("m", (4, 16, 64))
 @pytest.mark.parametrize("model", ("quasistatic", "rapid"))
 @pytest.mark.parametrize("variant", st.CODE_VARIANTS)
-def test_stacked_prologue_is_exact(rng, variant, model, m):
+def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
     alamouti = variant == "overlaid-alamouti"
-    sorts = dec.alamouti_sorts if alamouti else dec.fast_golden_sorts
-    decode = dec.decode_alamouti_fast if alamouti else dec.decode_fast_golden
     name = "alamouti" if alamouti else "fast"
     structured = not (alamouti and model == "rapid")
     alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
-    r_stack, z, rows = dec.triangular_rows(matrices, y)
-    if structured:
-        sorted_rows = sorts(alphabet, r_stack, z)
-    else:
+    r_stack, z = dec.triangular_rows(matrices, y)
+    rows = list(zip(r_stack.tolist(), z.tolist()))
+    stacked = sorted_rows = [None] * len(rows)
+    if not structured:
         with pytest.raises(ValueError, match="invalid for this channel"):
-            sorts(alphabet, r_stack, z)
-        sorted_rows = [None] * len(rows)
-    for eff, received, row, sorted_row in zip(channels, y, rows, sorted_rows):
+            dec.decode_alamouti_stack(r_stack, z, alphabet)
+    elif alamouti:
+        # the stack call sorts inside: record its two sorts as per-trial lists
+        sorts = []
+        sort_alphabet_by_metric = dec.sort_alphabet_by_metric
+
+        def recording_sort(*args):
+            sorts.extend(sort_alphabet_by_metric(*args))
+            return tuple(sorts[-2:])
+
+        monkeypatch.setattr(dec, "sort_alphabet_by_metric", recording_sort)
+        stacked = dec.decode_alamouti_stack(r_stack, z, alphabet)
+        monkeypatch.undo()
+        sorted_rows = list(zip(*(part.tolist() for part in sorts)))
+    else:
+        sorted_rows = dec.fast_golden_sorts(alphabet, r_stack, z)
+    for eff, received, row, sorted_row, result in zip(channels, y, rows, sorted_rows, stacked):
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()
         z_alone = (factors.q.conj().T @ received).tolist()
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
         assert repr(row) == repr((r, z_alone))
-        calls = [("sphere", dec.decode_sphere_conventional, row)]
+        calls = [("sphere", dec.decode_sphere_conventional(eff, received, alphabet, prepared=row))]
         if structured:
-            prepared = row + sorted_row
             assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
-            calls.append((name, decode, prepared))
+            if not alamouti:
+                result = dec.decode_fast_golden(eff, received, alphabet, prepared=row + sorted_row)
+            calls.append((name, result))
         else:
             with pytest.raises(ValueError, match="invalid for this channel"):
                 decode_one(name, eff, received, alphabet)
 
         # the stacked prologue's row decodes as a stack of one does
-        for call_name, call, arg in calls:
-            a = call(eff, received, alphabet, prepared=arg)
+        for call_name, a in calls:
             b = decode_one(call_name, eff, received, alphabet)
             assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
                 b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
             )
             assert a.x_hat.tobytes() == b.x_hat.tobytes()
-            assert a.full_sorts == 2 or call is dec.decode_sphere_conventional
+            assert a.full_sorts == 2 or call_name == "sphere"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -756,15 +890,18 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     _, _, alamouti, y_al = _chunk(rng, "overlaid-alamouti", "quasistatic", 16, count=3)
     alamouti[1] = _chunk(rng, "overlaid-alamouti", "rapid", 16, count=1)[2][0]
     with pytest.raises(ValueError, match="invalid for this channel"):
-        dec.alamouti_sorts(alphabet, *dec.triangular_rows(alamouti, y_al)[:2])
+        dec.decode_alamouti_stack(*dec.triangular_rows(alamouti, y_al), alphabet)
 
     # The batch path raises before its first decode, for every decoder: the
-    # exhaustive stack call decodes in blocks, after its checks.
+    # exhaustive stack call decodes in blocks and the alamouti stack call
+    # completes trailing pairs in passes, after their checks.
     calls = []
     for _, decode in _DECODER_CASES.values():
         monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
-    scan_block = dec._scan_block
-    monkeypatch.setattr(dec, "_scan_block", lambda *args: calls.append(args) or scan_block(*args))
+    for pass_name in ("_scan_block", "_complete_pairs"):
+        run_pass = getattr(dec, pass_name)
+        monkeypatch.setattr(dec, pass_name,
+                            lambda *args, run_pass=run_pass: calls.append(args) or run_pass(*args))
     nan_y_al = y_al.copy()
     nan_y_al[0, 0] = math.nan
     cases = [("golden-dv", matrices, nan_y, name, "non-finite received stack y")

@@ -412,6 +412,42 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
     assert len(sorts) == sorts_per_chunk * 4
 
 
+def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypatch):
+    """decode_stack makes each instance's EffectiveChannel and its R and z as
+    Python lists only for a per-instance decoder: an alamouti-only stack
+    (CLI ``decode`` of an alamouti document) makes neither; adding sphere
+    makes them once, for both orderings."""
+    listed = []
+
+    class Listed(np.ndarray):
+        def tolist(self):
+            listed.append(self.shape)
+            return np.asarray(self).tolist()
+
+    built = []
+    effective_channel = st.codes.EffectiveChannel
+    triangular_rows = st.decoders.triangular_rows
+    monkeypatch.setattr(st.codes, "EffectiveChannel",
+                        lambda h: built.append(h) or effective_channel(h=h))
+    monkeypatch.setattr(st.decoders, "triangular_rows",
+                        lambda *args: tuple(part.view(Listed) for part in triangular_rows(*args)))
+    alphabet = st.make_qam(16)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "overlaid-alamouti")
+    received = (matrices @ alphabet.symbols[rng.integers(0, 16, (5, 4))][..., None])[..., 0]
+    for ordering in harness.ORDERING_MODES:
+        decoded, _ = harness.decode_stack(matrices, received, alphabet, ("alamouti",), ordering)
+        assert (built, listed) == ([], [])
+        both, _ = harness.decode_stack(matrices, received, alphabet, ("alamouti", "sphere"),
+                                       ordering)
+        # sphere's blast order is a second prologue, which alamouti does not read
+        assert len(built) == 5 and listed == [(5, 4, 4), (5, 4)]
+        assert [result.indices for result in both["alamouti"]] == [
+            result.indices for result in decoded["alamouti"]
+        ] == [result.indices for result in both["sphere"]]
+        built.clear()
+        listed.clear()
+
+
 def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
     """The exhaustive scan reads no R, so a stack that only it decodes makes
     no QR: a rank-deficient matrix decodes, as CLI ``decode`` decodes it alone.
