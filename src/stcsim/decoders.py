@@ -4,10 +4,11 @@ Four decoders share a common contract: given an effective channel H, a
 received stack y and a square QAM alphabet, return the cost-minimizing
 symbol indices, the achieved cost ||y - H x_hat||^2 and two effort counters.
 A non-finite y or H raises ValueError. ``decode_exhaustive_stack`` scans a
-whole stack per call, and ``decode_alamouti_stack`` walks a whole stack per
-call from the stack's prologue; the fast golden and sphere decoders decode
-one instance per call from its row (``prepared``) of that prologue, which
-only ``harness.decode_stack`` runs, for a single instance on a stack of one.
+whole stack per call, and ``decode_fast_stack`` and ``decode_alamouti_stack``
+walk a whole stack per call from the stack's prologue; the sphere decoder
+decodes one instance per call from its row (``prepared``) of that prologue,
+which only ``harness.decode_stack`` runs, for a single instance on a stack of
+one.
 
 Counting convention (normative for all reported numbers):
 
@@ -25,38 +26,42 @@ M + M^2 + 2*M^3.
 
 Every tree decoder starts from a prologue that works on a stack of
 channels: ``triangular_rows``, the one owner of a decode's QR, factors a
-whole stack and forms z = Q^H y. The fast golden and sphere decoders then
-search one instance at a time on its R and z as Python scalars, so the
-per-node arithmetic indexes plain lists, and ``fast_golden_sorts`` makes the
-fast golden decoder's two full-alphabet sorts of a stack at once; the
-Alamouti decoder sorts and walks the stack in numpy. The prologue and the
-sorts check, once per stack, every precondition of the searches: finite
-input, and full rank and the zeros in R that a fast search needs, both by
-matrixkit's ZERO_TOLERANCE. No decoder sees the code label: an
-EffectiveChannel is only its 4x4 matrix ``h``, and which code a decoder may
-decode is the registry's rule.
+whole stack and forms z = Q^H y. The sphere decoder then searches one
+instance at a time on its R and z as Python scalars, so the per-node
+arithmetic indexes plain lists; the fast golden and Alamouti decoders sort
+and walk the whole stack in numpy. The prologue and the stack calls check,
+once per stack, every precondition of the searches: finite input, and full
+rank and the zeros in R that a fast search needs, both by matrixkit's
+ZERO_TOLERANCE. No decoder sees the code label: an EffectiveChannel is only
+its 4x4 matrix ``h``, and which code a decoder may decode is the registry's
+rule.
 
-The per-instance decoders still take ``(eff, y, alphabet)`` first, though
-they read only the row and the alphabet, and ``decode_exhaustive`` and
-``decode_alamouti_fast`` decode one instance through their stack calls,
-though no decode path calls them: the benchmark's tracer wraps these
-functions by name and checks each reported cost against
-``||y - eff.h x_hat||^2``. It sees no exhaustive or Alamouti decode of a
-sweep; the tests check those stack calls' costs instead.
+The sphere decoder still takes ``(eff, y, alphabet)`` first, though it reads
+only the row and the alphabet, and ``decode_exhaustive``,
+``decode_fast_golden`` and ``decode_alamouti_fast`` decode one instance
+through their stack calls, though no decode path calls them: the benchmark's
+tracer wraps these functions by name and checks each reported cost against
+``||y - eff.h x_hat||^2``. It sees no exhaustive, fast golden or Alamouti
+decode of a sweep; the tests check those stack calls' costs instead.
 
 A decoder decodes the matrix it is given and reports indices in its column
 order; a detection order (``blast_ordering``) is chosen before decoding, and
 the caller permutes the columns and maps the decision back.
 
 The fast golden and fast Alamouti decoders walk the trailing symbol pair
-best-first, as ``_walk_pairs`` defines it: its visiting order, its pruning
-and its node count. The fast golden decoder runs ``_walk_pairs`` per
-instance with its search over the leading pair, which drops a pair on a
-lower bound and runs its two real searches inside the radius the best
-total leaves; the imaginary search's radius depends on the real search's
-result, so the two run in sequence. The Alamouti decoder's leading pair
-falls to four slices that read no radius, so ``decode_alamouti_stack``
-walks a whole stack in numpy rounds, with the same results bit for bit.
+best-first. Pair (k, l) of two ascending lists of sorted metrics has the
+tail metric ``outer[k] + inner[l]``; a heap merge would pop the pairs in
+(tail, k, l) order, one node per pop and one more when a row is first
+popped (l == 0), so M + M^2 walk nodes without pruning. With pruning, the
+first pop whose tail exceeds the best total ends the walk, since every later
+tail is at least as large; each other pop completes its pair by a search
+over the leading pair, and a later total replaces the best only when
+strictly lower. Both decoders walk a whole stack in numpy rounds with the
+results of that scalar walk bit for bit (the tests keep it as their
+reference). The Alamouti decoder's leading pair falls to four slices that
+read no radius. The fast golden decoder's leading search drops a pair on a
+lower bound and runs two real searches inside the radius the best total
+leaves, so ``decode_fast_stack`` replays the radius of each pop.
 
 The sphere decoder orders each expanded node's children without a numpy
 sort: a child's metric is a sum of one metric per axis, so a heap merges the
@@ -88,6 +93,11 @@ EXHAUSTIVE_BLOCK = 2 ** 14
 # holds about 12 float arrays of that size), and its first round's pops.
 ALAMOUTI_BLOCK = 2 ** 11
 ALAMOUTI_FIRST_ROUND = 16
+# Pops one pass of the fast golden stack walk may hold, which bounds its
+# memory, and its first round's pops: smaller passes cost more numpy calls
+# per trial, and larger first rounds more search work.
+FAST_BLOCK = 2 ** 12
+FAST_FIRST_ROUND = 2
 
 # Column permutations that keep the two real diagonal blocks of R real; fast
 # decoding is possible only for these.
@@ -138,36 +148,6 @@ def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
     if not np.isfinite(z).all():
         raise ValueError("non-finite received stack y")
     return factors.r, z
-
-
-def fast_golden_sorts(alphabet: QamAlphabet, r: np.ndarray, z: np.ndarray) -> list:
-    """The fast golden decoder's two full-alphabet sorts for a stack of channels.
-
-    The trailing-pair branch metrics are functions of one real component
-    pair each, which the separable alphabet puts in bijection with the
-    complex symbols: Re(a) plays x3's component, Im(a) plays x4's.
-
-    Args:
-        r, z: stacked R (n, 4, 4) and Q^H y (n, 4) as ``triangular_rows``
-            uses them.
-
-    Returns:
-        Per trial ``(order_re, metrics_re, order_im, metrics_im)`` as lists.
-
-    Raises:
-        ValueError: when any R lacks real diagonal blocks (Im r12, Im r34).
-    """
-    require_zero(r[:, (0, 2), (1, 3)].imag, frobenius_norm(r)[:, None],
-                 "fast golden decoder needs real diagonal blocks in R; this channel lacks "
-                 "golden structure: max |Im r12|, |Im r34|")
-    r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
-    sorts = ()
-    for component in (np.real, np.imag):
-        z2, z3 = component(z[:, 2, None]), component(z[:, 3, None])
-        sorts += sort_alphabet_by_metric(
-            alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
-        )
-    return list(zip(*(part.tolist() for part in sorts)))
 
 
 def _scan_block(matrices, received, syms, step: int, planes) -> tuple:
@@ -280,189 +260,354 @@ def decode_exhaustive(
     return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None], alphabet)[0]
 
 
-def _real_search(
-    v1: float, v2: float, r11: float, r12: float, r22: float, pam, prune: bool, radius: float
-):
-    """Two-level real search over one component (real or imaginary) of the leading pair.
+def _slice_planes(u: np.ndarray, pam) -> tuple:
+    """``slice_pam`` of every entry of ``u``, in its float operations, as
+    float arrays (symbols, indices); a nan, which it refuses, gets index 0."""
+    top = pam.size - 1.0
+    index = np.ceil(np.fmin(np.fmax((u / pam.scale + top) / 2.0, 0.0), top) - 0.5)
+    return pam.scale * (2.0 * index - top), index
 
-    Minimizes (v2 - r22*x2)^2 + (v1 - r12*x2 - r11*x1)^2 over PAM levels:
-    x2 in zigzag order around c = v2/r22 with pruning on the partial metric,
-    x1 by one slicer decision. The zigzag starts at the sliced level and
-    steps to whichever unvisited neighbour is nearer to c, the lower one on
-    equal distances (the slicer's tie rule); it is stepped inline, so a
-    pruned search builds none of the levels it does not visit. One node per
-    x2 candidate entered and one per slice. Only metrics below ``radius`` are
-    accepted.
+
+def _search_planes(v1, v2, r11, r12, r22, first, start, radius, pam, prune: bool) -> tuple:
+    """Evaluate one real search per lane at ``radius``, position by
+    position along its zigzag, only while the search is in its radius.
+
+    A search minimizes (v2 - r22 x2)^2 + (v1 - r12 x2 - r11 x1)^2 over PAM
+    levels: x2 in zigzag order around c = v2/r22 (the sliced level
+    ``start``, then whichever unvisited neighbour is nearer to c, the lower
+    one on equal distances), x1 by one slice. A position is entered (one
+    node; its x2 metric t, at the first position ``first``); with ``prune``
+    a t above the best so far (at first ``radius``) ends the search, else
+    the position is visited (one more node; its full metric, accepted below
+    the best so far). A smaller radius enters a prefix of these positions.
 
     Returns:
-        (metric, pick, nodes) with pick = (x1_index, x2_index), or pick None
-        when no metric is below ``radius``.
+        (best, planes): the best metric per lane (``radius`` where none was
+        accepted), and (4, lanes, L) planes of t, the full metric and x1's
+        and x2's PAM indices at each position, 0 where not evaluated.
     """
-    values = pam.values
-    width = len(values)
-    c = v2 / r22
-    x2sym, x2idx = slice_pam(c, pam)
-    lo = x2idx - 1
-    hi = x2idx + 1
-    best = radius
-    pick = None
-    nodes = 0
-    while True:
-        nodes += 1
-        t = (v2 - r22 * x2sym) ** 2
-        if prune and t > best:
+    width = pam.size
+    values = np.array(pam.values)
+    # The zigzag merges the levels below the start, nearest first, with
+    # those above, by their distances c - v and v - c, the lower level on
+    # equal distances: a sort by distance, then side, then nearness.
+    offset = np.arange(width) - start[:, None]
+    distance = (v2 / r22)[:, None] - values
+    distance = np.where(offset < 0, distance, -distance)
+    distance[offset == 0] = -math.inf
+    zigzag = np.lexsort((np.abs(offset) + width * (offset > 0), distance), axis=1)
+    planes = np.zeros((4, len(v1), width))
+    planes[0, :, 0] = first
+    best = radius.copy()
+    row = np.arange(len(v1))
+    state = np.stack([v1, v2, r11, r12, r22, radius])  # per live lane
+    t = first
+    for j in range(width):
+        pos = zigzag[row, j]
+        x2 = values[pos]
+        if j:
+            t = np.float_power(state[1] - state[4] * x2, 2.0)
+            planes[0, row, j] = t
+        planes[3, row, j] = pos
+        if prune:
+            live = t <= state[5]
+            row, state, t, x2 = row[live], state[:, live], t[live], x2[live]
+        u = state[0] - state[3] * x2
+        x1, planes[2, row, j] = _slice_planes(u / state[2], pam)
+        planes[1, row, j] = metric = t + np.float_power(u - state[2] * x1, 2.0)
+        state[5] = best[row] = np.fmin(metric, state[5])
+        if not len(row):
             break
-        u = v1 - r12 * x2sym
-        x1sym, x1idx = slice_pam(u / r11, pam)
-        nodes += 1
-        t += (u - r11 * x1sym) ** 2
-        if t < best:
-            best = t
-            pick = (x1idx, x2idx)
-        if lo >= 0 and (hi == width or c - values[lo] <= values[hi] - c):
-            x2idx = lo
-            lo -= 1
-        elif hi < width:
-            x2idx = hi
-            hi += 1
-        else:
-            break
-        x2sym = values[x2idx]
-    return best, pick, nodes
+    return best, planes
 
 
-def _nearest_x2_metric(v2: float, r22: float, pam) -> float:
-    """(v2 - r22*x2)^2 at ``_real_search``'s first x2 candidate: a lower bound on its metric."""
-    x2sym, _ = slice_pam(v2 / r22, pam)
-    return (v2 - r22 * x2sym) ** 2
-
-
-def _walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
-    """Best-first exact-ML walk over the trailing symbol pair of the fast decoders.
-
-    Pair (k, l) has trailing metric ``tail = outer_metrics[k] +
-    inner_metrics[l]``. Both lists ascend, so a heap merge pops the pairs in
-    nondecreasing tail order, ties by (k, l); row k + 1 joins the heap when
-    row k is first popped. One node per pop and one more when a row is first
-    popped (l == 0): M + M^2 walk nodes without pruning. With ``prune``, the
-    first pop whose tail exceeds the best total ends the walk, since every
-    later tail is at least as large.
-
-    Args:
-        leading: ``leading(k, l, tail, best)`` completes pair (k, l) by
-            searching the leading pair, and returns ``(total, pick, nodes)``.
-            It may drop a pair that cannot beat ``best`` by returning a total
-            of inf. Without ``prune`` it is passed ``best = inf``, so it
-            drops none.
+def _replay_search(planes, radius, live, prune: bool) -> tuple:
+    """The real searches of the lanes ``live`` at ``radius``, replayed on
+    their evaluated ``planes``: each break and acceptance of the scalar
+    search, elementwise. A t compared with a nan stops the replay where the
+    scalar search went on; either the t or the radius is nan only where the
+    walk raises, or its instance has no finite total.
 
     Returns:
-        (best_total, best_pick, nodes).
+        (best, position, entered, visited) per lane: the best metric
+        (``radius`` if none was accepted), the zigzag position of the last
+        accepted (-1 if none), and the positions entered and visited, one
+        node each.
+    """
+    t_plane, m_plane = planes[0], planes[1]
+    best = radius.copy()
+    position = np.full(len(radius), -1)
+    live = live.copy()
+    entered = np.zeros(len(radius), dtype=np.int64)
+    visited = np.zeros(len(radius), dtype=np.int64)
+    for j in range(t_plane.shape[1]):
+        entered += live
+        if prune:
+            live &= t_plane[:, j] <= best
+            if not live.any():
+                break
+        visited += live
+        better = live & (m_plane[:, j] < best)
+        best[better] = m_plane[better, j]
+        position[better] = j
+    return best, position, entered, visited
+
+
+def _running_best(carried, total):
+    """The best total before each pop of a (g, P) round: ``carried`` (g, 1)
+    and the totals of the round's earlier pops, by ``np.fmin``."""
+    return np.fmin.accumulate(np.concatenate([carried, total[:, :-1]], axis=1), axis=1)
+
+
+def _overflowed(planes, entered, visited) -> np.ndarray:
+    """Per row of evaluated ``planes``, whether a search that entered its
+    first ``entered`` positions and visited its first ``visited`` met a
+    non-finite metric: where the scalar search raised."""
+    at = np.arange(planes.shape[2])
+    return ((~np.isfinite(planes[0]) & (at < entered[:, None]))
+            | (~np.isfinite(planes[1]) & (at < visited[:, None]))).any(axis=1)
+
+
+def _replay_pops(guess, led, tail, lower, search, planes, prune: bool) -> tuple:
+    """The leading searches of the pops ``led``, each under ``guess``, its
+    best total before it: the drops on its two ``lower`` bounds (2, lanes),
+    then the real part's search inside ``guess - tail - lb_im`` and the
+    imaginary part's inside ``guess - tail - best_re``, replayed on the
+    ``planes`` evaluated for the lanes ``search`` (real parts, then
+    imaginary parts).
+
+    Returns:
+        (total, nodes, positions, overflow): per lane its total (inf if
+        dropped or without a pick) and leading-search nodes; per lane of
+        ``search`` each search's picked position (2, len(search)); and
+        whether a led pop entered or visited a non-finite metric, where the
+        scalar walk raised.
+    """
+    lb_re, lb_im = lower
+    first = tail + lb_re
+    rest = guess - tail
+    second = led & ~(first > guess)  # pops that made the second lower bound
+    nodes = led.astype(np.int64) + second  # one node per lower bound
+    searched = (led & ~(first + lb_im > guess))[search]
+    half = len(search)
+    best_re, position_re, entered_re, visited_re = _replay_search(
+        planes[:, :half], (rest - lb_im)[search], searched, prune)
+    live = position_re >= 0
+    best_im, position_im, entered_im, visited_im = _replay_search(
+        planes[:, half:], rest[search] - best_re, live, prune)
+    # the searches count their first positions, which the lower bounds did
+    nodes[search] += (entered_re + visited_re - searched) + (entered_im + visited_im - live)
+    overflow = not (np.isfinite(lb_re[led]).all() and np.isfinite(lb_im[second]).all())
+    if not overflow and not np.isfinite(planes[:2]).all():
+        overflow = (_overflowed(planes[:, :half], entered_re, visited_re).any()
+                    or _overflowed(planes[:, half:], entered_im, visited_im).any())
+    total = np.full(len(tail), math.inf)
+    found = position_im >= 0
+    total[search[found]] = (best_re[found] + best_im[found]) + tail[search[found]]
+    return total, nodes, np.stack([position_re, position_im]), overflow
+
+
+def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
+               prune: bool, alphabet):
+    """Pops ``done`` to ``pops`` of the walks of instances ``idx``, from
+    their carried ``best``, ``nodes`` and ``picks``, which it updates; the
+    round's pairs ``k``, ``l`` hold each instance's first ``pops`` pops.
+
+    Returns:
+        Per instance, whether its walk ended.
 
     Raises:
-        ValueError: COST_OVERFLOW, when no total is finite.
+        ValueError: COST_OVERFLOW, as ``decode_fast_stack`` raises it.
     """
-    rows = len(outer_metrics)
-    cols = len(inner_metrics)
-    nodes = 0
-    best = math.inf
-    best_pick = None
-    heap = [(outer_metrics[0] + inner_metrics[0], 0, 0)]
-    while heap:
-        tail, k, l = heappop(heap)
-        nodes += 1
-        if l == 0:
-            nodes += 1
-            if k + 1 < rows:
-                heappush(heap, (outer_metrics[k + 1] + inner_metrics[0], k + 1, 0))
-        if prune and tail > best:
+    pam = alphabet.pam
+    width = pam.size
+    order_re, m_re, order_im, m_im = (part[idx] for part in sorts)
+    tails = m_re[:, k] + m_im[:, l]
+    first = np.argsort(tails, axis=1, kind="stable")[:, done:pops]
+    tail = np.take_along_axis(tails, first, axis=1)
+    k, l = k[first], l[first]
+    del tails, first
+    shape = tail.shape
+    carried = best[idx, None]
+    limit = carried if prune else np.full_like(carried, math.inf)
+    # The pops a walk may reach: none after the first whose tail exceeds the
+    # carried best, which each pop's best before it cannot exceed.
+    lanes = np.flatnonzero(~(tail > limit))
+    inst = lanes // shape[1]
+    pair_tail, bound = tail.flat[lanes], limit[inst, 0]
+    sk = order_re[inst, k.flat[lanes]]
+    sl = order_im[inst, l.flat[lanes]]
+    # v1 and v2 by component, as Python evaluates z - p x3 - q x4 on complex
+    # scalars: Re(a) plays x3's component and Im(a) x4's, with the real
+    # part's symbol sk and the imaginary part's sl
+    cf = coef[:, idx[inst]]
+    syms = np.stack([sk, sl, sk, sl])
+    swapped = syms[[1, 0, 3, 2]]
+    sym_re, sym_im = alphabet.symbols.real, alphabet.symbols.imag
+    v = ((cf[0:4] - (cf[4:8] * sym_re[syms] - cf[8:12] * sym_re[swapped]))
+         - (cf[12:16] * sym_im[syms] - cf[16:20] * sym_im[swapped]))
+    r11, r12, r22 = cf[20:23]
+    # each search's first position: its x2 slice and the pop's lower bound
+    x2, start = _slice_planes(v[2:] / r22, pam)
+    lower = np.float_power(v[2:] - r22 * x2, 2.0)
+    # Evaluate every search the walk may run: under any best before a pop
+    # (at most the carried best) it enters a prefix of what it enters
+    # inside the carried best less the tail.
+    search = np.flatnonzero(~((pair_tail + lower[0]) + lower[1] > bound))
+    rest = (bound - pair_tail)[search]
+    both = np.concatenate
+    found, planes = _search_planes(
+        both(v[0:2, search]), both(v[2:4, search]), *np.tile(cf[20:23, search], 2),
+        both(lower[:, search]), both(start[:, search]), both([rest, rest]), pam, prune)
+    found = found.reshape(2, -1)
+    total = np.full(len(lanes), math.inf)
+    hit = np.all(found < rest, axis=0)
+    total[search[hit]] = (found[0, hit] + found[1, hit]) + pair_tail[search[hit]]
+    # Replay the walk under a guess of each pop's best before it, until the
+    # running best of the replayed totals confirms the guess on every pop
+    # walked: by induction over the pops, the replay is then the walk.
+    grid = np.full(shape, math.inf)
+    grid.flat[lanes] = total
+    guess = _running_best(carried, grid) if prune else np.full(shape, math.inf)
+    while True:
+        stop = tail > guess
+        stops = np.cumsum(stop, axis=1)
+        walked = stops - stop == 0
+        total, lead, positions, overflow = _replay_pops(
+            guess.flat[lanes], (stops == 0).flat[lanes], pair_tail, lower, search, planes, prune)
+        grid = np.full(shape, math.inf)
+        grid.flat[lanes] = total
+        if not prune:
             break
-        if l + 1 < cols:
-            heappush(heap, (outer_metrics[k] + inner_metrics[l + 1], k, l + 1))
-        try:
-            total, pick, n = leading(k, l, tail, best if prune else math.inf)
-        except OverflowError:
-            raise ValueError(COST_OVERFLOW) from None
-        nodes += n
-        if total < best:
-            best = total
-            best_pick = pick
-    if best_pick is None:
+        check = _running_best(carried, grid)
+        if np.array_equal(check[walked], guess[walked]):
+            break
+        guess = check
+    if overflow:
         raise ValueError(COST_OVERFLOW)
-    return best, best_pick, nodes
+    nodes[idx] += np.sum(walked, axis=1) + np.sum(walked & (l == 0), axis=1)
+    np.add.at(nodes, idx[inst], lead)
+    pop = np.argmin(grid, axis=1)
+    cost = grid[np.arange(len(idx)), pop]
+    better = np.flatnonzero(cost < carried[:, 0])
+    best[idx[better]] = cost[better]
+    chosen = np.searchsorted(search, np.searchsorted(lanes, better * shape[1] + pop[better]))
+    rows = np.stack([chosen, chosen + len(search)])
+    x1, x2 = planes[2:, rows, positions[:, chosen]]
+    sk, sl = sk[search[chosen]], sl[search[chosen]]
+    picks[idx[better]] = np.stack([x1[1] * width + x1[0], x2[1] * width + x2[0],
+                                   (sl % width) * width + sk % width,
+                                   (sl // width) * width + sk // width], axis=1)
+    return stop.any(axis=1)
+
+
+def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
+                      prune: bool = True) -> list:
+    """Fast exact-ML decoder for a stack of channels whose R has real
+    diagonal blocks, from the prologue's stacked R (n, 4, 4) and z (n, 4).
+
+    Exactly two full-alphabet sorts per instance, one per real component of
+    the trailing pair (x3, x4): the separable alphabet puts each component
+    pair in bijection with the symbols, Re(a) playing x3's and Im(a) x4's.
+    Then the best-first walk over the pairs of the two sorted lists, as the
+    module docstring defines it. A pair it completes is dropped on a lower
+    bound (each component's nearest x2, one node each, not counted again by
+    the searches), or completed by interference cancellation and two real
+    searches over the leading pair's real and imaginary parts: the real one
+    inside the radius that the best total leaves after the tail and the
+    imaginary part's bound, the imaginary one inside what the real one
+    leaves. Correctness rests on the leading and trailing diagonal blocks
+    of R being real, which holds for a golden channel with its columns in
+    any order of FAST_PERMUTATIONS, and for a quasistatic overlaid-Alamouti
+    channel.
+
+    The walk runs in rounds over the unfinished instances, each carrying its
+    best total, pick and nodes from round to round: pops 0 and 1, then up
+    to four times as many (at most FAST_BLOCK more, and M^2 in all). A round
+    takes each instance's next pops from a stable sort of the tails of its
+    pairs with (k+1)(l+1) at most the round's pops, which hold its first
+    pops, as the pairs (k', l') <= (k, l) all pop before (k, l). It
+    evaluates the searches of every pop the walk may reach that the carried
+    best does not drop, inside the radius the carried best leaves, position
+    by position (``_search_planes``): a pop's best before it is at most the
+    carried best, and a smaller radius enters a prefix of those positions.
+    Then it guesses each pop's best before it from the totals found,
+    replays every drop, break, pick and node count under the guess, and
+    guesses again from the replayed totals until their running best
+    confirms the guess on every pop walked: by induction over the pops, the
+    replay is then the walk. A pass holds at most FAST_BLOCK pops, or one
+    instance's. Indices, costs and node counts are the scalar walk's, bit
+    for bit, as each value is computed in its float operations, per
+    component: Python's complex multiply and subtract, ``slice_pam`` as
+    ``ceil(clip - 0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)``
+    (``x * x`` differs from it in the last bit of some x).
+
+    Args:
+        prune: disable to force full enumeration (worst-case instrumentation).
+
+    Returns:
+        One DecodeResult per instance, indices in the columns' order.
+
+    Raises:
+        ValueError: when any R lacks real diagonal blocks (Im r12, Im r34),
+            or COST_OVERFLOW when a search that an instance's walk runs
+            meets a non-finite metric (an overflowing square, or a
+            non-finite v), or the walk has no finite total.
+    """
+    require_zero(r[:, (0, 2), (1, 3)].imag, frobenius_norm(r)[:, None],
+                 "fast golden decoder needs real diagonal blocks in R; this channel lacks "
+                 "golden structure: max |Im r12|, |Im r34|")
+    n, m = len(z), alphabet.size
+    r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
+    sorts = []
+    for component in (np.real, np.imag):
+        z2, z3 = component(z[:, 2, None]), component(z[:, 3, None])
+        sorts += sort_alphabet_by_metric(
+            alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
+        )
+    # Rows (v1 real, v1 imaginary, v2 real, v2 imaginary) of v = z - p x3 -
+    # q x4: z, the real parts of p and q, and their imaginary parts, negated
+    # in the rows of imaginary parts; then r11, r12 and r22.
+    p, q = r[:, (0, 0, 1, 1), 2].T, r[:, (0, 0, 1, 1), 3].T
+    sign = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float).T, p.real,
+                           p.imag * sign, q.real, q.imag * sign,
+                           r[:, (0, 0, 1), (0, 1, 1)].real.T])
+    best = np.full(n, math.inf)
+    nodes = np.zeros(n, dtype=np.int64)
+    picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
+    pending = np.arange(n)
+    done, pops = 0, min(FAST_FIRST_ROUND, m * m)
+    grid = np.outer(np.arange(1, m + 1), np.arange(1, m + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pending):
+            k, l = np.nonzero(grid <= pops)
+            step = max(1, FAST_BLOCK // (pops - done))
+            unfinished = []
+            for lo in range(0, len(pending), step):
+                idx = pending[lo:lo + step]
+                ended = _fast_pass(idx, k, l, done, pops, sorts, coef, best, nodes, picks,
+                                   prune, alphabet)
+                unfinished.append(idx[~ended])
+            pending = np.concatenate(unfinished) if pops < m * m else pending[:0]
+            done, pops = pops, min(4 * pops, pops + FAST_BLOCK, m * m)
+    if not np.all(best < math.inf):
+        raise ValueError(COST_OVERFLOW)
+    syms = alphabet.symbols
+    return [
+        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=v, full_sorts=2, symbols=syms)
+        for idx, c, v in zip(picks.tolist(), best.tolist(), nodes.tolist())
+    ]
 
 
 def decode_fast_golden(
-    eff: EffectiveChannel,
-    y: np.ndarray,
-    alphabet: QamAlphabet,
-    prune: bool = True,
-    *,
-    prepared,
+    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet, prune: bool = True
 ) -> DecodeResult:
-    """Fast exact-ML decoder for any channel whose R has real diagonal blocks.
-
-    A best-first walk over the trailing symbol pair (candidates pre-ordered
-    by exactly two full-alphabet sorts, one per real component), followed by
-    interference cancellation and two two-level real searches over the
-    leading pair's real and imaginary parts. With pruning, a pair is first
-    checked against a lower bound (each component's nearest x2, one node
-    each, not counted again by the searches), and each real search runs
-    inside the radius that the best total leaves. Correctness rests on the
-    leading and trailing diagonal blocks of R being real, which holds for a
-    golden channel with its columns in any order of FAST_PERMUTATIONS, and
-    for a quasistatic overlaid-Alamouti channel.
-
-    Args:
-        eff, y: the instance; unread here, kept for the tracer's cost check.
-        prune: disable to force full enumeration (worst-case instrumentation).
-        prepared: this trial's ``triangular_rows`` row followed by its
-            ``fast_golden_sorts`` row, which checked the structure.
-    """
-    r, z, ord_re, m_re, ord_im, m_im = prepared
-    sym_re = alphabet.symbols.real.tolist()
-    sym_im = alphabet.symbols.imag.tolist()
-    r11, r12, r22 = r[0][0].real, r[0][1].real, r[1][1].real
-    pam = alphabet.pam
-
-    def leading(k, l, tail, best):
-        sk = ord_re[k]
-        sl = ord_im[l]
-        x3 = complex(sym_re[sk], sym_re[sl])
-        x4 = complex(sym_im[sk], sym_im[sl])
-        v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
-        v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
-        # Lower bounds, one node each. The searches below start from the same
-        # first x2 candidates and count them, so a pair costs
-        # 2 + (n_re - 1) + (n_im - 1) nodes: no candidate is counted twice.
-        lb_re = _nearest_x2_metric(v2.real, r22, pam)
-        if tail + lb_re > best:
-            return math.inf, None, 1
-        lb_im = _nearest_x2_metric(v2.imag, r22, pam)
-        if tail + lb_re + lb_im > best:
-            return math.inf, None, 2
-        # Shared radius: each search only needs to beat what the best total
-        # leaves after the tail and the other component's least metric.
-        best_re, pick_re, n_re = _real_search(
-            v1.real, v2.real, r11, r12, r22, pam, prune, best - tail - lb_im
-        )
-        if pick_re is None:
-            return math.inf, None, 1 + n_re
-        best_im, pick_im, n_im = _real_search(
-            v1.imag, v2.imag, r11, r12, r22, pam, prune, best - tail - best_re
-        )
-        if pick_im is None:
-            return math.inf, None, n_re + n_im
-        return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
-
-    best, ((i1r, i2r), (i1i, i2i), sk, sl), nodes = _walk_pairs(m_re, m_im, leading, prune)
-    indices = (
-        alphabet.index_of(i1r, i1i),
-        alphabet.index_of(i2r, i2i),
-        alphabet.index_of(sk % pam.size, sl % pam.size),
-        alphabet.index_of(sk // pam.size, sl // pam.size),
-    )
-    return DecodeResult(indices=indices, cost=best, nodes_visited=nodes, full_sorts=2,
-                        symbols=alphabet.symbols)
+    """Fast exact-ML decode of one instance: ``decode_fast_stack`` on the
+    prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
+    kept for the benchmark's tracer, which wraps it by name."""
+    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    return decode_fast_stack(r, z, alphabet, prune)[0]
 
 
 def _children_in_order(a, b):
@@ -594,14 +739,6 @@ def decode_sphere_conventional(
                         symbols=alphabet.symbols)
 
 
-def _slice_planes(u: np.ndarray, pam) -> tuple:
-    """``slice_pam`` of every entry of ``u``, in its float operations, as
-    float arrays (symbols, indices); a nan, which it refuses, gets index 0."""
-    top = pam.size - 1.0
-    index = np.ceil(np.fmin(np.fmax((u / pam.scale + top) / 2.0, 0.0), top) - 0.5)
-    return pam.scale * (2.0 * index - top), index
-
-
 def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
     """Complete trailing pairs, (g, K) arrays of their ``tail`` metrics and
     symbol indices ``i3``, ``i4``; ``coef`` holds the instances' z1, z2,
@@ -698,8 +835,8 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     channel orthogonal, which puts those zeros in R: the trailing-pair
     branch metrics separate per symbol, and the leading pair falls to four
     PAM slices per trailing pair, which do not read the search radius. So
-    ``_walk_pairs``' best-first walk (pops in (tail, k, l) order, one node
-    per pop, one more when a row is first popped and four per completed
+    the module docstring's best-first walk (pops in (tail, k, l) order, one
+    node per pop, one more when a row is first popped and four per completed
     pair, ending at the first pop whose tail exceeds the best total before
     it) depends on the sorted tails and the pair totals alone, and a stack
     walks it at once, in rounds. Round K (16, then times 4 up to M^2; M^2

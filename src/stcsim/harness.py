@@ -6,15 +6,15 @@ so decoders are compared on identical inputs. A point's trials are drawn in
 blocks of STREAM_BLOCK, each block from its own Philox stream
 ``make_rng(seed, point index, block index)``, and a chunk is a whole number
 of blocks. A serial sweep decodes each point as one chunk, or in chunks of
-MAX_CHUNK trials above that size; a pooled one cuts each point into about
-eight chunks per worker. Chunking cannot change the output: serial and
-parallel runs emit identical CSV (wall-time columns excluded from that
-contract). Sweeps and the decoding verify suites share one instance
-pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
-time and builds them as one stack, and ``decode_stack``, the one place that
-calls a decoder or decides a column order, runs their stacked prologue once
-per stack. CLI ``decode`` decodes its one instance through ``decode_stack``
-too, as a stack of one.
+MAX_CHUNK trials above that size; a pooled one cuts the whole sweep into
+about four chunks per worker, none across points. Chunking cannot change
+the output: serial and parallel runs emit identical CSV (wall-time columns
+excluded from that contract). Sweeps and the decoding verify suites share
+one instance pipeline: ``_InstanceStack`` draws instances a row or a block
+of rows at a time and builds them as one stack, and ``decode_stack``, the
+one place that calls a decoder or decides a column order, runs their
+stacked prologue once per stack. CLI ``decode`` decodes its one instance
+through ``decode_stack`` too, as a stack of one.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -64,18 +64,17 @@ MAX_TRIALS = 2**32
 
 @dataclass(frozen=True)
 class DecoderEntry:
-    """One decoder: its call, its stacked sorts, its BLAST column-order rule
-    and the setups it can decode.
+    """One decoder: its call, its BLAST column-order rule and the setups it
+    can decode.
 
     A decoder has exactly one of three calls, which only ``decode_stack``
     makes and times. ``stack(matrices, received, alphabet)`` (exhaustive)
     decodes a whole stack in one call, with no prologue.
-    ``factored(r, z, alphabet)`` (alamouti) decodes a whole stack in one
-    call from the prologue's stacked R and z. ``call(eff, y, alphabet,
-    prepared=row)`` (fast, sphere) decodes one instance, its indices in
-    ``eff``'s column order, from its row of the prologue as Python scalars.
-    ``sorts(alphabet, r, z)``, when set, is a ``call`` decoder's stacked sort
-    prologue. ``blast(matrices)``, when set, picks each matrix's column order
+    ``factored(r, z, alphabet)`` (fast, alamouti) decodes a whole stack in
+    one call from the prologue's stacked R and z. ``call(eff, y, alphabet,
+    prepared=row)`` (sphere) decodes one instance, its indices in ``eff``'s
+    column order, from its row of the prologue as Python scalars.
+    ``blast(matrices)``, when set, picks each matrix's column order
     under ``--ordering blast``; a decoder without one decodes in the natural
     order. All of them reach the decoders through this module's ``decoders``
     attribute at call time, so rebinding that attribute reaches every caller.
@@ -85,7 +84,6 @@ class DecoderEntry:
     call: Callable = None
     quasistatic_only: bool = False
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
-    sorts: Callable = None
     blast: Callable = None
     stack: Callable = None
     factored: Callable = None
@@ -103,9 +101,8 @@ DECODERS = {
         stack=lambda *args: decoders.decode_exhaustive_stack(*args),
     ),
     "fast": DecoderEntry(
-        call=lambda *args, **kwargs: decoders.decode_fast_golden(*args, **kwargs),
         code_variants=codes.GOLDEN_VARIANTS,
-        sorts=lambda *args: decoders.fast_golden_sorts(*args),
+        factored=lambda *args: decoders.decode_fast_stack(*args),
         # the best of the orders that keep R's diagonal blocks real
         blast=lambda matrices: decoders.blast_ordering(
             matrices, allowed=decoders.FAST_PERMUTATIONS
@@ -279,12 +276,12 @@ class SweepReport:
 # make_rng(seed, point, b); a point's last block may be short. A chunk is a
 # whole number of blocks, so no row depends on how the trials are chunked.
 STREAM_BLOCK = 32
-# A chunk holds its trials' draws, matrices, QR factors and decode rows until
-# it is decoded. One chunk's peak RSS at 24 dB grows by about 12 KiB per trial
-# at 64-QAM fast (mostly the per-trial Python lists of fast's sorts and of
-# the prologue's rows) and 4 KiB at 4-QAM exhaustive,fast. The cap bounds
-# that for long serial sweeps; a stack's time per trial levels off by a few
-# hundred.
+# A chunk holds its trials' draws, matrices, QR factors and decoder state
+# until it is decoded. One chunk's peak RSS at 24 dB, in a fresh process,
+# grows by about 8 KiB per trial from 32 to 1024 trials and 5 KiB from 1024
+# to 4096 at 64-QAM fast, and by about 3 KiB at 4-QAM exhaustive,fast. The
+# cap bounds that for long serial sweeps; a stack's time per trial levels
+# off by a few hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK
 
 
@@ -342,17 +339,17 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     decoder decodes the natural order. The prologue runs once per stack and
     column-order rule that a decoder reads it for: the permuted channels and
     one stacked QR and Q^H y (``decoders.triangular_rows``). A factored call
-    (alamouti) decodes the whole stack from that R and z. Only a per-instance
-    decoder (fast, sphere) makes the rest: each instance's EffectiveChannel
-    and its row of R and z as Python scalars, once per rule; a fast decoder
-    then sorts the stack once, and each decode gets its row. Indices are
-    mapped back to the natural column order here.
+    (fast, alamouti) decodes the whole stack from that R and z. Only the
+    per-instance decoder (sphere) makes the rest: each instance's
+    EffectiveChannel and its row of R and z as Python scalars, and each
+    decode gets its row. Indices are mapped back to the natural column order
+    here.
 
     Returns:
         (decoded, elapsed): per decoder name, one DecodeResult per instance,
         and the wall time in ns, read once before and once after, of its own
-        work on the stack: its stack or factored call, or its sorts, calls
-        and mapping back. An empty stack gives empty lists and 0 ns.
+        work on the stack: its stack or factored call, or its per-instance
+        calls, and mapping back. An empty stack gives empty lists and 0 ns.
 
     Raises:
         ValueError: a string of names, a repeated or unknown name, an ordering
@@ -370,7 +367,6 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     if not len(matrices):
         return {name: [] for name in names}, dict.fromkeys(names, 0)
     prologues = {}  # column-order rule (None: natural) -> ordered, r, z, inverse
-    scalar_rows = {}  # column-order rule -> channels and rows, for per-instance calls
     decoded, elapsed = {}, {}
     for name in names:
         entry = DECODERS[name]
@@ -382,10 +378,10 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
                 inverse = np.argsort(perms, axis=-1).tolist()
             prologues[rule] = (ordered, *decoders.triangular_rows(ordered, received), inverse)
-        if entry.call is not None and rule not in scalar_rows:
+        if entry.call is not None:
             ordered, r, z, _ = prologues[rule]
-            scalar_rows[rule] = ([codes.EffectiveChannel(h=h) for h in ordered],
-                                 list(zip(r.tolist(), z.tolist())))
+            channels = [codes.EffectiveChannel(h=h) for h in ordered]
+            rows = list(zip(r.tolist(), z.tolist()))
         start = time.perf_counter_ns()
         if entry.stack is not None:
             results = entry.stack(matrices, received, alphabet)
@@ -394,9 +390,6 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
             if entry.factored is not None:
                 results = entry.factored(r, z, alphabet)
             else:
-                channels, rows = scalar_rows[rule]
-                if entry.sorts is not None:
-                    rows = [row + s for row, s in zip(rows, entry.sorts(alphabet, r, z))]
                 results = [entry.call(eff, y, alphabet, prepared=row)
                            for eff, y, row in zip(channels, received, rows)]
             if inverse is not None:
@@ -441,11 +434,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
-    # In whole blocks, capped by MAX_CHUNK: a pool's chunk is about an eighth
-    # of a worker's share of a point, so the workers stay balanced; a serial
-    # point is one stack, which pays numpy's fixed per-call costs once.
-    share = threads * 8 if threads > 1 else 1
-    blocks = -(-cfg.trials // (share * STREAM_BLOCK))
+    # In whole blocks, capped by MAX_CHUNK, and never across points: a pool
+    # gets about four chunks per worker over the whole sweep, which keeps the
+    # workers balanced, and a serial point is one stack. Each stack pays the
+    # decoders' fixed numpy costs per call and per walk round once: per
+    # trial, the fast walk of a 32-trial stack costs 1.4 to 5 times that of
+    # a 256-trial one.
+    share = 4 * threads if threads > 1 else 1
+    blocks = -(-cfg.trials * len(points) // (share * STREAM_BLOCK))
     chunk = min(MAX_CHUNK, STREAM_BLOCK * blocks)
     tasks = [
         (pi, snr, lo, min(cfg.trials, lo + chunk))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -64,14 +65,12 @@ def decode_one(name, eff, y, alphabet):
     return decoded[name][0]
 
 
-def prepared_row(eff, y, alphabet, sorts=None):
-    """One instance's decoder row, for a tree decoder call that
-    ``decode_stack`` does not make (``prune=False``): its ``triangular_rows``
-    R and z as Python scalars followed, given the decoder's ``sorts``
-    function, by its sorted lists."""
+def prepared_row(eff, y, alphabet):
+    """One instance's sphere decoder row, for a call that ``decode_stack``
+    does not make (``prune=False``): its ``triangular_rows`` R and z as
+    Python scalars."""
     r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    row = (r[0].tolist(), z[0].tolist())
-    return row + sorts(alphabet, r, z)[0] if sorts else row
+    return r[0].tolist(), z[0].tolist()
 
 
 def slice_complex(value: complex, alphabet) -> tuple:
@@ -81,11 +80,186 @@ def slice_complex(value: complex, alphabet) -> tuple:
     return complex(re_sym, im_sym), alphabet.index_of(re_idx, im_idx)
 
 
+def real_search(
+    v1: float, v2: float, r11: float, r12: float, r22: float, pam, prune: bool, radius: float
+):
+    """Two-level real search over one component (real or imaginary) of the leading pair.
+
+    Minimizes (v2 - r22*x2)^2 + (v1 - r12*x2 - r11*x1)^2 over PAM levels:
+    x2 in zigzag order around c = v2/r22 with pruning on the partial metric,
+    x1 by one slicer decision. The zigzag starts at the sliced level and
+    steps to whichever unvisited neighbour is nearer to c, the lower one on
+    equal distances (the slicer's tie rule); it is stepped inline, so a
+    pruned search builds none of the levels it does not visit. One node per
+    x2 candidate entered and one per slice. Only metrics below ``radius`` are
+    accepted.
+
+    Returns:
+        (metric, pick, nodes) with pick = (x1_index, x2_index), or pick None
+        when no metric is below ``radius``.
+    """
+    values = pam.values
+    width = len(values)
+    c = v2 / r22
+    x2sym, x2idx = slice_pam(c, pam)
+    lo = x2idx - 1
+    hi = x2idx + 1
+    best = radius
+    pick = None
+    nodes = 0
+    while True:
+        nodes += 1
+        t = (v2 - r22 * x2sym) ** 2
+        if prune and t > best:
+            break
+        u = v1 - r12 * x2sym
+        x1sym, x1idx = slice_pam(u / r11, pam)
+        nodes += 1
+        t += (u - r11 * x1sym) ** 2
+        if t < best:
+            best = t
+            pick = (x1idx, x2idx)
+        if lo >= 0 and (hi == width or c - values[lo] <= values[hi] - c):
+            x2idx = lo
+            lo -= 1
+        elif hi < width:
+            x2idx = hi
+            hi += 1
+        else:
+            break
+        x2sym = values[x2idx]
+    return best, pick, nodes
+
+
+def nearest_x2_metric(v2: float, r22: float, pam) -> float:
+    """(v2 - r22*x2)^2 at ``real_search``'s first x2 candidate: a lower bound on its metric."""
+    x2sym, _ = slice_pam(v2 / r22, pam)
+    return (v2 - r22 * x2sym) ** 2
+
+
+def walk_pairs(outer_metrics, inner_metrics, leading, prune: bool):
+    """Best-first exact-ML walk over the trailing symbol pair of the fast decoders.
+
+    Pair (k, l) has trailing metric ``tail = outer_metrics[k] +
+    inner_metrics[l]``. Both lists ascend, so a heap merge pops the pairs in
+    nondecreasing tail order, ties by (k, l); row k + 1 joins the heap when
+    row k is first popped. One node per pop and one more when a row is first
+    popped (l == 0): M + M^2 walk nodes without pruning. With ``prune``, the
+    first pop whose tail exceeds the best total ends the walk, since every
+    later tail is at least as large.
+
+    Args:
+        leading: ``leading(k, l, tail, best)`` completes pair (k, l) by
+            searching the leading pair, and returns ``(total, pick, nodes)``.
+            It may drop a pair that cannot beat ``best`` by returning a total
+            of inf. Without ``prune`` it is passed ``best = inf``, so it
+            drops none.
+
+    Returns:
+        (best_total, best_pick, nodes).
+
+    Raises:
+        ValueError: COST_OVERFLOW, when no total is finite.
+    """
+    rows = len(outer_metrics)
+    cols = len(inner_metrics)
+    nodes = 0
+    best = math.inf
+    best_pick = None
+    heap = [(outer_metrics[0] + inner_metrics[0], 0, 0)]
+    while heap:
+        tail, k, l = heappop(heap)
+        nodes += 1
+        if l == 0:
+            nodes += 1
+            if k + 1 < rows:
+                heappush(heap, (outer_metrics[k + 1] + inner_metrics[0], k + 1, 0))
+        if prune and tail > best:
+            break
+        if l + 1 < cols:
+            heappush(heap, (outer_metrics[k] + inner_metrics[l + 1], k, l + 1))
+        try:
+            total, pick, n = leading(k, l, tail, best if prune else math.inf)
+        except OverflowError:
+            raise ValueError(dec.COST_OVERFLOW) from None
+        nodes += n
+        if total < best:
+            best = total
+            best_pick = pick
+    if best_pick is None:
+        raise ValueError(dec.COST_OVERFLOW)
+    return best, best_pick, nodes
+
+
+def reference_fast_stack(r, z, alphabet, prune=True):
+    """Reference for ``decoders.decode_fast_stack``: the scalar decoder it
+    replaced, for stacked R (n, 4, 4) and z (n, 4) with real diagonal blocks
+    (unchecked here). The stack's two sorts, as numpy arrays turned into
+    lists, then per instance the best-first walk ``walk_pairs`` over Python
+    scalars, whose leading search drops a pair on a lower bound (each
+    component's nearest x2, one node each, not counted again by the
+    searches) and runs the two ``real_search`` calls inside the radius the
+    best total leaves. An OverflowError there raises COST_OVERFLOW, as a
+    walk with no finite total does; a nan reaching the slicer raises
+    ValueError too."""
+    r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
+    sorts = ()
+    for component in (np.real, np.imag):
+        z2, z3 = component(z[:, 2, None]), component(z[:, 3, None])
+        sorts += st.sort_alphabet_by_metric(
+            alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
+        )
+    sym_re = alphabet.symbols.real.tolist()
+    sym_im = alphabet.symbols.imag.tolist()
+    pam = alphabet.pam
+    results = []
+    for rows in zip(r.tolist(), z.tolist(), *(part.tolist() for part in sorts)):
+        r_row, z_row, ord_re, m_re, ord_im, m_im = rows
+        r11, r12, r22 = r_row[0][0].real, r_row[0][1].real, r_row[1][1].real
+
+        def leading(k, l, tail, best, r=r_row, z=z_row, ord_re=ord_re, ord_im=ord_im,
+                    r11=r11, r12=r12, r22=r22):
+            sk = ord_re[k]
+            sl = ord_im[l]
+            x3 = complex(sym_re[sk], sym_re[sl])
+            x4 = complex(sym_im[sk], sym_im[sl])
+            v1 = z[0] - r[0][2] * x3 - r[0][3] * x4
+            v2 = z[1] - r[1][2] * x3 - r[1][3] * x4
+            lb_re = nearest_x2_metric(v2.real, r22, pam)
+            if tail + lb_re > best:
+                return math.inf, None, 1
+            lb_im = nearest_x2_metric(v2.imag, r22, pam)
+            if tail + lb_re + lb_im > best:
+                return math.inf, None, 2
+            best_re, pick_re, n_re = real_search(
+                v1.real, v2.real, r11, r12, r22, pam, prune, best - tail - lb_im
+            )
+            if pick_re is None:
+                return math.inf, None, 1 + n_re
+            best_im, pick_im, n_im = real_search(
+                v1.imag, v2.imag, r11, r12, r22, pam, prune, best - tail - best_re
+            )
+            if pick_im is None:
+                return math.inf, None, n_re + n_im
+            return best_re + best_im + tail, (pick_re, pick_im, sk, sl), n_re + n_im
+
+        best, ((i1r, i2r), (i1i, i2i), sk, sl), nodes = walk_pairs(m_re, m_im, leading, prune)
+        indices = (
+            alphabet.index_of(i1r, i1i),
+            alphabet.index_of(i2r, i2i),
+            alphabet.index_of(sk % pam.size, sl % pam.size),
+            alphabet.index_of(sk // pam.size, sl // pam.size),
+        )
+        results.append(dec.DecodeResult(indices=indices, cost=best, nodes_visited=nodes,
+                                        full_sorts=2, symbols=alphabet.symbols))
+    return results
+
+
 def reference_alamouti_stack(r, z, alphabet, prune=True):
     """Reference for ``decoders.decode_alamouti_stack``: the scalar decoder
     it replaced, for stacked R (n, 4, 4) and z (n, 4) with zeros at r12 and
     r34 (unchecked here). The stack's two sorts, as numpy arrays turned into
-    lists, then per instance the best-first walk ``decoders._walk_pairs``
+    lists, then per instance the best-first walk ``walk_pairs``
     over Python scalars, whose leading search completes a pair by four PAM
     slices. An OverflowError there raises COST_OVERFLOW, as a walk with no
     finite total does; a nan reaching the slicer raises ValueError too."""
@@ -111,7 +285,7 @@ def reference_alamouti_stack(r, z, alphabet, prune=True):
             total = tail + abs(v1 - r11 * x1) ** 2 + abs(v2 - r22 * x2) ** 2
             return total, (i1, i2, i3, i4), 4  # two slices per symbol
 
-        best, best_idx, nodes = dec._walk_pairs(m4, m3, leading, prune)
+        best, best_idx, nodes = walk_pairs(m4, m3, leading, prune)
         results.append(dec.DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes,
                                         full_sorts=2, symbols=alphabet.symbols))
     return results

@@ -17,8 +17,6 @@ from stcsim import decoders as dec
 from stcsim.cli import main
 from stcsim.harness import SweepConfig, run_sweep, run_verification
 
-from conftest import prepared_row
-
 SEED = 7
 
 
@@ -101,8 +99,7 @@ def test_criterion_05_worst_case_node_formula():
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(h, "golden-dv")
         y = eff.h @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
-        prepared = prepared_row(eff, y, alphabet, dec.fast_golden_sorts)
-        result = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=prepared)
+        result = dec.decode_fast_golden(eff, y, alphabet, prune=False)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}
     ok = measured == expected

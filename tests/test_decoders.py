@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stcsim import decoders as dec
 from stcsim.constellation import slice_pam
 from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
+import conftest
 from conftest import (
     decode_alone,
     decode_one,
@@ -17,10 +19,13 @@ from conftest import (
     prepared_row,
     random_alamouti_instance,
     random_golden_instance,
+    real_search,
     recompute_cost,
     reference_alamouti_stack,
+    reference_fast_stack,
     reference_sphere_decode,
     sorted_pam_list,
+    walk_pairs,
 )
 
 
@@ -232,7 +237,7 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
         seen.append(x)
         return slice_pam(x, p)
 
-    monkeypatch.setattr(dec, "slice_pam", recording)
+    monkeypatch.setattr(conftest, "slice_pam", recording)
     midpoints = [pam.scale * 2.0 * k for k in range(-(pam.size // 2) + 1, pam.size // 2)]
     centres = [*np.random.default_rng(3).uniform(-1.5, 1.5, 60), *pam.values, *midpoints,
                -10.0, 10.0]
@@ -241,7 +246,7 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
             v2 = float(c) * r22
             seen.clear()
             # v1 = 0 and r11 = r12 = 1: the x1 slice after candidate x2 sees -x2
-            _, _, nodes = dec._real_search(0.0, v2, 1.0, 1.0, r22, pam, False, math.inf)
+            _, _, nodes = real_search(0.0, v2, 1.0, 1.0, r22, pam, False, math.inf)
             assert nodes == 2 * pam.size
             assert seen[-pam.size:] == [-s for s, _ in sorted_pam_list(v2 / r22, pam)]
 
@@ -264,7 +269,7 @@ def test_check_fast_permutation_table():
 
 
 def _recording_walk(outer, inner, prune, totals=None):
-    """Run _walk_pairs with a leading callback that records every call."""
+    """Run conftest's walk_pairs with a leading callback that records every call."""
     calls = []
 
     def leading(k, l, tail, best):
@@ -272,7 +277,7 @@ def _recording_walk(outer, inner, prune, totals=None):
         total = tail + (totals[k][l] if totals else 0.0)
         return total, (k, l), 0
 
-    return dec._walk_pairs(outer, inner, leading, prune), calls
+    return walk_pairs(outer, inner, leading, prune), calls
 
 
 def test_walk_pairs_unpruned_visits_every_pair_in_tail_order():
@@ -301,17 +306,39 @@ def test_walk_pairs_pruned_stops_at_first_tail_above_best():
 
 
 @pytest.mark.parametrize(
-    "m,expected", [(4, 4 + 16 + 128), (16, 16 + 256 + 4096)]
+    "m,expected",
+    [(4, 4 + 16 + 128), (16, 16 + 256 + 4096), (64, 64 + 4096 + 131072),
+     (256, 256 + 65536 + 4194304)],
 )
 def test_fast_worst_case_node_formula(rng, m, expected):
-    # with pruning disabled: M + M^2 + 4 * M^2.5 exactly
-    eff, y, alphabet, _ = random_golden_instance(rng, m, snr_db=5.0)
-    row = prepared_row(eff, y, alphabet, dec.fast_golden_sorts)
-    r = dec.decode_fast_golden(eff, y, alphabet, prune=False, prepared=row)
-    assert r.nodes_visited == expected
-    pruned = decode_one("fast", eff, y, alphabet)
-    assert pruned.nodes_visited <= expected
-    assert abs(pruned.cost - r.cost) <= 1e-12
+    """With pruning disabled the stack call visits M + M^2 + 4 * M^2.5 nodes
+    per instance exactly (4.26 million at 256-QAM); with pruning no more,
+    for the same cost."""
+    alphabet = st.make_qam(m)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 2), "golden-dv")
+    r, z = dec.triangular_rows(matrices, _received(rng, matrices, alphabet, "golden-dv", [5.0] * 2))
+    for full, pruned in zip(dec.decode_fast_stack(r, z, alphabet, prune=False),
+                            dec.decode_fast_stack(r, z, alphabet)):
+        assert full.nodes_visited == expected
+        assert pruned.nodes_visited <= expected
+        assert abs(pruned.cost - full.cost) <= 1e-12
+
+
+def test_fast_stack_memory_is_bounded_by_its_passes(rng):
+    """A pass of the stack walk holds at most FAST_BLOCK pops, whatever the
+    stack's size: a 1024-instance 256-QAM stack peaks far below the 512 MiB
+    that one (n, M, M) array of its tails would take."""
+    alphabet = st.make_qam(256)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 1024), "golden-dv")
+    r, z = dec.triangular_rows(matrices, _received(rng, matrices, alphabet, "golden-dv",
+                                                   [20.0] * 1024))
+    tracemalloc.start()
+    try:
+        dec.decode_fast_stack(r, z, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
@@ -435,15 +462,14 @@ def test_alamouti_fast_noiseless_and_counters(rng):
     assert r.nodes_visited <= nop.nodes_visited
 
 
-def _alamouti_prologue(rng, m, snrs_db):
-    """The alphabet, and R and z of a quasistatic overlaid-Alamouti stack,
-    one instance per SNR (None: noise-free), and the symbol indices that
-    the noise-free instances sent."""
+def _prologue(rng, m, snrs_db, variant="overlaid-alamouti"):
+    """The alphabet, and R and z of a quasistatic ``variant`` stack, one
+    instance per SNR (None: noise-free), and the symbol indices that the
+    noise-free instances sent."""
     alphabet = st.make_qam(m)
     count = len(snrs_db)
-    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", count),
-                                   "overlaid-alamouti")
-    y = _received(rng, matrices, alphabet, "overlaid-alamouti",
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", count), variant)
+    y = _received(rng, matrices, alphabet, variant,
                   [0.0 if snr is None else snr for snr in snrs_db])
     sent = rng.integers(0, m, (count, 4))
     noiseless = np.array([snr is None for snr in snrs_db])
@@ -465,7 +491,7 @@ def test_alamouti_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
     instances repeated in one stack, in passes of a few instances each."""
     count = {4: 30, 16: 30, 64: 12, 256: 4}[m] if prune else {4: 6, 16: 3, 64: 1, 256: 1}[m]
     snrs = np.linspace(-6.0, 30.0, count).tolist()
-    alphabet, r, z, sent = _alamouti_prologue(rng, m, snrs + [None, 10.0])
+    alphabet, r, z, sent = _prologue(rng, m, snrs + [None, 10.0])
     z[-1, 2:] = 0.0
     r = np.concatenate([r, r[:2]])
     z = np.concatenate([z, z[:2]])
@@ -555,6 +581,137 @@ def test_alamouti_stack_costs_are_residuals_and_exhaustive_costs(rng):
             expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
             assert abs(got.cost - expected) <= 1e-9 * expected
             assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
+
+
+@pytest.mark.parametrize("m, prune", ((4, True), (16, True), (64, True), (256, True),
+                                      (4, False), (16, False)))
+def test_fast_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
+    """The stack call's indices, cost bits, nodes and sorts are the scalar
+    walk's (conftest's reference), at SNRs whose walks end in the first,
+    second and later rounds, for a noise-free instance, an instance whose
+    tails tie exactly (z3 = z4 = 0: each sort metric ties a with -a), and
+    instances repeated in one stack, in passes of a few instances each."""
+    count = {4: 40, 16: 30, 64: 12, 256: 4}[m] if prune else {4: 6, 16: 3}[m]
+    snrs = np.linspace(-6.0, 30.0, count).tolist()
+    alphabet, r, z, sent = _prologue(rng, m, snrs + [None, 10.0], "golden-dv")
+    z[-1, 2:] = 0.0
+    r = np.concatenate([r, r[:2]])
+    z = np.concatenate([z, z[:2]])
+    passes = []
+    fast_pass = dec._fast_pass
+
+    def recording(idx, k, l, done, pops, *args):
+        passes.append(pops)
+        return fast_pass(idx, k, l, done, pops, *args)
+
+    monkeypatch.setattr(dec, "_fast_pass", recording)
+    monkeypatch.setattr(dec, "FAST_BLOCK", 64)  # passes of a few instances
+    got = dec.decode_fast_stack(r, z, alphabet, prune)
+    want = reference_fast_stack(r, z, alphabet, prune)
+    assert _summaries(got) == _summaries(want)
+    assert _summaries(got[-2:]) == _summaries(got[:2])
+    assert got[-4].indices == tuple(sent[-2]) and got[-4].cost <= 1e-18
+    rounds = sorted(set(passes))
+    assert rounds[-1] == m * m or prune
+    assert len(passes) > len(rounds)  # some round spans passes
+    if prune:
+        # walks end in the first, second and a later round
+        assert rounds[:2] == [2, 8] and len(rounds) >= 3
+
+
+@pytest.mark.parametrize("metric", (math.inf, 0.0))
+def test_fast_stack_guesses_again_after_a_bad_guess(rng, monkeypatch, metric):
+    """Each pop's best before it is first guessed from the metrics of the
+    evaluated searches. With those forced to inf (no pop would improve on
+    the carried best) or to 0 (every pop would), the replayed totals refute
+    the guess, it is made again from them until it holds, and the result is
+    still the scalar walk's."""
+    alphabet, r, z, _ = _prologue(rng, 16, np.linspace(-6.0, 30.0, 24).tolist(), "golden-dv")
+    search_planes, replay_pops, fast_pass = dec._search_planes, dec._replay_pops, dec._fast_pass
+    calls = {"replay": 0, "pass": 0}
+
+    def forced(*args):
+        best, planes = search_planes(*args)
+        return np.full_like(best, metric), planes
+
+    def counting(name, call):
+        def counted(*args):
+            calls[name] += 1
+            return call(*args)
+        return counted
+
+    monkeypatch.setattr(dec, "_search_planes", forced)
+    monkeypatch.setattr(dec, "_replay_pops", counting("replay", replay_pops))
+    monkeypatch.setattr(dec, "_fast_pass", counting("pass", fast_pass))
+    got = dec.decode_fast_stack(r, z, alphabet)
+    assert _summaries(got) == _summaries(reference_fast_stack(r, z, alphabet))
+    assert calls["replay"] > calls["pass"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fast_stack_raises_where_the_scalar_walk_raised():
+    """Hand-built R and z, 4-QAM, whose first pop has x3 = s (tail 0) and a
+    finite total, while every other x3 puts |v1| near 1e200 (|r13| =
+    1e200), so a real search it enters overflows Python's ``** 2``. The
+    walk raised at the first such search it ran, even after a finite pop,
+    and not for a pop its lower bounds dropped; a nan in v2 raised in its
+    slicer. The stack call raises for a stack holding any such instance,
+    and for no other."""
+    alphabet = st.make_qam(4)
+    s = alphabet.symbols
+
+    def instance(first, r33, z2, r23=0.0):
+        r = np.diag([1.0, 1e-3 if z2 else 1.0, r33, 1.0]).astype(complex)
+        r[0, 2] = 1e200
+        r[1, 2] = r23
+        z = np.array([1e200 * s[first], z2 + r23 * s[0], r33 * s[0], s[0]])
+        return r, z
+
+    # with r33 = 10 every later tail exceeds the first pop's total
+    finite = instance(0, 10.0, 0.0)
+    # its first pop overflows at once
+    overflows_first = instance(1, 10.0, 0.0)
+    # v2 far off the grid (r22 = 1e-3) keeps the first total above the next
+    # tails (r33 = 1e-3), whose searches overflow
+    overflows_later = instance(0, 1e-3, 100.0)
+    # the next tails are walked (r33 = 0.5), but r23 = 5 moves their v2 off
+    # the grid, and their lower bounds drop them before any search
+    dropped = instance(0, 0.5, 0.0, r23=5.0)
+    # r23 x3 and r24 x4 overflow with opposite signs: a nan in v2
+    nan = instance(0, 10.0, 0.0)
+    nan[0][1, 2:] = (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j)
+    for case in (finite, dropped):
+        stack = (case[0][None], case[1][None])
+        got = dec.decode_fast_stack(*stack, alphabet)
+        assert _summaries(got) == _summaries(reference_fast_stack(*stack, alphabet))
+    for case, message in ((overflows_first, "overflow"), (overflows_later, "overflow"),
+                          (nan, "NaN")):
+        stack = (case[0][None], case[1][None])
+        with pytest.raises(ValueError, match=message):
+            reference_fast_stack(*stack, alphabet)
+        with pytest.raises(ValueError, match="overflow"):
+            dec.decode_fast_stack(*stack, alphabet)
+    stacked = [np.stack([case[part] for case in (finite, overflows_later, dropped)])
+               for part in (0, 1)]
+    with pytest.raises(ValueError, match="overflow"):
+        dec.decode_fast_stack(*stacked, alphabet)
+
+
+@pytest.mark.parametrize("ordering", ("none", "blast"))
+def test_fast_stack_costs_are_residuals(rng, ordering):
+    """Every stacked fast cost is ||y - H x_hat||^2 within 1e-9 of it, with
+    the columns in their natural and in the BLAST order: the check that the
+    benchmark's tracer made on each per-instance call, made on whole stacks
+    through ``decode_stack``."""
+    for m in (4, 16, 64):
+        alphabet = st.make_qam(m)
+        for model in ("quasistatic", "rapid"):
+            matrices = st.effective_matrix(st.sample_channels(rng, model, 64), "golden-dv")
+            y = _received(rng, matrices, alphabet, "golden-dv", np.linspace(-3, 30, 64))
+            decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("fast",), ordering)
+            for h, received, got in zip(matrices, y, decoded["fast"]):
+                expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+                assert abs(got.cost - expected) <= 1e-9 * expected
 
 
 def test_alamouti_fast_rejects_time_varying(rng):
@@ -831,7 +988,7 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
     if not structured:
         with pytest.raises(ValueError, match="invalid for this channel"):
             dec.decode_alamouti_stack(r_stack, z, alphabet)
-    elif alamouti:
+    else:
         # the stack call sorts inside: record its two sorts as per-trial lists
         sorts = []
         sort_alphabet_by_metric = dec.sort_alphabet_by_metric
@@ -841,11 +998,10 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
             return tuple(sorts[-2:])
 
         monkeypatch.setattr(dec, "sort_alphabet_by_metric", recording_sort)
-        stacked = dec.decode_alamouti_stack(r_stack, z, alphabet)
+        stack_call = dec.decode_alamouti_stack if alamouti else dec.decode_fast_stack
+        stacked = stack_call(r_stack, z, alphabet)
         monkeypatch.undo()
         sorted_rows = list(zip(*(part.tolist() for part in sorts)))
-    else:
-        sorted_rows = dec.fast_golden_sorts(alphabet, r_stack, z)
     for eff, received, row, sorted_row, result in zip(channels, y, rows, sorted_rows, stacked):
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()
@@ -855,8 +1011,6 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
         calls = [("sphere", dec.decode_sphere_conventional(eff, received, alphabet, prepared=row))]
         if structured:
             assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
-            if not alamouti:
-                result = dec.decode_fast_golden(eff, received, alphabet, prepared=row + sorted_row)
             calls.append((name, result))
         else:
             with pytest.raises(ValueError, match="invalid for this channel"):
@@ -885,7 +1039,7 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     unstructured = matrices.copy()
     unstructured[2] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(ValueError, match="golden structure"):
-        dec.fast_golden_sorts(alphabet, *dec.triangular_rows(unstructured, y)[:2])
+        dec.decode_fast_stack(*dec.triangular_rows(unstructured, y), alphabet)
     # one rapid Alamouti channel among quasistatic ones
     _, _, alamouti, y_al = _chunk(rng, "overlaid-alamouti", "quasistatic", 16, count=3)
     alamouti[1] = _chunk(rng, "overlaid-alamouti", "rapid", 16, count=1)[2][0]
@@ -893,12 +1047,12 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
         dec.decode_alamouti_stack(*dec.triangular_rows(alamouti, y_al), alphabet)
 
     # The batch path raises before its first decode, for every decoder: the
-    # exhaustive stack call decodes in blocks and the alamouti stack call
-    # completes trailing pairs in passes, after their checks.
+    # exhaustive stack call decodes in blocks, and the alamouti and fast
+    # stack calls walk in passes, after their checks.
     calls = []
     for _, decode in _DECODER_CASES.values():
         monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
-    for pass_name in ("_scan_block", "_complete_pairs"):
+    for pass_name in ("_scan_block", "_complete_pairs", "_fast_pass"):
         run_pass = getattr(dec, pass_name)
         monkeypatch.setattr(dec, pass_name,
                             lambda *args, run_pass=run_pass: calls.append(args) or run_pass(*args))

@@ -414,9 +414,10 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
 
 def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypatch):
     """decode_stack makes each instance's EffectiveChannel and its R and z as
-    Python lists only for a per-instance decoder: an alamouti-only stack
-    (CLI ``decode`` of an alamouti document) makes neither; adding sphere
-    makes them once, for both orderings."""
+    Python lists only for the per-instance decoder, sphere: an alamouti-only
+    stack (CLI ``decode`` of an alamouti document) and an exhaustive and
+    fast golden stack make neither; adding sphere makes them once, for both
+    orderings."""
     listed = []
 
     class Listed(np.ndarray):
@@ -446,6 +447,11 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
         ] == [result.indices for result in both["sphere"]]
         built.clear()
         listed.clear()
+    golden = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
+    received = (golden @ alphabet.symbols[rng.integers(0, 16, (5, 4))][..., None])[..., 0]
+    for ordering in harness.ORDERING_MODES:
+        harness.decode_stack(golden, received, alphabet, ("exhaustive", "fast"), ordering)
+        assert (built, listed) == ([], [])
 
 
 def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
@@ -542,9 +548,9 @@ class FakeClock:
 
 
 def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
-    """Each decoder's time is its own work on the stack (stack call, or sorts
-    and per-instance calls), never the shared prologue, read by two clock
-    reads per decoder; a sweep's time_ns_mean is its chunk times over its
+    """Each decoder's time is its own work on the stack (stack call, or
+    per-instance calls), never the shared prologue, read by two clock reads
+    per decoder; a sweep's time_ns_mean is its chunk times over its
     trials."""
     clock = FakeClock()
     monkeypatch.setattr(harness, "time", clock)
@@ -554,8 +560,7 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
         ("triangular_rows", 10 ** 9),  # prologue: charged to no decoder
         ("blast_ordering", 3 * 10 ** 9),  # prologue: charged to no decoder
         ("decode_exhaustive_stack", 70_000),
-        ("fast_golden_sorts", 5_000),
-        ("decode_fast_golden", 300),
+        ("decode_fast_stack", 5_000),
         ("decode_sphere_conventional", 2),
     ):
         monkeypatch.setattr(dec, fn_name, clock.advancing(getattr(dec, fn_name), ns))
@@ -563,7 +568,7 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
     matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
     received = matrices @ alphabet.symbols[:4]
     names = ("exhaustive", "fast", "sphere")
-    want = {"exhaustive": 70_000, "fast": 5_000 + 5 * 300, "sphere": 5 * 2}
+    want = {"exhaustive": 70_000, "fast": 5_000, "sphere": 5 * 2}
     for ordering in harness.ORDERING_MODES:
         clock.reads = 0
         decoded, elapsed = harness.decode_stack(matrices, received, alphabet, names, ordering)
@@ -577,7 +582,7 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
     report = run_sweep(small_config(decoders=names, trials=40, snr_stop=2.0))
     # 2 points x chunks of 32 and 8 trials: 4 stacks, 2 reads per decoder each
     assert clock.reads == 4 * 2 * len(names)
-    per_point = {"exhaustive": 2 * 70_000, "fast": 2 * 5_000 + 40 * 300, "sphere": 40 * 2}
+    per_point = {"exhaustive": 2 * 70_000, "fast": 2 * 5_000, "sphere": 40 * 2}
     assert len(report.rows) == 2 * len(names)
     for row in report.rows:
         assert row.time_ns_mean == per_point[row.decoder] / 40
@@ -721,8 +726,8 @@ def test_pool_size_and_chunk_capped(monkeypatch):
 def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     """Chunks are whole blocks, so every block's stream feeds the same trials
     whatever the thread count: 1000 trials run as one stack at one thread,
-    as 128-trial chunks at one thread under a cap of four blocks, and as
-    64-trial chunks at two and three."""
+    as 128-trial chunks at one thread under a cap of four blocks and at two
+    threads, and as 96-trial chunks at three."""
     assert harness.MAX_CHUNK % harness.STREAM_BLOCK == 0
     cfg = small_config(decoders=("fast",), trials=1000, snr_stop=0.0)
     calls = recording_chunks(monkeypatch)
@@ -739,24 +744,25 @@ def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     rows["1, capped"] = without_time(run_sweep(cfg).rows)
     sizes["1, capped"] = chunk_sizes(calls)
     assert sizes == {"1": [1000], "1, capped": [128] * 7 + [104],
-                     "2": [64] * 15 + [40], "3": [64] * 15 + [40]}
+                     "2": [128] * 7 + [104], "3": [96] * 10 + [40]}
     assert rows["1"] == rows["1, capped"] == rows["2"] == rows["3"]
 
 
 def test_sweep_chunk_plan(monkeypatch):
     """At one thread each SNR point is one chunk, (0, trials), while its
     trials fit in MAX_CHUNK, and whole MAX_CHUNK chunks and the rest above
-    that. A pool still cuts each point into about eight chunks per worker,
-    in whole blocks. Every row but its wall time is the same at one, two
-    and three threads, at trial counts that are not whole blocks too."""
+    that. A pool cuts the whole sweep into about four chunks per worker, in
+    whole blocks and never across points. Every row but its wall time is
+    the same at one, two and three threads, at trial counts that are not
+    whole blocks too."""
     cap = harness.MAX_CHUNK
     assert cap == 32 * harness.STREAM_BLOCK
     calls = recording_chunks(monkeypatch)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     plans = {  # trials -> threads -> chunk sizes of each point
         40: {"1": [40], "2": [32, 8], "3": [32, 8]},
-        cap: {"1": [cap], "2": [64] * 16, "3": [64] * 16},
-        cap + 37: {"1": [cap, 37], "2": [96] * 11 + [5], "3": [64] * 16 + [37]},
+        cap: {"1": [cap], "2": [256] * 4, "3": [192] * 5 + [64]},
+        cap + 37: {"1": [cap, 37], "2": [288] * 3 + [197], "3": [192] * 5 + [101]},
     }
     for trials, plan in plans.items():
         cfg = small_config(decoders=("fast",), trials=trials, snr_stop=2.0)  # 2 points
