@@ -4,11 +4,10 @@ Four decoders share a common contract: given an effective channel H, a
 received stack y and a square QAM alphabet, return the cost-minimizing
 symbol indices, the achieved cost ||y - H x_hat||^2 and two effort counters.
 A non-finite y or H raises ValueError. ``decode_exhaustive_stack`` scans a
-whole stack per call, and ``decode_fast_stack`` and ``decode_alamouti_stack``
-walk a whole stack per call from the stack's prologue; the sphere decoder
-decodes one instance per call from its row (``prepared``) of that prologue,
-which only ``harness.decode_stack`` runs, for a single instance on a stack of
-one.
+whole stack per call, and ``decode_fast_stack``, ``decode_alamouti_stack`` and
+``decode_sphere_stack`` search a whole stack per call from the stack's
+prologue, which only ``harness.decode_stack`` runs, for a single instance on
+a stack of one.
 
 Counting convention (normative for all reported numbers):
 
@@ -26,23 +25,22 @@ M + M^2 + 2*M^3.
 
 Every tree decoder starts from a prologue that works on a stack of
 channels: ``triangular_rows``, the one owner of a decode's QR, factors a
-whole stack and forms z = Q^H y. The sphere decoder then searches one
-instance at a time on its R and z as Python scalars, so the per-node
-arithmetic indexes plain lists; the fast golden and Alamouti decoders sort
-and walk the whole stack in numpy. The prologue and the stack calls check,
-once per stack, every precondition of the searches: finite input, and full
-rank and the zeros in R that a fast search needs, both by matrixkit's
-ZERO_TOLERANCE. No decoder sees the code label: an EffectiveChannel is only
+whole stack and forms z = Q^H y. Each tree decoder then searches the whole
+stack in numpy, with the results of a scalar search per instance bit for
+bit (the tests keep those searches as their references), as each value is
+computed in that search's float operations. The prologue and the stack
+calls check, once per stack, every precondition of the searches: finite
+input, and full rank and the zeros in R that a fast search needs, both by
+matrixkit's ZERO_TOLERANCE. No decoder sees the code label: an EffectiveChannel is only
 its 4x4 matrix ``h``, and which code a decoder may decode is the registry's
 rule.
 
-The sphere decoder still takes ``(eff, y, alphabet)`` first, though it reads
-only the row and the alphabet, and ``decode_exhaustive``,
-``decode_fast_golden`` and ``decode_alamouti_fast`` decode one instance
+``decode_exhaustive``, ``decode_fast_golden``, ``decode_alamouti_fast`` and
+``decode_sphere_conventional`` decode one instance ``(eff, y, alphabet)``
 through their stack calls, though no decode path calls them: the benchmark's
 tracer wraps these functions by name and checks each reported cost against
-``||y - eff.h x_hat||^2``. It sees no exhaustive, fast golden or Alamouti
-decode of a sweep; the tests check those stack calls' costs instead.
+``||y - eff.h x_hat||^2``. It sees no decode of a sweep; the tests check the
+stack calls' costs instead.
 
 A decoder decodes the matrix it is given and reports indices in its column
 order; a detection order (``blast_ordering``) is chosen before decoding, and
@@ -63,10 +61,12 @@ read no radius. The fast golden decoder's leading search drops a pair on a
 lower bound and runs two real searches inside the radius the best total
 leaves, so ``decode_fast_stack`` replays the radius of each pop.
 
-The sphere decoder orders each expanded node's children without a numpy
-sort: a child's metric is a sum of one metric per axis, so a heap merges the
-two per-axis orders lazily, in (metric, symbol index) order. That ordering
-still counts as one full sort per expanded node.
+The sphere decoder searches depth first, children in (metric, symbol index)
+order, and ordering an expanded node's children counts as one full sort.
+``decode_sphere_stack`` enumerates every node within a limit that bounds the
+radius (the first leaf's total, then the carried best), in passes, and
+replays the search on them: the running minimum of the leaf totals in walk
+order is the radius at every node.
 
 Decoders are deterministic: candidate ties resolve by enumeration order
 (stable sorts, the sphere decoder's per-level (metric, index) order, zigzag
@@ -78,7 +78,6 @@ A finite y and H whose every candidate cost overflows raises ValueError.
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -98,6 +97,10 @@ ALAMOUTI_FIRST_ROUND = 16
 # per trial, and larger first rounds more search work.
 FAST_BLOCK = 2 ** 12
 FAST_FIRST_ROUND = 2
+# Child entries one pass of the sphere stack search may hold (a pass expands
+# at most SPHERE_BLOCK // M nodes), and the root children of its first round.
+SPHERE_BLOCK = 2 ** 14
+SPHERE_FIRST_ROUND = 2
 
 # Column permutations that keep the two real diagonal blocks of R real; fast
 # decoding is possible only for these.
@@ -610,133 +613,306 @@ def decode_fast_golden(
     return decode_fast_stack(r, z, alphabet, prune)[0]
 
 
-def _children_in_order(a, b):
-    """Yield ``(a[i] + b[j], j*L + i)`` over the L x L grid, in ascending
-    (metric, index) order: the order of
-    ``np.argsort(np.add.outer(b, a).ravel(), kind="stable")``.
+def _sphere_residual(level: int, inst, path, parts, syms) -> tuple:
+    """w = z[level] - sum of r[level][j] c_j over j = level + 1, ..., 3 in
+    turn, per component, as Python evaluates ``w -= r[level][j] * chosen[j]``
+    on complex scalars, for nodes of instances ``inst`` whose symbol indices
+    at levels 3, 2, ... down to level + 1 are the columns of ``path``;
+    ``parts`` holds z and R by component, instances last.
 
-    Each axis is sorted by value, and a heap merges the rows (one row per
-    ``b`` entry) lazily: row ``p + 1`` joins when row ``p`` is first popped,
-    so the sums leave the heap in nondecreasing order (a rounded sum is
-    monotone in each term). Every entry whose sum equals the current minimum
-    is popped, and its successors pushed, before that group is yielded in
-    ascending index: successors can tie with their predecessor, and sums of
-    different values can tie too. So the order within a group, and the tie
-    order within an axis, never reach the caller.
+    Returns:
+        (wr, wi): the real and imaginary parts of w.
     """
-    width = len(a)
-    cols = sorted(range(width), key=a.__getitem__)
-    rows = sorted(range(width), key=b.__getitem__)
-    heap = [(a[cols[0]] + b[rows[0]], 0, 0)]
-    while heap:
-        metric, p, q = heappop(heap)
-        group = [rows[p] * width + cols[q]]
-        while True:
-            if q + 1 < width:
-                heappush(heap, (a[cols[q + 1]] + b[rows[p]], p, q + 1))
-            if q == 0 and p + 1 < width:
-                heappush(heap, (a[cols[0]] + b[rows[p + 1]], p + 1, 0))
-            if not heap or heap[0][0] != metric:
-                break
-            _, p, q = heappop(heap)
-            group.append(rows[p] * width + cols[q])
-        if len(group) > 1:
-            group.sort()
-        for t in group:
-            yield metric, t
+    zr, zi, rr, ri = parts
+    sym_re, sym_im = syms
+    wr, wi = zr[level][inst], zi[level][inst]
+    for j in range(level + 1, 4):
+        sym = path[:, 3 - j]
+        cr, ci = sym_re[sym], sym_im[sym]
+        a, b = rr[level, j][inst], ri[level, j][inst]
+        wr = wr - (a * cr - b * ci)
+        wi = wi - (a * ci + b * cr)
+    return wr, wi
+
+
+def _child_metrics(wr, wi, d, values) -> np.ndarray:
+    """The branch metrics of every child of nodes with residual (wr, wi) and
+    diagonal entry ``d``, (k, M): child t = j*L + i has ``(wr - d v_i)^2 +
+    (wi - d v_j)^2``, each square as ``x * x`` and the real term first."""
+    scaled = d[:, None] * values
+    re = wr[:, None] - scaled
+    im = wi[:, None] - scaled
+    re *= re
+    im *= im
+    return (re[:, None, :] + im[:, :, None]).reshape(len(wr), len(values) ** 2)
+
+
+def _sphere_leaves(wr, wi, d, acc, pam) -> tuple:
+    """The slicer leaves under nodes with level-0 residual (wr, wi): one
+    complex slice, ``slice_pam`` per axis, and the total ``acc + |w - d x|^2``
+    with ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
+
+    Returns:
+        (total, index, bad): the totals, the sliced symbol indices, and
+        where the scalar search raised on reaching the leaf: a non-finite w,
+        which puts a nan in its slicer, or a squared modulus overflowing
+        from finite parts.
+    """
+    xr, ir = _slice_planes(wr / d, pam)
+    xi, ii = _slice_planes(wi / d, pam)
+    er = wr - d * xr
+    ei = wi - d * xi
+    term = np.float_power(np.hypot(er, ei), 2.0)
+    bad = (~(np.isfinite(wr) & np.isfinite(wi))
+           | (np.isfinite(er) & np.isfinite(ei) & np.isinf(term)))
+    return acc + term, (ii * pam.size + ir).astype(np.int64), bad
+
+
+def _sphere_children(level: int, nodes, limit, setup) -> tuple:
+    """The children of ``nodes`` at ``level`` (2 or 1) whose partial sums
+    are within their instance's ``limit``, ordered by (parent, metric,
+    symbol index): the metric, not the partial sum, as rounding can make
+    partial sums tie where metrics differ.
+
+    Nodes are (inst, acc, key, path, parent) arrays: the instance, the
+    partial sum, the walk-order key, the symbol indices from level 3 down,
+    and (below level 2) the parent's index in its own array. A child's key
+    is its parent's plus its rank times M^(level - 1), so keys ascend in
+    walk order.
+    """
+    parts, rdiag, syms, values = setup[:4]
+    m = len(values) ** 2
+    inst, acc, key, path = nodes[:4]
+    metric = _child_metrics(*_sphere_residual(level, inst, path, parts, syms),
+                            rdiag[level][inst], values)
+    cum = acc[:, None] + metric
+    row, t = np.nonzero(~(cum > limit[inst, None]))
+    order = np.lexsort((metric[row, t], row))  # stable: equal metrics keep ascending t
+    row, t = row[order], t[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    return (inst[row], cum[row, t], key[row] + rank * m ** (level - 1),
+            np.column_stack([path[row], t]), row)
+
+
+def _live(nodes, limit) -> tuple:
+    """The ``nodes`` whose partial sums are still within their instance's
+    ``limit``, which may have fallen since they were kept."""
+    keep = ~(nodes[1] > limit[nodes[0]])
+    return tuple(part[keep] for part in nodes)
+
+
+def _segment_fmin(segment, values) -> np.ndarray:
+    """Running ``np.fmin`` of ``values`` within each run of equal
+    ``segment`` (nondecreasing): over ranks, each later segment shifted
+    below every earlier one, so one running minimum restarts per segment."""
+    order = np.argsort(values, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    shift = (segment[-1:] - segment) * len(order)
+    return values[order[np.minimum.accumulate(rank + shift) - shift]]
+
+
+def _pass_radii(radius, leaves, total, queries) -> tuple:
+    """The search's radius along a pass's ``leaves`` (inst, key), from each
+    instance's carried ``radius``, which it advances past them.
+
+    Per instance, the exclusive running minimum of the leaf totals in walk
+    order is the radius at every node: a leaf the search never reaches lies
+    under a node whose partial sum exceeds the radius there, so it never
+    lowers the minimum.
+
+    Returns:
+        (before, radii): the radius before each leaf, and for each query of
+        nodes (inst, key) the radius at each node's first leaf position.
+    """
+    inst, key = leaves
+    insts = np.unique(np.concatenate([inst, *(q[0] for q in queries)]))
+    segment = np.searchsorted(insts, inst)
+    count = np.bincount(segment, minlength=len(insts))
+    first = np.cumsum(count + 1) - (count + 1)  # each carried radius, then its leaves
+    at = np.arange(len(inst)) + segment + 1
+    seq = np.empty(len(inst) + len(insts))
+    seq[first] = radius[insts]
+    seq[at] = total
+    run = _segment_fmin(np.repeat(np.arange(len(insts)), count + 1), seq)
+    radius[insts] = run[first + count]
+    radii = [run[np.searchsorted(key, q[1]) + np.searchsorted(insts, q[0])] for q in queries]
+    return run[at - 1], radii
+
+
+def _sphere_round(roots, state, setup) -> None:
+    """Search below a round's root children ``roots`` (level-2 nodes in walk
+    order per instance), updating the round's ``state`` per instance:
+    radius, limit, nodes, sorts, expanded root children and picks.
+
+    The nodes within an instance's limit are enumerated depth first, in
+    passes of at most SPHERE_BLOCK child entries: a pass of level-2 nodes,
+    then passes of their kept children, whose kept children's leaves are
+    evaluated. Each pass of leaves lowers the limit to its lowest total,
+    since every later node comes after it in walk order, and is replayed
+    at once: a node is expanded when its parent is and its partial sum is
+    at most the radius at its first leaf position (``_pass_radii``); an
+    expanded node visits min(M, expanded children + 1) children, and an
+    expanded level-1 child one leaf; the last leaf strictly below the
+    radius before it is the pick.
+
+    Raises:
+        ValueError: COST_OVERFLOW where the scalar search raised at a leaf.
+    """
+    radius, limit, nodes, sorts, expanded, picks = state
+    parts, rdiag, syms, values, pam, prune = setup
+    m = len(values) ** 2
+    count = len(radius)
+    step = max(1, SPHERE_BLOCK // m)
+    for lo in range(0, len(roots[0]), step):
+        top = _live(tuple(part[lo:lo + step] for part in roots), limit)
+        mid = _sphere_children(2, top, limit, setup)
+        pos = np.searchsorted(mid[2], top[2])  # each top node's place among the children
+        hit = np.ones(len(top[0]), dtype=bool)
+        kids = np.zeros(len(top[0]), dtype=np.int64)
+        for lo2 in range(0, len(mid[0]), step):
+            sub = _live(tuple(part[lo2:lo2 + step] for part in mid), limit)
+            low = _sphere_children(1, sub, limit, setup)
+            total, index, bad = _sphere_leaves(*_sphere_residual(0, low[0], low[3], parts, syms),
+                                               rdiag[0][low[0]], low[1], pam)
+            if prune:
+                np.fmin.at(limit, low[0], total)
+            here = np.flatnonzero((pos >= lo2) & (pos < lo2 + step))
+            before, (at_top, at_sub) = _pass_radii(radius, low[:3:2], total,
+                                                   [(top[0][here], top[2][here]), sub[:3:2]])
+            hit2 = np.ones(len(sub[0]), dtype=bool)
+            hit3 = np.ones(len(low[0]), dtype=bool)
+            if prune:
+                hit[here] = ~(top[1][here] > at_top)
+                hit2 = hit[sub[4]] & ~(sub[1] > at_sub)
+                hit3 = hit2[low[4]] & ~(low[1] > before)
+            if np.any(bad & hit3):
+                raise ValueError(COST_OVERFLOW)
+            kids += np.bincount(sub[4][hit2], minlength=len(kids))
+            visits = np.minimum(m, np.bincount(low[4][hit3], minlength=len(sub[0])) + 1)
+            nodes += np.bincount(sub[0][hit2], visits[hit2], minlength=count).astype(np.int64)
+            nodes += np.bincount(low[0][hit3], minlength=count)
+            sorts += np.bincount(sub[0][hit2], minlength=count)
+            better = np.flatnonzero(total < before)
+            last = better[np.diff(low[0][better], append=count) != 0]  # each instance's last
+            picks[low[0][last]] = np.column_stack([index[last], low[3][last, ::-1]])
+        rest = pos >= len(mid[0])  # after every child, so after every leaf of the pass
+        if prune:
+            hit[rest] = ~(top[1][rest] > radius[top[0][rest]])
+        visits = np.minimum(m, kids + 1)
+        nodes += np.bincount(top[0][hit], visits[hit], minlength=count).astype(np.int64)
+        sorts += np.bincount(top[0][hit], minlength=count)
+        expanded += np.bincount(top[0][hit], minlength=count)
+
+
+def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
+                        prune: bool = True) -> list:
+    """Four-level complex sphere decoder with child ordering at every level,
+    for a stack of channels, from the prologue's stacked R (n, 4, 4) and z
+    (n, 4).
+
+    Depth-first search assigning one complex symbol per level (x4 first),
+    children visited in ascending (branch metric, symbol index) order,
+    radius updates at leaves (a later leaf wins only strictly below the
+    best) and pruning on partial sums: the first child whose partial sum
+    exceeds the radius ends its node's loop. The final level needs no
+    enumeration: the best leaf under a node comes from one complex slicer
+    decision. Ordering an expanded node's M children counts as one full
+    sort: the root's, and each expanded node's at the two levels below it.
+
+    The stack is searched in numpy, with the scalar search's results bit for
+    bit. One stable argsort orders the root's children, and a greedy descent
+    (the first child at each level) finds the first leaf, whose total bounds
+    every later radius. The root's children are then walked in rounds over
+    the unfinished instances, ranks below SPHERE_FIRST_ROUND, then up to
+    four times as many: a round enumerates the nodes below them whose
+    partial sums are within a limit (the first leaf's total in the first
+    round, the carried best after it) and replays the search on them, pass
+    by pass (``_sphere_round``). An instance is done when a root child of
+    the round is not expanded, or after all M. Each value is computed in
+    the scalar search's float operations, per component: Python's complex
+    multiply and subtract, ``(w - d v) * (w - d v)`` per axis and the child
+    metric ``re + im``, ``slice_pam`` as ``ceil(clip - 0.5)``, and
+    ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
+
+    Args:
+        prune: disable to force full enumeration (worst-case
+            instrumentation): M + M^2 + 2 M^3 nodes and 1 + M + M^2 sorts.
+
+    Returns:
+        One DecodeResult per instance, indices in the columns' order.
+
+    Raises:
+        ValueError: COST_OVERFLOW when a leaf that an instance's search
+            reaches overflows or has a non-finite residual, or the search
+            has no finite total.
+    """
+    n, m = len(z), alphabet.size
+    pam = alphabet.pam
+    values = np.array(pam.values)
+    syms = (alphabet.symbols.real, alphabet.symbols.imag)
+    # z and R by component, instances last, so a node's coefficients are
+    # gathered from contiguous rows
+    parts = (z.real.T, z.imag.T, r.real.transpose(1, 2, 0), r.imag.transpose(1, 2, 0))
+    rdiag = np.diagonal(r.real, axis1=1, axis2=2).T
+    every = np.arange(n)
+    best = np.full(n, math.inf)
+    picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
+    nodes = np.zeros(n, dtype=np.int64)
+    sorts = np.ones(n, dtype=np.int64)
+    expanded = np.zeros(n, dtype=np.int64)  # the root's expanded children
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = _child_metrics(z.real[:, 3], z.imag[:, 3], rdiag[3], values)
+        root_order = np.argsort(metric, axis=1, kind="stable")
+        root_cum = 0.0 + np.take_along_axis(metric, root_order, axis=1)
+        # the first leaf: the first child at each level
+        acc, path = root_cum[:, 0], root_order[:, :1]
+        for level in (2, 1):
+            metric = _child_metrics(*_sphere_residual(level, every, path, parts, syms),
+                                    rdiag[level], values)
+            t = np.argmin(metric, axis=1)  # the lowest index among equal metrics
+            acc = acc + metric[every, t]
+            path = np.column_stack([path, t])
+        first, _, _ = _sphere_leaves(*_sphere_residual(0, every, path, parts, syms),
+                                     rdiag[0], acc, pam)
+        pending = every
+        done, end = 0, min(SPHERE_FIRST_ROUND, m)
+        while len(pending):
+            count = len(pending)
+            limit = (first if done == 0 else best)[pending] if prune else np.full(count, math.inf)
+            cum = root_cum[pending, done:end]
+            row, col = np.nonzero(~(cum > limit[:, None]))
+            roots = (row, cum[row, col], (row * m + done + col) * m * m,
+                     root_order[pending[row], done + col][:, None])
+            state = (best[pending], limit, *(np.zeros(count, dtype=np.int64) for _ in range(3)),
+                     picks[pending])
+            setup = (tuple(part[..., pending] for part in parts), rdiag[:, pending], syms, values,
+                     pam, prune)
+            _sphere_round(roots, state, setup)
+            best[pending], _, visits, expansions, hits, picks[pending] = state
+            nodes[pending] += visits
+            sorts[pending] += expansions
+            expanded[pending] += hits
+            pending = pending[(hits == end - done) & (end < m)]
+            done, end = end, min(4 * end, m)
+    nodes += np.minimum(m, expanded + 1)
+    if not np.all(best < math.inf):
+        raise ValueError(COST_OVERFLOW)
+    syms = alphabet.symbols
+    return [
+        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=v, full_sorts=s, symbols=syms)
+        for idx, c, v, s in zip(picks.tolist(), best.tolist(), nodes.tolist(), sorts.tolist())
+    ]
 
 
 def decode_sphere_conventional(
-    eff: EffectiveChannel,
-    y: np.ndarray,
-    alphabet: QamAlphabet,
-    prune: bool = True,
-    *,
-    prepared,
+    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet, prune: bool = True
 ) -> DecodeResult:
-    """Four-level complex sphere decoder with child ordering at every level.
-
-    Depth-first search assigning one complex symbol per level, children
-    visited in ascending (branch metric, symbol index) order, radius updates
-    at leaves and pruning on partial sums. The final level needs no
-    enumeration: the best leaf under a node comes from one complex slicer
-    decision. A child's metric is the sum of one metric per axis over the
-    PAM values, so each expanded node at the first three levels orders its
-    children lazily from two per-axis orders (``_children_in_order``); that
-    ordering counts as one full sort.
-
-    Args:
-        eff, y: the instance; unread here, kept for the tracer's cost check.
-        prepared: this trial's ``triangular_rows`` row.
-    """
-    r, z = prepared
-    sym_list = alphabet.symbols.tolist()
-    rdiag = [r[i][i].real for i in range(4)]
-    values = alphabet.pam.values
-    scale = alphabet.pam.scale
-    width = len(values)
-    top = width - 1.0
-    # scaled[level][i] = rdiag[level] * values[i]: the real or the imaginary
-    # part of rdiag[level] * symbol, per axis.
-    scaled = [[d * v for v in values] for d in rdiag]
-
-    nodes = 0
-    sorts = 0
-    best = math.inf
-    best_idx = None
-    chosen = [0j] * 4
-    chosen_idx = [0] * 4
-
-    def expand(level: int, acc: float) -> None:
-        nonlocal nodes, sorts, best, best_idx
-        w = z[level]
-        for j in range(level + 1, 4):
-            w -= r[level][j] * chosen[j]
-        if level == 0:
-            # One complex slicer decision: slice_pam per axis, inline.
-            u = w / rdiag[0]
-            vr = (u.real / scale + top) / 2.0
-            vi = (u.imag / scale + top) / 2.0
-            if vr < 0.0:
-                vr = 0.0
-            elif vr > top:
-                vr = top
-            if vi < 0.0:
-                vi = 0.0
-            elif vi > top:
-                vi = top
-            ir = math.ceil(vr - 0.5)
-            ii = math.ceil(vi - 0.5)
-            sym = complex(values[ir], values[ii])
-            nodes += 1
-            total = acc + abs(w - rdiag[0] * sym) ** 2
-            if total < best:
-                chosen_idx[0] = ii * width + ir
-                best = total
-                best_idx = tuple(chosen_idx)
-            return
-        sorts += 1
-        wr = w.real
-        wi = w.imag
-        re_metrics = [(wr - s) * (wr - s) for s in scaled[level]]
-        im_metrics = [(wi - s) * (wi - s) for s in scaled[level]]
-        for metric, t in _children_in_order(re_metrics, im_metrics):
-            nodes += 1
-            cum = acc + metric
-            if prune and cum > best:
-                break
-            chosen[level] = sym_list[t]
-            chosen_idx[level] = t
-            expand(level - 1, cum)
-
-    try:
-        expand(3, 0.0)
-    except OverflowError:
-        raise ValueError(COST_OVERFLOW) from None
-    if best_idx is None:
-        raise ValueError(COST_OVERFLOW)
-    return DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes, full_sorts=sorts,
-                        symbols=alphabet.symbols)
+    """Sphere decode of one instance: ``decode_sphere_stack`` on the
+    prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
+    kept for the benchmark's tracer, which wraps it by name."""
+    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    return decode_sphere_stack(r, z, alphabet, prune)[0]
 
 
 def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
@@ -853,7 +1029,7 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
 
     Raises:
         ValueError: when any R has nonzero r12 or r34 (time-varying channel;
-            callers should fall back to decode_sphere_conventional), or
+            callers should fall back to decode_sphere_stack), or
             COST_OVERFLOW when an instance's walk completes a pair whose
             cost overflows, or has no finite total.
     """

@@ -67,13 +67,11 @@ class DecoderEntry:
     """One decoder: its call, its BLAST column-order rule and the setups it
     can decode.
 
-    A decoder has exactly one of three calls, which only ``decode_stack``
-    makes and times. ``stack(matrices, received, alphabet)`` (exhaustive)
-    decodes a whole stack in one call, with no prologue.
-    ``factored(r, z, alphabet)`` (fast, alamouti) decodes a whole stack in
-    one call from the prologue's stacked R and z. ``call(eff, y, alphabet,
-    prepared=row)`` (sphere) decodes one instance, its indices in ``eff``'s
-    column order, from its row of the prologue as Python scalars.
+    A decoder has exactly one of two calls, which only ``decode_stack``
+    makes and times; each decodes a whole stack in one call.
+    ``stack(matrices, received, alphabet)`` (exhaustive) needs no prologue.
+    ``factored(r, z, alphabet)`` (fast, alamouti, sphere) decodes from the
+    prologue's stacked R and z, its indices in the columns' order.
     ``blast(matrices)``, when set, picks each matrix's column order
     under ``--ordering blast``; a decoder without one decodes in the natural
     order. All of them reach the decoders through this module's ``decoders``
@@ -81,7 +79,6 @@ class DecoderEntry:
     """
 
     code_variants: tuple
-    call: Callable = None
     quasistatic_only: bool = False
     capped: bool = False  # M^4 candidates must fit decoders.EXHAUSTIVE_CAP
     blast: Callable = None
@@ -109,8 +106,8 @@ DECODERS = {
         ),
     ),
     "sphere": DecoderEntry(
-        call=lambda *args, **kwargs: decoders.decode_sphere_conventional(*args, **kwargs),
         code_variants=codes.CODE_VARIANTS,
+        factored=lambda *args: decoders.decode_sphere_stack(*args),
         blast=lambda matrices: decoders.blast_ordering(matrices),
     ),
 }
@@ -339,17 +336,14 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     decoder decodes the natural order. The prologue runs once per stack and
     column-order rule that a decoder reads it for: the permuted channels and
     one stacked QR and Q^H y (``decoders.triangular_rows``). A factored call
-    (fast, alamouti) decodes the whole stack from that R and z. Only the
-    per-instance decoder (sphere) makes the rest: each instance's
-    EffectiveChannel and its row of R and z as Python scalars, and each
-    decode gets its row. Indices are mapped back to the natural column order
-    here.
+    (fast, alamouti, sphere) decodes the whole stack from that R and z.
+    Indices are mapped back to the natural column order here.
 
     Returns:
         (decoded, elapsed): per decoder name, one DecodeResult per instance,
         and the wall time in ns, read once before and once after, of its own
-        work on the stack: its stack or factored call, or its per-instance
-        calls, and mapping back. An empty stack gives empty lists and 0 ns.
+        work on the stack: its stack or factored call, and mapping back. An
+        empty stack gives empty lists and 0 ns.
 
     Raises:
         ValueError: a string of names, a repeated or unknown name, an ordering
@@ -366,7 +360,7 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
                          "are not (n, 4, 4) matrices and (n, 4) received samples")
     if not len(matrices):
         return {name: [] for name in names}, dict.fromkeys(names, 0)
-    prologues = {}  # column-order rule (None: natural) -> ordered, r, z, inverse
+    prologues = {}  # column-order rule (None: natural) -> r, z, inverse
     decoded, elapsed = {}, {}
     for name in names:
         entry = DECODERS[name]
@@ -377,21 +371,13 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
                 perms = np.array(rule(matrices))
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
                 inverse = np.argsort(perms, axis=-1).tolist()
-            prologues[rule] = (ordered, *decoders.triangular_rows(ordered, received), inverse)
-        if entry.call is not None:
-            ordered, r, z, _ = prologues[rule]
-            channels = [codes.EffectiveChannel(h=h) for h in ordered]
-            rows = list(zip(r.tolist(), z.tolist()))
+            prologues[rule] = (*decoders.triangular_rows(ordered, received), inverse)
         start = time.perf_counter_ns()
         if entry.stack is not None:
             results = entry.stack(matrices, received, alphabet)
         else:
-            _, r, z, inverse = prologues[rule]
-            if entry.factored is not None:
-                results = entry.factored(r, z, alphabet)
-            else:
-                results = [entry.call(eff, y, alphabet, prepared=row)
-                           for eff, y, row in zip(channels, received, rows)]
+            r, z, inverse = prologues[rule]
+            results = entry.factored(r, z, alphabet)
             if inverse is not None:
                 results = [replace(result, indices=tuple(result.indices[i] for i in inv))
                            for result, inv in zip(results, inverse)]

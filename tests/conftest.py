@@ -66,9 +66,8 @@ def decode_one(name, eff, y, alphabet):
 
 
 def prepared_row(eff, y, alphabet):
-    """One instance's sphere decoder row, for a call that ``decode_stack``
-    does not make (``prune=False``): its ``triangular_rows`` R and z as
-    Python scalars."""
+    """One instance's ``triangular_rows`` R and z as Python scalars, the row
+    a reference sphere search reads."""
     r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
     return r[0].tolist(), z[0].tolist()
 
@@ -289,6 +288,131 @@ def reference_alamouti_stack(r, z, alphabet, prune=True):
         results.append(dec.DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes,
                                         full_sorts=2, symbols=alphabet.symbols))
     return results
+
+
+def children_in_order(a, b):
+    """Yield ``(a[i] + b[j], j*L + i)`` over the L x L grid, in ascending
+    (metric, index) order: the order of
+    ``np.argsort(np.add.outer(b, a).ravel(), kind="stable")``.
+
+    Each axis is sorted by value, and a heap merges the rows (one row per
+    ``b`` entry) lazily: row ``p + 1`` joins when row ``p`` is first popped,
+    so the sums leave the heap in nondecreasing order (a rounded sum is
+    monotone in each term). Every entry whose sum equals the current minimum
+    is popped, and its successors pushed, before that group is yielded in
+    ascending index: successors can tie with their predecessor, and sums of
+    different values can tie too. So the order within a group, and the tie
+    order within an axis, never reach the caller.
+    """
+    width = len(a)
+    cols = sorted(range(width), key=a.__getitem__)
+    rows = sorted(range(width), key=b.__getitem__)
+    heap = [(a[cols[0]] + b[rows[0]], 0, 0)]
+    while heap:
+        metric, p, q = heappop(heap)
+        group = [rows[p] * width + cols[q]]
+        while True:
+            if q + 1 < width:
+                heappush(heap, (a[cols[q + 1]] + b[rows[p]], p, q + 1))
+            if q == 0 and p + 1 < width:
+                heappush(heap, (a[cols[0]] + b[rows[p + 1]], p + 1, 0))
+            if not heap or heap[0][0] != metric:
+                break
+            _, p, q = heappop(heap)
+            group.append(rows[p] * width + cols[q])
+        if len(group) > 1:
+            group.sort()
+        for t in group:
+            yield metric, t
+
+
+def sphere_search(r, z, alphabet, prune=True):
+    """Reference for ``decoders.decode_sphere_stack`` on one instance: the
+    scalar depth-first search it replaced, on one ``triangular_rows`` row,
+    R and z as Python scalars (``r[0].tolist(), z[0].tolist()``).
+
+    Children are visited in ascending (branch metric, symbol index) order,
+    each expanded node at the first three levels ordering its children
+    lazily from two per-axis orders (``children_in_order``, one full sort);
+    radius updates at leaves and pruning on partial sums; the final level is
+    one complex slicer decision. An OverflowError raises COST_OVERFLOW, as a
+    search with no finite total does; a nan reaching the slicer raises
+    ValueError too.
+    """
+    sym_list = alphabet.symbols.tolist()
+    rdiag = [r[i][i].real for i in range(4)]
+    values = alphabet.pam.values
+    scale = alphabet.pam.scale
+    width = len(values)
+    top = width - 1.0
+    # scaled[level][i] = rdiag[level] * values[i]: the real or the imaginary
+    # part of rdiag[level] * symbol, per axis.
+    scaled = [[d * v for v in values] for d in rdiag]
+
+    nodes = 0
+    sorts = 0
+    best = math.inf
+    best_idx = None
+    chosen = [0j] * 4
+    chosen_idx = [0] * 4
+
+    def expand(level: int, acc: float) -> None:
+        nonlocal nodes, sorts, best, best_idx
+        w = z[level]
+        for j in range(level + 1, 4):
+            w -= r[level][j] * chosen[j]
+        if level == 0:
+            # One complex slicer decision: slice_pam per axis, inline.
+            u = w / rdiag[0]
+            vr = (u.real / scale + top) / 2.0
+            vi = (u.imag / scale + top) / 2.0
+            if vr < 0.0:
+                vr = 0.0
+            elif vr > top:
+                vr = top
+            if vi < 0.0:
+                vi = 0.0
+            elif vi > top:
+                vi = top
+            ir = math.ceil(vr - 0.5)
+            ii = math.ceil(vi - 0.5)
+            sym = complex(values[ir], values[ii])
+            nodes += 1
+            total = acc + abs(w - rdiag[0] * sym) ** 2
+            if total < best:
+                chosen_idx[0] = ii * width + ir
+                best = total
+                best_idx = tuple(chosen_idx)
+            return
+        sorts += 1
+        wr = w.real
+        wi = w.imag
+        re_metrics = [(wr - s) * (wr - s) for s in scaled[level]]
+        im_metrics = [(wi - s) * (wi - s) for s in scaled[level]]
+        for metric, t in children_in_order(re_metrics, im_metrics):
+            nodes += 1
+            cum = acc + metric
+            if prune and cum > best:
+                break
+            chosen[level] = sym_list[t]
+            chosen_idx[level] = t
+            expand(level - 1, cum)
+
+    try:
+        expand(3, 0.0)
+    except OverflowError:
+        raise ValueError(dec.COST_OVERFLOW) from None
+    if best_idx is None:
+        raise ValueError(dec.COST_OVERFLOW)
+    return dec.DecodeResult(indices=best_idx, cost=best, nodes_visited=nodes, full_sorts=sorts,
+                            symbols=alphabet.symbols)
+
+
+def reference_sphere_stack(r, z, alphabet, prune=True):
+    """Reference for ``decoders.decode_sphere_stack``: ``sphere_search`` on
+    each instance of stacked R (n, 4, 4) and z (n, 4)."""
+    return [sphere_search(r_row, z_row, alphabet, prune)
+            for r_row, z_row in zip(r.tolist(), z.tolist())]
 
 
 def sorted_pam_list(x, pam):

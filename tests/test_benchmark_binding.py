@@ -4,7 +4,7 @@ modules bind. A refactor that moves one of them must fail here, not only in
 
 from pathlib import Path
 
-from stcsim import harness
+from stcsim import EffectiveChannel, effective_matrix, harness, make_qam, make_rng, sample_channels
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -26,16 +26,21 @@ def test_tracer_binds_every_boundary(monkeypatch):
                                       snr_stop=12.0, trials=40, seed=1)
             harness.run_sweep(cfg)
         report = harness.run_verification("qr-agree", 12, seed=1)
+        # The one-instance wrappers the tracer wraps still bind, and its cost
+        # check holds on each of them.
+        decoded = _decode_each_wrapper(harness.decoders)
     assert report.passed
     assert tracer.cost_mismatch == {} and tracer.raised == {}
-    spans = {span[0] for span in tracer.spans}
-    # Sweeps decode exhaustive, fast and alamouti through their stack calls,
-    # which the tracer does not wrap: no sweep makes a decoders.exhaustive,
-    # decoders.fast or decoders.alamouti span, and the stack calls' costs are
-    # checked in test_decoders instead (for alamouti, in
+    spans = [span[0] for span in tracer.spans]
+    # Sweeps decode every decoder through its stack call, which the tracer
+    # does not wrap: no sweep makes a decoders.* span, and the stack calls'
+    # costs are checked in test_decoders instead (for alamouti, in
     # test_alamouti_stack_costs_are_residuals_and_exhaustive_costs; for fast,
-    # in test_fast_stack_costs_are_residuals).
-    assert "decoders.sphere" in spans
+    # in test_fast_stack_costs_are_residuals; for sphere, in
+    # test_sphere_stack_costs_are_residuals). The only decoder spans are the
+    # direct wrapper calls above, one each.
+    assert sorted(name for name in spans if name.startswith("decoders.")) == sorted(
+        f"decoders.{name}" for name in decoded)
     # A sweep makes one make_rng call per block of trials, directly under
     # run_sweep, keyed (point, block); the verify suite makes its own.
     sweep_spans = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.run_sweep"]
@@ -58,9 +63,11 @@ def test_tracer_binds_every_boundary(monkeypatch):
 
 def test_tracer_cost_check_holds_for_reordered_decodes(monkeypatch):
     """Under ``--ordering blast`` the decoders get channels with permuted
-    columns; the tracer's ``eff.h @ x_hat`` cost check must still agree. It
-    sees the sphere decodes; test_fast_stack_costs_are_residuals checks the
-    fast stack call's costs in both column orders."""
+    columns; the tracer's ``eff.h @ x_hat`` cost check must still agree. A
+    sweep makes no decoder span (test_fast_stack_costs_are_residuals and
+    test_sphere_stack_costs_are_residuals check the stack calls' costs in
+    both column orders), so the check is made on the one-instance wrappers,
+    each given a channel with its columns in the BLAST order."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setenv("STC_THREADS", "1")
     from tracer import Tracer
@@ -71,6 +78,28 @@ def test_tracer_cost_check_holds_for_reordered_decodes(monkeypatch):
                               trials=20, seed=2, ordering="blast")
     with tracer.installed():
         harness.run_sweep(cfg)
+        decoded = _decode_each_wrapper(harness.decoders, ordering="blast")
     assert tracer.cost_mismatch == {} and tracer.raised == {}
-    spans = {span[0] for span in tracer.spans}
-    assert "decoders.sphere" in spans
+    spans = [span[0] for span in tracer.spans if span[0].startswith("decoders.")]
+    assert sorted(spans) == sorted(f"decoders.{name}" for name in decoded)
+
+
+def _decode_each_wrapper(decoders, ordering="none"):
+    """Decode one noisy 16-QAM instance through each one-instance wrapper
+    that the tracer wraps, reached as the harness reaches its decoders: a
+    quasistatic golden channel, or an overlaid-Alamouti one for alamouti,
+    with its columns in the decoder's BLAST order under "blast"."""
+    rng = make_rng(5)
+    alphabet = make_qam(16)
+    calls = {"exhaustive": "decode_exhaustive", "fast": "decode_fast_golden",
+             "sphere": "decode_sphere_conventional", "alamouti": "decode_alamouti_fast"}
+    for name, function in calls.items():
+        variant = "overlaid-alamouti" if name == "alamouti" else "golden-dv"
+        h = effective_matrix(sample_channels(rng, "quasistatic", 1), variant)[0]
+        if ordering == "blast" and name == "fast":
+            h = h[:, list(decoders.blast_ordering(h, allowed=decoders.FAST_PERMUTATIONS))]
+        elif ordering == "blast" and name == "sphere":
+            h = h[:, list(decoders.blast_ordering(h))]
+        y = h @ alphabet.symbols[rng.integers(0, 16, 4)] + 0.1 * rng.standard_normal(4)
+        getattr(decoders, function)(EffectiveChannel(h=h), y, alphabet)
+    return tuple(calls)

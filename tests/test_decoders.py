@@ -12,11 +12,11 @@ from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
 import conftest
 from conftest import (
+    children_in_order,
     decode_alone,
     decode_one,
     near_tie,
     permuted,
-    prepared_row,
     random_alamouti_instance,
     random_golden_instance,
     real_search,
@@ -24,6 +24,7 @@ from conftest import (
     reference_alamouti_stack,
     reference_fast_stack,
     reference_sphere_decode,
+    reference_sphere_stack,
     sorted_pam_list,
     walk_pairs,
 )
@@ -364,18 +365,24 @@ def test_sphere_noiseless(rng):
 
 
 def test_sphere_worst_case_counters(rng):
-    # with pruning disabled: M + M^2 + 2 M^3 nodes, 1 + M + M^2 sorts
-    m = 4
-    eff, y, alphabet, _ = random_golden_instance(rng, m, snr_db=5.0)
-    row = prepared_row(eff, y, alphabet)
-    r = dec.decode_sphere_conventional(eff, y, alphabet, prune=False, prepared=row)
-    assert r.nodes_visited == m + m**2 + 2 * m**3
-    assert r.full_sorts == 1 + m + m**2
-    assert decode_one("sphere", eff, y, alphabet).nodes_visited <= r.nodes_visited
+    """With pruning disabled the stack call visits M + M^2 + 2 M^3 nodes and
+    makes 1 + M + M^2 sorts per instance; with pruning no more nodes, and
+    the same decision and cost bits."""
+    for m in (4, 16):
+        alphabet = st.make_qam(m)
+        matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 2), "golden-dv")
+        y = _received(rng, matrices, alphabet, "golden-dv", [5.0] * 2)
+        r, z = dec.triangular_rows(matrices, y)
+        for full, pruned in zip(dec.decode_sphere_stack(r, z, alphabet, prune=False),
+                                dec.decode_sphere_stack(r, z, alphabet)):
+            assert full.nodes_visited == m + m**2 + 2 * m**3
+            assert full.full_sorts == 1 + m + m**2
+            assert pruned.nodes_visited <= full.nodes_visited
+            assert (pruned.indices, pruned.cost.hex()) == (full.indices, full.cost.hex())
 
 
 def _argsort_children(a, b):
-    """The stable-argsort child order that ``_children_in_order`` must reproduce."""
+    """The stable-argsort child order that ``children_in_order`` must reproduce."""
     return np.argsort(np.add.outer(b, a).ravel(), kind="stable").tolist()
 
 
@@ -391,7 +398,7 @@ def test_children_in_order_matches_stable_argsort(rng, width):
             else:
                 a, b = rng.choice(pool, width), rng.choice(pool, width)
             a, b = a.tolist(), b.tolist()
-            children = list(dec._children_in_order(a, b))
+            children = list(children_in_order(a, b))
             assert [t for _, t in children] == _argsort_children(a, b)
             sums = np.add.outer(b, a).ravel().tolist()
             assert [metric for metric, _ in children] == [sums[t] for _, t in children]
@@ -430,15 +437,143 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
             if prune:
                 got = decode_one("sphere", channel, y, alphabet)
             else:
-                row = prepared_row(channel, y, alphabet)
-                got = dec.decode_sphere_conventional(
-                    channel, y, alphabet, prune=False, prepared=row
-                )
+                got = dec.decode_sphere_conventional(channel, y, alphabet, prune=False)
             ref = reference_sphere_decode(channel, y, alphabet, prune=prune)
             assert got.indices == ref.indices
             assert got.cost.hex() == ref.cost.hex()
             assert (got.nodes_visited, got.full_sorts) == (ref.nodes_visited, ref.full_sorts)
             assert got.x_hat.tobytes() == ref.x_hat.tobytes()
+
+
+def _stacked_rows(pairs):
+    """The prologue of (eff, y) pairs decoded as one stack: R and z."""
+    return dec.triangular_rows(np.stack([eff.h for eff, _ in pairs]),
+                               np.stack([np.asarray(y, dtype=complex) for _, y in pairs]))
+
+
+@pytest.mark.parametrize("m, prune", ((4, True), (16, True), (64, True), (256, True),
+                                      (4, False), (16, False)))
+def test_sphere_stack_reproduces_the_scalar_search(rng, monkeypatch, m, prune):
+    """The stack call's indices, cost bits, nodes and sorts are the scalar
+    search's (conftest's reference): on tie-heavy golden and Alamouti inputs
+    (noise-free y, y = 0 and y at PAM midpoints, and R = I), at SNRs whose
+    instances end in the first, second and later rounds, and for instances
+    repeated in one stack, in passes of a few nodes each, so that passes
+    split both a round's root children and a node's children."""
+    alphabet = st.make_qam(m)
+    ties = {4: 4, 16: 3, 64: 1, 256: 1}[m] if prune else 1
+    pairs = [pair for variant in ("golden-dv", "overlaid-alamouti")
+             for pair in _tie_heavy_inputs(rng, alphabet, variant, ties)]
+    tie_r, tie_z = _stacked_rows(pairs if prune else pairs[:4])
+    count = {4: 30, 16: 24, 64: 12, 256: 4}[m] if prune else 2
+    _, r, z, _ = _prologue(rng, m, np.linspace(-6.0, 30.0, count).tolist(), "golden-dv")
+    r = np.concatenate([r, tie_r, r[:2]])
+    z = np.concatenate([z, tie_z, z[:2]])
+    rounds, passes = [], {1: 0, 2: 0}
+    sphere_round, sphere_children = dec._sphere_round, dec._sphere_children
+
+    def recording_round(roots, state, setup):
+        rounds.append(len(state[0]))
+        return sphere_round(roots, state, setup)
+
+    def recording_children(level, *args):
+        passes[level] += 1
+        return sphere_children(level, *args)
+
+    monkeypatch.setattr(dec, "_sphere_round", recording_round)
+    monkeypatch.setattr(dec, "_sphere_children", recording_children)
+    monkeypatch.setattr(dec, "SPHERE_BLOCK", (16 if m == 256 else 2) * m)  # nodes per pass
+    got = dec.decode_sphere_stack(r, z, alphabet, prune)
+    want = reference_sphere_stack(r, z, alphabet, prune)
+    assert _summaries(got) == _summaries(want)
+    assert _summaries(got[-2:]) == _summaries(got[:2])
+    assert passes[2] > len(rounds) and passes[1] > passes[2]
+    if not prune:
+        return
+    # instances end in the first, second and (above 4-QAM) a later round
+    assert rounds[0] == len(z) and rounds[0] > rounds[1] > 0
+    assert m == 4 or rounds[1] > rounds[2] > 0
+
+
+def test_sphere_stack_raises_where_the_scalar_search_raised():
+    """Hand-built R and z, 4-QAM, whose level-0 residual is 0 under x4 = s
+    and about 1e200 under every other x4 (|r14| = 1e200), so a leaf under
+    another x4 overflows Python's ``** 2``. The search raised at the first
+    such leaf it reached, even after a finite one, and not where pruning
+    dropped those leaves; a non-finite residual raised in its slicer. The
+    stack call raises for a stack holding any such instance, and for no
+    other."""
+    alphabet = st.make_qam(4)
+    s = alphabet.symbols
+
+    def instance(first, r44, r22, z2):
+        r = np.diag([1.0, r22, 1.0, r44]).astype(complex)
+        r[0, 3] = 1e200
+        z = np.array([1e200 * s[0], z2, 0.0, r44 * s[first]])
+        return r, z
+
+    # x4 = s[0] first; with r44 = 10 every other x4 exceeds the first leaf's total
+    finite = instance(0, 10.0, 1.0, 0.0)
+    # x4 = s[1] first: the first leaf overflows
+    overflows_first = instance(1, 10.0, 1.0, 0.0)
+    # x4 = s[0] first, but z2 far off the grid (r22 = 1e-3) keeps the first
+    # total above the partial sums under the next x4 (r44 = 1e-3)
+    overflows_later = instance(0, 1e-3, 1e-3, 100.0)
+    # r13 x3 and r14 x4 overflow: a non-finite residual at the first leaf
+    nan = instance(0, 10.0, 1.0, 0.0)
+    nan[0][0, 2:] = (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j)
+    stack = (finite[0][None], finite[1][None])
+    assert _summaries(dec.decode_sphere_stack(*stack, alphabet)) == _summaries(
+        reference_sphere_stack(*stack, alphabet))
+    for case, message in ((overflows_first, "overflow"), (overflows_later, "overflow"),
+                          (nan, "NaN")):
+        stack = (case[0][None], case[1][None])
+        with pytest.raises(ValueError, match=message):
+            reference_sphere_stack(*stack, alphabet)
+        with pytest.raises(ValueError, match="overflow"):
+            dec.decode_sphere_stack(*stack, alphabet)
+    stacked = [np.stack([case[part] for case in (finite, overflows_later, finite)])
+               for part in (0, 1)]
+    with pytest.raises(ValueError, match="overflow"):
+        dec.decode_sphere_stack(*stacked, alphabet)
+
+
+@pytest.mark.parametrize("ordering", ("none", "blast"))
+def test_sphere_stack_costs_are_residuals(rng, ordering):
+    """Every stacked sphere cost is ||y - H x_hat||^2 within 1e-9 of it, with
+    the columns in their natural and in the BLAST order: the check that the
+    benchmark's tracer made on each per-instance call, made on whole stacks
+    through ``decode_stack``."""
+    for m in (4, 16, 64):
+        alphabet = st.make_qam(m)
+        for variant in ("golden-dv", "overlaid-alamouti"):
+            for model in ("quasistatic", "rapid"):
+                matrices = st.effective_matrix(st.sample_channels(rng, model, 64), variant)
+                y = _received(rng, matrices, alphabet, variant, np.linspace(-3, 30, 64))
+                decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("sphere",), ordering)
+                for h, received, got in zip(matrices, y, decoded["sphere"]):
+                    expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+                    assert abs(got.cost - expected) <= 1e-9 * expected
+
+
+def test_sphere_stack_memory_is_bounded_by_its_passes(rng):
+    """A pass holds at most SPHERE_BLOCK child entries and replays its own
+    leaves, carrying each instance's radius to the next, so a stack's memory
+    does not grow with the nodes its rounds enumerate: a 0 dB 256-QAM stack,
+    whose searches visit about 10^5 nodes each, peaks below 8 MiB under
+    tracemalloc."""
+    alphabet = st.make_qam(256)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 8), "golden-dv")
+    r, z = dec.triangular_rows(matrices, _received(rng, matrices, alphabet, "golden-dv",
+                                                   [0.0] * 8))
+    tracemalloc.start()
+    try:
+        results = dec.decode_sphere_stack(r, z, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.nodes_visited for result in results) > 2 * 10 ** 5
+    assert peak < 8 * 2**20
 
 
 def test_alamouti_fast_matches_exhaustive(rng):
@@ -984,6 +1119,7 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
     alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
     r_stack, z = dec.triangular_rows(matrices, y)
     rows = list(zip(r_stack.tolist(), z.tolist()))
+    spheres = dec.decode_sphere_stack(r_stack, z, alphabet)
     stacked = sorted_rows = [None] * len(rows)
     if not structured:
         with pytest.raises(ValueError, match="invalid for this channel"):
@@ -1002,13 +1138,14 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
         stacked = stack_call(r_stack, z, alphabet)
         monkeypatch.undo()
         sorted_rows = list(zip(*(part.tolist() for part in sorts)))
-    for eff, received, row, sorted_row, result in zip(channels, y, rows, sorted_rows, stacked):
+    for eff, received, row, sorted_row, result, sphere in zip(channels, y, rows, sorted_rows,
+                                                              stacked, spheres):
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()
         z_alone = (factors.q.conj().T @ received).tolist()
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
         assert repr(row) == repr((r, z_alone))
-        calls = [("sphere", dec.decode_sphere_conventional(eff, received, alphabet, prepared=row))]
+        calls = [("sphere", sphere)]
         if structured:
             assert repr(sorted_row) == repr(_reference_sorts(variant, alphabet, r, z_alone))
             calls.append((name, result))
@@ -1047,12 +1184,12 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
         dec.decode_alamouti_stack(*dec.triangular_rows(alamouti, y_al), alphabet)
 
     # The batch path raises before its first decode, for every decoder: the
-    # exhaustive stack call decodes in blocks, and the alamouti and fast
-    # stack calls walk in passes, after their checks.
+    # exhaustive stack call decodes in blocks, and the alamouti, fast and
+    # sphere stack calls walk in passes or rounds, after their checks.
     calls = []
     for _, decode in _DECODER_CASES.values():
         monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
-    for pass_name in ("_scan_block", "_complete_pairs", "_fast_pass"):
+    for pass_name in ("_scan_block", "_complete_pairs", "_fast_pass", "_sphere_round"):
         run_pass = getattr(dec, pass_name)
         monkeypatch.setattr(dec, pass_name,
                             lambda *args, run_pass=run_pass: calls.append(args) or run_pass(*args))
@@ -1070,9 +1207,13 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
             with pytest.raises(ValueError, match=message):
                 st.harness.decode_stack(stack, received, alphabet, (name,), ordering)
     assert calls == []
-    # a stack that passes reaches the patched decoders, and at 16-QAM the
-    # exhaustive scan's blocks hold one instance each
-    for name in ("sphere", "exhaustive"):
-        calls.clear()
-        st.harness.decode_stack(matrices, y, alphabet, (name,), "none")
-        assert len(calls) == len(matrices)
+    # a stack that passes reaches the patched passes: at 16-QAM the
+    # exhaustive scan's blocks hold one instance each, and the sphere
+    # search's first round holds the first root child of every instance
+    st.harness.decode_stack(matrices, y, alphabet, ("exhaustive",), "none")
+    assert len(calls) == len(matrices)
+    calls.clear()
+    st.harness.decode_stack(matrices, y, alphabet, ("sphere",), "none")
+    roots, state, _ = calls[0]
+    assert len(state[0]) == len(matrices)
+    assert np.unique(roots[0]).tolist() == list(range(len(matrices)))

@@ -1,5 +1,5 @@
 """Property tests: reported costs are true distances, broken structure raises,
-and the sphere decoder's child order is a stable argsort.
+and the reference sphere search's child order is a stable argsort.
 
 Derandomized, so every run draws the same examples.
 """
@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stcsim as st
-from stcsim import decoders as dec
 
-from conftest import decode_one, near_tie, recompute_cost
+from conftest import children_in_order, decode_one, near_tie, recompute_cost
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -113,7 +112,7 @@ axis_pair = hs.sampled_from((2, 4, 8)).flatmap(
 def test_children_in_order_is_stable_argsort_of_the_sums(pair):
     a, b = pair
     sums = np.add.outer(b, a).ravel()
-    children = list(dec._children_in_order(a, b))
+    children = list(children_in_order(a, b))
     assert [t for _, t in children] == np.argsort(sums, kind="stable").tolist()
     assert [metric for metric, _ in children] == sums[[t for _, t in children]].tolist()
 
