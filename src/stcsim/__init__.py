@@ -31,7 +31,6 @@ from .constellation import (
     PamAlphabet,
     QamAlphabet,
     make_qam,
-    slice_pam,
     sort_alphabet_by_metric,
 )
 from .decoders import (

@@ -114,7 +114,7 @@ def _decode_command(path: str) -> int:
         matrix = _complex_array(data, "H", (4, 4))
     y = codes.stack_samples(_complex_array(data, "y", (4,)), code)
     decoded, _ = harness.decode_stack(matrix[None], y[None], alphabet, (name,), "none")
-    result = decoded[name][0]
+    result = decoded[name].row(0)
 
     print("indices:", " ".join(str(i) for i in result.indices))
     print(f"cost: {result.cost:.12g}")

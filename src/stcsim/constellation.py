@@ -1,10 +1,9 @@
-"""Square QAM and PAM alphabets with constant-time slicing.
+"""Square QAM and PAM alphabets, and the stable alphabet sort.
 
 A QAM alphabet is built from its PAM alphabet alone, so it is square by
 construction: the real and imaginary parts of every symbol range
 independently over the same PAM grid, in a fixed row-major order. The fast
-decoders rely on that separability, on that order, and on the deterministic
-tie rule of the slicer (exact midpoints resolve to the lower level).
+decoders rely on that separability and on that order.
 """
 
 import math
@@ -71,10 +70,6 @@ class QamAlphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index_of(self, re_index: int, im_index: int) -> int:
-        """Symbol index for a pair of PAM indices."""
-        return im_index * self.pam.size + re_index
-
 
 def make_qam(m: int) -> QamAlphabet:
     """Build the unit-average-energy square M-QAM alphabet.
@@ -92,26 +87,6 @@ def make_qam(m: int) -> QamAlphabet:
     levels = tuple(float(2 * i - (width - 1)) for i in range(width))
     mean_sq = sum(v * v for v in levels) / width
     return QamAlphabet(PamAlphabet(levels=levels, scale=1.0 / math.sqrt(2.0 * mean_sq)))
-
-
-def slice_pam(x: float, pam: PamAlphabet) -> tuple:
-    """Nearest PAM symbol to ``x``, in O(1) regardless of alphabet size.
-
-    Implemented by rounding on the level grid plus clamping, never by a scan.
-    Exact midpoints between two levels resolve to the lower (more negative)
-    level. Total on the extended reals: +/-inf clamp to the extreme levels.
-
-    Returns:
-        (symbol, index) with ``symbol`` the scaled level value.
-    """
-    width = len(pam.levels)
-    v = (x / pam.scale + (width - 1.0)) / 2.0
-    if v < 0.0:
-        v = 0.0
-    elif v > width - 1.0:
-        v = width - 1.0
-    i = math.ceil(v - 0.5)
-    return pam.values[i], i
 
 
 def sort_alphabet_by_metric(alphabet: QamAlphabet, metric: Callable) -> tuple:

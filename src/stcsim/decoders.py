@@ -1,13 +1,14 @@
 """Exact maximum-likelihood decoders with search-effort instrumentation.
 
-Four decoders share a common contract: given an effective channel H, a
-received stack y and a square QAM alphabet, return the cost-minimizing
-symbol indices, the achieved cost ||y - H x_hat||^2 and two effort counters.
-A non-finite y or H raises ValueError. ``decode_exhaustive_stack`` scans a
-whole stack per call, and ``decode_fast_stack``, ``decode_alamouti_stack`` and
-``decode_sphere_stack`` search a whole stack per call from the stack's
-prologue, which only ``harness.decode_stack`` runs, for a single instance on
-a stack of one.
+Four decoders share a common contract: given a stack of n effective
+channels H, their received stacks y and a square QAM alphabet, return one
+``DecodeResult`` for the stack, whose arrays hold per instance the
+cost-minimizing symbol indices, the achieved cost ||y - H x_hat||^2 and two
+effort counters. A non-finite y or H raises ValueError.
+``decode_exhaustive_stack`` scans a whole stack per call, and
+``decode_fast_stack``, ``decode_alamouti_stack`` and ``decode_sphere_stack``
+search a whole stack per call from the stack's prologue, which only
+``harness.decode_stack`` runs, for a single instance on a stack of one.
 
 Counting convention (normative for all reported numbers):
 
@@ -37,10 +38,10 @@ rule.
 
 ``decode_exhaustive``, ``decode_fast_golden``, ``decode_alamouti_fast`` and
 ``decode_sphere_conventional`` decode one instance ``(eff, y, alphabet)``
-through their stack calls, though no decode path calls them: the benchmark's
-tracer wraps these functions by name and checks each reported cost against
-``||y - eff.h x_hat||^2``. It sees no decode of a sweep; the tests check the
-stack calls' costs instead.
+through their stack calls and return its ``row(0)``, though no decode path
+calls them: the benchmark's tracer wraps these functions by name and checks
+each reported cost against ``||y - eff.h x_hat||^2``. It sees no decode of
+a sweep; the tests check the stack calls' costs instead.
 
 A decoder decodes the matrix it is given and reports indices in its column
 order; a detection order (``blast_ordering``) is chosen before decoding, and
@@ -82,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import EffectiveChannel
-from .constellation import QamAlphabet, slice_pam, sort_alphabet_by_metric
+from .constellation import QamAlphabet, sort_alphabet_by_metric
 from .matrixkit import frobenius_norm, qr_decompose, require_full_rank, require_zero
 
 EXHAUSTIVE_CAP = 2 ** 24
@@ -121,18 +122,26 @@ COST_OVERFLOW = "cost overflowed: no candidate has a finite squared distance ||y
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Decoder output: symbol indices, cost, effort counters and the alphabet's symbols."""
+    """A stack call's output for n instances: symbol indices (n, 4) int64,
+    costs (n,) float64, effort counters (n,) int64, and the alphabet's
+    symbols. ``row(i)`` is instance i's view, whose fields are a tuple of
+    ints, a float and ints."""
 
-    indices: tuple
-    cost: float
-    nodes_visited: int
-    full_sorts: int
+    indices: np.ndarray
+    cost: np.ndarray
+    nodes_visited: np.ndarray
+    full_sorts: np.ndarray
     symbols: np.ndarray = field(repr=False)
 
     @property
     def x_hat(self) -> np.ndarray:
-        """The decision as symbols, ``symbols[list(indices)]``: a new array per read."""
-        return self.symbols[list(self.indices)]
+        """The decisions as symbols, ``symbols[indices]``: a new array per read."""
+        return self.symbols[np.asarray(self.indices)]
+
+    def row(self, i: int) -> "DecodeResult":
+        """Instance ``i`` alone, as Python scalars."""
+        return DecodeResult(tuple(self.indices[i].tolist()), self.cost[i].item(),
+                            self.nodes_visited[i].item(), self.full_sorts[i].item(), self.symbols)
 
 
 def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
@@ -201,7 +210,7 @@ def _scan_block(matrices, received, syms, step: int, planes) -> tuple:
 
 
 def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
-                            alphabet: QamAlphabet) -> list:
+                            alphabet: QamAlphabet) -> DecodeResult:
     """Scan all M^4 candidate vectors of every instance of a stack, ``matrices``
     (n, 4, 4) and ``received`` (n, 4); the reference decoder for the others.
 
@@ -216,7 +225,7 @@ def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
     runs once per stack.
 
     Returns:
-        One DecodeResult per instance.
+        One DecodeResult for the stack.
 
     Raises:
         ValueError: M^4 above EXHAUSTIVE_CAP, a non-finite matrix or
@@ -247,11 +256,8 @@ def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
         )
     if not np.all(cost < math.inf):
         raise ValueError(COST_OVERFLOW)
-    indices = np.stack(np.unravel_index(flat, (m,) * 4), axis=-1)
-    return [
-        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=m ** 4, full_sorts=0, symbols=syms)
-        for idx, c in zip(indices.tolist(), cost.tolist())
-    ]
+    return DecodeResult(np.stack(np.unravel_index(flat, (m,) * 4), axis=-1), cost,
+                        np.full(n, m ** 4), np.zeros(n, dtype=np.int64), syms)
 
 
 def decode_exhaustive(
@@ -260,12 +266,15 @@ def decode_exhaustive(
     """Scan all M^4 candidate vectors of one instance: ``decode_exhaustive_stack``
     on the stack of one ``eff.h`` and ``y``, with the same tie rule and checks;
     kept for the benchmark's tracer, which wraps it by name."""
-    return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None], alphabet)[0]
+    return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None],
+                                   alphabet).row(0)
 
 
 def _slice_planes(u: np.ndarray, pam) -> tuple:
-    """``slice_pam`` of every entry of ``u``, in its float operations, as
-    float arrays (symbols, indices); a nan, which it refuses, gets index 0."""
+    """The nearest PAM level to every entry of ``u``, clamped to the grid,
+    exact midpoints to the lower level, as float arrays (symbols, indices):
+    the float operations of the tests' scalar slicer ``slice_pam``. A nan,
+    which that slicer refuses, gets index 0."""
     top = pam.size - 1.0
     index = np.ceil(np.fmin(np.fmax((u / pam.scale + top) / 2.0, 0.0), top) - 0.5)
     return pam.scale * (2.0 * index - top), index
@@ -505,7 +514,7 @@ def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
 
 
 def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
-                      prune: bool = True) -> list:
+                      prune: bool = True) -> DecodeResult:
     """Fast exact-ML decoder for a stack of channels whose R has real
     diagonal blocks, from the prologue's stacked R (n, 4, 4) and z (n, 4).
 
@@ -541,15 +550,15 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     replay is then the walk. A pass holds at most FAST_BLOCK pops, or one
     instance's. Indices, costs and node counts are the scalar walk's, bit
     for bit, as each value is computed in its float operations, per
-    component: Python's complex multiply and subtract, ``slice_pam`` as
-    ``ceil(clip - 0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)``
+    component: Python's complex multiply and subtract, the tests' scalar
+    slicer as ``ceil(clip - 0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)``
     (``x * x`` differs from it in the last bit of some x).
 
     Args:
         prune: disable to force full enumeration (worst-case instrumentation).
 
     Returns:
-        One DecodeResult per instance, indices in the columns' order.
+        One DecodeResult for the stack, indices in the columns' order.
 
     Raises:
         ValueError: when any R lacks real diagonal blocks (Im r12, Im r34),
@@ -596,11 +605,7 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
             done, pops = pops, min(4 * pops, pops + FAST_BLOCK, m * m)
     if not np.all(best < math.inf):
         raise ValueError(COST_OVERFLOW)
-    syms = alphabet.symbols
-    return [
-        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=v, full_sorts=2, symbols=syms)
-        for idx, c, v in zip(picks.tolist(), best.tolist(), nodes.tolist())
-    ]
+    return DecodeResult(picks, best, nodes, np.full(n, 2), alphabet.symbols)
 
 
 def decode_fast_golden(
@@ -610,7 +615,7 @@ def decode_fast_golden(
     prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
     kept for the benchmark's tracer, which wraps it by name."""
     r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_fast_stack(r, z, alphabet, prune)[0]
+    return decode_fast_stack(r, z, alphabet, prune).row(0)
 
 
 def _sphere_residual(level: int, inst, path, parts, syms) -> tuple:
@@ -649,7 +654,7 @@ def _child_metrics(wr, wi, d, values) -> np.ndarray:
 
 def _sphere_leaves(wr, wi, d, acc, pam) -> tuple:
     """The slicer leaves under nodes with level-0 residual (wr, wi): one
-    complex slice, ``slice_pam`` per axis, and the total ``acc + |w - d x|^2``
+    complex slice, a PAM slice per axis, and the total ``acc + |w - d x|^2``
     with ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
 
     Returns:
@@ -806,7 +811,7 @@ def _sphere_round(roots, state, setup) -> None:
 
 
 def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
-                        prune: bool = True) -> list:
+                        prune: bool = True) -> DecodeResult:
     """Four-level complex sphere decoder with child ordering at every level,
     for a stack of channels, from the prologue's stacked R (n, 4, 4) and z
     (n, 4).
@@ -832,7 +837,7 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     the round is not expanded, or after all M. Each value is computed in
     the scalar search's float operations, per component: Python's complex
     multiply and subtract, ``(w - d v) * (w - d v)`` per axis and the child
-    metric ``re + im``, ``slice_pam`` as ``ceil(clip - 0.5)``, and
+    metric ``re + im``, the tests' scalar slicer as ``ceil(clip - 0.5)``, and
     ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
 
     Args:
@@ -840,7 +845,7 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
             instrumentation): M + M^2 + 2 M^3 nodes and 1 + M + M^2 sorts.
 
     Returns:
-        One DecodeResult per instance, indices in the columns' order.
+        One DecodeResult for the stack, indices in the columns' order.
 
     Raises:
         ValueError: COST_OVERFLOW when a leaf that an instance's search
@@ -898,11 +903,7 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     nodes += np.minimum(m, expanded + 1)
     if not np.all(best < math.inf):
         raise ValueError(COST_OVERFLOW)
-    syms = alphabet.symbols
-    return [
-        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=v, full_sorts=s, symbols=syms)
-        for idx, c, v, s in zip(picks.tolist(), best.tolist(), nodes.tolist(), sorts.tolist())
-    ]
+    return DecodeResult(picks, best, nodes, sorts, alphabet.symbols)
 
 
 def decode_sphere_conventional(
@@ -912,7 +913,7 @@ def decode_sphere_conventional(
     prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
     kept for the benchmark's tracer, which wraps it by name."""
     r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_sphere_stack(r, z, alphabet, prune)[0]
+    return decode_sphere_stack(r, z, alphabet, prune).row(0)
 
 
 def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
@@ -921,7 +922,7 @@ def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
     r13, r14, r23, r24 as real and imaginary parts, r11 and r22, each (g, 1).
 
     Four PAM slices per pair, in the scalar walk's float operations, per
-    component: Python's complex multiply and subtract, ``slice_pam``, and
+    component: Python's complex multiply and subtract, the PAM slice, and
     ``abs(w) ** 2`` as ``float_power(hypot(re, im), 2.0)`` (``np.square``
     differs from Python's ``pow`` in the last bit of some values).
 
@@ -1003,7 +1004,7 @@ def _walk_pass(m4, m3, order4, order3, coef, k, l, pops: int, prune: bool, alpha
 
 
 def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
-                          prune: bool = True) -> list:
+                          prune: bool = True) -> DecodeResult:
     """Fast exact-ML decoder for a stack of channels whose R has zeros at
     (1,2) and (3,4), from the prologue's stacked R (n, 4, 4) and z (n, 4).
 
@@ -1025,7 +1026,7 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     costs and node counts are the scalar walk's, bit for bit.
 
     Returns:
-        One DecodeResult per instance, indices in the columns' order.
+        One DecodeResult for the stack, indices in the columns' order.
 
     Raises:
         ValueError: when any R has nonzero r12 or r34 (time-varying channel;
@@ -1046,7 +1047,6 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float),
                            np.ascontiguousarray(r[:, :2, 2:]).reshape(n, 4).view(float),
                            r[:, 0, 0, None].real, r[:, 1, 1, None].real], axis=1)
-    syms = alphabet.symbols
     cost = np.empty(n)
     nodes = np.empty(n, dtype=np.int64)
     picks = np.empty((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
@@ -1068,10 +1068,7 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
                 unfinished.append(idx[~done])
             pending = np.concatenate(unfinished)
             pops *= 4
-    return [
-        DecodeResult(indices=tuple(idx), cost=c, nodes_visited=v, full_sorts=2, symbols=syms)
-        for idx, c, v in zip(picks.tolist(), cost.tolist(), nodes.tolist())
-    ]
+    return DecodeResult(picks, cost, nodes, np.full(n, 2), alphabet.symbols)
 
 
 def decode_alamouti_fast(
@@ -1081,7 +1078,7 @@ def decode_alamouti_fast(
     prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
     kept for the benchmark's tracer, which wraps it by name."""
     r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_alamouti_stack(r, z, alphabet, prune)[0]
+    return decode_alamouti_stack(r, z, alphabet, prune).row(0)
 
 
 def blast_ordering(h, allowed=None):

@@ -27,11 +27,10 @@ SER is reported per symbol: four information symbols per trial.
 import itertools
 import math
 import numbers
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -275,10 +274,10 @@ class SweepReport:
 STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices, QR factors and decoder state
 # until it is decoded. One chunk's peak RSS at 24 dB, in a fresh process,
-# grows by about 8 KiB per trial from 32 to 1024 trials and 5 KiB from 1024
-# to 4096 at 64-QAM fast, and by about 3 KiB at 4-QAM exhaustive,fast. The
-# cap bounds that for long serial sweeps; a stack's time per trial levels
-# off by a few hundred.
+# grows by about 7.6 KiB per trial from 32 to 1024 trials and 5.1 KiB from
+# 1024 to 4096 at 64-QAM fast, and by about 2 KiB at 4-QAM exhaustive,fast.
+# The cap bounds that for long serial sweeps; a stack's time per trial
+# levels off by a few hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK
 
 
@@ -337,13 +336,14 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     column-order rule that a decoder reads it for: the permuted channels and
     one stacked QR and Q^H y (``decoders.triangular_rows``). A factored call
     (fast, alamouti, sphere) decodes the whole stack from that R and z.
-    Indices are mapped back to the natural column order here.
+    Indices are mapped back to the natural column order here, by one
+    ``np.take_along_axis`` per stack into the result's own indices.
 
     Returns:
-        (decoded, elapsed): per decoder name, one DecodeResult per instance,
+        (decoded, elapsed): per decoder name, one DecodeResult for the stack,
         and the wall time in ns, read once before and once after, of its own
         work on the stack: its stack or factored call, and mapping back. An
-        empty stack gives empty lists and 0 ns.
+        empty stack gives results of (0, 4) and (0,) arrays and 0 ns.
 
     Raises:
         ValueError: a string of names, a repeated or unknown name, an ordering
@@ -359,7 +359,9 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
         raise ValueError(f"stacks of shapes {np.shape(matrices)} and {np.shape(received)} "
                          "are not (n, 4, 4) matrices and (n, 4) received samples")
     if not len(matrices):
-        return {name: [] for name in names}, dict.fromkeys(names, 0)
+        empty = decoders.DecodeResult(np.zeros((0, 4), dtype=np.int64), np.zeros(0),
+                                      *np.zeros((2, 0), dtype=np.int64), alphabet.symbols)
+        return dict.fromkeys(names, empty), dict.fromkeys(names, 0)
     prologues = {}  # column-order rule (None: natural) -> r, z, inverse
     decoded, elapsed = {}, {}
     for name in names:
@@ -370,7 +372,7 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
             if rule is not None:
                 perms = np.array(rule(matrices))
                 ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
-                inverse = np.argsort(perms, axis=-1).tolist()
+                inverse = np.argsort(perms, axis=-1)
             prologues[rule] = (*decoders.triangular_rows(ordered, received), inverse)
         start = time.perf_counter_ns()
         if entry.stack is not None:
@@ -379,8 +381,7 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
             r, z, inverse = prologues[rule]
             results = entry.factored(r, z, alphabet)
             if inverse is not None:
-                results = [replace(result, indices=tuple(result.indices[i] for i in inv))
-                           for result, inv in zip(results, inverse)]
+                results.indices[:] = np.take_along_axis(results.indices, inverse, axis=1)
         elapsed[name] = time.perf_counter_ns() - start
         decoded[name] = results
     return decoded, elapsed
@@ -395,8 +396,9 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
     decode the same column order share that trial's prologue.
 
     Returns:
-        For each decoder name, ``(records, ns)``: one ``(errors, nodes, sorts)``
-        record per trial, in trial order, and its ``decode_stack`` time.
+        For each decoder name, ``(counts, ns)``: its symbol errors, nodes and
+        sorts per trial, in trial order, as one (3, trials) int64 array, and
+        its ``decode_stack`` time.
     """
     alphabet = make_qam(cfg.modulation)
     stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
@@ -406,13 +408,11 @@ def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: i
         stack.draw(rows, rng, noisy=not cfg.noise_free)
     matrices, received = stack.build(snr_to_n0(snr_db))
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
-    sent = stack.sent.tolist()
-    records = {
-        name: [(sum(map(operator.ne, result.indices, idx_true)), result.nodes_visited,
-                result.full_sorts) for result, idx_true in zip(results, sent)]
-        for name, results in decoded.items()
+    return {
+        name: (np.stack([(result.indices != stack.sent).sum(axis=1), result.nodes_visited,
+                         result.full_sorts]), elapsed[name])
+        for name, result in decoded.items()
     }
-    return {name: (records[name], elapsed[name]) for name in records}
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -447,10 +447,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     for pi, snr in enumerate(points):
         chunks = partials[pi * per_point:(pi + 1) * per_point]
         for name in sorted(cfg.decoders):
-            # Every column holds integers well below 2**53: its float sums are exact.
-            errors, nodes, sorts = np.array(
-                [record for part in chunks for record in part[name][0]], dtype=float
-            ).T
+            # Every count is an integer well below 2**53: its float sums are exact.
+            errors, nodes, sorts = np.concatenate(
+                [part[name][0] for part in chunks], axis=1
+            ).astype(float)
             rows.append(
                 SweepRow(
                     snr_db=snr,
@@ -660,8 +660,8 @@ def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
     kind's instances of a block form one ``_InstanceStack``.
 
     Yields:
-        ``(kind, results)`` per instance, ``results`` mapping each of the
-        kind's decoder names to its DecodeResult.
+        ``(kind, decoded)`` per kind and block, ``decoded`` mapping each of
+        the kind's decoder names to its DecodeResult for the block.
     """
     for lo in range(0, rounds, MAX_CHUNK):
         block = range(lo, min(rounds, lo + MAX_CHUNK))
@@ -672,8 +672,7 @@ def _decode_rounds(rng, alphabet, rounds, snrs, kinds):
         n0 = [snr_to_n0(snrs[t % len(snrs)]) for t in block]
         for stack, (model, code, names) in zip(stacks, kinds):
             decoded, _ = decode_stack(*stack.build(n0), alphabet, names, "none")
-            for i in range(len(block)):
-                yield (model, code, names), {name: decoded[name][i] for name in names}
+            yield (model, code, names), decoded
 
 
 _MLEQUIV_SNRS = (0.0, 10.0, 20.0)
@@ -694,10 +693,10 @@ def _suite_mlequiv(trials: int, seed: int) -> list:
         rng = make_rng(seed, 3, m)
         worst = {}  # check label -> max |cost - exhaustive cost|
         rounds = _decode_rounds(rng, alphabet, count, _MLEQUIV_SNRS, _MLEQUIV_KINDS)
-        for (model, _, names), results in rounds:
+        for (model, _, names), decoded in rounds:
             for name in names[1:]:
                 label = f"{name} (rapid)" if model == "rapid" else name
-                deviation = abs(results[name].cost - results["exhaustive"].cost)
+                deviation = np.abs(decoded[name].cost - decoded["exhaustive"].cost).max()
                 worst[label] = max(worst.get(label, 0.0), deviation)
         for label, dev in worst.items():
             checks.append(_check(f"mlequiv M={m} {label} vs exhaustive", dev, 1e-9, "<="))
@@ -712,14 +711,14 @@ def _suite_sorts(trials: int, seed: int) -> list:
     kinds = (("quasistatic", "golden-dv", ("fast",)),)
     for m in SUPPORTED_QAM_ORDERS:
         rounds = _decode_rounds(make_rng(seed, 4, m), make_qam(m), trials, (_SORTS_SNR[m],), kinds)
-        always_two = sum(results["fast"].full_sorts == 2 for _, results in rounds)
+        always_two = sum((decoded["fast"].full_sorts == 2).sum() for _, decoded in rounds)
         checks.append(
             _check(f"sorts fast M={m} fraction with exactly 2", always_two / trials, 1.0, ">=")
         )
     probes = max(1, trials // 4)
     kinds = (("quasistatic", "golden-dv", ("sphere",)),)
     rounds = _decode_rounds(make_rng(seed, 4, 0), make_qam(64), probes, (20.0,), kinds)
-    above = sum(results["sphere"].full_sorts > 2 for _, results in rounds)
+    above = sum((decoded["sphere"].full_sorts > 2).sum() for _, decoded in rounds)
     checks.append(
         _check("sorts conventional 64-QAM fraction above 2", above / probes, 0.0, ">")
     )

@@ -7,7 +7,6 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
-from stcsim.constellation import slice_pam
 
 
 @pytest.fixture
@@ -62,7 +61,38 @@ def decode_one(name, eff, y, alphabet):
     order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
     received = np.asarray(y, dtype=complex)[None]
     decoded, _ = st.harness.decode_stack(eff.h[None], received, alphabet, (name,), "none")
-    return decoded[name][0]
+    return decoded[name].row(0)
+
+
+def rows(result):
+    """The one-instance views of a stacked DecodeResult, in instance order."""
+    return [result.row(i) for i in range(len(result.cost))]
+
+
+def slice_pam(x: float, pam) -> tuple:
+    """Reference scalar PAM slicer: the nearest level to ``x``, in O(1)
+    regardless of alphabet size, by rounding on the level grid plus
+    clamping, never by a scan. Exact midpoints between two levels resolve
+    to the lower (more negative) level. Total on the extended reals: +/-inf
+    clamp to the extreme levels; a nan raises ValueError. The decoders'
+    numpy slicer (``decoders._slice_planes``) repeats its float operations.
+
+    Returns:
+        (symbol, index) with ``symbol`` the scaled level value.
+    """
+    width = len(pam.levels)
+    v = (x / pam.scale + (width - 1.0)) / 2.0
+    if v < 0.0:
+        v = 0.0
+    elif v > width - 1.0:
+        v = width - 1.0
+    i = math.ceil(v - 0.5)
+    return pam.values[i], i
+
+
+def index_of(alphabet, re_index: int, im_index: int) -> int:
+    """Symbol index of ``alphabet`` for a pair of PAM indices (real axis fastest)."""
+    return im_index * alphabet.pam.size + re_index
 
 
 def prepared_row(eff, y, alphabet):
@@ -76,7 +106,7 @@ def slice_complex(value: complex, alphabet) -> tuple:
     """Nearest QAM symbol via one PAM slice per axis."""
     re_sym, re_idx = slice_pam(value.real, alphabet.pam)
     im_sym, im_idx = slice_pam(value.imag, alphabet.pam)
-    return complex(re_sym, im_sym), alphabet.index_of(re_idx, im_idx)
+    return complex(re_sym, im_sym), index_of(alphabet, re_idx, im_idx)
 
 
 def real_search(
@@ -244,10 +274,10 @@ def reference_fast_stack(r, z, alphabet, prune=True):
 
         best, ((i1r, i2r), (i1i, i2i), sk, sl), nodes = walk_pairs(m_re, m_im, leading, prune)
         indices = (
-            alphabet.index_of(i1r, i1i),
-            alphabet.index_of(i2r, i2i),
-            alphabet.index_of(sk % pam.size, sl % pam.size),
-            alphabet.index_of(sk // pam.size, sl // pam.size),
+            index_of(alphabet, i1r, i1i),
+            index_of(alphabet, i2r, i2i),
+            index_of(alphabet, sk % pam.size, sl % pam.size),
+            index_of(alphabet, sk // pam.size, sl // pam.size),
         )
         results.append(dec.DecodeResult(indices=indices, cost=best, nodes_visited=nodes,
                                         full_sorts=2, symbols=alphabet.symbols))

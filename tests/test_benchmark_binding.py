@@ -2,6 +2,7 @@
 modules bind. A refactor that moves one of them must fail here, not only in
 ``perfbench/run.py --trace 1``."""
 
+import json
 from pathlib import Path
 
 from stcsim import EffectiveChannel, effective_matrix, harness, make_qam, make_rng, sample_channels
@@ -9,7 +10,7 @@ from stcsim import EffectiveChannel, effective_matrix, harness, make_qam, make_r
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_binds_every_boundary(monkeypatch):
+def test_tracer_binds_every_boundary(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setenv("STC_THREADS", "1")  # spans are recorded in this process only
     from tracer import Tracer
@@ -31,6 +32,13 @@ def test_tracer_binds_every_boundary(monkeypatch):
         decoded = _decode_each_wrapper(harness.decoders)
     assert report.passed
     assert tracer.cost_mismatch == {} and tracer.raised == {}
+    # The wrappers' rows put Python ints into the spans' work and sorts
+    # fields: a numpy scalar there would make the span file unwritable.
+    metrics = tracer.layer_metrics(len(sweeps) * 2 * 40, tracer.channels_sampled())
+    assert metrics["decoders.fast.sorts_mean"] == metrics["decoders.alamouti.sorts_mean"] == 2
+    tracer.write(tmp_path / "spans.json")
+    written = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    assert len(written) == len(tracer.spans)
     spans = [span[0] for span in tracer.spans]
     # Sweeps decode every decoder through its stack call, which the tracer
     # does not wrap: no sweep makes a decoders.* span, and the stack calls'

@@ -147,7 +147,7 @@ def test_decode_remaining_decoders(tmp_path, capsys, decoder):
     )
     decoded, _ = harness.decode_stack(matrices, received, alphabet, (decoder,), "none")
     k = 3
-    row = decoded[decoder][k]
+    row = decoded[decoder].row(k)
     payload = {
         "code": code,
         "modulation": 4,

@@ -8,11 +8,10 @@ from stcsim import (
     PamAlphabet,
     QamAlphabet,
     make_qam,
-    slice_pam,
     sort_alphabet_by_metric,
 )
 
-from conftest import sorted_pam_list
+from conftest import index_of, slice_pam, sorted_pam_list
 
 PAM4 = PamAlphabet(levels=(-3.0, -1.0, 1.0, 3.0), scale=1.0)
 
@@ -158,7 +157,7 @@ def test_index_helpers_roundtrip():
     width = a.pam.size
     for k in range(64):
         re_i, im_i = k % width, k // width
-        assert a.index_of(re_i, im_i) == k
+        assert index_of(a, re_i, im_i) == k
         assert a.symbols[k] == complex(a.pam.values[re_i], a.pam.values[im_i])
 
 

@@ -7,7 +7,6 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
-from stcsim.constellation import slice_pam
 from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
 import conftest
@@ -25,6 +24,8 @@ from conftest import (
     reference_fast_stack,
     reference_sphere_decode,
     reference_sphere_stack,
+    rows,
+    slice_pam,
     sorted_pam_list,
     walk_pairs,
 )
@@ -192,9 +193,9 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
     received[mid] = 0.0
     matrices[dead, :, 0] = 0.0
     results = dec.decode_exhaustive_stack(matrices, received, alphabet)
-    assert len(results) == count
+    assert results.indices.shape == (count, 4)
     assert passes and max(passes) <= max(block, 4 * m ** 3)
-    for h, y, got in zip(matrices, received, results):
+    for h, y, got in zip(matrices, received, rows(results)):
         eff = st.EffectiveChannel(h=h)
         want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
         assert got.indices == want_idx
@@ -202,7 +203,7 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
         assert got.x_hat.tobytes() == alphabet.symbols[list(want_idx)].tobytes()
         assert (got.nodes_visited, got.full_sorts) == (m ** 4, 0)
         assert abs(got.cost - recompute_cost(eff, y, got.x_hat)) <= 1e-9
-    assert results[dead].indices[0] == 0
+    assert results.indices[dead, 0] == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -318,8 +319,8 @@ def test_fast_worst_case_node_formula(rng, m, expected):
     alphabet = st.make_qam(m)
     matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 2), "golden-dv")
     r, z = dec.triangular_rows(matrices, _received(rng, matrices, alphabet, "golden-dv", [5.0] * 2))
-    for full, pruned in zip(dec.decode_fast_stack(r, z, alphabet, prune=False),
-                            dec.decode_fast_stack(r, z, alphabet)):
+    for full, pruned in zip(rows(dec.decode_fast_stack(r, z, alphabet, prune=False)),
+                            rows(dec.decode_fast_stack(r, z, alphabet))):
         assert full.nodes_visited == expected
         assert pruned.nodes_visited <= expected
         assert abs(pruned.cost - full.cost) <= 1e-12
@@ -373,8 +374,8 @@ def test_sphere_worst_case_counters(rng):
         matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 2), "golden-dv")
         y = _received(rng, matrices, alphabet, "golden-dv", [5.0] * 2)
         r, z = dec.triangular_rows(matrices, y)
-        for full, pruned in zip(dec.decode_sphere_stack(r, z, alphabet, prune=False),
-                                dec.decode_sphere_stack(r, z, alphabet)):
+        for full, pruned in zip(rows(dec.decode_sphere_stack(r, z, alphabet, prune=False)),
+                                rows(dec.decode_sphere_stack(r, z, alphabet))):
             assert full.nodes_visited == m + m**2 + 2 * m**3
             assert full.full_sorts == 1 + m + m**2
             assert pruned.nodes_visited <= full.nodes_visited
@@ -483,7 +484,7 @@ def test_sphere_stack_reproduces_the_scalar_search(rng, monkeypatch, m, prune):
     monkeypatch.setattr(dec, "_sphere_round", recording_round)
     monkeypatch.setattr(dec, "_sphere_children", recording_children)
     monkeypatch.setattr(dec, "SPHERE_BLOCK", (16 if m == 256 else 2) * m)  # nodes per pass
-    got = dec.decode_sphere_stack(r, z, alphabet, prune)
+    got = rows(dec.decode_sphere_stack(r, z, alphabet, prune))
     want = reference_sphere_stack(r, z, alphabet, prune)
     assert _summaries(got) == _summaries(want)
     assert _summaries(got[-2:]) == _summaries(got[:2])
@@ -523,7 +524,7 @@ def test_sphere_stack_raises_where_the_scalar_search_raised():
     nan = instance(0, 10.0, 1.0, 0.0)
     nan[0][0, 2:] = (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j)
     stack = (finite[0][None], finite[1][None])
-    assert _summaries(dec.decode_sphere_stack(*stack, alphabet)) == _summaries(
+    assert _summaries(rows(dec.decode_sphere_stack(*stack, alphabet))) == _summaries(
         reference_sphere_stack(*stack, alphabet))
     for case, message in ((overflows_first, "overflow"), (overflows_later, "overflow"),
                           (nan, "NaN")):
@@ -551,7 +552,7 @@ def test_sphere_stack_costs_are_residuals(rng, ordering):
                 matrices = st.effective_matrix(st.sample_channels(rng, model, 64), variant)
                 y = _received(rng, matrices, alphabet, variant, np.linspace(-3, 30, 64))
                 decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("sphere",), ordering)
-                for h, received, got in zip(matrices, y, decoded["sphere"]):
+                for h, received, got in zip(matrices, y, rows(decoded["sphere"])):
                     expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
                     assert abs(got.cost - expected) <= 1e-9 * expected
 
@@ -572,7 +573,7 @@ def test_sphere_stack_memory_is_bounded_by_its_passes(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(result.nodes_visited for result in results) > 2 * 10 ** 5
+    assert results.nodes_visited.sum() > 2 * 10 ** 5
     assert peak < 8 * 2**20
 
 
@@ -639,7 +640,7 @@ def test_alamouti_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
 
     monkeypatch.setattr(dec, "_complete_pairs", recording)
     monkeypatch.setattr(dec, "ALAMOUTI_BLOCK", 64)  # first-round passes of 4 instances
-    got = dec.decode_alamouti_stack(r, z, alphabet, prune)
+    got = rows(dec.decode_alamouti_stack(r, z, alphabet, prune))
     want = reference_alamouti_stack(r, z, alphabet, prune)
     assert _summaries(got) == _summaries(want)
     assert _summaries(got[-2:]) == _summaries(got[:2])
@@ -682,7 +683,7 @@ def test_alamouti_stack_raises_where_the_scalar_walk_raised():
     for name, (r, z) in cases.items():
         stack = (r[None], z[None])
         if name == "finite":
-            got = dec.decode_alamouti_stack(*stack, alphabet)
+            got = rows(dec.decode_alamouti_stack(*stack, alphabet))
             assert _summaries(got) == _summaries(reference_alamouti_stack(*stack, alphabet))
             continue
         for decode in (dec.decode_alamouti_stack, reference_alamouti_stack):
@@ -712,7 +713,8 @@ def test_alamouti_stack_costs_are_residuals_and_exhaustive_costs(rng):
         y = _received(rng, matrices, alphabet, "overlaid-alamouti", np.linspace(-3, 30, 64))
         decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("exhaustive", "alamouti"),
                                              "none")
-        for h, received, got, ref in zip(matrices, y, decoded["alamouti"], decoded["exhaustive"]):
+        for h, received, got, ref in zip(matrices, y, rows(decoded["alamouti"]),
+                                         rows(decoded["exhaustive"])):
             expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
             assert abs(got.cost - expected) <= 1e-9 * expected
             assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
@@ -741,7 +743,7 @@ def test_fast_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
 
     monkeypatch.setattr(dec, "_fast_pass", recording)
     monkeypatch.setattr(dec, "FAST_BLOCK", 64)  # passes of a few instances
-    got = dec.decode_fast_stack(r, z, alphabet, prune)
+    got = rows(dec.decode_fast_stack(r, z, alphabet, prune))
     want = reference_fast_stack(r, z, alphabet, prune)
     assert _summaries(got) == _summaries(want)
     assert _summaries(got[-2:]) == _summaries(got[:2])
@@ -778,7 +780,7 @@ def test_fast_stack_guesses_again_after_a_bad_guess(rng, monkeypatch, metric):
     monkeypatch.setattr(dec, "_search_planes", forced)
     monkeypatch.setattr(dec, "_replay_pops", counting("replay", replay_pops))
     monkeypatch.setattr(dec, "_fast_pass", counting("pass", fast_pass))
-    got = dec.decode_fast_stack(r, z, alphabet)
+    got = rows(dec.decode_fast_stack(r, z, alphabet))
     assert _summaries(got) == _summaries(reference_fast_stack(r, z, alphabet))
     assert calls["replay"] > calls["pass"]
 
@@ -817,7 +819,7 @@ def test_fast_stack_raises_where_the_scalar_walk_raised():
     nan[0][1, 2:] = (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j)
     for case in (finite, dropped):
         stack = (case[0][None], case[1][None])
-        got = dec.decode_fast_stack(*stack, alphabet)
+        got = rows(dec.decode_fast_stack(*stack, alphabet))
         assert _summaries(got) == _summaries(reference_fast_stack(*stack, alphabet))
     for case, message in ((overflows_first, "overflow"), (overflows_later, "overflow"),
                           (nan, "NaN")):
@@ -844,7 +846,7 @@ def test_fast_stack_costs_are_residuals(rng, ordering):
             matrices = st.effective_matrix(st.sample_channels(rng, model, 64), "golden-dv")
             y = _received(rng, matrices, alphabet, "golden-dv", np.linspace(-3, 30, 64))
             decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("fast",), ordering)
-            for h, received, got in zip(matrices, y, decoded["fast"]):
+            for h, received, got in zip(matrices, y, rows(decoded["fast"])):
                 expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
                 assert abs(got.cost - expected) <= 1e-9 * expected
 
@@ -1053,7 +1055,7 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
                 plain = st.effective_channel(h, variant)
                 for name in names:
                     a = decode_alone(name, plain, y[k], alphabet, ordering)
-                    b = decoded[name][k]
+                    b = decoded[name].row(k)
                     assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
                         b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
                     )
@@ -1118,9 +1120,9 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
     structured = not (alamouti and model == "rapid")
     alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
     r_stack, z = dec.triangular_rows(matrices, y)
-    rows = list(zip(r_stack.tolist(), z.tolist()))
-    spheres = dec.decode_sphere_stack(r_stack, z, alphabet)
-    stacked = sorted_rows = [None] * len(rows)
+    prologue = list(zip(r_stack.tolist(), z.tolist()))
+    spheres = rows(dec.decode_sphere_stack(r_stack, z, alphabet))
+    stacked = sorted_rows = [None] * len(prologue)
     if not structured:
         with pytest.raises(ValueError, match="invalid for this channel"):
             dec.decode_alamouti_stack(r_stack, z, alphabet)
@@ -1135,10 +1137,10 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
 
         monkeypatch.setattr(dec, "sort_alphabet_by_metric", recording_sort)
         stack_call = dec.decode_alamouti_stack if alamouti else dec.decode_fast_stack
-        stacked = stack_call(r_stack, z, alphabet)
+        stacked = rows(stack_call(r_stack, z, alphabet))
         monkeypatch.undo()
         sorted_rows = list(zip(*(part.tolist() for part in sorts)))
-    for eff, received, row, sorted_row, result, sphere in zip(channels, y, rows, sorted_rows,
+    for eff, received, row, sorted_row, result, sphere in zip(channels, y, prologue, sorted_rows,
                                                               stacked, spheres):
         factors = qr_decompose(eff.h)
         r = factors.r.tolist()

@@ -17,7 +17,7 @@ from stcsim.harness import (
 )
 from stcsim.matrixkit import qr_decompose
 
-from conftest import decode_alone, decode_one
+from conftest import decode_alone, decode_one, rows
 
 
 def small_config(**kw):
@@ -418,7 +418,17 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
     a stack call now: an alamouti-only stack (CLI ``decode`` of an alamouti
     document), an alamouti and sphere stack, and exhaustive, fast and sphere
     golden stacks make neither, under both orderings, and sphere's decisions
-    are still alamouti's on noise-free Alamouti channels."""
+    are still alamouti's on noise-free Alamouti channels. Each stack makes
+    one DecodeResult per decoder and none per instance, and so does every
+    stack of a serial sweep."""
+    shapes = []  # the cost shape of every DecodeResult made
+    init = st.decoders.DecodeResult.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append(np.shape(self.cost))
+
+    monkeypatch.setattr(st.decoders.DecodeResult, "__init__", counted)
     listed = []
 
     class Listed(np.ndarray):
@@ -443,15 +453,23 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
         both, _ = harness.decode_stack(matrices, received, alphabet, ("alamouti", "sphere"),
                                        ordering)
         assert (built, listed) == ([], [])
-        assert [result.indices for result in both["alamouti"]] == [
-            result.indices for result in decoded["alamouti"]
-        ] == [result.indices for result in both["sphere"]]
+        assert both["alamouti"].indices.tolist() == decoded["alamouti"].indices.tolist() == (
+            both["sphere"].indices.tolist())
     golden = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
     received = (golden @ alphabet.symbols[rng.integers(0, 16, (5, 4))][..., None])[..., 0]
     for ordering in harness.ORDERING_MODES:
         for names in (("exhaustive", "fast"), ("exhaustive", "fast", "sphere")):
             harness.decode_stack(golden, received, alphabet, names, ordering)
             assert (built, listed) == ([], [])
+    assert shapes == [(5,)] * (2 * (1 + 2) + 2 * (2 + 3))
+    monkeypatch.setenv("STC_THREADS", "1")
+    names = ("exhaustive", "fast", "sphere")
+    for ordering in harness.ORDERING_MODES:
+        shapes.clear()
+        run_sweep(small_config(decoders=names, ordering=ordering))
+        assert (built, listed) == ([], [])
+        # each of the 4 points is one stack of 40 trials
+        assert shapes == [(40,)] * (4 * len(names))
 
 
 def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
@@ -467,7 +485,7 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
         decoded, _ = harness.decode_stack(
             matrices, received, alphabet, ("exhaustive",), ordering
         )
-        for h, y, result in zip(matrices, received, decoded["exhaustive"]):
+        for h, y, result in zip(matrices, received, rows(decoded["exhaustive"])):
             eff = st.EffectiveChannel(h=h)
             alone = decode_one("exhaustive", eff, y, alphabet)
             assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
@@ -482,8 +500,13 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
 def test_decode_stack_of_no_instances_decodes_nothing(name, ordering):
     matrices = np.zeros((0, 4, 4), dtype=complex)
     received = np.zeros((0, 4), dtype=complex)
-    decoded = harness.decode_stack(matrices, received, st.make_qam(4), (name,), ordering)
-    assert decoded == ({name: []}, {name: 0})
+    decoded, elapsed = harness.decode_stack(matrices, received, st.make_qam(4), (name,), ordering)
+    assert (list(decoded), elapsed) == ([name], {name: 0})
+    result = decoded[name]
+    assert (result.indices.shape, result.indices.dtype) == ((0, 4), np.int64)
+    for array, dtype in ((result.cost, np.float64), (result.nodes_visited, np.int64),
+                         (result.full_sorts, np.int64)):
+        assert (array.shape, array.dtype) == ((0,), dtype)
 
 
 def test_decode_stack_rejects_unknown_ordering_and_decoder(rng):
@@ -573,7 +596,7 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
         decoded, elapsed = harness.decode_stack(matrices, received, alphabet, names, ordering)
         assert elapsed == want
         assert clock.reads == 2 * len(names)
-        assert all(len(decoded[name]) == 5 for name in names)
+        assert all(decoded[name].cost.shape == (5,) for name in names)
 
     monkeypatch.setenv("STC_THREADS", "1")
     monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
