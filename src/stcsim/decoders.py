@@ -55,12 +55,14 @@ popped (l == 0), so M + M^2 walk nodes without pruning. With pruning, the
 first pop whose tail exceeds the best total ends the walk, since every later
 tail is at least as large; each other pop completes its pair by a search
 over the leading pair, and a later total replaces the best only when
-strictly lower. Both decoders walk a whole stack in numpy rounds with the
-results of that scalar walk bit for bit (the tests keep it as their
-reference). The Alamouti decoder's leading pair falls to four slices that
-read no radius. The fast golden decoder's leading search drops a pair on a
-lower bound and runs two real searches inside the radius the best total
-leaves, so ``decode_fast_stack`` replays the radius of each pop.
+strictly lower. Both decoders walk a whole stack with one numpy walk,
+``_pair_walk``: one round schedule, one pass shape, one replay of each
+pop's best before it, with the results of that scalar walk bit for bit
+(the tests keep it as their reference). They differ only in the leading
+completion they hand it. The Alamouti decoder's leading pair falls to four
+slices that read no radius. The fast golden decoder's leading search drops
+a pair on a lower bound and runs two real searches inside the radius the
+best total leaves.
 
 The sphere decoder searches depth first, children in (metric, symbol index)
 order, and ordering an expanded node's children counts as one full sort.
@@ -77,6 +79,7 @@ cost. Each call owns its workspace, so instances may decode concurrently.
 A finite y and H whose every candidate cost overflows raises ValueError.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,15 +92,11 @@ from .matrixkit import frobenius_norm, qr_decompose, require_full_rank, require_
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
 EXHAUSTIVE_BLOCK = 2 ** 14
-# Trailing pairs one pass of the Alamouti stack walk may complete (a pass
-# holds about 12 float arrays of that size), and its first round's pops.
-ALAMOUTI_BLOCK = 2 ** 11
-ALAMOUTI_FIRST_ROUND = 16
-# Pops one pass of the fast golden stack walk may hold, which bounds its
-# memory, and its first round's pops: smaller passes cost more numpy calls
-# per trial, and larger first rounds more search work.
-FAST_BLOCK = 2 ** 12
-FAST_FIRST_ROUND = 2
+# Pops one pass of the trailing-pair walk may hold, which bounds its memory,
+# and its first round's pops: smaller passes cost more numpy calls per
+# trial, and larger first rounds more leading work.
+PAIR_BLOCK = 2 ** 12
+PAIR_FIRST_ROUND = 2
 # Child entries one pass of the sphere stack search may hold (a pass expands
 # at most SPHERE_BLOCK // M nodes), and the root children of its first round.
 SPHERE_BLOCK = 2 ** 14
@@ -419,22 +418,20 @@ def _replay_pops(guess, led, tail, lower, search, planes, prune: bool) -> tuple:
     return total, nodes, np.stack([position_re, position_im]), overflow
 
 
-def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
-               prune: bool, alphabet):
+def _pair_pass(idx, k, l, done: int, pops: int, walk, best, nodes, picks, prune: bool):
     """Pops ``done`` to ``pops`` of the walks of instances ``idx``, from
     their carried ``best``, ``nodes`` and ``picks``, which it updates; the
-    round's pairs ``k``, ``l`` hold each instance's first ``pops`` pops.
+    round's pairs ``k``, ``l`` hold each instance's first ``pops`` pops, and
+    ``walk`` is ``_pair_walk``'s sorted metrics and leading completion.
 
     Returns:
         Per instance, whether its walk ended.
 
     Raises:
-        ValueError: COST_OVERFLOW, as ``decode_fast_stack`` raises it.
+        ValueError: COST_OVERFLOW where a pop the walk leads overflows.
     """
-    pam = alphabet.pam
-    width = pam.size
-    order_re, m_re, order_im, m_im = (part[idx] for part in sorts)
-    tails = m_re[:, k] + m_im[:, l]
+    outer, inner, leading = walk
+    tails = outer[idx][:, k] + inner[idx][:, l]
     first = np.argsort(tails, axis=1, kind="stable")[:, done:pops]
     tail = np.take_along_axis(tails, first, axis=1)
     k, l = k[first], l[first]
@@ -446,35 +443,8 @@ def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
     # carried best, which each pop's best before it cannot exceed.
     lanes = np.flatnonzero(~(tail > limit))
     inst = lanes // shape[1]
-    pair_tail, bound = tail.flat[lanes], limit[inst, 0]
-    sk = order_re[inst, k.flat[lanes]]
-    sl = order_im[inst, l.flat[lanes]]
-    # v1 and v2 by component, as Python evaluates z - p x3 - q x4 on complex
-    # scalars: Re(a) plays x3's component and Im(a) x4's, with the real
-    # part's symbol sk and the imaginary part's sl
-    cf = coef[:, idx[inst]]
-    syms = np.stack([sk, sl, sk, sl])
-    swapped = syms[[1, 0, 3, 2]]
-    sym_re, sym_im = alphabet.symbols.real, alphabet.symbols.imag
-    v = ((cf[0:4] - (cf[4:8] * sym_re[syms] - cf[8:12] * sym_re[swapped]))
-         - (cf[12:16] * sym_im[syms] - cf[16:20] * sym_im[swapped]))
-    r11, r12, r22 = cf[20:23]
-    # each search's first position: its x2 slice and the pop's lower bound
-    x2, start = _slice_planes(v[2:] / r22, pam)
-    lower = np.float_power(v[2:] - r22 * x2, 2.0)
-    # Evaluate every search the walk may run: under any best before a pop
-    # (at most the carried best) it enters a prefix of what it enters
-    # inside the carried best less the tail.
-    search = np.flatnonzero(~((pair_tail + lower[0]) + lower[1] > bound))
-    rest = (bound - pair_tail)[search]
-    both = np.concatenate
-    found, planes = _search_planes(
-        both(v[0:2, search]), both(v[2:4, search]), *np.tile(cf[20:23, search], 2),
-        both(lower[:, search]), both(start[:, search]), both([rest, rest]), pam, prune)
-    found = found.reshape(2, -1)
-    total = np.full(len(lanes), math.inf)
-    hit = np.all(found < rest, axis=0)
-    total[search[hit]] = (found[0, hit] + found[1, hit]) + pair_tail[search[hit]]
+    total, replay = leading(idx[inst], k.flat[lanes], l.flat[lanes], tail.flat[lanes],
+                            limit[inst, 0])
     # Replay the walk under a guess of each pop's best before it, until the
     # running best of the replayed totals confirms the guess on every pop
     # walked: by induction over the pops, the replay is then the walk.
@@ -485,8 +455,7 @@ def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
         stop = tail > guess
         stops = np.cumsum(stop, axis=1)
         walked = stops - stop == 0
-        total, lead, positions, overflow = _replay_pops(
-            guess.flat[lanes], (stops == 0).flat[lanes], pair_tail, lower, search, planes, prune)
+        total, lead, overflow, pick = replay(guess.flat[lanes], (stops == 0).flat[lanes])
         grid = np.full(shape, math.inf)
         grid.flat[lanes] = total
         if not prune:
@@ -503,14 +472,123 @@ def _fast_pass(idx, k, l, done: int, pops: int, sorts, coef, best, nodes, picks,
     cost = grid[np.arange(len(idx)), pop]
     better = np.flatnonzero(cost < carried[:, 0])
     best[idx[better]] = cost[better]
-    chosen = np.searchsorted(search, np.searchsorted(lanes, better * shape[1] + pop[better]))
-    rows = np.stack([chosen, chosen + len(search)])
-    x1, x2 = planes[2:, rows, positions[:, chosen]]
-    sk, sl = sk[search[chosen]], sl[search[chosen]]
-    picks[idx[better]] = np.stack([x1[1] * width + x1[0], x2[1] * width + x2[0],
-                                   (sl % width) * width + sk % width,
-                                   (sl // width) * width + sk // width], axis=1)
+    picks[idx[better]] = pick(np.searchsorted(lanes, better * shape[1] + pop[better]))
     return stop.any(axis=1)
+
+
+def _pair_walk(outer, inner, leading, prune: bool) -> tuple:
+    """The best-first walk over the trailing pairs of a stack, as the module
+    docstring defines it, from the two sorted metric lists ``outer`` and
+    ``inner`` (n, M) per instance.
+
+    The walk runs in rounds over the unfinished instances, each carrying its
+    best total, pick and nodes from round to round: pops 0 and 1, then up
+    to four times as many (at most PAIR_BLOCK more, and M^2 in all). A round
+    takes each instance's next pops from a stable sort of the tails of its
+    pairs with (k+1)(l+1) at most the round's pops, which hold its first
+    pops, as the pairs (k', l') <= (k, l) all pop before (k, l). A pass
+    holds at most PAIR_BLOCK pops, or one instance's.
+
+    ``leading(inst, k, l, tail, bound)`` completes the pops of a pass that
+    the walk may reach (instances ``inst``, pairs ``k``, ``l`` and their
+    tails), each under ``bound``, its instance's carried best (inf without
+    ``prune``), which each pop's best before it cannot exceed. It returns
+    their totals within that bound and ``replay(guess, led)``, which
+    replays them under a guess of each pop's best before it, only the pops
+    ``led`` (those before the first stop) completing. ``replay`` returns
+    the totals (inf where none), the leading nodes of each pop, whether a
+    led pop overflowed, and ``pick(lanes)``, the symbol indices of x1 to x4
+    of the chosen pops. A pass guesses each pop's best before it from the
+    first totals and guesses again from the replayed ones until their
+    running best confirms the guess on every pop walked (``_pair_pass``).
+
+    Returns:
+        (picks, best, nodes) per instance.
+
+    Raises:
+        ValueError: COST_OVERFLOW when a pop an instance's walk leads
+            overflows, or the walk has no finite total.
+    """
+    n, m = outer.shape
+    best = np.full(n, math.inf)
+    nodes = np.zeros(n, dtype=np.int64)
+    picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
+    pending = np.arange(n)
+    done, pops = 0, min(PAIR_FIRST_ROUND, m * m)
+    grid = np.outer(np.arange(1, m + 1), np.arange(1, m + 1))
+    walk = (outer, inner, leading)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pending):
+            k, l = np.nonzero(grid <= pops)
+            step = max(1, PAIR_BLOCK // (pops - done))
+            unfinished = []
+            for lo in range(0, len(pending), step):
+                idx = pending[lo:lo + step]
+                ended = _pair_pass(idx, k, l, done, pops, walk, best, nodes, picks, prune)
+                unfinished.append(idx[~ended])
+            pending = np.concatenate(unfinished) if pops < m * m else pending[:0]
+            done, pops = pops, min(4 * pops, pops + PAIR_BLOCK, m * m)
+    if not np.all(best < math.inf):
+        raise ValueError(COST_OVERFLOW)
+    return picks, best, nodes
+
+
+def _fast_leading(inst, k, l, tail, bound, orders, coef, alphabet, prune: bool) -> tuple:
+    """The fast golden decoder's leading completion for ``_pair_walk``:
+    pair (k, l) of instance ``inst`` is the real part's symbol ``orders[0]
+    [inst, k]`` and the imaginary part's ``orders[1][inst, l]``; ``coef``
+    holds each instance's rows of v and R (``decode_fast_stack``).
+
+    It evaluates the searches of every pop that ``bound`` does not drop,
+    inside the radius ``bound`` leaves, position by position
+    (``_search_planes``): a pop's best before it is at most ``bound``, and a
+    smaller radius enters a prefix of those positions. Its replay replays
+    every drop, break, pick and node count on them under a guess
+    (``_replay_pops``).
+    """
+    pam = alphabet.pam
+    width = pam.size
+    sk = orders[0][inst, k]
+    sl = orders[1][inst, l]
+    # v1 and v2 by component, as Python evaluates z - p x3 - q x4 on complex
+    # scalars: Re(a) plays x3's component and Im(a) x4's, with the real
+    # part's symbol sk and the imaginary part's sl
+    cf = coef[:, inst]
+    syms = np.stack([sk, sl, sk, sl])
+    swapped = syms[[1, 0, 3, 2]]
+    sym_re, sym_im = alphabet.symbols.real, alphabet.symbols.imag
+    v = ((cf[0:4] - (cf[4:8] * sym_re[syms] - cf[8:12] * sym_re[swapped]))
+         - (cf[12:16] * sym_im[syms] - cf[16:20] * sym_im[swapped]))
+    r22 = cf[22]
+    # each search's first position: its x2 slice and the pop's lower bound
+    x2, start = _slice_planes(v[2:] / r22, pam)
+    lower = np.float_power(v[2:] - r22 * x2, 2.0)
+    search = np.flatnonzero(~((tail + lower[0]) + lower[1] > bound))
+    rest = (bound - tail)[search]
+    both = np.concatenate
+    found, planes = _search_planes(
+        both(v[0:2, search]), both(v[2:4, search]), *np.tile(cf[20:23, search], 2),
+        both(lower[:, search]), both(start[:, search]), both([rest, rest]), pam, prune)
+    found = found.reshape(2, -1)
+    total = np.full(len(tail), math.inf)
+    hit = np.all(found < rest, axis=0)
+    total[search[hit]] = (found[0, hit] + found[1, hit]) + tail[search[hit]]
+
+    def replay(guess, led):
+        total, nodes, positions, overflow = _replay_pops(guess, led, tail, lower, search, planes,
+                                                         prune)
+
+        def pick(lanes):
+            chosen = np.searchsorted(search, lanes)
+            x1, x2 = planes[2:, np.stack([chosen, chosen + len(search)]), positions[:, chosen]]
+            re, im = sk[lanes], sl[lanes]
+            return np.stack([x1[1] * width + x1[0], x2[1] * width + x2[0],
+                             (im % width) * width + re % width,
+                             (im // width) * width + re // width], axis=1)
+
+        return total, nodes, overflow, pick
+
+    return total, replay
 
 
 def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
@@ -521,10 +599,10 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     Exactly two full-alphabet sorts per instance, one per real component of
     the trailing pair (x3, x4): the separable alphabet puts each component
     pair in bijection with the symbols, Re(a) playing x3's and Im(a) x4's.
-    Then the best-first walk over the pairs of the two sorted lists, as the
-    module docstring defines it. A pair it completes is dropped on a lower
-    bound (each component's nearest x2, one node each, not counted again by
-    the searches), or completed by interference cancellation and two real
+    Then the best-first walk over the pairs of the two sorted lists
+    (``_pair_walk``). A pair it completes is dropped on a lower bound (each
+    component's nearest x2, one node each, not counted again by the
+    searches), or completed by interference cancellation and two real
     searches over the leading pair's real and imaginary parts: the real one
     inside the radius that the best total leaves after the tail and the
     imaginary part's bound, the imaginary one inside what the real one
@@ -533,26 +611,14 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     any order of FAST_PERMUTATIONS, and for a quasistatic overlaid-Alamouti
     channel.
 
-    The walk runs in rounds over the unfinished instances, each carrying its
-    best total, pick and nodes from round to round: pops 0 and 1, then up
-    to four times as many (at most FAST_BLOCK more, and M^2 in all). A round
-    takes each instance's next pops from a stable sort of the tails of its
-    pairs with (k+1)(l+1) at most the round's pops, which hold its first
-    pops, as the pairs (k', l') <= (k, l) all pop before (k, l). It
-    evaluates the searches of every pop the walk may reach that the carried
-    best does not drop, inside the radius the carried best leaves, position
-    by position (``_search_planes``): a pop's best before it is at most the
-    carried best, and a smaller radius enters a prefix of those positions.
-    Then it guesses each pop's best before it from the totals found,
-    replays every drop, break, pick and node count under the guess, and
-    guesses again from the replayed totals until their running best
-    confirms the guess on every pop walked: by induction over the pops, the
-    replay is then the walk. A pass holds at most FAST_BLOCK pops, or one
-    instance's. Indices, costs and node counts are the scalar walk's, bit
-    for bit, as each value is computed in its float operations, per
-    component: Python's complex multiply and subtract, the tests' scalar
-    slicer as ``ceil(clip - 0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)``
-    (``x * x`` differs from it in the last bit of some x).
+    The searches read the radius, so the walk's leading completion
+    (``_fast_leading``) evaluates them inside the carried best's radius and
+    replays them under each guess of the best before a pop. Indices, costs
+    and node counts are the scalar walk's, bit for bit, as each value is
+    computed in its float operations, per component: Python's complex
+    multiply and subtract, the tests' scalar slicer as ``ceil(clip -
+    0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)`` (``x * x`` differs
+    from it in the last bit of some x).
 
     Args:
         prune: disable to force full enumeration (worst-case instrumentation).
@@ -569,7 +635,6 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     require_zero(r[:, (0, 2), (1, 3)].imag, frobenius_norm(r)[:, None],
                  "fast golden decoder needs real diagonal blocks in R; this channel lacks "
                  "golden structure: max |Im r12|, |Im r34|")
-    n, m = len(z), alphabet.size
     r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
     sorts = []
     for component in (np.real, np.imag):
@@ -577,6 +642,7 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
         sorts += sort_alphabet_by_metric(
             alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
         )
+    order_re, m_re, order_im, m_im = sorts
     # Rows (v1 real, v1 imaginary, v2 real, v2 imaginary) of v = z - p x3 -
     # q x4: z, the real parts of p and q, and their imaginary parts, negated
     # in the rows of imaginary parts; then r11, r12 and r22.
@@ -585,27 +651,10 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float).T, p.real,
                            p.imag * sign, q.real, q.imag * sign,
                            r[:, (0, 0, 1), (0, 1, 1)].real.T])
-    best = np.full(n, math.inf)
-    nodes = np.zeros(n, dtype=np.int64)
-    picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
-    pending = np.arange(n)
-    done, pops = 0, min(FAST_FIRST_ROUND, m * m)
-    grid = np.outer(np.arange(1, m + 1), np.arange(1, m + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(pending):
-            k, l = np.nonzero(grid <= pops)
-            step = max(1, FAST_BLOCK // (pops - done))
-            unfinished = []
-            for lo in range(0, len(pending), step):
-                idx = pending[lo:lo + step]
-                ended = _fast_pass(idx, k, l, done, pops, sorts, coef, best, nodes, picks,
-                                   prune, alphabet)
-                unfinished.append(idx[~ended])
-            pending = np.concatenate(unfinished) if pops < m * m else pending[:0]
-            done, pops = pops, min(4 * pops, pops + FAST_BLOCK, m * m)
-    if not np.all(best < math.inf):
-        raise ValueError(COST_OVERFLOW)
-    return DecodeResult(picks, best, nodes, np.full(n, 2), alphabet.symbols)
+    leading = functools.partial(_fast_leading, orders=(order_re, order_im), coef=coef,
+                                alphabet=alphabet, prune=prune)
+    picks, best, nodes = _pair_walk(m_re, m_im, leading, prune)
+    return DecodeResult(picks, best, nodes, np.full(len(z), 2), alphabet.symbols)
 
 
 def decode_fast_golden(
@@ -917,9 +966,9 @@ def decode_sphere_conventional(
 
 
 def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
-    """Complete trailing pairs, (g, K) arrays of their ``tail`` metrics and
-    symbol indices ``i3``, ``i4``; ``coef`` holds the instances' z1, z2,
-    r13, r14, r23, r24 as real and imaginary parts, r11 and r22, each (g, 1).
+    """Complete trailing pairs, given per pair its ``tail`` metric, the
+    symbol indices ``i3``, ``i4`` and its instance's ``coef``: z1, z2, r13,
+    r14, r23, r24 as real and imaginary parts, r11 and r22.
 
     Four PAM slices per pair, in the scalar walk's float operations, per
     component: Python's complex multiply and subtract, the PAM slice, and
@@ -959,48 +1008,21 @@ def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
     return total, picks, bad
 
 
-def _walk_pass(m4, m3, order4, order3, coef, k, l, pops: int, prune: bool, alphabet) -> tuple:
-    """A pass of ``decode_alamouti_stack``'s round ``pops`` over g instances:
-    their sorted metrics and orders (g, M), their ``coef`` (g, 14), and the
-    round's pairs ``k``, ``l``.
+def _alamouti_leading(inst, k, l, tail, bound, orders, coef, alphabet) -> tuple:
+    """The Alamouti decoder's leading completion for ``_pair_walk``: pair
+    (k, l) of instance ``inst`` is x4 = ``orders[0][inst, k]`` and x3 =
+    ``orders[1][inst, l]``, completed by four slices (``_complete_pairs``)
+    with the instance's ``coef`` (14, n). The slices read no radius, so
+    ``bound`` goes unread, a replay only masks the pops not led (four nodes
+    per pop led), and the first replay confirms the guess."""
+    i4, i3 = orders[0][inst, k], orders[1][inst, l]
+    total, (i1, i2), bad = _complete_pairs(tail, i3, i4, coef[:, inst], alphabet)
 
-    Returns:
-        (done, cost, nodes, picks) per instance: whether its walk ends within
-        these pops (or they are all M^2 pairs) and, if so, its cost, node
-        count and symbol indices of x1 to x4.
+    def replay(guess, led):
+        return (np.where(led, total, math.inf), 4 * led, np.any(bad & led),
+                lambda lanes: np.stack([i1[lanes], i2[lanes], i3[lanes], i4[lanes]], axis=1))
 
-    Raises:
-        ValueError: COST_OVERFLOW, as ``decode_alamouti_stack`` raises it.
-    """
-    tails = m4[:, k]
-    tails += m3[:, l]
-    first = np.argsort(tails, axis=1, kind="stable")[:, :pops]
-    tail = np.take_along_axis(tails, first, axis=1)
-    k, l = k[first], l[first]
-    del tails, first  # a pass's peak memory is _complete_pairs'
-    i4 = np.take_along_axis(order4, k, axis=1)
-    i3 = np.take_along_axis(order3, l, axis=1)
-    total, slices, bad = _complete_pairs(tail, i3, i4, coef.T[:, :, None], alphabet)
-    completed = np.full(len(tail), pops)
-    stopped = np.zeros(len(tail), dtype=bool)
-    if prune:
-        # pop j ends the walk when its tail exceeds the best total of pops < j
-        stop = tail[:, 1:] > np.fmin.accumulate(total, axis=1)[:, :-1]
-        stopped = stop.any(axis=1)
-        completed[stopped] = stop[stopped].argmax(axis=1) + 1
-    walked = np.arange(pops) < completed[:, None]
-    if np.any(bad & walked):
-        raise ValueError(COST_OVERFLOW)
-    best = np.argmin(np.where(walked, total, math.inf), axis=1)[:, None]
-    cost = np.take_along_axis(total, best, axis=1)[:, 0]
-    done = stopped | (pops == m4.shape[1] ** 2)
-    if not np.all(cost[done] < math.inf):
-        raise ValueError(COST_OVERFLOW)
-    visited = completed + stopped
-    rows_opened = np.sum((l == 0) & (np.arange(pops) < visited[:, None]), axis=1)
-    nodes = visited + rows_opened + 4 * completed
-    picks = [np.take_along_axis(plane, best, axis=1)[:, 0] for plane in (*slices, i3, i4)]
-    return done, cost, nodes, np.stack(picks, axis=1)
+    return total, replay
 
 
 def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
@@ -1010,20 +1032,14 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
 
     Quasistatic fading makes columns 1-2 and 3-4 of an overlaid Alamouti
     channel orthogonal, which puts those zeros in R: the trailing-pair
-    branch metrics separate per symbol, and the leading pair falls to four
-    PAM slices per trailing pair, which do not read the search radius. So
-    the module docstring's best-first walk (pops in (tail, k, l) order, one
-    node per pop, one more when a row is first popped and four per completed
-    pair, ending at the first pop whose tail exceeds the best total before
-    it) depends on the sorted tails and the pair totals alone, and a stack
-    walks it at once, in rounds. Round K (16, then times 4 up to M^2; M^2
-    without ``prune``) takes each unfinished instance's pairs with
-    (k+1)(l+1) <= K: they hold its first K pops, as the pairs (k', l') <=
-    (k, l) all pop before (k, l). A stable argsort of their tails gives
-    those pops, which are completed, and an instance whose walk ends among
-    them is done. A pass completes at most ALAMOUTI_BLOCK pops, or one
-    instance's, and sorts at most K (1 + ln K) tails per instance. Indices,
-    costs and node counts are the scalar walk's, bit for bit.
+    branch metrics separate per symbol, one full-alphabet sort each for x4
+    and x3, and the leading pair falls to four PAM slices per trailing
+    pair, which do not read the search radius (``_alamouti_leading``). The
+    stack walks the module docstring's best-first walk over the pairs of
+    the two sorted lists (``_pair_walk``): one node per pop, one more when
+    a row is first popped and four per completed pair, ending at the first
+    pop whose tail exceeds the best total before it. Indices, costs and
+    node counts are the scalar walk's, bit for bit.
 
     Returns:
         One DecodeResult for the stack, indices in the columns' order.
@@ -1036,39 +1052,19 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     """
     require_zero(r[:, (0, 2), (1, 3)], frobenius_norm(r)[:, None],
                  "fast Alamouti path invalid for this channel: max |r12|, |r34|")
-    n, m = len(z), alphabet.size
-    small = np.min_scalar_type(m - 1)  # symbol indices, as a pass gathers them
+    n = len(z)
     sorts = []
     for i in (3, 2):  # x4's sort, then x3's
         zi, rii = z[:, i, None], r[:, i, i, None].real
-        order, metrics = sort_alphabet_by_metric(alphabet, lambda a: abs(zi - rii * a) ** 2)
-        sorts += [order.astype(small), metrics]
+        sorts += sort_alphabet_by_metric(alphabet, lambda a: abs(zi - rii * a) ** 2)
     order4, m4, order3, m3 = sorts
     coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float),
                            np.ascontiguousarray(r[:, :2, 2:]).reshape(n, 4).view(float),
-                           r[:, 0, 0, None].real, r[:, 1, 1, None].real], axis=1)
-    cost = np.empty(n)
-    nodes = np.empty(n, dtype=np.int64)
-    picks = np.empty((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
-    pending = np.arange(n)
-    pops = ALAMOUTI_FIRST_ROUND if prune else m * m
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(pending):
-            pops = min(pops, m * m)
-            k, l = np.array(np.nonzero(np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) <= pops),
-                            dtype=small)
-            step = max(1, ALAMOUTI_BLOCK // pops)
-            unfinished = []
-            for lo in range(0, len(pending), step):
-                idx = pending[lo:lo + step]
-                done, *outcome = _walk_pass(m4[idx], m3[idx], order4[idx], order3[idx], coef[idx],
-                                            k, l, pops, prune, alphabet)
-                for array, values in zip((cost, nodes, picks), outcome):
-                    array[idx[done]] = values[done]
-                unfinished.append(idx[~done])
-            pending = np.concatenate(unfinished)
-            pops *= 4
-    return DecodeResult(picks, cost, nodes, np.full(n, 2), alphabet.symbols)
+                           r[:, 0, 0, None].real, r[:, 1, 1, None].real], axis=1).T
+    leading = functools.partial(_alamouti_leading, orders=(order4, order3), coef=coef,
+                                alphabet=alphabet)
+    picks, best, nodes = _pair_walk(m4, m3, leading, prune)
+    return DecodeResult(picks, best, nodes, np.full(n, 2), alphabet.symbols)
 
 
 def decode_alamouti_fast(

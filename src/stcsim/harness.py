@@ -777,8 +777,8 @@ def run_verification(suite: str, trials: int = None, seed: int = 0) -> Verificat
 
     Raises:
         ValueError: unknown suite, a ``trials`` or ``seed`` that is a bool or
-            not an integer, a negative seed, or fewer than one trial for a
-            suite that samples (every suite but mindet).
+            not an integer, a negative seed, negative trials, or fewer than
+            one trial for a suite that samples (every suite but mindet).
     """
     if suite not in VERIFICATION_SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
@@ -788,7 +788,8 @@ def run_verification(suite: str, trials: int = None, seed: int = 0) -> Verificat
     _require_integer("trials", trials)
     _require_integer("seed", seed)
     _require_seed(seed)
-    if suite != "mindet" and trials < 1:
-        raise ValueError("trials must be at least 1")
+    least = 0 if suite == "mindet" else 1
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}")
     checks = runner(trials, seed)
     return VerificationReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

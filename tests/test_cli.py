@@ -382,6 +382,13 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_mindet_rejects_negative_trials(capsys):
+    assert main(["verify", "--suite", "mindet", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be at least 0" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ("abc", "1.5"))
 def test_simulate_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("STC_THREADS", value)

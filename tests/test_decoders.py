@@ -327,7 +327,7 @@ def test_fast_worst_case_node_formula(rng, m, expected):
 
 
 def test_fast_stack_memory_is_bounded_by_its_passes(rng):
-    """A pass of the stack walk holds at most FAST_BLOCK pops, whatever the
+    """A pass of the stack walk holds at most PAIR_BLOCK pops, whatever the
     stack's size: a 1024-instance 256-QAM stack peaks far below the 512 MiB
     that one (n, M, M) array of its tails would take."""
     alphabet = st.make_qam(256)
@@ -617,6 +617,36 @@ def _summaries(results):
     return [(a.indices, a.cost.hex(), a.nodes_visited, a.full_sorts) for a in results]
 
 
+def _recorded_rounds(monkeypatch, block):
+    """The round (its pops) of every ``_pair_pass`` call, in the order
+    made, with passes of at most ``block`` pops: a few instances each."""
+    passes = []
+    pair_pass = dec._pair_pass
+
+    def recording(idx, k, l, done, pops, *args):
+        passes.append(pops)
+        return pair_pass(idx, k, l, done, pops, *args)
+
+    monkeypatch.setattr(dec, "_pair_pass", recording)
+    monkeypatch.setattr(dec, "PAIR_BLOCK", block)
+    return passes
+
+
+def _check_rounds(passes, m, prune, block):
+    """The passes follow the trailing-pair walk's one schedule: 2 pops,
+    then up to 4 times as many, at most ``block`` more and M^2 in all."""
+    schedule = [2]
+    while schedule[-1] < m * m:
+        schedule.append(min(4 * schedule[-1], schedule[-1] + block, m * m))
+    rounds = sorted(set(passes))
+    assert len(passes) > len(rounds)  # some round spans passes
+    if prune:
+        # walks end in the first, second and a later round
+        assert rounds[:2] == [2, 8] and len(rounds) >= 3 and set(rounds) <= set(schedule)
+    else:
+        assert rounds == schedule  # every walk goes on to M^2
+
+
 @pytest.mark.parametrize("prune", (True, False))
 @pytest.mark.parametrize("m", (4, 16, 64, 256))
 def test_alamouti_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
@@ -631,29 +661,53 @@ def test_alamouti_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
     z[-1, 2:] = 0.0
     r = np.concatenate([r, r[:2]])
     z = np.concatenate([z, z[:2]])
-    passes = []
-    complete_pairs = dec._complete_pairs
-
-    def recording(tail, *args):
-        passes.append(tail.shape)
-        return complete_pairs(tail, *args)
-
-    monkeypatch.setattr(dec, "_complete_pairs", recording)
-    monkeypatch.setattr(dec, "ALAMOUTI_BLOCK", 64)  # first-round passes of 4 instances
+    # unpruned 256-QAM walks take M^2 / PAIR_BLOCK rounds: keep them few
+    block = 64 if prune or m < 256 else dec.PAIR_BLOCK
+    passes = _recorded_rounds(monkeypatch, block)
     got = rows(dec.decode_alamouti_stack(r, z, alphabet, prune))
     want = reference_alamouti_stack(r, z, alphabet, prune)
     assert _summaries(got) == _summaries(want)
     assert _summaries(got[-2:]) == _summaries(got[:2])
     assert got[-4].indices == tuple(sent[-2]) and got[-4].cost <= 1e-18
-    rounds = sorted({pops for _, pops in passes})
-    if not prune:
-        assert rounds == [m * m]
-    elif m == 4:
-        assert rounds == [16]
-    else:
-        # instances end in the first, second and a later round
-        assert rounds[:2] == [16, 64] and len(rounds) >= 3
-        assert sum(pops == 16 for _, pops in passes) > 1  # the stack spans passes
+    _check_rounds(passes, m, prune, block)
+
+
+@pytest.mark.parametrize("m", (16, 64))
+def test_alamouti_stack_completes_each_pair_once(rng, monkeypatch, m):
+    """Over all its rounds, the stack walk completes each (instance,
+    trailing pair) at most once: a round completes only the pops after the
+    earlier rounds', from the best total they carry. A completion is keyed
+    by what ``_complete_pairs`` receives: the instance's coefficients and
+    the pair's symbol indices, in whatever shape a pass holds them."""
+    alphabet, r, z, _ = _prologue(rng, m, np.linspace(-6.0, 30.0, 40).tolist())
+    completed = []
+    complete_pairs = dec._complete_pairs
+
+    def recording(tail, i3, i4, coef, alphabet):
+        keys = np.stack(np.broadcast_arrays(*coef, i3, i4), axis=-1)
+        completed.extend(map(tuple, keys.reshape(-1, keys.shape[-1]).tolist()))
+        return complete_pairs(tail, i3, i4, coef, alphabet)
+
+    monkeypatch.setattr(dec, "_complete_pairs", recording)
+    got = rows(dec.decode_alamouti_stack(r, z, alphabet))
+    assert _summaries(got) == _summaries(reference_alamouti_stack(r, z, alphabet))
+    assert len({key[:-2] for key in completed}) == len(z)
+    assert len(set(completed)) == len(completed)
+
+
+@pytest.mark.parametrize("m", (4, 16))
+def test_fast_stack_decodes_quasistatic_alamouti_stacks(rng, m):
+    """A quasistatic overlaid-Alamouti channel has real diagonal blocks in
+    R too, so the fast golden decoder decodes its stacks exactly: the
+    exhaustive scan's indices at every SNR, and its costs within 1e-9."""
+    alphabet = st.make_qam(m)
+    matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 100),
+                                   "overlaid-alamouti")
+    y = _received(rng, matrices, alphabet, "overlaid-alamouti", np.linspace(-6.0, 30.0, 100))
+    got = dec.decode_fast_stack(*dec.triangular_rows(matrices, y), alphabet)
+    want = dec.decode_exhaustive_stack(matrices, y, alphabet)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.all(np.abs(got.cost - want.cost) <= 1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -734,26 +788,13 @@ def test_fast_stack_reproduces_the_scalar_walk(rng, monkeypatch, m, prune):
     z[-1, 2:] = 0.0
     r = np.concatenate([r, r[:2]])
     z = np.concatenate([z, z[:2]])
-    passes = []
-    fast_pass = dec._fast_pass
-
-    def recording(idx, k, l, done, pops, *args):
-        passes.append(pops)
-        return fast_pass(idx, k, l, done, pops, *args)
-
-    monkeypatch.setattr(dec, "_fast_pass", recording)
-    monkeypatch.setattr(dec, "FAST_BLOCK", 64)  # passes of a few instances
+    passes = _recorded_rounds(monkeypatch, 64)
     got = rows(dec.decode_fast_stack(r, z, alphabet, prune))
     want = reference_fast_stack(r, z, alphabet, prune)
     assert _summaries(got) == _summaries(want)
     assert _summaries(got[-2:]) == _summaries(got[:2])
     assert got[-4].indices == tuple(sent[-2]) and got[-4].cost <= 1e-18
-    rounds = sorted(set(passes))
-    assert rounds[-1] == m * m or prune
-    assert len(passes) > len(rounds)  # some round spans passes
-    if prune:
-        # walks end in the first, second and a later round
-        assert rounds[:2] == [2, 8] and len(rounds) >= 3
+    _check_rounds(passes, m, prune, 64)
 
 
 @pytest.mark.parametrize("metric", (math.inf, 0.0))
@@ -764,7 +805,7 @@ def test_fast_stack_guesses_again_after_a_bad_guess(rng, monkeypatch, metric):
     the guess, it is made again from them until it holds, and the result is
     still the scalar walk's."""
     alphabet, r, z, _ = _prologue(rng, 16, np.linspace(-6.0, 30.0, 24).tolist(), "golden-dv")
-    search_planes, replay_pops, fast_pass = dec._search_planes, dec._replay_pops, dec._fast_pass
+    search_planes, replay_pops, pair_pass = dec._search_planes, dec._replay_pops, dec._pair_pass
     calls = {"replay": 0, "pass": 0}
 
     def forced(*args):
@@ -779,7 +820,7 @@ def test_fast_stack_guesses_again_after_a_bad_guess(rng, monkeypatch, metric):
 
     monkeypatch.setattr(dec, "_search_planes", forced)
     monkeypatch.setattr(dec, "_replay_pops", counting("replay", replay_pops))
-    monkeypatch.setattr(dec, "_fast_pass", counting("pass", fast_pass))
+    monkeypatch.setattr(dec, "_pair_pass", counting("pass", pair_pass))
     got = rows(dec.decode_fast_stack(r, z, alphabet))
     assert _summaries(got) == _summaries(reference_fast_stack(r, z, alphabet))
     assert calls["replay"] > calls["pass"]
@@ -1191,7 +1232,7 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     calls = []
     for _, decode in _DECODER_CASES.values():
         monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
-    for pass_name in ("_scan_block", "_complete_pairs", "_fast_pass", "_sphere_round"):
+    for pass_name in ("_scan_block", "_complete_pairs", "_pair_pass", "_sphere_round"):
         run_pass = getattr(dec, pass_name)
         monkeypatch.setattr(dec, pass_name,
                             lambda *args, run_pass=run_pass: calls.append(args) or run_pass(*args))

@@ -254,6 +254,13 @@ def test_verification_rejects_trials_below_one(suite, trials):
         run_verification(suite, trials)
 
 
+def test_mindet_accepts_zero_trials_and_rejects_negative_ones():
+    assert run_verification("mindet", 0).trials == 0
+    assert run_verification("mindet").trials == 0
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        run_verification("mindet", -5)
+
+
 @pytest.mark.parametrize(
     "suite, args, field",
     (
