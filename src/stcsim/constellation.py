@@ -7,6 +7,7 @@ decoders rely on that separability and on that order.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,13 +76,15 @@ def make_qam(m: int) -> QamAlphabet:
     """Build the unit-average-energy square M-QAM alphabet.
 
     Args:
-        m: modulation order, one of ``SUPPORTED_QAM_ORDERS``.
+        m: modulation order, an integer in ``SUPPORTED_QAM_ORDERS``; any
+            other value, ``4.0`` and ``True`` included, raises ValueError.
 
     Returns:
         QamAlphabet with mean |symbol|^2 equal to 1 and the fixed row-major
         symbol ordering (real axis fastest).
     """
-    if m not in SUPPORTED_QAM_ORDERS:
+    integral = isinstance(m, numbers.Integral) and not isinstance(m, bool)
+    if not integral or m not in SUPPORTED_QAM_ORDERS:
         raise ValueError(f"unsupported modulation order: {m!r}")
     width = math.isqrt(m)
     levels = tuple(float(2 * i - (width - 1)) for i in range(width))

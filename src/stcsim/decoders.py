@@ -36,6 +36,11 @@ matrixkit's ZERO_TOLERANCE. No decoder sees the code label: an EffectiveChannel 
 its 4x4 matrix ``h``, and which code a decoder may decode is the registry's
 rule.
 
+The three tree searches read a stack's R and z in one layout,
+``_by_component``, and share two kernels on it: ``_residual`` cancels the
+symbols already chosen, w = z[row] - sum of r[row][j] c_j, and
+``_slice_term`` slices w on R's real diagonal d, with its term |w - d x|^2.
+
 ``decode_exhaustive``, ``decode_fast_golden``, ``decode_alamouti_fast`` and
 ``decode_sphere_conventional`` decode one instance ``(eff, y, alphabet)``
 through their stack calls and return its ``row(0)``, though no decode path
@@ -92,15 +97,15 @@ from .matrixkit import frobenius_norm, qr_decompose, require_full_rank, require_
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
 EXHAUSTIVE_BLOCK = 2 ** 14
-# Pops one pass of the trailing-pair walk may hold, which bounds its memory,
-# and its first round's pops: smaller passes cost more numpy calls per
-# trial, and larger first rounds more leading work.
+# Pops one pass of the trailing-pair walk may hold, which bounds its memory:
+# smaller passes cost more numpy calls per trial.
 PAIR_BLOCK = 2 ** 12
-PAIR_FIRST_ROUND = 2
 # Child entries one pass of the sphere stack search may hold (a pass expands
-# at most SPHERE_BLOCK // M nodes), and the root children of its first round.
+# at most SPHERE_BLOCK // M nodes).
 SPHERE_BLOCK = 2 ** 14
-SPHERE_FIRST_ROUND = 2
+# Pops (trailing-pair walk) or root children (sphere search) per instance in
+# a first round: larger ones cost more work on instances that end early.
+FIRST_ROUND = 2
 
 # Column permutations that keep the two real diagonal blocks of R real; fast
 # decoding is possible only for these.
@@ -277,6 +282,56 @@ def _slice_planes(u: np.ndarray, pam) -> tuple:
     top = pam.size - 1.0
     index = np.ceil(np.fmin(np.fmax((u / pam.scale + top) / 2.0, 0.0), top) - 0.5)
     return pam.scale * (2.0 * index - top), index
+
+
+def _by_component(r: np.ndarray, z: np.ndarray) -> tuple:
+    """A stack's z (n, 4) and R (n, 4, 4) in the tree decoders' one layout:
+    by component, instances last, so a pass gathers each coefficient from
+    one contiguous row: (zr, zi) (4, n) and (rr, ri) (4, 4, n)."""
+    return tuple(np.ascontiguousarray(part) for part in (
+        z.real.T, z.imag.T, r.real.transpose(1, 2, 0), r.imag.transpose(1, 2, 0)))
+
+
+def _residual(row: int, inst, parts, columns) -> tuple:
+    """w = z[row] - sum of r[row][j] c_j over ``columns`` (j, Re c_j, Im c_j)
+    in turn, for instances ``inst`` of ``parts`` (``_by_component``), as
+    Python evaluates ``w -= r[row][j] * c_j`` on complex scalars, per
+    component.
+
+    Returns:
+        (wr, wi): the real and imaginary parts of w.
+    """
+    zr, zi, rr, ri = parts
+    wr, wi = zr[row][inst], zi[row][inst]
+    for j, cr, ci in columns:
+        a, b = rr[row, j][inst], ri[row, j][inst]
+        wr = wr - (a * cr - b * ci)
+        wi = wi - (a * ci + b * cr)
+    return wr, wi
+
+
+def _slice_term(wr, wi, d, pam) -> tuple:
+    """One complex slice of residuals (wr, wi) on real diagonal entries
+    ``d``: a PAM slice of w / d per axis, and the term ``|w - d x|^2`` with
+    ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)`` (``np.square``
+    differs from Python's ``pow`` in the last bit of some values).
+
+    Returns:
+        (term, index, bad): the terms, the sliced symbol indices, and where
+        the scalar search raised (False if nowhere): a non-finite w, which
+        puts a nan in its slicer, or a squared modulus overflowing from
+        finite parts.
+    """
+    xr, ir = _slice_planes(wr / d, pam)
+    xi, ii = _slice_planes(wi / d, pam)
+    er = wr - d * xr
+    ei = wi - d * xi
+    term = np.float_power(np.hypot(er, ei), 2.0)
+    bad = False
+    if not np.isfinite(term).all():
+        bad = (~(np.isfinite(wr) & np.isfinite(wi))
+               | (np.isfinite(er) & np.isfinite(ei) & np.isinf(term)))
+    return term, (ii * pam.size + ir).astype(np.int64), bad
 
 
 def _search_planes(v1, v2, r11, r12, r22, first, start, radius, pam, prune: bool) -> tuple:
@@ -482,12 +537,12 @@ def _pair_walk(outer, inner, leading, prune: bool) -> tuple:
     ``inner`` (n, M) per instance.
 
     The walk runs in rounds over the unfinished instances, each carrying its
-    best total, pick and nodes from round to round: pops 0 and 1, then up
-    to four times as many (at most PAIR_BLOCK more, and M^2 in all). A round
-    takes each instance's next pops from a stable sort of the tails of its
-    pairs with (k+1)(l+1) at most the round's pops, which hold its first
-    pops, as the pairs (k', l') <= (k, l) all pop before (k, l). A pass
-    holds at most PAIR_BLOCK pops, or one instance's.
+    best total, pick and nodes from round to round: its first FIRST_ROUND
+    pops, then up to four times as many (at most PAIR_BLOCK more, and M^2
+    in all). A round takes each instance's next pops from a stable sort of
+    the tails of its pairs with (k+1)(l+1) at most the round's pops, which
+    hold its first pops, as the pairs (k', l') <= (k, l) all pop before (k,
+    l). A pass holds at most PAIR_BLOCK pops, or one instance's.
 
     ``leading(inst, k, l, tail, bound)`` completes the pops of a pass that
     the walk may reach (instances ``inst``, pairs ``k``, ``l`` and their
@@ -514,7 +569,7 @@ def _pair_walk(outer, inner, leading, prune: bool) -> tuple:
     nodes = np.zeros(n, dtype=np.int64)
     picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
     pending = np.arange(n)
-    done, pops = 0, min(PAIR_FIRST_ROUND, m * m)
+    done, pops = 0, min(FIRST_ROUND, m * m)
     grid = np.outer(np.arange(1, m + 1), np.arange(1, m + 1))
     walk = (outer, inner, leading)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -533,11 +588,11 @@ def _pair_walk(outer, inner, leading, prune: bool) -> tuple:
     return picks, best, nodes
 
 
-def _fast_leading(inst, k, l, tail, bound, orders, coef, alphabet, prune: bool) -> tuple:
+def _fast_leading(inst, k, l, tail, bound, orders, parts, alphabet, prune: bool) -> tuple:
     """The fast golden decoder's leading completion for ``_pair_walk``:
-    pair (k, l) of instance ``inst`` is the real part's symbol ``orders[0]
-    [inst, k]`` and the imaginary part's ``orders[1][inst, l]``; ``coef``
-    holds each instance's rows of v and R (``decode_fast_stack``).
+    pair (k, l) of instance ``inst`` of ``parts`` (``_by_component``) is the
+    real part's symbol ``orders[0][inst, k]`` and the imaginary part's
+    ``orders[1][inst, l]``.
 
     It evaluates the searches of every pop that ``bound`` does not drop,
     inside the radius ``bound`` leaves, position by position
@@ -550,24 +605,20 @@ def _fast_leading(inst, k, l, tail, bound, orders, coef, alphabet, prune: bool) 
     width = pam.size
     sk = orders[0][inst, k]
     sl = orders[1][inst, l]
-    # v1 and v2 by component, as Python evaluates z - p x3 - q x4 on complex
-    # scalars: Re(a) plays x3's component and Im(a) x4's, with the real
-    # part's symbol sk and the imaginary part's sl
-    cf = coef[:, inst]
-    syms = np.stack([sk, sl, sk, sl])
-    swapped = syms[[1, 0, 3, 2]]
+    # Re(a) plays x3's component and Im(a) x4's, with the real part's symbol
+    # sk and the imaginary part's sl
     sym_re, sym_im = alphabet.symbols.real, alphabet.symbols.imag
-    v = ((cf[0:4] - (cf[4:8] * sym_re[syms] - cf[8:12] * sym_re[swapped]))
-         - (cf[12:16] * sym_im[syms] - cf[16:20] * sym_im[swapped]))
-    r22 = cf[22]
+    columns = ((2, sym_re[sk], sym_re[sl]), (3, sym_im[sk], sym_im[sl]))
+    v1, v2 = (np.stack(_residual(row, inst, parts, columns)) for row in (0, 1))
+    r11, r12, r22 = (parts[2][i, j][inst] for i, j in ((0, 0), (0, 1), (1, 1)))
     # each search's first position: its x2 slice and the pop's lower bound
-    x2, start = _slice_planes(v[2:] / r22, pam)
-    lower = np.float_power(v[2:] - r22 * x2, 2.0)
+    x2, start = _slice_planes(v2 / r22, pam)
+    lower = np.float_power(v2 - r22 * x2, 2.0)
     search = np.flatnonzero(~((tail + lower[0]) + lower[1] > bound))
     rest = (bound - tail)[search]
     both = np.concatenate
     found, planes = _search_planes(
-        both(v[0:2, search]), both(v[2:4, search]), *np.tile(cf[20:23, search], 2),
+        both(v1[:, search]), both(v2[:, search]), *(np.tile(c[search], 2) for c in (r11, r12, r22)),
         both(lower[:, search]), both(start[:, search]), both([rest, rest]), pam, prune)
     found = found.reshape(2, -1)
     total = np.full(len(tail), math.inf)
@@ -613,8 +664,9 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
 
     The searches read the radius, so the walk's leading completion
     (``_fast_leading``) evaluates them inside the carried best's radius and
-    replays them under each guess of the best before a pop. Indices, costs
-    and node counts are the scalar walk's, bit for bit, as each value is
+    replays them under each guess of the best before a pop; their v is
+    ``_residual``'s, on the ``_by_component`` layout. Indices, costs and
+    node counts are the scalar walk's, bit for bit, as each value is
     computed in its float operations, per component: Python's complex
     multiply and subtract, the tests' scalar slicer as ``ceil(clip -
     0.5)``, and ``** 2`` as ``np.float_power(x, 2.0)`` (``x * x`` differs
@@ -635,23 +687,16 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     require_zero(r[:, (0, 2), (1, 3)].imag, frobenius_norm(r)[:, None],
                  "fast golden decoder needs real diagonal blocks in R; this channel lacks "
                  "golden structure: max |Im r12|, |Im r34|")
-    r33, r34, r44 = (r[:, i, j, None].real for i, j in ((2, 2), (2, 3), (3, 3)))
+    parts = _by_component(r, z)
+    r33, r34, r44 = (parts[2][i, j][:, None] for i, j in ((2, 2), (2, 3), (3, 3)))
     sorts = []
-    for component in (np.real, np.imag):
-        z2, z3 = component(z[:, 2, None]), component(z[:, 3, None])
+    for component in parts[:2]:
+        z2, z3 = component[2][:, None], component[3][:, None]
         sorts += sort_alphabet_by_metric(
             alphabet, lambda a: (z2 - r33 * a.real - r34 * a.imag) ** 2 + (z3 - r44 * a.imag) ** 2
         )
     order_re, m_re, order_im, m_im = sorts
-    # Rows (v1 real, v1 imaginary, v2 real, v2 imaginary) of v = z - p x3 -
-    # q x4: z, the real parts of p and q, and their imaginary parts, negated
-    # in the rows of imaginary parts; then r11, r12 and r22.
-    p, q = r[:, (0, 0, 1, 1), 2].T, r[:, (0, 0, 1, 1), 3].T
-    sign = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float).T, p.real,
-                           p.imag * sign, q.real, q.imag * sign,
-                           r[:, (0, 0, 1), (0, 1, 1)].real.T])
-    leading = functools.partial(_fast_leading, orders=(order_re, order_im), coef=coef,
+    leading = functools.partial(_fast_leading, orders=(order_re, order_im), parts=parts,
                                 alphabet=alphabet, prune=prune)
     picks, best, nodes = _pair_walk(m_re, m_im, leading, prune)
     return DecodeResult(picks, best, nodes, np.full(len(z), 2), alphabet.symbols)
@@ -668,25 +713,13 @@ def decode_fast_golden(
 
 
 def _sphere_residual(level: int, inst, path, parts, syms) -> tuple:
-    """w = z[level] - sum of r[level][j] c_j over j = level + 1, ..., 3 in
-    turn, per component, as Python evaluates ``w -= r[level][j] * chosen[j]``
-    on complex scalars, for nodes of instances ``inst`` whose symbol indices
-    at levels 3, 2, ... down to level + 1 are the columns of ``path``;
-    ``parts`` holds z and R by component, instances last.
-
-    Returns:
-        (wr, wi): the real and imaginary parts of w.
-    """
-    zr, zi, rr, ri = parts
+    """The ``_residual`` of row ``level`` over columns level + 1, ..., 3, for
+    nodes of instances ``inst`` whose symbol indices at levels 3, 2, ...
+    down to level + 1 are the columns of ``path``; ``syms`` holds the
+    symbols' real and imaginary parts."""
     sym_re, sym_im = syms
-    wr, wi = zr[level][inst], zi[level][inst]
-    for j in range(level + 1, 4):
-        sym = path[:, 3 - j]
-        cr, ci = sym_re[sym], sym_im[sym]
-        a, b = rr[level, j][inst], ri[level, j][inst]
-        wr = wr - (a * cr - b * ci)
-        wi = wi - (a * ci + b * cr)
-    return wr, wi
+    return _residual(level, inst, parts, [(j, sym_re[path[:, 3 - j]], sym_im[path[:, 3 - j]])
+                                          for j in range(level + 1, 4)])
 
 
 def _child_metrics(wr, wi, d, values) -> np.ndarray:
@@ -701,27 +734,6 @@ def _child_metrics(wr, wi, d, values) -> np.ndarray:
     return (re[:, None, :] + im[:, :, None]).reshape(len(wr), len(values) ** 2)
 
 
-def _sphere_leaves(wr, wi, d, acc, pam) -> tuple:
-    """The slicer leaves under nodes with level-0 residual (wr, wi): one
-    complex slice, a PAM slice per axis, and the total ``acc + |w - d x|^2``
-    with ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
-
-    Returns:
-        (total, index, bad): the totals, the sliced symbol indices, and
-        where the scalar search raised on reaching the leaf: a non-finite w,
-        which puts a nan in its slicer, or a squared modulus overflowing
-        from finite parts.
-    """
-    xr, ir = _slice_planes(wr / d, pam)
-    xi, ii = _slice_planes(wi / d, pam)
-    er = wr - d * xr
-    ei = wi - d * xi
-    term = np.float_power(np.hypot(er, ei), 2.0)
-    bad = (~(np.isfinite(wr) & np.isfinite(wi))
-           | (np.isfinite(er) & np.isfinite(ei) & np.isinf(term)))
-    return acc + term, (ii * pam.size + ir).astype(np.int64), bad
-
-
 def _sphere_children(level: int, nodes, limit, setup) -> tuple:
     """The children of ``nodes`` at ``level`` (2 or 1) whose partial sums
     are within their instance's ``limit``, ordered by (parent, metric,
@@ -734,11 +746,11 @@ def _sphere_children(level: int, nodes, limit, setup) -> tuple:
     is its parent's plus its rank times M^(level - 1), so keys ascend in
     walk order.
     """
-    parts, rdiag, syms, values = setup[:4]
+    parts, syms, values = setup[:3]
     m = len(values) ** 2
     inst, acc, key, path = nodes[:4]
     metric = _child_metrics(*_sphere_residual(level, inst, path, parts, syms),
-                            rdiag[level][inst], values)
+                            parts[2][level, level][inst], values)
     cum = acc[:, None] + metric
     row, t = np.nonzero(~(cum > limit[inst, None]))
     order = np.lexsort((metric[row, t], row))  # stable: equal metrics keep ascending t
@@ -755,43 +767,44 @@ def _live(nodes, limit) -> tuple:
     return tuple(part[keep] for part in nodes)
 
 
-def _segment_fmin(segment, values) -> np.ndarray:
-    """Running ``np.fmin`` of ``values`` within each run of equal
-    ``segment`` (nondecreasing): over ranks, each later segment shifted
-    below every earlier one, so one running minimum restarts per segment."""
-    order = np.argsort(values, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    shift = (segment[-1:] - segment) * len(order)
-    return values[order[np.minimum.accumulate(rank + shift) - shift]]
-
-
 def _pass_radii(radius, leaves, total, queries) -> tuple:
-    """The search's radius along a pass's ``leaves`` (inst, key), from each
-    instance's carried ``radius``, which it advances past them.
+    """The search's radius along a pass's ``leaves`` (inst, key), grouped by
+    instance in walk order, from each instance's carried ``radius``, which
+    it advances past them.
 
     Per instance, the exclusive running minimum of the leaf totals in walk
     order is the radius at every node: a leaf the search never reaches lies
     under a node whose partial sum exceeds the radius there, so it never
-    lowers the minimum.
+    lowers the minimum. The running ``np.fmin`` within each instance's run
+    of leaves doubles its reach per step, while a leaf shares its instance
+    with the one that many places before it.
 
     Returns:
         (before, radii): the radius before each leaf, and for each query of
         nodes (inst, key) the radius at each node's first leaf position.
     """
     inst, key = leaves
-    insts = np.unique(np.concatenate([inst, *(q[0] for q in queries)]))
-    segment = np.searchsorted(insts, inst)
-    count = np.bincount(segment, minlength=len(insts))
-    first = np.cumsum(count + 1) - (count + 1)  # each carried radius, then its leaves
-    at = np.arange(len(inst)) + segment + 1
-    seq = np.empty(len(inst) + len(insts))
-    seq[first] = radius[insts]
-    seq[at] = total
-    run = _segment_fmin(np.repeat(np.arange(len(insts)), count + 1), seq)
-    radius[insts] = run[first + count]
-    radii = [run[np.searchsorted(key, q[1]) + np.searchsorted(insts, q[0])] for q in queries]
-    return run[at - 1], radii
+    run = total.copy()
+    step = 1
+    while step < len(run):
+        same = inst[step:] == inst[:-step]
+        if not same.any():
+            break
+        run[step:] = np.where(same, np.fmin(run[:-step], run[step:]), run[step:])
+        step *= 2
+    # the radius after each leaf, behind a leaf of no instance
+    after = np.concatenate([[math.nan], np.fmin(radius[inst], run)])
+    owner = np.concatenate([[-1], inst])
+
+    def at(position, query):
+        """The radius of instances ``query`` before leaf ``position``."""
+        return np.where(owner[position] == query, after[position], radius[query])
+
+    before = at(np.arange(len(inst)), inst)
+    radii = [at(np.searchsorted(key, q[1]), q[0]) for q in queries]
+    last = np.flatnonzero(np.diff(inst, append=-1))
+    radius[inst[last]] = after[last + 1]
+    return before, radii
 
 
 def _sphere_round(roots, state, setup) -> None:
@@ -814,7 +827,7 @@ def _sphere_round(roots, state, setup) -> None:
         ValueError: COST_OVERFLOW where the scalar search raised at a leaf.
     """
     radius, limit, nodes, sorts, expanded, picks = state
-    parts, rdiag, syms, values, pam, prune = setup
+    parts, syms, values, pam, prune = setup
     m = len(values) ** 2
     count = len(radius)
     step = max(1, SPHERE_BLOCK // m)
@@ -827,8 +840,9 @@ def _sphere_round(roots, state, setup) -> None:
         for lo2 in range(0, len(mid[0]), step):
             sub = _live(tuple(part[lo2:lo2 + step] for part in mid), limit)
             low = _sphere_children(1, sub, limit, setup)
-            total, index, bad = _sphere_leaves(*_sphere_residual(0, low[0], low[3], parts, syms),
-                                               rdiag[0][low[0]], low[1], pam)
+            term, index, bad = _slice_term(*_sphere_residual(0, low[0], low[3], parts, syms),
+                                           parts[2][0, 0][low[0]], pam)
+            total = low[1] + term
             if prune:
                 np.fmin.at(limit, low[0], total)
             here = np.flatnonzero((pos >= lo2) & (pos < lo2 + step))
@@ -878,16 +892,18 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     bit. One stable argsort orders the root's children, and a greedy descent
     (the first child at each level) finds the first leaf, whose total bounds
     every later radius. The root's children are then walked in rounds over
-    the unfinished instances, ranks below SPHERE_FIRST_ROUND, then up to
+    the unfinished instances, ranks below FIRST_ROUND, then up to
     four times as many: a round enumerates the nodes below them whose
     partial sums are within a limit (the first leaf's total in the first
     round, the carried best after it) and replays the search on them, pass
     by pass (``_sphere_round``). An instance is done when a root child of
-    the round is not expanded, or after all M. Each value is computed in
-    the scalar search's float operations, per component: Python's complex
-    multiply and subtract, ``(w - d v) * (w - d v)`` per axis and the child
-    metric ``re + im``, the tests' scalar slicer as ``ceil(clip - 0.5)``, and
-    ``abs(.) ** 2`` as ``float_power(hypot(re, im), 2.0)``.
+    the round is not expanded, or after all M. On the ``_by_component``
+    layout, ``_residual`` gives each node's residual and ``_slice_term``
+    each leaf. Each value is computed in the scalar search's float
+    operations, per component: Python's complex multiply and subtract, ``(w
+    - d v) * (w - d v)`` per axis and the child metric ``re + im``, the
+    tests' scalar slicer as ``ceil(clip - 0.5)``, and ``abs(.) ** 2`` as
+    ``float_power(hypot(re, im), 2.0)``.
 
     Args:
         prune: disable to force full enumeration (worst-case
@@ -905,10 +921,8 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     pam = alphabet.pam
     values = np.array(pam.values)
     syms = (alphabet.symbols.real, alphabet.symbols.imag)
-    # z and R by component, instances last, so a node's coefficients are
-    # gathered from contiguous rows
-    parts = (z.real.T, z.imag.T, r.real.transpose(1, 2, 0), r.imag.transpose(1, 2, 0))
-    rdiag = np.diagonal(r.real, axis1=1, axis2=2).T
+    parts = _by_component(r, z)
+    zr, zi, rr, _ = parts
     every = np.arange(n)
     best = np.full(n, math.inf)
     picks = np.zeros((n, 4), dtype=np.int64)  # symbol indices of x1, x2, x3, x4
@@ -916,21 +930,21 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     sorts = np.ones(n, dtype=np.int64)
     expanded = np.zeros(n, dtype=np.int64)  # the root's expanded children
     with np.errstate(over="ignore", invalid="ignore"):
-        metric = _child_metrics(z.real[:, 3], z.imag[:, 3], rdiag[3], values)
+        metric = _child_metrics(zr[3], zi[3], rr[3, 3], values)
         root_order = np.argsort(metric, axis=1, kind="stable")
         root_cum = 0.0 + np.take_along_axis(metric, root_order, axis=1)
         # the first leaf: the first child at each level
         acc, path = root_cum[:, 0], root_order[:, :1]
         for level in (2, 1):
             metric = _child_metrics(*_sphere_residual(level, every, path, parts, syms),
-                                    rdiag[level], values)
+                                    rr[level, level], values)
             t = np.argmin(metric, axis=1)  # the lowest index among equal metrics
             acc = acc + metric[every, t]
             path = np.column_stack([path, t])
-        first, _, _ = _sphere_leaves(*_sphere_residual(0, every, path, parts, syms),
-                                     rdiag[0], acc, pam)
+        first = acc + _slice_term(*_sphere_residual(0, every, path, parts, syms), rr[0, 0],
+                                  pam)[0]
         pending = every
-        done, end = 0, min(SPHERE_FIRST_ROUND, m)
+        done, end = 0, min(FIRST_ROUND, m)
         while len(pending):
             count = len(pending)
             limit = (first if done == 0 else best)[pending] if prune else np.full(count, math.inf)
@@ -940,8 +954,7 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
                      root_order[pending[row], done + col][:, None])
             state = (best[pending], limit, *(np.zeros(count, dtype=np.int64) for _ in range(3)),
                      picks[pending])
-            setup = (tuple(part[..., pending] for part in parts), rdiag[:, pending], syms, values,
-                     pam, prune)
+            setup = (tuple(part[..., pending] for part in parts), syms, values, pam, prune)
             _sphere_round(roots, state, setup)
             best[pending], _, visits, expansions, hits, picks[pending] = state
             nodes[pending] += visits
@@ -965,58 +978,39 @@ def decode_sphere_conventional(
     return decode_sphere_stack(r, z, alphabet, prune).row(0)
 
 
-def _complete_pairs(tail, i3, i4, coef, alphabet) -> tuple:
+def _complete_pairs(tail, i3, i4, inst, parts, alphabet) -> tuple:
     """Complete trailing pairs, given per pair its ``tail`` metric, the
-    symbol indices ``i3``, ``i4`` and its instance's ``coef``: z1, z2, r13,
-    r14, r23, r24 as real and imaginary parts, r11 and r22.
-
-    Four PAM slices per pair, in the scalar walk's float operations, per
-    component: Python's complex multiply and subtract, the PAM slice, and
-    ``abs(w) ** 2`` as ``float_power(hypot(re, im), 2.0)`` (``np.square``
-    differs from Python's ``pow`` in the last bit of some values).
+    symbol indices ``i3``, ``i4`` and its instance ``inst`` of ``parts``
+    (``_by_component``): the residuals v1 and v2 of rows 0 and 1 over x3
+    and x4 (``_residual``), then one complex slice each on r11 and r22
+    (``_slice_term``).
 
     Returns:
         (total, picks, bad): each pair's ``tail + |v1 - r11 x1|^2 + |v2 -
-        r22 x2|^2``; x1's and x2's symbol indices, as floats; and where the
-        scalar walk raised (False if nowhere): a non-finite v, which put a
-        nan in its slicer, or a squared modulus overflowing from finite parts.
+        r22 x2|^2``; x1's and x2's symbol indices; and where the scalar walk
+        raised (False if nowhere).
     """
-    z1r, z1i, z2r, z2i, ar, ai, br, bi, cr, ci, dr, di, r11, r22 = coef
     syms = alphabet.symbols
-    x3r, x3i, x4r, x4i = syms.real[i3], syms.imag[i3], syms.real[i4], syms.imag[i4]
-    # v = z - p x3 - q x4, as Python evaluates it on complex scalars
-    v = [((zr - (pr * x3r - pi * x3i)) - (qr * x4r - qi * x4i),
-          (zi - (pr * x3i + pi * x3r)) - (qr * x4i + qi * x4r))
-         for zr, zi, pr, pi, qr, qi in ((z1r, z1i, ar, ai, br, bi), (z2r, z2i, cr, ci, dr, di))]
-    del x3r, x3i, x4r, x4i  # a pass's peak memory is this function's
-    total = tail
-    picks = []
-    bad = False
-    for rii in (r11, r22):
-        vr, vi = v.pop(0)
-        sym_r, index_r = _slice_planes(vr / rii, alphabet.pam)
-        sym_i, index_i = _slice_planes(vi / rii, alphabet.pam)
-        picks.append(index_i * alphabet.pam.size + index_r)
-        wr = vr - rii * sym_r
-        wi = vi - rii * sym_i
-        del sym_r, index_r, sym_i, index_i
-        term = np.float_power(np.hypot(wr, wi), 2.0)
+    columns = ((2, syms.real[i3], syms.imag[i3]), (3, syms.real[i4], syms.imag[i4]))
+    total, picks, bad = tail, [], False
+    for row in (0, 1):
+        term, index, overflow = _slice_term(*_residual(row, inst, parts, columns),
+                                            parts[2][row, row][inst], alphabet.pam)
         total = total + term
-        if not np.isfinite(term).all():
-            bad = (bad | ~(np.isfinite(vr) & np.isfinite(vi))
-                   | (np.isfinite(wr) & np.isfinite(wi) & np.isinf(term)))
+        picks.append(index)
+        bad = bad | overflow
     return total, picks, bad
 
 
-def _alamouti_leading(inst, k, l, tail, bound, orders, coef, alphabet) -> tuple:
+def _alamouti_leading(inst, k, l, tail, bound, orders, parts, alphabet) -> tuple:
     """The Alamouti decoder's leading completion for ``_pair_walk``: pair
-    (k, l) of instance ``inst`` is x4 = ``orders[0][inst, k]`` and x3 =
-    ``orders[1][inst, l]``, completed by four slices (``_complete_pairs``)
-    with the instance's ``coef`` (14, n). The slices read no radius, so
+    (k, l) of instance ``inst`` of ``parts`` (``_by_component``) is x4 =
+    ``orders[0][inst, k]`` and x3 = ``orders[1][inst, l]``, completed by
+    four slices (``_complete_pairs``). The slices read no radius, so
     ``bound`` goes unread, a replay only masks the pops not led (four nodes
     per pop led), and the first replay confirms the guess."""
     i4, i3 = orders[0][inst, k], orders[1][inst, l]
-    total, (i1, i2), bad = _complete_pairs(tail, i3, i4, coef[:, inst], alphabet)
+    total, (i1, i2), bad = _complete_pairs(tail, i3, i4, inst, parts, alphabet)
 
     def replay(guess, led):
         return (np.where(led, total, math.inf), 4 * led, np.any(bad & led),
@@ -1034,12 +1028,14 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     channel orthogonal, which puts those zeros in R: the trailing-pair
     branch metrics separate per symbol, one full-alphabet sort each for x4
     and x3, and the leading pair falls to four PAM slices per trailing
-    pair, which do not read the search radius (``_alamouti_leading``). The
-    stack walks the module docstring's best-first walk over the pairs of
-    the two sorted lists (``_pair_walk``): one node per pop, one more when
-    a row is first popped and four per completed pair, ending at the first
-    pop whose tail exceeds the best total before it. Indices, costs and
-    node counts are the scalar walk's, bit for bit.
+    pair, which do not read the search radius (``_alamouti_leading``):
+    ``_residual`` and ``_slice_term`` on the ``_by_component`` layout
+    (``_complete_pairs``). The stack walks the module docstring's
+    best-first walk over the pairs of the two sorted lists
+    (``_pair_walk``): one node per pop, one more when a row is first popped
+    and four per completed pair, ending at the first pop whose tail exceeds
+    the best total before it. Indices, costs and node counts are the scalar
+    walk's, bit for bit.
 
     Returns:
         One DecodeResult for the stack, indices in the columns' order.
@@ -1058,11 +1054,8 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
         zi, rii = z[:, i, None], r[:, i, i, None].real
         sorts += sort_alphabet_by_metric(alphabet, lambda a: abs(zi - rii * a) ** 2)
     order4, m4, order3, m3 = sorts
-    coef = np.concatenate([np.ascontiguousarray(z[:, :2]).view(float),
-                           np.ascontiguousarray(r[:, :2, 2:]).reshape(n, 4).view(float),
-                           r[:, 0, 0, None].real, r[:, 1, 1, None].real], axis=1).T
-    leading = functools.partial(_alamouti_leading, orders=(order4, order3), coef=coef,
-                                alphabet=alphabet)
+    leading = functools.partial(_alamouti_leading, orders=(order4, order3),
+                                parts=_by_component(r, z), alphabet=alphabet)
     picks, best, nodes = _pair_walk(m4, m3, leading, prune)
     return DecodeResult(picks, best, nodes, np.full(n, 2), alphabet.symbols)
 

@@ -28,13 +28,16 @@ def test_make_qam_16_scale_matches_direct_summation():
     levels = (-3, -1, 1, 3)
     mean_energy = np.mean([a * a + b * b for a in levels for b in levels])
     assert mean_energy == 10
-    a = make_qam(16)
-    assert a.pam.scale == pytest.approx(1 / math.sqrt(10), abs=1e-15)
+    for a in (make_qam(16), make_qam(np.int64(16))):
+        assert a.pam.scale == pytest.approx(1 / math.sqrt(10), abs=1e-15)
 
 
-def test_make_qam_rejects_unsupported_order():
+@pytest.mark.parametrize("m", (5, 4.0, 16.5, True, "4"))
+def test_make_qam_rejects_unsupported_order(m):
+    """Only an integer order is supported: a float, bool or string that
+    equals a supported order is rejected too, as ``SweepConfig`` rejects it."""
     with pytest.raises(ValueError, match="unsupported modulation order"):
-        make_qam(5)
+        make_qam(m)
 
 
 @pytest.mark.parametrize("m", SUPPORTED_QAM_ORDERS)

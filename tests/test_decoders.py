@@ -539,6 +539,99 @@ def test_sphere_stack_raises_where_the_scalar_search_raised():
         dec.decode_sphere_stack(*stacked, alphabet)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_and_slice_term_are_the_scalar_arithmetic():
+    """``_residual`` and ``_slice_term`` on ``_by_component`` parts are, bit
+    for bit, Python's ``w -= r[row][j] * c_j`` on complex scalars, then
+    ``slice_complex(w / d)`` and ``abs(w - d x) ** 2``, and ``bad`` holds
+    exactly where those raised. The entries mix signed zeros, +-inf, inf
+    products that make nan, overflowing moduli and w on exact PAM midpoints,
+    among ordinary values (``x * x`` differs from ``x ** 2`` on a few)."""
+    alphabet = st.make_qam(16)
+    pam = alphabet.pam
+    grid = np.random.default_rng(11)
+    n = 2000
+    z_pool = [0.0, -0.0, 0.7, -1.3, 2.0 * pam.scale, -4.0 * pam.scale, 1.5e308, math.inf]
+    r_pool = [0.0, -0.0, 0.0, -0.0, 0.25, -1.5, 1e300, -math.inf]
+    z = np.empty((n, 4), dtype=complex)
+    r = np.empty((n, 4, 4), dtype=complex)
+    for pool, planes in ((z_pool, (z.real, z.imag)), (r_pool, (r.real, r.imag))):
+        for part in planes:
+            plain = grid.standard_normal(part.shape) * 10.0 ** grid.uniform(-3, 3, part.shape)
+            part[...] = np.where(grid.random(part.shape) < 0.5, grid.choice(pool, part.shape),
+                                 plain)
+    for i in range(4):  # R's real diagonal
+        r[:, i, i] = grid.choice([1.0, 0.5, 1e-3, 1e150], n)
+    picks = grid.integers(0, alphabet.size, (n, 4))
+    syms = alphabet.symbols
+    parts = dec._by_component(r, z)
+    inst = grid.permutation(n)
+    seen = {"midpoint": 0, "nan": 0, "raised": 0, "signed zero": 0}
+    for row in range(3):
+        columns = [(j, syms.real[picks[inst, j]], syms.imag[picks[inst, j]])
+                   for j in range(row + 1, 4)]
+        wr, wi = dec._residual(row, inst, parts, columns)
+        term, index, bad = dec._slice_term(wr, wi, parts[2][row, row][inst], pam)
+        bad = np.broadcast_to(bad, (n,))
+        for lane, i in enumerate(inst.tolist()):
+            w = complex(z[i, row])
+            for j in range(row + 1, 4):
+                w -= complex(r[i, row, j]) * complex(syms[picks[i, j]])
+            assert (wr[lane].hex(), wi[lane].hex()) == (w.real.hex(), w.imag.hex())
+            d = float(r[i, row, row].real)
+            try:
+                x, want_index = conftest.slice_complex(w / d, alphabet)
+                want_term = abs(w - d * x) ** 2
+            except (ValueError, OverflowError):
+                assert bad[lane]
+                seen["raised"] += 1
+            else:
+                assert not bad[lane]
+                assert (term[lane].hex(), index[lane]) == (want_term.hex(), want_index)
+                u = (w / d).real / pam.scale
+                seen["midpoint"] += u % 2.0 == 0.0 and abs(u) < pam.size - 1
+            seen["nan"] += math.isnan(w.real)
+            seen["signed zero"] += math.copysign(1.0, w.imag) < 0 and w.imag == 0.0
+    assert all(seen.values()), seen
+
+
+def _pass_radii_oracle(radius, leaves, total, queries):
+    """``_pass_radii`` by a Python loop: the radius of instance q at key k is
+    its carried radius folded by ``np.fmin`` with the totals of its leaves
+    before k, in walk order."""
+    def radius_at(q, k):
+        value = radius[q]
+        for inst, key, t in zip(*leaves, total):
+            if inst == q and key < k:
+                value = t if math.isnan(value) else value if math.isnan(t) else min(value, t)
+        return value
+
+    before = [radius_at(q, k) for q, k in zip(*leaves)]
+    radii = [[radius_at(q, k) for q, k in zip(*query)] for query in queries]
+    return before, radii, [radius_at(q, math.inf) for q in range(len(radius))]
+
+
+def test_pass_radii_matches_a_python_loop():
+    """The sort-free segmented running minimum of ``_pass_radii`` is the
+    Python loop's, bit for bit: per instance, with nan and inf totals and
+    carried radii, queries of instances without leaves, and an empty pass."""
+    grid = np.random.default_rng(5)
+    hex_of = lambda values: [float(v).hex() for v in values]  # noqa: E731
+    for count in (0, 1, 2, 5, 40, 300):
+        radius = grid.choice([math.inf, math.nan, 3.0, 0.5], 6)
+        inst = np.sort(grid.choice([0, 2, 3, 5], count))  # 1 and 4 have no leaves
+        key = inst * 1000 + np.arange(count)  # ascending in walk order
+        total = grid.choice([0.25, 1.0, 2.0, 4.0, math.inf, math.nan], count) * grid.random(count)
+        queries = [(q := grid.integers(0, 6, 30), q * 1000 + grid.integers(0, 400, 30)),
+                   (np.array([1, 4, 0]), np.array([1000, 4300, 0]))]
+        want = _pass_radii_oracle(radius.tolist(), (inst.tolist(), key.tolist()),
+                                  total.tolist(), [(q.tolist(), k.tolist()) for q, k in queries])
+        before, radii = dec._pass_radii(radius, (inst, key), total, queries)
+        assert hex_of(before) == hex_of(want[0])
+        assert [hex_of(r) for r in radii] == [hex_of(r) for r in want[1]]
+        assert hex_of(radius) == hex_of(want[2])
+
+
 @pytest.mark.parametrize("ordering", ("none", "blast"))
 def test_sphere_stack_costs_are_residuals(rng, ordering):
     """Every stacked sphere cost is ||y - H x_hat||^2 within 1e-9 of it, with
@@ -677,16 +770,16 @@ def test_alamouti_stack_completes_each_pair_once(rng, monkeypatch, m):
     """Over all its rounds, the stack walk completes each (instance,
     trailing pair) at most once: a round completes only the pops after the
     earlier rounds', from the best total they carry. A completion is keyed
-    by what ``_complete_pairs`` receives: the instance's coefficients and
-    the pair's symbol indices, in whatever shape a pass holds them."""
+    by what ``_complete_pairs`` receives: the instance and the pair's
+    symbol indices (inst, i3, i4), in whatever shape a pass holds them."""
     alphabet, r, z, _ = _prologue(rng, m, np.linspace(-6.0, 30.0, 40).tolist())
     completed = []
     complete_pairs = dec._complete_pairs
 
-    def recording(tail, i3, i4, coef, alphabet):
-        keys = np.stack(np.broadcast_arrays(*coef, i3, i4), axis=-1)
+    def recording(tail, i3, i4, inst, parts, alphabet):
+        keys = np.stack(np.broadcast_arrays(inst, i3, i4), axis=-1)
         completed.extend(map(tuple, keys.reshape(-1, keys.shape[-1]).tolist()))
-        return complete_pairs(tail, i3, i4, coef, alphabet)
+        return complete_pairs(tail, i3, i4, inst, parts, alphabet)
 
     monkeypatch.setattr(dec, "_complete_pairs", recording)
     got = rows(dec.decode_alamouti_stack(r, z, alphabet))
