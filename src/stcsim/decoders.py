@@ -354,22 +354,23 @@ def _search_planes(v1, v2, r11, r12, r22, first, start, radius, pam, prune: bool
     """
     width = pam.size
     values = np.array(pam.values)
-    # The zigzag merges the levels below the start, nearest first, with
-    # those above, by their distances c - v and v - c, the lower level on
-    # equal distances: a sort by distance, then side, then nearness.
-    offset = np.arange(width) - start[:, None]
-    distance = (v2 / r22)[:, None] - values
-    distance = np.where(offset < 0, distance, -distance)
-    distance[offset == 0] = -math.inf
-    zigzag = np.lexsort((np.abs(offset) + width * (offset > 0), distance), axis=1)
     planes = np.zeros((4, len(v1), width))
     planes[0, :, 0] = first
     best = radius.copy()
     row = np.arange(len(v1))
-    state = np.stack([v1, v2, r11, r12, r22, radius])  # per live lane
+    state = np.stack([v1, v2, r11, r12, r22, radius, v2 / r22])  # per live lane
+    zigzag = np.stack([start, start - 1, start + 1]).astype(np.int64)  # x2, next below, above
     t = first
     for j in range(width):
-        pos = zigzag[row, j]
+        pos, lo, hi = zigzag
+        if j:
+            # scalar real_search's step: the lower neighbour when it is at
+            # least as near to c as the upper one, or the upper is past the grid
+            c = state[6]
+            down = (lo >= 0) & ((hi == width)
+                                | (c - values[lo] <= values[np.minimum(hi, width - 1)] - c))
+            pos = np.where(down, lo, hi)
+            zigzag = np.stack([pos, lo - down, hi + ~down])
         x2 = values[pos]
         if j:
             t = np.float_power(state[1] - state[4] * x2, 2.0)
@@ -377,7 +378,8 @@ def _search_planes(v1, v2, r11, r12, r22, first, start, radius, pam, prune: bool
         planes[3, row, j] = pos
         if prune:
             live = t <= state[5]
-            row, state, t, x2 = row[live], state[:, live], t[live], x2[live]
+            row, state, zigzag = row[live], state[:, live], zigzag[:, live]
+            t, x2 = t[live], x2[live]
         u = state[0] - state[3] * x2
         x1, planes[2, row, j] = _slice_planes(u / state[2], pam)
         planes[1, row, j] = metric = t + np.float_power(u - state[2] * x1, 2.0)
@@ -609,16 +611,20 @@ def _fast_leading(inst, k, l, tail, bound, orders, parts, alphabet, prune: bool)
     # sk and the imaginary part's sl
     sym_re, sym_im = alphabet.symbols.real, alphabet.symbols.imag
     columns = ((2, sym_re[sk], sym_re[sl]), (3, sym_im[sk], sym_im[sl]))
-    v1, v2 = (np.stack(_residual(row, inst, parts, columns)) for row in (0, 1))
-    r11, r12, r22 = (parts[2][i, j][inst] for i, j in ((0, 0), (0, 1), (1, 1)))
+    v2 = np.stack(_residual(1, inst, parts, columns))
+    r22 = parts[2][1, 1][inst]
     # each search's first position: its x2 slice and the pop's lower bound
     x2, start = _slice_planes(v2 / r22, pam)
     lower = np.float_power(v2 - r22 * x2, 2.0)
     search = np.flatnonzero(~((tail + lower[0]) + lower[1] > bound))
+    # only the pops the lower bounds keep read row 0
+    at = inst[search]
+    v1 = _residual(0, at, parts, [(j, cr[search], ci[search]) for j, cr, ci in columns])
+    r11, r12 = (parts[2][0, j][at] for j in (0, 1))
     rest = (bound - tail)[search]
     both = np.concatenate
     found, planes = _search_planes(
-        both(v1[:, search]), both(v2[:, search]), *(np.tile(c[search], 2) for c in (r11, r12, r22)),
+        both(v1), both(v2[:, search]), *(np.tile(c, 2) for c in (r11, r12, r22[search])),
         both(lower[:, search]), both(start[:, search]), both([rest, rest]), pam, prune)
     found = found.reshape(2, -1)
     total = np.full(len(tail), math.inf)

@@ -4,17 +4,19 @@
 versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. A point's trials are drawn in
 blocks of STREAM_BLOCK, each block from its own Philox stream
-``make_rng(seed, point index, block index)``, and a chunk is a whole number
-of blocks. A serial sweep decodes each point as one chunk, or in chunks of
-MAX_CHUNK trials above that size; a pooled one cuts the whole sweep into
-about four chunks per worker, none across points. Chunking cannot change
-the output: serial and parallel runs emit identical CSV (wall-time columns
-excluded from that contract). Sweeps and the decoding verify suites share
-one instance pipeline: ``_InstanceStack`` draws instances a row or a block
-of rows at a time and builds them as one stack, and ``decode_stack``, the
-one place that calls a decoder or decides a column order, runs their
-stacked prologue once per stack. CLI ``decode`` decodes its one instance
-through ``decode_stack`` too, as a stack of one.
+``make_rng(seed, point index, block index)``. One rule cuts every sweep
+into chunks (``_chunk_plan``): the sweep's blocks, point by point, fall
+into runs of whole blocks, which may span points; a serial sweep takes the
+fewest runs of at most MAX_CHUNK trials (in whole blocks), a pooled one
+about four runs per worker. A chunk is decoded as one stack, each row with
+its own point's noise variance. Chunking cannot change the output: serial
+and parallel runs emit identical CSV (wall-time columns excluded from that
+contract). Sweeps and the decoding verify suites share one instance
+pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
+time and builds them as one stack, and ``decode_stack``, the one place that
+calls a decoder or decides a column order, runs their stacked prologue once
+per stack. CLI ``decode`` decodes its one instance through ``decode_stack``
+too, as a stack of one.
 
 ``run_verification`` bundles the statistical and structural checks the
 library's guarantees rest on (QR block realness, decoder cost equivalence,
@@ -273,11 +275,12 @@ class SweepReport:
 # whole number of blocks, so no row depends on how the trials are chunked.
 STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices, QR factors and decoder state
-# until it is decoded. One chunk's peak RSS at 24 dB, in a fresh process,
-# grows by about 7.6 KiB per trial from 32 to 1024 trials and 5.1 KiB from
-# 1024 to 4096 at 64-QAM fast, and by about 2 KiB at 4-QAM exhaustive,fast.
-# The cap bounds that for long serial sweeps; a stack's time per trial
-# levels off by a few hundred.
+# until it is decoded. In a fresh process, one 1024-trial chunk of 16-QAM
+# alamouti,sphere raises the peak RSS by about 1.8 MiB at 24 dB and 2.6 MiB
+# at 6 dB, and each trial from 1024 to 4096 adds about 2.2 and 2.4 KiB;
+# 4-QAM exhaustive,fast adds 1.6 MiB and 2.2 KiB per trial, and 64-QAM fast
+# measured about 7.6 KiB per trial from 32 to 1024. The cap bounds that for
+# long serial sweeps; a stack's time per trial levels off by a few hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK
 
 
@@ -387,26 +390,61 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     return decoded, elapsed
 
 
-def _run_chunk(cfg: SweepConfig, point_index: int, snr_db: float, lo: int, hi: int) -> dict:
-    """Decode trials [lo, hi) of one SNR point, ``lo`` a multiple of STREAM_BLOCK.
+def _chunk_plan(points: list, trials: int, runs: int) -> list:
+    """Cut a sweep of ``trials`` trials at each SNR point of ``points`` into
+    chunks: its blocks of STREAM_BLOCK trials, point by point in order,
+    split into runs of whole blocks, as even in blocks as they divide: at
+    least ``runs`` of them, and as few as hold at most MAX_CHUNK //
+    STREAM_BLOCK blocks, so at most MAX_CHUNK trials, each. A run may span
+    points.
+
+    Returns:
+        Per chunk, its segments ``(point index, snr_db, lo, hi)``, one per
+        point it holds: the point's trials [lo, hi), ``lo`` a multiple of
+        STREAM_BLOCK.
+    """
+    per_point = -(-trials // STREAM_BLOCK)
+    blocks = per_point * len(points)
+    runs = min(blocks, max(runs, -(-blocks // (MAX_CHUNK // STREAM_BLOCK))))
+    plan = []
+    for i in range(runs):
+        first, stop = i * blocks // runs, (i + 1) * blocks // runs  # the run's blocks
+        segments = []
+        for pi in range(first // per_point, -(-stop // per_point)):
+            base = pi * per_point
+            lo = max(0, first - base) * STREAM_BLOCK
+            segments.append((pi, points[pi], lo, min(trials, (stop - base) * STREAM_BLOCK)))
+        plan.append(segments)
+    return plan
+
+
+def _run_chunk(cfg: SweepConfig, segments: list) -> dict:
+    """Decode one chunk of a sweep: the trials [lo, hi) of each of its
+    ``segments`` (point index, snr_db, lo, hi), in order, as one stack.
 
     Each block of trials draws its rows of the chunk's ``_InstanceStack``
-    from its own stream, ``make_rng(cfg.seed, point_index, block)``. The
-    chunk is built and decoded as one stack, so the decoders of a trial that
-    decode the same column order share that trial's prologue.
+    from its own stream, ``make_rng(cfg.seed, point index, block)``, and each
+    row gets its point's noise variance. The chunk is built and decoded as
+    one stack, so the decoders of a trial that decode the same column order
+    share that trial's prologue.
 
     Returns:
         For each decoder name, ``(counts, ns)``: its symbol errors, nodes and
-        sorts per trial, in trial order, as one (3, trials) int64 array, and
-        its ``decode_stack`` time.
+        sorts per trial, in the segments' trial order, as one (3, trials)
+        int64 array, and its ``decode_stack`` time.
     """
     alphabet = make_qam(cfg.modulation)
-    stack = _InstanceStack(hi - lo, cfg.channel, cfg.code, alphabet, cfg.rho)
-    for start in range(lo, hi, STREAM_BLOCK):
-        rows = slice(start - lo, min(hi, start + STREAM_BLOCK) - lo)
-        rng = make_rng(cfg.seed, point_index, start // STREAM_BLOCK)
-        stack.draw(rows, rng, noisy=not cfg.noise_free)
-    matrices, received = stack.build(snr_to_n0(snr_db))
+    sizes = [hi - lo for _, _, lo, hi in segments]
+    stack = _InstanceStack(sum(sizes), cfg.channel, cfg.code, alphabet, cfg.rho)
+    row = 0
+    for point_index, _, lo, hi in segments:
+        for start in range(lo, hi, STREAM_BLOCK):
+            size = min(hi, start + STREAM_BLOCK) - start
+            rng = make_rng(cfg.seed, point_index, start // STREAM_BLOCK)
+            stack.draw(slice(row, row + size), rng, noisy=not cfg.noise_free)
+            row += size
+    n0 = np.repeat([snr_to_n0(snr_db) for _, snr_db, _, _ in segments], sizes)
+    matrices, received = stack.build(n0)
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     return {
         name: (np.stack([(result.indices != stack.sent).sum(axis=1), result.nodes_visited,
@@ -420,37 +458,37 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
-    # In whole blocks, capped by MAX_CHUNK, and never across points: a pool
-    # gets about four chunks per worker over the whole sweep, which keeps the
-    # workers balanced, and a serial point is one stack. Each stack pays the
-    # decoders' fixed numpy costs per call and per walk round once: per
-    # trial, the fast walk of a 32-trial stack costs 1.4 to 5 times that of
-    # a 256-trial one.
-    share = 4 * threads if threads > 1 else 1
-    blocks = -(-cfg.trials * len(points) // (share * STREAM_BLOCK))
-    chunk = min(MAX_CHUNK, STREAM_BLOCK * blocks)
-    tasks = [
-        (pi, snr, lo, min(cfg.trials, lo + chunk))
-        for pi, snr in enumerate(points)
-        for lo in range(0, cfg.trials, chunk)
-    ]
-    if threads > 1 and len(tasks) > 1:
+    # Each stack pays the decoders' fixed numpy costs per call and per walk
+    # round once, so a serial sweep takes the fewest chunks, across points:
+    # on a 2-vCPU Xeon the Alamouti walk of a 16-QAM sweep of four 250-trial
+    # points took 9.0 us per trial as one stack against 13.2 as four. A pool
+    # takes about four chunks per worker, which keeps the workers balanced.
+    plan = _chunk_plan(points, cfg.trials, 4 * threads if threads > 1 else 1)
+    if threads > 1 and len(plan) > 1:
         # The pool forks all of its workers up front; more than there are tasks would idle.
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=min(threads, len(plan))) as pool:
+            futures = [pool.submit(_run_chunk, cfg, segments) for segments in plan]
             partials = [future.result() for future in futures]
     else:
-        partials = [_run_chunk(cfg, *task) for task in tasks]
+        partials = [_run_chunk(cfg, segments) for segments in plan]
 
-    per_point = len(tasks) // len(points)
+    # Split each chunk back per point: its counts by rows, and each decoder's
+    # time equally over the chunk's trials.
+    counts = {name: [[] for _ in points] for name in cfg.decoders}
+    ns = {name: [0.0] * len(points) for name in cfg.decoders}
+    for segments, partial in zip(plan, partials):
+        size = sum(hi - lo for _, _, lo, hi in segments)
+        row = 0
+        for pi, _, lo, hi in segments:
+            for name, (chunk_counts, chunk_ns) in partial.items():
+                counts[name][pi].append(chunk_counts[:, row:row + hi - lo])
+                ns[name][pi] += chunk_ns * (hi - lo) / size
+            row += hi - lo
     rows = []
     for pi, snr in enumerate(points):
-        chunks = partials[pi * per_point:(pi + 1) * per_point]
         for name in sorted(cfg.decoders):
             # Every count is an integer well below 2**53: its float sums are exact.
-            errors, nodes, sorts = np.concatenate(
-                [part[name][0] for part in chunks], axis=1
-            ).astype(float)
+            errors, nodes, sorts = np.concatenate(counts[name][pi], axis=1).astype(float)
             rows.append(
                 SweepRow(
                     snr_db=snr,
@@ -461,7 +499,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     nodes_p95=float(np.percentile(nodes, 95)),
                     nodes_max=int(nodes.max()),
                     sorts_mean=float(sorts.sum()) / cfg.trials,
-                    time_ns_mean=sum(part[name][1] for part in chunks) / cfg.trials,
+                    time_ns_mean=ns[name][pi] / cfg.trials,
                 )
             )
     return SweepReport(config=cfg, rows=tuple(rows))

@@ -230,6 +230,15 @@ def test_one_bad_instance_makes_the_exhaustive_stack_raise(rng):
         dec.decode_exhaustive_stack(matrices, y, alphabet)
 
 
+def zigzag_centres(pam) -> list:
+    """Centres c for x2's zigzag: random ones, every level, every midpoint
+    between levels (where two neighbours are equally near) and two beyond
+    the grid."""
+    midpoints = [pam.scale * 2.0 * k for k in range(-(pam.size // 2) + 1, pam.size // 2)]
+    return [*np.random.default_rng(3).uniform(-1.5, 1.5, 60), *pam.values, *midpoints,
+            -10.0, 10.0]
+
+
 @pytest.mark.parametrize("m", st.SUPPORTED_QAM_ORDERS)
 def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
     pam = st.make_qam(m).pam
@@ -240,10 +249,7 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
         return slice_pam(x, p)
 
     monkeypatch.setattr(conftest, "slice_pam", recording)
-    midpoints = [pam.scale * 2.0 * k for k in range(-(pam.size // 2) + 1, pam.size // 2)]
-    centres = [*np.random.default_rng(3).uniform(-1.5, 1.5, 60), *pam.values, *midpoints,
-               -10.0, 10.0]
-    for c in centres:
+    for c in zigzag_centres(pam):
         for r22 in (1.0, 0.5):
             v2 = float(c) * r22
             seen.clear()
@@ -251,6 +257,24 @@ def test_real_search_visits_x2_in_zigzag_order(monkeypatch, m):
             _, _, nodes = real_search(0.0, v2, 1.0, 1.0, r22, pam, False, math.inf)
             assert nodes == 2 * pam.size
             assert seen[-pam.size:] == [-s for s, _ in sorted_pam_list(v2 / r22, pam)]
+
+
+@pytest.mark.parametrize("m", st.SUPPORTED_QAM_ORDERS)
+def test_search_planes_step_x2_in_zigzag_order(m):
+    """The stacked real searches step each lane's zigzag as the scalar
+    search does, the lower level first on equal distances: unpruned, each
+    lane's x2 plane is the reference zigzag of its centre."""
+    pam = st.make_qam(m).pam
+    centres = np.array(zigzag_centres(pam))
+    n = len(centres)
+    ones = np.ones(n)
+    for r22 in (1.0, 0.5):
+        v2 = centres * r22
+        _, start = dec._slice_planes(v2 / r22, pam)
+        _, planes = dec._search_planes(0 * ones, v2, ones, ones, r22 * ones, 0 * ones, start,
+                                       np.full(n, math.inf), pam, False)
+        for lane, c in enumerate(v2 / r22):
+            assert planes[3, lane].tolist() == [i for _, i in sorted_pam_list(c, pam)]
 
 
 def test_fast_rejects_bad_inputs(rng):

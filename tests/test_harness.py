@@ -475,8 +475,8 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
         shapes.clear()
         run_sweep(small_config(decoders=names, ordering=ordering))
         assert (built, listed) == ([], [])
-        # each of the 4 points is one stack of 40 trials
-        assert shapes == [(40,)] * (4 * len(names))
+        # the 4 points of 40 trials are one stack
+        assert shapes == [(160,)] * len(names)
 
 
 def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
@@ -717,20 +717,26 @@ class InlinePool:
 
 
 def recording_chunks(monkeypatch):
-    """Wrap ``harness._run_chunk``; return the list of its calls' (point, lo, hi)."""
+    """Wrap ``harness._run_chunk``; return the list of its calls' segments,
+    one list of (point, lo, hi) per chunk."""
     calls = []
     run_chunk = harness._run_chunk
 
-    def recording(cfg, point_index, snr_db, lo, hi):
-        calls.append((point_index, lo, hi))
-        return run_chunk(cfg, point_index, snr_db, lo, hi)
+    def recording(cfg, segments):
+        calls.append([(pi, lo, hi) for pi, _, lo, hi in segments])
+        return run_chunk(cfg, segments)
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     return calls
 
 
-def chunk_sizes(calls, point=0):
-    return [hi - lo for pi, lo, hi in calls if pi == point]
+def chunk_sizes(calls):
+    return [sum(hi - lo for _, lo, hi in chunk) for chunk in calls]
+
+
+def per_point(*bounds):
+    """A plan of one chunk per pair of consecutive ``bounds`` at points 0 and 1 in turn."""
+    return [[(pi, lo, hi)] for pi in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def test_pool_size_and_chunk_capped(monkeypatch):
@@ -738,11 +744,11 @@ def test_pool_size_and_chunk_capped(monkeypatch):
     calls = recording_chunks(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     serial = run_sweep(cfg)
-    assert chunk_sizes(calls) == [300]  # a serial point is one stack
+    assert calls == [[(0, 0, 300), (1, 0, 300)]]  # a serial sweep that fits is one stack
     calls.clear()
     monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
     capped = run_sweep(cfg)
-    assert chunk_sizes(calls) == [32] * 9 + [12]
+    assert chunk_sizes(calls) == ([32] * 9 + [12]) * 2
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setenv("STC_THREADS", "64")
@@ -754,9 +760,10 @@ def test_pool_size_and_chunk_capped(monkeypatch):
 
 def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     """Chunks are whole blocks, so every block's stream feeds the same trials
-    whatever the thread count: 1000 trials run as one stack at one thread,
-    as 128-trial chunks at one thread under a cap of four blocks and at two
-    threads, and as 96-trial chunks at three."""
+    whatever the thread count: 1000 trials (31 blocks and one of 8) run as
+    one stack at one thread, as 128-trial chunks at one thread under a cap
+    of four blocks and at two threads, and as twelve chunks of two or three
+    blocks at three."""
     assert harness.MAX_CHUNK % harness.STREAM_BLOCK == 0
     cfg = small_config(decoders=("fast",), trials=1000, snr_stop=0.0)
     calls = recording_chunks(monkeypatch)
@@ -773,36 +780,126 @@ def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     rows["1, capped"] = without_time(run_sweep(cfg).rows)
     sizes["1, capped"] = chunk_sizes(calls)
     assert sizes == {"1": [1000], "1, capped": [128] * 7 + [104],
-                     "2": [128] * 7 + [104], "3": [96] * 10 + [40]}
+                     "2": [128] * 7 + [104], "3": [64, 96, 96] * 3 + [64, 96, 72]}
     assert rows["1"] == rows["1, capped"] == rows["2"] == rows["3"]
 
 
 def test_sweep_chunk_plan(monkeypatch):
-    """At one thread each SNR point is one chunk, (0, trials), while its
-    trials fit in MAX_CHUNK, and whole MAX_CHUNK chunks and the rest above
-    that. A pool cuts the whole sweep into about four chunks per worker, in
-    whole blocks and never across points. Every row but its wall time is
-    the same at one, two and three threads, at trial counts that are not
+    """One rule for every sweep: the blocks, point by point, are cut into
+    runs of whole blocks, as even in blocks as they divide, which may span
+    points. At one thread these are the fewest runs of at most MAX_CHUNK
+    trials; a pool takes about four per worker. Every row but its wall time
+    is the same at one, two and three threads, at trial counts that are not
     whole blocks too."""
     cap = harness.MAX_CHUNK
     assert cap == 32 * harness.STREAM_BLOCK
     calls = recording_chunks(monkeypatch)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    plans = {  # trials -> threads -> chunk sizes of each point
-        40: {"1": [40], "2": [32, 8], "3": [32, 8]},
-        cap: {"1": [cap], "2": [256] * 4, "3": [192] * 5 + [64]},
-        cap + 37: {"1": [cap, 37], "2": [288] * 3 + [197], "3": [192] * 5 + [101]},
+    plans = {  # trials -> threads -> chunks, each its (point, lo, hi) segments
+        40: {"1": [[(0, 0, 40), (1, 0, 40)]], "2": per_point(0, 32, 40),
+             "3": per_point(0, 32, 40)},
+        cap: {"1": per_point(0, cap), "2": per_point(0, 256, 512, 768, cap),
+              "3": per_point(0, 160, 320, 512, 672, 832, cap)},
+        # 34 blocks per point: three runs of 22, 23 and 23 at one thread
+        cap + 37: {"1": [[(0, 0, 704)], [(0, 704, cap + 37), (1, 0, 352)],
+                         [(1, 352, cap + 37)]],
+                   "2": per_point(0, 256, 544, 800, cap + 37),
+                   "3": per_point(0, 160, 352, 544, 704, 896, cap + 37)},
     }
     for trials, plan in plans.items():
         cfg = small_config(decoders=("fast",), trials=trials, snr_stop=2.0)  # 2 points
         rows = {}
-        for threads, sizes in plan.items():
+        for threads, chunks in plan.items():
             calls.clear()
             monkeypatch.setenv("STC_THREADS", threads)
             rows[threads] = without_time(run_sweep(cfg).rows)
-            bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
-            assert calls == [(pi, lo, hi) for pi in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
+            assert calls == chunks
         assert rows["1"] == rows["2"] == rows["3"]
+
+
+@pytest.mark.parametrize("trials", (1, 31, 32, 33, 40, 300, 1024, 1061, 3000))
+@pytest.mark.parametrize("points", (1, 2, 5, 9))
+def test_chunk_plan_covers_each_block_once_in_order(trials, points):
+    """Every plan covers each (point, block) exactly once, in order, in whole
+    blocks, each chunk at most MAX_CHUNK trials; a chunk's segments are of
+    consecutive points, each after the first from the point's first trial
+    and each before the last to its last. One run asked for gives the fewest
+    chunks of at most MAX_CHUNK // STREAM_BLOCK blocks; more runs asked for
+    give that many, up to one per block."""
+    block = harness.STREAM_BLOCK
+    snrs = [2.0 * pi for pi in range(points)]
+    blocks = [(pi, lo, min(trials, lo + block))
+              for pi in range(points) for lo in range(0, trials, block)]
+    for runs in (1, 8, 12, 10_000):
+        plan = harness._chunk_plan(snrs, trials, runs)
+        assert len(plan) == max(min(runs, len(blocks)),
+                                -(-len(blocks) // (harness.MAX_CHUNK // block)))
+        covered = []
+        for chunk in plan:
+            assert sum(hi - lo for _, _, lo, hi in chunk) <= harness.MAX_CHUNK
+            for (pi, snr, lo, hi), after in zip(chunk, chunk[1:] + [None]):
+                assert snr == snrs[pi] and lo % block == 0
+                if after is not None:
+                    assert (after[0], after[2], hi) == (pi + 1, 0, trials)
+                covered += [(pi, start, min(hi, start + block)) for start in range(lo, hi, block)]
+        assert covered == blocks
+
+
+def one_point_build(cfg, pi, snr):
+    """The matrices and received stack of point ``pi`` built alone, at its
+    one noise variance, from its blocks' streams."""
+    stack = harness._InstanceStack(cfg.trials, cfg.channel, cfg.code, st.make_qam(cfg.modulation))
+    for block, lo in enumerate(range(0, cfg.trials, harness.STREAM_BLOCK)):
+        stack.draw(slice(lo, lo + harness.STREAM_BLOCK), st.make_rng(cfg.seed, pi, block))
+    return stack.build(st.snr_to_n0(snr))
+
+
+def test_chunks_across_points_build_each_row_as_its_point_alone(monkeypatch):
+    """A serial sweep that fits one chunk decodes it with one decode_stack
+    call, and under a cap of three blocks its chunks span points, short
+    blocks inside them; either way every matrix and received row equals the
+    one-point build bit for bit, so each row carries its point's noise
+    variance."""
+    cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0, seed=11)  # 4 points, 8 blocks
+    calls = recording_decode_stack(monkeypatch)
+    monkeypatch.setenv("STC_THREADS", "1")
+    run_sweep(cfg)
+    assert [len(matrices) for matrices, *_ in calls] == [160]
+    calls.clear()
+    monkeypatch.setattr(harness, "MAX_CHUNK", 3 * harness.STREAM_BLOCK)
+    run_sweep(cfg)
+    # blocks 0-1, 2-4 and 5-7: point 0; point 1 and point 2's first block; the rest
+    assert [len(matrices) for matrices, *_ in calls] == [40, 72, 48]
+    matrices = np.concatenate([call[0] for call in calls])
+    received = np.concatenate([call[1] for call in calls])
+    want = [one_point_build(cfg, pi, snr) for pi, snr in enumerate(cfg.snr_points())]
+    assert matrices.tobytes() == np.concatenate([h for h, _ in want]).tobytes()
+    assert received.tobytes() == np.concatenate([y for _, y in want]).tobytes()
+
+
+def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
+    """Each chunk's decode time per decoder is shared equally by its trials,
+    so over the sweep's points ``time_ns_mean * trials`` sums to each
+    decoder's summed ``decode_stack`` time, as a Python float."""
+    recorded = []
+    decode_stack = harness.decode_stack
+
+    def recording(*args):
+        decoded, elapsed = decode_stack(*args)
+        recorded.append(elapsed)
+        return decoded, elapsed
+
+    monkeypatch.setattr(harness, "decode_stack", recording)
+    monkeypatch.setenv("STC_THREADS", "1")
+    monkeypatch.setattr(harness, "MAX_CHUNK", 3 * harness.STREAM_BLOCK)
+    cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0)  # chunks of 40, 72 and 48 trials
+    report = run_sweep(cfg)
+    assert len(recorded) == 3
+    for name in cfg.decoders:
+        rows = [row for row in report.rows if row.decoder == name]
+        assert all(type(row.time_ns_mean) is float for row in rows)
+        assert sum(row.time_ns_mean * row.trials for row in rows) == pytest.approx(
+            sum(elapsed[name] for elapsed in recorded), rel=1e-12)
 
 
 # Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
