@@ -25,16 +25,16 @@ M + M^2 + 4*M^2.5 nodes and the conventional four-level decoder
 M + M^2 + 2*M^3.
 
 Every tree decoder starts from a prologue that works on a stack of
-channels: ``triangular_rows``, the one owner of a decode's QR, factors a
-whole stack and forms z = Q^H y. Each tree decoder then searches the whole
-stack in numpy, with the results of a scalar search per instance bit for
-bit (the tests keep those searches as their references), as each value is
-computed in that search's float operations. The prologue and the stack
-calls check, once per stack, every precondition of the searches: finite
-input, and full rank and the zeros in R that a fast search needs, both by
-matrixkit's ZERO_TOLERANCE. No decoder sees the code label: an EffectiveChannel is only
-its 4x4 matrix ``h``, and which code a decoder may decode is the registry's
-rule.
+channels: one stacked QR per column order, ``triangular_rows``'s for the
+natural order or a BLAST rule's, and z = Q^H y (``factored_rows``). Each
+tree decoder then searches the whole stack in numpy, with the results of a
+scalar search per instance bit for bit (the tests keep those searches as
+their references), as each value is computed in that search's float
+operations. The prologue and the stack calls check, once per stack, every
+precondition of the searches: finite input, and full rank and the zeros in
+R that a fast search needs, both by matrixkit's ZERO_TOLERANCE. No decoder
+sees the code label: an EffectiveChannel is only its 4x4 matrix ``h``, and
+which code a decoder may decode is the registry's rule.
 
 The three tree searches read a stack's R and z in one layout,
 ``_by_component``, and share two kernels on it: ``_residual`` cancels the
@@ -49,8 +49,9 @@ each reported cost against ``||y - eff.h x_hat||^2``. It sees no decode of
 a sweep; the tests check the stack calls' costs instead.
 
 A decoder decodes the matrix it is given and reports indices in its column
-order; a detection order (``blast_ordering``) is chosen before decoding, and
-the caller permutes the columns and maps the decision back.
+order; a BLAST rule (``fast_ordering``, ``greedy_ordering``) picks a stack's
+column orders and its QR in them before decoding, and the caller maps the
+decision back.
 
 The fast golden and fast Alamouti decoders walk the trailing symbol pair
 best-first. Pair (k, l) of two ascending lists of sorted metrics has the
@@ -92,7 +93,8 @@ import numpy as np
 
 from .codes import EffectiveChannel
 from .constellation import QamAlphabet, sort_alphabet_by_metric
-from .matrixkit import frobenius_norm, qr_decompose, require_full_rank, require_zero
+from .matrixkit import (ZERO_TOLERANCE, QRFactors, frobenius_norm, qr_decompose,
+                        require_full_rank, require_zero)
 
 EXHAUSTIVE_CAP = 2 ** 24
 # Complex residual entries one numpy pass of the exhaustive scan may hold.
@@ -149,17 +151,15 @@ class DecodeResult:
 
 
 def triangular_rows(matrices: np.ndarray, y: np.ndarray) -> tuple:
-    """The tree decoders' shared prologue for effective ``matrices`` stacked as
-    (n, 4, 4), columns already in the order to decode, and received ``y`` (n, 4).
+    """The prologue in the columns' own order: ``factored_rows`` of one stacked
+    ``qr_decompose`` of ``matrices`` (n, 4, 4), for received ``y`` (n, 4)."""
+    return factored_rows(qr_decompose(matrices), y)
 
-    Returns:
-        (r, z): R as (n, 4, 4) and ``z = Q^H y`` as (n, 4) from one stacked
-        ``qr_decompose``.
 
-    Raises:
-        ValueError: a rank-deficient or non-finite matrix, or a non-finite z.
-    """
-    factors = qr_decompose(matrices)
+def factored_rows(factors: QRFactors, y: np.ndarray) -> tuple:
+    """The tree decoders' shared prologue on a stack's QRFactors, its columns
+    in the order to decode: (r, z), R (n, 4, 4) and ``z = Q^H y`` (n, 4).
+    Raises ValueError on a non-finite z."""
     z = (np.conj(np.swapaxes(factors.q, -1, -2)) @ y[..., None])[..., 0]
     if not np.isfinite(z).all():
         raise ValueError("non-finite received stack y")
@@ -1076,53 +1076,47 @@ def decode_alamouti_fast(
     return decode_alamouti_stack(r, z, alphabet, prune).row(0)
 
 
-def blast_ordering(h, allowed=None):
-    """Detection-order permutation by successive weakest-last selection.
-
-    Working from the detected-last position forward, each step picks the
-    remaining column with the smallest norm orthogonal to the columns
-    already placed (ties to the lowest index), which greedily maximizes the
-    minimum post-cancellation gain. The returned tuple is a column order
-    (for a stack, a list of one per matrix); its last entry is detected first.
-
-    Args:
-        h: 4x4 effective matrix, or a stack (n, 4, 4).
-        allowed: optional collection of permutations to restrict to; the
-            selection criterion (largest minimum diagonal of R) is then
-            evaluated over exactly those, which is how the fast decoder's
-            eight admissible permutations are handled.
-    """
-    h = np.asarray(h, dtype=complex)
-    if allowed is not None:
-        perms = [tuple(perm) for perm in allowed]
-        # h[..., perms] is (..., 4, P, 4); one stacked QR scores them all.
-        r = qr_decompose(np.moveaxis(h[..., perms], -2, -3)).r
-        scores = np.diagonal(r, axis1=-2, axis2=-1).real.min(axis=-1)
-        best = np.argmax(scores, axis=-1)  # first maximum, as in allowed's order
-        return perms[best] if h.ndim == 2 else [perms[i] for i in best.tolist()]
-    if h.ndim == 3:
-        return [blast_ordering(matrix) for matrix in h]
-
-    scale = float(frobenius_norm(h))
-    if not math.isfinite(scale):
+def blast_ordering(h) -> np.ndarray:
+    """Greedy BLAST column orders (..., 4) of a stack ``h`` (..., 4, 4), the
+    SQRD of Wuebben et al. (2001): each step places the remaining column of
+    least norm orthogonal to those placed (the lowest index among norms
+    within ZERO_TOLERANCE * ||H||_F of it) and projects it out of the rest."""
+    residual = np.array(h, dtype=complex)
+    scale = frobenius_norm(residual)[..., None]
+    if not np.isfinite(scale).all():
         raise ValueError("non-finite channel matrix")
-    remaining = [0, 1, 2, 3]
-    basis = []
-    perm = []
-    for _ in range(4):
-        best_col = None
-        best_norm = math.inf
-        for col in remaining:
-            v = h[:, col]
-            for q in basis:
-                v = v - q * np.vdot(q, v)
-            norm = float(np.linalg.norm(v))
-            if norm < best_norm:
-                best_norm = norm
-                best_col = col
-                best_resid = v
-        require_full_rank(best_norm, scale)
-        perm.append(best_col)
-        remaining.remove(best_col)
-        basis.append(best_resid / best_norm)
-    return tuple(perm)
+    order = np.zeros(residual.shape[:-1], dtype=np.int64)
+    for k in range(4):
+        norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=-2))
+        np.put_along_axis(norms, order[..., :k], np.inf, axis=-1)  # the placed columns
+        least = norms.min(axis=-1, keepdims=True)
+        require_full_rank(least, scale)
+        col = np.argmax(norms <= least + ZERO_TOLERANCE * scale, axis=-1, keepdims=True)
+        order[..., k:k + 1] = col
+        q = np.take_along_axis(residual, col[..., None, :], axis=-1) / least[..., None]
+        residual -= q * (np.conj(q).swapaxes(-1, -2) @ residual)
+    return order
+
+
+def fast_ordering(h) -> tuple:
+    """Fast's BLAST rule on a stack ``h`` (..., 4, 4): each matrix's order in
+    FAST_PERMUTATIONS whose R has the largest least diagonal (the first
+    among scores within ZERO_TOLERANCE * ||H||_F of it), and the stack's
+    QRFactors in those orders, from one ``qr_decompose`` of all eight."""
+    h = np.asarray(h, dtype=complex)
+    perms = np.array(FAST_PERMUTATIONS)
+    # h[..., perms] is (..., 4, 8, 4): h in each order, as (..., 8, 4, 4)
+    factors = qr_decompose(np.moveaxis(h[..., perms], -2, -3))
+    scores = np.diagonal(factors.r, axis1=-2, axis2=-1).real.min(axis=-1)
+    bound = ZERO_TOLERANCE * frobenius_norm(h)[..., None]
+    best = np.argmax(scores >= scores.max(axis=-1, keepdims=True) - bound, axis=-1)
+    pick = best[..., None, None, None]
+    q, r = (np.take_along_axis(f, pick, axis=-3)[..., 0, :, :] for f in (factors.q, factors.r))
+    return perms[best], QRFactors(q=q, r=r)
+
+
+def greedy_ordering(h) -> tuple:
+    """Sphere's BLAST rule on a stack ``h`` (n, 4, 4): ``blast_ordering``'s
+    orders and the stack's QRFactors in them."""
+    order = blast_ordering(h)
+    return order, qr_decompose(np.take_along_axis(h, order[..., None, :], axis=-1))

@@ -73,8 +73,9 @@ class DecoderEntry:
     ``stack(matrices, received, alphabet)`` (exhaustive) needs no prologue.
     ``factored(r, z, alphabet)`` (fast, alamouti, sphere) decodes from the
     prologue's stacked R and z, its indices in the columns' order.
-    ``blast(matrices)``, when set, picks each matrix's column order
-    under ``--ordering blast``; a decoder without one decodes in the natural
+    ``blast(matrices)``, when set, is its column-order rule under
+    ``--ordering blast``: the orders (n, 4) and the stack's QRFactors in
+    them, from one stacked QR; a decoder without one decodes in the natural
     order. All of them reach the decoders through this module's ``decoders``
     attribute at call time, so rebinding that attribute reaches every caller.
     """
@@ -101,15 +102,12 @@ DECODERS = {
     "fast": DecoderEntry(
         code_variants=codes.GOLDEN_VARIANTS,
         factored=lambda *args: decoders.decode_fast_stack(*args),
-        # the best of the orders that keep R's diagonal blocks real
-        blast=lambda matrices: decoders.blast_ordering(
-            matrices, allowed=decoders.FAST_PERMUTATIONS
-        ),
+        blast=lambda matrices: decoders.fast_ordering(matrices),
     ),
     "sphere": DecoderEntry(
         code_variants=codes.CODE_VARIANTS,
         factored=lambda *args: decoders.decode_sphere_stack(*args),
-        blast=lambda matrices: decoders.blast_ordering(matrices),
+        blast=lambda matrices: decoders.greedy_ordering(matrices),
     ),
 }
 DECODER_NAMES = tuple(DECODERS)
@@ -336,9 +334,10 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     order. Under ``ordering`` "blast" each other decoder with a BLAST rule
     decodes every instance in the column order that rule picks; every other
     decoder decodes the natural order. The prologue runs once per stack and
-    column-order rule that a decoder reads it for: the permuted channels and
-    one stacked QR and Q^H y (``decoders.triangular_rows``). A factored call
-    (fast, alamouti, sphere) decodes the whole stack from that R and z.
+    column-order rule that a decoder reads it for: one stacked QR, the
+    natural order's (``decoders.triangular_rows``) or the rule's, and Q^H y
+    (``decoders.factored_rows``). A factored call (fast, alamouti, sphere)
+    decodes the whole stack from that R and z.
     Indices are mapped back to the natural column order here, by one
     ``np.take_along_axis`` per stack into the result's own indices.
 
@@ -371,12 +370,12 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
         entry = DECODERS[name]
         rule = entry.blast if ordering == "blast" else None
         if entry.stack is None and rule not in prologues:
-            ordered, inverse = matrices, None
-            if rule is not None:
-                perms = np.array(rule(matrices))
-                ordered = np.take_along_axis(matrices, perms[:, None, :], axis=-1)
-                inverse = np.argsort(perms, axis=-1)
-            prologues[rule] = (*decoders.triangular_rows(ordered, received), inverse)
+            if rule is None:
+                prologues[rule] = (*decoders.triangular_rows(matrices, received), None)
+            else:
+                order, factors = rule(matrices)
+                prologues[rule] = (*decoders.factored_rows(factors, received),
+                                   np.argsort(order, axis=-1))
         start = time.perf_counter_ns()
         if entry.stack is not None:
             results = entry.stack(matrices, received, alphabet)

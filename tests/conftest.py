@@ -7,6 +7,7 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
+from stcsim.matrixkit import ZERO_TOLERANCE
 
 
 @pytest.fixture
@@ -547,11 +548,47 @@ def decode_alone(name, eff, y, alphabet, ordering):
     alone, and the decision is mapped back to the natural column order."""
     perm = (0, 1, 2, 3)
     if ordering == "blast" and name == "fast":
-        perm = dec.blast_ordering(eff.h, allowed=dec.FAST_PERMUTATIONS)
+        perm = tuple(dec.fast_ordering(eff.h)[0].tolist())
     elif ordering == "blast" and name == "sphere":
-        perm = dec.blast_ordering(eff.h)
+        perm = tuple(dec.blast_ordering(eff.h).tolist())
     result = decode_one(name, permuted(eff, perm), y, alphabet)
     indices = [0] * 4
     for pos, col in enumerate(perm):
         indices[col] = result.indices[pos]
     return dataclasses.replace(result, indices=tuple(indices))
+
+
+def greedy_order_alone(h) -> tuple:
+    """Reference greedy BLAST order of one 4x4 matrix, the scalar loop that
+    ``dec.blast_ordering`` replaced: each step recomputes every remaining
+    column's residual against the orthonormal basis of the placed ones, and
+    places the first (lowest index) whose residual norm lies within
+    ZERO_TOLERANCE * ||H||_F of the smallest."""
+    h = np.asarray(h, dtype=complex)
+    scale = float(np.linalg.norm(h))
+    remaining, basis, perm = [0, 1, 2, 3], [], []
+    for _ in range(4):
+        residuals = []
+        for col in remaining:
+            v = h[:, col]
+            for q in basis:
+                v = v - q * np.vdot(q, v)
+            residuals.append(v)
+        norms = [float(np.linalg.norm(v)) for v in residuals]
+        pick = first_tied(norms, min(norms), scale)
+        perm.append(remaining.pop(pick))
+        basis.append(residuals[pick] / norms[pick])
+    return tuple(perm)
+
+
+def fast_scores_alone(h) -> list:
+    """Each FAST_PERMUTATIONS order's score for one 4x4 matrix, the smallest
+    diagonal entry of its own QR's R, one ``qr_decompose`` per order."""
+    return [float(np.min(np.diagonal(st.qr_decompose(h[:, list(perm)]).r).real))
+            for perm in dec.FAST_PERMUTATIONS]
+
+
+def first_tied(values, best, scale) -> int:
+    """The index of the first of ``values`` within ZERO_TOLERANCE * ``scale``
+    of ``best``: the BLAST rules' one tie rule."""
+    return next(i for i, v in enumerate(values) if abs(v - best) <= ZERO_TOLERANCE * scale)

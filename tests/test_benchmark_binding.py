@@ -105,9 +105,9 @@ def _decode_each_wrapper(decoders, ordering="none"):
         variant = "overlaid-alamouti" if name == "alamouti" else "golden-dv"
         h = effective_matrix(sample_channels(rng, "quasistatic", 1), variant)[0]
         if ordering == "blast" and name == "fast":
-            h = h[:, list(decoders.blast_ordering(h, allowed=decoders.FAST_PERMUTATIONS))]
+            h = h[:, decoders.fast_ordering(h)[0]]
         elif ordering == "blast" and name == "sphere":
-            h = h[:, list(decoders.blast_ordering(h))]
+            h = h[:, decoders.blast_ordering(h)]
         y = h @ alphabet.symbols[rng.integers(0, 16, 4)] + 0.1 * rng.standard_normal(4)
         getattr(decoders, function)(EffectiveChannel(h=h), y, alphabet)
     return tuple(calls)

@@ -1123,30 +1123,45 @@ def test_overflowing_cost_raises(rng, name):
 
 
 def test_blast_ordering_properties(rng):
-    assert dec.blast_ordering(np.eye(4, dtype=complex)) == (0, 1, 2, 3)
-    for _ in range(50):
-        eff, _, _, _ = random_golden_instance(rng, 4, model="rapid")
-        perm = dec.blast_ordering(eff.h)
-        assert sorted(perm) == [0, 1, 2, 3]
-    h = np.asarray(st.effective_channel(st.sample_channel(rng, "rapid"), "golden-dv").h).copy()
+    assert dec.blast_ordering(np.eye(4, dtype=complex)).tolist() == [0, 1, 2, 3]
+    stack = st.effective_matrix(st.sample_channels(rng, "rapid", 50), "golden-dv")
+    order = dec.blast_ordering(stack)
+    assert (order.shape, order.dtype) == ((50, 4), np.int64)
+    assert (np.sort(order, axis=-1) == np.arange(4)).all()
+    h = stack[0].copy()
     h[:, 2] *= 10.0
     # the boosted column is detected first, i.e. placed last in column order
     assert dec.blast_ordering(h)[3] == 2
 
 
 def test_blast_ordering_rejects_a_zero_matrix():
-    with pytest.raises(ValueError, match="degenerate channel"):
-        dec.blast_ordering(np.zeros((4, 4)))
+    # a RuntimeWarning (a division by a zero pivot) fails the test before the ValueError
+    for rule in (dec.blast_ordering, dec.fast_ordering, dec.greedy_ordering):
+        for zeros in (np.zeros((4, 4)), np.zeros((3, 4, 4))):
+            with pytest.raises(ValueError, match="degenerate channel"):
+                rule(zeros)
     with pytest.raises(ValueError, match="degenerate channel"):
         st.harness.decode_stack(np.zeros((2, 4, 4)), np.zeros((2, 4)), st.make_qam(4),
                                 ("sphere",), "blast")
 
 
+def test_blast_ordering_rejects_a_non_finite_matrix(rng):
+    matrices = st.effective_matrix(st.sample_channels(rng, "rapid", 3), "golden-dv")
+    received = np.zeros((3, 4), dtype=complex)
+    for bad in (np.nan, np.inf):
+        matrices[1, 2, 3] = bad
+        for rule in (dec.blast_ordering, dec.fast_ordering):
+            with pytest.raises(ValueError, match="non-finite channel matrix"):
+                rule(matrices)
+        for names in (("fast",), ("sphere",), ("exhaustive", "fast", "sphere")):
+            with pytest.raises(ValueError, match="non-finite channel matrix"):
+                st.harness.decode_stack(matrices, received, st.make_qam(4), names, "blast")
+
+
 def test_blast_ordering_restricted_to_fast_set(rng):
     for _ in range(25):
         eff, _, _, _ = random_golden_instance(rng, 4, model="rapid")
-        perm = dec.blast_ordering(eff.h, allowed=dec.FAST_PERMUTATIONS)
-        assert perm in dec.FAST_PERMUTATIONS
+        assert tuple(dec.fast_ordering(eff.h)[0].tolist()) in dec.FAST_PERMUTATIONS
 
 
 @pytest.mark.parametrize("m", (4, 16))
@@ -1224,22 +1239,69 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
 @pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)
 def test_blast_ordering_restricted_equals_per_permutation_loop(rng, variant):
     for model in ("quasistatic", "rapid", "markov"):
-        stack = []
-        for _ in range(20):
-            h = st.effective_channel(st.sample_channel(rng, model, 0.5), variant).h
-            best_perm, best_score = None, -math.inf
-            for perm in dec.FAST_PERMUTATIONS:
-                score = float(np.min(np.diagonal(qr_decompose(h[:, perm]).r).real))
-                if score > best_score:
-                    best_perm, best_score = perm, score
-            assert dec.blast_ordering(h, allowed=dec.FAST_PERMUTATIONS) == best_perm
-            stack.append(h)
+        stack = st.effective_matrix(st.sample_channels(rng, model, 20, 0.5), variant)
+        for h in stack:
+            scores = conftest.fast_scores_alone(h)
+            best = conftest.first_tied(scores, max(scores), frobenius_norm(h))
+            assert tuple(dec.fast_ordering(h)[0].tolist()) == dec.FAST_PERMUTATIONS[best]
         # a stack scores all its matrices' permutations at once, and each
-        # matrix gets the order it gets alone; so does the greedy rule
-        stack = np.array(stack)
-        for allowed in (dec.FAST_PERMUTATIONS, None):
-            alone = [dec.blast_ordering(h, allowed=allowed) for h in stack]
-            assert dec.blast_ordering(stack, allowed=allowed) == alone
+        # matrix gets the order and factors it gets alone; so does the greedy rule
+        order, factors = dec.fast_ordering(stack)
+        alone = [dec.fast_ordering(h) for h in stack]
+        assert order.tolist() == [o.tolist() for o, _ in alone]
+        assert factors.q.tobytes() == np.array([f.q for _, f in alone]).tobytes()
+        assert factors.r.tobytes() == np.array([f.r for _, f in alone]).tobytes()
+        assert dec.blast_ordering(stack).tolist() == [dec.blast_ordering(h).tolist()
+                                                      for h in stack]
+
+
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_blast_ordering_matches_the_scalar_greedy_loop(rng, variant):
+    for model in ("quasistatic", "rapid", "markov"):
+        stack = st.effective_matrix(st.sample_channels(rng, model, 200, 0.5), variant)
+        want = [list(conftest.greedy_order_alone(h)) for h in stack]
+        assert dec.blast_ordering(stack).tolist() == want
+
+
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_blast_rules_pick_the_first_of_tied_orders(rng, variant):
+    """On quasistatic channels the effective columns' norms tie in pairs
+    (golden codes: columns 0 and 3, 1 and 2) or all four (overlaid
+    Alamouti), and fast's scores tie in groups: each rule takes the first of
+    its tied orders, so the order does not hang on rounding."""
+    stack = st.effective_matrix(st.sample_channels(rng, "quasistatic", 400), variant)
+    order = dec.blast_ordering(stack)
+    if variant == "overlaid-alamouti":
+        assert (order[:, 0] == 0).all() and (order[:, 2] == 1).all()
+        return
+    assert set(order[:, 0].tolist()) == {0, 1}  # never the tied partner 3 or 2
+    fast_order, _ = dec.fast_ordering(stack)
+    ties = 0
+    for h, got in zip(stack, fast_order.tolist()):
+        scores = conftest.fast_scores_alone(h)
+        tied = [i for i, score in enumerate(scores)
+                if score >= max(scores) - ZERO_TOLERANCE * frobenius_norm(h)]
+        ties += len(tied) > 1
+        assert tuple(got) == dec.FAST_PERMUTATIONS[tied[0]]
+    assert ties == len(stack)
+
+
+@pytest.mark.parametrize("model", ("quasistatic", "rapid"))
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_blast_orders_do_not_move_when_a_column_is_scaled(rng, variant, model):
+    """Scaling a column by 1 + 1e-14, far inside the tie rule, moves neither
+    rule's order: before the tie rule, the orders of about half of
+    quasistatic golden channels moved so."""
+    stack = st.effective_matrix(st.sample_channels(rng, model, 300), variant)
+    rules = [dec.blast_ordering]
+    if variant in st.GOLDEN_VARIANTS:
+        rules.append(lambda h: dec.fast_ordering(h)[0])
+    for rule in rules:
+        want = rule(stack)
+        for col in range(4):
+            scaled = stack.copy()
+            scaled[:, :, col] *= 1 + 1e-14
+            assert (rule(scaled) == want).all()
 
 
 def _chunk(rng, variant, model, m, count=8):

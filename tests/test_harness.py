@@ -371,11 +371,12 @@ def test_alamouti_suite_counts_each_probe_refusal(monkeypatch):
         (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16), 1, 1, 2),
         # the exhaustive scan reads no R: a stack of its own makes no QR and no sort
         (dict(decoders=("exhaustive",)), 0, 0, 0),
-        # one prologue per column-order rule that a decoder reads rows from:
-        # fast's best of eight (one more stacked QR scores them), sphere's
-        # greedy one, never the exhaustive scan's natural one
-        (dict(decoders=("fast", "sphere"), ordering="blast"), 2, 3, 2),
-        (dict(decoders=("exhaustive", "fast"), ordering="blast"), 1, 2, 2),
+        # one prologue, and one stacked QR, per column-order rule that a
+        # decoder reads rows from: fast's best of eight (its scoring QR is
+        # the prologue's), sphere's greedy one, never the exhaustive scan's
+        # natural one
+        (dict(decoders=("fast", "sphere"), ordering="blast"), 2, 2, 2),
+        (dict(decoders=("exhaustive", "fast"), ordering="blast"), 1, 1, 2),
         (dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16,
               ordering="blast"), 2, 2, 2),
     ),
@@ -388,12 +389,12 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
     formed = []
     sorts = []
     factored = []
-    triangular_rows = st.decoders.triangular_rows
+    factored_rows = st.decoders.factored_rows
     sort_alphabet_by_metric = st.decoders.sort_alphabet_by_metric
 
     def counting_rows(factors, y):
         formed.append(len(y))
-        return triangular_rows(factors, y)
+        return factored_rows(factors, y)
 
     def counting_sorts(alphabet, metric):
         sorts.append(alphabet.size)
@@ -403,7 +404,7 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
         factored.append(np.shape(h)[:-2])
         return qr_decompose(h)
 
-    monkeypatch.setattr(st.decoders, "triangular_rows", counting_rows)
+    monkeypatch.setattr(st.decoders, "factored_rows", counting_rows)
     monkeypatch.setattr(st.decoders, "sort_alphabet_by_metric", counting_sorts)
     monkeypatch.setattr(st.decoders, "qr_decompose", counting_qr)
     monkeypatch.setenv("STC_THREADS", "1")
@@ -445,11 +446,11 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
 
     built = []
     effective_channel = st.codes.EffectiveChannel
-    triangular_rows = st.decoders.triangular_rows
+    factored_rows = st.decoders.factored_rows
     monkeypatch.setattr(st.codes, "EffectiveChannel",
                         lambda h: built.append(h) or effective_channel(h=h))
-    monkeypatch.setattr(st.decoders, "triangular_rows",
-                        lambda *args: tuple(part.view(Listed) for part in triangular_rows(*args)))
+    monkeypatch.setattr(st.decoders, "factored_rows",
+                        lambda *args: tuple(part.view(Listed) for part in factored_rows(*args)))
     alphabet = st.make_qam(16)
     matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "overlaid-alamouti")
     received = (matrices @ alphabet.symbols[rng.integers(0, 16, (5, 4))][..., None])[..., 0]
@@ -586,8 +587,11 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
     dec = st.decoders
     # distinct amounts, so each sum tells which calls it holds
     for fn_name, ns in (
-        ("triangular_rows", 10 ** 9),  # prologue: charged to no decoder
-        ("blast_ordering", 3 * 10 ** 9),  # prologue: charged to no decoder
+        # the prologue and both column-order rules: charged to no decoder
+        ("triangular_rows", 10 ** 9),
+        ("factored_rows", 2 * 10 ** 9),
+        ("greedy_ordering", 3 * 10 ** 9),
+        ("fast_ordering", 4 * 10 ** 9),
         ("decode_exhaustive_stack", 70_000),
         ("decode_fast_stack", 5_000),
         ("decode_sphere_stack", 200),
@@ -683,11 +687,14 @@ def without_time(rows):
         dict(decoders=("exhaustive", "fast", "sphere")),
         dict(code="golden-wimax", channel="rapid", ordering="blast", decoders=("fast", "sphere"),
              modulation=16),
+        # quasistatic channels are where the BLAST rules' ties are
+        dict(ordering="blast", decoders=("fast", "sphere"), modulation=16),
         dict(code="overlaid-alamouti", decoders=("alamouti", "sphere"), modulation=16),
         dict(code="golden-brv", channel="markov", rho=0.9, decoders=("exhaustive", "fast")),
         dict(decoders=("fast", "sphere"), noise_free=True),
     ),
-    ids=("golden-dv", "wimax-rapid-blast", "alamouti", "markov", "noise-free"),
+    ids=("golden-dv", "wimax-rapid-blast", "dv-quasistatic-blast", "alamouti", "markov",
+         "noise-free"),
 )
 def test_sweep_matches_per_trial_reference(monkeypatch, threads, overrides):
     # 40 trials: a whole block and a short last one per point
