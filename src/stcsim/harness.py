@@ -4,12 +4,14 @@
 versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. A point's trials are drawn in
 blocks of STREAM_BLOCK, each block from its own Philox stream
-``make_rng(seed, point index, block index)``. One rule cuts every sweep
-into chunks (``_chunk_plan``): the sweep's blocks, point by point, fall
-into runs of whole blocks, which may span points; a serial sweep takes the
-fewest runs of at most MAX_CHUNK trials (in whole blocks), a pooled one
-about four runs per worker. A chunk is decoded as one stack, each row with
-its own point's noise variance. Chunking cannot change the output: serial
+``make_rng(seed, point index, block index)``. A sweep is one sequence of
+blocks, point by point in order, and a chunk is a range of it, which may
+span points. One rule cuts every sweep into chunks (``_chunk_plan``): a
+serial sweep takes the fewest ranges of at most MAX_CHUNK trials (in whole
+blocks), a pooled one about four ranges per worker. A chunk is decoded as
+one stack, each row with its own point's noise variance, and its per-trial
+results fill the chunk's rows of one array per decoder, from which each
+point reads its rows. Chunking cannot change the output: serial
 and parallel runs emit identical CSV (wall-time columns excluded from that
 contract). Sweeps and the decoding verify suites share one instance
 pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
@@ -32,6 +34,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -234,11 +237,15 @@ class SweepConfig:
         for name in self.decoders:
             decoder_entry(name, self.code, self.modulation, self.channel)
 
+    def snr_point(self, k: int) -> float:
+        """The grid's point k: start + k * step."""
+        return self.snr_start + k * self.snr_step
+
     def snr_points(self) -> list:
-        """start + k * step for k = 0, 1, ... up to stop plus a slack of
+        """The grid's points k = 0, 1, ... up to stop plus a slack of
         1e-9 * step, walked no further than MAX_SNR_POINTS + 1 points."""
         limit = self.snr_stop + 1e-9 * self.snr_step
-        walk = (self.snr_start + k * self.snr_step for k in range(MAX_SNR_POINTS + 1))
+        walk = map(self.snr_point, range(MAX_SNR_POINTS + 1))
         return list(itertools.takewhile(lambda point: point <= limit, walk))
 
     def channel_label(self) -> str:
@@ -344,8 +351,7 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     Returns:
         (decoded, elapsed): per decoder name, one DecodeResult for the stack,
         and the wall time in ns, read once before and once after, of its own
-        work on the stack: its stack or factored call, and mapping back. An
-        empty stack gives results of (0, 4) and (0,) arrays and 0 ns.
+        work on the stack: its stack or factored call, and mapping back.
 
     Raises:
         ValueError: a string of names, a repeated or unknown name, an ordering
@@ -360,10 +366,6 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     if np.shape(matrices)[1:] != (4, 4) or np.shape(received) != (len(matrices), 4):
         raise ValueError(f"stacks of shapes {np.shape(matrices)} and {np.shape(received)} "
                          "are not (n, 4, 4) matrices and (n, 4) received samples")
-    if not len(matrices):
-        empty = decoders.DecodeResult(np.zeros((0, 4), dtype=np.int64), np.zeros(0),
-                                      *np.zeros((2, 0), dtype=np.int64), alphabet.symbols)
-        return dict.fromkeys(names, empty), dict.fromkeys(names, 0)
     prologues = {}  # column-order rule (None: natural) -> r, z, inverse
     decoded, elapsed = {}, {}
     for name in names:
@@ -389,71 +391,66 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     return decoded, elapsed
 
 
-def _chunk_plan(points: list, trials: int, runs: int) -> list:
-    """Cut a sweep of ``trials`` trials at each SNR point of ``points`` into
-    chunks: its blocks of STREAM_BLOCK trials, point by point in order,
-    split into runs of whole blocks, as even in blocks as they divide: at
-    least ``runs`` of them, and as few as hold at most MAX_CHUNK //
-    STREAM_BLOCK blocks, so at most MAX_CHUNK trials, each. A run may span
-    points.
+def _chunk_plan(blocks: int, runs: int) -> list:
+    """Cut a sweep's one sequence of ``blocks`` blocks of STREAM_BLOCK
+    trials, point by point in order, into chunks: ranges of whole blocks,
+    as even in blocks as they divide, at least ``runs`` of them and as few
+    as hold at most MAX_CHUNK // STREAM_BLOCK blocks, so at most MAX_CHUNK
+    trials, each. A range may span points.
 
     Returns:
-        Per chunk, its segments ``(point index, snr_db, lo, hi)``, one per
-        point it holds: the point's trials [lo, hi), ``lo`` a multiple of
-        STREAM_BLOCK.
+        Per chunk, in order, its blocks ``(first, stop)``: the sequence's
+        blocks [first, stop). The ranges cover the sequence once.
     """
-    per_point = -(-trials // STREAM_BLOCK)
-    blocks = per_point * len(points)
     runs = min(blocks, max(runs, -(-blocks // (MAX_CHUNK // STREAM_BLOCK))))
-    plan = []
-    for i in range(runs):
-        first, stop = i * blocks // runs, (i + 1) * blocks // runs  # the run's blocks
-        segments = []
-        for pi in range(first // per_point, -(-stop // per_point)):
-            base = pi * per_point
-            lo = max(0, first - base) * STREAM_BLOCK
-            segments.append((pi, points[pi], lo, min(trials, (stop - base) * STREAM_BLOCK)))
-        plan.append(segments)
-    return plan
+    return [(i * blocks // runs, (i + 1) * blocks // runs) for i in range(runs)]
 
 
-def _run_chunk(cfg: SweepConfig, segments: list) -> dict:
-    """Decode one chunk of a sweep: the trials [lo, hi) of each of its
-    ``segments`` (point index, snr_db, lo, hi), in order, as one stack.
+def _run_chunk(cfg: SweepConfig, first: int, stop: int) -> np.ndarray:
+    """Decode one chunk of a sweep, the blocks [first, stop) of its block
+    sequence, as one stack.
 
-    Each block of trials draws its rows of the chunk's ``_InstanceStack``
-    from its own stream, ``make_rng(cfg.seed, point index, block)``, and each
-    row gets its point's noise variance. The chunk is built and decoded as
-    one stack, so the decoders of a trial that decode the same column order
-    share that trial's prologue.
+    The one place that maps a sweep block to a point: with ``per_point``
+    blocks per point (a point's last block may be short), block ``b`` is
+    block ``b % per_point`` of point ``b // per_point``. Its trials draw
+    their rows of the chunk's ``_InstanceStack`` from ``make_rng(cfg.seed,
+    point, b % per_point)`` and get that point's noise variance. The chunk
+    is built and decoded as one stack, so the decoders of a trial that
+    decode the same column order share that trial's prologue.
 
     Returns:
-        For each decoder name, ``(counts, ns)``: its symbol errors, nodes and
-        sorts per trial, in the segments' trial order, as one (3, trials)
-        int64 array, and its ``decode_stack`` time.
+        A (len(cfg.decoders), 4, trials) float array: per decoder, in
+        ``cfg.decoders`` order, its symbol errors, nodes, sorts and equal
+        share of its ``decode_stack`` time per trial, in the blocks' order.
     """
     alphabet = make_qam(cfg.modulation)
-    sizes = [hi - lo for _, _, lo, hi in segments]
+    per_point = -(-cfg.trials // STREAM_BLOCK)
+    blocks = range(first, stop)
+    sizes = [min(STREAM_BLOCK, cfg.trials - b % per_point * STREAM_BLOCK) for b in blocks]
     stack = _InstanceStack(sum(sizes), cfg.channel, cfg.code, alphabet, cfg.rho)
-    row = 0
-    for point_index, _, lo, hi in segments:
-        for start in range(lo, hi, STREAM_BLOCK):
-            size = min(hi, start + STREAM_BLOCK) - start
-            rng = make_rng(cfg.seed, point_index, start // STREAM_BLOCK)
-            stack.draw(slice(row, row + size), rng, noisy=not cfg.noise_free)
-            row += size
-    n0 = np.repeat([snr_to_n0(snr_db) for _, snr_db, _, _ in segments], sizes)
-    matrices, received = stack.build(n0)
+    n0, row = [], 0
+    for block, size in zip(blocks, sizes):
+        point = block // per_point
+        rng = make_rng(cfg.seed, point, block % per_point)
+        stack.draw(slice(row, row + size), rng, noisy=not cfg.noise_free)
+        n0.append(snr_to_n0(cfg.snr_point(point)))
+        row += size
+    matrices, received = stack.build(np.repeat(n0, sizes))
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
-    return {
-        name: (np.stack([(result.indices != stack.sent).sum(axis=1), result.nodes_visited,
-                         result.full_sorts]), elapsed[name])
+    return np.array([
+        [(result.indices != stack.sent).sum(axis=1), result.nodes_visited, result.full_sorts,
+         np.full(row, elapsed[name] / row)]
         for name, result in decoded.items()
-    }
+    ])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Run the configured Monte Carlo sweep and aggregate statistics."""
+    """Run the configured Monte Carlo sweep and aggregate statistics.
+
+    Its chunks' results fill one (4, points * trials) plane per decoder,
+    each chunk at its rows, chunks in block order; every SweepRow then
+    reads its point's contiguous slice.
+    """
     cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
@@ -462,32 +459,23 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     # on a 2-vCPU Xeon the Alamouti walk of a 16-QAM sweep of four 250-trial
     # points took 9.0 us per trial as one stack against 13.2 as four. A pool
     # takes about four chunks per worker, which keeps the workers balanced.
-    plan = _chunk_plan(points, cfg.trials, 4 * threads if threads > 1 else 1)
-    if threads > 1 and len(plan) > 1:
-        # The pool forks all of its workers up front; more than there are tasks would idle.
-        with ProcessPoolExecutor(max_workers=min(threads, len(plan))) as pool:
-            futures = [pool.submit(_run_chunk, cfg, segments) for segments in plan]
-            partials = [future.result() for future in futures]
-    else:
-        partials = [_run_chunk(cfg, segments) for segments in plan]
-
-    # Split each chunk back per point: its counts by rows, and each decoder's
-    # time equally over the chunk's trials.
-    counts = {name: [[] for _ in points] for name in cfg.decoders}
-    ns = {name: [0.0] * len(points) for name in cfg.decoders}
-    for segments, partial in zip(plan, partials):
-        size = sum(hi - lo for _, _, lo, hi in segments)
+    plan = _chunk_plan(-(-cfg.trials // STREAM_BLOCK) * len(points),
+                       4 * threads if threads > 1 else 1)
+    # The pool forks all of its workers up front; more than there are tasks would idle.
+    workers = min(threads, len(plan))
+    table = np.empty((len(cfg.decoders), 4, len(points) * cfg.trials))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        chunks = (pool.map if pool else map)(_run_chunk, itertools.repeat(cfg), *zip(*plan))
         row = 0
-        for pi, _, lo, hi in segments:
-            for name, (chunk_counts, chunk_ns) in partial.items():
-                counts[name][pi].append(chunk_counts[:, row:row + hi - lo])
-                ns[name][pi] += chunk_ns * (hi - lo) / size
-            row += hi - lo
+        for chunk in chunks:  # each in plan order, dropped once written
+            table[..., row:row + chunk.shape[-1]] = chunk
+            row += chunk.shape[-1]
     rows = []
     for pi, snr in enumerate(points):
+        at = slice(pi * cfg.trials, (pi + 1) * cfg.trials)
         for name in sorted(cfg.decoders):
             # Every count is an integer well below 2**53: its float sums are exact.
-            errors, nodes, sorts = np.concatenate(counts[name][pi], axis=1).astype(float)
+            errors, nodes, sorts, ns = table[cfg.decoders.index(name), :, at]
             rows.append(
                 SweepRow(
                     snr_db=snr,
@@ -498,7 +486,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     nodes_p95=float(np.percentile(nodes, 95)),
                     nodes_max=int(nodes.max()),
                     sorts_mean=float(sorts.sum()) / cfg.trials,
-                    time_ns_mean=ns[name][pi] / cfg.trials,
+                    time_ns_mean=float(ns.mean()),
                 )
             )
     return SweepReport(config=cfg, rows=tuple(rows))
@@ -592,11 +580,15 @@ def _model_name(model: str, rho) -> str:
     return f"{model}:{rho}" if model == "markov" else model
 
 
-def _batched_channels(seed, branch, model, rho, trials, batch=20_000):
+# The channels a structural suite samples and checks at a time.
+CHANNEL_BATCH = 20_000
+
+
+def _batched_channels(seed, branch, model, rho, trials):
     rng = make_rng(seed, *branch)
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
+        n = min(CHANNEL_BATCH, trials - done)
         yield sample_channels(rng, model, n, rho)
         done += n
 

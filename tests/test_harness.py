@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -509,7 +508,8 @@ def test_decode_stack_of_no_instances_decodes_nothing(name, ordering):
     matrices = np.zeros((0, 4, 4), dtype=complex)
     received = np.zeros((0, 4), dtype=complex)
     decoded, elapsed = harness.decode_stack(matrices, received, st.make_qam(4), (name,), ordering)
-    assert (list(decoded), elapsed) == ([name], {name: 0})
+    assert list(decoded) == list(elapsed) == [name]
+    assert type(elapsed[name]) is int and elapsed[name] >= 0
     result = decoded[name]
     assert (result.indices.shape, result.indices.dtype) == ((0, 4), np.int64)
     for array, dtype in ((result.cost, np.float64), (result.nodes_visited, np.int64),
@@ -717,21 +717,35 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def block_segments(trials, first, stop):
+    """The sweep blocks [first, stop) as segments (point, lo, hi), one per
+    point they hold: the point's trials [lo, hi)."""
+    per_point = -(-trials // harness.STREAM_BLOCK)
+    segments = []
+    for block in range(first, stop):
+        pi, lo = divmod(block, per_point)
+        lo *= harness.STREAM_BLOCK
+        hi = min(trials, lo + harness.STREAM_BLOCK)
+        if segments and segments[-1][0] == pi:
+            segments[-1] = (pi, segments[-1][1], hi)
+        else:
+            segments.append((pi, lo, hi))
+    return segments
 
 
 def recording_chunks(monkeypatch):
-    """Wrap ``harness._run_chunk``; return the list of its calls' segments,
-    one list of (point, lo, hi) per chunk."""
+    """Wrap ``harness._run_chunk``; return the list of its calls' block
+    ranges as segments, one list of (point, lo, hi) per chunk."""
     calls = []
     run_chunk = harness._run_chunk
 
-    def recording(cfg, segments):
-        calls.append([(pi, lo, hi) for pi, _, lo, hi in segments])
-        return run_chunk(cfg, segments)
+    def recording(cfg, first, stop):
+        calls.append(block_segments(cfg.trials, first, stop))
+        return run_chunk(cfg, first, stop)
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     return calls
@@ -827,29 +841,19 @@ def test_sweep_chunk_plan(monkeypatch):
 @pytest.mark.parametrize("trials", (1, 31, 32, 33, 40, 300, 1024, 1061, 3000))
 @pytest.mark.parametrize("points", (1, 2, 5, 9))
 def test_chunk_plan_covers_each_block_once_in_order(trials, points):
-    """Every plan covers each (point, block) exactly once, in order, in whole
-    blocks, each chunk at most MAX_CHUNK trials; a chunk's segments are of
-    consecutive points, each after the first from the point's first trial
-    and each before the last to its last. One run asked for gives the fewest
-    chunks of at most MAX_CHUNK // STREAM_BLOCK blocks; more runs asked for
-    give that many, up to one per block."""
-    block = harness.STREAM_BLOCK
-    snrs = [2.0 * pi for pi in range(points)]
-    blocks = [(pi, lo, min(trials, lo + block))
-              for pi in range(points) for lo in range(0, trials, block)]
+    """Every plan's ranges cover the sweep's block sequence exactly once, in
+    order, each range nonempty and at most MAX_CHUNK // STREAM_BLOCK blocks,
+    so at most MAX_CHUNK trials, and the ranges as even as they divide. One
+    run asked for gives the fewest chunks of at most that many blocks; more
+    runs asked for give that many, up to one per block."""
+    most = harness.MAX_CHUNK // harness.STREAM_BLOCK
+    blocks = -(-trials // harness.STREAM_BLOCK) * points
     for runs in (1, 8, 12, 10_000):
-        plan = harness._chunk_plan(snrs, trials, runs)
-        assert len(plan) == max(min(runs, len(blocks)),
-                                -(-len(blocks) // (harness.MAX_CHUNK // block)))
-        covered = []
-        for chunk in plan:
-            assert sum(hi - lo for _, _, lo, hi in chunk) <= harness.MAX_CHUNK
-            for (pi, snr, lo, hi), after in zip(chunk, chunk[1:] + [None]):
-                assert snr == snrs[pi] and lo % block == 0
-                if after is not None:
-                    assert (after[0], after[2], hi) == (pi + 1, 0, trials)
-                covered += [(pi, start, min(hi, start + block)) for start in range(lo, hi, block)]
-        assert covered == blocks
+        plan = harness._chunk_plan(blocks, runs)
+        assert len(plan) == max(min(runs, blocks), -(-blocks // most))
+        assert [first for first, _ in plan] + [blocks] == [0] + [stop for _, stop in plan]
+        sizes = [stop - first for first, stop in plan]
+        assert 1 <= min(sizes) and max(sizes) <= most and max(sizes) - min(sizes) <= 1
 
 
 def one_point_build(cfg, pi, snr):
@@ -884,10 +888,9 @@ def test_chunks_across_points_build_each_row_as_its_point_alone(monkeypatch):
     assert received.tobytes() == np.concatenate([y for _, y in want]).tobytes()
 
 
-def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
-    """Each chunk's decode time per decoder is shared equally by its trials,
-    so over the sweep's points ``time_ns_mean * trials`` sums to each
-    decoder's summed ``decode_stack`` time, as a Python float."""
+def recording_elapsed(monkeypatch):
+    """Wrap ``harness.decode_stack``; return the list of its calls' elapsed
+    times, one dict of ns per decoder name per call."""
     recorded = []
     decode_stack = harness.decode_stack
 
@@ -897,6 +900,14 @@ def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
         return decoded, elapsed
 
     monkeypatch.setattr(harness, "decode_stack", recording)
+    return recorded
+
+
+def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
+    """Each chunk's decode time per decoder is shared equally by its trials,
+    so over the sweep's points ``time_ns_mean * trials`` sums to each
+    decoder's summed ``decode_stack`` time, as a Python float."""
+    recorded = recording_elapsed(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     monkeypatch.setattr(harness, "MAX_CHUNK", 3 * harness.STREAM_BLOCK)
     cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0)  # chunks of 40, 72 and 48 trials
@@ -907,6 +918,36 @@ def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
         assert all(type(row.time_ns_mean) is float for row in rows)
         assert sum(row.time_ns_mean * row.trials for row in rows) == pytest.approx(
             sum(elapsed[name] for elapsed in recorded), rel=1e-12)
+
+
+def test_sweep_rows_do_not_depend_on_the_cut(monkeypatch):
+    """Any cover of the block sequence by ranges in order gives the same rows
+    but their wall time: every block alone, the whole sweep as one chunk,
+    and uneven ranges, one spanning three points with short blocks inside.
+    Under each, ``time_ns_mean * trials`` sums over the points to each
+    decoder's ``decode_stack`` time."""
+    cfg = small_config(decoders=("exhaustive", "fast", "sphere"), ordering="blast",
+                       trials=40, snr_stop=18.0, snr_step=6.0)  # 4 points, 8 blocks
+    covers = {
+        "alone": [(block, block + 1) for block in range(8)],
+        "whole": [(0, 8)],
+        # blocks 1-5: point 0's short block, point 1 (short block inside) and point 2
+        "uneven": [(0, 1), (1, 6), (6, 8)],
+    }
+    recorded = recording_elapsed(monkeypatch)
+    monkeypatch.setenv("STC_THREADS", "1")
+    rows = {}
+    for label, cover in covers.items():
+        monkeypatch.setattr(harness, "_chunk_plan", lambda blocks, runs, cover=cover: cover)
+        recorded.clear()
+        report = run_sweep(cfg)
+        rows[label] = without_time(report.rows)
+        assert len(recorded) == len(cover)
+        for name in cfg.decoders:
+            assert sum(row.time_ns_mean * row.trials for row in report.rows
+                       if row.decoder == name) == pytest.approx(
+                sum(elapsed[name] for elapsed in recorded), rel=1e-12)
+    assert rows["alone"] == rows["whole"] == rows["uneven"]
 
 
 # Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
