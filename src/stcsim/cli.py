@@ -1,6 +1,7 @@
 """Command-line front end: simulate, verify, and decode subcommands."""
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from . import codes, harness
 from .channel import CHANNEL_MODELS
-from .constellation import make_qam
+from .constellation import SUPPORTED_QAM_ORDERS, make_qam
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,26 +24,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a Monte Carlo SNR sweep and write CSV statistics",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    sim.add_argument("--code", default="golden-dv", choices=codes.CODE_VARIANTS,
+    cfg = harness.SweepConfig  # every simulate default is the field's own
+    sim.add_argument("--code", default=cfg.code, choices=codes.CODE_VARIANTS,
                      help="space-time code variant")
-    sim.add_argument("--decoder", default="fast",
-                     help="comma-separated decoders from: "
-                          + ",".join(harness.DECODER_NAMES))
-    sim.add_argument("--modulation", type=int, default=4,
-                     help="QAM order (4, 16, 64 or 256)")
-    sim.add_argument("--channel", default="quasistatic", choices=CHANNEL_MODELS,
-                     help="fading model")
-    sim.add_argument("--rho", type=float, default=None,
+    sim.add_argument("--decoder", default=",".join(cfg.decoders),
+                     help="comma-separated decoders from: " + ",".join(harness.DECODER_NAMES))
+    sim.add_argument("--modulation", type=int, default=cfg.modulation,
+                     help="QAM order, one of: " + ", ".join(map(str, SUPPORTED_QAM_ORDERS)))
+    sim.add_argument("--channel", default=cfg.channel, choices=CHANNEL_MODELS, help="fading model")
+    sim.add_argument("--rho", type=float, default=cfg.rho,
                      help="slot correlation for the markov model")
-    sim.add_argument("--snr-start", type=float, default=0.0, help="first SNR point, dB")
-    sim.add_argument("--snr-stop", type=float, default=30.0, help="last SNR point, dB")
-    sim.add_argument("--snr-step", type=float, default=2.0, help="SNR grid step, dB")
-    sim.add_argument("--trials", type=int, default=1000, help="trials per SNR point")
-    sim.add_argument("--seed", type=int, default=0, help="stream seed")
-    sim.add_argument("--ordering", default="none", choices=harness.ORDERING_MODES,
-                     help="column ordering; only the fast and sphere decoders "
-                          "reorder columns, exhaustive and alamouti ignore it")
-    sim.add_argument("--noise-free", action="store_true",
+    sim.add_argument("--snr-start", type=float, default=cfg.snr_start, help="first SNR point, dB")
+    sim.add_argument("--snr-stop", type=float, default=cfg.snr_stop, help="last SNR point, dB")
+    sim.add_argument("--snr-step", type=float, default=cfg.snr_step, help="SNR grid step, dB")
+    sim.add_argument("--trials", type=int, default=cfg.trials, help="trials per SNR point")
+    sim.add_argument("--seed", type=int, default=cfg.seed, help="stream seed")
+    blast = ", ".join(name for name, entry in harness.DECODERS.items() if entry.blast)
+    sim.add_argument("--ordering", default=cfg.ordering, choices=harness.ORDERING_MODES,
+                     help=f"column ordering; blast reorders columns only for {blast}, "
+                          "the other decoders ignore it")
+    sim.add_argument("--noise-free", action="store_true", default=cfg.noise_free,
                      help="zero the noise (sanity runs)")
     sim.add_argument("--out", required=True, help="output CSV path")
 
@@ -131,20 +132,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            cfg = harness.SweepConfig(
-                code=args.code,
-                decoders=tuple(sorted(set(args.decoder.split(",")))),
-                modulation=args.modulation,
-                channel=args.channel,
-                rho=args.rho,
-                snr_start=args.snr_start,
-                snr_stop=args.snr_stop,
-                snr_step=args.snr_step,
-                trials=args.trials,
-                seed=args.seed,
-                ordering=args.ordering,
-                noise_free=args.noise_free,
-            )
+            fields = {field.name for field in dataclasses.fields(harness.SweepConfig)}
+            options = vars(args) | {"decoders": tuple(sorted(set(args.decoder.split(","))))}
+            cfg = harness.SweepConfig(**{k: v for k, v in options.items() if k in fields})
             report = harness.run_sweep(cfg)
             harness.emit_csv(report, args.out)
             print(f"wrote {len(report.rows)} rows to {args.out}")

@@ -58,7 +58,7 @@ from .constellation import SUPPORTED_QAM_ORDERS, make_qam
 from .matrixkit import frobenius_norm, qr_decompose
 
 ORDERING_MODES = ("none", "blast")
-# SweepConfig.validate walks and labels every SNR point before anything runs.
+# Building a SweepConfig walks and labels every SNR point before anything runs.
 MAX_SNR_POINTS = 100_000
 # A bound on a sweep's size, far beyond any that finishes (2**32 trials take
 # days per point); it keeps every block index (trial // STREAM_BLOCK) within
@@ -172,7 +172,13 @@ def _require_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one simulation sweep."""
+    """Configuration of one simulation sweep, checked when built.
+
+    The one home of a sweep's options: their names, defaults and validity.
+    ``__post_init__`` (which ``dataclasses.replace`` runs too) raises
+    ValueError on any invalid field, so a SweepConfig that exists is valid;
+    an unpickled copy, such as a pool worker's, is not checked again.
+    """
 
     code: str = "golden-dv"
     decoders: tuple = ("fast",)
@@ -187,7 +193,7 @@ class SweepConfig:
     ordering: str = "none"
     noise_free: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for field in ("trials", "modulation", "seed"):
             _require_integer(field, getattr(self, field))
         for field in ("snr_start", "snr_stop", "snr_step"):
@@ -445,13 +451,13 @@ def _run_chunk(cfg: SweepConfig, first: int, stop: int) -> np.ndarray:
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Run the configured Monte Carlo sweep and aggregate statistics.
+    """Run the configured Monte Carlo sweep and aggregate statistics; ``cfg``
+    was checked when it was built.
 
     Its chunks' results fill one (4, points * trials) plane per decoder,
     each chunk at its rows, chunks in block order; every SweepRow then
     reads its point's contiguous slice.
     """
-    cfg.validate()
     points = cfg.snr_points()
     threads = _thread_count()
     # Each stack pays the decoders' fixed numpy costs per call and per walk

@@ -65,6 +65,15 @@ def decode_one(name, eff, y, alphabet):
     return decoded[name].row(0)
 
 
+def decode_unpruned(stack_call, eff, y, alphabet):
+    """A factored stack decoder (``decode_fast_stack``, ``decode_sphere_stack``
+    or ``decode_alamouti_stack``) with pruning off, on one instance: row 0 of
+    its call on the ``triangular_rows`` prologue of the stack of one ``eff.h``
+    and ``y``."""
+    r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    return stack_call(r, z, alphabet, prune=False).row(0)
+
+
 def rows(result):
     """The one-instance views of a stacked DecodeResult, in instance order."""
     return [result.row(i) for i in range(len(result.cost))]

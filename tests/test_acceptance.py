@@ -17,6 +17,8 @@ from stcsim import decoders as dec
 from stcsim.cli import main
 from stcsim.harness import SweepConfig, run_sweep, run_verification
 
+from conftest import decode_unpruned
+
 SEED = 7
 
 
@@ -99,7 +101,7 @@ def test_criterion_05_worst_case_node_formula():
         idx = rng.integers(0, m, 4)
         eff = st.effective_channel(h, "golden-dv")
         y = eff.h @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
-        result = dec.decode_fast_golden(eff, y, alphabet, prune=False)
+        result = decode_unpruned(dec.decode_fast_stack, eff, y, alphabet)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}
     ok = measured == expected

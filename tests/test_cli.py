@@ -20,6 +20,23 @@ def test_help_exits_zero(capsys):
     assert "--snr-start" in out and "--ordering" in out
 
 
+def test_simulate_defaults_build_the_default_sweep_config(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "run_sweep",
+                        lambda cfg: built.append(cfg) or harness.SweepReport(cfg, ()))
+    assert main(["simulate", "--out", str(tmp_path / "run.csv")]) == 0
+    assert built == [harness.SweepConfig()]
+
+
+def test_simulate_help_reads_blast_decoders_and_qam_orders_from_the_library(capsys):
+    assert main(["simulate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    listed = help_text.split("blast reorders columns only for ")[1].split(", the other")[0]
+    blast = {name for name, entry in harness.DECODERS.items() if entry.blast}
+    assert set(listed.split(", ")) == blast == {"fast", "sphere"}
+    assert "QAM order, one of: " + ", ".join(map(str, st.SUPPORTED_QAM_ORDERS)) in help_text
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["simulate", "--nope"]) == 2
     assert main([]) == 2
@@ -274,7 +291,7 @@ def test_decode_rounded_effective_matrix(tmp_path, capsys):
 )
 def test_registry_rules_shared_by_validate_and_decode(tmp_path, capsys, decoder, code):
     with pytest.raises(ValueError) as excinfo:
-        harness.SweepConfig(code=code, decoders=(decoder,)).validate()
+        harness.SweepConfig(code=code, decoders=(decoder,))
     args = _decode_file(
         tmp_path, code=code, modulation=4, decoder=decoder,
         h=pairs(np.ones((2, 2, 2))), y=pairs(np.ones(4)),

@@ -14,6 +14,7 @@ from conftest import (
     children_in_order,
     decode_alone,
     decode_one,
+    decode_unpruned,
     near_tie,
     permuted,
     random_alamouti_instance,
@@ -462,7 +463,7 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
             if prune:
                 got = decode_one("sphere", channel, y, alphabet)
             else:
-                got = dec.decode_sphere_conventional(channel, y, alphabet, prune=False)
+                got = decode_unpruned(dec.decode_sphere_stack, channel, y, alphabet)
             ref = reference_sphere_decode(channel, y, alphabet, prune=prune)
             assert got.indices == ref.indices
             assert got.cost.hex() == ref.cost.hex()
@@ -710,7 +711,7 @@ def test_alamouti_fast_noiseless_and_counters(rng):
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
     m = alphabet.size
-    nop = dec.decode_alamouti_fast(eff, y, alphabet, prune=False)
+    nop = decode_unpruned(dec.decode_alamouti_stack, eff, y, alphabet)
     assert nop.nodes_visited == m + m**2 + 4 * m**2
     assert r.nodes_visited <= nop.nodes_visited
 
@@ -1085,10 +1086,10 @@ def test_fast_decoders_refuse_channels_near_their_structure(rng):
 
 
 _DECODER_CASES = {
-    "exhaustive": ("golden-dv", dec.decode_exhaustive),
-    "fast": ("golden-dv", dec.decode_fast_golden),
-    "sphere": ("golden-dv", dec.decode_sphere_conventional),
-    "alamouti": ("overlaid-alamouti", dec.decode_alamouti_fast),
+    "exhaustive": "golden-dv",
+    "fast": "golden-dv",
+    "sphere": "golden-dv",
+    "alamouti": "overlaid-alamouti",
 }
 
 
@@ -1097,7 +1098,7 @@ _DECODER_CASES = {
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 @pytest.mark.parametrize("name", tuple(_DECODER_CASES))
 def test_non_finite_input_raises(rng, name, bad, where):
-    variant, _ = _DECODER_CASES[name]
+    variant = _DECODER_CASES[name]
     alphabet = st.make_qam(16)
     h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h.copy()
     y = h @ alphabet.symbols[rng.integers(0, 16, 4)]
@@ -1115,7 +1116,7 @@ def test_non_finite_input_raises(rng, name, bad, where):
 @pytest.mark.parametrize("name", tuple(_DECODER_CASES))
 def test_overflowing_cost_raises(rng, name):
     # y and H are finite, but every squared distance exceeds the float range.
-    variant, _ = _DECODER_CASES[name]
+    variant = _DECODER_CASES[name]
     eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
     y = np.array([1e200, 1e200, 0, 0], dtype=complex)
     with pytest.raises(ValueError, match="overflow"):
@@ -1409,8 +1410,6 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     # exhaustive stack call decodes in blocks, and the alamouti, fast and
     # sphere stack calls walk in passes or rounds, after their checks.
     calls = []
-    for _, decode in _DECODER_CASES.values():
-        monkeypatch.setattr(dec, decode.__name__, lambda *args, **kwargs: calls.append(args))
     for pass_name in ("_scan_block", "_complete_pairs", "_pair_pass", "_sphere_round"):
         run_pass = getattr(dec, pass_name)
         monkeypatch.setattr(dec, pass_name,

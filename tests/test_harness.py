@@ -38,45 +38,51 @@ def small_config(**kw):
 
 def test_validation_rejects_bad_configs():
     with pytest.raises(ValueError):
-        small_config(code="nope").validate()
+        small_config(code="nope")
     with pytest.raises(ValueError):
-        small_config(decoders=("fast",), code="overlaid-alamouti").validate()
+        small_config(decoders=("fast",), code="overlaid-alamouti")
     with pytest.raises(ValueError):
-        small_config(decoders=("alamouti",), code="golden-dv").validate()
+        small_config(decoders=("alamouti",), code="golden-dv")
     with pytest.raises(ValueError):
         small_config(
             decoders=("alamouti",), code="overlaid-alamouti", channel="rapid"
-        ).validate()
+        )
     with pytest.raises(ValueError):
-        small_config(trials=0).validate()
+        small_config(trials=0)
     with pytest.raises(ValueError):
-        small_config(snr_step=0.0).validate()
+        small_config(snr_step=0.0)
     with pytest.raises(ValueError):
-        small_config(channel="markov").validate()
+        small_config(channel="markov")
     with pytest.raises(ValueError):
-        small_config(decoders=("exhaustive",), modulation=256).validate()
+        small_config(decoders=("exhaustive",), modulation=256)
     with pytest.raises(ValueError):
-        small_config(ordering="sideways").validate()
+        small_config(ordering="sideways")
     with pytest.raises(ValueError, match="repeat"):
-        small_config(decoders=("fast", "fast")).validate()
+        small_config(decoders=("fast", "fast"))
     for field, value in (("trials", 2.5), ("modulation", 4.0), ("seed", 1.5), ("trials", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            small_config(**{field: value}).validate()
+            small_config(**{field: value})
     for field, value in (("snr_start", "0"), ("snr_stop", None), ("snr_step", "2"),
                          ("snr_start", True), ("snr_stop", 1j)):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
-            small_config(**{field: value}).validate()
+            small_config(**{field: value})
     for rho in ("0.5", True, False):
         with pytest.raises(ValueError, match="rho must be a real number"):
-            small_config(channel="markov", rho=rho).validate()
+            small_config(channel="markov", rho=rho)
     for flag in ("yes", 1, None):
         with pytest.raises(ValueError, match="noise_free must be a bool"):
-            small_config(noise_free=flag).validate()
+            small_config(noise_free=flag)
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        dataclasses.replace(SweepConfig(), trials=0)
+    assert dataclasses.replace(SweepConfig(), trials=5).trials == 5
 
 
 def test_validation_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        small_config(seed=-1).validate()
+        small_config(seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
         run_verification("mindet", seed=-2)
 
@@ -84,7 +90,7 @@ def test_validation_rejects_negative_seed():
 @pytest.mark.parametrize("channel", ("quasistatic", "rapid"))
 def test_validation_rejects_rho_without_markov(channel):
     with pytest.raises(ValueError, match="rho applies only to the markov channel"):
-        small_config(channel=channel, rho=0.3).validate()
+        small_config(channel=channel, rho=0.3)
 
 
 @pytest.mark.parametrize(
@@ -96,37 +102,36 @@ def test_validation_rejects_rho_without_markov(channel):
 )
 def test_validation_rejects_bad_snr_grid(grid):
     with pytest.raises(ValueError, match="snr"):
-        small_config(**grid).validate()
+        small_config(**grid)
 
 
 def test_validation_rejects_snr_points_that_print_alike():
-    cfg = small_config(snr_start=10.0, snr_stop=10.0 + 4e-9, snr_step=1e-9)
-    assert len(cfg.snr_points()) == 5  # the end slack scales with the step
     grid = r"snr grid start=10\.0 stop=10\.000000004 step=1e-09"
     with pytest.raises(ValueError, match=f"{grid} has points that print alike"):
-        cfg.validate()
-    small_config(snr_start=10.0, snr_stop=10.0 + 4e-7, snr_step=1e-7).validate()
+        small_config(snr_start=10.0, snr_stop=10.0 + 4e-9, snr_step=1e-9)
+    small_config(snr_start=10.0, snr_stop=10.0 + 4e-7, snr_step=1e-7)
+    # the end slack scales with the step: a fixed slack of 1e-9 would add 5e-9
+    cfg = small_config(snr_start=0.0, snr_stop=4e-9, snr_step=1e-9)
+    assert len(cfg.snr_points()) == 5
 
 
 def test_validation_bounds_the_number_of_snr_points():
     cfg = small_config(snr_start=0.0, snr_stop=999.99, snr_step=0.01)
-    cfg.validate()
     assert len(cfg.snr_points()) == harness.MAX_SNR_POINTS == 100_000
     # one point more, and grids far too long to build, are refused before any label is built
     for start, stop, step in ((0.0, 1000.0, 0.01), (0.0, 30.0, 1e-300), (-30.0, 0.0, 1e-300)):
-        cfg = small_config(snr_start=start, snr_stop=stop, snr_step=step)
         grid = f"snr grid start={start!r} stop={stop!r} step={step!r}"
         with pytest.raises(ValueError) as info:
-            cfg.validate()
+            small_config(snr_start=start, snr_stop=stop, snr_step=step)
         assert str(info.value) == f"{grid} has more than 100000 points"
 
 
 def test_validation_bounds_the_number_of_trials():
     # a bound on a sweep's size: at most 2**32 trials per point
     assert harness.MAX_TRIALS == 2**32
-    small_config(trials=2**32).validate()
+    small_config(trials=2**32)
     with pytest.raises(ValueError) as info:
-        small_config(trials=2**32 + 1).validate()
+        small_config(trials=2**32 + 1)
     assert str(info.value) == "trials must be at most 4294967296 (2**32), got 4294967297"
 
 
@@ -548,11 +553,11 @@ def test_decode_stack_rejects_mismatched_stacks_and_names(rng):
         harness.decode_stack(matrices, received, alphabet, ("fast", "fast"), "none")
     assert str(info.value) == "decoders must not repeat a name: ('fast', 'fast')"
     with pytest.raises(ValueError, match="repeat") as config_info:
-        small_config(decoders=("fast", "fast")).validate()
+        small_config(decoders=("fast", "fast"))
     assert str(config_info.value) == str(info.value)
     for call in (
         lambda: harness.decode_stack(matrices, received, alphabet, "fast", "none"),
-        lambda: small_config(decoders="fast").validate(),
+        lambda: small_config(decoders="fast"),
     ):
         with pytest.raises(ValueError) as info:
             call()
