@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1010,3 +1015,94 @@ def test_sweep_pins_decoder_effort(monkeypatch, case):
         for row in rows
     ]
     assert got == expected
+
+
+def serve_table(monkeypatch, table):
+    """Make each chunk of a serial sweep return its trials' columns of
+    ``table``, a (decoders, 4, points * trials) array in the sweep's order."""
+
+    def run_chunk(cfg, first, stop):
+        per_point = -(-cfg.trials // harness.STREAM_BLOCK)
+
+        def column(block):
+            return block // per_point * cfg.trials + block % per_point * harness.STREAM_BLOCK
+
+        return table[..., column(first):column(stop)]
+
+    monkeypatch.setenv("STC_THREADS", "1")
+    monkeypatch.setattr(harness, "_run_chunk", run_chunk)
+
+
+def test_sweep_p95_matches_numpy_percentile(monkeypatch):
+    """run_sweep's written-out linear rule is float(np.percentile(x, 95)) bit
+    for bit on integer-valued node counts of every length from 1 to 300 and
+    of 1000 and 10000, one kind per SNR point: few distinct values, all
+    equal, values up to 2**40, ties near 2**40 and a Pareto tail."""
+    rng = np.random.default_rng(35)
+    for n in (*range(1, 301), 1000, 10000):
+        kinds = [
+            rng.integers(0, 4, n),
+            np.full(n, 2**40),
+            rng.integers(0, 2**40, n, endpoint=True),
+            rng.integers(2**40 - 3, 2**40, n, endpoint=True),
+            np.floor(rng.pareto(1.2, n) * 1000),
+        ]
+        table = np.zeros((1, 4, len(kinds) * n))
+        table[0, 1] = np.concatenate(kinds)
+        serve_table(monkeypatch, table)
+        cfg = small_config(decoders=("fast",), trials=n, snr_stop=4.0, snr_step=1.0)
+        got = [row.nodes_p95.hex() for row in run_sweep(cfg).rows]
+        assert got == [float(np.percentile(x.astype(float), 95)).hex() for x in kinds], n
+
+
+@pytest.mark.parametrize("trials", (1, 45))
+def test_sweep_rows_match_per_point_aggregation(monkeypatch, trials):
+    """Every row equals its point's own per-trial results, decoded alone and
+    aggregated with numpy (np.percentile for nodes_p95): at one trial, and at
+    45 (a short last block), each time with one serial chunk that spans the
+    three points. Pooled rows equal serial rows."""
+    cfg = small_config(decoders=("fast", "sphere"), modulation=16, trials=trials,
+                       snr_stop=12.0, snr_step=6.0, seed=11)
+    per_point = -(-trials // harness.STREAM_BLOCK)
+    assert harness._chunk_plan(3 * per_point, 1) == [(0, 3 * per_point)]
+    expected = []
+    for pi, snr in enumerate(cfg.snr_points()):
+        results = harness._run_chunk(cfg, pi * per_point, (pi + 1) * per_point)
+        for name in sorted(cfg.decoders):
+            errors, nodes, sorts, _ = results[cfg.decoders.index(name)]
+            expected.append(SweepRow(
+                snr_db=snr, decoder=name, trials=trials,
+                ser=float(errors.sum()) / (4.0 * trials),
+                nodes_mean=float(nodes.mean()),
+                nodes_p95=float(np.percentile(nodes, 95)),
+                nodes_max=int(nodes.max()),
+                sorts_mean=float(sorts.sum()) / trials,
+                time_ns_mean=0.0,
+            ))
+    monkeypatch.setenv("STC_THREADS", "1")
+    assert without_time(run_sweep(cfg).rows) == expected
+    monkeypatch.setenv("STC_THREADS", "2")
+    assert without_time(run_sweep(cfg).rows) == expected
+
+
+def test_entry_points_never_load_numpy_ma(tmp_path):
+    """numpy.ma costs a fresh process about 10 ms to import on a 2-vCPU
+    Xeon, and np.percentile, np.median and np.unique load it. Neither
+    ``import stcsim`` nor a sweep, ``simulate`` or the alamouti verify suite
+    (a median) may."""
+    script = textwrap.dedent("""
+        import sys
+        import stcsim
+        assert "numpy.ma" not in sys.modules, "loaded by import stcsim"
+        from stcsim import cli, harness
+        harness.run_sweep(harness.SweepConfig(decoders=("fast", "sphere"), trials=40,
+                                              snr_stop=6.0, snr_step=6.0))
+        assert cli.main(["simulate", "--trials", "20", "--snr-stop", "4", "--out", sys.argv[1]]) == 0
+        assert cli.main(["verify", "--suite", "alamouti", "--trials", "20"]) == 0
+        assert "numpy.ma" not in sys.modules, "loaded by an entry point"
+    """)
+    src = str(Path(st.__file__).resolve().parents[1])
+    env = dict(os.environ, STC_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
