@@ -104,7 +104,7 @@ EXHAUSTIVE_BLOCK = 2 ** 14
 PAIR_BLOCK = 2 ** 12
 # Child entries one pass of the sphere stack search may hold (a pass expands
 # at most SPHERE_BLOCK // M nodes).
-SPHERE_BLOCK = 2 ** 14
+SPHERE_BLOCK = 2 ** 15
 # Pops (trailing-pair walk) or root children (sphere search) per instance in
 # a first round: larger ones cost more work on instances that end early.
 FIRST_ROUND = 2

@@ -5,14 +5,16 @@ versus SNR for any code/decoder combination, one shared instance per trial
 so decoders are compared on identical inputs. A point's trials are drawn in
 blocks of STREAM_BLOCK, each block from its own Philox stream
 ``make_rng(seed, point index, block index)``. A sweep is one sequence of
-blocks, point by point in order, and a chunk is a range of it, which may
-span points. One rule cuts every sweep into chunks (``_chunk_plan``): a
-serial sweep takes the fewest ranges of at most MAX_CHUNK trials (in whole
-blocks), a pooled one about four ranges per worker. A chunk is decoded as
-one stack, each row with its own point's noise variance, and its per-trial
-results fill the chunk's rows of one table, from which one vectorised pass
-takes every point's statistics. Chunking cannot change the output: serial
-and parallel runs emit identical CSV (wall-time columns excluded from that
+blocks, point by point in order, and a chunk is a set of its blocks. One
+rule deals every sweep's blocks into chunks (``_chunk_plan``), each block
+to the chunk with the fewest trials so far: as many chunks as workers, or
+the fewest of at most MAX_CHUNK trials if that is more. So a serial sweep
+that fits is one stack, and a pooled one is one stack per worker, each with
+an even share of every point. A chunk is decoded as one stack, each row
+with its own point's noise variance, and each block's per-trial results
+fill its point's rows of one table, from which one vectorised pass takes
+every point's statistics. Chunking cannot change the output: serial and
+parallel runs emit identical CSV (wall-time columns excluded from that
 contract). Sweeps and the decoding verify suites share one instance
 pipeline: ``_InstanceStack`` draws instances a row or a block of rows at a
 time and builds them as one stack, and ``decode_stack``, the one place that
@@ -28,6 +30,7 @@ coding-gain alphabet independence, and agreement of the two QR routes).
 SER is reported per symbol: four information symbols per trial.
 """
 
+import heapq
 import itertools
 import math
 import numbers
@@ -292,11 +295,11 @@ class SweepReport:
 STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices, QR factors and decoder state
 # until it is decoded. In a fresh process, one 1024-trial chunk of 16-QAM
-# alamouti,sphere raises the peak RSS by about 1.8 MiB at 24 dB and 2.6 MiB
-# at 6 dB, and each trial from 1024 to 4096 adds about 2.2 and 2.4 KiB;
-# 4-QAM exhaustive,fast adds 1.6 MiB and 2.2 KiB per trial, and 64-QAM fast
-# measured about 7.6 KiB per trial from 32 to 1024. The cap bounds that for
-# long serial sweeps; a stack's time per trial levels off by a few hundred.
+# alamouti,sphere raises the peak RSS by about 1.8 MiB at 24 dB and 3.4 MiB
+# at 6 dB more than a 32-trial one, and each trial from 1024 to 4096 adds
+# about 2.4 KiB; 4-QAM exhaustive,fast adds 1.5 MiB and 2.2 KiB per trial,
+# and 64-QAM fast about 4.5 KiB per trial from 32 to 1024. The cap bounds
+# that for long sweeps; a stack's time per trial levels off by a few hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK
 
 
@@ -307,6 +310,8 @@ def _thread_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"STC_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))  # the CPUs this process may run on
     return os.cpu_count() or 1
 
 
@@ -402,32 +407,58 @@ def decode_stack(matrices, received, alphabet, names, ordering) -> tuple:
     return decoded, elapsed
 
 
-def _chunk_plan(blocks: int, runs: int) -> list:
-    """Cut a sweep's one sequence of ``blocks`` blocks of STREAM_BLOCK
-    trials, point by point in order, into chunks: ranges of whole blocks,
-    as even in blocks as they divide, at least ``runs`` of them and as few
-    as hold at most MAX_CHUNK // STREAM_BLOCK blocks, so at most MAX_CHUNK
-    trials, each. A range may span points.
+def _block_trials(trials: int, block: int) -> tuple:
+    """Block ``block`` of a sweep of ``trials`` trials per point, as
+    ``(point, lo, hi)``: its point's trials [lo, hi).
+
+    The one map from a sweep block to its point: with ``per_point`` blocks
+    per point (a point's last block may be short), block ``b`` is block
+    ``b % per_point`` of point ``b // per_point``.
+    """
+    point, index = divmod(block, -(-trials // STREAM_BLOCK))
+    lo = index * STREAM_BLOCK
+    return point, lo, min(trials, lo + STREAM_BLOCK)
+
+
+def _chunk_plan(trials: int, points: int, threads: int) -> list:
+    """Deal the blocks of a sweep of ``points`` points of ``trials`` trials
+    into chunks.
+
+    The blocks are dealt in sequence order, point by point: each goes to the
+    chunk with the fewest trials so far, the first chunk on ties. So chunk
+    totals differ by at most STREAM_BLOCK trials, and each chunk holds an
+    even share of every point. There are ``max(min(threads, blocks), n)``
+    chunks, where n is the fewest whose dealt chunks hold at most MAX_CHUNK
+    trials each.
 
     Returns:
-        Per chunk, in order, its blocks ``(first, stop)``: the sequence's
-        blocks [first, stop). The ranges cover the sequence once.
+        Per chunk, the ascending tuple of the sequence's blocks it holds.
+        Every block is in exactly one chunk.
     """
-    runs = min(blocks, max(runs, -(-blocks // (MAX_CHUNK // STREAM_BLOCK))))
-    return [(i * blocks // runs, (i + 1) * blocks // runs) for i in range(runs)]
+    blocks = range(-(-trials // STREAM_BLOCK) * points)
+    sizes = [hi - lo for _, lo, hi in (_block_trials(trials, block) for block in blocks)]
+    count = max(min(threads, len(sizes)), -(-trials * points // MAX_CHUNK))
+    while True:
+        loads = [(0, chunk) for chunk in range(count)]  # a heap: (trials, chunk)
+        chunks = [[] for _ in range(count)]
+        for block, size in enumerate(sizes):
+            load, chunk = loads[0]
+            chunks[chunk].append(block)
+            heapq.heapreplace(loads, (load + size, chunk))
+        if max(loads)[0] <= MAX_CHUNK:
+            return list(map(tuple, chunks))
+        count += 1
 
 
-def _run_chunk(cfg: SweepConfig, first: int, stop: int) -> np.ndarray:
-    """Decode one chunk of a sweep, the blocks [first, stop) of its block
+def _run_chunk(cfg: SweepConfig, blocks: tuple) -> np.ndarray:
+    """Decode one chunk of a sweep, the ascending ``blocks`` of its block
     sequence, as one stack.
 
-    The one place that maps a sweep block to a point: with ``per_point``
-    blocks per point (a point's last block may be short), block ``b`` is
-    block ``b % per_point`` of point ``b // per_point``. Its trials draw
-    their rows of the chunk's ``_InstanceStack`` from ``make_rng(cfg.seed,
-    point, b % per_point)`` and get that point's noise variance. The chunk
-    is built and decoded as one stack, so the decoders of a trial that
-    decode the same column order share that trial's prologue.
+    Each block, block ``index`` of its point (``_block_trials``), draws its
+    trials' rows of the chunk's ``_InstanceStack`` from ``make_rng(cfg.seed,
+    point, index)`` and gives them that point's noise variance. The chunk is
+    built and decoded as one stack, so the decoders of a trial that decode
+    the same column order share that trial's prologue.
 
     Returns:
         A (len(cfg.decoders), 4, trials) float array: per decoder, in
@@ -435,17 +466,15 @@ def _run_chunk(cfg: SweepConfig, first: int, stop: int) -> np.ndarray:
         share of its ``decode_stack`` time per trial, in the blocks' order.
     """
     alphabet = make_qam(cfg.modulation)
-    per_point = -(-cfg.trials // STREAM_BLOCK)
-    blocks = range(first, stop)
-    sizes = [min(STREAM_BLOCK, cfg.trials - b % per_point * STREAM_BLOCK) for b in blocks]
+    spans = [_block_trials(cfg.trials, block) for block in blocks]
+    sizes = [hi - lo for _, lo, hi in spans]
     stack = _InstanceStack(sum(sizes), cfg.channel, cfg.code, alphabet, cfg.rho)
-    n0, row = [], 0
-    for block, size in zip(blocks, sizes):
-        point = block // per_point
-        rng = make_rng(cfg.seed, point, block % per_point)
-        stack.draw(slice(row, row + size), rng, noisy=not cfg.noise_free)
-        n0.append(snr_to_n0(cfg.snr_point(point)))
-        row += size
+    row = 0
+    for point, lo, hi in spans:
+        rng = make_rng(cfg.seed, point, lo // STREAM_BLOCK)
+        stack.draw(slice(row, row + hi - lo), rng, noisy=not cfg.noise_free)
+        row += hi - lo
+    n0 = [snr_to_n0(cfg.snr_point(point)) for point, _, _ in spans]
     matrices, received = stack.build(np.repeat(n0, sizes))
     decoded, elapsed = decode_stack(matrices, received, alphabet, cfg.decoders, cfg.ordering)
     return np.array([
@@ -460,28 +489,29 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     was checked when it was built.
 
     Its chunks' results fill one (4, points * trials) plane per decoder,
-    each chunk at its rows, chunks in block order. Every SweepRow then
-    comes from one pass over that table: one vectorised reduction per
-    statistic across all points and decoders at once.
+    each block's trials at its point's rows. Every SweepRow then comes from
+    one pass over that table: one vectorised reduction per statistic across
+    all points and decoders at once.
     """
     points = cfg.snr_points()
     threads = _thread_count()
     # Each stack pays the decoders' fixed numpy costs per call and per walk
-    # round once, so a serial sweep takes the fewest chunks, across points:
-    # on a 2-vCPU Xeon the Alamouti walk of a 16-QAM sweep of four 250-trial
-    # points took 9.0 us per trial as one stack against 13.2 as four. A pool
-    # takes about four chunks per worker, which keeps the workers balanced.
-    plan = _chunk_plan(-(-cfg.trials // STREAM_BLOCK) * len(points),
-                       4 * threads if threads > 1 else 1)
+    # round once, so a sweep takes the fewest chunks its workers and
+    # MAX_CHUNK allow: on a 2-vCPU Xeon the Alamouti walk of a 16-QAM sweep
+    # of four 250-trial points took 9.0 us per trial as one stack against
+    # 13.2 as four. Dealt blocks give each chunk an even share of every
+    # point, so a pool's stacks cost about the same.
+    plan = _chunk_plan(cfg.trials, len(points), threads)
     # The pool forks all of its workers up front; more than there are tasks would idle.
     workers = min(threads, len(plan))
     table = np.empty((len(cfg.decoders), 4, len(points) * cfg.trials))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        chunks = (pool.map if pool else map)(_run_chunk, itertools.repeat(cfg), *zip(*plan))
-        row = 0
-        for chunk in chunks:  # each in plan order, dropped once written
-            table[..., row:row + chunk.shape[-1]] = chunk
-            row += chunk.shape[-1]
+        chunks = (pool.map if pool else map)(_run_chunk, itertools.repeat(cfg), plan)
+        for blocks, chunk in zip(plan, chunks):  # each in plan order, dropped once written
+            spans = (_block_trials(cfg.trials, block) for block in blocks)
+            table[..., np.concatenate([
+                np.arange(point * cfg.trials + lo, point * cfg.trials + hi)
+                for point, lo, hi in spans])] = chunk
     # Viewed as (decoders, 4, points, trials). Every count is an integer well
     # below 2**53: its float sums are exact.
     errors, nodes, sorts, ns = table.reshape(

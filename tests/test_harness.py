@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -22,6 +24,7 @@ from stcsim.harness import (
 from stcsim.matrixkit import qr_decompose
 
 from conftest import decode_alone, decode_one, rows
+from make_rows_fixture import FIELDS, FIXTURE, row_record
 
 
 def small_config(**kw):
@@ -417,16 +420,17 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
     monkeypatch.setattr(st.decoders, "sort_alphabet_by_metric", counting_sorts)
     monkeypatch.setattr(st.decoders, "qr_decompose", counting_qr)
     monkeypatch.setenv("STC_THREADS", "1")
-    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
-    run_sweep(small_config(trials=40, snr_stop=2.0, **overrides))  # 2 points x chunks of 32 + 8
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)
+    # 2 points x blocks of 32 and 8 trials, dealt into chunks of 32, 8 + 8 and 32
+    run_sweep(small_config(trials=40, snr_stop=2.0, **overrides))
     # Q^H y once per trial and column order for every decoder of it, one
     # stacked matmul per chunk and order
-    assert formed == ([32] * orders + [8] * orders) * 2
+    assert formed == [32] * orders + [16] * orders + [32] * orders
     # a fixed number of stacked QRs per chunk, none per trial
-    assert len(factored) == qrs * 4
-    assert all(shape[0] in (32, 8) for shape in factored)
+    assert len(factored) == qrs * 3
+    assert all(shape[0] in (32, 16) for shape in factored)
     # two sorts per chunk for the one fast or alamouti decoder, none per trial
-    assert len(sorts) == sorts_per_chunk * 4
+    assert len(sorts) == sorts_per_chunk * 3
 
 
 def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypatch):
@@ -620,12 +624,14 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
         assert all(decoded[name].cost.shape == (5,) for name in names)
 
     monkeypatch.setenv("STC_THREADS", "1")
-    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)
     clock.reads = 0
     report = run_sweep(small_config(decoders=names, trials=40, snr_stop=2.0))
-    # 2 points x chunks of 32 and 8 trials: 4 stacks, 2 reads per decoder each
-    assert clock.reads == 4 * 2 * len(names)
-    per_point = {"exhaustive": 2 * 70_000, "fast": 2 * 5_000, "sphere": 2 * 200}
+    # 2 points x blocks of 32 and 8 trials, dealt into chunks of 32, 8 + 8 and
+    # 32: 3 stacks, 2 reads per decoder each; a point holds a whole chunk and
+    # half of the 16-trial one
+    assert clock.reads == 3 * 2 * len(names)
+    per_point = {"exhaustive": 1.5 * 70_000, "fast": 1.5 * 5_000, "sphere": 1.5 * 200}
     assert len(report.rows) == 2 * len(names)
     for row in report.rows:
         assert row.time_ns_mean == per_point[row.decoder] / 40
@@ -731,43 +737,51 @@ class InlinePool:
         return map(fn, *iterables)
 
 
-def block_segments(trials, first, stop):
-    """The sweep blocks [first, stop) as segments (point, lo, hi), one per
-    point they hold: the point's trials [lo, hi)."""
+def block_segments(trials, blocks):
+    """The sweep ``blocks`` as segments (point, lo, hi), one per block: the
+    point's trials [lo, hi)."""
     per_point = -(-trials // harness.STREAM_BLOCK)
     segments = []
-    for block in range(first, stop):
+    for block in blocks:
         pi, lo = divmod(block, per_point)
         lo *= harness.STREAM_BLOCK
-        hi = min(trials, lo + harness.STREAM_BLOCK)
-        if segments and segments[-1][0] == pi:
-            segments[-1] = (pi, segments[-1][1], hi)
-        else:
-            segments.append((pi, lo, hi))
+        segments.append((pi, lo, min(trials, lo + harness.STREAM_BLOCK)))
     return segments
 
 
+def block_columns(trials, blocks):
+    """The table columns of the sweep ``blocks``, in their order."""
+    return np.concatenate([np.arange(pi * trials + lo, pi * trials + hi)
+                           for pi, lo, hi in block_segments(trials, blocks)])
+
+
 def recording_chunks(monkeypatch):
-    """Wrap ``harness._run_chunk``; return the list of its calls' block
-    ranges as segments, one list of (point, lo, hi) per chunk."""
+    """Wrap ``harness._run_chunk``; return the list of its calls' blocks,
+    one tuple per chunk."""
     calls = []
     run_chunk = harness._run_chunk
 
-    def recording(cfg, first, stop):
-        calls.append(block_segments(cfg.trials, first, stop))
-        return run_chunk(cfg, first, stop)
+    def recording(cfg, blocks):
+        calls.append(blocks)
+        return run_chunk(cfg, blocks)
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     return calls
 
 
-def chunk_sizes(calls):
-    return [sum(hi - lo for _, lo, hi in chunk) for chunk in calls]
+def chunk_sizes(trials, calls):
+    return [sum(hi - lo for _, lo, hi in block_segments(trials, chunk)) for chunk in calls]
 
 
-def per_point(*bounds):
-    """A plan of one chunk per pair of consecutive ``bounds`` at points 0 and 1 in turn."""
-    return [[(pi, lo, hi)] for pi in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
+def dealt(sizes, count):
+    """Deal blocks of the given trial ``sizes``, in order, into ``count``
+    chunks, each to the one with the fewest trials so far (the first on ties)."""
+    chunks, loads = [[] for _ in range(count)], [0] * count
+    for block, size in enumerate(sizes):
+        chunk = loads.index(min(loads))
+        chunks[chunk].append(block)
+        loads[chunk] += size
+    return [tuple(chunk) for chunk in chunks]
 
 
 def test_pool_size_and_chunk_capped(monkeypatch):
@@ -775,16 +789,21 @@ def test_pool_size_and_chunk_capped(monkeypatch):
     calls = recording_chunks(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     serial = run_sweep(cfg)
-    assert calls == [[(0, 0, 300), (1, 0, 300)]]  # a serial sweep that fits is one stack
+    assert calls == [tuple(range(20))]  # a serial sweep that fits is one stack
     calls.clear()
-    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)  # one block per chunk
+    monkeypatch.setattr(harness, "MAX_CHUNK", harness.STREAM_BLOCK)
     capped = run_sweep(cfg)
-    assert chunk_sizes(calls) == ([32] * 9 + [12]) * 2
+    # the fewest chunks of at most 32 trials: the two 12-trial blocks share one
+    assert calls == [(b,) for b in range(9)] + [(9, 19)] + [(b,) for b in range(10, 19)]
+    assert chunk_sizes(300, calls) == [32] * 9 + [24] + [32] * 9
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setenv("STC_THREADS", "64")
+    calls.clear()
     pooled = run_sweep(cfg)
-    assert InlinePool.sizes == [20]  # 2 points x 10 chunks: one worker per task, not 64
+    # 2 points x 10 blocks, one chunk each: one worker per task, not 64
+    assert calls == [(b,) for b in range(20)]
+    assert InlinePool.sizes == [20]
     assert without_time(capped.rows) == without_time(serial.rows)
     assert without_time(pooled.rows) == without_time(serial.rows)
 
@@ -792,9 +811,9 @@ def test_pool_size_and_chunk_capped(monkeypatch):
 def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
     """Chunks are whole blocks, so every block's stream feeds the same trials
     whatever the thread count: 1000 trials (31 blocks and one of 8) run as
-    one stack at one thread, as 128-trial chunks at one thread under a cap
-    of four blocks and at two threads, and as twelve chunks of two or three
-    blocks at three."""
+    one stack at one thread, as eight dealt chunks (seven of four blocks,
+    one of three and the short block) at one thread under a cap of four
+    blocks, as two dealt chunks at two threads and as three at three."""
     assert harness.MAX_CHUNK % harness.STREAM_BLOCK == 0
     cfg = small_config(decoders=("fast",), trials=1000, snr_stop=0.0)
     calls = recording_chunks(monkeypatch)
@@ -804,38 +823,41 @@ def test_sweep_rows_do_not_depend_on_chunking(monkeypatch):
         calls.clear()
         monkeypatch.setenv("STC_THREADS", threads)
         rows[threads] = without_time(run_sweep(cfg).rows)
-        sizes[threads] = chunk_sizes(calls)
+        sizes[threads] = chunk_sizes(1000, calls)
     calls.clear()
     monkeypatch.setenv("STC_THREADS", "1")
     monkeypatch.setattr(harness, "MAX_CHUNK", 4 * harness.STREAM_BLOCK)
     rows["1, capped"] = without_time(run_sweep(cfg).rows)
-    sizes["1, capped"] = chunk_sizes(calls)
+    sizes["1, capped"] = chunk_sizes(1000, calls)
+    assert calls == [tuple(range(c, 31, 8)) for c in range(7)] + [(7, 15, 23, 31)]
     assert sizes == {"1": [1000], "1, capped": [128] * 7 + [104],
-                     "2": [128] * 7 + [104], "3": [64, 96, 96] * 3 + [64, 96, 72]}
+                     "2": [512, 488], "3": [352, 328, 320]}
     assert rows["1"] == rows["1, capped"] == rows["2"] == rows["3"]
 
 
 def test_sweep_chunk_plan(monkeypatch):
-    """One rule for every sweep: the blocks, point by point, are cut into
-    runs of whole blocks, as even in blocks as they divide, which may span
-    points. At one thread these are the fewest runs of at most MAX_CHUNK
-    trials; a pool takes about four per worker. Every row but its wall time
-    is the same at one, two and three threads, at trial counts that are not
-    whole blocks too."""
+    """One rule for every sweep: its blocks, point by point, are dealt in
+    order, each to the chunk with the fewest trials so far (the first on
+    ties), into as many chunks as threads (at most one per block) or the
+    fewest that hold at most MAX_CHUNK trials each, whichever is more. Every
+    row but its wall time is the same at one, two and three threads, at
+    trial counts that are not whole blocks too."""
     cap = harness.MAX_CHUNK
     assert cap == 32 * harness.STREAM_BLOCK
     calls = recording_chunks(monkeypatch)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    plans = {  # trials -> threads -> chunks, each its (point, lo, hi) segments
-        40: {"1": [[(0, 0, 40), (1, 0, 40)]], "2": per_point(0, 32, 40),
-             "3": per_point(0, 32, 40)},
-        cap: {"1": per_point(0, cap), "2": per_point(0, 256, 512, 768, cap),
-              "3": per_point(0, 160, 320, 512, 672, 832, cap)},
-        # 34 blocks per point: three runs of 22, 23 and 23 at one thread
-        cap + 37: {"1": [[(0, 0, 704)], [(0, 704, cap + 37), (1, 0, 352)],
-                         [(1, 352, cap + 37)]],
-                   "2": per_point(0, 256, 544, 800, cap + 37),
-                   "3": per_point(0, 160, 352, 544, 704, 896, cap + 37)},
+    plans = {  # trials -> threads -> chunks, each its blocks
+        # blocks of 32, 8, 32 and 8 trials
+        40: {"1": [(0, 1, 2, 3)], "2": [(0, 3), (1, 2)], "3": [(0,), (1, 3), (2,)]},
+        # 32 whole blocks per point: dealt in turn, so each of the two chunks
+        # holds half of each point at one thread too
+        cap: {"1": [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))],
+              "2": [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))],
+              "3": [tuple(range(c, 64, 3)) for c in range(3)]},
+        # 34 blocks per point, the last of 5 trials: three chunks, of 709,
+        # 709 and 704 trials, at any of these thread counts
+        cap + 37: {threads: [tuple(range(c, 68, 3)) for c in range(3)]
+                   for threads in ("1", "2", "3")},
     }
     for trials, plan in plans.items():
         cfg = small_config(decoders=("fast",), trials=trials, snr_stop=2.0)  # 2 points
@@ -846,24 +868,67 @@ def test_sweep_chunk_plan(monkeypatch):
             rows[threads] = without_time(run_sweep(cfg).rows)
             assert calls == chunks
         assert rows["1"] == rows["2"] == rows["3"]
+    assert chunk_sizes(cap + 37, plans[cap + 37]["1"]) == [709, 709, 704]
+
+
+def test_pooled_benchmark_sweep_is_one_even_stack_per_worker(monkeypatch):
+    """The 64-QAM fast,sphere sweep of 8 points x 100 trials (blocks of 32,
+    32, 32 and 4) at two threads is two chunks of 400 trials, each holding
+    64 and 36 trials of the points in turn, so both hold every point."""
+    cfg = small_config(decoders=("fast", "sphere"), modulation=64, snr_start=10.0,
+                       snr_stop=24.0, snr_step=2.0, trials=100, seed=1)
+    calls = recording_chunks(monkeypatch)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setenv("STC_THREADS", "2")
+    run_sweep(cfg)
+    assert InlinePool.sizes == [2]
+    assert chunk_sizes(100, calls) == [400, 400]
+    for chunk, first in zip(calls, (64, 36)):
+        held = [0] * 8
+        for pi, lo, hi in block_segments(100, chunk):
+            held[pi] += hi - lo
+        assert held == [first, 100 - first] * 4
+
+
+def fewest_fitting(sizes):
+    """The fewest chunks whose dealt chunks hold at most MAX_CHUNK trials each."""
+    return next(count for count in itertools.count(1)
+                if max(sum(sizes[b] for b in chunk) for chunk in dealt(sizes, count))
+                <= harness.MAX_CHUNK)
 
 
 @pytest.mark.parametrize("trials", (1, 31, 32, 33, 40, 300, 1024, 1061, 3000))
 @pytest.mark.parametrize("points", (1, 2, 5, 9))
 def test_chunk_plan_covers_each_block_once_in_order(trials, points):
-    """Every plan's ranges cover the sweep's block sequence exactly once, in
-    order, each range nonempty and at most MAX_CHUNK // STREAM_BLOCK blocks,
-    so at most MAX_CHUNK trials, and the ranges as even as they divide. One
-    run asked for gives the fewest chunks of at most that many blocks; more
-    runs asked for give that many, up to one per block."""
-    most = harness.MAX_CHUNK // harness.STREAM_BLOCK
-    blocks = -(-trials // harness.STREAM_BLOCK) * points
-    for runs in (1, 8, 12, 10_000):
-        plan = harness._chunk_plan(blocks, runs)
-        assert len(plan) == max(min(runs, blocks), -(-blocks // most))
-        assert [first for first, _ in plan] + [blocks] == [0] + [stop for _, stop in plan]
-        sizes = [stop - first for first, stop in plan]
-        assert 1 <= min(sizes) and max(sizes) <= most and max(sizes) - min(sizes) <= 1
+    """Every plan holds each block of the sweep in exactly one chunk, each
+    chunk's blocks ascending, each chunk at most MAX_CHUNK trials, and chunk
+    totals within STREAM_BLOCK trials of each other. It has max(min(threads,
+    blocks), fewest) chunks, fewest being the least number whose dealt
+    chunks fit under MAX_CHUNK, and it is that dealing."""
+    sizes = [min(harness.STREAM_BLOCK, trials - lo)
+             for lo in range(0, trials, harness.STREAM_BLOCK)] * points
+    fewest = fewest_fitting(sizes)
+    for threads in (1, 8, 12, 10_000):
+        plan = harness._chunk_plan(trials, points, threads)
+        assert len(plan) == max(min(threads, len(sizes)), fewest)
+        assert sorted(itertools.chain(*plan)) == list(range(len(sizes)))
+        assert all(list(chunk) == sorted(set(chunk)) for chunk in plan)
+        totals = chunk_sizes(trials, plan)
+        assert 1 <= min(totals) and max(totals) <= harness.MAX_CHUNK
+        assert max(totals) - min(totals) <= harness.STREAM_BLOCK
+        assert plan == dealt(sizes, len(plan))
+
+
+def test_chunk_plan_adds_chunks_until_the_dealt_ones_fit(monkeypatch):
+    """Dealt chunks can overflow where the trials would fit in whole: 3
+    points of blocks of 32 and 8 trials (120 in all) dealt into two chunks
+    give one of 72, over a cap of 64, so the plan takes three."""
+    monkeypatch.setattr(harness, "MAX_CHUNK", 2 * harness.STREAM_BLOCK)
+    assert chunk_sizes(40, dealt([32, 8] * 3, 2)) == [72, 48]
+    plan = harness._chunk_plan(40, 3, 1)
+    assert plan == [(0, 5), (1, 3, 4), (2,)]
+    assert chunk_sizes(40, plan) == [40, 48, 32]
 
 
 def one_point_build(cfg, pi, snr):
@@ -877,25 +942,29 @@ def one_point_build(cfg, pi, snr):
 
 def test_chunks_across_points_build_each_row_as_its_point_alone(monkeypatch):
     """A serial sweep that fits one chunk decodes it with one decode_stack
-    call, and under a cap of three blocks its chunks span points, short
-    blocks inside them; either way every matrix and received row equals the
-    one-point build bit for bit, so each row carries its point's noise
-    variance."""
+    call, and under a cap of three blocks its two dealt chunks each span
+    every point, short blocks inside them; either way every matrix and
+    received row equals the one-point build bit for bit, so each row carries
+    its point's noise variance."""
     cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0, seed=11)  # 4 points, 8 blocks
     calls = recording_decode_stack(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     run_sweep(cfg)
     assert [len(matrices) for matrices, *_ in calls] == [160]
     calls.clear()
+    chunks.clear()
     monkeypatch.setattr(harness, "MAX_CHUNK", 3 * harness.STREAM_BLOCK)
     run_sweep(cfg)
-    # blocks 0-1, 2-4 and 5-7: point 0; point 1 and point 2's first block; the rest
-    assert [len(matrices) for matrices, *_ in calls] == [40, 72, 48]
+    # blocks of 32 and 8 trials in turn, dealt: 32 + 8 + 32 + 8 trials each
+    assert chunks == [(0, 3, 4, 7), (1, 2, 5, 6)]
+    assert [len(matrices) for matrices, *_ in calls] == [80, 80]
     matrices = np.concatenate([call[0] for call in calls])
     received = np.concatenate([call[1] for call in calls])
+    columns = np.concatenate([block_columns(40, chunk) for chunk in chunks])
     want = [one_point_build(cfg, pi, snr) for pi, snr in enumerate(cfg.snr_points())]
-    assert matrices.tobytes() == np.concatenate([h for h, _ in want]).tobytes()
-    assert received.tobytes() == np.concatenate([y for _, y in want]).tobytes()
+    assert matrices.tobytes() == np.concatenate([h for h, _ in want])[columns].tobytes()
+    assert received.tobytes() == np.concatenate([y for _, y in want])[columns].tobytes()
 
 
 def recording_elapsed(monkeypatch):
@@ -920,9 +989,9 @@ def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
     recorded = recording_elapsed(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     monkeypatch.setattr(harness, "MAX_CHUNK", 3 * harness.STREAM_BLOCK)
-    cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0)  # chunks of 40, 72 and 48 trials
+    cfg = small_config(trials=40, snr_stop=18.0, snr_step=6.0)  # two chunks of 80 trials
     report = run_sweep(cfg)
-    assert len(recorded) == 3
+    assert len(recorded) == 2
     for name in cfg.decoders:
         rows = [row for row in report.rows if row.decoder == name]
         assert all(type(row.time_ns_mean) is float for row in rows)
@@ -931,24 +1000,27 @@ def test_time_ns_mean_splits_each_chunk_time_over_its_trials(monkeypatch):
 
 
 def test_sweep_rows_do_not_depend_on_the_cut(monkeypatch):
-    """Any cover of the block sequence by ranges in order gives the same rows
-    but their wall time: every block alone, the whole sweep as one chunk,
-    and uneven ranges, one spanning three points with short blocks inside.
-    Under each, ``time_ns_mean * trials`` sums over the points to each
-    decoder's ``decode_stack`` time."""
+    """Any cover of the block sequence by chunks gives the same rows but
+    their wall time: every block alone, the whole sweep as one chunk, uneven
+    ranges, one spanning three points with short blocks inside, and uneven
+    chunks of blocks that are not neighbours, listed out of order. Under
+    each, ``time_ns_mean * trials`` sums over the points to each decoder's
+    ``decode_stack`` time."""
     cfg = small_config(decoders=("exhaustive", "fast", "sphere"), ordering="blast",
                        trials=40, snr_stop=18.0, snr_step=6.0)  # 4 points, 8 blocks
     covers = {
-        "alone": [(block, block + 1) for block in range(8)],
-        "whole": [(0, 8)],
+        "alone": [(block,) for block in range(8)],
+        "whole": [tuple(range(8))],
         # blocks 1-5: point 0's short block, point 1 (short block inside) and point 2
-        "uneven": [(0, 1), (1, 6), (6, 8)],
+        "uneven": [(0,), (1, 2, 3, 4, 5), (6, 7)],
+        # the short blocks of points 0 and 3 with point 2's whole one, then the rest
+        "scattered": [(1, 4, 7), (0, 6), (2, 3, 5)],
     }
     recorded = recording_elapsed(monkeypatch)
     monkeypatch.setenv("STC_THREADS", "1")
     rows = {}
     for label, cover in covers.items():
-        monkeypatch.setattr(harness, "_chunk_plan", lambda blocks, runs, cover=cover: cover)
+        monkeypatch.setattr(harness, "_chunk_plan", lambda *args, cover=cover: cover)
         recorded.clear()
         report = run_sweep(cfg)
         rows[label] = without_time(report.rows)
@@ -957,7 +1029,7 @@ def test_sweep_rows_do_not_depend_on_the_cut(monkeypatch):
             assert sum(row.time_ns_mean * row.trials for row in report.rows
                        if row.decoder == name) == pytest.approx(
                 sum(elapsed[name] for elapsed in recorded), rel=1e-12)
-    assert rows["alone"] == rows["whole"] == rows["uneven"]
+    assert rows["alone"] == rows["whole"] == rows["uneven"] == rows["scattered"]
 
 
 # Per row: (snr_db, decoder, symbol errors, node total, nodes_max, sort total),
@@ -1021,13 +1093,8 @@ def serve_table(monkeypatch, table):
     """Make each chunk of a serial sweep return its trials' columns of
     ``table``, a (decoders, 4, points * trials) array in the sweep's order."""
 
-    def run_chunk(cfg, first, stop):
-        per_point = -(-cfg.trials // harness.STREAM_BLOCK)
-
-        def column(block):
-            return block // per_point * cfg.trials + block % per_point * harness.STREAM_BLOCK
-
-        return table[..., column(first):column(stop)]
+    def run_chunk(cfg, blocks):
+        return table[..., block_columns(cfg.trials, blocks)]
 
     monkeypatch.setenv("STC_THREADS", "1")
     monkeypatch.setattr(harness, "_run_chunk", run_chunk)
@@ -1064,10 +1131,10 @@ def test_sweep_rows_match_per_point_aggregation(monkeypatch, trials):
     cfg = small_config(decoders=("fast", "sphere"), modulation=16, trials=trials,
                        snr_stop=12.0, snr_step=6.0, seed=11)
     per_point = -(-trials // harness.STREAM_BLOCK)
-    assert harness._chunk_plan(3 * per_point, 1) == [(0, 3 * per_point)]
+    assert harness._chunk_plan(trials, 3, 1) == [tuple(range(3 * per_point))]
     expected = []
     for pi, snr in enumerate(cfg.snr_points()):
-        results = harness._run_chunk(cfg, pi * per_point, (pi + 1) * per_point)
+        results = harness._run_chunk(cfg, tuple(range(pi * per_point, (pi + 1) * per_point)))
         for name in sorted(cfg.decoders):
             errors, nodes, sorts, _ = results[cfg.decoders.index(name)]
             expected.append(SweepRow(
@@ -1083,6 +1150,35 @@ def test_sweep_rows_match_per_point_aggregation(monkeypatch, trials):
     assert without_time(run_sweep(cfg).rows) == expected
     monkeypatch.setenv("STC_THREADS", "2")
     assert without_time(run_sweep(cfg).rows) == expected
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_sweep_rows_match_the_fixture(monkeypatch, threads):
+    """No row moved: every field but time_ns_mean of the benchmark's three
+    sweep workloads at seeds 1 and 7, a rapid BLAST sweep and a markov
+    sweep equals, floats as hex, the rows recorded in rows_fixture.json
+    (tests/make_rows_fixture.py), serially and with a two-worker pool."""
+    fixture = json.loads(FIXTURE.read_text())
+    assert tuple(fixture["fields"]) == FIELDS
+    monkeypatch.setenv("STC_THREADS", threads)
+    for case in fixture["cases"]:
+        cfg = SweepConfig(**dict(case["config"], decoders=tuple(case["config"]["decoders"])))
+        assert [row_record(row) for row in run_sweep(cfg).rows] == case["rows"], case["name"]
+
+
+def test_thread_count_defaults_to_the_cpus_the_process_may_run_on(monkeypatch):
+    """Without STC_THREADS the pool is capped at the CPUs in the process's
+    affinity mask, not at every CPU of the machine; where the platform has no
+    affinity call, at the CPU count."""
+    monkeypatch.delenv("STC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert harness._thread_count() == 3
+    monkeypatch.setenv("STC_THREADS", "2")
+    assert harness._thread_count() == 2
+    monkeypatch.delenv("STC_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._thread_count() == 64
 
 
 def test_entry_points_never_load_numpy_ma(tmp_path):
