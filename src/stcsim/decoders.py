@@ -751,6 +751,14 @@ def _sphere_children(level: int, nodes, limit, setup) -> tuple:
     and (below level 2) the parent's index in its own array. A child's key
     is its parent's plus its rank times M^(level - 1), so keys ascend in
     walk order.
+
+    One stable argsort orders the kept entries' flat indices, which ascend
+    by parent, on the complex key parent + 1j * metric: complex values sort
+    by real part, then imaginary part, so it moves a child only among its
+    parent's. numpy sorts a nan imaginary part after every other value,
+    whatever the real part, so a nan metric gets the key parent + 0.5: after
+    its parent's other children and before the next parent's, in symbol
+    order among its parent's nan metrics, as numpy orders a nan metric.
     """
     parts, syms, values = setup[:3]
     m = len(values) ** 2
@@ -758,12 +766,24 @@ def _sphere_children(level: int, nodes, limit, setup) -> tuple:
     metric = _child_metrics(*_sphere_residual(level, inst, path, parts, syms),
                             parts[2][level, level][inst], values)
     cum = acc[:, None] + metric
-    row, t = np.nonzero(~(cum > limit[inst, None]))
-    order = np.lexsort((metric[row, t], row))  # stable: equal metrics keep ascending t
-    row, t = row[order], t[order]
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
-    return (inst[row], cum[row, t], key[row] + rank * m ** (level - 1),
-            np.column_stack([path[row], t]), row)
+    keep = cum > limit[inst, None]
+    flat = np.flatnonzero(np.logical_not(keep, out=keep))
+    row = flat // m  # ascending
+    order = np.empty(len(flat), dtype=complex)
+    order.real = row
+    order.imag = metric.ravel()[flat]
+    nan = np.isnan(order.imag)
+    order[nan] = row[nan] + 0.5
+    flat = flat[np.argsort(order, kind="stable")]  # equal metrics keep ascending index
+    del metric, order  # the pass's largest arrays, not needed for the gathers below
+    kept = np.bincount(row, minlength=len(inst))  # each parent's kept children
+    rank = np.arange(len(flat))
+    rank -= (np.cumsum(kept) - kept)[row]
+    rank *= m ** (level - 1)
+    rank += key[row]
+    cum = cum.ravel()[flat]
+    flat %= m
+    return inst[row], cum, rank, np.column_stack([path[row], flat]), row
 
 
 def _live(nodes, limit) -> tuple:
@@ -774,41 +794,51 @@ def _live(nodes, limit) -> tuple:
 
 
 def _pass_radii(radius, leaves, total, queries) -> tuple:
-    """The search's radius along a pass's ``leaves`` (inst, key), grouped by
-    instance in walk order, from each instance's carried ``radius``, which
-    it advances past them.
+    """The search's radius along a pass's ``leaves`` (inst, key), each
+    instance's leaves contiguous and in walk order, from each instance's
+    carried ``radius``, which it advances past them.
 
     Per instance, the exclusive running minimum of the leaf totals in walk
     order is the radius at every node: a leaf the search never reaches lies
     under a node whose partial sum exceeds the radius there, so it never
-    lowers the minimum. The running ``np.fmin`` within each instance's run
-    of leaves doubles its reach per step, while a leaf shares its instance
-    with the one that many places before it.
+    lowers the minimum. It is taken as ``np.fmin`` takes it, a nan total
+    losing to any other, by one ``np.fmin.accumulate`` over complex pairs,
+    which order by real part first. A leaf in the pass's r-th run of leaves
+    of one instance is (-2r, total), or (1 - 2r, 0) if its total is nan (a
+    nan part would make ``np.fmin`` keep the previous run's pair). So the
+    minimum restarts at each run's first leaf, a nan total loses to every
+    other total of its run, and a minimum whose real part is odd is that of
+    a run whose leaves so far are all nan.
 
     Returns:
         (before, radii): the radius before each leaf, and for each query of
         nodes (inst, key) the radius at each node's first leaf position.
     """
     inst, key = leaves
-    run = total.copy()
-    step = 1
-    while step < len(run):
-        same = inst[step:] == inst[:-step]
-        if not same.any():
-            break
-        run[step:] = np.where(same, np.fmin(run[:-step], run[step:]), run[step:])
-        step *= 2
+    edge = np.empty(len(inst) + 1, dtype=bool)  # where a run starts, and after it ends
+    edge[0] = edge[-1] = True
+    np.not_equal(inst[1:], inst[:-1], out=edge[1:-1])
+    base = -2.0 * np.cumsum(edge[:-1])
+    nan = np.isnan(total)
+    pairs = np.empty(len(total), dtype=complex)
+    pairs.real = base
+    pairs.real += nan
+    pairs.imag = total
+    pairs.imag[nan] = 0.0
+    np.fmin.accumulate(pairs, out=pairs)
+    lowest = pairs.imag
+    lowest[pairs.real != base] = math.nan
     # the radius after each leaf, behind a leaf of no instance
-    after = np.concatenate([[math.nan], np.fmin(radius[inst], run)])
+    after = np.concatenate([[math.nan], np.fmin(radius[inst], lowest)])
     owner = np.concatenate([[-1], inst])
 
     def at(position, query):
         """The radius of instances ``query`` before leaf ``position``."""
         return np.where(owner[position] == query, after[position], radius[query])
 
-    before = at(np.arange(len(inst)), inst)
+    before = np.where(owner[:-1] == inst, after[:-1], radius[inst])
     radii = [at(np.searchsorted(key, q[1]), q[0]) for q in queries]
-    last = np.flatnonzero(np.diff(inst, append=-1))
+    last = np.flatnonzero(edge[1:])
     radius[inst[last]] = after[last + 1]
     return before, radii
 

@@ -295,9 +295,9 @@ class SweepReport:
 STREAM_BLOCK = 32
 # A chunk holds its trials' draws, matrices, QR factors and decoder state
 # until it is decoded. In a fresh process, one 1024-trial chunk of 16-QAM
-# alamouti,sphere raises the peak RSS by about 1.8 MiB at 24 dB and 3.4 MiB
+# alamouti,sphere raises the peak RSS by about 2.0 MiB at 24 dB and 3.2 MiB
 # at 6 dB more than a 32-trial one, and each trial from 1024 to 4096 adds
-# about 2.4 KiB; 4-QAM exhaustive,fast adds 1.5 MiB and 2.2 KiB per trial,
+# about 2.3 KiB; 4-QAM exhaustive,fast adds 1.5 MiB and 2.2 KiB per trial,
 # and 64-QAM fast about 4.5 KiB per trial from 32 to 1024. The cap bounds
 # that for long sweeps; a stack's time per trial levels off by a few hundred.
 MAX_CHUNK = 32 * STREAM_BLOCK

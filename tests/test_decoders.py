@@ -639,7 +639,10 @@ def _pass_radii_oracle(radius, leaves, total, queries):
 def test_pass_radii_matches_a_python_loop():
     """The sort-free segmented running minimum of ``_pass_radii`` is the
     Python loop's, bit for bit: per instance, with nan and inf totals and
-    carried radii, queries of instances without leaves, and an empty pass."""
+    carried radii, queries of instances without leaves, an empty pass, and
+    an instance whose first total is nan right after a smaller total of
+    another instance (a complex ``fmin`` keeps the earlier pair over a nan
+    one)."""
     grid = np.random.default_rng(5)
     hex_of = lambda values: [float(v).hex() for v in values]  # noqa: E731
     for count in (0, 1, 2, 5, 40, 300):
@@ -655,6 +658,67 @@ def test_pass_radii_matches_a_python_loop():
         assert hex_of(before) == hex_of(want[0])
         assert [hex_of(r) for r in radii] == [hex_of(r) for r in want[1]]
         assert hex_of(radius) == hex_of(want[2])
+    # an instance whose first leaf total is nan, right after an instance with
+    # a smaller total: its running minimum restarts there, nan until a total
+    radius = np.full(2, math.inf)
+    before, _ = dec._pass_radii(radius, (np.array([0, 0, 1, 1]), np.arange(4)),
+                                np.array([3.0, 2.0, math.nan, 5.0]), [])
+    assert hex_of(before) == hex_of([math.inf, 3.0, math.inf, math.inf])
+    assert hex_of(radius) == hex_of([2.0, 5.0])
+
+
+def _children_by_lexsort(level, nodes, limit, metric):
+    """``_sphere_children``' output for child ``metric`` (k, M), ordered by
+    ``np.lexsort`` on (parent, metric), which keeps ascending symbol index
+    among equal metrics and puts nan metrics last within their parent."""
+    inst, acc, key, path = nodes[:4]
+    cum = acc[:, None] + metric
+    row, t = np.nonzero(~(cum > limit[inst, None]))
+    order = np.lexsort((metric[row, t], row))
+    row, t = row[order], t[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    return (inst[row], cum[row, t], key[row] + rank * metric.shape[1] ** (level - 1),
+            np.column_stack([path[row], t]), row)
+
+
+def _children_of_metrics(monkeypatch, level, nodes, limit, metric):
+    """``_sphere_children`` on nodes whose children have branch ``metric``."""
+    monkeypatch.setattr(dec, "_sphere_residual", lambda *args: (None, None))
+    monkeypatch.setattr(dec, "_child_metrics", lambda *args: metric)
+    parts = (None, None, np.zeros((3, 3, len(limit))))
+    values = np.zeros(math.isqrt(metric.shape[1]))
+    with np.errstate(invalid="ignore"):
+        return dec._sphere_children(level, nodes, limit, (parts, None, values))
+
+
+def test_sphere_children_order_matches_lexsort(monkeypatch):
+    """The one complex-keyed argsort orders a pass's kept children as
+    ``np.lexsort((metric, parent))`` does, bit for bit in every output: with
+    many equal metrics, inf and nan metrics, nan and inf partial sums and
+    limits. A nan metric stays last among its parent's children."""
+    same = lambda a, b: all(x.dtype == y.dtype and x.tobytes() == y.tobytes()  # noqa: E731
+                            for x, y in zip(a, b))
+    # parents 0 and 1 keep two children each: lexsort gives [1, 0, 3, 2]
+    metric = np.array([[math.nan, 1.0, math.inf, math.inf], [2.0, 0.5, math.inf, math.inf]])
+    nodes = (np.array([0, 1]), np.zeros(2), np.array([0, 64]), np.zeros((2, 1), dtype=np.int64))
+    got = _children_of_metrics(monkeypatch, 2, nodes, np.full(2, 10.0), metric)
+    assert got[3][:, 1].tolist() == [1, 0, 1, 0]
+    assert same(got, _children_by_lexsort(2, nodes, np.full(2, 10.0), metric))
+    grid = np.random.default_rng(37)
+    for trial in range(200):
+        m, k, count = grid.choice([4, 16, 64]), grid.integers(0, 40), grid.integers(1, 6)
+        level = grid.choice([1, 2])
+        metric = grid.choice([0.0, 0.5, 1.0, 2.0, math.inf, math.nan], (k, m),
+                             p=[0.2, 0.3, 0.2, 0.1, 0.1, 0.1])
+        metric[:, ::2] *= grid.random((k, (m + 1) // 2)) if trial % 2 else 1.0
+        inst = np.sort(grid.integers(0, count, k))
+        acc = grid.choice([0.0, 0.25, 1.0, math.inf, math.nan], k, p=[0.4, 0.3, 0.2, 0.05, 0.05])
+        key = np.arange(k) * m ** 3
+        path = grid.integers(0, m, (k, 3 - level))
+        limit = grid.choice([0.5, 1.5, 3.0, math.inf, math.nan], count)
+        nodes = (inst, acc, key, path)
+        got = _children_of_metrics(monkeypatch, level, nodes, limit, metric)
+        assert same(got, _children_by_lexsort(level, nodes, limit, metric)), trial
 
 
 @pytest.mark.parametrize("ordering", ("none", "blast"))

@@ -1155,9 +1155,10 @@ def test_sweep_rows_match_per_point_aggregation(monkeypatch, trials):
 @pytest.mark.parametrize("threads", ("1", "2"))
 def test_sweep_rows_match_the_fixture(monkeypatch, threads):
     """No row moved: every field but time_ns_mean of the benchmark's three
-    sweep workloads at seeds 1 and 7, a rapid BLAST sweep and a markov
-    sweep equals, floats as hex, the rows recorded in rows_fixture.json
-    (tests/make_rows_fixture.py), serially and with a two-worker pool."""
+    sweep workloads at seeds 1 and 7, a rapid BLAST sweep, a markov sweep, a
+    noise-free sweep and a short 64-QAM sweep equals, floats as hex, the rows
+    recorded in rows_fixture.json (tests/make_rows_fixture.py), serially and
+    with a two-worker pool."""
     fixture = json.loads(FIXTURE.read_text())
     assert tuple(fixture["fields"]) == FIELDS
     monkeypatch.setenv("STC_THREADS", threads)
