@@ -15,9 +15,7 @@ from .codes import (
     GOLDEN,
     GOLDEN_VARIANTS,
     AlamoutiConstants,
-    EffectiveChannel,
     GoldenConstants,
-    effective_channel,
     effective_matrix,
     encode,
     encode_overlaid_alamouti,
@@ -37,10 +35,6 @@ from .decoders import (
     FAST_PERMUTATIONS,
     DecodeResult,
     blast_ordering,
-    decode_alamouti_fast,
-    decode_exhaustive,
-    decode_fast_golden,
-    decode_sphere_conventional,
 )
 from .harness import (
     SweepConfig,

@@ -105,26 +105,6 @@ PSI[:2, :2] = PSI[2:, 2:] = GOLDEN.rotation
 PSI.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveChannel:
-    """A decoder's 4x4 effective channel: ``h``, a read-only complex copy
-    of the caller's matrix. Its QR belongs to the decoders' prologue
-    (``decoders.triangular_rows``).
-
-    Raises:
-        ValueError: ``h`` not 4x4.
-    """
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=complex)
-        if h.shape != (4, 4):
-            raise ValueError("effective matrix must be 4x4")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-
 def stack_samples(samples, variant: str) -> np.ndarray:
     """Map raw receive samples [r1[1], r1[2], r2[1], r2[2]] of shape (..., 4),
     signal or noise, to the stack: conjugated where the variant says."""
@@ -335,11 +315,6 @@ def effective_matrix(h: np.ndarray, variant: str) -> np.ndarray:
     return out
 
 
-def effective_channel(h: np.ndarray, variant: str) -> EffectiveChannel:
-    """The EffectiveChannel of one realization's coefficients h[i, j, k]."""
-    return EffectiveChannel(h=effective_matrix(h, variant))
-
-
 def transmit(cw: np.ndarray, h: np.ndarray, noise, variant: str) -> np.ndarray:
     """Pass a codeword through the physical channel and stack the output.
 
@@ -363,3 +338,37 @@ def transmit(cw: np.ndarray, h: np.ndarray, noise, variant: str) -> np.ndarray:
             raw[pos] = cw[k, 0] * h[0, j, k] + cw[k, 1] * h[1, j, k] + noise[pos]
             pos += 1
     return stack_samples(raw, variant)
+
+
+# The one-instance layer, which nothing in stcsim calls: perfbench/tracer.py
+# wraps ``effective_channel`` by name, and its cost check reads ``.h`` of the
+# EffectiveChannel that the one-instance decoders in ``decoders`` take.
+# ROADMAP item 16 deletes both once the benchmark reads its decoder figures
+# from the sweep rows (item 5).
+
+@dataclass(frozen=True, eq=False)
+class EffectiveChannel:
+    """One instance's 4x4 effective channel, as the one-instance decoders
+    take it: ``h``, a read-only complex copy of the caller's matrix. It holds
+    nothing else: its QR is the decoders' prologue
+    (``decoders.triangular_rows``), which reads ``effective_matrix``'s
+    matrices directly.
+
+    Raises:
+        ValueError: ``h`` not 4x4.
+    """
+
+    h: np.ndarray
+
+    def __post_init__(self):
+        h = np.array(self.h, dtype=complex)
+        if h.shape != (4, 4):
+            raise ValueError("effective matrix must be 4x4")
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
+
+
+def effective_channel(h: np.ndarray, variant: str) -> EffectiveChannel:
+    """The EffectiveChannel of one realization's coefficients h[i, j, k]:
+    ``effective_matrix(h, variant)``, bit for bit."""
+    return EffectiveChannel(h=effective_matrix(h, variant))

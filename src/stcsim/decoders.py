@@ -33,20 +33,19 @@ their references), as each value is computed in that search's float
 operations. The prologue and the stack calls check, once per stack, every
 precondition of the searches: finite input, and full rank and the zeros in
 R that a fast search needs, both by matrixkit's ZERO_TOLERANCE. No decoder
-sees the code label: an EffectiveChannel is only its 4x4 matrix ``h``, and
-which code a decoder may decode is the registry's rule.
+sees the code label or imports ``codes``: a decoder reads only the 4x4
+matrices it is given, and which code a decoder may decode is the registry's
+rule (``harness.DECODERS``).
 
 The three tree searches read a stack's R and z in one layout,
 ``_by_component``, and share two kernels on it: ``_residual`` cancels the
 symbols already chosen, w = z[row] - sum of r[row][j] c_j, and
 ``_slice_term`` slices w on R's real diagonal d, with its term |w - d x|^2.
 
-``decode_exhaustive``, ``decode_fast_golden``, ``decode_alamouti_fast`` and
-``decode_sphere_conventional`` decode one instance ``(eff, y, alphabet)``
-through their stack calls and return its ``row(0)``, though no decode path
-calls them: the benchmark's tracer wraps these functions by name and checks
-each reported cost against ``||y - eff.h x_hat||^2``. It sees no decode of
-a sweep; the tests check the stack calls' costs instead.
+The module ends with the one-instance layer, which only the benchmark's
+tracer binds: four functions that decode one instance through the stack
+calls and return its ``row(0)``. No decode path calls them, and the tests
+decode matrices through the stack calls.
 
 A decoder decodes the matrix it is given and reports indices in its column
 order; a BLAST rule (``fast_ordering``, ``greedy_ordering``) picks a stack's
@@ -91,7 +90,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import EffectiveChannel
 from .constellation import QamAlphabet, sort_alphabet_by_metric
 from .matrixkit import (ZERO_TOLERANCE, QRFactors, frobenius_norm, qr_decompose,
                         require_full_rank, require_zero)
@@ -262,16 +260,6 @@ def decode_exhaustive_stack(matrices: np.ndarray, received: np.ndarray,
         raise ValueError(COST_OVERFLOW)
     return DecodeResult(np.stack(np.unravel_index(flat, (m,) * 4), axis=-1), cost,
                         np.full(n, m ** 4), np.zeros(n, dtype=np.int64), syms)
-
-
-def decode_exhaustive(
-    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet
-) -> DecodeResult:
-    """Scan all M^4 candidate vectors of one instance: ``decode_exhaustive_stack``
-    on the stack of one ``eff.h`` and ``y``, with the same tie rule and checks;
-    kept for the benchmark's tracer, which wraps it by name."""
-    return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None],
-                                   alphabet).row(0)
 
 
 def _slice_planes(u: np.ndarray, pam) -> tuple:
@@ -708,16 +696,6 @@ def decode_fast_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     return DecodeResult(picks, best, nodes, np.full(len(z), 2), alphabet.symbols)
 
 
-def decode_fast_golden(
-    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet, prune: bool = True
-) -> DecodeResult:
-    """Fast exact-ML decode of one instance: ``decode_fast_stack`` on the
-    prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
-    kept for the benchmark's tracer, which wraps it by name."""
-    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_fast_stack(r, z, alphabet, prune).row(0)
-
-
 def _sphere_residual(level: int, inst, path, parts, syms) -> tuple:
     """The ``_residual`` of row ``level`` over columns level + 1, ..., 3, for
     nodes of instances ``inst`` whose symbol indices at levels 3, 2, ...
@@ -1004,16 +982,6 @@ def decode_sphere_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     return DecodeResult(picks, best, nodes, sorts, alphabet.symbols)
 
 
-def decode_sphere_conventional(
-    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet, prune: bool = True
-) -> DecodeResult:
-    """Sphere decode of one instance: ``decode_sphere_stack`` on the
-    prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
-    kept for the benchmark's tracer, which wraps it by name."""
-    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_sphere_stack(r, z, alphabet, prune).row(0)
-
-
 def _complete_pairs(tail, i3, i4, inst, parts, alphabet) -> tuple:
     """Complete trailing pairs, given per pair its ``tail`` metric, the
     symbol indices ``i3``, ``i4`` and its instance ``inst`` of ``parts``
@@ -1096,16 +1064,6 @@ def decode_alamouti_stack(r: np.ndarray, z: np.ndarray, alphabet: QamAlphabet,
     return DecodeResult(picks, best, nodes, np.full(n, 2), alphabet.symbols)
 
 
-def decode_alamouti_fast(
-    eff: EffectiveChannel, y: np.ndarray, alphabet: QamAlphabet, prune: bool = True
-) -> DecodeResult:
-    """Fast exact-ML decode of one instance: ``decode_alamouti_stack`` on the
-    prologue of the stack of one ``eff.h`` and ``y``, with the same checks;
-    kept for the benchmark's tracer, which wraps it by name."""
-    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
-    return decode_alamouti_stack(r, z, alphabet, prune).row(0)
-
-
 def blast_ordering(h) -> np.ndarray:
     """Greedy BLAST column orders (..., 4) of a stack ``h`` (..., 4, 4), the
     SQRD of Wuebben et al. (2001): each step places the remaining column of
@@ -1150,3 +1108,36 @@ def greedy_ordering(h) -> tuple:
     orders and the stack's QRFactors in them."""
     order = blast_ordering(h)
     return order, qr_decompose(np.take_along_axis(h, order[..., None, :], axis=-1))
+
+
+# The one-instance layer, which nothing in stcsim calls: perfbench/tracer.py
+# wraps these four functions by name and checks each reported cost against
+# ||y - eff.h x_hat||^2, ``eff`` being a ``codes.EffectiveChannel``. ROADMAP
+# item 16 deletes them once the benchmark reads its decoder figures from the
+# sweep rows (item 5).
+
+def _decode_one(stack_call, eff, y, alphabet: QamAlphabet, prune: bool) -> DecodeResult:
+    """``stack_call`` on the prologue of the stack of one ``eff.h`` and ``y``."""
+    r, z = triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    return stack_call(r, z, alphabet, prune).row(0)
+
+
+def decode_exhaustive(eff, y, alphabet: QamAlphabet) -> DecodeResult:
+    """``decode_exhaustive_stack`` on the stack of one ``eff.h`` and ``y``."""
+    return decode_exhaustive_stack(eff.h[None], np.asarray(y, dtype=complex)[None],
+                                   alphabet).row(0)
+
+
+def decode_fast_golden(eff, y, alphabet: QamAlphabet, prune: bool = True) -> DecodeResult:
+    """``decode_fast_stack`` on one instance."""
+    return _decode_one(decode_fast_stack, eff, y, alphabet, prune)
+
+
+def decode_sphere_conventional(eff, y, alphabet: QamAlphabet, prune: bool = True) -> DecodeResult:
+    """``decode_sphere_stack`` on one instance."""
+    return _decode_one(decode_sphere_stack, eff, y, alphabet, prune)
+
+
+def decode_alamouti_fast(eff, y, alphabet: QamAlphabet, prune: bool = True) -> DecodeResult:
+    """``decode_alamouti_stack`` on one instance."""
+    return _decode_one(decode_alamouti_stack, eff, y, alphabet, prune)

@@ -16,24 +16,17 @@ def rng():
 
 
 def random_golden_instance(rng, m, variant="golden-dv", model="quasistatic", snr_db=10.0):
-    """One shared decoding instance: (effective channel, y, alphabet, true indices)."""
+    """One shared decoding instance: (4x4 effective matrix, y, alphabet, true indices)."""
     alphabet = st.make_qam(m)
-    h = st.sample_channel(rng, model)
+    matrix = st.effective_matrix(st.sample_channel(rng, model), variant)
     idx = rng.integers(0, alphabet.size, 4)
-    eff = st.effective_channel(h, variant)
     noise = st.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), variant)
-    y = eff.h @ alphabet.symbols[idx] + noise
-    return eff, y, alphabet, idx
+    y = matrix @ alphabet.symbols[idx] + noise
+    return matrix, y, alphabet, idx
 
 
 def random_alamouti_instance(rng, m, model="quasistatic", snr_db=10.0):
-    alphabet = st.make_qam(m)
-    h = st.sample_channel(rng, model)
-    idx = rng.integers(0, alphabet.size, 4)
-    eff = st.effective_channel(h, "overlaid-alamouti")
-    noise = st.stack_samples(st.sample_noise(rng, st.snr_to_n0(snr_db)), "overlaid-alamouti")
-    y = eff.h @ alphabet.symbols[idx] + noise
-    return eff, y, alphabet, idx
+    return random_golden_instance(rng, m, "overlaid-alamouti", model, snr_db)
 
 
 def near_tie(rng, variant, eps, alphabet):
@@ -50,28 +43,35 @@ def near_tie(rng, variant, eps, alphabet):
     step = int(rng.choice((1, width)))  # one step on the real or the imaginary axis
     b[k] += step if (a[k] // step) % width < width - 1 else -step
     xa, xb = alphabet.symbols[a], alphabet.symbols[b]
-    return st.EffectiveChannel(h=h), h @ ((xa + xb) / 2 + 1e-9 * (xa - xb))
+    return h, h @ ((xa + xb) / 2 + 1e-9 * (xa - xb))
 
 
-def recompute_cost(eff, y, x_hat):
-    return float(np.sum(np.abs(np.asarray(y) - np.asarray(eff.h) @ np.asarray(x_hat)) ** 2))
+def recompute_cost(matrix, y, x_hat):
+    return float(np.sum(np.abs(np.asarray(y) - np.asarray(matrix) @ np.asarray(x_hat)) ** 2))
 
 
-def decode_one(name, eff, y, alphabet):
-    """Registry decoder ``name`` on one instance, in ``eff``'s own column
-    order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
+def decode_one(name, matrix, y, alphabet):
+    """Registry decoder ``name`` on one instance, a 4x4 ``matrix`` in its own
+    column order: row 0 of a stack-of-one ``harness.decode_stack`` call."""
     received = np.asarray(y, dtype=complex)[None]
-    decoded, _ = st.harness.decode_stack(eff.h[None], received, alphabet, (name,), "none")
+    decoded, _ = st.harness.decode_stack(np.asarray(matrix, dtype=complex)[None], received,
+                                         alphabet, (name,), "none")
     return decoded[name].row(0)
 
 
-def decode_unpruned(stack_call, eff, y, alphabet):
+def decode_unpruned(stack_call, matrix, y, alphabet):
     """A factored stack decoder (``decode_fast_stack``, ``decode_sphere_stack``
     or ``decode_alamouti_stack``) with pruning off, on one instance: row 0 of
-    its call on the ``triangular_rows`` prologue of the stack of one ``eff.h``
-    and ``y``."""
-    r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    its call on the ``triangular_rows`` prologue of the stack of one 4x4
+    ``matrix`` and ``y``."""
+    r, z = prologue(matrix, y)
     return stack_call(r, z, alphabet, prune=False).row(0)
+
+
+def prologue(matrix, y) -> tuple:
+    """The ``triangular_rows`` R and z of the stack of one 4x4 ``matrix`` and ``y``."""
+    return dec.triangular_rows(np.asarray(matrix, dtype=complex)[None],
+                               np.asarray(y, dtype=complex)[None])
 
 
 def rows(result):
@@ -105,10 +105,10 @@ def index_of(alphabet, re_index: int, im_index: int) -> int:
     return im_index * alphabet.pam.size + re_index
 
 
-def prepared_row(eff, y, alphabet):
+def prepared_row(matrix, y):
     """One instance's ``triangular_rows`` R and z as Python scalars, the row
     a reference sphere search reads."""
-    r, z = dec.triangular_rows(eff.h[None], np.asarray(y, dtype=complex)[None])
+    r, z = prologue(matrix, y)
     return r[0].tolist(), z[0].tolist()
 
 
@@ -483,13 +483,13 @@ def sorted_pam_list(x, pam):
     return out
 
 
-def reference_sphere_decode(eff, y, alphabet, prune=True):
+def reference_sphere_decode(matrix, y, alphabet, prune=True):
     """Reference four-level sphere decoder: the numpy child ordering that
-    ``decoders.decode_sphere_conventional`` replaced. Each expanded node
+    the scalar search ``sphere_search`` replaced. Each expanded node
     computes all M child metrics and visits them in ``np.argsort(...,
     kind="stable")`` order; everything else is the decoder's own. It tracks
     its own best symbols too, and checks them against the derived x_hat."""
-    r, z = prepared_row(eff, y, alphabet)
+    r, z = prepared_row(matrix, y)
     syms = alphabet.symbols
     sym_list = syms.tolist()
     rdiag = [r[i][i].real for i in range(4)]
@@ -545,22 +545,18 @@ def reference_sphere_decode(eff, y, alphabet, prune=True):
     return result
 
 
-def permuted(eff, perm):
-    """``eff`` with its columns in the order ``perm``."""
-    return st.EffectiveChannel(h=eff.h[:, list(perm)])
-
-
-def decode_alone(name, eff, y, alphabet, ordering):
-    """Reference for one registry decode of one channel under ``ordering``:
-    with "blast" the fast decoder takes the best of its eight column orders
-    and the sphere decoder the greedy order, each picked for this channel
-    alone, and the decision is mapped back to the natural column order."""
+def decode_alone(name, matrix, y, alphabet, ordering):
+    """Reference for one registry decode of one 4x4 ``matrix`` under
+    ``ordering``: with "blast" the fast decoder takes the best of its eight
+    column orders and the sphere decoder the greedy order, each picked for
+    this matrix alone, and the decision is mapped back to the natural column
+    order."""
     perm = (0, 1, 2, 3)
     if ordering == "blast" and name == "fast":
-        perm = tuple(dec.fast_ordering(eff.h)[0].tolist())
+        perm = tuple(dec.fast_ordering(matrix)[0].tolist())
     elif ordering == "blast" and name == "sphere":
-        perm = tuple(dec.blast_ordering(eff.h).tolist())
-    result = decode_one(name, permuted(eff, perm), y, alphabet)
+        perm = tuple(dec.blast_ordering(matrix).tolist())
+    result = decode_one(name, np.asarray(matrix)[:, list(perm)], y, alphabet)
     indices = [0] * 4
     for pos, col in enumerate(perm):
         indices[col] = result.indices[pos]

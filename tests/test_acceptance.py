@@ -99,9 +99,9 @@ def test_criterion_05_worst_case_node_formula():
         alphabet = st.make_qam(m)
         h = st.sample_channel(rng, "quasistatic")
         idx = rng.integers(0, m, 4)
-        eff = st.effective_channel(h, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
-        result = decode_unpruned(dec.decode_fast_stack, eff, y, alphabet)
+        matrix = st.effective_matrix(h, "golden-dv")
+        y = matrix @ alphabet.symbols[idx] + st.stack_samples(st.sample_noise(rng, 0.2), "golden-dv")
+        result = decode_unpruned(dec.decode_fast_stack, matrix, y, alphabet)
         measured[m] = result.nodes_visited
     expected = {m: m + m * m + 4 * m * m * math.isqrt(m) for m in (4, 16)}
     ok = measured == expected

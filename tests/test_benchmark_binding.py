@@ -5,7 +5,8 @@ modules bind. A refactor that moves one of them must fail here, not only in
 import json
 from pathlib import Path
 
-from stcsim import EffectiveChannel, effective_matrix, harness, make_qam, make_rng, sample_channels
+from stcsim import effective_matrix, harness, make_qam, make_rng, sample_channels
+from stcsim.codes import EffectiveChannel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

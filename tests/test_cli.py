@@ -7,6 +7,8 @@ import stcsim as st
 from stcsim import harness
 from stcsim.cli import main
 
+from make_rows_fixture import DECODE_FIELDS, FIXTURE, decode_record
+
 
 def pairs(arr):
     arr = np.asarray(arr, dtype=complex)
@@ -120,16 +122,16 @@ def test_decode_with_channel_coefficients(tmp_path, capsys):
 def test_decode_with_effective_matrix_alamouti(tmp_path, capsys):
     rng = st.make_rng(22)
     alphabet = st.make_qam(4)
-    eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
+    matrix = st.effective_matrix(st.sample_channel(rng, "quasistatic"), "overlaid-alamouti")
     idx = rng.integers(0, 4, 4)
-    stacked = eff.h @ alphabet.symbols[idx]
+    stacked = matrix @ alphabet.symbols[idx]
     # undo stacking for the file: conjugating twice is the identity
     raw = st.stack_samples(stacked, "overlaid-alamouti")
     payload = {
         "code": "overlaid-alamouti",
         "modulation": 4,
         "decoder": "alamouti",
-        "H": pairs(eff.h),
+        "H": pairs(matrix),
         "y": pairs(raw),
     }
     path = tmp_path / "inst.json"
@@ -435,3 +437,16 @@ def test_simulate_rejects_rho_without_markov(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "error: rho applies only to the markov channel" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_decode_outputs_match_the_fixture(monkeypatch, threads):
+    """No CLI decode output moved: each decode input recorded in
+    rows_fixture.json (each decoder on each code it accepts at 4- and
+    16-QAM, from h or H, and the refusals) gives its recorded exit code,
+    stdout and stderr."""
+    runs = json.loads(FIXTURE.read_text())["decode"]
+    assert {run["input"]["decoder"] for run in runs if run["exit"] == 0} == set(harness.DECODERS)
+    monkeypatch.setenv("STC_THREADS", threads)
+    for run in runs:
+        assert decode_record(run["input"]) == [run[field] for field in DECODE_FIELDS], run["name"]

@@ -5,6 +5,7 @@ import pytest
 
 import stcsim as st
 from stcsim import GOLDEN, min_determinant_gap
+from stcsim.codes import EffectiveChannel, effective_channel
 from stcsim.matrixkit import frobenius_norm, qr_decompose
 
 
@@ -118,9 +119,8 @@ def test_encoder_effective_channel_consistency(rng, variant, model):
         h = st.sample_channel(rng, model)
         x = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 0.7
         noise = st.sample_noise(rng, 0.3)
-        eff = st.effective_channel(h, variant)
         got = st.transmit(st.encode(x, variant), h, noise, variant)
-        want = eff.h @ x + st.stack_samples(noise, variant)
+        want = st.effective_matrix(h, variant) @ x + st.stack_samples(noise, variant)
         assert np.max(np.abs(got - want)) <= 1e-12
 
         # transmit itself against the raw-layout oracle; stack order is
@@ -146,7 +146,7 @@ def test_effective_channel_dv_identity_example():
     h = np.zeros((2, 2, 2), dtype=complex)
     h[0, 0, :] = 1.0  # h11
     h[1, 1, :] = 1.0  # h22
-    eff = st.effective_channel(h, "golden-dv")
+    matrix = st.effective_matrix(h, "golden-dv")
     want = np.column_stack(
         [
             [c, 0, 0, -s],
@@ -155,8 +155,8 @@ def test_effective_channel_dv_identity_example():
             [0, c * p, s * p, 0],
         ]
     )
-    assert np.allclose(eff.h, want, atol=1e-15)
-    assert np.vdot(eff.h[:, 0], eff.h[:, 1]) == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(matrix, want, atol=1e-15)
+    assert np.vdot(matrix[:, 0], matrix[:, 1]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_column_inner_product_closed_form(rng):
@@ -229,9 +229,6 @@ def test_stack_samples_conjugates_per_variant():
         assert np.array_equal(st.stack_samples(samples, variant), samples)
     with pytest.raises(ValueError, match="unknown code variant"):
         st.stack_samples(samples, "bogus")
-    # the stacking comes from the variant alone; an effective channel carries none
-    with pytest.raises(TypeError):
-        st.EffectiveChannel(h=np.eye(4), variant="overlaid-alamouti")
 
 
 def test_min_determinant_alphabet_independence():
@@ -253,20 +250,37 @@ def test_stacked_builds_and_qrs_equal_single_ones_bit_for_bit(rng, variant):
         stacked = st.effective_matrix(np.stack(realizations), variant)
         factors = qr_decompose(stacked)
         for k, h in enumerate(realizations):
-            single = st.effective_channel(h, variant)
-            alone = qr_decompose(single.h)
-            assert np.array_equal(stacked[k], single.h)
+            single = st.effective_matrix(h, variant)
+            alone = qr_decompose(single)
+            assert np.array_equal(stacked[k], single)
             assert np.array_equal(factors.q[k], alone.q)
             assert np.array_equal(factors.r[k], alone.r)
 
 
 def test_effective_channel_copies_the_callers_matrix(rng):
+    """EffectiveChannel, the one-instance decoders' argument, is a read-only
+    complex copy of a 4x4 matrix and nothing else."""
     built = st.effective_matrix(st.sample_channel(rng, "rapid"), "golden-dv")
     caller = built.copy()
-    eff = st.EffectiveChannel(h=caller)
+    eff = EffectiveChannel(h=caller)
     caller[0, 0] = 7.0
     assert np.array_equal(eff.h, built)
     with pytest.raises(ValueError):
         eff.h[0, 0] = 1.0
     with pytest.raises(ValueError, match="4x4"):
-        st.EffectiveChannel(h=np.eye(3))
+        EffectiveChannel(h=np.eye(3))
+    assert EffectiveChannel(h=np.eye(4)).h.dtype == complex
+    # the stacking comes from the variant alone; an effective channel carries none
+    with pytest.raises(TypeError):
+        EffectiveChannel(h=np.eye(4), variant="overlaid-alamouti")
+
+
+@pytest.mark.parametrize("variant", st.CODE_VARIANTS)
+def test_effective_channel_is_the_effective_matrix_bit_for_bit(rng, variant):
+    """effective_channel(h, v).h is effective_matrix(h, v), bit for bit, so a
+    test that decodes effective_matrix's matrices decodes the same instances
+    as one that decodes effective_channel's."""
+    for model in ("quasistatic", "rapid"):
+        h = st.sample_channel(rng, model)
+        assert effective_channel(h, variant).h.tobytes() == (
+            st.effective_matrix(h, variant).tobytes())

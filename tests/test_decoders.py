@@ -7,6 +7,7 @@ import pytest
 
 import stcsim as st
 from stcsim import decoders as dec
+from stcsim.codes import EffectiveChannel
 from stcsim.matrixkit import ZERO_TOLERANCE, frobenius_norm, qr_decompose
 
 import conftest
@@ -16,7 +17,6 @@ from conftest import (
     decode_one,
     decode_unpruned,
     near_tie,
-    permuted,
     random_alamouti_instance,
     random_golden_instance,
     real_search,
@@ -33,28 +33,42 @@ from conftest import (
 
 
 def test_exhaustive_noiseless_and_count(rng):
-    eff, y, alphabet, idx = random_golden_instance(rng, 4)
-    y = eff.h @ alphabet.symbols[idx]  # noiseless
-    r = decode_one("exhaustive", eff, y, alphabet)
+    h, y, alphabet, idx = random_golden_instance(rng, 4)
+    y = h @ alphabet.symbols[idx]  # noiseless
+    r = decode_one("exhaustive", h, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-20
     assert r.nodes_visited == 256
     assert np.array_equal(r.x_hat, alphabet.symbols[list(idx)])
-    alone = dec.decode_exhaustive(eff, y, alphabet)  # the per-instance call the tracer wraps
-    assert (alone.indices, alone.cost.hex(), alone.nodes_visited) == (
-        r.indices, r.cost.hex(), r.nodes_visited
-    )
+
+
+@pytest.mark.parametrize("name, wrapper", (
+    ("exhaustive", "decode_exhaustive"), ("fast", "decode_fast_golden"),
+    ("sphere", "decode_sphere_conventional"), ("alamouti", "decode_alamouti_fast"),
+))
+def test_one_instance_wrapper_equals_its_stack_call(rng, name, wrapper):
+    """The one-instance layer that the benchmark's tracer wraps by name: each
+    wrapper, given an EffectiveChannel and y, returns the row that its stack
+    call returns for the stack of one, bit for bit, and refuses what the
+    stack call refuses."""
+    variant = "overlaid-alamouti" if name == "alamouti" else "golden-dv"
+    h, y, alphabet, _ = random_golden_instance(rng, 16, variant)
+    got = getattr(dec, wrapper)(EffectiveChannel(h=h), y, alphabet)
+    want = decode_one(name, h, y, alphabet)
+    assert (got.indices, got.cost.hex(), got.nodes_visited, got.full_sorts) == (
+        want.indices, want.cost.hex(), want.nodes_visited, want.full_sorts)
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(dec, wrapper)(EffectiveChannel(h=h), np.full(4, np.nan), alphabet)
 
 
 def test_exhaustive_cap():
-    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="cap"):
-        decode_one("exhaustive", eff, np.zeros(4), st.make_qam(256))
+        decode_one("exhaustive", np.eye(4), np.zeros(4), st.make_qam(256))
 
 
 def test_exhaustive_is_global_minimum_by_full_scan(rng):
-    eff, y, alphabet, _ = random_golden_instance(rng, 4, snr_db=3.0)
-    r = decode_one("exhaustive", eff, y, alphabet)
+    h, y, alphabet, _ = random_golden_instance(rng, 4, snr_db=3.0)
+    r = decode_one("exhaustive", h, y, alphabet)
     # independent scan oracle over all 256 candidates
     best = math.inf
     for i1 in range(4):
@@ -62,24 +76,23 @@ def test_exhaustive_is_global_minimum_by_full_scan(rng):
             for i3 in range(4):
                 for i4 in range(4):
                     x = alphabet.symbols[[i1, i2, i3, i4]]
-                    best = min(best, recompute_cost(eff, y, x))
+                    best = min(best, recompute_cost(h, y, x))
     assert r.cost == pytest.approx(best, abs=1e-12)
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    eff = st.EffectiveChannel(h=np.eye(4, dtype=complex))
     alphabet = st.make_qam(4)
     # y = 0 ties all 256 candidates (constant-modulus alphabet)
-    r = decode_one("exhaustive", eff, np.zeros(4, dtype=complex), alphabet)
+    r = decode_one("exhaustive", np.eye(4), np.zeros(4, dtype=complex), alphabet)
     assert r.indices == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("variant", st.GOLDEN_VARIANTS)
 def test_fast_noiseless_recovery(rng, variant):
     for model in ("quasistatic", "rapid"):
-        eff, _, alphabet, idx = random_golden_instance(rng, 16, variant, model)
-        y = eff.h @ alphabet.symbols[idx]
-        r = decode_one("fast", eff, y, alphabet)
+        h, _, alphabet, idx = random_golden_instance(rng, 16, variant, model)
+        y = h @ alphabet.symbols[idx]
+        r = decode_one("fast", h, y, alphabet)
         assert r.indices == tuple(idx)
         assert r.cost <= 1e-18
         assert r.full_sorts == 2
@@ -93,36 +106,35 @@ def test_fast_matches_exhaustive(rng, m):
         alphabet = st.make_qam(m)
         h = st.sample_channel(rng, model, rho=0.7 if model == "markov" else None)
         idx = rng.integers(0, m, 4)
-        eff = st.effective_channel(h, "golden-dv")
-        y = eff.h @ alphabet.symbols[idx] + st.stack_samples(
+        matrix = st.effective_matrix(h, "golden-dv")
+        y = matrix @ alphabet.symbols[idx] + st.stack_samples(
             st.sample_noise(rng, st.snr_to_n0(float(rng.integers(0, 21)))), "golden-dv"
         )
-        ref = decode_one("exhaustive", eff, y, alphabet)
-        fast = decode_one("fast", eff, y, alphabet)
+        ref = decode_one("exhaustive", matrix, y, alphabet)
+        fast = decode_one("fast", matrix, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
         assert fast.full_sorts == 2
-        assert abs(fast.cost - recompute_cost(eff, y, fast.x_hat)) <= 1e-9
+        assert abs(fast.cost - recompute_cost(matrix, y, fast.x_hat)) <= 1e-9
 
 
 def test_fast_all_allowed_permutations_are_exact(rng):
     alphabet = st.make_qam(4)
     others = set(itertools.permutations(range(4))) - set(dec.FAST_PERMUTATIONS)
     for _ in range(25):
-        eff, y, _, _ = random_golden_instance(rng, 4, model="rapid", snr_db=6.0)
-        ref = decode_one("exhaustive", eff, y, alphabet).cost
+        h, y, _, _ = random_golden_instance(rng, 4, model="rapid", snr_db=6.0)
+        ref = decode_one("exhaustive", h, y, alphabet).cost
         for perm in dec.FAST_PERMUTATIONS:
-            r = decode_one("fast", permuted(eff, perm), y, alphabet)
+            r = decode_one("fast", h[:, list(perm)], y, alphabet)
             assert abs(r.cost - ref) <= 1e-9
         # any other column order loses the real diagonal blocks of R
         for perm in others:
             with pytest.raises(ValueError, match="golden structure"):
-                decode_one("fast", permuted(eff, perm), y, alphabet)
+                decode_one("fast", h[:, list(perm)], y, alphabet)
 
 
-def _exhaustive_per_leading_symbol(eff, y, alphabet):
-    """Reference scan: one numpy pass per leading symbol x1; a later pass
-    wins only at a strictly lower cost."""
-    h = eff.h
+def _exhaustive_per_leading_symbol(h, y, alphabet):
+    """Reference scan of a 4x4 matrix ``h``: one numpy pass per leading
+    symbol x1; a later pass wins only at a strictly lower cost."""
     syms = alphabet.symbols
     contrib = [np.outer(h[:, t], syms) for t in range(4)]
     tail = (
@@ -146,7 +158,7 @@ def _exhaustive_per_leading_symbol(eff, y, alphabet):
 def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
     alphabet = st.make_qam(m)
     for trial in range(30 if m == 4 else 6):
-        h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h
+        h = st.effective_matrix(st.sample_channel(rng, "quasistatic"), variant)
         sent = alphabet.symbols[rng.integers(0, m, 4)]
         # y = 0 ties x with -x; a zero column ties its symbol exactly M ways,
         # across passes for column 0 at 16-QAM, so the smallest index wins
@@ -156,9 +168,8 @@ def test_exhaustive_blocks_equal_per_symbol_scan(rng, m, variant):
             dead[:, col] = 0.0
             cases.append((dead, dead @ sent, col))
         for matrix, y, tied in cases:
-            eff = st.EffectiveChannel(h=matrix)
-            got = decode_one("exhaustive", eff, y, alphabet)
-            want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
+            got = decode_one("exhaustive", matrix, y, alphabet)
+            want_idx, want_cost = _exhaustive_per_leading_symbol(matrix, y, alphabet)
             assert got.indices == want_idx
             assert got.cost.hex() == want_cost.hex()
             if tied is not None:
@@ -197,13 +208,12 @@ def test_exhaustive_stack_equals_per_symbol_scan(rng, monkeypatch, m, count, blo
     assert results.indices.shape == (count, 4)
     assert passes and max(passes) <= max(block, 4 * m ** 3)
     for h, y, got in zip(matrices, received, rows(results)):
-        eff = st.EffectiveChannel(h=h)
-        want_idx, want_cost = _exhaustive_per_leading_symbol(eff, y, alphabet)
+        want_idx, want_cost = _exhaustive_per_leading_symbol(h, y, alphabet)
         assert got.indices == want_idx
         assert got.cost.hex() == want_cost.hex()
         assert got.x_hat.tobytes() == alphabet.symbols[list(want_idx)].tobytes()
         assert (got.nodes_visited, got.full_sorts) == (m ** 4, 0)
-        assert abs(got.cost - recompute_cost(eff, y, got.x_hat)) <= 1e-9
+        assert abs(got.cost - recompute_cost(h, y, got.x_hat)) <= 1e-9
     assert results.indices[dead, 0] == 0
 
 
@@ -279,10 +289,9 @@ def test_search_planes_step_x2_in_zigzag_order(m):
 
 
 def test_fast_rejects_bad_inputs(rng):
-    eff, y, alphabet, _ = random_golden_instance(rng, 4)
+    _, y, alphabet, _ = random_golden_instance(rng, 4)
     # a random matrix labelled golden lacks the real R blocks the search needs
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    fake = st.EffectiveChannel(h=h)
+    fake = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(ValueError, match="golden structure"):
         decode_one("fast", fake, y, alphabet)
 
@@ -371,21 +380,21 @@ def test_fast_stack_memory_is_bounded_by_its_passes(rng):
 def test_sphere_matches_exhaustive_and_ordering_invariance(rng):
     alphabet = st.make_qam(4)
     for t in range(150):
-        eff, y, _, _ = random_golden_instance(
+        h, y, _, _ = random_golden_instance(
             rng, 4, model=("quasistatic", "rapid")[t % 2], snr_db=float(5 + (t % 3) * 7)
         )
-        ref = decode_one("exhaustive", eff, y, alphabet)
-        plain = decode_one("sphere", eff, y, alphabet)
-        blast = decode_one("sphere", permuted(eff, dec.blast_ordering(eff.h)), y, alphabet)
+        ref = decode_one("exhaustive", h, y, alphabet)
+        plain = decode_one("sphere", h, y, alphabet)
+        blast = decode_one("sphere", h[:, dec.blast_ordering(h)], y, alphabet)
         assert abs(plain.cost - ref.cost) <= 1e-9
         assert abs(blast.cost - ref.cost) <= 1e-9
-        assert abs(plain.cost - recompute_cost(eff, y, plain.x_hat)) <= 1e-9
+        assert abs(plain.cost - recompute_cost(h, y, plain.x_hat)) <= 1e-9
 
 
 def test_sphere_noiseless(rng):
-    eff, _, alphabet, idx = random_golden_instance(rng, 16)
-    y = eff.h @ alphabet.symbols[idx]
-    r = decode_one("sphere", eff, y, alphabet)
+    h, _, alphabet, idx = random_golden_instance(rng, 16)
+    y = h @ alphabet.symbols[idx]
+    r = decode_one("sphere", h, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
 
@@ -431,18 +440,18 @@ def test_children_in_order_matches_stable_argsort(rng, width):
 
 
 def _tie_heavy_inputs(rng, alphabet, variant, count):
-    """(eff, y) pairs that make exact metric ties: noise-free y, y = 0, and y
-    at PAM midpoints, on random channels and on one with R = I."""
+    """(4x4 matrix, y) pairs that make exact metric ties: noise-free y, y = 0,
+    and y at PAM midpoints, on random channels and on one with R = I."""
     pam = alphabet.pam
     midpoints = [pam.scale * (v + 1.0) for v in pam.levels[:-1]]
     cases = []
     for k in range(count):
-        eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
+        h = st.effective_matrix(st.sample_channel(rng, "quasistatic"), variant)
         x = alphabet.symbols[rng.integers(0, alphabet.size, 4)]
         mid = np.array([complex(*rng.choice(midpoints, 2)) for _ in range(4)])
-        cases += [(eff, eff.h @ x), (eff, np.zeros(4, dtype=complex)), (eff, eff.h @ mid)]
+        cases += [(h, h @ x), (h, np.zeros(4, dtype=complex)), (h, h @ mid)]
         if k == 0:
-            eye = st.EffectiveChannel(h=np.eye(4))
+            eye = np.eye(4, dtype=complex)
             cases += [(eye, mid), (eye, x), (eye, np.zeros(4, dtype=complex))]
     return cases
 
@@ -455,10 +464,10 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
     # y = 0 ties x with -x exactly, so a wrong order within tied children
     # shows as a different decision or node count on a few percent of channels.
     alphabet = st.make_qam(m)
-    for n, (eff, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
-        calls = [(eff, True), (permuted(eff, dec.blast_ordering(eff.h)), True)]
+    for n, (h, y) in enumerate(_tie_heavy_inputs(rng, alphabet, variant, count)):
+        calls = [(h, True), (h[:, dec.blast_ordering(h)], True)]
         if n < unpruned:
-            calls.append((eff, False))
+            calls.append((h, False))
         for channel, prune in calls:
             if prune:
                 got = decode_one("sphere", channel, y, alphabet)
@@ -472,8 +481,8 @@ def test_sphere_reproduces_reference_argsort_decoder(rng, variant, m, count, unp
 
 
 def _stacked_rows(pairs):
-    """The prologue of (eff, y) pairs decoded as one stack: R and z."""
-    return dec.triangular_rows(np.stack([eff.h for eff, _ in pairs]),
+    """The prologue of (4x4 matrix, y) pairs decoded as one stack: R and z."""
+    return dec.triangular_rows(np.stack([h for h, _ in pairs]),
                                np.stack([np.asarray(y, dtype=complex) for _, y in pairs]))
 
 
@@ -735,7 +744,7 @@ def test_sphere_stack_costs_are_residuals(rng, ordering):
                 y = _received(rng, matrices, alphabet, variant, np.linspace(-3, 30, 64))
                 decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("sphere",), ordering)
                 for h, received, got in zip(matrices, y, rows(decoded["sphere"])):
-                    expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+                    expected = recompute_cost(h, received, got.x_hat)
                     assert abs(got.cost - expected) <= 1e-9 * expected
 
 
@@ -761,21 +770,21 @@ def test_sphere_stack_memory_is_bounded_by_its_passes(rng):
 
 def test_alamouti_fast_matches_exhaustive(rng):
     for t in range(150):
-        eff, y, alphabet, _ = random_alamouti_instance(rng, 4, snr_db=float(3 + (t % 4) * 5))
-        ref = decode_one("exhaustive", eff, y, alphabet)
-        fast = decode_one("alamouti", eff, y, alphabet)
+        h, y, alphabet, _ = random_alamouti_instance(rng, 4, snr_db=float(3 + (t % 4) * 5))
+        ref = decode_one("exhaustive", h, y, alphabet)
+        fast = decode_one("alamouti", h, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
-        assert abs(fast.cost - recompute_cost(eff, y, fast.x_hat)) <= 1e-9
+        assert abs(fast.cost - recompute_cost(h, y, fast.x_hat)) <= 1e-9
 
 
 def test_alamouti_fast_noiseless_and_counters(rng):
-    eff, _, alphabet, idx = random_alamouti_instance(rng, 16)
-    y = eff.h @ alphabet.symbols[idx]
-    r = decode_one("alamouti", eff, y, alphabet)
+    h, _, alphabet, idx = random_alamouti_instance(rng, 16)
+    y = h @ alphabet.symbols[idx]
+    r = decode_one("alamouti", h, y, alphabet)
     assert r.indices == tuple(idx)
     assert r.cost <= 1e-18
     m = alphabet.size
-    nop = decode_unpruned(dec.decode_alamouti_stack, eff, y, alphabet)
+    nop = decode_unpruned(dec.decode_alamouti_stack, h, y, alphabet)
     assert nop.nodes_visited == m + m**2 + 4 * m**2
     assert r.nodes_visited <= nop.nodes_visited
 
@@ -951,7 +960,7 @@ def test_alamouti_stack_costs_are_residuals_and_exhaustive_costs(rng):
                                              "none")
         for h, received, got, ref in zip(matrices, y, rows(decoded["alamouti"]),
                                          rows(decoded["exhaustive"])):
-            expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+            expected = recompute_cost(h, received, got.x_hat)
             assert abs(got.cost - expected) <= 1e-9 * expected
             assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
 
@@ -1070,16 +1079,16 @@ def test_fast_stack_costs_are_residuals(rng, ordering):
             y = _received(rng, matrices, alphabet, "golden-dv", np.linspace(-3, 30, 64))
             decoded, _ = st.harness.decode_stack(matrices, y, alphabet, ("fast",), ordering)
             for h, received, got in zip(matrices, y, rows(decoded["fast"])):
-                expected = recompute_cost(st.EffectiveChannel(h=h), received, got.x_hat)
+                expected = recompute_cost(h, received, got.x_hat)
                 assert abs(got.cost - expected) <= 1e-9 * expected
 
 
 def test_alamouti_fast_rejects_time_varying(rng):
     raised = 0
     for _ in range(30):
-        eff, y, alphabet, _ = random_alamouti_instance(rng, 4, model="rapid")
+        h, y, alphabet, _ = random_alamouti_instance(rng, 4, model="rapid")
         try:
-            decode_one("alamouti", eff, y, alphabet)
+            decode_one("alamouti", h, y, alphabet)
         except ValueError as exc:
             assert "invalid for this channel" in str(exc)
             raised += 1
@@ -1088,9 +1097,9 @@ def test_alamouti_fast_rejects_time_varying(rng):
 
 def test_alamouti_fast_requires_alamouti_channel(rng):
     # a golden channel's r12 is not zero, whatever the label says
-    eff, y, alphabet, _ = random_golden_instance(rng, 4)
+    h, y, alphabet, _ = random_golden_instance(rng, 4)
     with pytest.raises(ValueError, match="invalid for this channel"):
-        decode_one("alamouti", eff, y, alphabet)
+        decode_one("alamouti", h, y, alphabet)
 
 
 @pytest.mark.parametrize("m", (4, 16))
@@ -1098,9 +1107,9 @@ def test_fast_on_quasistatic_alamouti_matches_exhaustive(rng, m):
     # a quasistatic overlaid-Alamouti R has zero r12 and r34, so its diagonal
     # blocks are real and the fast golden search is exact on it as well
     for t in range(60 if m == 4 else 12):
-        eff, y, alphabet, _ = random_alamouti_instance(rng, m, snr_db=float(t % 4) * 4.0)
-        ref = decode_one("exhaustive", eff, y, alphabet)
-        fast = decode_one("fast", eff, y, alphabet)
+        h, y, alphabet, _ = random_alamouti_instance(rng, m, snr_db=float(t % 4) * 4.0)
+        ref = decode_one("exhaustive", h, y, alphabet)
+        fast = decode_one("fast", h, y, alphabet)
         assert abs(fast.cost - ref.cost) <= 1e-9
         assert fast.full_sorts == 2
 
@@ -1112,15 +1121,15 @@ def test_structure_bound_is_relative_to_the_channel_norm(rng, scale):
         ("fast", random_golden_instance, "golden structure"),
         ("alamouti", random_alamouti_instance, "invalid for this channel"),
     ):
-        eff, _, alphabet, idx = instance(rng, 4)
-        h = eff.h * scale
+        h, _, alphabet, idx = instance(rng, 4)
+        h = h * scale
         factors = qr_decompose(h)
         limit = ZERO_TOLERANCE * float(frobenius_norm(h))
         for factor in (0.5, 2.0):
             r = factors.r.copy()
             r[0, 1] = r[0, 1].real + 1j * factor * limit
-            rebuilt = st.EffectiveChannel(h=factors.q @ r)
-            y = rebuilt.h @ alphabet.symbols[idx]
+            rebuilt = factors.q @ r
+            y = rebuilt @ alphabet.symbols[idx]
             if factor < 1.0:
                 assert decode_one(name, rebuilt, y, alphabet).indices == tuple(idx)
             else:
@@ -1138,13 +1147,13 @@ def test_fast_decoders_refuse_channels_near_their_structure(rng):
         ("alamouti", "overlaid-alamouti", "invalid for this channel"),
     ):
         for _ in range(20):
-            eff, y = near_tie(rng, variant, 5e-7, alphabet)
+            h, y = near_tie(rng, variant, 5e-7, alphabet)
             with pytest.raises(ValueError, match=message + r".* is \d\.\de-\d\d of "
                                r"\|\|H\|\|_F, above 1e-12$"):
-                decode_one(name, eff, y, alphabet)
-            eff, y = near_tie(rng, variant, 1e-14, alphabet)
-            got = decode_one(name, eff, y, alphabet)
-            ref = decode_one("exhaustive", eff, y, alphabet)
+                decode_one(name, h, y, alphabet)
+            h, y = near_tie(rng, variant, 1e-14, alphabet)
+            got = decode_one(name, h, y, alphabet)
+            ref = decode_one("exhaustive", h, y, alphabet)
             assert got.indices == ref.indices
             assert abs(got.cost - ref.cost) <= 1e-9 * ref.cost
 
@@ -1164,7 +1173,7 @@ _DECODER_CASES = {
 def test_non_finite_input_raises(rng, name, bad, where):
     variant = _DECODER_CASES[name]
     alphabet = st.make_qam(16)
-    h = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant).h.copy()
+    h = st.effective_matrix(st.sample_channel(rng, "quasistatic"), variant)
     y = h @ alphabet.symbols[rng.integers(0, 16, 4)]
     if where == "y":
         y[1] = bad
@@ -1181,10 +1190,10 @@ def test_non_finite_input_raises(rng, name, bad, where):
 def test_overflowing_cost_raises(rng, name):
     # y and H are finite, but every squared distance exceeds the float range.
     variant = _DECODER_CASES[name]
-    eff = st.effective_channel(st.sample_channel(rng, "quasistatic"), variant)
+    h = st.effective_matrix(st.sample_channel(rng, "quasistatic"), variant)
     y = np.array([1e200, 1e200, 0, 0], dtype=complex)
     with pytest.raises(ValueError, match="overflow"):
-        decode_one(name, eff, y, st.make_qam(16))
+        decode_one(name, h, y, st.make_qam(16))
 
 
 def test_blast_ordering_properties(rng):
@@ -1225,8 +1234,8 @@ def test_blast_ordering_rejects_a_non_finite_matrix(rng):
 
 def test_blast_ordering_restricted_to_fast_set(rng):
     for _ in range(25):
-        eff, _, _, _ = random_golden_instance(rng, 4, model="rapid")
-        assert tuple(dec.fast_ordering(eff.h)[0].tolist()) in dec.FAST_PERMUTATIONS
+        h, _, _, _ = random_golden_instance(rng, 4, model="rapid")
+        assert tuple(dec.fast_ordering(h)[0].tolist()) in dec.FAST_PERMUTATIONS
 
 
 @pytest.mark.parametrize("m", (4, 16))
@@ -1237,10 +1246,10 @@ def test_worst_case_dominance_over_trial_set(rng, m):
     worst_alam = 0
     for t in range(120):
         snr = float(t % 12)  # low SNR stresses the search
-        eff, y, alphabet, _ = random_golden_instance(rng, m, model="rapid", snr_db=snr)
-        worst_fast = max(worst_fast, decode_one("fast", eff, y, alphabet).nodes_visited)
-        effa, ya, alphabeta, _ = random_alamouti_instance(rng, m, snr_db=snr)
-        worst_alam = max(worst_alam, decode_one("alamouti", effa, ya, alphabeta).nodes_visited)
+        h, y, alphabet, _ = random_golden_instance(rng, m, model="rapid", snr_db=snr)
+        worst_fast = max(worst_fast, decode_one("fast", h, y, alphabet).nodes_visited)
+        ha, ya, alphabeta, _ = random_alamouti_instance(rng, m, snr_db=snr)
+        worst_alam = max(worst_alam, decode_one("alamouti", ha, ya, alphabeta).nodes_visited)
     assert worst_fast <= fast_cap
     assert worst_alam <= alam_cap
 
@@ -1248,23 +1257,23 @@ def test_worst_case_dominance_over_trial_set(rng, m):
 @pytest.mark.parametrize("model", ("quasistatic", "rapid"))
 def test_fast_and_sphere_agree_on_64qam(rng, model):
     for t in range(40):
-        eff, y, alphabet, _ = random_golden_instance(rng, 64, model=model, snr_db=10.0 + t % 15)
-        fast = decode_one("fast", eff, y, alphabet)
-        sphere = decode_one("sphere", eff, y, alphabet)
+        h, y, alphabet, _ = random_golden_instance(rng, 64, model=model, snr_db=10.0 + t % 15)
+        fast = decode_one("fast", h, y, alphabet)
+        sphere = decode_one("sphere", h, y, alphabet)
         assert fast.indices == sphere.indices
         assert abs(fast.cost - sphere.cost) <= 1e-9 * sphere.cost
 
 
 def test_radius_equals_cost_and_monotone_updates(rng):
     # final cost equals the independently recomputed distance for all decoders
-    eff, y, alphabet, _ = random_golden_instance(rng, 16, snr_db=8.0)
+    h, y, alphabet, _ = random_golden_instance(rng, 16, snr_db=8.0)
     for name in ("fast", "sphere", "exhaustive"):
-        result = decode_one(name, eff, y, alphabet)
-        assert abs(result.cost - recompute_cost(eff, y, result.x_hat)) <= 1e-9
+        result = decode_one(name, h, y, alphabet)
+        assert abs(result.cost - recompute_cost(h, y, result.x_hat)) <= 1e-9
 
-    effa, ya, alphabeta, _ = random_alamouti_instance(rng, 16, snr_db=8.0)
-    ra = decode_one("alamouti", effa, ya, alphabeta)
-    assert abs(ra.cost - recompute_cost(effa, ya, ra.x_hat)) <= 1e-9
+    ha, ya, alphabeta, _ = random_alamouti_instance(rng, 16, snr_db=8.0)
+    ra = decode_one("alamouti", ha, ya, alphabeta)
+    assert abs(ra.cost - recompute_cost(ha, ya, ra.x_hat)) <= 1e-9
 
 
 def _received(rng, matrices, alphabet, variant, snrs_db):
@@ -1290,7 +1299,7 @@ def test_batch_decodes_equal_decodes_made_alone(rng, variant):
         for ordering in st.harness.ORDERING_MODES:
             decoded, _ = st.harness.decode_stack(stacked, y, alphabet, names, ordering)
             for k, h in enumerate(chs):
-                plain = st.effective_channel(h, variant)
+                plain = st.effective_matrix(h, variant)
                 for name in names:
                     a = decode_alone(name, plain, y[k], alphabet, ordering)
                     b = decoded[name].row(k)
@@ -1370,13 +1379,12 @@ def test_blast_orders_do_not_move_when_a_column_is_scaled(rng, variant, model):
 
 
 def _chunk(rng, variant, model, m, count=8):
-    """A sweep-like stack: channels, their matrices and noisy received stacks at 0 to 21 dB."""
+    """A sweep-like stack: matrices and noisy received stacks at 0 to 21 dB."""
     alphabet = st.make_qam(m)
     chs = [st.sample_channel(rng, model) for _ in range(count)]
     matrices = st.effective_matrix(np.stack(chs), variant)
-    channels = [st.EffectiveChannel(h=h) for h in matrices]
     y = _received(rng, matrices, alphabet, variant, [3.0 * k for k in range(count)])
-    return alphabet, channels, matrices, y
+    return alphabet, matrices, y
 
 
 def _reference_sorts(variant, alphabet, r, z):
@@ -1403,7 +1411,7 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
     alamouti = variant == "overlaid-alamouti"
     name = "alamouti" if alamouti else "fast"
     structured = not (alamouti and model == "rapid")
-    alphabet, channels, matrices, y = _chunk(rng, variant, model, m)
+    alphabet, matrices, y = _chunk(rng, variant, model, m)
     r_stack, z = dec.triangular_rows(matrices, y)
     prologue = list(zip(r_stack.tolist(), z.tolist()))
     spheres = rows(dec.decode_sphere_stack(r_stack, z, alphabet))
@@ -1425,9 +1433,9 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
         stacked = rows(stack_call(r_stack, z, alphabet))
         monkeypatch.undo()
         sorted_rows = list(zip(*(part.tolist() for part in sorts)))
-    for eff, received, row, sorted_row, result, sphere in zip(channels, y, prologue, sorted_rows,
-                                                              stacked, spheres):
-        factors = qr_decompose(eff.h)
+    for h, received, row, sorted_row, result, sphere in zip(matrices, y, prologue, sorted_rows,
+                                                            stacked, spheres):
+        factors = qr_decompose(h)
         r = factors.r.tolist()
         z_alone = (factors.q.conj().T @ received).tolist()
         # repr tells apart every float that == does not (-0.0), so this is bit for bit.
@@ -1438,11 +1446,11 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
             calls.append((name, result))
         else:
             with pytest.raises(ValueError, match="invalid for this channel"):
-                decode_one(name, eff, received, alphabet)
+                decode_one(name, h, received, alphabet)
 
         # the stacked prologue's row decodes as a stack of one does
         for call_name, a in calls:
-            b = decode_one(call_name, eff, received, alphabet)
+            b = decode_one(call_name, h, received, alphabet)
             assert (a.indices, repr(a.cost), a.nodes_visited, a.full_sorts) == (
                 b.indices, repr(b.cost), b.nodes_visited, b.full_sorts
             )
@@ -1452,7 +1460,7 @@ def test_stacked_prologue_is_exact(rng, monkeypatch, variant, model, m):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
-    alphabet, _, matrices, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=3)
+    alphabet, matrices, y = _chunk(rng, "golden-dv", "quasistatic", 16, count=3)
     nan_y = y.copy()
     nan_y[1, 2] = math.nan
     with pytest.raises(ValueError, match="non-finite received stack y"):
@@ -1465,8 +1473,8 @@ def test_prologue_checks_each_precondition_once_per_stack(rng, monkeypatch):
     with pytest.raises(ValueError, match="golden structure"):
         dec.decode_fast_stack(*dec.triangular_rows(unstructured, y), alphabet)
     # one rapid Alamouti channel among quasistatic ones
-    _, _, alamouti, y_al = _chunk(rng, "overlaid-alamouti", "quasistatic", 16, count=3)
-    alamouti[1] = _chunk(rng, "overlaid-alamouti", "rapid", 16, count=1)[2][0]
+    _, alamouti, y_al = _chunk(rng, "overlaid-alamouti", "quasistatic", 16, count=3)
+    alamouti[1] = _chunk(rng, "overlaid-alamouti", "rapid", 16, count=1)[1][0]
     with pytest.raises(ValueError, match="invalid for this channel"):
         dec.decode_alamouti_stack(*dec.triangular_rows(alamouti, y_al), alphabet)
 

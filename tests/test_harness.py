@@ -24,7 +24,7 @@ from stcsim.harness import (
 from stcsim.matrixkit import qr_decompose
 
 from conftest import decode_alone, decode_one, rows
-from make_rows_fixture import FIELDS, FIXTURE, row_record
+from make_rows_fixture import CHECK_FIELDS, FIELDS, FIXTURE, row_record, verify_record
 
 
 def small_config(**kw):
@@ -434,14 +434,15 @@ def test_sweep_runs_each_prologue_once_per_trial_or_chunk(
 
 
 def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypatch):
-    """decode_stack would make an instance's EffectiveChannel and its R and
-    z as Python lists only for a per-instance decoder, and every decoder is
-    a stack call now: an alamouti-only stack (CLI ``decode`` of an alamouti
-    document), an alamouti and sphere stack, and exhaustive, fast and sphere
-    golden stacks make neither, under both orderings, and sphere's decisions
-    are still alamouti's on noise-free Alamouti channels. Each stack makes
-    one DecodeResult per decoder and none per instance, and so does every
-    stack of a serial sweep."""
+    """decode_stack would make an instance's R and z as Python lists only
+    for a per-instance decoder, and every decoder is a stack call now: an
+    alamouti-only stack (CLI ``decode`` of an alamouti document), an
+    alamouti and sphere stack, and exhaustive, fast and sphere golden stacks
+    make none, under both orderings, and sphere's decisions are still
+    alamouti's on noise-free Alamouti channels. Each stack makes one
+    DecodeResult per decoder and none per instance, and so does every stack
+    of a serial sweep. (That no library module names a one-instance channel
+    object is test_layering's check.)"""
     shapes = []  # the cost shape of every DecodeResult made
     init = st.decoders.DecodeResult.__init__
 
@@ -457,11 +458,7 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
             listed.append(self.shape)
             return np.asarray(self).tolist()
 
-    built = []
-    effective_channel = st.codes.EffectiveChannel
     factored_rows = st.decoders.factored_rows
-    monkeypatch.setattr(st.codes, "EffectiveChannel",
-                        lambda h: built.append(h) or effective_channel(h=h))
     monkeypatch.setattr(st.decoders, "factored_rows",
                         lambda *args: tuple(part.view(Listed) for part in factored_rows(*args)))
     alphabet = st.make_qam(16)
@@ -469,11 +466,11 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
     received = (matrices @ alphabet.symbols[rng.integers(0, 16, (5, 4))][..., None])[..., 0]
     for ordering in harness.ORDERING_MODES:
         decoded, _ = harness.decode_stack(matrices, received, alphabet, ("alamouti",), ordering)
-        assert (built, listed) == ([], [])
+        assert listed == []
         # sphere's blast order is a second prologue, which alamouti does not read
         both, _ = harness.decode_stack(matrices, received, alphabet, ("alamouti", "sphere"),
                                        ordering)
-        assert (built, listed) == ([], [])
+        assert listed == []
         assert both["alamouti"].indices.tolist() == decoded["alamouti"].indices.tolist() == (
             both["sphere"].indices.tolist())
     golden = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
@@ -481,14 +478,14 @@ def test_per_instance_rows_are_made_only_for_per_instance_decoders(rng, monkeypa
     for ordering in harness.ORDERING_MODES:
         for names in (("exhaustive", "fast"), ("exhaustive", "fast", "sphere")):
             harness.decode_stack(golden, received, alphabet, names, ordering)
-            assert (built, listed) == ([], [])
+            assert listed == []
     assert shapes == [(5,)] * (2 * (1 + 2) + 2 * (2 + 3))
     monkeypatch.setenv("STC_THREADS", "1")
     names = ("exhaustive", "fast", "sphere")
     for ordering in harness.ORDERING_MODES:
         shapes.clear()
         run_sweep(small_config(decoders=names, ordering=ordering))
-        assert (built, listed) == ([], [])
+        assert listed == []
         # the 4 points of 40 trials are one stack
         assert shapes == [(160,)] * len(names)
 
@@ -507,8 +504,7 @@ def test_exhaustive_only_stack_decodes_rank_deficient_matrix(rng):
             matrices, received, alphabet, ("exhaustive",), ordering
         )
         for h, y, result in zip(matrices, received, rows(decoded["exhaustive"])):
-            eff = st.EffectiveChannel(h=h)
-            alone = decode_one("exhaustive", eff, y, alphabet)
+            alone = decode_one("exhaustive", h, y, alphabet)
             assert (result.indices, result.cost.hex()) == (alone.indices, alone.cost.hex())
         with pytest.raises(ValueError, match="degenerate"):
             harness.decode_stack(
@@ -599,18 +595,18 @@ def test_decode_stack_times_each_decoder_once_per_stack(monkeypatch, rng):
     clock = FakeClock()
     monkeypatch.setattr(harness, "time", clock)
     dec = st.decoders
-    # distinct amounts, so each sum tells which calls it holds
-    for fn_name, ns in (
-        # the prologue and both column-order rules: charged to no decoder
-        ("triangular_rows", 10 ** 9),
-        ("factored_rows", 2 * 10 ** 9),
-        ("greedy_ordering", 3 * 10 ** 9),
-        ("fast_ordering", 4 * 10 ** 9),
-        ("decode_exhaustive_stack", 70_000),
-        ("decode_fast_stack", 5_000),
-        ("decode_sphere_stack", 200),
-    ):
+    # distinct amounts, so each sum tells which calls it holds; the prologue
+    # and both column-order rules are charged to no decoder
+    for fn_name, ns in (("triangular_rows", 10 ** 9), ("factored_rows", 2 * 10 ** 9)):
         monkeypatch.setattr(dec, fn_name, clock.advancing(getattr(dec, fn_name), ns))
+    for name, call, ns, blast_ns in (("exhaustive", "stack", 70_000, None),
+                                     ("fast", "factored", 5_000, 4 * 10 ** 9),
+                                     ("sphere", "factored", 200, 3 * 10 ** 9)):
+        entry = harness.DECODERS[name]
+        timed = {call: clock.advancing(getattr(entry, call), ns)}
+        if blast_ns is not None:
+            timed["blast"] = clock.advancing(entry.blast, blast_ns)
+        monkeypatch.setitem(harness.DECODERS, name, dataclasses.replace(entry, **timed))
     alphabet = st.make_qam(4)
     matrices = st.effective_matrix(st.sample_channels(rng, "quasistatic", 5), "golden-dv")
     received = matrices @ alphabet.symbols[:4]
@@ -661,16 +657,16 @@ def reference_rows(cfg):
                 noise_normals = rng.standard_normal((size, st.channel.NORMALS_PER_NOISE))
             for t, idx_true in enumerate(sent):
                 h = st.channel.channels_from_normals(channel_normals[t], cfg.channel, cfg.rho)
-                eff = st.effective_channel(h, cfg.code)
+                matrix = st.effective_matrix(h, cfg.code)
                 if cfg.noise_free:
                     noise = np.zeros(4, dtype=complex)
                 else:
                     noise = st.stack_samples(
                         st.channel.noise_from_normals(noise_normals[t], n0), cfg.code
                     )
-                y = eff.h @ alphabet.symbols[idx_true] + noise
+                y = matrix @ alphabet.symbols[idx_true] + noise
                 for name in cfg.decoders:
-                    result = decode_alone(name, eff, y, alphabet, cfg.ordering)
+                    result = decode_alone(name, matrix, y, alphabet, cfg.ordering)
                     acc[name]["errors"] += int(np.sum(np.asarray(result.indices) != idx_true))
                     acc[name]["nodes"].append(result.nodes_visited)
                     acc[name]["sorts"] += result.full_sorts
@@ -1165,6 +1161,19 @@ def test_sweep_rows_match_the_fixture(monkeypatch, threads):
     for case in fixture["cases"]:
         cfg = SweepConfig(**dict(case["config"], decoders=tuple(case["config"]["decoders"])))
         assert [row_record(row) for row in run_sweep(cfg).rows] == case["rows"], case["name"]
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_verify_values_match_the_fixture(monkeypatch, threads):
+    """No verify value moved: every check of every suite at 60 trials and
+    seeds 0 and 5 (name, measured value, threshold, comparison and verdict)
+    equals, floats as hex, the checks recorded in rows_fixture.json."""
+    fixture = json.loads(FIXTURE.read_text())
+    assert tuple(fixture["check_fields"]) == CHECK_FIELDS
+    assert {case["suite"] for case in fixture["verify"]} == set(harness.VERIFICATION_SUITES)
+    monkeypatch.setenv("STC_THREADS", threads)
+    for case in fixture["verify"]:
+        assert verify_record(case["suite"], case["seed"]) == case["checks"], case["name"]
 
 
 def test_thread_count_defaults_to_the_cpus_the_process_may_run_on(monkeypatch):

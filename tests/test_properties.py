@@ -41,13 +41,13 @@ def _close(a, b):
 )
 def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
     h = st.sample_channel(st.make_rng(seed), model, rho=0.9 if model == "markov" else None)
-    eff = st.EffectiveChannel(h=scale * st.effective_matrix(h, variant))
+    matrix = scale * st.effective_matrix(h, variant)
     alphabet = st.make_qam(m)
     results = {
-        name: decode_one(name, eff, y, alphabet) for name in ("fast", "sphere", "exhaustive")
+        name: decode_one(name, matrix, y, alphabet) for name in ("fast", "sphere", "exhaustive")
     }
     for name, result in results.items():
-        assert _close(result.cost, recompute_cost(eff, y, result.x_hat)), name
+        assert _close(result.cost, recompute_cost(matrix, y, result.x_hat)), name
     assert _close(results["fast"].cost, results["exhaustive"].cost)
 
 
@@ -61,11 +61,11 @@ def test_golden_costs_are_true_distances(variant, model, m, seed, scale, y):
 def test_alamouti_costs_equal_exhaustive(m, seed, scale, y):
     # Alamouti's fast path needs quasistatic fading; rapid channels raise.
     h = st.sample_channel(st.make_rng(seed), "quasistatic")
-    eff = st.EffectiveChannel(h=scale * st.effective_matrix(h, "overlaid-alamouti"))
+    matrix = scale * st.effective_matrix(h, "overlaid-alamouti")
     alphabet = st.make_qam(m)
-    alamouti = decode_one("alamouti", eff, y, alphabet)
-    assert _close(alamouti.cost, recompute_cost(eff, y, alamouti.x_hat))
-    assert _close(alamouti.cost, decode_one("exhaustive", eff, y, alphabet).cost)
+    alamouti = decode_one("alamouti", matrix, y, alphabet)
+    assert _close(alamouti.cost, recompute_cost(matrix, y, alamouti.x_hat))
+    assert _close(alamouti.cost, decode_one("exhaustive", matrix, y, alphabet).cost)
 
 
 @PROPERTY
@@ -81,16 +81,15 @@ def test_fast_on_arbitrary_matrix_raises_or_is_exact(entries, real, near_golden,
     h = np.array(entries[:16]).reshape(4, 4)
     if not real:  # a real matrix has a real R: it passes the check without being golden
         h = h + 1j * np.array(entries[16:]).reshape(4, 4)
-    eff = st.EffectiveChannel(h=h)
     alphabet = st.make_qam(4)
     if near_golden is not None:
         seed, size = near_golden
-        eff, _ = near_tie(st.make_rng(seed), "golden-dv", size, alphabet)
+        h, _ = near_tie(st.make_rng(seed), "golden-dv", size, alphabet)
     try:
-        fast = decode_one("fast", eff, y, alphabet)
+        fast = decode_one("fast", h, y, alphabet)
     except ValueError:
         return
-    assert _close(fast.cost, decode_one("exhaustive", eff, y, alphabet).cost)
+    assert _close(fast.cost, decode_one("exhaustive", h, y, alphabet).cost)
 
 
 
